@@ -1,9 +1,13 @@
 """Wave-layer propagation: Crank-Nicolson stepping and the
 diagonalization reference, plus initial states and moments.
 
-Everything works on the dense operator matrices from ``hamiltonian``;
-problem sizes stay small enough (n <= 2048) that dense linear algebra is
-the simplest correct choice.
+Everything works on the three diagonals of the operators from
+``hamiltonian``; no n x n matrix is formed.  Crank-Nicolson applies
+1 - i dt H / 2hbar as a 3-point stencil and solves with a tridiagonal LU
+(LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle,
+spectral filter and ground state read the operator's cached
+eigendecomposition: the link phases gauged away by a diagonal unitary,
+one real symmetric tridiagonal solve (LAPACK stemr) per operator.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .hamiltonian import QuantumOperator
+from .hamiltonian import QuantumOperator, tridiagonal_apply
 from .lattice import GridSpec, integrate
 
 SPECTRAL_MAX_N = 1024
@@ -64,6 +68,11 @@ def coherent_state(grid: GridSpec, m: float = 1.0, omega: float = 1.0,
                            momentum=momentum, hbar_eff=hbar_eff)
 
 
+def _check_operator(state: WaveState, H: QuantumOperator) -> None:
+    if H.diag.shape != (state.grid.n,):
+        raise ShapeError("operator size does not match the state grid")
+
+
 def propagate_crank_nicolson(state: WaveState, H: QuantumOperator,
                              dt: float, steps: int) -> WaveState:
     """Unitary Cayley stepping (1 + i dt H / 2hbar)^-1 (1 - i dt H / 2hbar)."""
@@ -72,35 +81,48 @@ def propagate_crank_nicolson(state: WaveState, H: QuantumOperator,
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    if H.matrix.shape != (state.grid.n, state.grid.n):
-        raise ShapeError("operator size does not match the state grid")
+    _check_operator(state, H)
     if steps == 0:
         return state
-    X = (0.5j * dt / state.hbar_eff) * H.matrix
-    eye = np.eye(state.grid.n)
-    try:
-        lu, piv = scipy.linalg.lu_factor(eye + X)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological dt
-        raise NumericalError(f"Crank-Nicolson system is singular: {exc}") from exc
-    B = eye - X
+    c = 0.5j * dt / state.hbar_eff
+    X = (c * H.lower, c * H.diag, c * H.upper)
+    # 1 + X is factored once; 1 - X is applied as a stencil at each step
+    dl, d, du, du2, ipiv, info = scipy.linalg.lapack.zgttrf(X[0], 1.0 + X[1], X[2])
+    if info != 0:  # pragma: no cover - pathological dt
+        raise NumericalError(f"Crank-Nicolson system is singular (zgttrf info {info})")
+    B = (-X[0], 1.0 - X[1], -X[2])
     psi = state.psi.astype(complex)
     for _ in range(steps):
-        psi = scipy.linalg.lu_solve((lu, piv), B @ psi)
+        psi = scipy.linalg.lapack.zgttrs(dl, d, du, du2, ipiv,
+                                         tridiagonal_apply(*B, psi),
+                                         overwrite_b=True)[0]
     if not np.all(np.isfinite(psi.view(float))):
         raise NumericalError("Crank-Nicolson produced non-finite amplitudes")
     return WaveState(psi=psi, hbar_eff=state.hbar_eff,
                      t=state.t + dt * steps, grid=state.grid)
 
 
-def propagate_eigen_oracle(state: WaveState, H: QuantumOperator, t: float) -> WaveState:
-    """Reference propagator exp(-i H t / hbar) by full diagonalization."""
+def _check_spectral(state: WaveState, H: QuantumOperator, what: str) -> None:
     _check_state(state)
     if state.grid.n > SPECTRAL_MAX_N:
-        raise ConfigurationError(
-            f"eigen-oracle propagation is limited to n <= {SPECTRAL_MAX_N}")
-    evals, evecs = np.linalg.eigh(H.matrix)
-    coeff = evecs.conj().T @ state.psi
-    psi = evecs @ (np.exp(-1j * evals * t / state.hbar_eff) * coeff)
+        raise ConfigurationError(f"{what} is limited to n <= {SPECTRAL_MAX_N}")
+    _check_operator(state, H)
+
+
+def _real_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x for a real matrix and a complex vector, as one real product
+    with the (re, im) pairs as two columns, so M is never cast to complex."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (M @ x.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
+def propagate_eigen_oracle(state: WaveState, H: QuantumOperator, t: float) -> WaveState:
+    """Reference propagator exp(-i H t / hbar) from the operator's cached
+    eigendecomposition."""
+    _check_spectral(state, H, "eigen-oracle propagation")
+    w, V, d = H.eigensystem
+    coeff = _real_matvec(V.T, np.conj(d) * state.psi)
+    psi = d * _real_matvec(V, np.exp(-1j * w * t / state.hbar_eff) * coeff)
     return WaveState(psi=psi, hbar_eff=state.hbar_eff, t=state.t + t, grid=state.grid)
 
 
@@ -114,38 +136,34 @@ def spectral_filter(state: WaveState, H: QuantumOperator,
     spectral components are invisible in the interior but dominate the
     deep wall tail, where their beating sweeps the density through zero.
     """
-    _check_state(state)
-    if state.grid.n > SPECTRAL_MAX_N:
-        raise ConfigurationError(
-            f"spectral filtering is limited to n <= {SPECTRAL_MAX_N}")
-    if H.matrix.shape != (state.grid.n, state.grid.n):
-        raise ShapeError("operator size does not match the state grid")
-    evals, evecs = np.linalg.eigh(H.matrix)
-    keep = evals <= e_cut
+    _check_spectral(state, H, "spectral filtering")
+    w, V, d = H.eigensystem
+    keep = w <= e_cut
     if not bool(np.any(keep)):
         raise ConfigurationError(
             f"energy cutoff {e_cut} lies below the entire spectrum")
-    sub = evecs[:, keep]
-    psi = sub @ (sub.conj().T @ state.psi)
+    sub = V[:, keep]
+    psi = d * _real_matvec(sub, _real_matvec(sub.T, np.conj(d) * state.psi))
     return normalized(replace(state, psi=psi))
 
 
 def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
     """Lowest eigenpair, unit trapezoid norm, real-positive at mid-grid."""
-    evals, evecs = np.linalg.eigh(H.matrix)
-    psi = evecs[:, 0].astype(complex)
+    w, V, d = H.eigensystem
+    psi = d * V[:, 0]
     mid = H.grid.n // 2
     anchor = psi[mid]
     if abs(anchor) < 1e-300:
         anchor = psi[np.argmax(np.abs(psi))]
     psi = psi * (np.conj(anchor) / abs(anchor))
     state = normalized(WaveState(psi=psi, hbar_eff=H.hbar_eff, t=0.0, grid=H.grid))
-    return float(evals[0]), state
+    return float(w[0]), state
 
 
 def eigenpairs(H: QuantumOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    evals, evecs = np.linalg.eigh(H.matrix)
-    return evals[:k], evecs[:, :k]
+    """The k lowest eigenvalues and their (complex) eigenvectors."""
+    w, V, d = H.eigensystem
+    return w[:k], d[:, None] * V[:, :k]
 
 
 def aggregate_density(weighted_states: list[tuple[WaveState, float]]) -> np.ndarray:
@@ -181,7 +199,7 @@ def position_variance(state: WaveState) -> float:
 def energy_expectation(state: WaveState, H: QuantumOperator) -> float:
     from .lattice import quadrature_weights
     w = quadrature_weights(state.grid)
-    num = np.real(np.sum(np.conj(state.psi) * w * (H.matrix @ state.psi)))
+    num = np.real(np.sum(np.conj(state.psi) * w * H.apply(state.psi)))
     den = np.sum(w * np.abs(state.psi) ** 2)
     return float(num / den)
 

@@ -4,15 +4,20 @@ A system is the triple (g, A, V): inverse-mass profile, gauge potential,
 scalar potential, with H(q, p) = g(q)/2 (p - A)^2 + V(q).  The quantum
 build keeps g(q) between the two shifted-momentum factors, discretized as
 first differences onto link midpoints with a symmetric phase split of A,
-so the matrix is Hermitian by construction for any position-dependent g
-and A.  Naive g*p^2 / p^2*g builds are kept around as the contrast case.
+so the operator is Hermitian by construction for any position-dependent g
+and A.  Every build is tridiagonal and is stored as its three diagonals;
+the sandwich build's eigendecomposition runs on the real symmetric
+tridiagonal form left once the link phases are gauged away.  Naive
+g*p^2 / p^2*g builds are kept around as the contrast case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigurationError, NodeError, ShapeError
 from .lattice import NODE_EPS, GridSpec, check_field, gradient
@@ -182,9 +187,65 @@ def momentum_field(S: np.ndarray, omega: np.ndarray, lam: float,
 
 @dataclass(frozen=True)
 class QuantumOperator:
-    matrix: np.ndarray
+    """A tridiagonal lattice operator, stored as its three diagonals.
+
+    ``diag[k]`` is H[k, k], ``upper[k]`` is H[k, k+1] and ``lower[k]`` is
+    H[k+1, k].  The sandwich build is Hermitian, ``lower == conj(upper)``
+    exactly; the naive orderings are not.  No n x n array is held:
+    ``matrix`` assembles the dense form on each access, for the callers
+    that need a dense matrix (non-Hermitian spectra, entrywise contrasts).
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
     hbar_eff: float
     grid: GridSpec
+
+    @property
+    def matrix(self) -> np.ndarray:
+        n = self.grid.n
+        M = np.zeros((n, n), dtype=complex)
+        idx = np.arange(n)
+        M[idx, idx] = self.diag
+        M[idx[:-1], idx[1:]] = self.upper
+        M[idx[1:], idx[:-1]] = self.lower
+        return M
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """H psi as a 3-point stencil."""
+        return tridiagonal_apply(self.lower, self.diag, self.upper, psi)
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, V, d): eigenvalues ascending, real orthonormal eigenvectors
+        V of the gauged operator, and the gauge d.  The eigenvectors of
+        this operator are ``d[:, None] * V``.
+
+        On an open chain the link phases of a Hermitian tridiagonal
+        operator can be gauged away: with d[0] = 1 and
+        d[k+1] = d[k] exp(-i arg(-upper[k])), D^dagger H D (D = diag(d))
+        is real symmetric with off-diagonal -|upper|, so a real
+        tridiagonal eigensolver applies.  d is all ones when the links
+        carry no phase.  Computed on first use and kept for the lifetime
+        of the operator.
+        """
+        if not np.array_equal(self.lower, np.conj(self.upper)):
+            raise ConfigurationError(
+                "eigendecomposition needs a Hermitian operator")
+        d = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(-self.upper)))))
+        w, V = scipy.linalg.eigh_tridiagonal(self.diag, -np.abs(self.upper),
+                                             lapack_driver="stemr")
+        return w, V, d
+
+
+def tridiagonal_apply(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                      x: np.ndarray) -> np.ndarray:
+    """Product of the tridiagonal matrix (lower, diag, upper) with x."""
+    y = diag * x
+    y[:-1] += upper * x[1:]
+    y[1:] += lower * x[:-1]
+    return y
 
 
 def _link_data(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float):
@@ -200,18 +261,18 @@ def _link_data(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float):
 
 
 def _assemble(g_mid: np.ndarray, phase: np.ndarray, V: np.ndarray,
-              grid: GridSpec, hbar_eff: float) -> np.ndarray:
-    """Tridiagonal (p-A) g (p-A)/2 + V with hard-wall (zero ghost) closure."""
-    n = grid.n
+              grid: GridSpec, hbar_eff: float):
+    """Diagonals (lower, diag, upper) of (p-A) g (p-A)/2 + V with hard-wall
+    (zero ghost) closure.
+
+    Link k+1/2 joins sites k and k+1 with hop -hbar^2 g / 2dq^2 times the
+    Peierls factor exp(-i phase); the wall links add to the end diagonal
+    entries only.  ``lower`` is the exact conjugate of ``upper``.
+    """
     pref = hbar_eff * hbar_eff / (2.0 * grid.dq * grid.dq)
-    H = np.zeros((n, n), dtype=complex)
     diag = pref * (g_mid[:-1] + g_mid[1:]) + V
     hop = -pref * g_mid[1:-1] * np.exp(-1j * phase[1:-1])
-    idx = np.arange(n)
-    H[idx, idx] = diag
-    H[idx[:-1], idx[:-1] + 1] = hop
-    H[idx[:-1] + 1, idx[:-1]] = np.conj(hop)
-    return H
+    return np.conj(hop), diag, hop
 
 
 def build_quantum_hamiltonian(spec: ClassicalSpec, grid: GridSpec,
@@ -220,7 +281,8 @@ def build_quantum_hamiltonian(spec: ClassicalSpec, grid: GridSpec,
     two shifted-difference factors.  Hermitian by construction."""
     g_mid, phase = _link_data(spec, grid, hbar_eff)
     V = np.asarray(spec.V(grid.points()), dtype=float)
-    return QuantumOperator(_assemble(g_mid, phase, V, grid, hbar_eff), hbar_eff, grid)
+    return QuantumOperator(*_assemble(g_mid, phase, V, grid, hbar_eff),
+                           hbar_eff, grid)
 
 
 def build_naive_ordering(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float,
@@ -232,15 +294,15 @@ def build_naive_ordering(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float,
     g_mid, phase = _link_data(spec, grid, hbar_eff)
     pts = grid.points()
     V = np.asarray(spec.V(pts), dtype=float)
-    # squared shifted momentum alone: sandwich with g == 1 on every link
-    P2 = 2.0 * _assemble(np.ones_like(g_mid), phase, np.zeros_like(V), grid, hbar_eff)
-    g_pts = np.asarray(spec.g(pts), dtype=float)
-    if ordering == "g_pp":
-        M = 0.5 * g_pts[:, None] * P2
-    else:
-        M = 0.5 * P2 * g_pts[None, :]
-    M[np.arange(grid.n), np.arange(grid.n)] += V
-    return QuantumOperator(M, hbar_eff, grid)
+    # (p-A)^2 / 2 alone: the sandwich with g == 1 on every link
+    lower, diag, upper = _assemble(np.ones_like(g_mid), phase,
+                                   np.zeros_like(V), grid, hbar_eff)
+    g = np.asarray(spec.g(pts), dtype=float)
+    if ordering == "g_pp":   # row k scaled by g(q_k)
+        lower, upper = g[1:] * lower, g[:-1] * upper
+    else:                    # column k scaled by g(q_k)
+        lower, upper = g[:-1] * lower, g[1:] * upper
+    return QuantumOperator(lower, g * diag + V, upper, hbar_eff, grid)
 
 
 def hermiticity_defect(op) -> float:

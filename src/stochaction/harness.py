@@ -862,22 +862,23 @@ def _low_spectrum(matrix, k=5):
 
 
 def _ordering_rows(spec, grid, hbar, case):
-    sandwich = build_quantum_hamiltonian(spec, grid, hbar)
+    # dense on purpose: the naive orderings are not Hermitian, so their
+    # spectra need the general eigensolver
+    sandwich = build_quantum_hamiltonian(spec, grid, hbar).matrix
     rows = []
-    max_entry = float(np.max(np.abs(sandwich.matrix)))
     results = {}
     for build in ("sandwich", "g_pp", "pp_g"):
         if build == "sandwich":
-            op = sandwich
+            M = sandwich
         else:
-            op = build_naive_ordering(spec, grid, hbar, build)
-        defect = hermiticity_defect(op)
-        rel = defect / float(np.max(np.abs(op.matrix)))
-        diff = float(np.max(np.abs(op.matrix - sandwich.matrix)))
-        low, max_imag = _low_spectrum(op.matrix)
+            M = build_naive_ordering(spec, grid, hbar, build).matrix
+        defect = hermiticity_defect(M)
+        rel = defect / float(np.max(np.abs(M)))
+        diff = float(np.max(np.abs(M - sandwich)))
+        low, max_imag = _low_spectrum(M)
         rows.append((case, build, defect, rel, diff, *low, max_imag))
         results[build] = (rel, diff, max_imag)
-    return rows, results, max_entry
+    return rows, results
 
 
 def _run_orderings(cfg: dict, out_dir: str) -> tuple[list, list]:
@@ -892,10 +893,10 @@ def _run_orderings(cfg: dict, out_dir: str) -> tuple[list, list]:
             raise ConfigurationError(
                 "ordering_contrast requires system.preset = variable_mass")
         spec = _build_system(cfg)
-        rows, results, _ = _ordering_rows(spec, grid, hbar, "variable_mass")
+        rows, results = _ordering_rows(spec, grid, hbar, "variable_mass")
         const_spec = make_system("harmonic", m=cfg.get("system.m", 1.0),
                                  omega=cfg.get("system.omega", 1.0))
-        rows_c, results_c, _ = _ordering_rows(const_spec, grid, hbar, "constant_g")
+        rows_c, results_c = _ordering_rows(const_spec, grid, hbar, "constant_g")
         header = ["case", "build", "hermiticity_defect", "defect_rel",
                   "max_entry_diff_vs_sandwich", "e0", "e1", "e2", "e3", "e4",
                   "max_imag_eig"]

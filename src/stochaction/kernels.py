@@ -104,12 +104,21 @@ _C20 = 1.0 / _math.factorial(20)
 _C22 = -1.0 / _math.factorial(22)
 
 
+def _mix_into_np(x, tmp):
+    """SplitMix64 finalizer of the uint64 array x, in place; tmp is
+    scratch of x's shape."""
+    for shift, mult in ((_SH30, _M1), (_SH27, _M2)):
+        np.right_shift(x, shift, out=tmp)
+        x ^= tmp
+        x *= mult
+    np.right_shift(x, _SH31, out=tmp)
+    x ^= tmp
+
+
 def _mix_np(x):
-    x = x ^ (x >> _SH30)
-    x = x * _M1
-    x = x ^ (x >> _SH27)
-    x = x * _M2
-    return x ^ (x >> _SH31)
+    x = np.array(x, dtype=np.uint64)
+    _mix_into_np(x, np.empty_like(x))
+    return x[()]
 
 
 def _base_key_np(seed: int, domain: int, step: int):
@@ -189,40 +198,84 @@ def _resolve(backend: str | None) -> str:
 def _ensemble_window_np(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
                         n_sub, step0, seed, src_kind, mag0, jitter,
                         freeze_lo, freeze_hi):
+    # The temporaries are allocated once per call and updated in place at
+    # each step.  At ensemble sizes each is hundreds of kB, and fresh ones
+    # per step are mapped and unmapped by the allocator every time, which
+    # costs a page fault per page
     n = vb.shape[0]
-    pids = np.arange(qs.shape[0], dtype=np.uint64)
+    m = qs.shape[0]
+    pid_keys = np.arange(m, dtype=np.uint64) * _K_PID
+    x, tmp = np.empty(m, np.uint64), np.empty(m, np.uint64)
+    u1, u2, cell, w, a, b, c = (np.empty(m) for _ in range(7))
+    j, j1 = np.empty(m, np.int64), np.empty(m, np.int64)
+    active, out, mask = (np.empty(m, bool) for _ in range(3))
+
+    def uniform(base, slot, u):
+        np.bitwise_xor(pid_keys, base ^ np.uint64(slot) * _K_SLOT, out=x)
+        _mix_into_np(x, tmp)
+        np.right_shift(x, _SH11, out=x)
+        u[...] = x
+        u *= _INV53
+
+    def lerp(table, dst):
+        # table[j] + w * (table[j + 1] - table[j])
+        np.take(table, j, out=c)
+        np.take(table, j1, out=dst)
+        dst -= c
+        dst *= w
+        dst += c
+
     with np.errstate(over="ignore"):
         for k in range(n_sub):
             gstep = step0 + k
-            active = frozen == 0
+            np.equal(frozen, 0, out=active)
             base = _base_key_np(seed, DOMAIN_LAMBDA, gstep)
-            u1 = (_mix_np(base ^ pids * _K_PID ^ np.uint64(0) * _K_SLOT)
-                  >> _SH11).astype(np.float64) * _INV53
-            if src_kind == SRC_BINARY:
-                lam_new = np.where(u1 < 0.5, mag0, -mag0)
-            elif src_kind == SRC_SPHERE:
-                z = 2.0 * u1 - 1.0
-                lam_new = np.where(z >= 0.0, mag0, -mag0)
+            uniform(base, 0, u1)
+            if src_kind == SRC_SPHERE:
+                u1 *= 2.0
+                u1 -= 1.0
+                np.greater_equal(u1, 0.0, out=mask)
             else:
-                u2 = (_mix_np(base ^ pids * _K_PID ^ np.uint64(1) * _K_SLOT)
-                      >> _SH11).astype(np.float64) * _INV53
-                mag = mag0 + jitter * (2.0 * u2 - 1.0)
-                lam_new = np.where(u1 < 0.5, mag, -mag)
-            lams[active] = lam_new[active]
+                np.less(u1, 0.5, out=mask)
+            # lambda = +mag where mask, -mag elsewhere
+            if src_kind in (SRC_BINARY, SRC_SPHERE):
+                a.fill(-mag0)
+                np.copyto(a, mag0, where=mask)
+            else:
+                uniform(base, 1, u2)
+                u2 *= 2.0
+                u2 -= 1.0
+                u2 *= jitter
+                u2 += mag0
+                np.negative(u2, out=a)
+                np.copyto(a, u2, where=mask)
+            np.copyto(lams, a, where=active)
 
-            u = (qs - q_min) / dq
-            j = np.clip(np.floor(u), 0, n - 2).astype(np.int64)
-            w = np.clip(u - j, 0.0, 1.0)
-            vbi = vb[j] + w * (vb[j + 1] - vb[j])
-            osmi = osm[j] + w * (osm[j + 1] - osm[j])
-            thi = th[j] + w * (th[j + 1] - th[j])
-            v = vbi + lams * osmi
-            qn = qs + dt * v
-            out = (qn < freeze_lo) | (qn > freeze_hi)
-            qn = np.where(out, np.minimum(np.maximum(qn, freeze_lo), freeze_hi), qn)
-            logws[active] = logws[active] - dt * thi[active]
-            qs[active] = qn[active]
-            frozen[active & out] = 1
+            np.subtract(qs, q_min, out=cell)
+            cell /= dq
+            np.floor(cell, out=a)
+            np.clip(a, 0, n - 2, out=a)
+            j[...] = a
+            np.add(j, 1, out=j1)
+            np.subtract(cell, a, out=w)
+            np.clip(w, 0.0, 1.0, out=w)
+            lerp(vb, a)                              # vbi
+            lerp(osm, b)                             # osmi
+            b *= lams
+            a += b                                   # v
+            a *= dt
+            a += qs                                  # qn
+            np.less(a, freeze_lo, out=out)
+            np.greater(a, freeze_hi, out=mask)
+            out |= mask
+            np.maximum(a, freeze_lo, out=a, where=out)
+            np.minimum(a, freeze_hi, out=a, where=out)
+            lerp(th, b)                              # thi
+            b *= dt
+            np.subtract(logws, b, out=logws, where=active)
+            np.copyto(qs, a, where=active)
+            active &= out
+            np.copyto(frozen, 1, where=active)
 
 
 @njit(cache=True)
