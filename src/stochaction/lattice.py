@@ -1,9 +1,11 @@
 """Uniform 1-D grid and the discrete calculus every other module builds on.
 
 All stencils are second order: central differences in the interior,
-one-sided three/four-point formulas at the two boundary points.  The loop
-kernels in ``kernels.py`` re-implement the same stencils; the expressions
-must stay identical so both backends agree bit for bit.
+one-sided three/four-point formulas at the two boundary points.  They act
+on the last axis, so a stack of fields is differenced in one call.  The
+interior and edge stencils are also public on their own: the polar RK4
+kernel in ``kernels.py`` runs the interior stencils on a batch of branches
+flattened into one row and sets only the edge values it reads.
 """
 from __future__ import annotations
 
@@ -53,31 +55,65 @@ def check_field(f: np.ndarray, grid: GridSpec, name: str = "field") -> np.ndarra
     return f
 
 
+def central_gradient(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Central first difference (f[i+1] - f[i-1]) / 2h into out[..., 1:-1]
+    along the last axis; the two edge entries of out are left as they are."""
+    inner = out[..., 1:-1]
+    np.subtract(f[..., 2:], f[..., :-2], out=inner)
+    inner /= 2.0 * h
+    return out
+
+
+def central_second_difference(f: np.ndarray, h: float,
+                              out: np.ndarray) -> np.ndarray:
+    """Compact (f[i+1] - 2 f[i] + f[i-1]) / h^2 into out[..., 1:-1] along
+    the last axis; the two edge entries of out are left as they are."""
+    inner = out[..., 1:-1]
+    np.multiply(f[..., 1:-1], 2.0, out=inner)
+    np.subtract(f[..., 2:], inner, out=inner)
+    inner += f[..., :-2]
+    inner /= h * h
+    return out
+
+
+def gradient_left_edge(f0, f1, f2, h: float):
+    """One-sided d/dq at f0 from the first three samples, in the difference
+    form of (-3 f0 + 4 f1 - f2) / 2h: exact zero on constants."""
+    return (-3.0 * (f0 - f1) + (f1 - f2)) / (2.0 * h)
+
+
+def gradient_right_edge(f_3, f_2, f_1, h: float):
+    """One-sided d/dq at the last sample f_1 from the last three samples
+    (in grid order), the mirror of `gradient_left_edge`."""
+    return (3.0 * (f_1 - f_2) - (f_2 - f_3)) / (2.0 * h)
+
+
 def gradient_uniform(f: np.ndarray, h: float) -> np.ndarray:
-    """d/dq on a uniform grid of spacing h (no grid object needed)."""
+    """d/dq along the last axis on a uniform grid of spacing h (no grid
+    object needed)."""
     f = np.asarray(f, dtype=float)
-    if f.size < 3:
+    if f.ndim == 0 or f.shape[-1] < 3:
         raise ShapeError("gradient needs at least 3 samples")
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    # difference form of (-3 f0 + 4 f1 - f2) / 2h: exact zero on constants
-    out[0] = (-3.0 * (f[0] - f[1]) + (f[1] - f[2])) / (2.0 * h)
-    out[-1] = (3.0 * (f[-1] - f[-2]) - (f[-2] - f[-3])) / (2.0 * h)
+    out = central_gradient(f, h, np.empty_like(f))
+    out[..., 0] = gradient_left_edge(f[..., 0], f[..., 1], f[..., 2], h)
+    out[..., -1] = gradient_right_edge(f[..., -3], f[..., -2], f[..., -1], h)
     return out
 
 
 def second_derivative_uniform(f: np.ndarray, h: float) -> np.ndarray:
-    """Compact three-point d2/dq2; one-sided four-point rows at the ends."""
+    """Compact three-point d2/dq2 along the last axis; one-sided four-point
+    rows at the ends."""
     f = np.asarray(f, dtype=float)
-    if f.size < 4:
+    if f.ndim == 0 or f.shape[-1] < 4:
         raise ShapeError("second derivative needs at least 4 samples")
+    out = central_second_difference(f, h, np.empty_like(f))
     h2 = h * h
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
     # difference form of (2 f0 - 5 f1 + 4 f2 - f3) / h^2: exact zero on
     # constants
-    out[0] = (2.0 * (f[0] - f[1]) - 3.0 * (f[1] - f[2]) + (f[2] - f[3])) / h2
-    out[-1] = (2.0 * (f[-1] - f[-2]) - 3.0 * (f[-2] - f[-3]) + (f[-3] - f[-4])) / h2
+    f0, f1, f2, f3 = (f[..., i] for i in (0, 1, 2, 3))
+    out[..., 0] = (2.0 * (f0 - f1) - 3.0 * (f1 - f2) + (f2 - f3)) / h2
+    f0, f1, f2, f3 = (f[..., i] for i in (-1, -2, -3, -4))
+    out[..., -1] = (2.0 * (f0 - f1) - 3.0 * (f1 - f2) + (f2 - f3)) / h2
     return out
 
 

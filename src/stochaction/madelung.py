@@ -3,10 +3,10 @@ coupled amplitude/phase PDEs for the signed action scale.
 
 A single branch carries amplitude R, phase-action S and its signed scale
 lam.  The co-evolved pair (+|lam|, -|lam|) shares one density because the
-sign-odd transport terms cancel between the branches; the signed
-single-branch form is exposed separately as a diagnostic and is expected
-to blow up for the anti-diffusive sign — the guard reports that instead
-of regularizing it.
+sign-odd transport terms cancel between the branches; `step_coupled_pde`
+integrates both branches of that pair together.  The signed single-branch
+density rate is kept as `continuity_rate_signed`, to show that its branch
+average is the pair rate.
 """
 from __future__ import annotations
 
@@ -19,11 +19,12 @@ from .evolution import WaveState
 from .hamiltonian import (ClassicalSpec, require_node_free,
                           require_wave_node_free)
 from .kernels import run_madelung_window
-from .lattice import (GridSpec, check_field, gradient, gradient_uniform,
-                      integrate, second_derivative, second_derivative_uniform)
+from .lattice import (GridSpec, check_field, gradient, integrate,
+                      second_derivative)
 
-# per-step norm growth beyond this factor aborts the integration
-NORM_GROWTH_LIMIT = 1.01
+# a branch norm that drifts further than this, relative to its value on
+# entry to `step_coupled_pde`, aborts the integration
+NORM_DRIFT_LIMIT = 1e-3
 
 # weight C of the default step dt = C * dq^2 / (max g * |lam|); a
 # conservative choice, about 1/22 of the step at which RK4 on the pair
@@ -138,8 +139,8 @@ def continuity_rate_signed(m: MadelungState, spec: ClassicalSpec) -> np.ndarray:
     """Signed single-branch density rate
     -d/dq[g (dS/dq - A) Omega] - (lam/2) d/dq[g dOmega/dq].
 
-    The lam-term is anti-diffusive for lam > 0, so this rate is integrated
-    only by the diagnostic single-branch stepper.
+    The lam-term is anti-diffusive for lam > 0; the pair integration uses
+    the branch average of this rate, `continuity_rate_pair`.
     """
     _check_madelung(m)
     pts = m.grid.points()
@@ -159,17 +160,6 @@ def continuity_rate_pair(m: MadelungState, spec: ClassicalSpec) -> np.ndarray:
     A = np.asarray(spec.A(pts), dtype=float)
     omega = m.R ** 2
     return -gradient(g * (gradient(m.S, m.grid) - A) * omega, m.grid)
-
-
-def phase_rate(m: MadelungState, spec: ClassicalSpec) -> np.ndarray:
-    """dS/dt = -(g (dS/dq - A)^2 / 2 + V + quantum_potential)."""
-    _check_madelung(m)
-    pts = m.grid.points()
-    g = np.asarray(spec.g(pts), dtype=float)
-    A = np.asarray(spec.A(pts), dtype=float)
-    V = np.asarray(spec.V(pts), dtype=float)
-    dp = gradient(m.S, m.grid) - A
-    return -(0.5 * g * dp * dp + V + quantum_potential(m.R, spec, m.grid, m.lam))
 
 
 def default_timestep(grid: GridSpec, spec: ClassicalSpec, lam_abs: float) -> float:
@@ -194,55 +184,37 @@ def _field_tables(spec: ClassicalSpec, grid: GridSpec):
             np.ascontiguousarray(spec.V(pts), dtype=float))
 
 
-def _advance_branch(m: MadelungState, spec: ClassicalSpec, dt: float,
-                    steps: int, backend: str | None) -> MadelungState:
-    # the kernel updates these in place; copy so the caller's state stays
-    # immutable (ascontiguousarray would alias an already-contiguous array)
-    omega = np.ascontiguousarray(m.R ** 2, dtype=float)
-    S = np.array(m.S, dtype=float, order="C")
-    g, dg, A, V = _field_tables(spec, m.grid)
-    run_madelung_window(omega, S, g, dg, A, V, m.grid.dq, dt, steps,
-                        abs(m.lam), backend=backend)
+def _guard_branch(name: str, omega: np.ndarray, S: np.ndarray) -> None:
     if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(S))):
         raise NumericalError(
-            "polar integration produced non-finite fields; either dt is too "
-            "large or the state has content the polar fields cannot carry "
-            "(an unfiltered packet tail at the walls, a near-node)")
+            f"polar integration produced non-finite fields in the {name} "
+            "branch; either dt is too large or the state has content the "
+            "polar fields cannot carry (an unfiltered packet tail at the "
+            "walls, a near-node)")
     # machine-negligible undershoot in the deep tail is clamped; anything
     # larger means the scheme is failing
     if float(np.min(omega)) < -1e-9 * float(np.max(omega)):
         raise NumericalError(
-            "density went significantly negative during polar integration; "
-            "the state is leaving the resolvable node-free regime")
-    omega = np.maximum(omega, 0.0)
-    return replace(m, R=np.sqrt(omega), S=S, t=m.t + dt * steps)
-
-
-def _guarded_advance(m: MadelungState, spec: ClassicalSpec, dt: float,
-                     steps: int, backend: str | None) -> MadelungState:
-    out = _advance_branch(m, spec, dt, steps, backend)
-    norm0 = integrate(m.R ** 2, m.grid)
-    norm1 = integrate(out.R ** 2, out.grid)
-    if norm1 > norm0 * NORM_GROWTH_LIMIT ** steps or norm1 < norm0 / NORM_GROWTH_LIMIT ** steps:
-        raise NumericalError(
-            f"norm changed by more than {NORM_GROWTH_LIMIT - 1:.0%} per step "
-            f"({norm0!r} -> {norm1!r} over {steps} steps)")
-    return out
+            f"density of the {name} branch went significantly negative "
+            "during polar integration; the state is leaving the resolvable "
+            "node-free regime")
 
 
 def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
-                     steps: int = 1, backend: str | None = None,
-                     check_every: int = 200) -> PhasePair:
+                     steps: int = 1, check_every: int = 200) -> PhasePair:
     """Advance both branches of the pair by `steps` explicit RK4 steps.
 
     Co-evolution uses the pair-cancelled continuity rate for each branch
     (the sign-odd transport terms of the two branches cancel identically
     when the amplitudes agree), so the integration is stable in both
-    branches and preserves amplitude symmetry and the S0 offset.
+    branches and preserves amplitude symmetry and the S0 offset.  Both
+    branches are integrated, stacked as one batch, so the S0 offset is a
+    result and not an assumption.
 
-    The node-free precondition is checked once on entry; during the run
-    stability failures surface through the norm blow-up guard, applied
-    every `check_every` steps.
+    The node-free precondition is checked once on entry.  During the run,
+    every `check_every` steps, each branch must be finite, must not have
+    gone significantly negative in density, and must keep its norm within
+    NORM_DRIFT_LIMIT of its value on entry.
     """
     _check_pair(pair)
     require_node_free(pair.plus.R ** 2, "pair density")
@@ -250,71 +222,41 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    dt_default = default_timestep(pair.plus.grid, spec, abs(pair.plus.lam))
+    grid = pair.plus.grid
+    dt_default = default_timestep(grid, spec, abs(pair.plus.lam))
     if dt > 10.0 * dt_default:
         raise ConfigurationError(
             f"dt = {dt} is more than 10x the default step {dt_default:.3e}")
-    plus, minus = pair.plus, pair.minus
+    g, dg, A, V = _field_tables(spec, grid)
+    branches = (pair.plus, pair.minus)
+    names = ("plus", "minus")
+    norms0 = [integrate(m.R ** 2, grid) for m in branches]
+    times = [m.t for m in branches]
+    # y[0] holds omega and y[1] holds S, each for (plus, minus)
+    y = np.empty((2, 2, grid.n))
+    R = np.stack([m.R for m in branches])
+    y[1] = [m.S for m in branches]
     done = 0
     while done < steps:
         chunk = min(check_every, steps - done)
-        plus = _guarded_advance(plus, spec, dt, chunk, backend)
-        minus = _guarded_advance(minus, spec, dt, chunk, backend)
+        np.square(R, out=y[0])
+        run_madelung_window(y, g, dg, A, V, grid.dq, dt, chunk,
+                            abs(pair.plus.lam))
+        for b, name in enumerate(names):
+            _guard_branch(name, y[0, b], y[1, b])
+        R = np.sqrt(np.maximum(y[0], 0.0))
+        for b, name in enumerate(names):
+            norm = integrate(R[b] ** 2, grid)
+            if abs(norm / norms0[b] - 1.0) > NORM_DRIFT_LIMIT:
+                raise NumericalError(
+                    f"norm of the {name} branch drifted by more than "
+                    f"{NORM_DRIFT_LIMIT:g} ({norms0[b]!r} -> {norm!r} after "
+                    f"{done + chunk} steps)")
+            times[b] = times[b] + dt * chunk
         done += chunk
+    plus, minus = (replace(m, R=R[b], S=y[1, b].copy(), t=times[b])
+                   for b, m in enumerate(branches))
     return PhasePair(plus=plus, minus=minus, S0=pair.S0)
-
-
-def evolve_pair(pair: PhasePair, spec: ClassicalSpec, dt: float, steps: int,
-                backend: str | None = None) -> PhasePair:
-    """Alias for a multi-step step_coupled_pde call, for long runs."""
-    return step_coupled_pde(pair, spec, dt, steps=steps, backend=backend)
-
-
-def step_single_branch(m: MadelungState, spec: ClassicalSpec, dt: float) -> MadelungState:
-    """Diagnostic: one RK4 step of the literal signed single-branch system.
-
-    For lam > 0 the density equation is anti-diffusive and the integration
-    is expected to fail the norm guard after a short horizon.
-    """
-    _check_madelung(m)
-    if dt <= 0 or not np.isfinite(dt):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-
-    def rhs(omega, S):
-        pts = m.grid.points()
-        g = np.asarray(spec.g(pts), dtype=float)
-        A = np.asarray(spec.A(pts), dtype=float)
-        V = np.asarray(spec.V(pts), dtype=float)
-        dg = np.asarray(spec.dg(pts), dtype=float)
-        dS = gradient_uniform(S, m.grid.dq)
-        adv = gradient_uniform(g * (dS - A) * omega, m.grid.dq)
-        diff = gradient_uniform(g * gradient_uniform(omega, m.grid.dq), m.grid.dq)
-        dom = -adv - 0.5 * m.lam * diff
-        R = np.sqrt(np.maximum(omega, 0.0))
-        qp = -0.5 * m.lam * m.lam * (g * second_derivative_uniform(R, m.grid.dq)
-                                     + dg * gradient_uniform(R, m.grid.dq)) / np.maximum(R, 1e-300)
-        dSdt = -(0.5 * g * (dS - A) ** 2 + V + qp)
-        return dom, dSdt
-
-    omega = m.R ** 2
-    S = m.S.copy()
-    k1o, k1s = rhs(omega, S)
-    k2o, k2s = rhs(omega + 0.5 * dt * k1o, S + 0.5 * dt * k1s)
-    k3o, k3s = rhs(omega + 0.5 * dt * k2o, S + 0.5 * dt * k2s)
-    k4o, k4s = rhs(omega + dt * k3o, S + dt * k3s)
-    omega_new = omega + dt / 6.0 * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
-    S_new = S + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    if not (np.all(np.isfinite(omega_new)) and np.all(np.isfinite(S_new))):
-        raise NumericalError("single-branch step produced non-finite fields")
-    norm0 = integrate(omega, m.grid)
-    norm1 = float(np.trapezoid(np.abs(omega_new), dx=m.grid.dq))
-    if norm1 > norm0 * NORM_GROWTH_LIMIT:
-        raise NumericalError(
-            f"single-branch norm grew {norm1 / norm0 - 1.0:.2%} in one step; "
-            "anti-diffusive branch is blowing up as expected")
-    if np.any(omega_new < 0):
-        omega_new = np.maximum(omega_new, 0.0)
-    return replace(m, R=np.sqrt(omega_new), S=S_new, t=m.t + dt)
 
 
 def pair_density(pair: PhasePair) -> np.ndarray:

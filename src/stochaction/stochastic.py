@@ -385,8 +385,7 @@ def propagate_ensemble(ens: EnsembleState, frames: WaveFrames,
                        spec: ClassicalSpec, T: float,
                        source: LambdaSource | None = None,
                        disable_lambda: bool = False, bins: int = 50,
-                       snapshots: int = 5,
-                       backend: str | None = None) -> tuple[EnsembleState, list[dict]]:
+                       snapshots: int = 5) -> tuple[EnsembleState, list[dict]]:
     """Micro-step the ensemble along the wave trajectory for duration T.
 
     Per micro step of length tau_Q each particle redraws lambda, moves by
@@ -444,8 +443,7 @@ def propagate_ensemble(ens: EnsembleState, frames: WaveFrames,
                             grid.q_min, grid.dq, ens.tau_Q, n_sub,
                             step0=w * n_sub, seed=ens.seed,
                             src_kind=src_kind, mag0=mag0, jitter=jitter,
-                            freeze_lo=freeze_lo, freeze_hi=freeze_hi,
-                            backend=backend)
+                            freeze_lo=freeze_lo, freeze_hi=freeze_hi)
         if (w + 1) in want:
             diags.append(_snapshot(qs, logws, frozen, frames.times[w + 1],
                                    frames.dens[w + 1], grid, edges))

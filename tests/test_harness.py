@@ -14,6 +14,7 @@ from stochaction.harness import SCENARIOS, run_command
 
 # every scenario that runs in about 3 s or less on one core
 FAST_SCENARIOS = [
+    ("evolve", "harmonic_stationary"),
     ("evolve", "phase_offset"),
     ("evolve", "classical_limit"),
     ("evolve", "propagator_quality"),

@@ -1,18 +1,14 @@
-"""Counter-based RNG keying and exact numpy/numba backend parity."""
+"""Counter-based RNG keying and the batched polar-pair RK4 kernel."""
+import math
+
 import numpy as np
 import pytest
 
-from stochaction import kernels
 from stochaction.errors import ConfigurationError
-from stochaction.evolution import coherent_state, spectral_filter
-from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
-from stochaction.kernels import (BACKEND_ENV, HAVE_NUMBA, SRC_SMEARED,
-                                 active_backend, counter_uniform,
-                                 run_ensemble_window, run_madelung_window)
-from stochaction.lattice import build_grid
-from stochaction.madelung import pair_from_wave, step_coupled_pde
-from stochaction.stochastic import (LambdaSource, build_wave_frames,
-                                    init_ensemble, propagate_ensemble)
+from stochaction.hamiltonian import make_system
+from stochaction.kernels import counter_uniform, run_madelung_window
+from stochaction.lattice import (build_grid, gradient_uniform,
+                                 second_derivative_uniform)
 
 pids = np.arange(256)
 
@@ -58,141 +54,86 @@ def test_counter_uniform_rejects_negative_keys():
 
 
 # ---------------------------------------------------------------------------
-# backend selection
+# batched polar-pair RK4
 
 
-def test_backend_resolution_from_the_environment(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv(BACKEND_ENV, "  NumPy ")
-    assert active_backend() == "numpy"
-    monkeypatch.delenv(BACKEND_ENV)
-    assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
-    monkeypatch.setenv(BACKEND_ENV, "fortran")
-    with pytest.raises(ConfigurationError):
-        active_backend()
-
-
-def test_explicit_backend_argument_is_validated():
-    grid = build_grid(64, -3.0, 3.0)
-    om = np.exp(-grid.points() ** 2)
-    S = np.zeros(grid.n)
-    flat = np.ones(grid.n)
-    zero = np.zeros(grid.n)
-    with pytest.raises(ConfigurationError):
-        run_madelung_window(om, S, flat, zero, zero, zero, grid.dq,
-                            1e-5, 1, 1.0, backend="cuda")
-
-
-# ---------------------------------------------------------------------------
-# exact twin-kernel parity
-
-
-def _trig_reference(x):
-    return np.sin(x), np.cos(x)
-
-
-def test_wall_trig_twins_agree_bitwise_and_track_libm():
-    xs = np.concatenate([
-        np.linspace(-40.0, 40.0, 4001),
-        np.array([0.0, 1e-9, -1e-9, np.pi / 2, -np.pi / 2, np.pi, -np.pi]),
-    ])
-    for x in xs:
-        s_np, c_np = kernels._wall_trig_np(float(x))
-        s_nb, c_nb = kernels._wall_trig_nb(float(x))
-        assert s_np == s_nb and c_np == c_nb
-        s_ref, c_ref = _trig_reference(float(x))
-        assert abs(s_np - s_ref) < 1e-13
-        assert abs(c_np - c_ref) < 1e-13
-
-
-def _ensemble_inputs(n_part=4096):
-    grid = build_grid(200, -4.0, 4.0)
-    pts = grid.points()
-    vb = 0.3 * np.tanh(pts)
-    osm = -0.5 * pts * np.exp(-0.1 * pts ** 2)
-    th = 0.2 * np.cos(0.7 * pts)
-    rng_q = counter_uniform(11, 1, 0, np.arange(n_part), 0)
-    qs = -3.5 + 7.0 * rng_q
-    lams = np.ones(n_part)
-    logws = np.zeros(n_part)
-    frozen = np.zeros(n_part, dtype=np.uint8)
-    return grid, vb, osm, th, qs, lams, logws, frozen
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_ensemble_window_backends_agree_bitwise():
-    grid, vb, osm, th, qs, lams, logws, frozen = _ensemble_inputs()
-    state_np = (qs.copy(), lams.copy(), logws.copy(), frozen.copy())
-    state_nb = (qs.copy(), lams.copy(), logws.copy(), frozen.copy())
-    args = dict(vb=vb, osm=osm, th=th, q_min=grid.q_min, dq=grid.dq,
-                dt=1e-3, n_sub=50, step0=17, seed=5, src_kind=SRC_SMEARED,
-                mag0=1.0, jitter=0.2, freeze_lo=grid.q_min + grid.dq,
-                freeze_hi=grid.q_max - grid.dq)
-    run_ensemble_window(*state_np, **args, backend="numpy")
-    run_ensemble_window(*state_nb, **args, backend="numba")
-    for a, b in zip(state_np, state_nb):
-        assert np.array_equal(a, b)
-    # the window moved particles and accumulated weights
-    assert not np.array_equal(state_np[0], qs)
-    assert np.any(state_np[2] != 0.0)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_madelung_window_backends_agree_bitwise():
-    grid = build_grid(256, -8.0, 8.0)
+def _branch_batch():
+    """Two different branches on the harmonic grid, stacked as one
+    (2, 2, n) batch (densities, then phases), with the field tables."""
+    grid = build_grid(128, -5.0, 5.0)
     spec = make_system("harmonic")
     pts = grid.points()
-    om = np.exp(-pts ** 2) / np.sqrt(np.pi)
-    S = 0.4 * np.sin(0.5 * pts) + 0.3 * pts
-    g = np.asarray(spec.g(pts), float)
-    dg = np.asarray(spec.dg(pts), float)
-    A = np.asarray(spec.A(pts), float)
-    V = np.asarray(spec.V(pts), float)
-    om_np, S_np = om.copy(), S.copy()
-    om_nb, S_nb = om.copy(), S.copy()
-    run_madelung_window(om_np, S_np, g, dg, A, V, grid.dq, 2e-5, 40, 1.0,
-                        backend="numpy")
-    run_madelung_window(om_nb, S_nb, g, dg, A, V, grid.dq, 2e-5, 40, 1.0,
-                        backend="numba")
-    assert np.array_equal(om_np, om_nb)
-    assert np.array_equal(S_np, S_nb)
-    assert not np.array_equal(om_np, om)
+    om = np.stack([np.exp(-(pts - 0.5) ** 2) / np.sqrt(np.pi),
+                   np.exp(-(pts + 0.3) ** 2 / 1.2) / np.sqrt(1.2 * np.pi)])
+    S = np.stack([0.4 * np.sin(0.5 * pts) + 0.3 * pts,
+                  0.1 * np.cos(pts) - 0.2 * pts - 2.0 * np.pi])
+    tables = [np.asarray(f(pts), dtype=float)
+              for f in (spec.g, spec.dg, spec.A, spec.V)]
+    return grid, np.stack([om, S]), tables
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_pair_stepping_backends_agree_bitwise():
-    grid = build_grid(384, -4.6, 4.6)
-    spec = make_system("harmonic")
-    H = build_quantum_hamiltonian(spec, grid, 1.0)
-    st = spectral_filter(coherent_state(grid, center=0.4), H, 8.5)
-    pair = pair_from_wave(st)
-    out_np = step_coupled_pde(pair, spec, 2e-5, steps=100, backend="numpy")
-    out_nb = step_coupled_pde(pair, spec, 2e-5, steps=100, backend="numba")
-    assert np.array_equal(out_np.plus.R, out_nb.plus.R)
-    assert np.array_equal(out_np.plus.S, out_nb.plus.S)
-    assert np.array_equal(out_np.minus.R, out_nb.minus.R)
-    assert np.array_equal(out_np.minus.S, out_nb.minus.S)
+def _run(y, grid, tables, n_steps=40):
+    y = y.copy()
+    run_madelung_window(y, *tables, grid.dq, 5e-4, n_steps, 1.0)
+    return y
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_guided_ensemble_backends_agree_bitwise():
-    grid = build_grid(320, -3.2, 3.2)
-    spec = make_system("harmonic")
-    H = build_quantum_hamiltonian(spec, grid, 1.0)
-    st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
-    frames = build_wave_frames(st, H, spec, T=0.05, dt_window=1e-2, dt_cn=1e-3)
-    src = LambdaSource(kind="binary", hbar=1.0, seed=6)
-    outs = {}
-    for backend in ("numpy", "numba"):
-        ens = init_ensemble(st, 2000, tau_Q=1e-3, seed=6, source=src)
-        out, diags = propagate_ensemble(ens, frames, spec, 0.05, source=src,
-                                        backend=backend)
-        outs[backend] = (out, diags)
-    a, b = outs["numpy"][0], outs["numba"][0]
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.lambdas, b.lambdas)
-    assert np.array_equal(a.log_weights, b.log_weights)
-    assert np.array_equal(a.frozen, b.frozen)
-    da, db = outs["numpy"][1][-1], outs["numba"][1][-1]
-    assert da["tv_distance"] == db["tv_distance"]
+def _reference_rhs(om, S, g, dg, A, V, dq, lam):
+    # one branch, written out with the lattice stencils, in the kernel's
+    # order of operations
+    dS = gradient_uniform(S, dq)
+    dom = -gradient_uniform(g * (dS - A) * om, dq)
+    R = np.sqrt(np.maximum(om, 1e-300))
+    qp = (-0.5 * lam * lam * (g * second_derivative_uniform(R, dq)
+                              + dg * gradient_uniform(R, dq)) / R)
+    dSdt = -(0.5 * g * (dS - A) * (dS - A) + V + qp)
+    h2 = dq * dq
+    th = (S[1] - S[0] - dq * 0.5 * (A[0] + A[1])) / lam
+    dom[0] = -(g[0] * lam / h2) * R[0] * R[1] * math.sin(th)
+    dSdt[0] = (g[0] * (0.5 * lam * lam) / h2) * (
+        (R[1] / R[0]) * math.cos(th) - 2.0) - V[0]
+    th = (S[-1] - S[-2] - dq * 0.5 * (A[-2] + A[-1])) / lam
+    dom[-1] = (g[-1] * lam / h2) * R[-2] * R[-1] * math.sin(th)
+    dSdt[-1] = (g[-1] * (0.5 * lam * lam) / h2) * (
+        (R[-2] / R[-1]) * math.cos(th) - 2.0) - V[-1]
+    return dom, dSdt
+
+
+def _reference_run(om, S, tables, dq, dt, n_steps, lam=1.0):
+    om, S = om.copy(), S.copy()
+    for _ in range(n_steps):
+        k1 = _reference_rhs(om, S, *tables, dq, lam)
+        k2 = _reference_rhs(om + 0.5 * dt * k1[0], S + 0.5 * dt * k1[1],
+                            *tables, dq, lam)
+        k3 = _reference_rhs(om + 0.5 * dt * k2[0], S + 0.5 * dt * k2[1],
+                            *tables, dq, lam)
+        k4 = _reference_rhs(om + dt * k3[0], S + dt * k3[1], *tables, dq, lam)
+        om += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        S += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return om, S
+
+
+def test_batched_kernel_matches_the_written_out_equations_bitwise():
+    grid, y, tables = _branch_batch()
+    out = _run(y, grid, tables)
+    assert not np.array_equal(out, y)
+    for b in range(2):
+        om, S = _reference_run(y[0, b], y[1, b], tables, grid.dq, 5e-4, 40)
+        assert np.array_equal(out[0, b], om)
+        assert np.array_equal(out[1, b], S)
+
+
+def test_a_branch_run_alone_equals_its_row_of_the_batch_bitwise():
+    grid, y, tables = _branch_batch()
+    both = _run(y, grid, tables)
+    for b in range(2):
+        alone = _run(y[:, b:b + 1], grid, tables)
+        assert alone.shape == (2, 1, grid.n)
+        assert np.array_equal(alone[:, 0], both[:, b])
+
+
+def test_swapping_the_branch_rows_swaps_the_outputs_bitwise():
+    grid, y, tables = _branch_batch()
+    out = _run(y, grid, tables)
+    swapped = _run(y[:, ::-1], grid, tables)
+    assert np.array_equal(swapped, out[:, ::-1])

@@ -4,8 +4,9 @@ import pytest
 
 from stochaction.errors import ConfigurationError, ShapeError
 from stochaction.lattice import (build_grid, check_field, gradient,
-                                 integrate, interp_linear,
-                                 quadrature_weights, second_derivative)
+                                 gradient_uniform, integrate, interp_linear,
+                                 quadrature_weights, second_derivative,
+                                 second_derivative_uniform)
 
 
 def test_build_grid_spacing_is_exact():
@@ -74,6 +75,15 @@ def test_gradient_is_linear_in_its_argument():
     lhs = gradient(2.5 * f - 1.25 * g, grid)
     rhs = 2.5 * gradient(f, grid) - 1.25 * gradient(g, grid)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_stencils_on_a_stack_of_rows_match_each_row_bitwise():
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((3, 40))
+    for stencil in (gradient_uniform, second_derivative_uniform):
+        stacked = stencil(rows, 0.1)
+        for r in range(3):
+            assert np.array_equal(stacked[r], stencil(rows[r], 0.1))
 
 
 def test_gradient_interior_error_is_second_order():
