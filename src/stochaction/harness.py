@@ -692,7 +692,7 @@ def _run_sample(cfg: dict, out_dir: str) -> tuple[list, list]:
         stat_rows, hist_rows = [], []
         for idx, lam in enumerate(sweep):
             devs = stochastic.sample_action_deviation(
-                np.full(n, lam), seed=seed, step=idx)
+                lam, n, seed=seed, step=idx)
             violations = int(np.sum(devs * np.sign(lam) < 0))
             mags = np.abs(devs)
             mean = float(np.mean(mags))
@@ -724,7 +724,7 @@ def _run_sample(cfg: dict, out_dir: str) -> tuple[list, list]:
         rows = []
         for idx, lam in enumerate(sweep):
             devs = stochastic.sample_action_deviation(
-                np.full(n, lam), seed=seed, step=idx)
+                lam, n, seed=seed, step=idx)
             p_emp = float(np.mean(np.abs(devs) > eps))
             bound = float(np.exp(-2.0 * eps / abs(lam)))
             se = float(np.sqrt(max(p_emp * (1 - p_emp), 1e-12) / n))

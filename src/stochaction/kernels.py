@@ -7,7 +7,11 @@ calls.  The polar kernel differences its fields with the stencils of
 
 Randomness is counter-based: every variate is a pure function of
 (seed, domain, step, particle, slot) through a splitmix64-style finalizer,
-so results do not depend on scheduling or worker count.
+so results do not depend on scheduling or worker count.  Being pure, the
+hash can be evaluated in any partition of the particles: bulk draws run it
+over fixed blocks of keys, whose scratch stays in cache instead of
+streaming every hash pass over the whole array through memory, and the
+result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -79,13 +83,80 @@ def _base_key(seed: int, domain: int, step: int):
     return _mix(b ^ np.uint64(step) * _K_STEP)
 
 
+def _slot_key(base, slot: int):
+    """The key (seed, domain, step) with the slot folded in; xor-ing it into
+    a pid key gives the same bits as xor-ing the components one by one."""
+    return base ^ np.uint64(slot) * _K_SLOT
+
+
+def _uniform_into(pid_keys, key, x, tmp, out):
+    """out = the uniforms of the pid keys (pid * _K_PID) under the folded
+    key; x and tmp are uint64 scratch of out's shape, and x may be pid_keys
+    itself."""
+    np.bitwise_xor(pid_keys, key, out=x)
+    _mix_into(x, tmp)
+    np.right_shift(x, _SH11, out=x)
+    out[...] = x
+    out *= _INV53
+
+
+# keys hashed per block by counter_uniform: the two 512 KiB uint64 scratch
+# blocks and the block of results they fill stay in L2
+_BLOCK = 1 << 16
+
+
 def counter_uniform(seed: int, domain: int, step: int, pids, slot: int) -> np.ndarray:
-    """u in [0, 1) for each pid, a pure function of the five keys."""
+    """u in [0, 1) for each pid, a pure function of the five keys.
+
+    The result has the shape of pids (a scalar for a 0-d pid).  The pids
+    are hashed in blocks of _BLOCK keys, which keeps the hash's scratch in
+    cache; each uniform depends on its own keys only, so the result is the
+    same for any block size.
+    """
     pids = np.asarray(pids, dtype=np.uint64)
+    out = np.empty(pids.shape)
+    flat_pids, flat_out = pids.reshape(-1), out.reshape(-1)
+    size = flat_pids.size
+    m = min(size, _BLOCK)
+    x, tmp = np.empty(m, np.uint64), np.empty(m, np.uint64)
     with np.errstate(over="ignore"):
-        base = _base_key(seed, domain, step)
-        x = _mix(base ^ pids * _K_PID ^ np.uint64(slot) * _K_SLOT)
-        return (x >> _SH11).astype(np.float64) * _INV53
+        key = _slot_key(_base_key(seed, domain, step), slot)
+        for start in range(0, size, _BLOCK):
+            stop = min(start + _BLOCK, size)
+            xb, tb = x[:stop - start], tmp[:stop - start]
+            np.multiply(flat_pids[start:stop], _K_PID, out=xb)
+            _uniform_into(xb, key, xb, tb, flat_out[start:stop])
+    return out[()]
+
+
+# the uniforms are multiples of 2^-53, so none equals 0.5 - 2^-54, and the
+# sign of the difference, which rounding cannot flip, tells u < 0.5 from
+# u >= 0.5
+_HALF_DOWN = 0.5 - 2.0 ** -54
+
+
+def source_lambda_into(src_kind: int, u1, u2, mag0: float, jitter: float, out):
+    """Signed action scales of a lambda source from its uniforms, into out.
+
+    binary: +mag0 where u1 < 0.5, else -mag0.  sphere: the z-coordinate
+    2 u1 - 1 of a uniform point on the sphere picks the hemisphere, +mag0
+    where z >= 0, which is exactly where u1 >= 0.5.  smeared: the magnitude
+    mag0 + jitter (2 u2 - 1), signed as for binary; u2 (read for this kind
+    only) is overwritten with the magnitude.  The magnitudes must not be
+    negative (mag0 >= 0, jitter <= mag0).  out may be u1 itself.
+    """
+    if src_kind == SRC_SPHERE:
+        np.subtract(u1, _HALF_DOWN, out=out)
+    else:
+        np.subtract(_HALF_DOWN, u1, out=out)
+    if src_kind == SRC_SMEARED:
+        u2 *= 2.0
+        u2 -= 1.0
+        u2 *= jitter
+        u2 += mag0
+        np.copysign(u2, out, out=out)
+    else:
+        np.copysign(mag0, out, out=out)
 
 
 def active_backend() -> str:
@@ -127,13 +198,6 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
     j, j1 = np.empty(m, np.int64), np.empty(m, np.int64)
     active, out, mask = (np.empty(m, bool) for _ in range(3))
 
-    def uniform(base, slot, u):
-        np.bitwise_xor(pid_keys, base ^ np.uint64(slot) * _K_SLOT, out=x)
-        _mix_into(x, tmp)
-        np.right_shift(x, _SH11, out=x)
-        u[...] = x
-        u *= _INV53
-
     def lerp(table, dst):
         # table[j] + w * (table[j + 1] - table[j])
         np.take(table, j, out=c)
@@ -147,25 +211,10 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
             gstep = step0 + k
             np.equal(frozen, 0, out=active)
             base = _base_key(seed, DOMAIN_LAMBDA, gstep)
-            uniform(base, 0, u1)
-            if src_kind == SRC_SPHERE:
-                u1 *= 2.0
-                u1 -= 1.0
-                np.greater_equal(u1, 0.0, out=mask)
-            else:
-                np.less(u1, 0.5, out=mask)
-            # lambda = +mag where mask, -mag elsewhere
-            if src_kind in (SRC_BINARY, SRC_SPHERE):
-                a.fill(-mag0)
-                np.copyto(a, mag0, where=mask)
-            else:
-                uniform(base, 1, u2)
-                u2 *= 2.0
-                u2 -= 1.0
-                u2 *= jitter
-                u2 += mag0
-                np.negative(u2, out=a)
-                np.copyto(a, u2, where=mask)
+            _uniform_into(pid_keys, _slot_key(base, 0), x, tmp, u1)
+            if src_kind == SRC_SMEARED:
+                _uniform_into(pid_keys, _slot_key(base, 1), x, tmp, u2)
+            source_lambda_into(src_kind, u1, u2, mag0, jitter, a)
             np.copyto(lams, a, where=active)
 
             np.subtract(qs, q_min, out=cell)

@@ -18,7 +18,7 @@ from .hamiltonian import (ClassicalSpec, QuantumOperator, hamiltonian_value,
                           require_node_free, theta_of_S)
 from .kernels import (DOMAIN_DEVIATION, DOMAIN_INIT, DOMAIN_SOURCE,
                       SRC_BINARY, SRC_SMEARED, SRC_SPHERE, counter_uniform,
-                      run_ensemble_window)
+                      run_ensemble_window, source_lambda_into)
 from .lattice import (GridSpec, check_field, gradient, integrate,
                       interp_linear)
 
@@ -77,16 +77,12 @@ def sample_lambda(source: LambdaSource, n: int | None = None,
     if count < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     pids = np.arange(count, dtype=np.uint64)
-    u1 = counter_uniform(source.seed, DOMAIN_SOURCE, step, pids, slot=0)
-    if source.kind == "binary":
-        lam = np.where(u1 < 0.5, source.hbar, -source.hbar)
-    elif source.kind == "sphere":
-        z = 2.0 * u1 - 1.0
-        lam = np.where(z >= 0.0, source.hbar, -source.hbar)
-    else:
-        u2 = counter_uniform(source.seed, DOMAIN_SOURCE, step, pids, slot=1)
-        mag = source.hbar + source.width * _SQRT3 * (2.0 * u2 - 1.0)
-        lam = np.where(u1 < 0.5, mag, -mag)
+    # the scales are built in the buffer of the first uniforms
+    lam = counter_uniform(source.seed, DOMAIN_SOURCE, step, pids, slot=0)
+    u2 = (counter_uniform(source.seed, DOMAIN_SOURCE, step, pids, slot=1)
+          if source.kind == "smeared" else None)
+    source_lambda_into(source.kind_index, lam, u2, source.hbar,
+                       source.width * _SQRT3, lam)
     if n is None:
         return float(lam[0])
     return lam
@@ -97,7 +93,8 @@ def sample_action_deviation(lam: float | np.ndarray, n: int | None = None,
     """Signed exponential action deviation: sign(lam) * Exp(mean |lam|/2).
 
     The deviation never crosses zero against the sign of lam, and its
-    magnitude is memoryless with mean |lam|/2.
+    magnitude is memoryless with mean |lam|/2.  A scalar lam with n draws
+    gives the same values as an array of n copies of it.
     """
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(lam_arr == 0) or not np.all(np.isfinite(lam_arr)):
@@ -109,10 +106,13 @@ def sample_action_deviation(lam: float | np.ndarray, n: int | None = None,
         if lam_arr.ndim and lam_arr.size != count:
             raise ShapeError(f"lam has size {lam_arr.size}, expected {count}")
     pids = np.arange(count, dtype=np.uint64)
-    u = counter_uniform(seed, DOMAIN_DEVIATION, step, pids, slot=0)
-    # inverse CDF; log1p(-u) is exact near u = 0 and u < 1 always
-    mag = -0.5 * np.abs(lam_arr) * np.log1p(-u)
-    dev = np.sign(lam_arr) * mag
+    dev = counter_uniform(seed, DOMAIN_DEVIATION, step, pids, slot=0)
+    # inverse CDF, sign(lam) ((-|lam|/2) log1p(-u)), on the uniforms' own
+    # buffer; log1p(-u) is exact near u = 0 and u < 1 always.  Rounding is
+    # symmetric in sign, so one product with -lam/2 gives the same bits.
+    np.negative(dev, out=dev)
+    np.log1p(dev, out=dev)
+    dev *= -0.5 * lam_arr
     if n is None and np.ndim(lam) == 0:
         return float(dev[0])
     return dev

@@ -1,4 +1,5 @@
-"""Counter-based RNG keying and the batched polar-pair RK4 kernel."""
+"""Counter-based RNG keying, the streams the samplers draw from it, and the
+batched polar-pair RK4 kernel."""
 import math
 
 import numpy as np
@@ -6,9 +7,15 @@ import pytest
 
 from stochaction.errors import ConfigurationError
 from stochaction.hamiltonian import make_system
-from stochaction.kernels import counter_uniform, run_madelung_window
+from stochaction.kernels import (_BLOCK, DOMAIN_DEVIATION, DOMAIN_LAMBDA,
+                                 DOMAIN_SOURCE, SRC_BINARY, SRC_SMEARED,
+                                 SRC_SPHERE, counter_uniform,
+                                 run_ensemble_window, run_madelung_window,
+                                 source_lambda_into)
 from stochaction.lattice import (build_grid, gradient_uniform,
                                  second_derivative_uniform)
+from stochaction.stochastic import (LambdaSource, sample_action_deviation,
+                                    sample_lambda)
 
 pids = np.arange(256)
 
@@ -51,6 +58,143 @@ def test_counter_uniform_rejects_negative_keys():
         counter_uniform(7, -2, 13, pids, 0)
     with pytest.raises(ConfigurationError):
         counter_uniform(7, 2, -13, pids, 0)
+
+
+def test_counter_uniform_reproduces_pinned_values():
+    # the first draws of two streams, as the one-shot hash gave them
+    assert [float(u).hex() for u in counter_uniform(0, 1, 0, [0, 1, 2], 0)] \
+        == ["0x1.ba7cbf14f5658p-1", "0x1.be95a38db98aep-2",
+            "0x1.9603c5f8a28dep-1"]
+    assert [float(u).hex() for u in counter_uniform(7, 2, 13, [5, 70000], 1)] \
+        == ["0x1.b1d410485a888p-1", "0x1.1b6c2b8401b23p-1"]
+
+
+# The streams written out in one shot: every key hashed at once, over the
+# whole array, with the splitmix64 finalizer and the key multipliers as
+# literals.  The kernel hashes in blocks; these pin it to the same bits.
+
+def _splitmix(x):
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _reference_uniform(seed, domain, step, pids, slot):
+    u64 = np.uint64
+    with np.errstate(over="ignore"):
+        b = _splitmix(u64(seed) * u64(0x9E3779B97F4A7C15)
+                      ^ u64(domain) * u64(0xD1342543DE82EF95))
+        b = _splitmix(b ^ u64(step) * u64(0xDABA0B6EB09322E3))
+        x = _splitmix(b ^ np.asarray(pids, dtype=u64) * u64(0xC2B2AE3D27D4EB4F)
+                      ^ u64(slot) * u64(0x165667B19E3779F9))
+        return (x >> u64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _reference_lambda(source, n, step, domain=DOMAIN_SOURCE):
+    pids = np.arange(n, dtype=np.uint64)
+    u1 = _reference_uniform(source.seed, domain, step, pids, 0)
+    if source.kind == "binary":
+        return np.where(u1 < 0.5, source.hbar, -source.hbar)
+    if source.kind == "sphere":
+        z = 2.0 * u1 - 1.0
+        return np.where(z >= 0.0, source.hbar, -source.hbar)
+    u2 = _reference_uniform(source.seed, domain, step, pids, 1)
+    mag = source.hbar + source.width * math.sqrt(3.0) * (2.0 * u2 - 1.0)
+    return np.where(u1 < 0.5, mag, -mag)
+
+
+def _reference_deviation(lam, n, seed, step):
+    u = _reference_uniform(seed, DOMAIN_DEVIATION, step,
+                           np.arange(n, dtype=np.uint64), 0)
+    return np.sign(lam) * (-0.5 * np.abs(lam) * np.log1p(-u))
+
+
+def _same_bits(a, b):
+    # np.array_equal would take -0.0 for +0.0
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17)
+SOURCES = (LambdaSource("binary", 1.3, seed=9),
+           LambdaSource("sphere", 0.7, seed=9),
+           LambdaSource("smeared", 1.3, width=0.3, seed=9))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_blocked_counter_uniform_equals_the_one_shot_hash_bitwise(size):
+    for p in (np.arange(size, dtype=np.uint64), np.arange(size) + 1):
+        got = counter_uniform(7, 2, 13, p, 1)
+        want = _reference_uniform(7, 2, 13, p, 1)
+        assert got.shape == (size,) and got.dtype == np.float64
+        assert _same_bits(got, want)
+
+
+def test_counter_uniform_keeps_the_shape_of_its_pids():
+    scalar = counter_uniform(3, 4, 5, 11, 0)
+    assert type(scalar) is np.float64
+    assert _same_bits(scalar, _reference_uniform(3, 4, 5, 11, 0))
+    grid = np.arange(5 * 40_000).reshape(5, 40_000)[:, ::-1]
+    got = counter_uniform(3, 4, 5, grid, 0)
+    assert got.shape == grid.shape
+    assert _same_bits(got, _reference_uniform(3, 4, 5, grid, 0))
+    assert counter_uniform(3, 4, 5, np.arange(0), 0).shape == (0,)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.kind)
+def test_sample_lambda_equals_the_written_out_sources_bitwise(source):
+    for size in (1, 3 * _BLOCK + 17):
+        assert _same_bits(sample_lambda(source, size, step=4),
+                              _reference_lambda(source, size, 4))
+    assert sample_lambda(source, step=4) == _reference_lambda(source, 1, 4)[0]
+
+
+@pytest.mark.parametrize("kind", (SRC_BINARY, SRC_SPHERE, SRC_SMEARED))
+def test_source_lambda_splits_the_uniforms_exactly_at_one_half(kind):
+    eps = 2.0 ** -53
+    u1 = np.array([0.0, 0.25, 0.5 - eps, 0.5, 0.5 + eps, 0.75, 1.0 - eps])
+    u2 = np.linspace(0.0, 1.0 - eps, u1.size)
+    for mag0, jitter in ((1.3, 0.4), (0.0, 0.0)):
+        if kind == SRC_SPHERE:
+            positive = 2.0 * u1 - 1.0 >= 0.0
+        else:
+            positive = u1 < 0.5
+        mag = mag0 + jitter * (2.0 * u2 - 1.0) if kind == SRC_SMEARED else mag0
+        out = np.empty_like(u1)
+        source_lambda_into(kind, u1, u2.copy(), mag0, jitter, out)
+        assert _same_bits(out, np.where(positive, mag, -mag))
+
+
+def test_sample_action_deviation_equals_the_written_out_law_bitwise():
+    size = 3 * _BLOCK + 17
+    lam = sample_lambda(SOURCES[2], size)
+    assert _same_bits(sample_action_deviation(lam, seed=5, step=2),
+                          _reference_deviation(lam, size, 5, 2))
+    for scalar in (0.7, -2.0):
+        assert _same_bits(
+            sample_action_deviation(scalar, size, seed=5, step=2),
+            _reference_deviation(scalar, size, 5, 2))
+    assert (sample_action_deviation(-2.0, seed=4, step=9)
+            == _reference_deviation(-2.0, 1, 4, 9)[0])
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.kind)
+def test_ensemble_draws_the_written_out_sources_bitwise(source):
+    # one micro step with zero fields: every particle stays put and takes
+    # the scale drawn for it from the ensemble's own stream
+    m, n = _BLOCK + 3, 16
+    qs = np.zeros(m)
+    lams, logws, frozen = np.zeros(m), np.zeros(m), np.zeros(m, np.uint8)
+    zero = np.zeros(n)
+    run_ensemble_window(qs, lams, logws, frozen, zero, zero, zero, -1.0,
+                        2.0 / (n - 1), 1e-3, 1, step0=6, seed=source.seed,
+                        src_kind=source.kind_index, mag0=source.hbar,
+                        jitter=source.width * math.sqrt(3.0),
+                        freeze_lo=-0.9, freeze_hi=0.9)
+    assert _same_bits(lams, _reference_lambda(source, m, 6, DOMAIN_LAMBDA))
+    assert not frozen.any()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.evolution import (coherent_state, gaussian_packet,
                                    propagate_crank_nicolson, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
+from stochaction.kernels import _BLOCK
 from stochaction.lattice import build_grid, gradient
 from stochaction.classical import PhasePoint, action_of_path, integrate_path
 from stochaction import stochastic
@@ -105,6 +106,15 @@ def test_deviation_tail_is_memoryless():
 def test_deviation_rejects_zero_scale():
     with pytest.raises(ConfigurationError):
         sample_action_deviation(0.0)
+
+
+def test_scalar_scale_with_n_equals_an_array_of_copies_bitwise():
+    # the harness passes lam and n rather than n copies of lam
+    n = 2 * _BLOCK + 5
+    for lam in (0.5, -2.0):
+        a = sample_action_deviation(lam, n, seed=36, step=1)
+        b = sample_action_deviation(np.full(n, lam), seed=36, step=1)
+        assert a.shape == (n,) and a.tobytes() == b.tobytes()
 
 
 def test_scalar_deviation_round_trip():
