@@ -12,10 +12,21 @@ hash can be evaluated in any partition of the particles: bulk draws run it
 over fixed blocks of keys, whose scratch stays in cache instead of
 streaming every hash pass over the whole array through memory, and the
 result does not depend on the block size.
+
+The ensemble kernel uses the same property across threads.  A window of
+micro steps splits the particles into contiguous shards, one per usable
+CPU, and runs each shard's steps on its own slices of the arrays.  Each
+particle's update is elementwise and keyed by its own pid, so a shard
+reads and writes nothing of another's.  The shards need no
+synchronisation inside the window, and the result is bitwise the same
+for any shard count.  numpy releases the interpreter lock inside each
+operation, so the shards run in parallel.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -177,26 +188,37 @@ def active_backend() -> str:
 # index), move, accumulate -theta*dt, freeze leavers at the bounds.
 
 
-def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
-                        n_sub, step0, seed, src_kind, mag0, jitter,
-                        freeze_lo, freeze_hi):
-    """Advance the ensemble arrays in place by n_sub micro steps."""
-    q_min, dq, dt = float(q_min), float(dq), float(dt)
-    mag0, jitter = float(mag0), float(jitter)
-    freeze_lo, freeze_hi = float(freeze_lo), float(freeze_hi)
-    n_sub, step0, seed = int(n_sub), int(step0), int(seed)
-    src_kind = int(src_kind)
-    # The temporaries are allocated once per call and updated in place at
-    # each step.  At ensemble sizes each is hundreds of kB, and fresh ones
-    # per step are mapped and unmapped by the allocator every time, which
-    # costs a page fault per page
+# the fewest particles a shard takes, so a window runs as one shard under
+# 2 * _SHARD_MIN particles.  Smaller shards do not pay for their thread:
+# on 2 vCPUs, two shards of _SHARD_MIN ran at about 30 ns per
+# particle-step against 32 ns for one shard, and two of 2 * _SHARD_MIN
+# at 22 ns against 36
+_SHARD_MIN = 1 << 14
+# the CPUs this process may run on; a window runs at most one shard on each
+_WORKERS = len(os.sched_getaffinity(0))
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shard_pool():
+    """The threads that run every shard but the caller's own, made on first
+    use, so that importing this module starts no thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS - 1,
+                                       thread_name_prefix="ensemble-shard")
+        return _pool
+
+
+def _advance_shard(particles, work, vb, osm, th, q_min, dq, dt, step_keys,
+                   src_kind, mag0, jitter, freeze_lo, freeze_hi):
+    """The micro steps of one shard, on its views of the particle arrays
+    and of the scratch."""
+    qs, lams, logws, frozen, pid_keys = particles
+    x, tmp, u1, u2, cell, w, a, b, c, j, j1, active, out, mask = work
     n = vb.shape[0]
-    m = qs.shape[0]
-    pid_keys = np.arange(m, dtype=np.uint64) * _K_PID
-    x, tmp = np.empty(m, np.uint64), np.empty(m, np.uint64)
-    u1, u2, cell, w, a, b, c = (np.empty(m) for _ in range(7))
-    j, j1 = np.empty(m, np.int64), np.empty(m, np.int64)
-    active, out, mask = (np.empty(m, bool) for _ in range(3))
 
     def lerp(table, dst):
         # table[j] + w * (table[j + 1] - table[j])
@@ -206,14 +228,13 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
         dst *= w
         dst += c
 
+    # numpy's error state is per thread: a pool thread starts from the default
     with np.errstate(over="ignore"):
-        for k in range(n_sub):
-            gstep = step0 + k
+        for key0, key1 in step_keys:
             np.equal(frozen, 0, out=active)
-            base = _base_key(seed, DOMAIN_LAMBDA, gstep)
-            _uniform_into(pid_keys, _slot_key(base, 0), x, tmp, u1)
+            _uniform_into(pid_keys, key0, x, tmp, u1)
             if src_kind == SRC_SMEARED:
-                _uniform_into(pid_keys, _slot_key(base, 1), x, tmp, u2)
+                _uniform_into(pid_keys, key1, x, tmp, u2)
             source_lambda_into(src_kind, u1, u2, mag0, jitter, a)
             np.copyto(lams, a, where=active)
 
@@ -242,6 +263,61 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
             np.copyto(qs, a, where=active)
             active &= out
             np.copyto(frozen, 1, where=active)
+
+
+def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
+                        n_sub, step0, seed, src_kind, mag0, jitter,
+                        freeze_lo, freeze_hi):
+    """Advance the ensemble arrays in place by n_sub micro steps.
+
+    The particles are split into contiguous shards [s, e), at most one per
+    usable CPU and none smaller than _SHARD_MIN; the calling thread runs
+    the first and a thread pool the rest.  A particle's update reads only
+    its own entries of the arrays, its pid key and the step keys, and every
+    operation is elementwise, so each shard runs the whole window on its
+    slices with no synchronisation, and the result is the same, bit for
+    bit, for any number of shards.
+    """
+    q_min, dq, dt = float(q_min), float(dq), float(dt)
+    mag0, jitter = float(mag0), float(jitter)
+    freeze_lo, freeze_hi = float(freeze_lo), float(freeze_hi)
+    n_sub, step0, seed = int(n_sub), int(step0), int(seed)
+    src_kind = int(src_kind)
+    m = qs.shape[0]
+    with np.errstate(over="ignore"):
+        step_keys = []
+        for k in range(n_sub):
+            base = _base_key(seed, DOMAIN_LAMBDA, step0 + k)
+            step_keys.append((_slot_key(base, 0), _slot_key(base, 1)))
+        particles = (qs, lams, logws, frozen,
+                     np.arange(m, dtype=np.uint64) * _K_PID)
+    # The temporaries are allocated once per call, for every shard, by the
+    # calling thread, and updated in place at each step.  At ensemble sizes
+    # each is hundreds of kB: fresh ones per step are mapped and unmapped by
+    # the allocator every time, which costs a page fault per page, and ones
+    # allocated in a pool thread come from that thread's own malloc arena,
+    # which raises the peak resident memory
+    work = (np.empty(m, np.uint64), np.empty(m, np.uint64),
+            *(np.empty(m) for _ in range(7)),
+            np.empty(m, np.int64), np.empty(m, np.int64),
+            *(np.empty(m, bool) for _ in range(3)))
+
+    def advance(s, e):
+        _advance_shard([v[s:e] for v in particles], [v[s:e] for v in work],
+                       vb, osm, th, q_min, dq, dt, step_keys,
+                       src_kind, mag0, jitter, freeze_lo, freeze_hi)
+
+    shards = max(1, min(_WORKERS, m // _SHARD_MIN))
+    bounds = [m * i // shards for i in range(shards + 1)]
+    futures = [_shard_pool().submit(advance, s, e)
+               for s, e in zip(bounds[1:-1], bounds[2:])]
+    try:
+        advance(bounds[0], bounds[1])
+    finally:
+        for f in futures:
+            f.exception()  # waits: no shard writes after this call returns
+    for f in futures:
+        f.result()
 
 
 # ---------------------------------------------------------------------------

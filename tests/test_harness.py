@@ -1,6 +1,6 @@
 """Scenarios end to end through `run_command` and the CLI: exit codes,
-manifests, and CSVs that are byte-identical across re-runs and across
-BLAS thread counts."""
+manifests, and CSVs that are byte-identical across re-runs, across BLAS
+thread counts and across ensemble worker counts."""
 import json
 import os
 import subprocess
@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from stochaction import cli
+from stochaction import cli, kernels
 from stochaction.harness import SCENARIOS, run_command
 
-# every scenario that runs in about 3 s or less on one core
+# every scenario that runs in about 3 s or less on one core (bohmian on
+# two; on one it takes about 5 s)
 FAST_SCENARIOS = [
     ("evolve", "harmonic_stationary"),
     ("evolve", "phase_offset"),
@@ -20,6 +21,7 @@ FAST_SCENARIOS = [
     ("evolve", "propagator_quality"),
     ("orderings", "ordering_contrast"),
     ("orderings", "harmonic_spectrum"),
+    ("equivariance", "bohmian"),
     *(("sample", name) for name in SCENARIOS["sample"]),
 ]
 
@@ -89,3 +91,31 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
         "tau_sweep/weighted.csv"]
     for name in one:
         assert one[name] == two[name], name
+
+
+def _tau_sweep_at_workers(workers: int, out_dir: Path, monkeypatch):
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    monkeypatch.setattr(kernels, "_pool", None)
+    try:
+        result = run_command("equivariance", {
+            "run.scenario": "tau_sweep", "time.T": 0.04,
+            "ensemble.size": 4 * kernels._SHARD_MIN}, str(out_dir))
+        sharded = kernels._pool is not None
+    finally:
+        if kernels._pool is not None:
+            kernels._pool.shutdown()
+    assert sharded == (workers > 1)
+    # at this short T the sweep is too coarse for its monotone check to
+    # pass; the run must still complete and write every file
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    checks = [(c.name, c.value) for c in result.checks]
+    return _csv_bytes(out_dir, result.files), checks
+
+
+def test_csvs_do_not_depend_on_ensemble_worker_count(tmp_path, monkeypatch):
+    one, one_checks = _tau_sweep_at_workers(1, tmp_path / "w1", monkeypatch)
+    two, two_checks = _tau_sweep_at_workers(2, tmp_path / "w2", monkeypatch)
+    assert sorted(one) == ["equivariance.csv", "sweep.csv", "weighted.csv"]
+    assert one == two
+    assert one_checks == two_checks

@@ -1,15 +1,17 @@
-"""Counter-based RNG keying, the streams the samplers draw from it, and the
-batched polar-pair RK4 kernel."""
+"""Counter-based RNG keying, the streams the samplers draw from it, the
+sharded ensemble kernel and the batched polar-pair RK4 kernel."""
 import math
 
 import numpy as np
 import pytest
 
+from stochaction import kernels
 from stochaction.errors import ConfigurationError
 from stochaction.hamiltonian import make_system
-from stochaction.kernels import (_BLOCK, DOMAIN_DEVIATION, DOMAIN_LAMBDA,
-                                 DOMAIN_SOURCE, SRC_BINARY, SRC_SMEARED,
-                                 SRC_SPHERE, counter_uniform,
+from stochaction.kernels import (_BLOCK, _K_PID, _SHARD_MIN, DOMAIN_DEVIATION,
+                                 DOMAIN_LAMBDA, DOMAIN_SOURCE, SRC_BINARY,
+                                 SRC_SMEARED, SRC_SPHERE, _base_key,
+                                 _slot_key, _uniform_into, counter_uniform,
                                  run_ensemble_window, run_madelung_window,
                                  source_lambda_into)
 from stochaction.lattice import (build_grid, gradient_uniform,
@@ -195,6 +197,122 @@ def test_ensemble_draws_the_written_out_sources_bitwise(source):
                         freeze_lo=-0.9, freeze_hi=0.9)
     assert _same_bits(lams, _reference_lambda(source, m, 6, DOMAIN_LAMBDA))
     assert not frozen.any()
+
+
+# ---------------------------------------------------------------------------
+# sharded ensemble window
+
+
+def _reference_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min,
+                               dq, dt, n_sub, step0, seed, src_kind, mag0,
+                               jitter, freeze_lo, freeze_hi):
+    """The window in one thread, all particles in one set of arrays."""
+    n = vb.shape[0]
+    m = qs.shape[0]
+    pid_keys = np.arange(m, dtype=np.uint64) * _K_PID
+    x, tmp = np.empty(m, np.uint64), np.empty(m, np.uint64)
+    u1, u2, cell, w, a, b, c = (np.empty(m) for _ in range(7))
+    j, j1 = np.empty(m, np.int64), np.empty(m, np.int64)
+    active, out, mask = (np.empty(m, bool) for _ in range(3))
+
+    def lerp(table, dst):
+        np.take(table, j, out=c)
+        np.take(table, j1, out=dst)
+        dst -= c
+        dst *= w
+        dst += c
+
+    with np.errstate(over="ignore"):
+        for k in range(n_sub):
+            gstep = step0 + k
+            np.equal(frozen, 0, out=active)
+            base = _base_key(seed, DOMAIN_LAMBDA, gstep)
+            _uniform_into(pid_keys, _slot_key(base, 0), x, tmp, u1)
+            if src_kind == SRC_SMEARED:
+                _uniform_into(pid_keys, _slot_key(base, 1), x, tmp, u2)
+            source_lambda_into(src_kind, u1, u2, mag0, jitter, a)
+            np.copyto(lams, a, where=active)
+
+            np.subtract(qs, q_min, out=cell)
+            cell /= dq
+            np.floor(cell, out=a)
+            np.clip(a, 0, n - 2, out=a)
+            j[...] = a
+            np.add(j, 1, out=j1)
+            np.subtract(cell, a, out=w)
+            np.clip(w, 0.0, 1.0, out=w)
+            lerp(vb, a)
+            lerp(osm, b)
+            b *= lams
+            a += b
+            a *= dt
+            a += qs
+            np.less(a, freeze_lo, out=out)
+            np.greater(a, freeze_hi, out=mask)
+            out |= mask
+            np.maximum(a, freeze_lo, out=a, where=out)
+            np.minimum(a, freeze_hi, out=a, where=out)
+            lerp(th, b)
+            b *= dt
+            np.subtract(logws, b, out=logws, where=active)
+            np.copyto(qs, a, where=active)
+            active &= out
+            np.copyto(frozen, 1, where=active)
+
+
+@pytest.fixture(params=(1, 2, 4), ids=("workers1", "workers2", "workers4"))
+def workers(request, monkeypatch):
+    """The kernel run as if the process could use 1, 2 or 4 CPUs, with a
+    fresh pool; 4 shards on a 2-CPU machine also interleave."""
+    monkeypatch.setattr(kernels, "_WORKERS", request.param)
+    monkeypatch.setattr(kernels, "_pool", None)
+    yield request.param
+    if kernels._pool is not None:
+        kernels._pool.shutdown()
+
+
+ENSEMBLE_SIZES = (1, 2 * _SHARD_MIN - 1, 2 * _SHARD_MIN, 2 * _SHARD_MIN + 1,
+                  100_003)
+# (src_kind, mag0, jitter); the last is the lambda-disabled (Bohmian) path,
+# whose scales are signed zeros
+ENSEMBLE_SOURCES = {"binary": (SRC_BINARY, 1.3, 0.0),
+                    "sphere": (SRC_SPHERE, 0.7, 0.0),
+                    "smeared": (SRC_SMEARED, 1.3, 0.5),
+                    "disabled": (SRC_BINARY, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("m", ENSEMBLE_SIZES)
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
+def test_sharded_window_equals_the_single_threaded_window_bitwise(workers, m,
+                                                                 source):
+    # rough fields that push particles across the freeze bounds within the
+    # window, with a tenth of the particles already frozen on entry
+    rng = np.random.default_rng(m)
+    n = 48
+    tables = (3.0 * rng.normal(size=n), 20.0 * rng.normal(size=n),
+              rng.normal(size=n))
+    state = (rng.uniform(-0.95, 0.95, m), rng.normal(size=m),
+             rng.normal(size=m), (rng.uniform(size=m) < 0.1).astype(np.uint8))
+    args = (*tables, -1.0, 2.0 / (n - 1), 1e-2, 12)
+    kwargs = dict(step0=30, seed=5, src_kind=ENSEMBLE_SOURCES[source][0],
+                  mag0=ENSEMBLE_SOURCES[source][1],
+                  jitter=ENSEMBLE_SOURCES[source][2],
+                  freeze_lo=-0.9, freeze_hi=0.9)
+    got = [a.copy() for a in state]
+    want = [a.copy() for a in state]
+    run_ensemble_window(*got, *args, **kwargs)
+    _reference_ensemble_window(*want, *args, **kwargs)
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+    assert (kernels._pool is not None) == (workers > 1 and m >= 2 * _SHARD_MIN)
+    if m == 1:
+        return
+    entered, left = np.count_nonzero(state[3]), np.count_nonzero(got[3])
+    assert 0 < entered < left < m
+    if source == "disabled":
+        moving = got[1][got[3] == 0]
+        assert np.all(moving == 0.0)
+        assert np.signbit(moving).any() and not np.signbit(moving).all()
 
 
 # ---------------------------------------------------------------------------
