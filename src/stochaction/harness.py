@@ -333,11 +333,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_row(row) -> str:
+    # most rows are all floats (numpy's float64 is a float), which _fmt
+    # would write as repr(float(v)): format them in one pass at C level,
+    # with no Python call per value
+    try:
+        return ",".join(map(float.__repr__, row))
+    except TypeError:
+        return ",".join(map(_fmt, row))
+
+
 def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
     lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(map(_fmt_row, rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,9 +1,8 @@
-"""Hot loops behind the ensemble and polar-PDE integrators, in numpy.
+"""Hot loops behind the ensemble and polar-PDE integrators.
 
-Each kernel allocates its work arrays once per call and updates them in
-place, so per-step cost is the arithmetic plus a fixed number of numpy
-calls.  The polar kernel differences its fields with the stencils of
-``lattice.py``.
+The ensemble kernel and the counter RNG are numpy.  Each allocates its
+work arrays once per call and updates them in place, so per-step cost is
+the arithmetic plus a fixed number of numpy calls.
 
 Randomness is counter-based: every variate is a pure function of
 (seed, domain, step, particle, slot) through a splitmix64-style finalizer,
@@ -21,18 +20,29 @@ reads and writes nothing of another's.  The shards need no
 synchronisation inside the window, and the result is bitwise the same
 for any shard count.  numpy releases the interpreter lock inside each
 operation, so the shards run in parallel.
+
+The polar-pair RK4 kernel is C (``_polar.c``), compiled on first use.  A
+numpy version of it spent most of its time in call overhead: a step of
+2 x 768 cells is too little arithmetic for some 100 numpy calls per step.
+The C kernel gives the same bits as that numpy version, which the tests
+keep as the reference.  Each value is formed by the same IEEE
+operations, in the same order: +, -, *, / and sqrt are correctly rounded
+in both, so equal operands give equal results.  This holds because the
+build forbids what would change a rounding: no contraction of a multiply
+and an add into a fused multiply-add (-ffp-contract=off), no fast-math
+reassociation or reciprocals, and no -march=native.  The density floor
+keeps a NaN density NaN, as np.maximum does, where C's fmax would not.
+The wall rows take the sin and cos of libm, as Python's math module does
+(gcc fuses the pair into glibc's sincos, which gives the same bits).
 """
 from __future__ import annotations
 
-import math
 import os
 import threading
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .lattice import (central_gradient, central_second_difference,
-                      gradient_left_edge, gradient_right_edge)
+from .errors import ConfigurationError, ShapeError
 
 # ---------------------------------------------------------------------------
 # counter-based RNG
@@ -64,10 +74,6 @@ DOMAIN_SOURCE = 4
 SRC_BINARY = 0
 SRC_SPHERE = 1
 SRC_SMEARED = 2
-
-# density floor for the amplitude-ratio term only; far below any physical
-# scale, it just keeps sqrt/division finite under deep-tail undershoot
-_OM_FLOOR = 1e-300
 
 
 def _mix_into(x, tmp):
@@ -171,8 +177,13 @@ def source_lambda_into(src_kind: int, u1, u2, mag0: float, jitter: float, out):
 
 
 def active_backend() -> str:
-    """Name of the kernel implementation, recorded with benchmark runs."""
-    return "numpy"
+    """Names the kernels, recorded with benchmark runs: the compiled polar
+    kernel with the compiler and flags it is built with, and numpy for
+    the rest.  Builds nothing."""
+    import sysconfig
+    cc = sysconfig.get_config_var("CC") or "no compiler (sysconfig CC empty)"
+    return (f"polar: C, {cc} {' '.join(_POLAR_CFLAGS[:3])}; "
+            "ensemble and rng: numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +359,94 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 # harness scenario construction).
 
 
-def _sincos(x):
-    # a state that has blown up can reach a wall as an infinite phase step,
-    # where math.sin raises; hand back NaN for the caller's non-finite guard
-    if math.isinf(x):
-        return math.nan, math.nan
-    return math.sin(x), math.cos(x)
+# The integrator is the C function polar_rk4_window in _polar.c.  It is
+# compiled on the first call, not at import, with the C compiler the Python
+# build names (sysconfig CC), into the package's __pycache__ under a name
+# that hashes the source, the compiler and the flags, and it is loaded with
+# ctypes.  The flags keep every operation rounding as numpy's does: where
+# the target has a fused multiply-add (aarch64, or x86-64 told to use
+# FMA), gcc would otherwise fuse a multiply and an add into one rounding,
+# and no flag that changes values (-ffast-math, -march=native) is given.
+# -fno-math-errno only stops sqrt from setting errno, which lets it run
+# as a vector instruction; its results are the same.
+_POLAR_SOURCE = os.path.join(os.path.dirname(__file__), "_polar.c")
+_POLAR_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+_POLAR_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC",
+                 "-shared")
+_polar = None
+_polar_lock = threading.Lock()
+
+
+def _compiler() -> list:
+    """The C compiler command of the Python build, split into words."""
+    import shlex
+    import sysconfig
+    cc = sysconfig.get_config_var("CC")
+    if not cc or not cc.strip():
+        raise ConfigurationError(
+            "the polar kernel is compiled from C on first use, and this "
+            "Python build names no C compiler (sysconfig CC is empty)")
+    return shlex.split(cc)
+
+
+def _build_polar(cache_dir: str) -> str:
+    """Path of the polar kernel's shared library in cache_dir, compiled
+    there first unless a build of the same source, compiler and flags is
+    already in place.  The library is written to a temporary file and
+    renamed, so a concurrent process never loads a partial one."""
+    import hashlib
+    import subprocess
+    import tempfile
+    cc = _compiler()
+    with open(_POLAR_SOURCE, "rb") as fh:
+        source = fh.read()
+    key = "\0".join((*cc, *_POLAR_CFLAGS)).encode()
+    digest = hashlib.sha256(source + b"\0" + key).hexdigest()[:16]
+    path = os.path.join(cache_dir, f"_polar-{digest}.so")
+    if os.path.exists(path):
+        return path
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write the compiled polar kernel to {cache_dir}: "
+            f"{exc}") from exc
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run([*cc, *_POLAR_CFLAGS, "-o", tmp,
+                                   _POLAR_SOURCE, "-lm"],
+                                  capture_output=True, text=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                "the polar kernel is compiled from C on first use, and the C "
+                f"compiler {cc[0]!r} of this Python build (sysconfig CC) "
+                f"cannot be run: {exc}") from exc
+        if proc.returncode != 0:
+            raise ConfigurationError(
+                f"{' '.join(cc)} failed to compile {_POLAR_SOURCE}:\n"
+                f"{proc.stderr}")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
+def _polar_kernel():
+    """polar_rk4_window from the compiled library, built on first use."""
+    global _polar
+    with _polar_lock:
+        if _polar is None:
+            import ctypes
+            fn = ctypes.CDLL(_build_polar(_POLAR_CACHE)).polar_rk4_window
+            ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+            fn.argtypes = (ptr, size, size, ptr, ptr, ptr, ptr, real, real,
+                           size, real)
+            fn.restype = ctypes.c_int
+            _polar = fn
+        return _polar
 
 
 def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):
@@ -363,94 +456,29 @@ def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):
     branches and y[1] their phases S.  The branches
     share the field tables g, dg, A, V (each of shape (n,)) and the scale
     |lam| = lam_abs, and do not interact: branch b of the result depends
-    on row b of y alone.
+    on row b of y alone.  y must be a C-contiguous float64 array, since it
+    is updated in place by the compiled kernel.
     """
+    if not (isinstance(y, np.ndarray) and y.dtype == np.float64
+            and y.ndim == 3 and y.shape[0] == 2 and y.flags.c_contiguous
+            and y.flags.writeable):
+        raise ShapeError(
+            "y must be a writeable C-contiguous float64 array of shape "
+            f"(2, B, n), got {getattr(y, 'dtype', type(y))} "
+            f"{getattr(y, 'shape', '')}")
     _, nb, n = y.shape
-    dq, dt, lam = float(dq), float(dt), float(lam_abs)
-    lam2half = 0.5 * lam * lam
-    neg_lam2half = -lam2half
-    half, sixth = 0.5 * dt, dt / 6.0
-    half_g = 0.5 * g
-    # wall-row constants, as Python floats
-    h2 = dq * dq
-    g0, g1 = float(g[0]), float(g[-1])
-    linkL = dq * 0.5 * (float(A[0]) + float(A[1]))
-    linkR = dq * 0.5 * (float(A[-2]) + float(A[-1]))
-    domL, domR = -(g0 * lam / h2), g1 * lam / h2
-    dSL, dSR = g0 * lam2half / h2, g1 * lam2half / h2
-    VL, VR = float(V[0]), float(V[-1])
-
-    k = np.empty((4,) + y.shape)
-    stage = np.empty_like(y)
-    dS, dp, flux, R, qp = (np.empty((nb, n)) for _ in range(5))
-    # the edge entries of the R derivatives are never written; zeros keep
-    # the discarded edge arithmetic finite
-    d1R, d2R = np.zeros((nb, n)), np.zeros((nb, n))
-    # one row of nb * n cells: the interior stencils run across the rows
-    # at once, and the few values they mix between rows all land on wall
-    # cells, which are overwritten below
-    dS_f, flux_f, R_f, d1R_f, d2R_f = (a.reshape(-1)
-                                       for a in (dS, flux, R, d1R, d2R))
-
-    def rhs(src, dst):
-        om, S = src[0], src[1]
-        dom, dSdt = dst[0], dst[1]
-        central_gradient(S.reshape(-1), dq, dS_f)
-        lo, hi = S[:, :3].tolist(), S[:, -3:].tolist()
-        for b in range(nb):
-            dS[b, 0] = gradient_left_edge(*lo[b], dq)
-            dS[b, -1] = gradient_right_edge(*hi[b], dq)
-        np.subtract(dS, A, out=dp)
-        np.multiply(g, dp, out=flux)
-        np.multiply(flux, om, out=flux)
-        dom_f = dom.reshape(-1)
-        central_gradient(flux_f, dq, dom_f)
-        np.negative(dom_f, out=dom_f)
-        # advection of a steep tail can undershoot to machine-negligible
-        # negatives; floor the amplitude so the phase term stays finite
-        np.maximum(om, _OM_FLOOR, out=R)
-        np.sqrt(R, out=R)
-        central_gradient(R_f, dq, d1R_f)
-        central_second_difference(R_f, dq, d2R_f)
-        np.multiply(g, d2R, out=qp)
-        np.multiply(dg, d1R, out=d1R)
-        np.add(qp, d1R, out=qp)
-        np.multiply(qp, neg_lam2half, out=qp)
-        np.divide(qp, R, out=qp)
-        np.multiply(half_g, dp, out=dSdt)
-        np.multiply(dSdt, dp, out=dSdt)
-        np.add(dSdt, V, out=dSdt)
-        np.add(dSdt, qp, out=dSdt)
-        np.negative(dSdt, out=dSdt)
-        # exact polar wall rows (midpoint gauge link), see comment above
-        Rlo, Rhi = R[:, :2].tolist(), R[:, -2:].tolist()
-        for b in range(nb):
-            r0, r1 = Rlo[b]
-            snL, csL = _sincos(((lo[b][1] - lo[b][0]) - linkL) / lam)
-            dom[b, 0] = domL * r0 * r1 * snL
-            dSdt[b, 0] = dSL * ((r1 / r0) * csL - 2.0) - VL
-            r0, r1 = Rhi[b]
-            snR, csR = _sincos(((hi[b][2] - hi[b][1]) - linkR) / lam)
-            dom[b, -1] = domR * r0 * r1 * snR
-            dSdt[b, -1] = dSR * ((r0 / r1) * csR - 2.0) - VR
-
-    k1, k2, k3, k4 = k
-    for _ in range(n_steps):
-        rhs(y, k1)
-        np.multiply(k1, half, out=stage)
-        stage += y
-        rhs(stage, k2)
-        np.multiply(k2, half, out=stage)
-        stage += y
-        rhs(stage, k3)
-        np.multiply(k3, dt, out=stage)
-        stage += y
-        rhs(stage, k4)
-        # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= sixth
-        y += k2
+    if n < 3:
+        raise ShapeError(f"the polar stencils need n >= 3 cells, got {n}")
+    tables = [np.ascontiguousarray(t, dtype=np.float64) for t in (g, dg, A, V)]
+    for name, t in zip(("g", "dg", "A", "V"), tables):
+        if t.shape != (n,):
+            raise ShapeError(f"field table {name} has shape {t.shape}, "
+                             f"expected ({n},)")
+    n_steps = int(n_steps)
+    if n_steps < 0:
+        raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
+    status = _polar_kernel()(y.ctypes.data, nb, n,
+                             *(t.ctypes.data for t in tables), float(dq),
+                             float(dt), n_steps, float(lam_abs))
+    if status != 0:
+        raise MemoryError("the polar kernel could not allocate its scratch")

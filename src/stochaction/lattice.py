@@ -3,9 +3,9 @@
 All stencils are second order: central differences in the interior,
 one-sided three/four-point formulas at the two boundary points.  They act
 on the last axis, so a stack of fields is differenced in one call.  The
-interior and edge stencils are also public on their own: the polar RK4
-kernel in ``kernels.py`` runs the interior stencils on a batch of branches
-flattened into one row and sets only the edge values it reads.
+compiled polar RK4 kernel (``_polar.c``) writes the interior stencils and
+the first-derivative edge stencils out again, operation for operation,
+so that they round as these do.
 """
 from __future__ import annotations
 
@@ -55,48 +55,20 @@ def check_field(f: np.ndarray, grid: GridSpec, name: str = "field") -> np.ndarra
     return f
 
 
-def central_gradient(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """Central first difference (f[i+1] - f[i-1]) / 2h into out[..., 1:-1]
-    along the last axis; the two edge entries of out are left as they are."""
-    inner = out[..., 1:-1]
-    np.subtract(f[..., 2:], f[..., :-2], out=inner)
-    inner /= 2.0 * h
-    return out
-
-
-def central_second_difference(f: np.ndarray, h: float,
-                              out: np.ndarray) -> np.ndarray:
-    """Compact (f[i+1] - 2 f[i] + f[i-1]) / h^2 into out[..., 1:-1] along
-    the last axis; the two edge entries of out are left as they are."""
-    inner = out[..., 1:-1]
-    np.multiply(f[..., 1:-1], 2.0, out=inner)
-    np.subtract(f[..., 2:], inner, out=inner)
-    inner += f[..., :-2]
-    inner /= h * h
-    return out
-
-
-def gradient_left_edge(f0, f1, f2, h: float):
-    """One-sided d/dq at f0 from the first three samples, in the difference
-    form of (-3 f0 + 4 f1 - f2) / 2h: exact zero on constants."""
-    return (-3.0 * (f0 - f1) + (f1 - f2)) / (2.0 * h)
-
-
-def gradient_right_edge(f_3, f_2, f_1, h: float):
-    """One-sided d/dq at the last sample f_1 from the last three samples
-    (in grid order), the mirror of `gradient_left_edge`."""
-    return (3.0 * (f_1 - f_2) - (f_2 - f_3)) / (2.0 * h)
-
-
 def gradient_uniform(f: np.ndarray, h: float) -> np.ndarray:
     """d/dq along the last axis on a uniform grid of spacing h (no grid
     object needed)."""
     f = np.asarray(f, dtype=float)
     if f.ndim == 0 or f.shape[-1] < 3:
         raise ShapeError("gradient needs at least 3 samples")
-    out = central_gradient(f, h, np.empty_like(f))
-    out[..., 0] = gradient_left_edge(f[..., 0], f[..., 1], f[..., 2], h)
-    out[..., -1] = gradient_right_edge(f[..., -3], f[..., -2], f[..., -1], h)
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    # difference forms of (-3 f0 + 4 f1 - f2) / 2h and its mirror: exact
+    # zero on constants
+    f0, f1, f2 = (f[..., i] for i in (0, 1, 2))
+    out[..., 0] = (-3.0 * (f0 - f1) + (f1 - f2)) / (2.0 * h)
+    f_1, f_2, f_3 = (f[..., i] for i in (-1, -2, -3))
+    out[..., -1] = (3.0 * (f_1 - f_2) - (f_2 - f_3)) / (2.0 * h)
     return out
 
 
@@ -106,8 +78,9 @@ def second_derivative_uniform(f: np.ndarray, h: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim == 0 or f.shape[-1] < 4:
         raise ShapeError("second derivative needs at least 4 samples")
-    out = central_second_difference(f, h, np.empty_like(f))
+    out = np.empty_like(f)
     h2 = h * h
+    out[..., 1:-1] = (f[..., 2:] - f[..., 1:-1] * 2.0 + f[..., :-2]) / h2
     # difference form of (2 f0 - 5 f1 + 4 f2 - f3) / h^2: exact zero on
     # constants
     f0, f1, f2, f3 = (f[..., i] for i in (0, 1, 2, 3))

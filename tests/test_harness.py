@@ -15,6 +15,8 @@ from stochaction.harness import SCENARIOS, run_command
 # every scenario that runs in about 3 s or less on one core (bohmian on
 # two; on one it takes about 5 s)
 FAST_SCENARIOS = [
+    ("evolve", "free_gaussian"),
+    ("evolve", "harmonic_coherent"),
     ("evolve", "harmonic_stationary"),
     ("evolve", "phase_offset"),
     ("evolve", "classical_limit"),

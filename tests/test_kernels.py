@@ -1,12 +1,16 @@
 """Counter-based RNG keying, the streams the samplers draw from it, the
-sharded ensemble kernel and the batched polar-pair RK4 kernel."""
+sharded ensemble kernel and the compiled batched polar-pair RK4 kernel."""
 import math
+import os
+import sysconfig
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stochaction import kernels
-from stochaction.errors import ConfigurationError
+from stochaction.errors import ConfigurationError, NumericalError, ShapeError
+from stochaction.evolution import gaussian_packet
 from stochaction.hamiltonian import make_system
 from stochaction.kernels import (_BLOCK, _K_PID, _SHARD_MIN, DOMAIN_DEVIATION,
                                  DOMAIN_LAMBDA, DOMAIN_SOURCE, SRC_BINARY,
@@ -16,6 +20,7 @@ from stochaction.kernels import (_BLOCK, _K_PID, _SHARD_MIN, DOMAIN_DEVIATION,
                                  source_lambda_into)
 from stochaction.lattice import (build_grid, gradient_uniform,
                                  second_derivative_uniform)
+from stochaction.madelung import pair_from_wave, step_coupled_pde
 from stochaction.stochastic import (LambdaSource, sample_action_deviation,
                                     sample_lambda)
 
@@ -316,7 +321,7 @@ def test_sharded_window_equals_the_single_threaded_window_bitwise(workers, m,
 
 
 # ---------------------------------------------------------------------------
-# batched polar-pair RK4
+# batched polar-pair RK4, compiled from _polar.c
 
 
 def _branch_batch():
@@ -399,3 +404,154 @@ def test_swapping_the_branch_rows_swaps_the_outputs_bitwise():
     out = _run(y, grid, tables)
     swapped = _run(y[:, ::-1], grid, tables)
     assert np.array_equal(swapped, out[:, ::-1])
+
+
+def _assert_matches_reference(y, out, tables, dq, dt, n_steps, lam):
+    for b in range(y.shape[1]):
+        om, S = _reference_run(y[0, b], y[1, b], tables, dq, dt, n_steps, lam)
+        assert _same_bits(out[0, b], om)
+        assert _same_bits(out[1, b], S)
+
+
+def test_floored_densities_at_two_scales_match_the_reference_bitwise():
+    # left tails that fall by 6.3 decades a cell through the density floor
+    # to underflow, with negligible negatives and a signed zero below the
+    # floor; a second scale weights the wall rows and the potential term
+    # differently.  The steep tails drive a large potential term, so the
+    # run is two short steps
+    grid, y, tables = _branch_batch()
+    y[0] *= 10.0 ** (-80.0 * np.clip(-1.0 - grid.points(), 0.0, None))
+    assert (y[0, :, :5] < 1e-300).all()
+    y[0, 0, 1] = -1e-310
+    y[0, 1, :2] = -0.0, -3e-301
+    for lam in (1.0, 0.5):
+        out = y.copy()
+        run_madelung_window(out, *tables, grid.dq, 1e-8, 2, lam)
+        assert np.isfinite(out).all() and not _same_bits(out, y)
+        _assert_matches_reference(y, out, tables, grid.dq, 1e-8, 2, lam)
+
+
+def test_one_step_from_zero_phases_keeps_every_rounding_of_the_rhs():
+    # after many steps a one-ulp change in a right-hand side term is
+    # mostly lost when dt times it is added to the state; from S = 0 the
+    # phases after one step are the RK4 sum of the stages itself
+    grid, y, tables = _branch_batch()
+    y[1] = 0.0
+    for dt in (5e-4, 1e-2):
+        out = y.copy()
+        run_madelung_window(out, *tables, grid.dq, dt, 1, 1.0)
+        assert np.isfinite(out).all()
+        _assert_matches_reference(y, out, tables, grid.dq, dt, 1, 1.0)
+
+
+def test_a_nan_density_turns_its_phase_nan_as_np_maximum_does():
+    # the density floor must pass NaN through, as np.maximum does; C's
+    # fmax would floor it and leave the phase finite
+    grid, y, tables = _branch_batch()
+    y[0, 0, 60] = np.nan
+    out = y.copy()
+    run_madelung_window(out, *tables, grid.dq, 5e-4, 1, 1.0)
+    with np.errstate(invalid="ignore"):
+        om, S = _reference_run(y[0, 0], y[1, 0], tables, grid.dq, 5e-4, 1)
+    assert np.isnan(S[60])
+    assert np.array_equal(np.isnan(out[1, 0]), np.isnan(S))
+    assert np.array_equal(np.isnan(out[0, 0]), np.isnan(om))
+    _assert_matches_reference(y[:, 1:], out[:, 1:], tables, grid.dq, 5e-4,
+                              1, 1.0)
+
+
+@pytest.fixture
+def polar_cache(tmp_path, monkeypatch):
+    """An empty build cache and no kernel loaded: the next call builds."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(kernels, "_POLAR_CACHE", str(cache))
+    monkeypatch.setattr(kernels, "_polar", None)
+    return cache
+
+
+def test_a_cold_build_loads_and_equals_the_reference_bitwise(polar_cache):
+    grid, y, tables = _branch_batch()
+    out = _run(y, grid, tables, n_steps=10)
+    built = os.listdir(polar_cache)
+    # one library, named by the hash, and no temporary file left behind
+    assert len(built) == 1 and built[0].startswith("_polar-")
+    assert built[0].endswith(".so")
+    _assert_matches_reference(y, out, tables, grid.dq, 5e-4, 10, 1.0)
+    # a fresh process finds the build in the cache and compiles nothing
+    stamp = os.stat(polar_cache / built[0]).st_mtime_ns
+    kernels._polar = None
+    assert _same_bits(_run(y, grid, tables, n_steps=10), out)
+    assert os.listdir(polar_cache) == built
+    assert os.stat(polar_cache / built[0]).st_mtime_ns == stamp
+
+
+@pytest.mark.parametrize("cc", ("no-such-c-compiler", "", None))
+def test_a_missing_compiler_raises_and_leaves_no_numpy_path(polar_cache,
+                                                           monkeypatch, cc):
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: cc if name == "CC" else real(name))
+    grid, y, tables = _branch_batch()
+    before = y.copy()
+    with pytest.raises(ConfigurationError,
+                       match=cc or "names no C compiler"):
+        run_madelung_window(y, *tables, grid.dq, 5e-4, 10, 1.0)
+    assert _same_bits(y, before)
+    assert not polar_cache.exists() or os.listdir(polar_cache) == []
+    assert kernels._polar is None
+
+
+def _bad_inputs():
+    grid, y, tables = _branch_batch()
+    n = grid.n
+    strided = np.zeros((2, 2, 2 * n))[:, :, ::2]
+    strided[...] = y
+    frozen = y.copy()
+    frozen.flags.writeable = False
+    short = [t[:-1] if i == 2 else t for i, t in enumerate(tables)]
+    return {
+        "non-contiguous y": (strided, tables),
+        "float32 y": (y.astype(np.float32), tables),
+        "read-only y": (frozen, tables),
+        "one branch plane": (y[:1].copy(), tables),
+        "table of length n - 1": (y, short),
+        "n < 3": (np.ascontiguousarray(y[:, :, :2]),
+                  [t[:2] for t in tables]),
+    }
+
+
+@pytest.mark.parametrize("case", _bad_inputs())
+def test_bad_inputs_raise_before_the_kernel_is_reached(monkeypatch, case):
+    def unreachable():
+        raise AssertionError("the compiled kernel was reached")
+    monkeypatch.setattr(kernels, "_polar_kernel", unreachable)
+    y, tables = _bad_inputs()[case]
+    with pytest.raises(ShapeError):
+        run_madelung_window(y, *tables, 0.1, 5e-4, 1, 1.0)
+
+
+def test_an_infinite_wall_phase_step_gives_nan_then_a_numerical_error():
+    # at a scale of one subnormal the wall phase step (S_1 - S_0) / lam
+    # overflows to infinity, where sin and cos are NaN; the scale's
+    # square vanishes, so the interior right-hand side stays finite
+    grid, y, tables = _branch_batch()
+    tiny = 5e-324
+    out = y.copy()
+    run_madelung_window(out, *tables, grid.dq, 5e-4, 1, tiny)
+    assert np.isnan(out[:, :, 0]).all() and np.isnan(out[:, :, -1]).all()
+    assert np.isfinite(out[:, :, 8:-8]).all()
+
+    spec = make_system("free")
+    pair = pair_from_wave(gaussian_packet(build_grid(128, -6.0, 6.0),
+                                          sigma=1.0, momentum=1.0))
+    pair = replace(pair, plus=replace(pair.plus, lam=tiny),
+                   minus=replace(pair.minus, lam=-tiny))
+    with pytest.raises(NumericalError, match="non-finite"):
+        step_coupled_pde(pair, spec, 1e-4, steps=5)
+
+
+def test_active_backend_names_the_compiler_and_builds_nothing(polar_cache):
+    name = kernels.active_backend()
+    assert "polar: C" in name and "-ffp-contract=off" in name
+    assert sysconfig.get_config_var("CC") in name
+    assert not polar_cache.exists() and kernels._polar is None
