@@ -22,8 +22,7 @@ from .stochastic import (ActionSegment, EnsembleState, LambdaSource,
                          microscopic_velocity, propagate_ensemble,
                          sample_action_deviation, sample_lambda,
                          segment_weight)
-from .harness import (cmd_equivariance, cmd_evolve, cmd_orderings, cmd_sample,
-                      parse_config, run_command)
+from .harness import parse_config, run_command
 
 __all__ = [
     "__version__",
@@ -43,5 +42,4 @@ __all__ = [
     "microscopic_velocity", "effective_velocity", "bohmian_velocity",
     "init_ensemble", "propagate_ensemble",
     "parse_config", "run_command",
-    "cmd_evolve", "cmd_sample", "cmd_equivariance", "cmd_orderings",
 ]

@@ -9,12 +9,14 @@ import argparse
 import sys
 
 from .errors import ConfigurationError, StochactionError
-from .harness import COMMAND_DEFAULT, parse_config, run_command
+from .harness import COMMAND_DEFAULT, SCENARIOS, parse_config, run_command
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--config", help="path to a section.key = value file")
-    sub.add_argument("--scenario", help="scenario id (see README)")
+    sub.add_argument("--scenario", help=(
+        f"scenario id: one of {', '.join(SCENARIOS[command])} "
+        f"(default {COMMAND_DEFAULT[command]})"))
     sub.add_argument("--seed", type=int, help="override run.seed")
     sub.add_argument("--out", help="output directory (else run.out, "
                                    "else $STOCHACTION_OUT, else ./runs/...)")
@@ -28,8 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "action-deviation sampling, and ensemble equivariance.")
     subs = parser.add_subparsers(dest="command", required=True)
     for command in COMMAND_DEFAULT:
-        sub = subs.add_parser(command)
-        _add_common(sub)
+        _add_common(subs.add_parser(command), command)
     return parser
 
 

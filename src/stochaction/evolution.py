@@ -166,28 +166,6 @@ def eigenpairs(H: QuantumOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:k], d[:, None] * V[:, :k]
 
 
-def aggregate_density(weighted_states: list[tuple[WaveState, float]]) -> np.ndarray:
-    """Mixture density sum_k w_k |psi_k|^2 over the scale ensemble."""
-    if len(weighted_states) == 0:
-        raise ConfigurationError("need at least one (state, weight) pair")
-    weights = np.asarray([w for _, w in weighted_states], dtype=float)
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ConfigurationError("weights must be nonnegative and sum to 1")
-    grid = weighted_states[0][0].grid
-    dens = np.zeros(grid.n)
-    for st, w in weighted_states:
-        if st.psi.shape != (grid.n,):
-            raise ShapeError("state grid does not match aggregation grid")
-        dens += w * np.abs(st.psi) ** 2
-    return dens
-
-
-def mean_position(state: WaveState) -> float:
-    q = state.grid.points()
-    rho = np.abs(state.psi) ** 2
-    return integrate(q * rho, state.grid) / integrate(rho, state.grid)
-
-
 def position_variance(state: WaveState) -> float:
     q = state.grid.points()
     rho = np.abs(state.psi) ** 2

@@ -22,7 +22,13 @@ import scipy.linalg
 from .errors import ConfigurationError, NodeError, ShapeError
 from .lattice import NODE_EPS, GridSpec, check_field, gradient
 
-PRESETS = ("free", "harmonic", "variable_mass", "gauged")
+# each preset's parameters, with their defaults
+PRESET_PARAMS = {
+    "free": {"m": 1.0},
+    "harmonic": {"m": 1.0, "omega": 1.0},
+    "variable_mass": {"m": 1.0, "omega": 1.0, "beta": 0.3},
+    "gauged": {"m": 1.0, "omega": 1.0, "a0": 0.0, "a1": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -44,16 +50,9 @@ class ClassicalSpec:
 
 def make_system(preset: str, **params) -> ClassicalSpec:
     """Build one of the shipped (g, A, V) presets."""
-    if preset == "free":
-        allowed = {"m": 1.0}
-    elif preset == "harmonic":
-        allowed = {"m": 1.0, "omega": 1.0}
-    elif preset == "variable_mass":
-        allowed = {"m": 1.0, "omega": 1.0, "beta": 0.3}
-    elif preset == "gauged":
-        allowed = {"m": 1.0, "omega": 1.0, "a0": 0.0, "a1": 0.0}
-    else:
+    if preset not in PRESET_PARAMS:
         raise ConfigurationError(f"unknown system preset {preset!r}")
+    allowed = PRESET_PARAMS[preset]
     unknown = set(params) - set(allowed)
     if unknown:
         raise ConfigurationError(f"preset {preset!r} got unknown parameters {sorted(unknown)}")

@@ -1,5 +1,5 @@
 """Scenario runner: config parsing, seeded deterministic runs, CSV output
-with a machine-readable manifest, and pass/fail checks per command.
+with a machine-readable manifest, and pass/fail checks per scenario.
 
 Config files are line-oriented `section.key = value`; unknown keys are
 errors.  Every run writes manifest.json (status "running") before any data
@@ -10,6 +10,8 @@ byte-identical across re-runs with the same config and seed.
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -20,11 +22,12 @@ from . import classical, madelung, stochastic
 from ._version import __version__
 from .errors import ConfigurationError, StochactionError
 from .evolution import (WaveState, coherent_state, eigenpairs, gaussian_packet,
-                        ground_state, l2_distance, mean_position, norm_squared,
+                        ground_state, l2_distance, norm_squared,
                         propagate_crank_nicolson, propagate_eigen_oracle,
                         spectral_filter)
-from .hamiltonian import (build_naive_ordering, build_quantum_hamiltonian,
-                          hermiticity_defect, make_system)
+from .hamiltonian import (PRESET_PARAMS, build_naive_ordering,
+                          build_quantum_hamiltonian, hermiticity_defect,
+                          make_system)
 from .lattice import GridSpec, build_grid, gradient, integrate
 
 OUTPUT_ENV = "STOCHACTION_OUT"
@@ -68,29 +71,60 @@ KEY_TYPES = {
     "state.ecut": float,
 }
 
+# smallest admissible value of the keys that have one
+KEY_MIN = {
+    "run.seed": 0,
+    "ensemble.size": 1,
+    "ensemble.bins": 2,
+}
+
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True,
+               "false": False, "0": False, "no": False}
+
+
+def _kind_name(kind) -> str:
+    return kind if isinstance(kind, str) else kind.__name__
+
 
 def _parse_value(key: str, raw: str):
     kind = KEY_TYPES[key]
     raw = raw.strip()
     try:
-        if kind is str:
-            return raw
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
         if kind == "float_list":
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
+        if kind is bool:
+            return _BOOL_WORDS[raw.lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
         raise ConfigurationError(
-            f"config key {key!r}: cannot parse {raw!r} as {kind if isinstance(kind, str) else kind.__name__}")
-    raise ConfigurationError(f"unhandled config type for {key!r}")
+            f"config key {key!r}: cannot parse {raw!r} as {_kind_name(kind)}")
+
+
+def _is_a(value, kind) -> bool:
+    # bool is an int: it counts only where a bool is asked for.  A float
+    # key takes any real number, an int key only an integer
+    if isinstance(value, (bool, np.bool_)):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, kind)
+
+
+def _typed(key: str, value):
+    """`value` as the type KEY_TYPES gives `key`; ConfigurationError if it
+    is not one."""
+    kind = KEY_TYPES[key]
+    if kind == "float_list":
+        if (isinstance(value, (tuple, list)) and value
+                and all(_is_a(v, float) for v in value)):
+            return tuple(map(float, value))
+    elif _is_a(value, kind):
+        return kind(value)
+    raise ConfigurationError(
+        f"config key {key!r}: expected {_kind_name(kind)}, got {value!r}")
 
 
 def parse_config(path: str) -> dict:
@@ -248,13 +282,15 @@ REQUIRED_KEYS = {
 
 
 def resolve_config(command: str, config: dict | None = None) -> dict:
-    """Scenario defaults overlaid with the user config; validates keys."""
+    """Scenario defaults overlaid with the user config; validates keys,
+    value types and minimums."""
     if command not in SCENARIOS:
         raise ConfigurationError(f"unknown command {command!r}")
     config = dict(config or {})
     for key in config:
         if key not in KEY_TYPES:
             raise ConfigurationError(f"unknown config key {key!r}")
+    config = {key: _typed(key, value) for key, value in config.items()}
     scenario = config.get("run.scenario", COMMAND_DEFAULT[command])
     if scenario not in SCENARIOS[command]:
         raise ConfigurationError(
@@ -269,11 +305,9 @@ def resolve_config(command: str, config: dict | None = None) -> dict:
         raise ConfigurationError(
             f"config for {command!r} is missing required key(s): "
             + ", ".join(repr(k) for k in missing))
-    if "ensemble.size" in cfg and cfg["ensemble.size"] < 1:
-        raise ConfigurationError(
-            f"ensemble.size must be >= 1, got {cfg['ensemble.size']}")
-    if cfg["run.seed"] < 0:
-        raise ConfigurationError(f"run.seed must be >= 0, got {cfg['run.seed']}")
+    for key, least in KEY_MIN.items():
+        if key in cfg and cfg[key] < least:
+            raise ConfigurationError(f"{key} must be >= {least}, got {cfg[key]}")
     return cfg
 
 
@@ -286,24 +320,18 @@ class Check:
     name: str
     value: float
     tolerance: float
-    relation: str  # "<", "<=", ">", "==", "monotone_decreasing"
+    relation: str  # a key of _RELATIONS
     passed: bool
+
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              "==": operator.eq}
 
 
 def _check(name, value, tolerance, relation="<"):
     value = float(value)
-    if relation == "<":
-        ok = value < tolerance
-    elif relation == "<=":
-        ok = value <= tolerance
-    elif relation == ">":
-        ok = value > tolerance
-    elif relation == "==":
-        ok = value == tolerance
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
     return Check(name=name, value=value, tolerance=float(tolerance),
-                 relation=relation, passed=ok)
+                 relation=relation, passed=_RELATIONS[relation](value, tolerance))
 
 
 @dataclass
@@ -351,16 +379,6 @@ def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _manifest_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "manifest.json")
-
-
-def _write_manifest(out_dir: str, doc: dict) -> None:
-    with open(_manifest_path(out_dir), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _resolve_out_dir(command: str, scenario: str, cfg: dict,
                      out_dir: str | None) -> str:
     if out_dir is None:
@@ -373,17 +391,30 @@ def _resolve_out_dir(command: str, scenario: str, cfg: dict,
     return out_dir
 
 
-def _meta(cfg: dict, command: str, extra: dict | None = None) -> dict:
-    meta = {
-        "generator": f"stochaction {__version__}",
-        "command": command,
-        "scenario": cfg["run.scenario"],
-        "seed": cfg["run.seed"],
-        "units": "natural: action in units of source.hbar at hbar = 1, mass m, time t",
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+class _Out:
+    """A run directory: its manifest, and every CSV under the run's
+    metadata header; `files` lists the CSVs in the order they were written."""
+
+    def __init__(self, path: str, cfg: dict, command: str):
+        self.path = path
+        self.meta = {
+            "generator": f"stochaction {__version__}",
+            "command": command,
+            "scenario": cfg["run.scenario"],
+            "seed": cfg["run.seed"],
+            "units": "natural: action in units of source.hbar at hbar = 1, mass m, time t",
+        }
+        self.files = []
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        write_csv(os.path.join(self.path, name), self.meta, header, rows)
+        self.files.append(name)
+
+    def manifest(self, doc: dict) -> None:
+        with open(os.path.join(self.path, "manifest.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +423,7 @@ def _meta(cfg: dict, command: str, extra: dict | None = None) -> dict:
 
 def _build_system(cfg: dict):
     preset = cfg["system.preset"]
-    picks = {"free": ("m",), "harmonic": ("m", "omega"),
-             "variable_mass": ("m", "omega", "beta"),
-             "gauged": ("m", "omega", "a0", "a1")}
-    if preset not in picks:
-        raise ConfigurationError(f"unknown system preset {preset!r}")
-    params = {p: cfg[f"system.{p}"] for p in picks[preset]
+    params = {p: cfg[f"system.{p}"] for p in PRESET_PARAMS.get(preset, ())
               if f"system.{p}" in cfg}
     return make_system(preset, **params)
 
@@ -438,30 +464,69 @@ def _build_state(cfg: dict, grid: GridSpec, spec, H) -> WaveState:
     return state
 
 
+def _wave_setup(cfg: dict):
+    """(spec, grid, H, initial state) of a wave-layer scenario."""
+    spec = _build_system(cfg)
+    grid = _build_grid(cfg)
+    H = build_quantum_hamiltonian(spec, grid, cfg["source.hbar"])
+    return spec, grid, H, _build_state(cfg, grid, spec, H)
+
+
 def _wave_phase(state: WaveState) -> np.ndarray:
     return state.hbar_eff * np.unwrap(np.angle(state.psi))
+
+
+# ---------------------------------------------------------------------------
+# advance and record
+
+
+def _steps(cfg: dict) -> int:
+    """The number of time.dt steps in time.T; dt must divide T."""
+    dt = cfg["time.dt"]
+    T = cfg["time.T"]
+    if not 0.0 < dt <= T < np.inf:
+        raise ConfigurationError(
+            f"need 0 < time.dt <= time.T < inf, got time.dt = {dt}, time.T = {T}")
+    steps = int(round(T / dt))
+    if abs(steps * dt - T) > 1e-9 * T:
+        raise ConfigurationError(f"time.dt = {dt} does not divide time.T = {T}")
+    return steps
+
+
+def _every(steps: int, k: int) -> list[int]:
+    """k step counts evenly spaced over (0, steps], rounded to whole steps
+    and ending at steps (fewer when steps < k)."""
+    return sorted({int(round(steps * j / k)) for j in range(1, k + 1)} - {0})
+
+
+def _march(state, advance, bounds, record):
+    """Advance `state` through the increasing step counts `bounds` with
+    advance(state, n_steps), calling record(state, bound) at each bound;
+    returns the final state."""
+    done = 0
+    for b in bounds:
+        if b > done:
+            state = advance(state, b - done)
+            done = b
+        record(state, b)
+    return state
+
+
+def _polar_advance(spec, dt):
+    return lambda pair, n: madelung.step_coupled_pde(pair, spec, dt, steps=n)
 
 
 # ---------------------------------------------------------------------------
 # evolve
 
 
-def _chain_snapshots(cfg, spec, grid, H, state0, out_dir, meta):
+def _chain_snapshots(cfg, out):
+    spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
-    T = cfg["time.T"]
-    steps = int(round(T / dt))
-    if steps < 1 or abs(steps * dt - T) > 1e-9 * T:
-        raise ConfigurationError(f"time.dt = {dt} does not divide time.T = {T}")
-    n_snap = 10
-    bounds = sorted({0, *(int(round(steps * k / n_snap)) for k in range(1, n_snap + 1))})
-    pair = madelung.pair_from_wave(state0)
     rows_wave, rows_pair, rows_chain = [], [], []
     pts = grid.points()
-    done = 0
-    for b in bounds:
-        if b > done:
-            pair = madelung.step_coupled_pde(pair, spec, dt, steps=b - done)
-            done = b
+
+    def record(pair, b):
         t = b * dt
         ref = propagate_eigen_oracle(state0, H, t)
         dens_ref = np.abs(ref.psi) ** 2
@@ -479,45 +544,35 @@ def _chain_snapshots(cfg, spec, grid, H, state0, out_dir, meta):
             rows_wave.append((t, pts[i], dens_ref[i]))
             rows_pair.append((t, pts[i], pair.plus.R[i], pair.minus.R[i],
                               pair.plus.S[i], pair.minus.S[i]))
-    files = []
-    for name, header, rows in (
-            ("wave_density.csv", ["t", "q", "density"], rows_wave),
-            ("madelung_pair.csv",
-             ["t", "q", "R_plus", "R_minus", "S_plus", "S_minus"], rows_pair),
-            ("chain_equivalence.csv",
-             ["t", "l2_density", "phase_grad_dist"], rows_chain)):
-        path = os.path.join(out_dir, name)
-        write_csv(path, meta, header, rows)
-        files.append(name)
-    l2_max = max(r[1] for r in rows_chain)
-    pg_max = max(r[2] for r in rows_chain)
-    checks = [_check("chain_l2_density_max", l2_max, 1e-3),
-              _check("chain_phase_grad_max", pg_max, 1e-2)]
-    return checks, files
+
+    _march(madelung.pair_from_wave(state0), _polar_advance(spec, dt),
+           [0, *_every(_steps(cfg), 10)], record)
+    out.csv("wave_density.csv", ["t", "q", "density"], rows_wave)
+    out.csv("madelung_pair.csv",
+            ["t", "q", "R_plus", "R_minus", "S_plus", "S_minus"], rows_pair)
+    out.csv("chain_equivalence.csv", ["t", "l2_density", "phase_grad_dist"],
+            rows_chain)
+    return [_check("chain_l2_density_max", max(r[1] for r in rows_chain), 1e-3),
+            _check("chain_phase_grad_max", max(r[2] for r in rows_chain), 1e-2)]
 
 
-def _run_phase_offset(cfg, spec, grid, H, state0, out_dir, meta):
+def _run_phase_offset(cfg, out):
+    spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
-    steps = int(round(cfg["time.T"] / dt))
     quanta = cfg.get("state.offset_quanta", 1)
-    hbar = cfg["source.hbar"]
-    h_quantum = 2.0 * np.pi * hbar
+    h_quantum = 2.0 * np.pi * cfg["source.hbar"]
     target = quanta * h_quantum
-    pair = madelung.pair_from_wave(state0, offset_quanta=quanta)
     rows = []
-    done = 0
-    record_every = max(1, steps // 20)
-    bounds = sorted({0, *range(record_every, steps + 1, record_every), steps})
-    worst = 0.0
-    for b in bounds:
-        if b > done:
-            pair = madelung.step_coupled_pde(pair, spec, dt, steps=b - done)
-            done = b
+
+    def record(pair, b):
         S0_now, max_dev = madelung.check_phase_offset(pair)
         rows.append((b * dt, S0_now, max_dev))
-        worst = max(worst, abs(S0_now - target) + max_dev)
-    path = os.path.join(out_dir, "phase_offset.csv")
-    write_csv(path, meta, ["t", "S0", "max_deviation"], rows)
+
+    pair = _march(madelung.pair_from_wave(state0, offset_quanta=quanta),
+                  _polar_advance(spec, dt), [0, *_every(_steps(cfg), 20)],
+                  record)
+    out.csv("phase_offset.csv", ["t", "S0", "max_deviation"], rows)
+    worst = max(abs(S0 - target) + dev for _, S0, dev in rows)
 
     # whole-quantum offsets leave the reconstructed wave unchanged; a
     # half-quantum offset flips its sign
@@ -530,42 +585,33 @@ def _run_phase_offset(cfg, spec, grid, H, state0, out_dir, meta):
                                   lam=pair.plus.lam, t=pair.plus.t, grid=grid)
     psi_half = madelung.from_polar(half).psi
     flip_err = float(np.max(np.abs(psi_half + psi)))
-    checks = [
+    return [
         _check("offset_drift_max", worst, 1e-4),
         _check("whole_quantum_invariance", inv_err, 1e-12),
         _check("half_quantum_sign_flip", flip_err, 1e-12),
     ]
-    return checks, ["phase_offset.csv"]
 
 
-def _run_classical_limit(cfg, spec, grid, H, state0, out_dir, meta):
+def _run_classical_limit(cfg, out):
+    spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
-    T = cfg["time.T"]
-    steps = int(round(T / dt))
+    steps = _steps(cfg)
     hbar = cfg["source.hbar"]
-    pair = madelung.pair_from_wave(state0)
-    q0 = cfg.get("state.center", 0.0)
-    p0 = cfg.get("state.momentum", 0.0)
     path_ref = classical.integrate_path(
-        classical.PhasePoint(q=q0, p=p0), spec, dt, steps)
-    record_every = max(1, steps // 20)
-    bounds = sorted({0, *range(record_every, steps + 1, record_every), steps})
+        classical.PhasePoint(q=cfg.get("state.center", 0.0),
+                             p=cfg.get("state.momentum", 0.0)), spec, dt, steps)
     rows = []
-    done = 0
-    worst = 0.0
     pts = grid.points()
-    for b in bounds:
-        if b > done:
-            pair = madelung.step_coupled_pde(pair, spec, dt, steps=b - done)
-            done = b
+
+    def record(pair, b):
         dens = pair.plus.R ** 2
         center = float(integrate(pts * dens, grid) / integrate(dens, grid))
         q_ref = float(path_ref.qs[b])
-        err = abs(center - q_ref)
-        worst = max(worst, err)
-        rows.append((b * dt, center, q_ref, err))
-    write_csv(os.path.join(out_dir, "classical_track.csv"), meta,
-              ["t", "center", "q_ref", "abs_error"], rows)
+        rows.append((b * dt, center, q_ref, abs(center - q_ref)))
+
+    _march(madelung.pair_from_wave(state0), _polar_advance(spec, dt),
+           [0, *_every(steps, 20)], record)
+    out.csv("classical_track.csv", ["t", "center", "q_ref", "abs_error"], rows)
 
     # lam^2 scaling of the quantum-potential term, measured on packets
     # evolved independently at the two scales.  The probe packet sits on its
@@ -592,61 +638,30 @@ def _run_classical_limit(cfg, spec, grid, H, state0, out_dir, meta):
         qp_rows.append((lam, w_norm))
     ratio = norms[2.0 * hbar] / norms[hbar]
     qp_rows.append(("ratio", ratio))
-    write_csv(os.path.join(out_dir, "qp_scaling.csv"), meta,
-              ["lam", "weighted_qp_norm"], qp_rows)
-    checks = [
-        _check("center_track_max_err", worst, 1e-2),
+    out.csv("qp_scaling.csv", ["lam", "weighted_qp_norm"], qp_rows)
+    return [
+        _check("center_track_max_err", max(r[3] for r in rows), 1e-2),
         _check("qp_ratio_dev_from_4", abs(ratio - 4.0), 0.05 * 4.0),
     ]
-    return checks, ["classical_track.csv", "qp_scaling.csv"]
 
 
-def _run_propagator_quality(cfg, spec, grid, H, state0, out_dir, meta):
+def _run_propagator_quality(cfg, out):
+    spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
-    T = cfg["time.T"]
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * T:
-        raise ConfigurationError(f"time.dt = {dt} does not divide time.T = {T}")
-    record_every = max(1, steps // 10)
     rows = []
-    cur = state0
-    worst_drift = 0.0
-    worst_l2 = 0.0
-    done = 0
-    for b in range(record_every, steps + 1, record_every):
-        cur = propagate_crank_nicolson(cur, H, dt, b - done)
-        done = b
-        drift = abs(norm_squared(cur) - 1.0)
+
+    def record(cur, b):
         ref = propagate_eigen_oracle(state0, H, b * dt)
-        l2 = l2_distance(cur.psi, ref.psi, grid)
-        worst_drift = max(worst_drift, drift)
-        worst_l2 = max(worst_l2, l2)
-        rows.append((b * dt, drift, l2))
-    write_csv(os.path.join(out_dir, "propagator_quality.csv"), meta,
-              ["t", "norm_drift", "l2_to_oracle"], rows)
-    checks = [
-        _check("cn_norm_drift_max", worst_drift, 1e-10),
-        _check("cn_l2_to_oracle", worst_l2, 1e-4),
+        rows.append((b * dt, abs(norm_squared(cur) - 1.0),
+                     l2_distance(cur.psi, ref.psi, grid)))
+
+    _march(state0, lambda st, n: propagate_crank_nicolson(st, H, dt, n),
+           _every(_steps(cfg), 10), record)
+    out.csv("propagator_quality.csv", ["t", "norm_drift", "l2_to_oracle"], rows)
+    return [
+        _check("cn_norm_drift_max", max(r[1] for r in rows), 1e-10),
+        _check("cn_l2_to_oracle", max(r[2] for r in rows), 1e-4),
     ]
-    return checks, ["propagator_quality.csv"]
-
-
-def _run_evolve(cfg: dict, out_dir: str) -> tuple[list, list]:
-    spec = _build_system(cfg)
-    grid = _build_grid(cfg)
-    H = build_quantum_hamiltonian(spec, grid, cfg["source.hbar"])
-    state0 = _build_state(cfg, grid, spec, H)
-    meta = _meta(cfg, "evolve")
-    scenario = cfg["run.scenario"]
-    if scenario in ("free_gaussian", "harmonic_coherent", "harmonic_stationary"):
-        return _chain_snapshots(cfg, spec, grid, H, state0, out_dir, meta)
-    if scenario == "phase_offset":
-        return _run_phase_offset(cfg, spec, grid, H, state0, out_dir, meta)
-    if scenario == "classical_limit":
-        return _run_classical_limit(cfg, spec, grid, H, state0, out_dir, meta)
-    if scenario == "propagator_quality":
-        return _run_propagator_quality(cfg, spec, grid, H, state0, out_dir, meta)
-    raise ConfigurationError(f"unhandled evolve scenario {scenario!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -661,202 +676,167 @@ def _hist_rows(tag, values, bins, lo, hi):
     return [(tag, c, d) for c, d in zip(centers, dens)]
 
 
-def _run_sample(cfg: dict, out_dir: str) -> tuple[list, list]:
-    scenario = cfg["run.scenario"]
-    seed = cfg["run.seed"]
+def _run_source(cfg, out):
+    n = cfg["ensemble.size"]
+    source = stochastic.LambdaSource(kind=cfg["source.kind"],
+                                     hbar=cfg["source.hbar"],
+                                     width=cfg.get("source.width", 0.0),
+                                     seed=cfg["run.seed"])
+    lams = stochastic.sample_lambda(source, n)
+    mean = float(np.mean(lams))
+    se = float(np.std(lams) / np.sqrt(n))
+    bias_sigma = abs(mean) / se if se > 0 else 0.0
+    mag_err = float(np.max(np.abs(np.abs(lams) - source.hbar)))
+    out.csv("lambda_stats.csv",
+            ["kind", "n", "mean", "se", "sign_bias_sigma", "max_abs_minus_hbar"],
+            [(source.kind, n, mean, se, bias_sigma, mag_err)])
+    lo = -source.hbar - source.width * 2.0
+    out.csv("lambda_hist.csv", ["kind", "bin_center", "density"],
+            _hist_rows(source.kind, lams, cfg.get("ensemble.bins", 60), lo, -lo))
+    checks = [_check("sign_bias_sigma", bias_sigma, 3.0, "<=")]
+    if source.kind in ("binary", "sphere"):
+        checks.append(_check("magnitude_exact", mag_err, 0.0, "=="))
+    else:
+        checks.append(_check("magnitude_within_support", mag_err,
+                             source.width * np.sqrt(3.0) * (1 + 1e-12), "<="))
+    return checks
+
+
+def _run_exponential_law(cfg, out):
     n = cfg["ensemble.size"]
     bins = cfg.get("ensemble.bins", 60)
-    meta = _meta(cfg, "sample")
-    checks, files = [], []
+    checks, stat_rows, hist_rows = [], [], []
+    for idx, lam in enumerate(cfg.get("source.lam_sweep", (0.5, 1.0, 2.0))):
+        devs = stochastic.sample_action_deviation(
+            lam, n, seed=cfg["run.seed"], step=idx)
+        violations = int(np.sum(devs * np.sign(lam) < 0))
+        mags = np.abs(devs)
+        mean = float(np.mean(mags))
+        expected = abs(lam) / 2.0
+        rel = abs(mean / expected - 1.0)
+        se = float(np.std(mags) / np.sqrt(n))
+        xbar = expected
+        p_tail1 = float(np.mean(mags > xbar))
+        p_tail2 = float(np.mean(mags > 2.0 * xbar))
+        tail_ratio = p_tail2 / p_tail1
+        tail_rel = abs(tail_ratio * np.e - 1.0)
+        stat_rows.append((lam, n, mean, expected, rel, se, violations,
+                          tail_ratio, float(np.exp(-1.0)), tail_rel))
+        hist_rows += _hist_rows(lam, mags, bins, 0.0, 4.0 * expected)
+        checks.append(_check(f"sign_violations_lam_{lam:g}", violations, 0, "=="))
+        checks.append(_check(f"mean_rel_err_lam_{lam:g}", rel, 0.005, "<="))
+        checks.append(_check(f"tail_ratio_rel_err_lam_{lam:g}", tail_rel, 0.02, "<="))
+    out.csv("deviation_stats.csv",
+            ["lam", "n", "mean", "mean_expected", "mean_rel_err", "se",
+             "sign_violations", "tail_ratio", "tail_expected",
+             "tail_rel_err"], stat_rows)
+    out.csv("deviation_hist.csv", ["lam", "bin_center", "density"], hist_rows)
+    return checks
 
-    if scenario in ("binary_source", "sphere_source", "smeared_source"):
-        source = stochastic.LambdaSource(kind=cfg["source.kind"],
-                                         hbar=cfg["source.hbar"],
-                                         width=cfg.get("source.width", 0.0),
-                                         seed=seed)
-        lams = stochastic.sample_lambda(source, n)
-        mean = float(np.mean(lams))
-        se = float(np.std(lams) / np.sqrt(n))
-        bias_sigma = abs(mean) / se if se > 0 else 0.0
-        mag_err = float(np.max(np.abs(np.abs(lams) - source.hbar)))
-        stats_rows = [(source.kind, n, mean, se, bias_sigma, mag_err)]
-        write_csv(os.path.join(out_dir, "lambda_stats.csv"), meta,
-                  ["kind", "n", "mean", "se", "sign_bias_sigma", "max_abs_minus_hbar"],
-                  stats_rows)
-        lo = -source.hbar - source.width * 2.0
-        write_csv(os.path.join(out_dir, "lambda_hist.csv"), meta,
-                  ["kind", "bin_center", "density"],
-                  _hist_rows(source.kind, lams, bins, lo, -lo))
-        files += ["lambda_stats.csv", "lambda_hist.csv"]
-        checks.append(_check("sign_bias_sigma", bias_sigma, 3.0, "<="))
-        if source.kind in ("binary", "sphere"):
-            checks.append(_check("magnitude_exact", mag_err, 0.0, "=="))
-        else:
-            checks.append(_check("magnitude_within_support", mag_err,
-                                 source.width * np.sqrt(3.0) * (1 + 1e-12), "<="))
-        return checks, files
 
-    if scenario == "exponential_law":
-        sweep = cfg.get("source.lam_sweep", (0.5, 1.0, 2.0))
-        stat_rows, hist_rows = [], []
-        for idx, lam in enumerate(sweep):
-            devs = stochastic.sample_action_deviation(
-                lam, n, seed=seed, step=idx)
-            violations = int(np.sum(devs * np.sign(lam) < 0))
-            mags = np.abs(devs)
-            mean = float(np.mean(mags))
-            expected = abs(lam) / 2.0
-            rel = abs(mean / expected - 1.0)
-            se = float(np.std(mags) / np.sqrt(n))
-            xbar = expected
-            p_tail1 = float(np.mean(mags > xbar))
-            p_tail2 = float(np.mean(mags > 2.0 * xbar))
-            tail_ratio = p_tail2 / p_tail1
-            tail_rel = abs(tail_ratio * np.e - 1.0)
-            stat_rows.append((lam, n, mean, expected, rel, se, violations,
-                              tail_ratio, float(np.exp(-1.0)), tail_rel))
-            hist_rows += _hist_rows(lam, mags, bins, 0.0, 4.0 * expected)
-            checks.append(_check(f"sign_violations_lam_{lam:g}", violations, 0, "=="))
-            checks.append(_check(f"mean_rel_err_lam_{lam:g}", rel, 0.005, "<="))
-            checks.append(_check(f"tail_ratio_rel_err_lam_{lam:g}", tail_rel, 0.02, "<="))
-        write_csv(os.path.join(out_dir, "deviation_stats.csv"), meta,
-                  ["lam", "n", "mean", "mean_expected", "mean_rel_err", "se",
-                   "sign_violations", "tail_ratio", "tail_expected",
-                   "tail_rel_err"], stat_rows)
-        write_csv(os.path.join(out_dir, "deviation_hist.csv"), meta,
-                  ["lam", "bin_center", "density"], hist_rows)
-        return checks, ["deviation_stats.csv", "deviation_hist.csv"]
-
-    if scenario == "concentration":
-        sweep = cfg.get("source.lam_sweep", (0.1, 0.05))
-        eps = 0.1
-        rows = []
-        for idx, lam in enumerate(sweep):
-            devs = stochastic.sample_action_deviation(
-                lam, n, seed=seed, step=idx)
-            p_emp = float(np.mean(np.abs(devs) > eps))
-            bound = float(np.exp(-2.0 * eps / abs(lam)))
-            se = float(np.sqrt(max(p_emp * (1 - p_emp), 1e-12) / n))
-            rows.append((lam, eps, p_emp, bound, se))
-            checks.append(_check(f"concentration_lam_{lam:g}", p_emp,
-                                 bound + 3.0 * se, "<="))
-        write_csv(os.path.join(out_dir, "concentration.csv"), meta,
-                  ["lam", "epsilon", "p_emp", "bound", "se"], rows)
-        return checks, ["concentration.csv"]
-
-    raise ConfigurationError(f"unhandled sample scenario {scenario!r}")
+def _run_concentration(cfg, out):
+    n = cfg["ensemble.size"]
+    eps = 0.1
+    checks, rows = [], []
+    for idx, lam in enumerate(cfg.get("source.lam_sweep", (0.1, 0.05))):
+        devs = stochastic.sample_action_deviation(
+            lam, n, seed=cfg["run.seed"], step=idx)
+        p_emp = float(np.mean(np.abs(devs) > eps))
+        bound = float(np.exp(-2.0 * eps / abs(lam)))
+        se = float(np.sqrt(max(p_emp * (1 - p_emp), 1e-12) / n))
+        rows.append((lam, eps, p_emp, bound, se))
+        checks.append(_check(f"concentration_lam_{lam:g}", p_emp,
+                             bound + 3.0 * se, "<="))
+    out.csv("concentration.csv", ["lam", "epsilon", "p_emp", "bound", "se"], rows)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # equivariance
 
 
-def _equivariance_csv(path, meta, diags):
-    rows = []
-    for d in diags:
-        for c, hd, wd in zip(d["bin_centers"], d["histogram_density"],
-                             d["wave_density"]):
-            rows.append((d["t"], c, hd, wd, d["tv_distance"],
-                         d["frozen_fraction"]))
-    write_csv(path, meta, ["t", "bin_center", "histogram_density",
-                           "wave_density", "tv_distance", "frozen_fraction"],
-              rows)
-
-
-def _weighted_csv(path, meta, diags):
-    rows = []
-    for d in diags:
-        for c, hd, wd in zip(d["bin_centers"], d["weighted_density"],
-                             d["wave_density"]):
-            rows.append((d["t"], c, hd, wd, d["tv_weighted"],
-                         d["frozen_fraction"]))
-    write_csv(path, meta, ["t", "bin_center", "histogram_density",
-                           "wave_density", "tv_distance", "frozen_fraction"],
-              rows)
-
-
-def _run_equivariance(cfg: dict, out_dir: str) -> tuple[list, list]:
-    spec = _build_system(cfg)
-    grid = _build_grid(cfg)
-    hbar = cfg["source.hbar"]
-    H = build_quantum_hamiltonian(spec, grid, hbar)
-    state0 = _build_state(cfg, grid, spec, H)
-    seed = cfg["run.seed"]
+def _guided_ensembles(cfg, taus):
+    """The wave setup, and one guided ensemble run per micro-timescale in
+    `taus`, all through one set of wave frames: [(final frozen fraction,
+    diags)].  Only these are kept, not the ensembles themselves."""
+    spec, grid, H, state0 = _wave_setup(cfg)
     T = cfg["time.T"]
-    meta = _meta(cfg, "equivariance")
     frames = stochastic.build_wave_frames(state0, H, spec, T,
-                                          cfg["time.dt_window"],
-                                          cfg["time.dt"])
-    n = cfg["ensemble.size"]
-    bins = cfg.get("ensemble.bins", 50)
-    snapshots = cfg.get("run.snapshots", 5)
+                                          cfg["time.dt_window"], cfg["time.dt"])
     disable = cfg.get("ensemble.disable_lambda", False)
     source = None
     if not disable:
         source = stochastic.LambdaSource(kind=cfg.get("source.kind", "binary"),
-                                         hbar=hbar,
+                                         hbar=cfg["source.hbar"],
                                          width=cfg.get("source.width", 0.0),
-                                         seed=seed)
-    checks, files = [], []
-    scenario = cfg["run.scenario"]
+                                         seed=cfg["run.seed"])
 
-    if scenario == "bohmian":
-        ens = stochastic.init_ensemble(state0, n, cfg["time.tau_Q"], seed)
+    def run(tau):
         final, diags = stochastic.propagate_ensemble(
-            ens, frames, spec, T, source=source, disable_lambda=disable,
-            bins=bins, snapshots=snapshots)
-        _equivariance_csv(os.path.join(out_dir, "equivariance.csv"), meta, diags)
-        _weighted_csv(os.path.join(out_dir, "weighted.csv"), meta, diags)
-        files = ["equivariance.csv", "weighted.csv"]
-        checks.append(_check("tv_final", diags[-1]["tv_distance"], 0.02))
-        checks.append(_check("frozen_fraction", final.frozen_fraction, 1e-3))
-        # algebraic identity: the +-lambda mean of microscopic velocities
-        # equals the guidance field.  Checked mid-swing, where both the
-        # phase gradient and the osmotic term are nontrivial (at t = 0 the
-        # packet is momentumless and the check would be vacuous)
-        probe_state = propagate_crank_nicolson(
-            state0, H, cfg["time.dt"], int(round(0.25 / cfg["time.dt"])))
-        omega = np.abs(probe_state.psi) ** 2
-        S = _wave_phase(probe_state)
-        probe = grid.points()[grid.n // 7:: grid.n // 11]
-        v_plus = stochastic.microscopic_velocity(probe, S, omega, hbar, spec, grid)
-        v_minus = stochastic.microscopic_velocity(probe, S, omega, -hbar, spec, grid)
-        v_eff = stochastic.effective_velocity(v_plus, v_minus)
-        v_field = stochastic.bohmian_velocity(probe_state, spec, grid)
-        v_ref = np.interp(probe, grid.points(), v_field)
-        ident = float(np.max(np.abs(v_eff - v_ref)))
-        checks.append(_check("velocity_identity_max_err", ident, 1e-8))
-        return checks, files
+            stochastic.init_ensemble(state0, cfg["ensemble.size"], tau,
+                                     cfg["run.seed"]),
+            frames, spec, T, source=source, disable_lambda=disable,
+            bins=cfg.get("ensemble.bins", 50),
+            snapshots=cfg.get("run.snapshots", 5))
+        return final.frozen_fraction, diags
 
-    if scenario == "tau_sweep":
-        sweep = cfg.get("time.tau_sweep", (1e-2, 1e-3, 1e-4))
-        rows = []
-        tvs = []
-        finest_diags = None
-        for tau in sweep:
-            ens = stochastic.init_ensemble(state0, n, tau, seed)
-            final, diags = stochastic.propagate_ensemble(
-                ens, frames, spec, T, source=source, disable_lambda=disable,
-                bins=bins, snapshots=snapshots)
-            tv = diags[-1]["tv_distance"]
-            tvs.append(tv)
-            rows.append((tau, tv, diags[-1]["tv_weighted"],
-                         final.frozen_fraction, int(round(T / tau))))
-            finest_diags = diags
-        _equivariance_csv(os.path.join(out_dir, "equivariance.csv"), meta,
-                          finest_diags)
-        _weighted_csv(os.path.join(out_dir, "weighted.csv"), meta, finest_diags)
-        write_csv(os.path.join(out_dir, "sweep.csv"), meta,
-                  ["tau_Q", "tv_final", "tv_weighted_final", "frozen_fraction",
-                   "micro_steps"], rows)
-        files = ["equivariance.csv", "weighted.csv", "sweep.csv"]
-        mono = all(tvs[i] > tvs[i + 1] for i in range(len(tvs) - 1))
-        checks.append(Check(name="tv_monotone_decreasing", value=float(mono),
-                            tolerance=1.0, relation="==", passed=mono))
-        checks.append(_check("tv_finest", tvs[-1], 0.05))
-        return checks, files
+    return (spec, grid, H, state0), [run(tau) for tau in taus]
 
-    raise ConfigurationError(f"unhandled equivariance scenario {scenario!r}")
+
+def _density_csvs(out, diags):
+    """equivariance.csv (plain histogram) and weighted.csv (log-weighted
+    histogram) against the wave density at each snapshot."""
+    header = ["t", "bin_center", "histogram_density", "wave_density",
+              "tv_distance", "frozen_fraction"]
+    for name, hist, tv in (("equivariance.csv", "histogram_density", "tv_distance"),
+                           ("weighted.csv", "weighted_density", "tv_weighted")):
+        out.csv(name, header, [
+            (d["t"], c, hd, wd, d[tv], d["frozen_fraction"])
+            for d in diags
+            for c, hd, wd in zip(d["bin_centers"], d[hist], d["wave_density"])])
+
+
+def _run_bohmian(cfg, out):
+    (spec, grid, H, state0), [(frozen, diags)] = _guided_ensembles(
+        cfg, [cfg["time.tau_Q"]])
+    _density_csvs(out, diags)
+    # algebraic identity: the +-lambda mean of microscopic velocities
+    # equals the guidance field.  Checked mid-swing, where both the
+    # phase gradient and the osmotic term are nontrivial (at t = 0 the
+    # packet is momentumless and the check would be vacuous)
+    hbar = cfg["source.hbar"]
+    probe_state = propagate_crank_nicolson(
+        state0, H, cfg["time.dt"], int(round(0.25 / cfg["time.dt"])))
+    omega = np.abs(probe_state.psi) ** 2
+    S = _wave_phase(probe_state)
+    probe = grid.points()[grid.n // 7:: grid.n // 11]
+    v_plus = stochastic.microscopic_velocity(probe, S, omega, hbar, spec, grid)
+    v_minus = stochastic.microscopic_velocity(probe, S, omega, -hbar, spec, grid)
+    v_eff = stochastic.effective_velocity(v_plus, v_minus)
+    v_field = stochastic.bohmian_velocity(probe_state, spec, grid)
+    v_ref = np.interp(probe, grid.points(), v_field)
+    ident = float(np.max(np.abs(v_eff - v_ref)))
+    return [
+        _check("tv_final", diags[-1]["tv_distance"], 0.02),
+        _check("frozen_fraction", frozen, 1e-3),
+        _check("velocity_identity_max_err", ident, 1e-8),
+    ]
+
+
+def _run_tau_sweep(cfg, out):
+    sweep = cfg.get("time.tau_sweep", (1e-2, 1e-3, 1e-4))
+    _, runs = _guided_ensembles(cfg, sweep)
+    T = cfg["time.T"]
+    rows = [(tau, diags[-1]["tv_distance"], diags[-1]["tv_weighted"],
+             frozen, int(round(T / tau)))
+            for tau, (frozen, diags) in zip(sweep, runs)]
+    _density_csvs(out, runs[-1][1])
+    out.csv("sweep.csv", ["tau_Q", "tv_final", "tv_weighted_final",
+                          "frozen_fraction", "micro_steps"], rows)
+    tvs = [r[1] for r in rows]
+    mono = all(tvs[i] > tvs[i + 1] for i in range(len(tvs) - 1))
+    return [_check("tv_monotone_decreasing", mono, 1.0, "=="),
+            _check("tv_finest", tvs[-1], 0.05)]
 
 
 # ---------------------------------------------------------------------------
@@ -890,70 +870,75 @@ def _ordering_rows(spec, grid, hbar, case):
     return rows, results
 
 
-def _run_orderings(cfg: dict, out_dir: str) -> tuple[list, list]:
-    scenario = cfg["run.scenario"]
+def _run_ordering_contrast(cfg, out):
     grid = _build_grid(cfg)
     hbar = cfg["source.hbar"]
-    meta = _meta(cfg, "orderings")
-    checks = []
+    if cfg["system.preset"] != "variable_mass":
+        raise ConfigurationError(
+            "ordering_contrast requires system.preset = variable_mass")
+    rows, results = _ordering_rows(_build_system(cfg), grid, hbar,
+                                   "variable_mass")
+    const_spec = make_system("harmonic", m=cfg.get("system.m", 1.0),
+                             omega=cfg.get("system.omega", 1.0))
+    rows_c, results_c = _ordering_rows(const_spec, grid, hbar, "constant_g")
+    out.csv("orderings.csv",
+            ["case", "build", "hermiticity_defect", "defect_rel",
+             "max_entry_diff_vs_sandwich", "e0", "e1", "e2", "e3", "e4",
+             "max_imag_eig"], rows + rows_c)
+    const_diff = max(results_c[b][1] for b in ("g_pp", "pp_g"))
+    return [
+        _check("sandwich_defect_rel", results["sandwich"][0], 1e-12),
+        _check("g_pp_defect_rel", results["g_pp"][0], 1e-3, ">"),
+        _check("pp_g_defect_rel", results["pp_g"][0], 1e-3, ">"),
+        _check("sandwich_spectrum_imag", results["sandwich"][2], 1e-10),
+        _check("constant_g_entrywise_agreement", const_diff, 1e-10),
+    ]
 
-    if scenario == "ordering_contrast":
-        if cfg["system.preset"] != "variable_mass":
-            raise ConfigurationError(
-                "ordering_contrast requires system.preset = variable_mass")
-        spec = _build_system(cfg)
-        rows, results = _ordering_rows(spec, grid, hbar, "variable_mass")
-        const_spec = make_system("harmonic", m=cfg.get("system.m", 1.0),
-                                 omega=cfg.get("system.omega", 1.0))
-        rows_c, results_c = _ordering_rows(const_spec, grid, hbar, "constant_g")
-        header = ["case", "build", "hermiticity_defect", "defect_rel",
-                  "max_entry_diff_vs_sandwich", "e0", "e1", "e2", "e3", "e4",
-                  "max_imag_eig"]
-        write_csv(os.path.join(out_dir, "orderings.csv"), meta, header,
-                  rows + rows_c)
-        checks.append(_check("sandwich_defect_rel", results["sandwich"][0], 1e-12))
-        checks.append(_check("g_pp_defect_rel", results["g_pp"][0], 1e-3, ">"))
-        checks.append(_check("pp_g_defect_rel", results["pp_g"][0], 1e-3, ">"))
-        checks.append(_check("sandwich_spectrum_imag", results["sandwich"][2], 1e-10))
-        const_diff = max(results_c[b][1] for b in ("g_pp", "pp_g"))
-        checks.append(_check("constant_g_entrywise_agreement", const_diff, 1e-10))
-        return checks, ["orderings.csv"]
 
-    if scenario == "harmonic_spectrum":
-        spec = _build_system(cfg)
-        H = build_quantum_hamiltonian(spec, grid, hbar)
-        evals, _ = eigenpairs(H, 5)
-        omega = cfg.get("system.omega", 1.0)
-        exact = hbar * omega * (np.arange(5) + 0.5)
-        rows = [(k, float(evals[k]), float(exact[k]),
-                 float(abs(evals[k] - exact[k]))) for k in range(5)]
-        write_csv(os.path.join(out_dir, "spectrum.csv"), meta,
-                  ["k", "energy", "exact", "abs_err"], rows)
-        checks.append(_check("e0_abs_err", abs(evals[0] - exact[0]), 1e-3))
-        checks.append(_check("e1_abs_err", abs(evals[1] - exact[1]), 1e-3))
-        return checks, ["spectrum.csv"]
-
-    raise ConfigurationError(f"unhandled orderings scenario {scenario!r}")
+def _run_harmonic_spectrum(cfg, out):
+    grid = _build_grid(cfg)
+    hbar = cfg["source.hbar"]
+    H = build_quantum_hamiltonian(_build_system(cfg), grid, hbar)
+    evals, _ = eigenpairs(H, 5)
+    exact = hbar * cfg.get("system.omega", 1.0) * (np.arange(5) + 0.5)
+    out.csv("spectrum.csv", ["k", "energy", "exact", "abs_err"],
+            [(k, float(evals[k]), float(exact[k]),
+              float(abs(evals[k] - exact[k]))) for k in range(5)])
+    return [_check("e0_abs_err", abs(evals[0] - exact[0]), 1e-3),
+            _check("e1_abs_err", abs(evals[1] - exact[1]), 1e-3)]
 
 
 # ---------------------------------------------------------------------------
-# command entry points
+# command entry point
 
 
+# every scenario's runner, by scenario name (the names are unique across
+# commands); each takes (cfg, out) and returns its checks
 _RUNNERS = {
-    "evolve": _run_evolve,
-    "sample": _run_sample,
-    "equivariance": _run_equivariance,
-    "orderings": _run_orderings,
+    "free_gaussian": _chain_snapshots,
+    "harmonic_coherent": _chain_snapshots,
+    "harmonic_stationary": _chain_snapshots,
+    "phase_offset": _run_phase_offset,
+    "classical_limit": _run_classical_limit,
+    "propagator_quality": _run_propagator_quality,
+    "exponential_law": _run_exponential_law,
+    "binary_source": _run_source,
+    "sphere_source": _run_source,
+    "smeared_source": _run_source,
+    "concentration": _run_concentration,
+    "bohmian": _run_bohmian,
+    "tau_sweep": _run_tau_sweep,
+    "ordering_contrast": _run_ordering_contrast,
+    "harmonic_spectrum": _run_harmonic_spectrum,
 }
 
 
 def run_command(command: str, config: dict | None = None,
                 out_dir: str | None = None) -> CommandResult:
-    """Resolve config, run the command, manage the manifest lifecycle."""
+    """Resolve config, run the scenario, manage the manifest lifecycle."""
     cfg = resolve_config(command, config)
     scenario = cfg["run.scenario"]
-    out = _resolve_out_dir(command, scenario, cfg, out_dir)
+    out = _Out(_resolve_out_dir(command, scenario, cfg, out_dir), cfg, command)
     started = _time.monotonic()
     manifest = {
         "version": __version__,
@@ -966,37 +951,21 @@ def run_command(command: str, config: dict | None = None,
         "files": [],
         "checks": [],
     }
-    _write_manifest(out, manifest)
+    out.manifest(manifest)
     try:
-        checks, files = _RUNNERS[command](cfg, out)
+        checks = _RUNNERS[scenario](cfg, out)
     except StochactionError as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["duration_seconds"] = round(_time.monotonic() - started, 3)
-        _write_manifest(out, manifest)
+        out.manifest(manifest)
         raise
     manifest["status"] = "complete"
-    manifest["files"] = files
+    manifest["files"] = out.files
     manifest["checks"] = [
         {"name": c.name, "value": c.value, "tolerance": c.tolerance,
          "relation": c.relation, "passed": bool(c.passed)} for c in checks]
     manifest["duration_seconds"] = round(_time.monotonic() - started, 3)
-    _write_manifest(out, manifest)
-    return CommandResult(command=command, scenario=scenario, out_dir=out,
-                         checks=checks, files=files)
-
-
-def cmd_evolve(config: dict | None = None, out_dir: str | None = None) -> CommandResult:
-    return run_command("evolve", config, out_dir)
-
-
-def cmd_sample(config: dict | None = None, out_dir: str | None = None) -> CommandResult:
-    return run_command("sample", config, out_dir)
-
-
-def cmd_equivariance(config: dict | None = None, out_dir: str | None = None) -> CommandResult:
-    return run_command("equivariance", config, out_dir)
-
-
-def cmd_orderings(config: dict | None = None, out_dir: str | None = None) -> CommandResult:
-    return run_command("orderings", config, out_dir)
+    out.manifest(manifest)
+    return CommandResult(command=command, scenario=scenario, out_dir=out.path,
+                         checks=checks, files=out.files)

@@ -258,7 +258,3 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
                    for b, m in enumerate(branches))
     return PhasePair(plus=plus, minus=minus, S0=pair.S0)
 
-
-def pair_density(pair: PhasePair) -> np.ndarray:
-    """Equal-weight mixture density of the two branches."""
-    return 0.5 * (pair.plus.R ** 2 + pair.minus.R ** 2)

@@ -1,21 +1,18 @@
 """Wave-state construction, implicit propagation, the eigen-decomposition
-oracle, and density aggregation."""
-from dataclasses import replace
-
+oracle, and wave-state moments."""
 import numpy as np
 import pytest
 import scipy.linalg
 
 from stochaction.errors import ConfigurationError, ShapeError
-from stochaction.evolution import (WaveState, aggregate_density, coherent_state,
-                                   eigenpairs, energy_expectation, gaussian_packet,
+from stochaction.evolution import (WaveState, coherent_state, eigenpairs,
+                                   energy_expectation, gaussian_packet,
                                    ground_state, l2_distance, norm_squared,
                                    normalized, position_variance,
                                    propagate_crank_nicolson,
                                    propagate_eigen_oracle, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.lattice import build_grid, integrate
-from stochaction.madelung import from_polar, to_polar
 
 
 @pytest.fixture(scope="module")
@@ -228,39 +225,6 @@ def test_spectral_filter_caps_the_occupied_band(harmonic_256):
     # a cut above the whole occupied band is a no-op
     loose = spectral_filter(st, H, 60.0)
     assert np.max(np.abs(loose.psi - st.psi)) < 1e-10
-
-
-def test_aggregate_density_single_and_convex():
-    grid = build_grid(128, -6.0, 6.0)
-    st = gaussian_packet(grid, sigma=0.9)
-    dens = np.abs(st.psi) ** 2
-    assert np.max(np.abs(aggregate_density([(st, 1.0)]) - dens)) < 1e-14
-    two = aggregate_density([(st, 0.5), (st, 0.5)])
-    assert np.max(np.abs(two - dens)) < 1e-14
-
-
-def test_aggregate_density_over_symmetric_branch_pair():
-    # equal-weight mix of the two signed-scale branches built from one
-    # amplitude: the mixture density equals either branch's density
-    grid = build_grid(128, -6.0, 6.0)
-    st = gaussian_packet(grid, sigma=0.9, momentum=0.6)
-    m_plus = to_polar(st)
-    psi_plus = from_polar(m_plus)
-    m_minus = replace(m_plus, S=-m_plus.S, lam=-m_plus.lam)
-    psi_minus = from_polar(m_minus)
-    rho = aggregate_density([(psi_plus, 0.5), (psi_minus, 0.5)])
-    assert np.max(np.abs(rho - np.abs(psi_plus.psi) ** 2)) < 1e-12
-
-
-def test_aggregate_density_rejects_bad_weights():
-    grid = build_grid(128, -6.0, 6.0)
-    st = gaussian_packet(grid, sigma=0.9)
-    with pytest.raises(ConfigurationError):
-        aggregate_density([(st, 0.7), (st, 0.6)])
-    with pytest.raises(ConfigurationError):
-        aggregate_density([(st, -0.5), (st, 1.5)])
-    with pytest.raises(ConfigurationError):
-        aggregate_density([])
 
 
 def test_l2_distance_is_a_metric_basics():

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stochaction import cli, kernels
-from stochaction.harness import SCENARIOS, run_command
+from stochaction.errors import ConfigurationError
+from stochaction.harness import _RUNNERS, SCENARIOS, resolve_config, run_command
 
 # every scenario that runs in about 3 s or less on one core (bohmian on
 # two; on one it takes about 5 s)
@@ -48,6 +50,84 @@ def test_scenario_passes_and_reruns_byte_identically(tmp_path, command, scenario
     assert second.files == first.files
     assert (_csv_bytes(tmp_path / "b", second.files)
             == _csv_bytes(tmp_path / "a", first.files))
+
+
+def test_every_scenario_has_one_runner():
+    names = [name for scenarios in SCENARIOS.values() for name in scenarios]
+    assert len(names) == len(set(names))
+    assert set(names) == set(_RUNNERS)
+
+
+# time.dt values that do not divide the scenario's time.T: rounding T/dt
+# would end phase_offset at t = 0.05001 and classical_limit at 0.9999.
+# A zero step would divide by zero, a NaN one fail to round
+@pytest.mark.parametrize("scenario,dt", [
+    ("harmonic_stationary", 3e-5),
+    ("phase_offset", 3e-5),
+    ("classical_limit", 3e-4),
+    ("propagator_quality", 3e-4),
+    ("propagator_quality", 0.0),
+    ("phase_offset", float("nan")),
+])
+def test_evolve_rejects_a_step_that_does_not_divide_the_horizon(
+        tmp_path, scenario, dt):
+    with pytest.raises(ConfigurationError, match="time.dt"):
+        run_command("evolve", {"run.scenario": scenario, "time.dt": dt},
+                    str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["files"] == []
+
+
+def test_propagator_quality_records_the_last_step(tmp_path):
+    # 25 steps: the ten record bounds must end at step 25, not at 24
+    result = run_command("evolve", {"run.scenario": "propagator_quality",
+                                    "time.T": 0.025}, str(tmp_path))
+    assert result.exit_code == 0
+    lines = (tmp_path / "propagator_quality.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 10
+    assert float(rows[-1][0]) == 25 * 1e-3
+
+
+@pytest.mark.parametrize("key,value", [
+    ("source.hbar", "1"),             # float key: a string
+    ("time.T", True),                 # float key: a bool
+    ("ensemble.size", "10"),          # int key: a string
+    ("ensemble.size", 10.0),          # int key: a float
+    ("ensemble.size", True),          # int key: a bool
+    ("grid.n", np.float64(64.0)),     # int key: a numpy float
+    ("run.seed", 1.5),
+    ("ensemble.disable_lambda", 1),   # bool key: an int
+    ("run.scenario", 5),              # str key: an int
+    ("time.tau_sweep", 0.01),         # float_list key: a bare number
+    ("time.tau_sweep", ("1e-2",)),    # float_list key: a string entry
+    ("time.tau_sweep", [1e-2, None]),
+    ("time.tau_sweep", ()),           # float_list key: empty
+    ("ensemble.size", 0),             # below its minimum
+    ("run.seed", -1),
+    ("ensemble.bins", 1),             # a sample run wrote an empty histogram
+])
+def test_resolve_config_rejects_mistyped_values(key, value):
+    with pytest.raises(ConfigurationError, match=key.replace(".", r"\.")):
+        resolve_config("equivariance", {key: value})
+
+
+def test_resolve_config_normalizes_accepted_types():
+    cfg = resolve_config("equivariance", {
+        "time.T": 1, "grid.n": np.int64(64), "time.tau_sweep": [1e-2, 1],
+        "ensemble.disable_lambda": np.bool_(True)})
+    assert cfg["time.T"] == 1.0 and type(cfg["time.T"]) is float
+    assert cfg["grid.n"] == 64 and type(cfg["grid.n"]) is int
+    assert cfg["time.tau_sweep"] == (1e-2, 1.0)
+    assert cfg["ensemble.disable_lambda"] is True
+
+
+def test_mistyped_value_fails_before_the_run_starts(tmp_path):
+    # it used to escape as a TypeError with the manifest left "running"
+    with pytest.raises(ConfigurationError):
+        run_command("evolve", {"source.hbar": "1"}, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

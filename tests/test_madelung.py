@@ -12,7 +12,7 @@ from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.lattice import build_grid, gradient, integrate
 from stochaction.madelung import (check_phase_offset, continuity_rate_pair,
                                   continuity_rate_signed, default_timestep,
-                                  from_polar, pair_density, pair_from_wave,
+                                  from_polar, pair_from_wave,
                                   quantum_potential, step_coupled_pde, to_polar)
 
 H_QUANTUM = 2.0 * np.pi   # one whole phase quantum at unit scale
@@ -113,13 +113,6 @@ def test_check_phase_offset_examples(ground_384):
     S0, dev = check_phase_offset(shifted)
     assert S0 == pytest.approx(H_QUANTUM, abs=1e-12)
     assert dev < 1e-12
-
-
-def test_pair_density_averages_the_branches(ground_384):
-    _, _, gs = ground_384
-    pair = pair_from_wave(gs)
-    dens = pair_density(pair)
-    assert np.max(np.abs(dens - pair.plus.R ** 2)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
