@@ -1,0 +1,121 @@
+/* Micro-step window of the guided ensemble, one shard of it; see
+ * kernels.py.
+ *
+ * Every value is computed with the IEEE operations, in the order, that
+ * the numpy transcription in tests/test_kernels.py uses, so the result is
+ * bitwise the same when built without contraction (-ffp-contract=off) or
+ * value-changing math flags: no fused multiply-add, no reciprocal in
+ * place of a division, no reassociation.  The counter hash is integer
+ * arithmetic, exact in both; its 53 bits convert to a double exactly.
+ *
+ * The shard holds particles pid0 .. pid0 + m - 1: qs, lams, logws and
+ * frozen point at their entries and are advanced in place.  keys holds
+ * the (slot 0, slot 1) lambda keys of each of the n_sub steps.  The
+ * particles run in blocks of BLOCK, each block through every step before
+ * the next: a block's state stays in L1, and the particles of a block
+ * are independent chains that the CPU overlaps.  Frozen particles are
+ * skipped; the numpy window computes them and discards the result.
+ *
+ * Returns n_sub, or the first step at which an active particle's cell
+ * (q - q_min) / dq is not finite.  Its table index would be undefined,
+ * so the step stops there; the arrays are then partly advanced.
+ */
+#include <math.h>
+#include <stdint.h>
+
+#define BLOCK 512
+
+/* lambda-source kinds, as kernels.SRC_* */
+enum { SRC_BINARY, SRC_SPHERE, SRC_SMEARED };
+
+/* kernels._K_PID, the multiplier that spreads a pid over 64 bits */
+#define K_PID 0xC2B2AE3D27D4EB4FULL
+
+/* 0.5 - 2^-54, kernels._HALF_DOWN */
+#define HALF_DOWN 0x1.fffffffffffffp-2
+
+/* u in [0, 1) of one key: the splitmix64 finalizer of kernels._mix_into,
+ * then the top 53 bits times 2^-53, as kernels._uniform_into */
+static inline double uniform(uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return (double)(x >> 11) * 0x1p-53;
+}
+
+/* table[j] + w * (table[j + 1] - table[j]), as numpy forms it */
+static inline double lerp(const double *t, long j, double w)
+{
+    const double c = t[j];
+    return (t[j + 1] - c) * w + c;
+}
+
+long ensemble_window(double *restrict qs, double *restrict lams,
+                     double *restrict logws, unsigned char *restrict frozen,
+                     long m, long pid0, const double *vb, const double *osm,
+                     const double *th, long n, double q_min, double dq,
+                     double dt, const uint64_t *keys, long n_sub,
+                     long src_kind, double mag0, double jitter, double lo,
+                     double hi)
+{
+    const double top = (double)(n - 2);
+    long bad = n_sub;
+    for (long b0 = 0; b0 < m; b0 += BLOCK) {
+        const long b1 = m - b0 < BLOCK ? m : b0 + BLOCK;
+        for (long k = 0; k < bad; k++) {
+            const uint64_t key0 = keys[2 * k], key1 = keys[2 * k + 1];
+            int fail = 0;
+            for (long i = b0; i < b1; i++) {
+                if (frozen[i])
+                    continue;
+                const uint64_t pid_key = (uint64_t)(pid0 + i) * K_PID;
+
+                /* the sign of the distance from one half picks +-mag;
+                 * rounding cannot flip it (kernels.source_lambda_into) */
+                const double u1 = uniform(pid_key ^ key0);
+                const double side = src_kind == SRC_SPHERE
+                                    ? u1 - HALF_DOWN : HALF_DOWN - u1;
+                double mag = mag0;
+                if (src_kind == SRC_SMEARED)
+                    mag = (uniform(pid_key ^ key1) * 2.0 - 1.0) * jitter
+                          + mag0;
+                const double lam = copysign(mag, side);
+                lams[i] = lam;
+
+                /* clamped linear interpolation; np.clip keeps a value
+                 * equal to a bound, -0.0 included */
+                const double q = qs[i];
+                const double cell = (q - q_min) / dq;
+                if (!isfinite(cell)) {
+                    fail = 1;
+                    continue;
+                }
+                double a = floor(cell);
+                a = a < 0.0 ? 0.0 : a;
+                a = a > top ? top : a;
+                const long j = (long)a;
+                double w = cell - a;
+                w = w < 0.0 ? 0.0 : w;
+                w = w > 1.0 ? 1.0 : w;
+
+                /* move, then freeze a leaver at the bound it crossed */
+                double qn = (lerp(vb, j, w) + lerp(osm, j, w) * lam) * dt
+                            + q;
+                const int out = qn < lo || qn > hi;
+                if (out) {
+                    qn = qn >= lo ? qn : lo;
+                    qn = qn <= hi ? qn : hi;
+                }
+                logws[i] = logws[i] - lerp(th, j, w) * dt;
+                qs[i] = qn;
+                frozen[i] = (unsigned char)out;
+            }
+            if (fail)
+                bad = k;
+        }
+    }
+    return bad;
+}

@@ -1,39 +1,45 @@
 """Hot loops behind the ensemble and polar-PDE integrators.
 
-The ensemble kernel and the counter RNG are numpy.  Each allocates its
-work arrays once per call and updates them in place, so per-step cost is
-the arithmetic plus a fixed number of numpy calls.
+The counter RNG is numpy; bulk draws allocate their work arrays once per
+call and update them in place.  Randomness is counter-based: every
+variate is a pure function of (seed, domain, step, particle, slot)
+through a splitmix64-style finalizer, so results do not depend on
+scheduling or worker count.  Being pure, the hash can be evaluated in any
+partition of the particles: bulk draws run it over fixed blocks of keys,
+whose scratch stays in cache instead of streaming every hash pass over
+the whole array through memory, and the result does not depend on the
+block size.
 
-Randomness is counter-based: every variate is a pure function of
-(seed, domain, step, particle, slot) through a splitmix64-style finalizer,
-so results do not depend on scheduling or worker count.  Being pure, the
-hash can be evaluated in any partition of the particles: bulk draws run it
-over fixed blocks of keys, whose scratch stays in cache instead of
-streaming every hash pass over the whole array through memory, and the
-result does not depend on the block size.
+The ensemble micro-step window and the polar-pair RK4 window are C
+(``_ensemble.c``, ``_polar.c``), compiled on first use.  Numpy versions
+of both spent most of their time in numpy calls: a polar step of 2 x 768
+cells is too little arithmetic for some 100 calls per step, and an
+ensemble step made some 40 passes over arrays of every particle where
+the C kernel makes one pass over a block that stays in cache.  Each C
+kernel gives the same bits as its numpy version, which the tests keep as
+the reference.  Each value is formed by the same IEEE operations, in the
+same order: +, -, *, / and sqrt are correctly rounded in both, so equal
+operands give equal results.  This holds because the build forbids what
+would change a rounding: no contraction of a multiply and an add into a
+fused multiply-add (-ffp-contract=off), no fast-math reassociation or
+reciprocals, and no -march=native.  The polar density floor keeps a NaN
+density NaN, as np.maximum does, where C's fmax would not.  The polar
+wall rows take the sin and cos of libm, as Python's math module does
+(gcc fuses the pair into glibc's sincos, which gives the same bits).
 
-The ensemble kernel uses the same property across threads.  A window of
-micro steps splits the particles into contiguous shards, one per usable
-CPU, and runs each shard's steps on its own slices of the arrays.  Each
-particle's update is elementwise and keyed by its own pid, so a shard
+The ensemble kernel hashes its lambda draws itself, with the integer
+operations of counter_uniform, and signs them as source_lambda_into
+does, so the counter hash and the lambda sources are written in C and in
+numpy; the bitwise tests hold the two together.
+
+A window of ensemble micro steps splits the particles into contiguous
+shards, one per usable CPU, and runs each shard's steps as one call of
+the compiled kernel on its own slices of the arrays.  Each particle's
+update reads only its own entries and is keyed by its own pid, so a shard
 reads and writes nothing of another's.  The shards need no
 synchronisation inside the window, and the result is bitwise the same
-for any shard count.  numpy releases the interpreter lock inside each
-operation, so the shards run in parallel.
-
-The polar-pair RK4 kernel is C (``_polar.c``), compiled on first use.  A
-numpy version of it spent most of its time in call overhead: a step of
-2 x 768 cells is too little arithmetic for some 100 numpy calls per step.
-The C kernel gives the same bits as that numpy version, which the tests
-keep as the reference.  Each value is formed by the same IEEE
-operations, in the same order: +, -, *, / and sqrt are correctly rounded
-in both, so equal operands give equal results.  This holds because the
-build forbids what would change a rounding: no contraction of a multiply
-and an add into a fused multiply-add (-ffp-contract=off), no fast-math
-reassociation or reciprocals, and no -march=native.  The density floor
-keeps a NaN density NaN, as np.maximum does, where C's fmax would not.
-The wall rows take the sin and cos of libm, as Python's math module does
-(gcc fuses the pair into glibc's sincos, which gives the same bits).
+for any shard count.  ctypes releases the interpreter lock for the
+length of each call, so the shards run in parallel.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, NumericalError, ShapeError
 
 # ---------------------------------------------------------------------------
 # counter-based RNG
@@ -93,11 +99,14 @@ def _mix(x):
     return x[()]
 
 
-def _base_key(seed: int, domain: int, step: int):
-    if seed < 0 or domain < 0 or step < 0:
+def _base_key(seed: int, domain: int, step):
+    """The key of (seed, domain, step); an array of steps gives the array
+    of their keys."""
+    step = np.asarray(step)
+    if seed < 0 or domain < 0 or np.any(step < 0):
         raise ConfigurationError("RNG keys (seed, domain, step) must be >= 0")
     b = _mix(np.uint64(seed) * _K_SEED ^ np.uint64(domain) * _K_DOMAIN)
-    return _mix(b ^ np.uint64(step) * _K_STEP)
+    return _mix(b ^ step.astype(np.uint64) * _K_STEP)
 
 
 def _slot_key(base, slot: int):
@@ -178,12 +187,123 @@ def source_lambda_into(src_kind: int, u1, u2, mag0: float, jitter: float, out):
 
 def active_backend() -> str:
     """Names the kernels, recorded with benchmark runs: the compiled polar
-    kernel with the compiler and flags it is built with, and numpy for
-    the rest.  Builds nothing."""
+    and ensemble kernels with the compiler and flags they are built with,
+    and numpy for the rng.  Builds nothing."""
     import sysconfig
     cc = sysconfig.get_config_var("CC") or "no compiler (sysconfig CC empty)"
-    return (f"polar: C, {cc} {' '.join(_POLAR_CFLAGS[:3])}; "
-            "ensemble and rng: numpy")
+    return (f"polar and ensemble: C, {cc} {' '.join(_CFLAGS[:3])}; "
+            "rng: numpy")
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels
+# ---------------------------------------------------------------------------
+# Each kernel is a C file of the package, compiled on its first call, not
+# at import, with the C compiler the Python build names (sysconfig CC),
+# into the package's __pycache__ under a name that hashes the source, the
+# compiler and the flags, and loaded with ctypes.  The flags keep every
+# operation rounding as numpy's does: where the target has a fused
+# multiply-add (aarch64, or x86-64 told to use FMA), gcc would otherwise
+# fuse a multiply and an add into one rounding, and no flag that changes
+# values (-ffast-math, -march=native) is given.  -fno-math-errno only
+# stops sqrt from setting errno, which lets it run as a vector
+# instruction; its results are the same.
+_SOURCE_DIR = os.path.dirname(__file__)
+_CACHE = os.path.join(_SOURCE_DIR, "__pycache__")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_polar = None
+_ensemble = None
+_load_lock = threading.Lock()
+
+
+def _compiler() -> list:
+    """The C compiler command of the Python build, split into words."""
+    import shlex
+    import sysconfig
+    cc = sysconfig.get_config_var("CC")
+    if not cc or not cc.strip():
+        raise ConfigurationError(
+            "the kernels are compiled from C on first use, and this "
+            "Python build names no C compiler (sysconfig CC is empty)")
+    return shlex.split(cc)
+
+
+def _build(source: str, cache_dir: str) -> str:
+    """Path of the shared library of the package's C file source (say
+    "_polar.c") in cache_dir, compiled there first unless a build of the
+    same source, compiler and flags is already in place.  The library is
+    written to a temporary file and renamed, so a concurrent process never
+    loads a partial one."""
+    import hashlib
+    import subprocess
+    import tempfile
+    cc = _compiler()
+    source_path = os.path.join(_SOURCE_DIR, source)
+    with open(source_path, "rb") as fh:
+        text = fh.read()
+    key = "\0".join((*cc, *_CFLAGS)).encode()
+    digest = hashlib.sha256(text + b"\0" + key).hexdigest()[:16]
+    path = os.path.join(cache_dir,
+                        f"{os.path.splitext(source)[0]}-{digest}.so")
+    if os.path.exists(path):
+        return path
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write the kernel compiled from {source} to "
+            f"{cache_dir}: {exc}") from exc
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run([*cc, *_CFLAGS, "-o", tmp, source_path,
+                                   "-lm"], capture_output=True, text=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                "the kernels are compiled from C on first use, and the C "
+                f"compiler {cc[0]!r} of this Python build (sysconfig CC) "
+                f"cannot be run: {exc}") from exc
+        if proc.returncode != 0:
+            raise ConfigurationError(
+                f"{' '.join(cc)} failed to compile {source_path}:\n"
+                f"{proc.stderr}")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
+def _polar_kernel():
+    """polar_rk4_window from the compiled library, built on first use."""
+    global _polar
+    with _load_lock:
+        if _polar is None:
+            import ctypes
+            fn = ctypes.CDLL(_build("_polar.c", _CACHE)).polar_rk4_window
+            ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+            fn.argtypes = (ptr, size, size, ptr, ptr, ptr, ptr, real, real,
+                           size, real)
+            fn.restype = ctypes.c_int
+            _polar = fn
+        return _polar
+
+
+def _ensemble_kernel():
+    """ensemble_window from the compiled library, built on first use."""
+    global _ensemble
+    with _load_lock:
+        if _ensemble is None:
+            import ctypes
+            fn = ctypes.CDLL(_build("_ensemble.c", _CACHE)).ensemble_window
+            ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+            fn.argtypes = (ptr, ptr, ptr, ptr, size, size, ptr, ptr, ptr,
+                           size, real, real, real, ptr, size, size, real,
+                           real, real, real)
+            fn.restype = ctypes.c_long
+            _ensemble = fn
+        return _ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +316,22 @@ def active_backend() -> str:
 #   osm  = 0.5 g (dOmega/dq)/Omega  drift per unit (time * lambda)
 #   th   = theta(S)               log-weight decay rate
 # One micro step of length dt: redraw lambda (keyed by the global step
-# index), move, accumulate -theta*dt, freeze leavers at the bounds.
+# index), move, accumulate -theta*dt, freeze leavers at the bounds.  The
+# window is the C function ensemble_window in _ensemble.c.
 
 
 # the fewest particles a shard takes, so a window runs as one shard under
-# 2 * _SHARD_MIN particles.  Smaller shards do not pay for their thread:
-# on 2 vCPUs, two shards of _SHARD_MIN ran at about 30 ns per
-# particle-step against 32 ns for one shard, and two of 2 * _SHARD_MIN
-# at 22 ns against 36
+# 2 * _SHARD_MIN particles.  Measured with the compiled kernel on 2 vCPUs,
+# on the tau_sweep fields (medians of 12 interleaved timings of at least
+# 3 windows each): two shards of _SHARD_MIN ran at 15.8 ns per
+# particle-step against 16.3 ns for one shard with 100 steps a window,
+# and at 23.4 against 20.7 ns with one step; two of 2 * _SHARD_MIN ran at
+# 11.3 against 17.1 ns with 100 steps, 13.5 against 17.0 ns with 10, and
+# 27.0 against 21.0 ns with one.  Doubling _SHARD_MIN would change only
+# windows of 2^15 to 2^16 particles, which no scenario or benchmark runs.
+# The second shard gains only when the scheduler runs the pool thread on
+# the other vCPU: in a single window of 2^16 particles and 100 steps both
+# shards were seen sharing one vCPU, each busy 38 ms of 76 ms
 _SHARD_MIN = 1 << 14
 # the CPUs this process may run on; a window runs at most one shard on each
 _WORKERS = len(os.sched_getaffinity(0))
@@ -223,112 +351,80 @@ def _shard_pool():
         return _pool
 
 
-def _advance_shard(particles, work, vb, osm, th, q_min, dq, dt, step_keys,
-                   src_kind, mag0, jitter, freeze_lo, freeze_hi):
-    """The micro steps of one shard, on its views of the particle arrays
-    and of the scratch."""
-    qs, lams, logws, frozen, pid_keys = particles
-    x, tmp, u1, u2, cell, w, a, b, c, j, j1, active, out, mask = work
-    n = vb.shape[0]
-
-    def lerp(table, dst):
-        # table[j] + w * (table[j + 1] - table[j])
-        np.take(table, j, out=c)
-        np.take(table, j1, out=dst)
-        dst -= c
-        dst *= w
-        dst += c
-
-    # numpy's error state is per thread: a pool thread starts from the default
-    with np.errstate(over="ignore"):
-        for key0, key1 in step_keys:
-            np.equal(frozen, 0, out=active)
-            _uniform_into(pid_keys, key0, x, tmp, u1)
-            if src_kind == SRC_SMEARED:
-                _uniform_into(pid_keys, key1, x, tmp, u2)
-            source_lambda_into(src_kind, u1, u2, mag0, jitter, a)
-            np.copyto(lams, a, where=active)
-
-            np.subtract(qs, q_min, out=cell)
-            cell /= dq
-            np.floor(cell, out=a)
-            np.clip(a, 0, n - 2, out=a)
-            j[...] = a
-            np.add(j, 1, out=j1)
-            np.subtract(cell, a, out=w)
-            np.clip(w, 0.0, 1.0, out=w)
-            lerp(vb, a)                              # vbi
-            lerp(osm, b)                             # osmi
-            b *= lams
-            a += b                                   # v
-            a *= dt
-            a += qs                                  # qn
-            np.less(a, freeze_lo, out=out)
-            np.greater(a, freeze_hi, out=mask)
-            out |= mask
-            np.maximum(a, freeze_lo, out=a, where=out)
-            np.minimum(a, freeze_hi, out=a, where=out)
-            lerp(th, b)                              # thi
-            b *= dt
-            np.subtract(logws, b, out=logws, where=active)
-            np.copyto(qs, a, where=active)
-            active &= out
-            np.copyto(frozen, 1, where=active)
-
-
 def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
                         n_sub, step0, seed, src_kind, mag0, jitter,
                         freeze_lo, freeze_hi):
     """Advance the ensemble arrays in place by n_sub micro steps.
 
+    qs, lams and logws must be writeable C-contiguous float64 arrays of one
+    length m, and frozen a writeable C-contiguous uint8 array of that
+    length, no two of them overlapping; vb, osm and th are field tables on
+    the same n >= 2 grid points.  A bad input raises ShapeError before any
+    array is touched.
+
     The particles are split into contiguous shards [s, e), at most one per
     usable CPU and none smaller than _SHARD_MIN; the calling thread runs
-    the first and a thread pool the rest.  A particle's update reads only
-    its own entries of the arrays, its pid key and the step keys, and every
-    operation is elementwise, so each shard runs the whole window on its
+    the first and a thread pool the rest, each as one call of the compiled
+    kernel.  A particle's update reads only its own entries of the arrays,
+    its pid and the step keys, so each shard runs the whole window on its
     slices with no synchronisation, and the result is the same, bit for
     bit, for any number of shards.
+
+    Raises NumericalError, naming the micro step, when an active particle's
+    cell (q - q_min) / dq is not finite, as for a NaN or infinite position:
+    it has no table index.  The arrays are then partly advanced.
     """
-    q_min, dq, dt = float(q_min), float(dq), float(dt)
-    mag0, jitter = float(mag0), float(jitter)
-    freeze_lo, freeze_hi = float(freeze_lo), float(freeze_hi)
+    m = qs.shape[0] if isinstance(qs, np.ndarray) and qs.ndim == 1 else None
+    for name, v, dtype in (("qs", qs, np.float64), ("lams", lams, np.float64),
+                           ("logws", logws, np.float64),
+                           ("frozen", frozen, np.uint8)):
+        if not (isinstance(v, np.ndarray) and v.dtype == dtype
+                and v.shape == (m,) and v.flags.c_contiguous
+                and v.flags.writeable):
+            raise ShapeError(
+                f"{name} must be a writeable C-contiguous {np.dtype(dtype)} "
+                f"array of the length of qs, got "
+                f"{getattr(v, 'dtype', type(v))} {getattr(v, 'shape', '')}")
+    particles = (qs, lams, logws, frozen)
+    if any(np.may_share_memory(a, b)
+           for i, a in enumerate(particles) for b in particles[i + 1:]):
+        raise ShapeError("qs, lams, logws and frozen must not overlap")
+    tables = [np.ascontiguousarray(t, dtype=np.float64) for t in (vb, osm, th)]
+    n = tables[0].shape[0] if tables[0].ndim == 1 else 0
+    for name, t in zip(("vb", "osm", "th"), tables):
+        if t.shape != (n,) or n < 2:
+            raise ShapeError(f"field table {name} has shape {t.shape}; the "
+                             "tables need one length n >= 2")
     n_sub, step0, seed = int(n_sub), int(step0), int(seed)
-    src_kind = int(src_kind)
-    m = qs.shape[0]
+    if n_sub < 0:
+        raise ConfigurationError(f"n_sub must be >= 0, got {n_sub}")
+    kernel = _ensemble_kernel()
     with np.errstate(over="ignore"):
-        step_keys = []
-        for k in range(n_sub):
-            base = _base_key(seed, DOMAIN_LAMBDA, step0 + k)
-            step_keys.append((_slot_key(base, 0), _slot_key(base, 1)))
-        particles = (qs, lams, logws, frozen,
-                     np.arange(m, dtype=np.uint64) * _K_PID)
-    # The temporaries are allocated once per call, for every shard, by the
-    # calling thread, and updated in place at each step.  At ensemble sizes
-    # each is hundreds of kB: fresh ones per step are mapped and unmapped by
-    # the allocator every time, which costs a page fault per page, and ones
-    # allocated in a pool thread come from that thread's own malloc arena,
-    # which raises the peak resident memory
-    work = (np.empty(m, np.uint64), np.empty(m, np.uint64),
-            *(np.empty(m) for _ in range(7)),
-            np.empty(m, np.int64), np.empty(m, np.int64),
-            *(np.empty(m, bool) for _ in range(3)))
+        base = _base_key(seed, DOMAIN_LAMBDA, step0 + np.arange(n_sub))
+        keys = np.stack([_slot_key(base, 0), _slot_key(base, 1)], axis=1)
+    window = (*(t.ctypes.data for t in tables), n, float(q_min), float(dq),
+              float(dt), keys.ctypes.data, n_sub, int(src_kind), float(mag0),
+              float(jitter), float(freeze_lo), float(freeze_hi))
 
     def advance(s, e):
-        _advance_shard([v[s:e] for v in particles], [v[s:e] for v in work],
-                       vb, osm, th, q_min, dq, dt, step_keys,
-                       src_kind, mag0, jitter, freeze_lo, freeze_hi)
+        # the slices' data pointers; the arrays stay referenced by the caller
+        return kernel(*(v[s:].ctypes.data for v in particles), e - s, s,
+                      *window)
 
     shards = max(1, min(_WORKERS, m // _SHARD_MIN))
     bounds = [m * i // shards for i in range(shards + 1)]
     futures = [_shard_pool().submit(advance, s, e)
                for s, e in zip(bounds[1:-1], bounds[2:])]
     try:
-        advance(bounds[0], bounds[1])
+        done = [advance(bounds[0], bounds[1])]
     finally:
         for f in futures:
             f.exception()  # waits: no shard writes after this call returns
-    for f in futures:
-        f.result()
+    done = min(done + [f.result() for f in futures])
+    if done < n_sub:
+        raise NumericalError(
+            f"at micro step {step0 + done} an active particle's position is "
+            "not finite, so its interpolation cell is undefined")
 
 
 # ---------------------------------------------------------------------------
@@ -356,97 +452,8 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 # gets the true reflection-layer response.  The R_1/R_0 ratio means a wall
 # density passing near zero is a genuine polar singularity; scenarios must
 # keep the wall cells dominated by a single spectral component (see the
-# harness scenario construction).
-
-
-# The integrator is the C function polar_rk4_window in _polar.c.  It is
-# compiled on the first call, not at import, with the C compiler the Python
-# build names (sysconfig CC), into the package's __pycache__ under a name
-# that hashes the source, the compiler and the flags, and it is loaded with
-# ctypes.  The flags keep every operation rounding as numpy's does: where
-# the target has a fused multiply-add (aarch64, or x86-64 told to use
-# FMA), gcc would otherwise fuse a multiply and an add into one rounding,
-# and no flag that changes values (-ffast-math, -march=native) is given.
-# -fno-math-errno only stops sqrt from setting errno, which lets it run
-# as a vector instruction; its results are the same.
-_POLAR_SOURCE = os.path.join(os.path.dirname(__file__), "_polar.c")
-_POLAR_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-_POLAR_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC",
-                 "-shared")
-_polar = None
-_polar_lock = threading.Lock()
-
-
-def _compiler() -> list:
-    """The C compiler command of the Python build, split into words."""
-    import shlex
-    import sysconfig
-    cc = sysconfig.get_config_var("CC")
-    if not cc or not cc.strip():
-        raise ConfigurationError(
-            "the polar kernel is compiled from C on first use, and this "
-            "Python build names no C compiler (sysconfig CC is empty)")
-    return shlex.split(cc)
-
-
-def _build_polar(cache_dir: str) -> str:
-    """Path of the polar kernel's shared library in cache_dir, compiled
-    there first unless a build of the same source, compiler and flags is
-    already in place.  The library is written to a temporary file and
-    renamed, so a concurrent process never loads a partial one."""
-    import hashlib
-    import subprocess
-    import tempfile
-    cc = _compiler()
-    with open(_POLAR_SOURCE, "rb") as fh:
-        source = fh.read()
-    key = "\0".join((*cc, *_POLAR_CFLAGS)).encode()
-    digest = hashlib.sha256(source + b"\0" + key).hexdigest()[:16]
-    path = os.path.join(cache_dir, f"_polar-{digest}.so")
-    if os.path.exists(path):
-        return path
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot write the compiled polar kernel to {cache_dir}: "
-            f"{exc}") from exc
-    os.close(fd)
-    try:
-        try:
-            proc = subprocess.run([*cc, *_POLAR_CFLAGS, "-o", tmp,
-                                   _POLAR_SOURCE, "-lm"],
-                                  capture_output=True, text=True)
-        except OSError as exc:
-            raise ConfigurationError(
-                "the polar kernel is compiled from C on first use, and the C "
-                f"compiler {cc[0]!r} of this Python build (sysconfig CC) "
-                f"cannot be run: {exc}") from exc
-        if proc.returncode != 0:
-            raise ConfigurationError(
-                f"{' '.join(cc)} failed to compile {_POLAR_SOURCE}:\n"
-                f"{proc.stderr}")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def _polar_kernel():
-    """polar_rk4_window from the compiled library, built on first use."""
-    global _polar
-    with _polar_lock:
-        if _polar is None:
-            import ctypes
-            fn = ctypes.CDLL(_build_polar(_POLAR_CACHE)).polar_rk4_window
-            ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-            fn.argtypes = (ptr, size, size, ptr, ptr, ptr, ptr, real, real,
-                           size, real)
-            fn.restype = ctypes.c_int
-            _polar = fn
-        return _polar
+# harness scenario construction).  The integrator is the C function
+# polar_rk4_window in _polar.c.
 
 
 def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):

@@ -171,9 +171,17 @@ def default_timestep(grid: GridSpec, spec: ClassicalSpec, lam_abs: float) -> flo
     It is a safety margin that also absorbs states the polar form carries
     badly.  Scenario time steps and benchmark workloads are set relative to
     its value.
+
+    Raises ConfigurationError where the step is not finite, as at a
+    subnormal |lam|: an infinite default would admit any dt.
     """
     g_max = float(np.max(spec.g(grid.points())))
-    return STABILITY_FACTOR * grid.dq * grid.dq / (g_max * lam_abs)
+    dt = STABILITY_FACTOR * grid.dq * grid.dq / (g_max * lam_abs)
+    if not np.isfinite(dt):
+        raise ConfigurationError(
+            f"the default step is {dt} at |lam| = {lam_abs!r} (max g "
+            f"{g_max!r}, dq {grid.dq!r}); the scale is too small to step")
+    return dt
 
 
 def _field_tables(spec: ClassicalSpec, grid: GridSpec):

@@ -211,7 +211,8 @@ def test_ensemble_draws_the_written_out_sources_bitwise(source):
 def _reference_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min,
                                dq, dt, n_sub, step0, seed, src_kind, mag0,
                                jitter, freeze_lo, freeze_hi):
-    """The window in one thread, all particles in one set of arrays."""
+    """The numpy window that _ensemble.c transcribes, in one thread, all
+    particles in one set of arrays."""
     n = vb.shape[0]
     m = qs.shape[0]
     pid_keys = np.arange(m, dtype=np.uint64) * _K_PID
@@ -461,32 +462,34 @@ def test_a_nan_density_turns_its_phase_nan_as_np_maximum_does():
 
 
 @pytest.fixture
-def polar_cache(tmp_path, monkeypatch):
-    """An empty build cache and no kernel loaded: the next call builds."""
+def kernel_cache(tmp_path, monkeypatch):
+    """An empty build cache and no kernel loaded: the next call of either
+    kernel builds it."""
     cache = tmp_path / "cache"
-    monkeypatch.setattr(kernels, "_POLAR_CACHE", str(cache))
+    monkeypatch.setattr(kernels, "_CACHE", str(cache))
     monkeypatch.setattr(kernels, "_polar", None)
+    monkeypatch.setattr(kernels, "_ensemble", None)
     return cache
 
 
-def test_a_cold_build_loads_and_equals_the_reference_bitwise(polar_cache):
+def test_a_cold_build_loads_and_equals_the_reference_bitwise(kernel_cache):
     grid, y, tables = _branch_batch()
     out = _run(y, grid, tables, n_steps=10)
-    built = os.listdir(polar_cache)
+    built = os.listdir(kernel_cache)
     # one library, named by the hash, and no temporary file left behind
     assert len(built) == 1 and built[0].startswith("_polar-")
     assert built[0].endswith(".so")
     _assert_matches_reference(y, out, tables, grid.dq, 5e-4, 10, 1.0)
     # a fresh process finds the build in the cache and compiles nothing
-    stamp = os.stat(polar_cache / built[0]).st_mtime_ns
+    stamp = os.stat(kernel_cache / built[0]).st_mtime_ns
     kernels._polar = None
     assert _same_bits(_run(y, grid, tables, n_steps=10), out)
-    assert os.listdir(polar_cache) == built
-    assert os.stat(polar_cache / built[0]).st_mtime_ns == stamp
+    assert os.listdir(kernel_cache) == built
+    assert os.stat(kernel_cache / built[0]).st_mtime_ns == stamp
 
 
 @pytest.mark.parametrize("cc", ("no-such-c-compiler", "", None))
-def test_a_missing_compiler_raises_and_leaves_no_numpy_path(polar_cache,
+def test_a_missing_compiler_raises_and_leaves_no_numpy_path(kernel_cache,
                                                            monkeypatch, cc):
     real = sysconfig.get_config_var
     monkeypatch.setattr(sysconfig, "get_config_var",
@@ -497,7 +500,7 @@ def test_a_missing_compiler_raises_and_leaves_no_numpy_path(polar_cache,
                        match=cc or "names no C compiler"):
         run_madelung_window(y, *tables, grid.dq, 5e-4, 10, 1.0)
     assert _same_bits(y, before)
-    assert not polar_cache.exists() or os.listdir(polar_cache) == []
+    assert not kernel_cache.exists() or os.listdir(kernel_cache) == []
     assert kernels._polar is None
 
 
@@ -541,17 +544,202 @@ def test_an_infinite_wall_phase_step_gives_nan_then_a_numerical_error():
     assert np.isnan(out[:, :, 0]).all() and np.isnan(out[:, :, -1]).all()
     assert np.isfinite(out[:, :, 8:-8]).all()
 
+    # through the stepper, at 1e-311: the wall phase step overflows
+    # there too (S_1 - S_0 is about 0.09), while the default step, about
+    # 9e307, is still finite, so the dt gate admits the run; at 5e-324 the
+    # gate refuses it (tests/test_madelung.py)
     spec = make_system("free")
     pair = pair_from_wave(gaussian_packet(build_grid(128, -6.0, 6.0),
                                           sigma=1.0, momentum=1.0))
-    pair = replace(pair, plus=replace(pair.plus, lam=tiny),
-                   minus=replace(pair.minus, lam=-tiny))
+    small = 1e-311
+    pair = replace(pair, plus=replace(pair.plus, lam=small),
+                   minus=replace(pair.minus, lam=-small))
     with pytest.raises(NumericalError, match="non-finite"):
         step_coupled_pde(pair, spec, 1e-4, steps=5)
 
 
-def test_active_backend_names_the_compiler_and_builds_nothing(polar_cache):
+def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache):
     name = kernels.active_backend()
-    assert "polar: C" in name and "-ffp-contract=off" in name
+    assert name.startswith("polar and ensemble: C, ")
+    assert name.endswith("; rng: numpy") and "-ffp-contract=off" in name
     assert sysconfig.get_config_var("CC") in name
-    assert not polar_cache.exists() and kernels._polar is None
+    assert not kernel_cache.exists()
+    assert kernels._polar is None and kernels._ensemble is None
+
+
+# ---------------------------------------------------------------------------
+# compiled ensemble kernel: build, inputs, and positions it cannot place
+
+
+def _ensemble_case(m=2 * _SHARD_MIN + 5, n=48):
+    """A window's particle arrays, field tables and other arguments: rough
+    fields over n points and m particles inside the freeze bounds."""
+    rng = np.random.default_rng(3)
+    state = [rng.uniform(-0.8, 0.8, m), rng.normal(size=m),
+             rng.normal(size=m), np.zeros(m, np.uint8)]
+    tables = [3.0 * rng.normal(size=n), 20.0 * rng.normal(size=n),
+              rng.normal(size=n)]
+    rest = (-1.0, 2.0 / (n - 1), 1e-2, 12)
+    kwargs = dict(step0=30, seed=5, src_kind=SRC_SMEARED, mag0=1.3,
+                  jitter=0.5, freeze_lo=-0.9, freeze_hi=0.9)
+    return state, tables, rest, kwargs
+
+
+def _window(state, tables, rest, kwargs, run=run_ensemble_window):
+    """The state after one window of run, on copies."""
+    out = [a.copy() for a in state]
+    run(*out, *tables, *rest, **kwargs)
+    return out
+
+
+def _unmix(y):
+    """The 64-bit key whose splitmix64 finalizer is y."""
+    M = 1 << 64
+    y ^= (y >> 31) ^ (y >> 62)
+    y = y * pow(0x94D049BB133111EB, -1, M) % M
+    y ^= (y >> 27) ^ (y >> 54)
+    y = y * pow(0xBF58476D1CE4E5B9, -1, M) % M
+    return y ^ (y >> 30) ^ (y >> 60)
+
+
+@pytest.mark.parametrize("kind", (SRC_BINARY, SRC_SPHERE, SRC_SMEARED))
+def test_the_compiled_source_splits_the_uniforms_exactly_at_one_half(kind):
+    # the compiled window hashes its own uniforms, and a hashed one lands
+    # on one half once in 2^53 draws; step keys made with the inverse
+    # finalizer give particle 0 the uniforms u1 (slot 0) and u2 (slot 1)
+    eps = 2.0 ** -53
+    kernel = kernels._ensemble_kernel()
+    zero = np.zeros(4)
+    for u1 in (0.0, 0.25, 0.5 - eps, 0.5, 0.5 + eps, 1.0 - eps):
+        u2 = 0.75
+        keys = np.array([[_unmix(int(u * 2.0 ** 53) << 11) for u in (u1, u2)]],
+                        np.uint64)
+        drawn = (_splitmix(keys[0]) >> np.uint64(11)).astype(float) * eps
+        assert _same_bits(drawn, np.array([u1, u2]))
+        state = np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1, np.uint8)
+        kernel(*(a.ctypes.data for a in state), 1, 0,
+               *(zero.ctypes.data for _ in range(3)), 4, -1.0, 2.0 / 3.0,
+               1e-3, keys.ctypes.data, 1, kind, 1.3, 0.4, -0.9, 0.9)
+        want = np.empty(1)
+        source_lambda_into(kind, np.array([u1]), np.array([u2]), 1.3, 0.4,
+                           want)
+        assert _same_bits(state[1], want)
+
+
+def test_a_cold_build_of_the_ensemble_kernel_sits_beside_the_polar_one(
+        kernel_cache):
+    grid, y, tables = _branch_batch()
+    _run(y, grid, tables, n_steps=1)
+    case = _ensemble_case()
+    want = _window(*case, run=_reference_ensemble_window)
+    got = _window(*case)
+    built = sorted(os.listdir(kernel_cache))
+    # one library per kernel, named by its hash, and no temporary file
+    assert len(built) == 2 and all(b.endswith(".so") for b in built)
+    assert built[0].startswith("_ensemble-") and built[1].startswith("_polar-")
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    # a fresh process loads the build in the cache and compiles nothing
+    stamp = os.stat(kernel_cache / built[0]).st_mtime_ns
+    kernels._ensemble = None
+    assert all(_same_bits(g, w) for g, w in zip(_window(*case), want))
+    assert sorted(os.listdir(kernel_cache)) == built
+    assert os.stat(kernel_cache / built[0]).st_mtime_ns == stamp
+
+
+@pytest.mark.parametrize("cc", ("no-such-c-compiler", "", None))
+def test_a_missing_compiler_leaves_the_ensemble_untouched(kernel_cache,
+                                                          monkeypatch, cc):
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: cc if name == "CC" else real(name))
+    state, tables, rest, kwargs = _ensemble_case()
+    before = [a.copy() for a in state]
+    with pytest.raises(ConfigurationError,
+                       match=cc or "names no C compiler"):
+        run_ensemble_window(*state, *tables, *rest, **kwargs)
+    assert all(_same_bits(a, b) for a, b in zip(state, before))
+    assert not kernel_cache.exists() or os.listdir(kernel_cache) == []
+    assert kernels._ensemble is None
+
+
+def _bad_ensemble_inputs():
+    state, tables, _, _ = _ensemble_case(m=64)
+    qs, lams, logws, frozen = state
+    read_only = logws.copy()
+    read_only.flags.writeable = False
+
+    def particles(i, bad):
+        return [bad if k == i else a for k, a in enumerate(state)], tables
+
+    return {
+        "non-contiguous qs": particles(0, np.repeat(qs, 2)[::2]),
+        "qs as a list": particles(0, list(qs)),
+        "2-D qs": particles(0, qs.reshape(8, 8)),
+        "float32 lams": particles(1, lams.astype(np.float32)),
+        "short lams": particles(1, lams[:-1].copy()),
+        "read-only logws": particles(2, read_only),
+        "logws that is lams": particles(2, lams),
+        "bool frozen": particles(3, frozen.astype(bool)),
+        "int64 frozen": particles(3, frozen.astype(np.int64)),
+        "tables of length 1": (state, [t[:1] for t in tables]),
+        "tables of two lengths": (state, [tables[0], tables[1][:-1],
+                                          tables[2]]),
+        "2-D table": (state, [np.stack([tables[0]] * 2), *tables[1:]]),
+    }
+
+
+@pytest.mark.parametrize("case", _bad_ensemble_inputs())
+def test_bad_ensemble_inputs_raise_before_the_kernel_is_reached(monkeypatch,
+                                                                case):
+    def unreachable():
+        raise AssertionError("the compiled kernel was reached")
+    monkeypatch.setattr(kernels, "_ensemble_kernel", unreachable)
+    state, tables = _bad_ensemble_inputs()[case]
+    before = [np.array(a) for a in state]
+    _, _, rest, kwargs = _ensemble_case(m=64)
+    with pytest.raises(ShapeError):
+        run_ensemble_window(*state, *tables, *rest, **kwargs)
+    assert all(_same_bits(np.array(a), b) for a, b in zip(state, before))
+
+
+def test_a_nan_position_is_a_numerical_error_naming_its_step(workers):
+    # the numpy window indexes its tables at -2**63 for a NaN position
+    # and raises IndexError; the compiled one must not read there.  A NaN
+    # in the last particle's entry fails the window's first step; a NaN
+    # field value makes the particles of its two cells NaN in that step
+    # and fails the next, in whichever shard they are
+    state, tables, rest, kwargs = _ensemble_case()
+    bad = [a.copy() for a in state]
+    bad[0][-1] = np.nan
+    with pytest.raises(IndexError), np.errstate(invalid="ignore"):
+        _window(bad, tables, rest, kwargs, run=_reference_ensemble_window)
+    with pytest.raises(NumericalError, match="micro step 30 "):
+        _window(bad, tables, rest, kwargs)
+    nan_field = [tables[0].copy(), *tables[1:]]
+    nan_field[0][20] = np.nan
+    with pytest.raises(NumericalError, match="micro step 31 "):
+        _window(state, nan_field, rest, kwargs)
+
+
+def test_an_infinite_position_is_a_numerical_error(workers):
+    # its cell is infinite, and the kernel takes no non-finite cell
+    state, tables, rest, kwargs = _ensemble_case()
+    for q in (np.inf, -np.inf):
+        bad = [a.copy() for a in state]
+        bad[0][_SHARD_MIN + 7] = q
+        with pytest.raises(NumericalError, match="micro step 30 "):
+            _window(bad, tables, rest, kwargs)
+
+
+def test_a_frozen_particle_is_never_read(workers):
+    # frozen particles are skipped, so a NaN one is neither an error nor
+    # a change: the window equals the reference with that particle frozen
+    # at a finite position
+    state, tables, rest, kwargs = _ensemble_case()
+    state[3][::5] = 1
+    want = _window(state, tables, rest, kwargs, run=_reference_ensemble_window)
+    state[0][::5] = np.nan
+    got = _window(state, tables, rest, kwargs)
+    assert np.isnan(got[0][::5]).all()
+    got[0][::5] = want[0][::5]
+    assert all(_same_bits(g, w) for g, w in zip(got, want))

@@ -215,6 +215,22 @@ def test_step_rejects_oversized_timestep(ground_384):
         step_coupled_pde(pair, spec, 100.0 * bound, steps=1)
 
 
+def test_a_subnormal_scale_has_no_default_step_and_admits_no_dt():
+    # 0.1 dq^2 / |lam| overflows at |lam| = 5e-324 on this grid; an
+    # infinite default step would let the 10x gate admit any dt
+    grid = build_grid(128, -6.0, 6.0)
+    spec = make_system("free")
+    with pytest.raises(ConfigurationError, match="default step is inf"):
+        default_timestep(grid, spec, 5e-324)
+    pair = pair_from_wave(gaussian_packet(grid, sigma=1.0, momentum=1.0))
+    pair = replace(pair, plus=replace(pair.plus, lam=5e-324),
+                   minus=replace(pair.minus, lam=-5e-324))
+    with pytest.raises(ConfigurationError, match="default step is inf"):
+        step_coupled_pde(pair, spec, 1e-4, steps=1)
+    # the smallest scales whose default step is finite keep their gate
+    assert np.isfinite(default_timestep(grid, spec, 1e-311))
+
+
 def test_step_rejects_bad_arguments(ground_384):
     _, spec, gs = ground_384
     pair = pair_from_wave(gs)
