@@ -12,13 +12,19 @@
  * frozen point at their entries and are advanced in place.  keys holds
  * the (slot 0, slot 1) lambda keys of each of the n_sub steps.  The
  * particles run in blocks of BLOCK, each block through every step before
- * the next: a block's state stays in L1, and the particles of a block
- * are independent chains that the CPU overlaps.  Frozen particles are
- * skipped; the numpy window computes them and discards the result.
+ * the next: a block's state stays in L1.
  *
- * Returns n_sub, or the first step at which an active particle's cell
- * (q - q_min) / dq is not finite.  Its table index would be undefined,
- * so the step stops there; the arrays are then partly advanced.
+ * The particle loop branches on nothing but the source kind, which is
+ * the same for every particle, so gcc vectorizes it: every particle is
+ * computed, and selects keep the entries of a frozen one, as the numpy
+ * window computes them and discards the result.  An active particle
+ * whose cell (q - q_min) / dq is not finite keeps its q, logw and frozen
+ * flag too, and fails the step: its table index is undefined, so its
+ * lookup reads a clamped cell and is discarded.
+ *
+ * Returns n_sub, or the first step at which an active particle's cell is
+ * not finite; the step stops there, and the arrays are then partly
+ * advanced.
  */
 #include <math.h>
 #include <stdint.h>
@@ -35,7 +41,8 @@ enum { SRC_BINARY, SRC_SPHERE, SRC_SMEARED };
 #define HALF_DOWN 0x1.fffffffffffffp-2
 
 /* u in [0, 1) of one key: the splitmix64 finalizer of kernels._mix_into,
- * then the top 53 bits times 2^-53, as kernels._uniform_into */
+ * then the top 53 bits times 2^-53, as kernels._uniform_into; the 53 bits
+ * fit an int64_t, whose conversion is exact and vectorizes */
 static inline double uniform(uint64_t x)
 {
     x ^= x >> 30;
@@ -43,7 +50,7 @@ static inline double uniform(uint64_t x)
     x ^= x >> 27;
     x *= 0x94D049BB133111EBULL;
     x ^= x >> 31;
-    return (double)(x >> 11) * 0x1p-53;
+    return (double)(int64_t)(x >> 11) * 0x1p-53;
 }
 
 /* table[j] + w * (table[j + 1] - table[j]), as numpy forms it */
@@ -53,6 +60,16 @@ static inline double lerp(const double *t, long j, double w)
     return (t[j + 1] - c) * w + c;
 }
 
+/* On x86-64, gcc (12 on, which takes an architecture level as a clone)
+ * compiles ensemble_window twice: for x86-64-v4, whose AVX-512 vectors
+ * hold 8 doubles and convert int64 to and from double, and for the
+ * baseline every x86-64 CPU runs.  The library picks the clone when it is
+ * loaded, from the CPU's features.  Both clones do the same IEEE
+ * operations, so they give the same bits. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && __GNUC__ >= 12
+__attribute__((target_clones("arch=x86-64-v4", "default")))
+#endif
 long ensemble_window(double *restrict qs, double *restrict lams,
                      double *restrict logws, unsigned char *restrict frozen,
                      long m, long pid0, const double *vb, const double *osm,
@@ -62,6 +79,11 @@ long ensemble_window(double *restrict qs, double *restrict lams,
                      double hi)
 {
     const double top = (double)(n - 2);
+    /* the sign of the distance from one half picks +-mag, and rounding
+     * cannot flip it (kernels.source_lambda_into); the sphere takes the
+     * other sign, and u - h is exactly -(h - u) */
+    const double flip = src_kind == SRC_SPHERE ? -1.0 : 1.0;
+    const int smeared = src_kind == SRC_SMEARED;
     long bad = n_sub;
     for (long b0 = 0; b0 < m; b0 += BLOCK) {
         const long b1 = m - b0 < BLOCK ? m : b0 + BLOCK;
@@ -69,34 +91,31 @@ long ensemble_window(double *restrict qs, double *restrict lams,
             const uint64_t key0 = keys[2 * k], key1 = keys[2 * k + 1];
             int fail = 0;
             for (long i = b0; i < b1; i++) {
-                if (frozen[i])
-                    continue;
+                const int keep = frozen[i] != 0;
                 const uint64_t pid_key = (uint64_t)(pid0 + i) * K_PID;
 
-                /* the sign of the distance from one half picks +-mag;
-                 * rounding cannot flip it (kernels.source_lambda_into) */
-                const double u1 = uniform(pid_key ^ key0);
-                const double side = src_kind == SRC_SPHERE
-                                    ? u1 - HALF_DOWN : HALF_DOWN - u1;
+                const double side = (HALF_DOWN - uniform(pid_key ^ key0))
+                                    * flip;
                 double mag = mag0;
-                if (src_kind == SRC_SMEARED)
+                if (smeared)
                     mag = (uniform(pid_key ^ key1) * 2.0 - 1.0) * jitter
                           + mag0;
                 const double lam = copysign(mag, side);
-                lams[i] = lam;
+                lams[i] = keep ? lams[i] : lam;
 
-                /* clamped linear interpolation; np.clip keeps a value
-                 * equal to a bound, -0.0 included */
+                /* clamped linear interpolation.  Clamping the cell to
+                 * [0, n - 2] first (a NaN to 0) makes truncation equal
+                 * floor; np.clip keeps a value equal to a bound, so a
+                 * -0.0 cell floors to -0.0, which copysign restores */
                 const double q = qs[i];
                 const double cell = (q - q_min) / dq;
-                if (!isfinite(cell)) {
-                    fail = 1;
-                    continue;
-                }
-                double a = floor(cell);
-                a = a < 0.0 ? 0.0 : a;
-                a = a > top ? top : a;
-                const long j = (long)a;
+                const int undefined = !isfinite(cell);
+                const int hold = keep | undefined;
+                fail |= undefined & !keep;
+                double c = cell >= 0.0 ? cell : 0.0;
+                c = c <= top ? c : top;
+                const long j = (long)c;
+                const double a = copysign((double)j, c);
                 double w = cell - a;
                 w = w < 0.0 ? 0.0 : w;
                 w = w > 1.0 ? 1.0 : w;
@@ -105,13 +124,13 @@ long ensemble_window(double *restrict qs, double *restrict lams,
                 double qn = (lerp(vb, j, w) + lerp(osm, j, w) * lam) * dt
                             + q;
                 const int out = qn < lo || qn > hi;
-                if (out) {
-                    qn = qn >= lo ? qn : lo;
-                    qn = qn <= hi ? qn : hi;
-                }
-                logws[i] = logws[i] - lerp(th, j, w) * dt;
-                qs[i] = qn;
-                frozen[i] = (unsigned char)out;
+                double qc = qn >= lo ? qn : lo;
+                qc = qc <= hi ? qc : hi;
+                qn = out ? qc : qn;
+                const double lw = logws[i] - lerp(th, j, w) * dt;
+                logws[i] = hold ? logws[i] : lw;
+                qs[i] = hold ? q : qn;
+                frozen[i] = hold ? frozen[i] : (unsigned char)out;
             }
             if (fail)
                 bad = k;

@@ -21,11 +21,24 @@ the reference.  Each value is formed by the same IEEE operations, in the
 same order: +, -, *, / and sqrt are correctly rounded in both, so equal
 operands give equal results.  This holds because the build forbids what
 would change a rounding: no contraction of a multiply and an add into a
-fused multiply-add (-ffp-contract=off), no fast-math reassociation or
-reciprocals, and no -march=native.  The polar density floor keeps a NaN
-density NaN, as np.maximum does, where C's fmax would not.  The polar
-wall rows take the sin and cos of libm, as Python's math module does
-(gcc fuses the pair into glibc's sincos, which gives the same bits).
+fused multiply-add (-ffp-contract=off), and no fast-math reassociation or
+reciprocals.  The polar density floor keeps a NaN density NaN, as
+np.maximum does, where C's fmax would not.  The polar wall rows take the
+sin and cos of libm, as Python's math module does (gcc fuses the pair
+into glibc's sincos, which gives the same bits).
+
+The ensemble particle loop has no data-dependent branch, so gcc
+vectorizes it, and on x86-64 it is compiled twice (gcc's target_clones):
+for x86-64-v4, whose AVX-512 vectors step 8 particles at once, and for
+the baseline that every x86-64 CPU runs.  The library picks a clone when
+it is loaded, from the CPU's features, so one build serves any x86-64
+CPU and none meets an instruction it lacks; other targets and compilers
+(and gcc before 12) get the one plain body.  A vector lane does the scalar operations, so
+both clones give the numpy window's bits.  To look up its tables the
+loop needs an integer cell: it clamps the cell to [0, n - 2] before it
+truncates it, which on that range equals floor, and gives a -0.0 cell
+its sign back with copysign, since np.floor keeps it and the sign can
+reach a result through the interpolation weight.
 
 The ensemble kernel hashes its lambda draws itself, with the integer
 operations of counter_uniform, and signs them as source_lambda_into
@@ -33,10 +46,10 @@ does, so the counter hash and the lambda sources are written in C and in
 numpy; the bitwise tests hold the two together.
 
 A window of ensemble micro steps splits the particles into contiguous
-shards, one per usable CPU, and runs each shard's steps as one call of
-the compiled kernel on its own slices of the arrays.  Each particle's
-update reads only its own entries and is keyed by its own pid, so a shard
-reads and writes nothing of another's.  The shards need no
+shards, at most one per usable CPU, and runs each shard's steps as one
+call of the compiled kernel on its own slices of the arrays.  Each
+particle's update reads only its own entries and is keyed by its own pid,
+so a shard reads and writes nothing of another's.  The shards need no
 synchronisation inside the window, and the result is bitwise the same
 for any shard count.  ctypes releases the interpreter lock for the
 length of each call, so the shards run in parallel.
@@ -187,12 +200,41 @@ def source_lambda_into(src_kind: int, u1, u2, mag0: float, jitter: float, out):
 
 def active_backend() -> str:
     """Names the kernels, recorded with benchmark runs: the compiled polar
-    and ensemble kernels with the compiler and flags they are built with,
-    and numpy for the rng.  Builds nothing."""
+    and ensemble kernels with the compiler and every flag they are built
+    with, the ensemble clone this CPU runs, and numpy for the rng.  Builds
+    nothing."""
     import sysconfig
     cc = sysconfig.get_config_var("CC") or "no compiler (sysconfig CC empty)"
-    return (f"polar and ensemble: C, {cc} {' '.join(_CFLAGS[:3])}; "
-            "rng: numpy")
+    return (f"polar and ensemble: C, {cc} {' '.join(_CFLAGS)}; "
+            f"ensemble clone: {_ensemble_clone()}; rng: numpy")
+
+
+# the CPU features of x86-64-v4 beyond x86-64-v3, as /proc/cpuinfo names
+# them; every CPU that has them has the features of v3
+_V4_FLAGS = frozenset(("avx512f", "avx512bw", "avx512cd", "avx512dq",
+                       "avx512vl"))
+_CPUINFO = "/proc/cpuinfo"
+
+
+def _ensemble_clone() -> str:
+    """The clone of the ensemble kernel that gcc's loader picks on this CPU:
+    "x86-64-v4" where /proc/cpuinfo lists the AVX-512 features of that
+    level, else "default"; "none" off x86-64, where the kernel has one
+    body, and "unknown" where the CPU's features cannot be read.  A build
+    by another compiler than gcc 12 or later has the one body on any
+    CPU."""
+    import platform
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return "none"
+    try:
+        with open(_CPUINFO) as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    has = set(line.split(":", 1)[-1].split())
+                    return "x86-64-v4" if _V4_FLAGS <= has else "default"
+    except OSError:
+        pass
+    return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +245,32 @@ def active_backend() -> str:
 # into the package's __pycache__ under a name that hashes the source, the
 # compiler and the flags, and loaded with ctypes.  The flags keep every
 # operation rounding as numpy's does: where the target has a fused
-# multiply-add (aarch64, or x86-64 told to use FMA), gcc would otherwise
-# fuse a multiply and an add into one rounding, and no flag that changes
-# values (-ffast-math, -march=native) is given.  -fno-math-errno only
-# stops sqrt from setting errno, which lets it run as a vector
-# instruction; its results are the same.
+# multiply-add (aarch64, or the x86-64-v4 clone of the ensemble kernel),
+# gcc would otherwise fuse a multiply and an add into one rounding, and
+# none of -ffast-math's parts that change values (reassociation,
+# reciprocals, ignoring signed zeros or non-finite values) is given.  Two
+# of its other parts are:
+#   -fno-math-errno only stops sqrt from setting errno, which lets it run
+#   as a vector instruction.
+#   -fno-trapping-math tells gcc that no floating-point exception traps, so
+#   it may compute both arms of a select and keep one, which the
+#   vectorizer needs to turn the ensemble loop's selects into masks.
+#   Every operation still rounds as before; the exception flags, which
+#   nothing reads, may differ.  It also lets gcc fold (double)(long)x into
+#   trunc(x) where the target has one (the x86-64-v4 clone), which keeps
+#   the sign of a zero result for x in (-1, 0] where the conversion gives
+#   +0.0; the ensemble kernel converts only cells clamped to [0, n - 2]
+#   or -0.0, whose sign copysign sets either way, and _polar.c converts
+#   nothing.
+# -fno-trapping-math would also let gcc compute both arms of a select in
+# scalar code, where the baseline clone's well-predicted branches are
+# faster (one thread: 20.6 to 21.0 against 15.9 to 16.9 ns per
+# particle-step); -fno-if-conversion keeps those branches, and leaves the
+# vectorizer's if-conversion, another pass, alone.
 _SOURCE_DIR = os.path.dirname(__file__)
 _CACHE = os.path.join(_SOURCE_DIR, "__pycache__")
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math",
+           "-fno-if-conversion", "-fPIC", "-shared")
 _polar = None
 _ensemble = None
 _load_lock = threading.Lock()
@@ -320,19 +380,23 @@ def _ensemble_kernel():
 # window is the C function ensemble_window in _ensemble.c.
 
 
-# the fewest particles a shard takes, so a window runs as one shard under
-# 2 * _SHARD_MIN particles.  Measured with the compiled kernel on 2 vCPUs,
-# on the tau_sweep fields (medians of 12 interleaved timings of at least
-# 3 windows each): two shards of _SHARD_MIN ran at 15.8 ns per
-# particle-step against 16.3 ns for one shard with 100 steps a window,
-# and at 23.4 against 20.7 ns with one step; two of 2 * _SHARD_MIN ran at
-# 11.3 against 17.1 ns with 100 steps, 13.5 against 17.0 ns with 10, and
-# 27.0 against 21.0 ns with one.  Doubling _SHARD_MIN would change only
-# windows of 2^15 to 2^16 particles, which no scenario or benchmark runs.
-# The second shard gains only when the scheduler runs the pool thread on
-# the other vCPU: in a single window of 2^16 particles and 100 steps both
-# shards were seen sharing one vCPU, each busy 38 ms of 76 ms
-_SHARD_MIN = 1 << 14
+# the fewest particle-steps (particles times micro steps of the window) a
+# shard takes, so a window of under 2 * _SHARD_MIN particle-steps runs as
+# one shard: a second shard costs a thread hand-off and cold caches once
+# per window, which only enough work outweighs.  Measured with the
+# vectorized kernel on 2 vCPUs, on the tau_sweep fields, in ns per
+# particle-step, one shard against two (medians of 12 to 16 interleaved
+# timings of at least 3 windows each, in three sessions): 1e5 particles
+# with one step a window ran at 8.3 against 9.3, 8.8 against 8.0 and 8.7
+# against 9.7; with 100 steps at 5.9 against 5.2 and 6.5 against 3.8.
+# 2^15 particles with 10 steps ran at 7.1 against 4.3 twice, and with one
+# step at 11.6 against 11.5 and 10.2 against 11.8.  Two shards gained only
+# while the other vCPU was free: in the third session they lost on every
+# window up to 3e5 particle-steps.  The break-even, about 1e5 particle-
+# steps per shard, moves with the host's load; 3 * 2^16 keeps one-step
+# windows of 1e5 particles in one shard, and splits a window of 12 steps
+# from 2^15 particles on
+_SHARD_MIN = 3 << 16
 # the CPUs this process may run on; a window runs at most one shard on each
 _WORKERS = len(os.sched_getaffinity(0))
 _pool = None
@@ -362,10 +426,11 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
     the same n >= 2 grid points.  A bad input raises ShapeError before any
     array is touched.
 
-    The particles are split into contiguous shards [s, e), at most one per
-    usable CPU and none smaller than _SHARD_MIN; the calling thread runs
-    the first and a thread pool the rest, each as one call of the compiled
-    kernel.  A particle's update reads only its own entries of the arrays,
+    The particles are split into contiguous shards [s, e): at most one per
+    usable CPU, per particle, and per _SHARD_MIN particle-steps m * n_sub
+    of the window, and at least one.  The calling thread runs the first
+    and a thread pool the rest, each as one call of the compiled kernel.
+    A particle's update reads only its own entries of the arrays,
     its pid and the step keys, so each shard runs the whole window on its
     slices with no synchronisation, and the result is the same, bit for
     bit, for any number of shards.
@@ -411,7 +476,7 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
         return kernel(*(v[s:].ctypes.data for v in particles), e - s, s,
                       *window)
 
-    shards = max(1, min(_WORKERS, m // _SHARD_MIN))
+    shards = max(1, min(_WORKERS, m, m * n_sub // _SHARD_MIN))
     bounds = [m * i // shards for i in range(shards + 1)]
     futures = [_shard_pool().submit(advance, s, e)
                for s, e in zip(bounds[1:-1], bounds[2:])]

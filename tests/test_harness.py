@@ -181,7 +181,7 @@ def _tau_sweep_at_workers(workers: int, out_dir: Path, monkeypatch):
     try:
         result = run_command("equivariance", {
             "run.scenario": "tau_sweep", "time.T": 0.04,
-            "ensemble.size": 4 * kernels._SHARD_MIN}, str(out_dir))
+            "ensemble.size": 1 << 16}, str(out_dir))
         sharded = kernels._pool is not None
     finally:
         if kernels._pool is not None:

@@ -2,6 +2,8 @@
 sharded ensemble kernel and the compiled batched polar-pair RK4 kernel."""
 import math
 import os
+import platform
+import subprocess
 import sysconfig
 from dataclasses import replace
 
@@ -277,8 +279,11 @@ def workers(request, monkeypatch):
         kernels._pool.shutdown()
 
 
-ENSEMBLE_SIZES = (1, 2 * _SHARD_MIN - 1, 2 * _SHARD_MIN, 2 * _SHARD_MIN + 1,
-                  100_003)
+# the steps of a test window, and the fewest particles whose window of
+# N_SUB steps runs as two shards
+N_SUB = 12
+SPLIT = -(-2 * _SHARD_MIN // N_SUB)
+ENSEMBLE_SIZES = (1, SPLIT - 1, SPLIT, SPLIT + 1, 100_003)
 # (src_kind, mag0, jitter); the last is the lambda-disabled (Bohmian) path,
 # whose scales are signed zeros
 ENSEMBLE_SOURCES = {"binary": (SRC_BINARY, 1.3, 0.0),
@@ -287,33 +292,39 @@ ENSEMBLE_SOURCES = {"binary": (SRC_BINARY, 1.3, 0.0),
                     "disabled": (SRC_BINARY, 0.0, 0.0)}
 
 
-@pytest.mark.parametrize("m", ENSEMBLE_SIZES)
-@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
-def test_sharded_window_equals_the_single_threaded_window_bitwise(workers, m,
-                                                                 source):
-    # rough fields that push particles across the freeze bounds within the
-    # window, with a tenth of the particles already frozen on entry
+def _rough_window(m, source):
+    """A window of m particles with rough fields that push them across the
+    freeze bounds within it, a tenth of them frozen on entry: the particle
+    arrays, the field tables, the other arguments and the keywords."""
     rng = np.random.default_rng(m)
     n = 48
     tables = (3.0 * rng.normal(size=n), 20.0 * rng.normal(size=n),
               rng.normal(size=n))
     state = (rng.uniform(-0.95, 0.95, m), rng.normal(size=m),
              rng.normal(size=m), (rng.uniform(size=m) < 0.1).astype(np.uint8))
-    args = (*tables, -1.0, 2.0 / (n - 1), 1e-2, 12)
+    rest = (-1.0, 2.0 / (n - 1), 1e-2, N_SUB)
     kwargs = dict(step0=30, seed=5, src_kind=ENSEMBLE_SOURCES[source][0],
                   mag0=ENSEMBLE_SOURCES[source][1],
                   jitter=ENSEMBLE_SOURCES[source][2],
                   freeze_lo=-0.9, freeze_hi=0.9)
-    got = [a.copy() for a in state]
-    want = [a.copy() for a in state]
-    run_ensemble_window(*got, *args, **kwargs)
-    _reference_ensemble_window(*want, *args, **kwargs)
+    return state, tables, rest, kwargs
+
+
+@pytest.mark.parametrize("m", ENSEMBLE_SIZES)
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
+def test_sharded_window_equals_the_single_threaded_window_bitwise(workers, m,
+                                                                 source):
+    case = _rough_window(m, source)
+    got = _window(*case)
+    want = _window(*case, run=_reference_ensemble_window)
     for g, w in zip(got, want):
         assert _same_bits(g, w)
-    assert (kernels._pool is not None) == (workers > 1 and m >= 2 * _SHARD_MIN)
+    # a pool is made exactly when the window runs as two or more shards
+    assert (kernels._pool is not None) == (workers > 1
+                                           and m * N_SUB >= 2 * _SHARD_MIN)
     if m == 1:
         return
-    entered, left = np.count_nonzero(state[3]), np.count_nonzero(got[3])
+    entered, left = np.count_nonzero(case[0][3]), np.count_nonzero(got[3])
     assert 0 < entered < left < m
     if source == "disabled":
         moving = got[1][got[3] == 0]
@@ -561,8 +572,10 @@ def test_an_infinite_wall_phase_step_gives_nan_then_a_numerical_error():
 def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache):
     name = kernels.active_backend()
     assert name.startswith("polar and ensemble: C, ")
-    assert name.endswith("; rng: numpy") and "-ffp-contract=off" in name
-    assert sysconfig.get_config_var("CC") in name
+    assert name.endswith(f"; ensemble clone: {kernels._ensemble_clone()}; "
+                         "rng: numpy")
+    cc = sysconfig.get_config_var("CC")
+    assert f"{cc} {' '.join(kernels._CFLAGS)};" in name
     assert not kernel_cache.exists()
     assert kernels._polar is None and kernels._ensemble is None
 
@@ -571,7 +584,7 @@ def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache):
 # compiled ensemble kernel: build, inputs, and positions it cannot place
 
 
-def _ensemble_case(m=2 * _SHARD_MIN + 5, n=48):
+def _ensemble_case(m=SPLIT + 5, n=48):
     """A window's particle arrays, field tables and other arguments: rough
     fields over n points and m particles inside the freeze bounds."""
     rng = np.random.default_rng(3)
@@ -579,7 +592,7 @@ def _ensemble_case(m=2 * _SHARD_MIN + 5, n=48):
              rng.normal(size=m), np.zeros(m, np.uint8)]
     tables = [3.0 * rng.normal(size=n), 20.0 * rng.normal(size=n),
               rng.normal(size=n)]
-    rest = (-1.0, 2.0 / (n - 1), 1e-2, 12)
+    rest = (-1.0, 2.0 / (n - 1), 1e-2, N_SUB)
     kwargs = dict(step0=30, seed=5, src_kind=SRC_SMEARED, mag0=1.3,
                   jitter=0.5, freeze_lo=-0.9, freeze_hi=0.9)
     return state, tables, rest, kwargs
@@ -702,12 +715,12 @@ def test_bad_ensemble_inputs_raise_before_the_kernel_is_reached(monkeypatch,
     assert all(_same_bits(np.array(a), b) for a, b in zip(state, before))
 
 
-def test_a_nan_position_is_a_numerical_error_naming_its_step(workers):
-    # the numpy window indexes its tables at -2**63 for a NaN position
-    # and raises IndexError; the compiled one must not read there.  A NaN
-    # in the last particle's entry fails the window's first step; a NaN
-    # field value makes the particles of its two cells NaN in that step
-    # and fails the next, in whichever shard they are
+def _nan_position_fails():
+    """The numpy window indexes its tables at -2**63 for a NaN position
+    and raises IndexError; the compiled one must not read there.  A NaN
+    in the last particle's entry fails the window's first step; a NaN
+    field value makes the particles of its two cells NaN in that step
+    and fails the next, in whichever shard they are."""
     state, tables, rest, kwargs = _ensemble_case()
     bad = [a.copy() for a in state]
     bad[0][-1] = np.nan
@@ -721,20 +734,29 @@ def test_a_nan_position_is_a_numerical_error_naming_its_step(workers):
         _window(state, nan_field, rest, kwargs)
 
 
-def test_an_infinite_position_is_a_numerical_error(workers):
-    # its cell is infinite, and the kernel takes no non-finite cell
+def test_a_nan_position_is_a_numerical_error_naming_its_step(workers):
+    _nan_position_fails()
+
+
+def _infinite_position_fails():
+    """An infinite position's cell is infinite, and the kernel takes no
+    non-finite cell."""
     state, tables, rest, kwargs = _ensemble_case()
     for q in (np.inf, -np.inf):
         bad = [a.copy() for a in state]
-        bad[0][_SHARD_MIN + 7] = q
+        bad[0][SPLIT // 2 + 7] = q
         with pytest.raises(NumericalError, match="micro step 30 "):
             _window(bad, tables, rest, kwargs)
 
 
-def test_a_frozen_particle_is_never_read(workers):
-    # frozen particles are skipped, so a NaN one is neither an error nor
-    # a change: the window equals the reference with that particle frozen
-    # at a finite position
+def test_an_infinite_position_is_a_numerical_error(workers):
+    _infinite_position_fails()
+
+
+def _frozen_particle_is_discarded():
+    """A frozen particle is computed and its result discarded, so a NaN
+    one is neither an error nor a change: the window equals the reference
+    with that particle frozen at a finite position."""
     state, tables, rest, kwargs = _ensemble_case()
     state[3][::5] = 1
     want = _window(state, tables, rest, kwargs, run=_reference_ensemble_window)
@@ -743,3 +765,106 @@ def test_a_frozen_particle_is_never_read(workers):
     assert np.isnan(got[0][::5]).all()
     got[0][::5] = want[0][::5]
     assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_a_frozen_particle_is_never_read(workers):
+    _frozen_particle_is_discarded()
+
+
+def _minus_zero_cell_floors_to_minus_zero():
+    """At q = -0.0 on a grid from q_min = 0.0 the cell is -0.0, which
+    np.floor keeps, so the weight cell - floor(cell) is +0.0.  A floor of
+    +0.0 would give the weight -0.0, and with -0.0 at the tables' first
+    point the first particle's log-weight would leave the window +0.0."""
+    n = 8
+    tables = [np.array([-0.0] + [1.0] * (n - 1)) for _ in range(3)]
+    state = [np.array([-0.0, 0.0, -0.0]), np.zeros(3), np.full(3, -0.0),
+             np.zeros(3, np.uint8)]
+    rest = (0.0, 1.0, 1e-3, 1)
+    kwargs = dict(step0=0, seed=1, src_kind=SRC_BINARY, mag0=1.0, jitter=0.0,
+                  freeze_lo=-1.0, freeze_hi=1.0)
+    want = _window(state, tables, rest, kwargs, run=_reference_ensemble_window)
+    got = _window(state, tables, rest, kwargs)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    assert np.signbit(got[2]).all()
+
+
+def test_a_minus_zero_cell_floors_to_minus_zero_as_np_floor_does():
+    _minus_zero_cell_floors_to_minus_zero()
+
+
+# ---------------------------------------------------------------------------
+# the baseline clone of the ensemble kernel, which this CPU may not pick
+
+
+@pytest.fixture(scope="module")
+def baseline_kernel(tmp_path_factory):
+    """ensemble_window built from a copy of _ensemble.c without its
+    target_clones line: the body the loader picks on an x86-64 CPU without
+    x86-64-v4, and the one body elsewhere."""
+    src = tmp_path_factory.mktemp("baseline")
+    with open(os.path.join(kernels._SOURCE_DIR, "_ensemble.c")) as fh:
+        lines = fh.readlines()
+    kept = [line for line in lines if "target_clones" not in line]
+    assert len(kept) == len(lines) - 1
+    (src / "_ensemble.c").write_text("".join(kept))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SOURCE_DIR", str(src))
+        mp.setattr(kernels, "_CACHE", str(src / "cache"))
+        mp.setattr(kernels, "_ensemble", None)
+        return kernels._ensemble_kernel()
+
+
+@pytest.fixture
+def baseline(baseline_kernel, monkeypatch):
+    """run_ensemble_window runs the baseline clone."""
+    monkeypatch.setattr(kernels, "_ensemble", baseline_kernel)
+
+
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
+def test_the_baseline_clone_equals_the_reference_bitwise(baseline, source):
+    case = _rough_window(SPLIT + 5, source)
+    got = _window(*case)
+    want = _window(*case, run=_reference_ensemble_window)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    assert 0 < np.count_nonzero(case[0][3]) < np.count_nonzero(got[3])
+
+
+@pytest.mark.parametrize("check", (_nan_position_fails,
+                                   _infinite_position_fails,
+                                   _frozen_particle_is_discarded,
+                                   _minus_zero_cell_floors_to_minus_zero),
+                         ids=lambda f: f.__name__.strip("_"))
+def test_the_baseline_clone_fails_and_discards_as_the_reference(baseline,
+                                                                check):
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the C sources
+
+
+@pytest.mark.parametrize("source", ("_polar.c", "_ensemble.c"))
+def test_the_kernel_sources_compile_without_a_warning(source):
+    proc = subprocess.run(
+        [*kernels._compiler(), "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         os.path.join(kernels._SOURCE_DIR, source)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_ensemble_clone_is_read_from_the_cpu_features(tmp_path,
+                                                         monkeypatch):
+    cpuinfo = tmp_path / "cpuinfo"
+    monkeypatch.setattr(kernels, "_CPUINFO", str(cpuinfo))
+    monkeypatch.setattr(platform, "machine", lambda: "x86_64")
+    v4 = "fpu sse2 avx2 fma avx512f avx512dq avx512cd avx512bw avx512vl"
+    for flags, clone in ((v4, "x86-64-v4"),
+                         (v4.replace(" avx512vl", ""), "default")):
+        cpuinfo.write_text("".join(f"processor\t: {i}\nflags\t\t: {flags}\n\n"
+                                   for i in range(2)))
+        assert kernels._ensemble_clone() == clone
+    cpuinfo.unlink()
+    assert kernels._ensemble_clone() == "unknown"
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    assert kernels._ensemble_clone() == "none"
