@@ -8,8 +8,7 @@ from .errors import (ConfigurationError, NodeError, NumericalError,
 from .lattice import GridSpec, build_grid
 from .hamiltonian import (ClassicalSpec, QuantumOperator,
                           build_naive_ordering, build_quantum_hamiltonian,
-                          hermiticity_defect, make_system, momentum_field,
-                          theta_of_S)
+                          hermiticity_defect, make_system, theta_of_S)
 from .evolution import (WaveState, coherent_state, gaussian_packet,
                         ground_state, propagate_crank_nicolson,
                         propagate_eigen_oracle)
@@ -31,7 +30,7 @@ __all__ = [
     "GridSpec", "build_grid",
     "ClassicalSpec", "QuantumOperator", "make_system",
     "build_quantum_hamiltonian", "build_naive_ordering", "hermiticity_defect",
-    "theta_of_S", "momentum_field",
+    "theta_of_S",
     "WaveState", "gaussian_packet", "coherent_state", "ground_state",
     "propagate_crank_nicolson", "propagate_eigen_oracle",
     "MadelungState", "PhasePair", "to_polar", "from_polar", "pair_from_wave",

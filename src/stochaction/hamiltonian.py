@@ -171,19 +171,6 @@ def theta_of_S(S: np.ndarray, spec: ClassicalSpec, grid: GridSpec) -> np.ndarray
     return gradient(spec.g(pts) * (gradient(S, grid) - spec.A(pts)), grid)
 
 
-def momentum_field(S: np.ndarray, omega: np.ndarray, lam: float,
-                   spec: ClassicalSpec, grid: GridSpec) -> np.ndarray:
-    """p(q) = dS/dq + (lam/2) * (dOmega/dq) / Omega.
-
-    The second piece is the osmotic shift carried by the signed action
-    scale lam; it flips sign with lam while the first piece does not.
-    """
-    S = check_field(S, grid, "action field")
-    omega = check_field(omega, grid, "density field")
-    require_node_free(omega)
-    return gradient(S, grid) + 0.5 * lam * gradient(omega, grid) / omega
-
-
 @dataclass(frozen=True)
 class QuantumOperator:
     """A tridiagonal lattice operator, stored as its three diagonals.

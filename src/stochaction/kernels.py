@@ -1,14 +1,13 @@
-"""Hot loops behind the ensemble and polar-PDE integrators.
+"""Compiled kernels: the counter stream, the ensemble micro-step window
+and the polar-pair RK4 window.
 
-The counter RNG is numpy; bulk draws allocate their work arrays once per
-call and update them in place.  Randomness is counter-based: every
-variate is a pure function of (seed, domain, step, particle, slot)
-through a splitmix64-style finalizer, so results do not depend on
-scheduling or worker count.  Being pure, the hash can be evaluated in any
-partition of the particles: bulk draws run it over fixed blocks of keys,
-whose scratch stays in cache instead of streaming every hash pass over
-the whole array through memory, and the result does not depend on the
-block size.
+Randomness is counter-based: every variate is a pure function of (seed,
+domain, step, particle, slot) through a splitmix64 finalizer, so results
+do not depend on scheduling, block size or worker count.  The hash, the
+folding of the keys and the lambda sources are written once, in
+``_ensemble.c``; counter_uniform and source_lambda_into are bulk fills of
+that library, and the ensemble window hashes its lambda draws with the
+same code.
 
 The ensemble micro-step window and the polar-pair RK4 window are C
 (``_ensemble.c``, ``_polar.c``), compiled on first use.  Numpy versions
@@ -40,11 +39,6 @@ truncates it, which on that range equals floor, and gives a -0.0 cell
 its sign back with copysign, since np.floor keeps it and the sign can
 reach a result through the interpolation weight.
 
-The ensemble kernel hashes its lambda draws itself, with the integer
-operations of counter_uniform, and signs them as source_lambda_into
-does, so the counter hash and the lambda sources are written in C and in
-numpy; the bitwise tests hold the two together.
-
 A window of ensemble micro steps splits the particles into contiguous
 shards, at most one per usable CPU, and runs each shard's steps as one
 call of the compiled kernel on its own slices of the arrays.  Each
@@ -56,6 +50,7 @@ length of each call, so the shards run in parallel.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 
@@ -66,21 +61,6 @@ from .errors import ConfigurationError, NumericalError, ShapeError
 # ---------------------------------------------------------------------------
 # counter-based RNG
 # ---------------------------------------------------------------------------
-
-# splitmix64 finalizer constants plus distinct odd multipliers that spread
-# the key components (seed, domain, step, particle id, slot) over 64 bits
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_SH30 = np.uint64(30)
-_SH27 = np.uint64(27)
-_SH31 = np.uint64(31)
-_SH11 = np.uint64(11)
-_K_SEED = np.uint64(0x9E3779B97F4A7C15)
-_K_DOMAIN = np.uint64(0xD1342543DE82EF95)
-_K_STEP = np.uint64(0xDABA0B6EB09322E3)
-_K_PID = np.uint64(0xC2B2AE3D27D4EB4F)
-_K_SLOT = np.uint64(0x165667B19E3779F9)
-_INV53 = 1.0 / 9007199254740992.0  # 2^-53
 
 # stream domains; every consumer of randomness owns one so streams never
 # collide even under a shared seed
@@ -95,83 +75,37 @@ SRC_SPHERE = 1
 SRC_SMEARED = 2
 
 
-def _mix_into(x, tmp):
-    """SplitMix64 finalizer of the uint64 array x, in place; tmp is
-    scratch of x's shape."""
-    for shift, mult in ((_SH30, _M1), (_SH27, _M2)):
-        np.right_shift(x, shift, out=tmp)
-        x ^= tmp
-        x *= mult
-    np.right_shift(x, _SH31, out=tmp)
-    x ^= tmp
+def _stream_keys(seed, domain, step0, n_steps: int, slot0, n_slots: int):
+    """keys[k, s]: the key of (seed, domain, step0 + k) with the slot
+    slot0 + s folded in, as a (n_steps, n_slots) uint64 array.
 
-
-def _mix(x):
-    x = np.array(x, dtype=np.uint64)
-    _mix_into(x, np.empty_like(x))
-    return x[()]
-
-
-def _base_key(seed: int, domain: int, step):
-    """The key of (seed, domain, step); an array of steps gives the array
-    of their keys."""
-    step = np.asarray(step)
-    if seed < 0 or domain < 0 or np.any(step < 0):
-        raise ConfigurationError("RNG keys (seed, domain, step) must be >= 0")
-    b = _mix(np.uint64(seed) * _K_SEED ^ np.uint64(domain) * _K_DOMAIN)
-    return _mix(b ^ step.astype(np.uint64) * _K_STEP)
-
-
-def _slot_key(base, slot: int):
-    """The key (seed, domain, step) with the slot folded in; xor-ing it into
-    a pid key gives the same bits as xor-ing the components one by one."""
-    return base ^ np.uint64(slot) * _K_SLOT
-
-
-def _uniform_into(pid_keys, key, x, tmp, out):
-    """out = the uniforms of the pid keys (pid * _K_PID) under the folded
-    key; x and tmp are uint64 scratch of out's shape, and x may be pid_keys
-    itself."""
-    np.bitwise_xor(pid_keys, key, out=x)
-    _mix_into(x, tmp)
-    np.right_shift(x, _SH11, out=x)
-    out[...] = x
-    out *= _INV53
-
-
-# keys hashed per block by counter_uniform: the two 512 KiB uint64 scratch
-# blocks and the block of results they fill stay in L2
-_BLOCK = 1 << 16
+    Every component must lie in [0, 2^64); ctypes would silently wrap one
+    outside, so it is refused here.
+    """
+    seed, domain, step0, slot0 = (int(v) for v in (seed, domain, step0, slot0))
+    last = (seed, domain, step0 + max(n_steps - 1, 0),
+            slot0 + max(n_slots - 1, 0))
+    if min(seed, domain, step0, slot0) < 0 or max(last) >= 1 << 64:
+        raise ConfigurationError(
+            "RNG keys (seed, domain, step, slot) must lie in [0, 2^64), got "
+            f"({seed}, {domain}, {step0}, {slot0}) for {n_steps} step(s)")
+    keys = np.empty((n_steps, n_slots), np.uint64)
+    _library("_ensemble.c").counter_keys(seed, domain, step0, n_steps, slot0,
+                                         n_slots, keys.ctypes.data)
+    return keys
 
 
 def counter_uniform(seed: int, domain: int, step: int, pids, slot: int) -> np.ndarray:
     """u in [0, 1) for each pid, a pure function of the five keys.
 
-    The result has the shape of pids (a scalar for a 0-d pid).  The pids
-    are hashed in blocks of _BLOCK keys, which keeps the hash's scratch in
-    cache; each uniform depends on its own keys only, so the result is the
-    same for any block size.
+    The result has the shape of pids (a scalar for a 0-d pid).
     """
-    pids = np.asarray(pids, dtype=np.uint64)
+    pids = np.asarray(pids, dtype=np.uint64, order="C")
+    key = int(_stream_keys(seed, domain, step, 1, slot, 1)[0, 0])
     out = np.empty(pids.shape)
-    flat_pids, flat_out = pids.reshape(-1), out.reshape(-1)
-    size = flat_pids.size
-    m = min(size, _BLOCK)
-    x, tmp = np.empty(m, np.uint64), np.empty(m, np.uint64)
-    with np.errstate(over="ignore"):
-        key = _slot_key(_base_key(seed, domain, step), slot)
-        for start in range(0, size, _BLOCK):
-            stop = min(start + _BLOCK, size)
-            xb, tb = x[:stop - start], tmp[:stop - start]
-            np.multiply(flat_pids[start:stop], _K_PID, out=xb)
-            _uniform_into(xb, key, xb, tb, flat_out[start:stop])
+    _library("_ensemble.c").counter_uniform_fill(key, pids.ctypes.data,
+                                                 pids.size, out.ctypes.data)
     return out[()]
-
-
-# the uniforms are multiples of 2^-53, so none equals 0.5 - 2^-54, and the
-# sign of the difference, which rounding cannot flip, tells u < 0.5 from
-# u >= 0.5
-_HALF_DOWN = 0.5 - 2.0 ** -54
 
 
 def source_lambda_into(src_kind: int, u1, u2, mag0: float, jitter: float, out):
@@ -180,33 +114,31 @@ def source_lambda_into(src_kind: int, u1, u2, mag0: float, jitter: float, out):
     binary: +mag0 where u1 < 0.5, else -mag0.  sphere: the z-coordinate
     2 u1 - 1 of a uniform point on the sphere picks the hemisphere, +mag0
     where z >= 0, which is exactly where u1 >= 0.5.  smeared: the magnitude
-    mag0 + jitter (2 u2 - 1), signed as for binary; u2 (read for this kind
-    only) is overwritten with the magnitude.  The magnitudes must not be
-    negative (mag0 >= 0, jitter <= mag0).  out may be u1 itself.
+    mag0 + jitter (2 u2 - 1), signed as for binary; u2 is read for this
+    kind only, and may be None for the others.  The magnitudes must not be
+    negative (mag0 >= 0, jitter <= mag0).  u1, out and a read u2 must be
+    C-contiguous float64 arrays of one shape; out may be u1 itself.
     """
-    if src_kind == SRC_SPHERE:
-        np.subtract(u1, _HALF_DOWN, out=out)
-    else:
-        np.subtract(_HALF_DOWN, u1, out=out)
-    if src_kind == SRC_SMEARED:
-        u2 *= 2.0
-        u2 -= 1.0
-        u2 *= jitter
-        u2 += mag0
-        np.copysign(u2, out, out=out)
-    else:
-        np.copysign(mag0, out, out=out)
+    u2 = u2 if src_kind == SRC_SMEARED else u1
+    if not all(isinstance(a, np.ndarray) and a.dtype == np.float64
+               and a.flags.c_contiguous and a.shape == u1.shape
+               for a in (u1, u2, out)) or not out.flags.writeable:
+        raise ShapeError("u1, out and a smeared source's u2 must be "
+                         "C-contiguous float64 arrays of one shape")
+    _library("_ensemble.c").source_lambda_fill(
+        int(src_kind), u1.ctypes.data, u2.ctypes.data, u1.size, float(mag0),
+        float(jitter), out.ctypes.data)
 
 
 def active_backend() -> str:
     """Names the kernels, recorded with benchmark runs: the compiled polar
     and ensemble kernels with the compiler and every flag they are built
-    with, the ensemble clone this CPU runs, and numpy for the rng.  Builds
-    nothing."""
+    with, the ensemble clone this CPU runs, and the rng, which the ensemble
+    library holds.  Builds nothing."""
     import sysconfig
     cc = sysconfig.get_config_var("CC") or "no compiler (sysconfig CC empty)"
     return (f"polar and ensemble: C, {cc} {' '.join(_CFLAGS)}; "
-            f"ensemble clone: {_ensemble_clone()}; rng: numpy")
+            f"ensemble clone: {_ensemble_clone()}; rng: C")
 
 
 # the CPU features of x86-64-v4 beyond x86-64-v3, as /proc/cpuinfo names
@@ -240,8 +172,8 @@ def _ensemble_clone() -> str:
 # ---------------------------------------------------------------------------
 # compiled kernels
 # ---------------------------------------------------------------------------
-# Each kernel is a C file of the package, compiled on its first call, not
-# at import, with the C compiler the Python build names (sysconfig CC),
+# Each library is a C file of the package, compiled on its first call,
+# not at import, with the C compiler the Python build names (sysconfig CC),
 # into the package's __pycache__ under a name that hashes the source, the
 # compiler and the flags, and loaded with ctypes.  The flags keep every
 # operation rounding as numpy's does: where the target has a fused
@@ -271,8 +203,22 @@ _SOURCE_DIR = os.path.dirname(__file__)
 _CACHE = os.path.join(_SOURCE_DIR, "__pycache__")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math",
            "-fno-if-conversion", "-fPIC", "-shared")
-_polar = None
-_ensemble = None
+_P, _N = ctypes.c_void_p, ctypes.c_long
+_R, _U = ctypes.c_double, ctypes.c_uint64
+# the functions of each library: the return type, then the argument types
+_SIGNATURES = {
+    "_polar.c": {
+        "polar_rk4_window": (ctypes.c_int, _P, _N, _N, _P, _P, _P, _P, _R, _R,
+                             _N, _R)},
+    "_ensemble.c": {
+        "ensemble_window": (_N, _P, _P, _P, _P, _N, _N, _P, _P, _P, _N, _R,
+                            _R, _R, _P, _N, _N, _R, _R, _R, _R),
+        "counter_keys": (None, _U, _U, _U, _N, _U, _N, _P),
+        "counter_uniform_fill": (None, _U, _P, _N, _P),
+        "source_lambda_fill": (None, _N, _P, _P, _N, _R, _R, _P)},
+}
+# the loaded libraries, by source
+_libraries = {}
 _load_lock = threading.Lock()
 
 
@@ -335,35 +281,18 @@ def _build(source: str, cache_dir: str) -> str:
     return path
 
 
-def _polar_kernel():
-    """polar_rk4_window from the compiled library, built on first use."""
-    global _polar
+def _library(source: str):
+    """The library of the package's C file source, built on first use, with
+    its functions typed as _SIGNATURES lists them."""
     with _load_lock:
-        if _polar is None:
-            import ctypes
-            fn = ctypes.CDLL(_build("_polar.c", _CACHE)).polar_rk4_window
-            ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-            fn.argtypes = (ptr, size, size, ptr, ptr, ptr, ptr, real, real,
-                           size, real)
-            fn.restype = ctypes.c_int
-            _polar = fn
-        return _polar
-
-
-def _ensemble_kernel():
-    """ensemble_window from the compiled library, built on first use."""
-    global _ensemble
-    with _load_lock:
-        if _ensemble is None:
-            import ctypes
-            fn = ctypes.CDLL(_build("_ensemble.c", _CACHE)).ensemble_window
-            ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-            fn.argtypes = (ptr, ptr, ptr, ptr, size, size, ptr, ptr, ptr,
-                           size, real, real, real, ptr, size, size, real,
-                           real, real, real)
-            fn.restype = ctypes.c_long
-            _ensemble = fn
-        return _ensemble
+        lib = _libraries.get(source)
+        if lib is None:
+            lib = ctypes.CDLL(_build(source, _CACHE))
+            for name, (restype, *argtypes) in _SIGNATURES[source].items():
+                fn = getattr(lib, name)
+                fn.restype, fn.argtypes = restype, argtypes
+            _libraries[source] = lib
+        return lib
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +392,8 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
     n_sub, step0, seed = int(n_sub), int(step0), int(seed)
     if n_sub < 0:
         raise ConfigurationError(f"n_sub must be >= 0, got {n_sub}")
-    kernel = _ensemble_kernel()
-    with np.errstate(over="ignore"):
-        base = _base_key(seed, DOMAIN_LAMBDA, step0 + np.arange(n_sub))
-        keys = np.stack([_slot_key(base, 0), _slot_key(base, 1)], axis=1)
+    keys = _stream_keys(seed, DOMAIN_LAMBDA, step0, n_sub, 0, 2)
+    kernel = _library("_ensemble.c").ensemble_window
     window = (*(t.ctypes.data for t in tables), n, float(q_min), float(dq),
               float(dt), keys.ctypes.data, n_sub, int(src_kind), float(mag0),
               float(jitter), float(freeze_lo), float(freeze_hi))
@@ -549,8 +476,8 @@ def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):
     n_steps = int(n_steps)
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
-    status = _polar_kernel()(y.ctypes.data, nb, n,
-                             *(t.ctypes.data for t in tables), float(dq),
-                             float(dt), n_steps, float(lam_abs))
+    status = _library("_polar.c").polar_rk4_window(
+        y.ctypes.data, nb, n, *(t.ctypes.data for t in tables), float(dq),
+        float(dt), n_steps, float(lam_abs))
     if status != 0:
         raise MemoryError("the polar kernel could not allocate its scratch")

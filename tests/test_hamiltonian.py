@@ -1,5 +1,5 @@
-"""Classical system presets, the S-divergence, the signed momentum field,
-and the symmetrically ordered quantum Hamiltonian."""
+"""Classical system presets, the S-divergence and the symmetrically
+ordered quantum Hamiltonian."""
 import numpy as np
 import pytest
 
@@ -7,9 +7,9 @@ from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.hamiltonian import (ClassicalSpec, build_naive_ordering,
                                      build_quantum_hamiltonian,
                                      classical_velocity, hermiticity_defect,
-                                     make_system, momentum_field,
-                                     require_wave_node_free, theta_of_S)
-from stochaction.lattice import build_grid, gradient
+                                     make_system, require_wave_node_free,
+                                     theta_of_S)
+from stochaction.lattice import build_grid
 
 
 # ---------------------------------------------------------------------------
@@ -82,50 +82,6 @@ def test_theta_rejects_mismatched_shape():
     grid = build_grid(64, -1.0, 1.0)
     with pytest.raises(ShapeError):
         theta_of_S(np.zeros(63), make_system("free"), grid)
-
-
-# ---------------------------------------------------------------------------
-# signed momentum field
-
-
-def test_momentum_field_reduces_to_grad_S_for_flat_density():
-    grid = build_grid(128, -4.0, 4.0)
-    spec = make_system("free")
-    S = np.sin(grid.points())
-    p = momentum_field(S, np.full(grid.n, 0.8), 1.0, spec, grid)
-    assert np.max(np.abs(p - gradient(S, grid))) < 1e-13
-
-
-def test_momentum_field_of_gaussian_density():
-    # flat S, unit-width Gaussian density, lambda = 1: the field is the
-    # half log-derivative -q/2; checked on the core where the finite
-    # difference is second-order accurate (measured 2.7e-4 at dq = 0.04)
-    grid = build_grid(251, -5.0, 5.0)
-    spec = make_system("free")
-    q = grid.points()
-    p = momentum_field(np.zeros(grid.n), np.exp(-q ** 2 / 2.0), 1.0, spec, grid)
-    core = np.abs(q) <= 2.0
-    assert np.max(np.abs(p + q / 2.0)[core]) < 1e-3
-
-
-def test_momentum_field_is_antisymmetric_in_lambda():
-    grid = build_grid(251, -5.0, 5.0)
-    spec = make_system("free")
-    q = grid.points()
-    S = 0.3 * q
-    Om = np.exp(-q ** 2 / 2.0)
-    p_plus = momentum_field(S, Om, 1.0, spec, grid)
-    p_minus = momentum_field(S, Om, -1.0, spec, grid)
-    assert np.max(np.abs(p_plus + p_minus - 2.0 * gradient(S, grid))) < 1e-14
-
-
-def test_momentum_field_rejects_density_with_deep_nodes():
-    grid = build_grid(321, -8.0, 8.0)
-    spec = make_system("free")
-    q = grid.points()
-    Om = np.exp(-q ** 2 / 2.0)   # wall-to-peak ratio e^{-32}, under the floor
-    with pytest.raises(NodeError):
-        momentum_field(np.zeros(grid.n), Om, 1.0, spec, grid)
 
 
 def test_wave_node_guard_sees_phase_winds_between_samples():

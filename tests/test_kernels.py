@@ -14,10 +14,9 @@ from stochaction import kernels
 from stochaction.errors import ConfigurationError, NumericalError, ShapeError
 from stochaction.evolution import gaussian_packet
 from stochaction.hamiltonian import make_system
-from stochaction.kernels import (_BLOCK, _K_PID, _SHARD_MIN, DOMAIN_DEVIATION,
-                                 DOMAIN_LAMBDA, DOMAIN_SOURCE, SRC_BINARY,
-                                 SRC_SMEARED, SRC_SPHERE, _base_key,
-                                 _slot_key, _uniform_into, counter_uniform,
+from stochaction.kernels import (_SHARD_MIN, DOMAIN_DEVIATION, DOMAIN_LAMBDA,
+                                 DOMAIN_SOURCE, SRC_BINARY, SRC_SMEARED,
+                                 SRC_SPHERE, counter_uniform,
                                  run_ensemble_window, run_madelung_window,
                                  source_lambda_into)
 from stochaction.lattice import (build_grid, gradient_uniform,
@@ -67,6 +66,37 @@ def test_counter_uniform_rejects_negative_keys():
         counter_uniform(7, -2, 13, pids, 0)
     with pytest.raises(ConfigurationError):
         counter_uniform(7, 2, -13, pids, 0)
+    with pytest.raises(ConfigurationError):
+        counter_uniform(7, 2, 13, pids, -1)
+
+
+def test_rng_keys_of_2_to_the_64_or_more_are_refused():
+    # ctypes would pass 2^64 + 5 on as 5, without an error
+    top = 1 << 64
+    for seed, domain, step, slot in ((top, 2, 13, 0), (7, top, 13, 0),
+                                     (7, 2, top, 0), (7, 2, 13, top),
+                                     (top + 5, 2, 13, 0)):
+        with pytest.raises(ConfigurationError, match="2\\^64"):
+            counter_uniform(seed, domain, step, pids, slot)
+    last = top - 1
+    assert _same_bits(counter_uniform(last, last, last, pids, last),
+                      _reference_uniform(last, last, last, pids, last))
+
+
+def test_the_window_refuses_a_seed_or_step_outside_64_bits():
+    # the keys of the last step, step0 + n_sub - 1, must fit too
+    top, last = 1 << 64, (1 << 64) - 1
+    state, tables, rest, kwargs = _ensemble_case(m=64)
+    for bad in (dict(seed=top), dict(seed=-1), dict(step0=-1),
+                dict(step0=top - N_SUB + 1)):
+        out = [a.copy() for a in state]
+        with pytest.raises(ConfigurationError):
+            run_ensemble_window(*out, *tables, *rest, **{**kwargs, **bad})
+        assert all(_same_bits(a, b) for a, b in zip(out, state))
+    edge = {**kwargs, "seed": last, "step0": top - N_SUB}
+    assert all(_same_bits(g, w) for g, w in zip(
+        _window(state, tables, rest, edge),
+        _window(state, tables, rest, edge, run=_reference_ensemble_window)))
 
 
 def test_counter_uniform_reproduces_pinned_values():
@@ -78,9 +108,10 @@ def test_counter_uniform_reproduces_pinned_values():
         == ["0x1.b1d410485a888p-1", "0x1.1b6c2b8401b23p-1"]
 
 
-# The streams written out in one shot: every key hashed at once, over the
-# whole array, with the splitmix64 finalizer and the key multipliers as
-# literals.  The kernel hashes in blocks; these pin it to the same bits.
+# The streams written out in one shot in numpy: every key hashed at once,
+# over the whole array, with the splitmix64 finalizer and the key
+# multipliers as literals.  These pin the compiled counter stream of
+# _ensemble.c to the same bits.
 
 def _splitmix(x):
     x = x ^ (x >> np.uint64(30))
@@ -101,17 +132,24 @@ def _reference_uniform(seed, domain, step, pids, slot):
         return (x >> u64(11)).astype(np.float64) * 2.0 ** -53
 
 
+def _reference_source(kind, u1, u2, mag0, jitter):
+    """The signed scales of a lambda source of its uniforms: the sphere's
+    hemisphere is the sign of z = 2 u1 - 1, the others' the side of one
+    half, and the smeared magnitude is mag0 + jitter (2 u2 - 1)."""
+    if kind == SRC_SPHERE:
+        positive = 2.0 * u1 - 1.0 >= 0.0
+    else:
+        positive = u1 < 0.5
+    mag = mag0 + jitter * (2.0 * u2 - 1.0) if kind == SRC_SMEARED else mag0
+    return np.where(positive, mag, -mag)
+
+
 def _reference_lambda(source, n, step, domain=DOMAIN_SOURCE):
     pids = np.arange(n, dtype=np.uint64)
-    u1 = _reference_uniform(source.seed, domain, step, pids, 0)
-    if source.kind == "binary":
-        return np.where(u1 < 0.5, source.hbar, -source.hbar)
-    if source.kind == "sphere":
-        z = 2.0 * u1 - 1.0
-        return np.where(z >= 0.0, source.hbar, -source.hbar)
-    u2 = _reference_uniform(source.seed, domain, step, pids, 1)
-    mag = source.hbar + source.width * math.sqrt(3.0) * (2.0 * u2 - 1.0)
-    return np.where(u1 < 0.5, mag, -mag)
+    u1, u2 = (_reference_uniform(source.seed, domain, step, pids, slot)
+              for slot in (0, 1))
+    return _reference_source(source.kind_index, u1, u2, source.hbar,
+                             source.width * math.sqrt(3.0))
 
 
 def _reference_deviation(lam, n, seed, step):
@@ -126,7 +164,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17)
+SIZES = (1, 65535, 65536, 65537, 196625)
 SOURCES = (LambdaSource("binary", 1.3, seed=9),
            LambdaSource("sphere", 0.7, seed=9),
            LambdaSource("smeared", 1.3, width=0.3, seed=9))
@@ -134,6 +172,7 @@ SOURCES = (LambdaSource("binary", 1.3, seed=9),
 
 @pytest.mark.parametrize("size", SIZES)
 def test_blocked_counter_uniform_equals_the_one_shot_hash_bitwise(size):
+    # sizes about the 2^16-key blocks the numpy hash once ran in
     for p in (np.arange(size, dtype=np.uint64), np.arange(size) + 1):
         got = counter_uniform(7, 2, 13, p, 1)
         want = _reference_uniform(7, 2, 13, p, 1)
@@ -154,7 +193,7 @@ def test_counter_uniform_keeps_the_shape_of_its_pids():
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.kind)
 def test_sample_lambda_equals_the_written_out_sources_bitwise(source):
-    for size in (1, 3 * _BLOCK + 17):
+    for size in (1, 196625):
         assert _same_bits(sample_lambda(source, size, step=4),
                               _reference_lambda(source, size, 4))
     assert sample_lambda(source, step=4) == _reference_lambda(source, 1, 4)[0]
@@ -166,18 +205,34 @@ def test_source_lambda_splits_the_uniforms_exactly_at_one_half(kind):
     u1 = np.array([0.0, 0.25, 0.5 - eps, 0.5, 0.5 + eps, 0.75, 1.0 - eps])
     u2 = np.linspace(0.0, 1.0 - eps, u1.size)
     for mag0, jitter in ((1.3, 0.4), (0.0, 0.0)):
-        if kind == SRC_SPHERE:
-            positive = 2.0 * u1 - 1.0 >= 0.0
-        else:
-            positive = u1 < 0.5
-        mag = mag0 + jitter * (2.0 * u2 - 1.0) if kind == SRC_SMEARED else mag0
         out = np.empty_like(u1)
         source_lambda_into(kind, u1, u2.copy(), mag0, jitter, out)
-        assert _same_bits(out, np.where(positive, mag, -mag))
+        assert _same_bits(out, _reference_source(kind, u1, u2, mag0, jitter))
+
+
+def _bad_source_inputs():
+    u = np.linspace(0.0, 0.9, 8)
+    read_only = np.empty(8)
+    read_only.flags.writeable = False
+    return {
+        "float32 u1": (SRC_BINARY, u.astype(np.float32), None, np.empty(8)),
+        "strided u1": (SRC_BINARY, np.repeat(u, 2)[::2], None, np.empty(8)),
+        "short out": (SRC_SPHERE, u, None, np.empty(7)),
+        "read-only out": (SRC_BINARY, u, None, read_only),
+        "smeared without u2": (SRC_SMEARED, u, None, np.empty(8)),
+        "short u2": (SRC_SMEARED, u, u[:-1].copy(), np.empty(8)),
+    }
+
+
+@pytest.mark.parametrize("case", _bad_source_inputs())
+def test_source_lambda_refuses_arrays_the_fill_cannot_take(case):
+    kind, u1, u2, out = _bad_source_inputs()[case]
+    with pytest.raises(ShapeError):
+        source_lambda_into(kind, u1, u2, 1.3, 0.4, out)
 
 
 def test_sample_action_deviation_equals_the_written_out_law_bitwise():
-    size = 3 * _BLOCK + 17
+    size = 196625
     lam = sample_lambda(SOURCES[2], size)
     assert _same_bits(sample_action_deviation(lam, seed=5, step=2),
                           _reference_deviation(lam, size, 5, 2))
@@ -193,7 +248,7 @@ def test_sample_action_deviation_equals_the_written_out_law_bitwise():
 def test_ensemble_draws_the_written_out_sources_bitwise(source):
     # one micro step with zero fields: every particle stays put and takes
     # the scale drawn for it from the ensemble's own stream
-    m, n = _BLOCK + 3, 16
+    m, n = 65539, 16
     qs = np.zeros(m)
     lams, logws, frozen = np.zeros(m), np.zeros(m), np.zeros(m, np.uint8)
     zero = np.zeros(n)
@@ -217,9 +272,8 @@ def _reference_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min,
     particles in one set of arrays."""
     n = vb.shape[0]
     m = qs.shape[0]
-    pid_keys = np.arange(m, dtype=np.uint64) * _K_PID
-    x, tmp = np.empty(m, np.uint64), np.empty(m, np.uint64)
-    u1, u2, cell, w, a, b, c = (np.empty(m) for _ in range(7))
+    pids = np.arange(m, dtype=np.uint64)
+    cell, w, a, b, c = (np.empty(m) for _ in range(5))
     j, j1 = np.empty(m, np.int64), np.empty(m, np.int64)
     active, out, mask = (np.empty(m, bool) for _ in range(3))
 
@@ -234,12 +288,10 @@ def _reference_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min,
         for k in range(n_sub):
             gstep = step0 + k
             np.equal(frozen, 0, out=active)
-            base = _base_key(seed, DOMAIN_LAMBDA, gstep)
-            _uniform_into(pid_keys, _slot_key(base, 0), x, tmp, u1)
-            if src_kind == SRC_SMEARED:
-                _uniform_into(pid_keys, _slot_key(base, 1), x, tmp, u2)
-            source_lambda_into(src_kind, u1, u2, mag0, jitter, a)
-            np.copyto(lams, a, where=active)
+            u1, u2 = (_reference_uniform(seed, DOMAIN_LAMBDA, gstep, pids, slot)
+                      for slot in (0, 1))
+            np.copyto(lams, _reference_source(src_kind, u1, u2, mag0, jitter),
+                      where=active)
 
             np.subtract(qs, q_min, out=cell)
             cell /= dq
@@ -478,8 +530,7 @@ def kernel_cache(tmp_path, monkeypatch):
     kernel builds it."""
     cache = tmp_path / "cache"
     monkeypatch.setattr(kernels, "_CACHE", str(cache))
-    monkeypatch.setattr(kernels, "_polar", None)
-    monkeypatch.setattr(kernels, "_ensemble", None)
+    monkeypatch.setattr(kernels, "_libraries", {})
     return cache
 
 
@@ -493,7 +544,7 @@ def test_a_cold_build_loads_and_equals_the_reference_bitwise(kernel_cache):
     _assert_matches_reference(y, out, tables, grid.dq, 5e-4, 10, 1.0)
     # a fresh process finds the build in the cache and compiles nothing
     stamp = os.stat(kernel_cache / built[0]).st_mtime_ns
-    kernels._polar = None
+    kernels._libraries.clear()
     assert _same_bits(_run(y, grid, tables, n_steps=10), out)
     assert os.listdir(kernel_cache) == built
     assert os.stat(kernel_cache / built[0]).st_mtime_ns == stamp
@@ -511,8 +562,14 @@ def test_a_missing_compiler_raises_and_leaves_no_numpy_path(kernel_cache,
                        match=cc or "names no C compiler"):
         run_madelung_window(y, *tables, grid.dq, 5e-4, 10, 1.0)
     assert _same_bits(y, before)
+    # a counter draw has no numpy path either
+    for draw in (lambda: counter_uniform(7, 2, 13, pids, 0),
+                 lambda: sample_lambda(SOURCES[2], 10)):
+        with pytest.raises(ConfigurationError,
+                           match=cc or "names no C compiler"):
+            draw()
     assert not kernel_cache.exists() or os.listdir(kernel_cache) == []
-    assert kernels._polar is None
+    assert kernels._libraries == {}
 
 
 def _bad_inputs():
@@ -536,9 +593,9 @@ def _bad_inputs():
 
 @pytest.mark.parametrize("case", _bad_inputs())
 def test_bad_inputs_raise_before_the_kernel_is_reached(monkeypatch, case):
-    def unreachable():
+    def unreachable(source):
         raise AssertionError("the compiled kernel was reached")
-    monkeypatch.setattr(kernels, "_polar_kernel", unreachable)
+    monkeypatch.setattr(kernels, "_library", unreachable)
     y, tables = _bad_inputs()[case]
     with pytest.raises(ShapeError):
         run_madelung_window(y, *tables, 0.1, 5e-4, 1, 1.0)
@@ -573,11 +630,11 @@ def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache):
     name = kernels.active_backend()
     assert name.startswith("polar and ensemble: C, ")
     assert name.endswith(f"; ensemble clone: {kernels._ensemble_clone()}; "
-                         "rng: numpy")
+                         "rng: C")
     cc = sysconfig.get_config_var("CC")
     assert f"{cc} {' '.join(kernels._CFLAGS)};" in name
     assert not kernel_cache.exists()
-    assert kernels._polar is None and kernels._ensemble is None
+    assert kernels._libraries == {}
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +678,7 @@ def test_the_compiled_source_splits_the_uniforms_exactly_at_one_half(kind):
     # on one half once in 2^53 draws; step keys made with the inverse
     # finalizer give particle 0 the uniforms u1 (slot 0) and u2 (slot 1)
     eps = 2.0 ** -53
-    kernel = kernels._ensemble_kernel()
+    kernel = kernels._library("_ensemble.c").ensemble_window
     zero = np.zeros(4)
     for u1 in (0.0, 0.25, 0.5 - eps, 0.5, 0.5 + eps, 1.0 - eps):
         u2 = 0.75
@@ -633,10 +690,8 @@ def test_the_compiled_source_splits_the_uniforms_exactly_at_one_half(kind):
         kernel(*(a.ctypes.data for a in state), 1, 0,
                *(zero.ctypes.data for _ in range(3)), 4, -1.0, 2.0 / 3.0,
                1e-3, keys.ctypes.data, 1, kind, 1.3, 0.4, -0.9, 0.9)
-        want = np.empty(1)
-        source_lambda_into(kind, np.array([u1]), np.array([u2]), 1.3, 0.4,
-                           want)
-        assert _same_bits(state[1], want)
+        assert _same_bits(state[1], _reference_source(
+            kind, np.array([u1]), np.array([u2]), 1.3, 0.4))
 
 
 def test_a_cold_build_of_the_ensemble_kernel_sits_beside_the_polar_one(
@@ -653,7 +708,7 @@ def test_a_cold_build_of_the_ensemble_kernel_sits_beside_the_polar_one(
     assert all(_same_bits(g, w) for g, w in zip(got, want))
     # a fresh process loads the build in the cache and compiles nothing
     stamp = os.stat(kernel_cache / built[0]).st_mtime_ns
-    kernels._ensemble = None
+    del kernels._libraries["_ensemble.c"]
     assert all(_same_bits(g, w) for g, w in zip(_window(*case), want))
     assert sorted(os.listdir(kernel_cache)) == built
     assert os.stat(kernel_cache / built[0]).st_mtime_ns == stamp
@@ -672,7 +727,7 @@ def test_a_missing_compiler_leaves_the_ensemble_untouched(kernel_cache,
         run_ensemble_window(*state, *tables, *rest, **kwargs)
     assert all(_same_bits(a, b) for a, b in zip(state, before))
     assert not kernel_cache.exists() or os.listdir(kernel_cache) == []
-    assert kernels._ensemble is None
+    assert kernels._libraries == {}
 
 
 def _bad_ensemble_inputs():
@@ -704,9 +759,9 @@ def _bad_ensemble_inputs():
 @pytest.mark.parametrize("case", _bad_ensemble_inputs())
 def test_bad_ensemble_inputs_raise_before_the_kernel_is_reached(monkeypatch,
                                                                 case):
-    def unreachable():
+    def unreachable(source):
         raise AssertionError("the compiled kernel was reached")
-    monkeypatch.setattr(kernels, "_ensemble_kernel", unreachable)
+    monkeypatch.setattr(kernels, "_library", unreachable)
     state, tables = _bad_ensemble_inputs()[case]
     before = [np.array(a) for a in state]
     _, _, rest, kwargs = _ensemble_case(m=64)
@@ -798,8 +853,8 @@ def test_a_minus_zero_cell_floors_to_minus_zero_as_np_floor_does():
 
 
 @pytest.fixture(scope="module")
-def baseline_kernel(tmp_path_factory):
-    """ensemble_window built from a copy of _ensemble.c without its
+def baseline_library(tmp_path_factory):
+    """The ensemble library built from a copy of _ensemble.c without its
     target_clones line: the body the loader picks on an x86-64 CPU without
     x86-64-v4, and the one body elsewhere."""
     src = tmp_path_factory.mktemp("baseline")
@@ -811,14 +866,14 @@ def baseline_kernel(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_SOURCE_DIR", str(src))
         mp.setattr(kernels, "_CACHE", str(src / "cache"))
-        mp.setattr(kernels, "_ensemble", None)
-        return kernels._ensemble_kernel()
+        mp.setattr(kernels, "_libraries", {})
+        return kernels._library("_ensemble.c")
 
 
 @pytest.fixture
-def baseline(baseline_kernel, monkeypatch):
+def baseline(baseline_library, monkeypatch):
     """run_ensemble_window runs the baseline clone."""
-    monkeypatch.setattr(kernels, "_ensemble", baseline_kernel)
+    monkeypatch.setitem(kernels._libraries, "_ensemble.c", baseline_library)
 
 
 @pytest.mark.parametrize("source", ENSEMBLE_SOURCES)

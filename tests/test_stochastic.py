@@ -7,7 +7,6 @@ from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.evolution import (coherent_state, gaussian_packet,
                                    propagate_crank_nicolson, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
-from stochaction.kernels import _BLOCK
 from stochaction.lattice import build_grid, gradient
 from stochaction.classical import PhasePoint, action_of_path, integrate_path
 from stochaction import stochastic
@@ -110,7 +109,7 @@ def test_deviation_rejects_zero_scale():
 
 def test_scalar_scale_with_n_equals_an_array_of_copies_bitwise():
     # the harness passes lam and n rather than n copies of lam
-    n = 2 * _BLOCK + 5
+    n = 131077
     for lam in (0.5, -2.0):
         a = sample_action_deviation(lam, n, seed=36, step=1)
         b = sample_action_deviation(np.full(n, lam), seed=36, step=1)
@@ -218,17 +217,27 @@ def test_microscopic_velocity_with_flat_density_is_classical():
     S = 0.6 * grid.points()
     v = microscopic_velocity(0.5, S, np.full(grid.n, 0.25), 1.0, spec, grid)
     assert v == pytest.approx(0.3, abs=1e-12)
+    # on every grid point, a curved S and lam = 1: g dS/dq, g = 1/2
+    q = grid.points()
+    S = np.sin(q)
+    v = microscopic_velocity(q, S, np.full(grid.n, 0.8), 1.0, spec, grid)
+    assert np.max(np.abs(v - 0.5 * gradient(S, grid))) < 1e-13
 
 
 def test_microscopic_velocity_of_gaussian_density():
-    # flat S, unit Gaussian density, lam = 1: the osmotic part gives
-    # -q/2 -> -0.5 at q = 1 (measured error 2.7e-4 at dq = 0.04)
+    # flat S, unit Gaussian density, lam = 1: the osmotic part is the half
+    # log-derivative -q/2, -0.5 at q = 1; checked on the grid points of the
+    # core, where the finite difference is second-order accurate (measured
+    # 2.7e-4 at dq = 0.04)
     grid = build_grid(251, -5.0, 5.0)
     spec = make_system("free")
     q = grid.points()
-    v = microscopic_velocity(1.0, np.zeros(grid.n), np.exp(-q ** 2 / 2.0),
-                             1.0, spec, grid)
+    Om = np.exp(-q ** 2 / 2.0)
+    v = microscopic_velocity(1.0, np.zeros(grid.n), Om, 1.0, spec, grid)
     assert v == pytest.approx(-0.5, abs=1e-3)
+    core = q[np.abs(q) <= 2.0]
+    v = microscopic_velocity(core, np.zeros(grid.n), Om, 1.0, spec, grid)
+    assert np.max(np.abs(v + core / 2.0)) < 1e-3
 
 
 def test_signed_velocity_average_is_the_guidance_field():
@@ -237,7 +246,8 @@ def test_signed_velocity_average_is_the_guidance_field():
     q = grid.points()
     S = np.sin(q)
     Om = np.exp(-q ** 2 / 2.0)
-    probes = np.array([-1.5, -0.25, 0.0, 0.8, 1.9])
+    # between grid points and on every one of them
+    probes = np.concatenate([[-1.5, -0.25, 0.0, 0.8, 1.9], q])
     v_plus = microscopic_velocity(probes, S, Om, 1.0, spec, grid)
     v_minus = microscopic_velocity(probes, S, Om, -1.0, spec, grid)
     from stochaction.lattice import interp_linear
