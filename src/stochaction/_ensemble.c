@@ -1,14 +1,22 @@
-/* The counter stream and the micro-step window of the guided ensemble;
- * see kernels.py.
+/* The counter stream, the reducer of the sample scenarios and the
+ * micro-step window of the guided ensemble; see kernels.py.
  *
  * Every random variate of the package is a pure function of (seed,
  * domain, step, pid, slot): counter_keys folds (seed, domain, step, slot)
  * into one key per step and slot with the splitmix64 finalizer mix, and
- * uniform hashes a pid's key under it.  counter_uniform_fill and
- * source_lambda_fill are the bulk draws of kernels.counter_uniform and
- * kernels.source_lambda_into; ensemble_window hashes its own lambda draws
- * with the same uniform and source_lambda.  The hash is integer
- * arithmetic, and its top 53 bits convert to a double exactly.
+ * uniform hashes a pid's key under it.  counter_uniform_fill draws the
+ * uniforms of a pid array (kernels.counter_uniform); uniform_range and
+ * lambda_range draw those of pids 0 .. n - 1 with no pid array
+ * (kernels.uniform_range and kernels.lambda_range), lambda_range signing
+ * its scales with draw_lambda as ensemble_window signs its own.  The hash
+ * is integer arithmetic, and its top 53 bits convert to a double exactly.
+ *
+ * sample_stats reduces a sample in two passes over it, to numpy's bits:
+ * its sum and the sum of its squared deviations from the mean in numpy's
+ * pairwise order, a histogram, threshold and sign counts, and a maximum;
+ * see kernels.sample_stats.  The action deviation's log1p is left to
+ * numpy: its SIMD log1p and libm's differ in the last bit on some inputs,
+ * so a C log1p would change the deviations.
  *
  * Every floating-point value of the window is computed with the IEEE
  * operations, in the order, that the numpy transcription in
@@ -55,6 +63,23 @@ enum { SRC_BINARY, SRC_SPHERE, SRC_SMEARED };
  * u < 0.5 from u >= 0.5 */
 #define HALF_DOWN 0x1.fffffffffffffp-2
 
+/* On x86-64, gcc (12 on, which takes an architecture level as a clone)
+ * compiles each CLONED function twice: for x86-64-v4, whose AVX-512
+ * vectors hold 8 doubles and multiply and convert int64, and for the
+ * baseline every x86-64 CPU runs.  The library picks the clones when it
+ * is loaded, from the CPU's features.  Both clones do the same integer
+ * and IEEE operations, so they give the same bits.  The draws and the
+ * window are cloned; the reducer is not: with its leaves of at most 128
+ * values cloned, every statistic of 1e7 values took 108 ms against 90 ms
+ * for the baseline body (best of 15). */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && __GNUC__ >= 12
+#define CLONED __attribute__((target_clones("arch=x86-64-v4", "default")))
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
+
 /* the splitmix64 finalizer */
 static inline uint64_t mix(uint64_t x)
 {
@@ -87,34 +112,210 @@ void counter_keys(uint64_t seed, uint64_t domain, uint64_t step0,
 }
 
 /* out[i] = the uniform of pids[i] under a key of counter_keys */
-void counter_uniform_fill(uint64_t key, const uint64_t *restrict pids,
-                          long n, double *restrict out)
+CLONED void counter_uniform_fill(uint64_t key,
+                                 const uint64_t *restrict pids, long n,
+                                 double *restrict out)
 {
     for (long i = 0; i < n; i++)
         out[i] = uniform(pids[i] * K_PID ^ key);
 }
 
-/* The signed action scale of a lambda source from its uniforms.  binary:
- * +mag0 where u1 < 0.5, else -mag0.  sphere: the z-coordinate 2 u1 - 1
- * of a uniform point on the sphere picks the hemisphere, +mag0 where
- * z >= 0, which is exactly where u1 >= 0.5.  smeared: the magnitude
- * mag0 + jitter (2 u2 - 1), signed as for binary; u2 is read for this
- * kind only. */
-static inline double source_lambda(long kind, double u1, double u2,
-                                   double mag0, double jitter)
+/* out[i] = the uniform of pid i under a key of counter_keys */
+CLONED void uniform_range(uint64_t key, long n, double *out)
 {
+    for (long i = 0; i < n; i++)
+        out[i] = uniform((uint64_t)i * K_PID ^ key);
+}
+
+/* The signed action scale of a lambda source drawn for a pid's key
+ * pid_key under a step's slot keys key0 and key1.  binary: +mag0 where
+ * u1 < 0.5, else -mag0.  sphere: the z-coordinate 2 u1 - 1 of a uniform
+ * point on the sphere picks the hemisphere, +mag0 where z >= 0, which is
+ * exactly where u1 >= 0.5.  smeared: the magnitude
+ * mag0 + jitter (2 u2 - 1), signed as for binary; u2, the uniform of
+ * slot 1, is drawn for this kind only. */
+static inline double draw_lambda(long kind, uint64_t pid_key, uint64_t key0,
+                                 uint64_t key1, double mag0, double jitter)
+{
+    const double u1 = uniform(pid_key ^ key0);
+    const double u2 = kind == SRC_SMEARED ? uniform(pid_key ^ key1) : 0.0;
     const double side = kind == SRC_SPHERE ? u1 - HALF_DOWN : HALF_DOWN - u1;
     const double mag = kind == SRC_SMEARED ? (u2 * 2.0 - 1.0) * jitter + mag0
                                            : mag0;
     return copysign(mag, side);
 }
 
-/* out[i] = the scale of (u1[i], u2[i]); out may be u1 or u2 */
-void source_lambda_fill(long kind, const double *u1, const double *u2,
-                        long n, double mag0, double jitter, double *out)
+/* out[i] = the scale of pid i under a step's slot keys key0 and key1 */
+CLONED void lambda_range(long kind, uint64_t key0, uint64_t key1, long n,
+                         double mag0, double jitter, double *out)
 {
     for (long i = 0; i < n; i++)
-        out[i] = source_lambda(kind, u1[i], u2[i], mag0, jitter);
+        out[i] = draw_lambda(kind, (uint64_t)i * K_PID, key0, key1, mag0,
+                             jitter);
+}
+
+/* numpy's pairwise summation, the order of np.add.reduce over a
+ * contiguous float64 array (numpy 2.4; Higham, SIAM J. Sci. Comput. 14,
+ * 1993): n values above PW_BLOCK are split at n / 2 rounded down to a
+ * multiple of 8 and the halves' sums added; a leaf of 8 to PW_BLOCK
+ * values is summed in 8 interleaved running sums, added as
+ * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then its last
+ * n % 8 values in turn; a leaf of under 8 values is a running sum.  The
+ * reduction adds the sum to its identity 0.0, which turns a -0.0 sum to
+ * +0.0. */
+#define PW_BLOCK 128
+
+/* A reduction of sample_stats: the values y are x, or |x| where absval
+ * is set.  The first pass sums y and tallies counts and peak; the second
+ * sums (y - mean)^2. */
+struct reduction {
+    long absval, second;
+    double mean;
+    const double *edges, *over;
+    long bins, n_over;
+    double center, sign;
+    int64_t *counts;
+    double peak;
+};
+
+/* the histogram, threshold, sign and peak tallies of n <= PW_BLOCK values
+ * x and their values y.  A value's bin k, edges[k] <= v < edges[k + 1]
+ * (or v <= edges[bins] in the last bin), is guessed from its offset in a
+ * loop that vectorizes, and the guess is checked against the edges; a
+ * value that fails the check, one on an inner edge, off the edges or NaN,
+ * is placed by a search or in no bin.  The counts are integers, so
+ * their order of addition does not matter. */
+static void tally(const double *x, const double *y, long n,
+                  struct reduction *r)
+{
+    const long bins = r->bins, n_over = r->n_over;
+    const double *edges = r->edges;
+    int64_t *counts = r->counts;
+    if (bins) {
+        const double lo = edges[0], hi = edges[bins];
+        const double scale = (double)bins / (hi - lo);
+        const double top = (double)(bins - 1);
+        int guess[PW_BLOCK];
+        for (long i = 0; i < n; i++) {
+            double g = (y[i] - lo) * scale;
+            g = g > 0.0 ? g : 0.0;
+            guess[i] = (int)(g < top ? g : top);
+        }
+        for (long i = 0; i < n; i++) {
+            const double v = y[i];
+            long k = guess[i];
+            const int last = k == bins - 1;
+            const int in_k = (v >= edges[k])
+                             & ((v < edges[k + 1]) | (last & (v == hi)));
+            if (!in_k) {
+                if (!(v >= lo && v <= hi))
+                    continue;
+                while (k > 0 && v < edges[k])
+                    k--;
+                while (k < bins - 1 && v >= edges[k + 1])
+                    k++;
+            }
+            counts[k]++;
+        }
+    }
+    /* a comparison's 0 or 1 taken through a double vectorizes at the
+     * baseline, where a bool added to an integer does not */
+    for (long t = 0; t < n_over; t++) {
+        const double over = r->over[t];
+        long c = 0;
+        for (long i = 0; i < n; i++) {
+            const double above = fabs(x[i]) > over ? 1.0 : 0.0;
+            c += (long)above;
+        }
+        counts[bins + t] += c;
+    }
+    const double sign = r->sign, center = r->center;
+    if (sign != 0.0) {
+        long c = 0;
+        for (long i = 0; i < n; i++) {
+            const double against = sign * x[i] < 0.0 ? 1.0 : 0.0;
+            c += (long)against;
+        }
+        counts[bins + n_over] += c;
+    }
+    if (!isnan(center)) {
+        double peak = r->peak;
+        for (long i = 0; i < n; i++) {
+            /* a NaN distance sticks, as np.max propagates it */
+            const double d = fabs(fabs(x[i]) - center);
+            peak = d > peak || isnan(d) ? d : peak;
+        }
+        r->peak = peak;
+    }
+}
+
+/* the sum, in numpy's leaf order, of the terms of n <= PW_BLOCK values */
+static double leaf(const double *x, long n, struct reduction *r)
+{
+    double y[PW_BLOCK];
+    if (r->second) {
+        for (long i = 0; i < n; i++) {
+            const double d = (r->absval ? fabs(x[i]) : x[i]) - r->mean;
+            y[i] = d * d;
+        }
+    } else {
+        for (long i = 0; i < n; i++)
+            y[i] = r->absval ? fabs(x[i]) : x[i];
+        tally(x, y, n, r);
+    }
+    if (n < 8) {
+        double s = 0.0;
+        for (long i = 0; i < n; i++)
+            s += y[i];
+        return s;
+    }
+    double a[8];
+    for (int j = 0; j < 8; j++)
+        a[j] = y[j];
+    long i = 8;
+    for (; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            a[j] += y[i + j];
+    double s = ((a[0] + a[1]) + (a[2] + a[3]))
+               + ((a[4] + a[5]) + (a[6] + a[7]));
+    for (; i < n; i++)
+        s += y[i];
+    return s;
+}
+
+static double pairwise(const double *x, long n, struct reduction *r)
+{
+    if (n <= PW_BLOCK)
+        return leaf(x, n, r);
+    const long half = n / 2 - n / 2 % 8;
+    const double left = pairwise(x, half, r);
+    return left + pairwise(x + half, n - half, r);
+}
+
+/* The statistics of x[0 .. n - 1], n >= 1, where y is x, or |x| where
+ * absval is set:
+ *   out[0] = the sum of y and out[1] = the sum of (y - out[0] / n)^2,
+ *     each as np.add.reduce forms it;
+ *   counts[k], k < bins = the values y in bin k of edges[0 .. bins],
+ *     as np.histogram counts them (bins may be 0, with no edges read);
+ *   counts[bins + t], t < n_over = the magnitudes |x| above over[t];
+ *   counts[bins + n_over] = the values with sign * x < 0, counted unless
+ *     sign is 0;
+ *   out[2] = the largest ||x| - center|, NaN if any is NaN (np.max),
+ *     found unless center is NaN. */
+void sample_stats(const double *x, long n, long absval, const double *edges,
+                  long bins, const double *over, long n_over, double center,
+                  double sign, int64_t *counts, double *out)
+{
+    struct reduction r = {absval, 0, 0.0, edges, over, bins, n_over, center,
+                          sign, counts, -INFINITY};
+    for (long k = 0; k <= bins + n_over; k++)
+        counts[k] = 0;
+    out[0] = 0.0 + pairwise(x, n, &r);
+    r.second = 1;
+    r.mean = out[0] / (double)n;
+    out[1] = 0.0 + pairwise(x, n, &r);
+    out[2] = r.peak;
 }
 
 /* table[j] + w * (table[j + 1] - table[j]), as numpy forms it */
@@ -124,17 +325,7 @@ static inline double lerp(const double *t, long j, double w)
     return (t[j + 1] - c) * w + c;
 }
 
-/* On x86-64, gcc (12 on, which takes an architecture level as a clone)
- * compiles ensemble_window twice: for x86-64-v4, whose AVX-512 vectors
- * hold 8 doubles and convert int64 to and from double, and for the
- * baseline every x86-64 CPU runs.  The library picks the clone when it is
- * loaded, from the CPU's features.  Both clones do the same IEEE
- * operations, so they give the same bits. */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
-    && __GNUC__ >= 12
-__attribute__((target_clones("arch=x86-64-v4", "default")))
-#endif
-long ensemble_window(double *restrict qs, double *restrict lams,
+CLONED long ensemble_window(double *restrict qs, double *restrict lams,
                      double *restrict logws, unsigned char *restrict frozen,
                      long m, long pid0, const double *vb, const double *osm,
                      const double *th, long n, double q_min, double dq,
@@ -143,7 +334,6 @@ long ensemble_window(double *restrict qs, double *restrict lams,
                      double hi)
 {
     const double top = (double)(n - 2);
-    const int smeared = src_kind == SRC_SMEARED;
     long bad = n_sub;
     for (long b0 = 0; b0 < m; b0 += BLOCK) {
         const long b1 = m - b0 < BLOCK ? m : b0 + BLOCK;
@@ -154,10 +344,8 @@ long ensemble_window(double *restrict qs, double *restrict lams,
                 const int keep = frozen[i] != 0;
                 const uint64_t pid_key = (uint64_t)(pid0 + i) * K_PID;
 
-                const double u2 = smeared ? uniform(pid_key ^ key1) : 0.0;
-                const double lam = source_lambda(src_kind,
-                                                 uniform(pid_key ^ key0), u2,
-                                                 mag0, jitter);
+                const double lam = draw_lambda(src_kind, pid_key, key0, key1,
+                                               mag0, jitter);
                 lams[i] = keep ? lams[i] : lam;
 
                 /* clamped linear interpolation.  Clamping the cell to

@@ -28,6 +28,7 @@ from .evolution import (WaveState, coherent_state, eigenpairs, gaussian_packet,
 from .hamiltonian import (PRESET_PARAMS, build_naive_ordering,
                           build_quantum_hamiltonian, hermiticity_defect,
                           make_system)
+from .kernels import sample_stats
 from .lattice import GridSpec, build_grid, gradient, integrate
 
 OUTPUT_ENV = "STOCHACTION_OUT"
@@ -668,10 +669,10 @@ def _run_propagator_quality(cfg, out):
 # sample
 
 
-def _hist_rows(tag, values, bins, lo, hi):
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    dens = counts / (values.size * np.diff(edges))
+def _hist_rows(tag, counts, edges, n):
+    """(tag, bin center, density) rows of the histogram counts of n values
+    on edges; values outside the edges count in n."""
+    dens = counts / (n * np.diff(edges))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return [(tag, c, d) for c, d in zip(centers, dens)]
 
@@ -682,17 +683,19 @@ def _run_source(cfg, out):
                                      hbar=cfg["source.hbar"],
                                      width=cfg.get("source.width", 0.0),
                                      seed=cfg["run.seed"])
-    lams = stochastic.sample_lambda(source, n)
-    mean = float(np.mean(lams))
-    se = float(np.std(lams) / np.sqrt(n))
+    lo = -source.hbar - source.width * 2.0
+    edges = np.linspace(lo, -lo, cfg.get("ensemble.bins", 60) + 1)
+    stats = sample_stats(stochastic.sample_lambda(source, n), edges=edges,
+                         center=source.hbar)
+    mean = stats.mean
+    se = float(stats.std / np.sqrt(n))
     bias_sigma = abs(mean) / se if se > 0 else 0.0
-    mag_err = float(np.max(np.abs(np.abs(lams) - source.hbar)))
+    mag_err = stats.peak
     out.csv("lambda_stats.csv",
             ["kind", "n", "mean", "se", "sign_bias_sigma", "max_abs_minus_hbar"],
             [(source.kind, n, mean, se, bias_sigma, mag_err)])
-    lo = -source.hbar - source.width * 2.0
     out.csv("lambda_hist.csv", ["kind", "bin_center", "density"],
-            _hist_rows(source.kind, lams, cfg.get("ensemble.bins", 60), lo, -lo))
+            _hist_rows(source.kind, stats.counts, edges, n))
     checks = [_check("sign_bias_sigma", bias_sigma, 3.0, "<=")]
     if source.kind in ("binary", "sphere"):
         checks.append(_check("magnitude_exact", mag_err, 0.0, "=="))
@@ -702,27 +705,37 @@ def _run_source(cfg, out):
     return checks
 
 
+def _deviation_stats(cfg, lam, step, **reduce):
+    """sample_stats of the magnitudes of ensemble.size action deviations at
+    lam, drawn at step; only the statistics outlive the call."""
+    devs = stochastic.sample_action_deviation(lam, cfg["ensemble.size"],
+                                              seed=cfg["run.seed"], step=step)
+    return sample_stats(devs, magnitudes=True, **reduce)
+
+
 def _run_exponential_law(cfg, out):
     n = cfg["ensemble.size"]
     bins = cfg.get("ensemble.bins", 60)
     checks, stat_rows, hist_rows = [], [], []
     for idx, lam in enumerate(cfg.get("source.lam_sweep", (0.5, 1.0, 2.0))):
-        devs = stochastic.sample_action_deviation(
-            lam, n, seed=cfg["run.seed"], step=idx)
-        violations = int(np.sum(devs * np.sign(lam) < 0))
-        mags = np.abs(devs)
-        mean = float(np.mean(mags))
         expected = abs(lam) / 2.0
-        rel = abs(mean / expected - 1.0)
-        se = float(np.std(mags) / np.sqrt(n))
         xbar = expected
-        p_tail1 = float(np.mean(mags > xbar))
-        p_tail2 = float(np.mean(mags > 2.0 * xbar))
-        tail_ratio = p_tail2 / p_tail1
+        edges = np.linspace(0.0, 4.0 * expected, bins + 1)
+        stats = _deviation_stats(cfg, lam, idx, edges=edges,
+                                 thresholds=(xbar, 2.0 * xbar),
+                                 sign=np.sign(lam))
+        violations = stats.violations
+        mean = stats.mean
+        rel = abs(mean / expected - 1.0)
+        se = float(stats.std / np.sqrt(n))
+        p_tail1, p_tail2 = (count / n for count in stats.above)
+        # with no magnitude above xbar the ratio is undefined, and its NaN
+        # fails the check
+        tail_ratio = p_tail2 / p_tail1 if p_tail1 > 0 else np.nan
         tail_rel = abs(tail_ratio * np.e - 1.0)
         stat_rows.append((lam, n, mean, expected, rel, se, violations,
                           tail_ratio, float(np.exp(-1.0)), tail_rel))
-        hist_rows += _hist_rows(lam, mags, bins, 0.0, 4.0 * expected)
+        hist_rows += _hist_rows(lam, stats.counts, edges, n)
         checks.append(_check(f"sign_violations_lam_{lam:g}", violations, 0, "=="))
         checks.append(_check(f"mean_rel_err_lam_{lam:g}", rel, 0.005, "<="))
         checks.append(_check(f"tail_ratio_rel_err_lam_{lam:g}", tail_rel, 0.02, "<="))
@@ -739,9 +752,7 @@ def _run_concentration(cfg, out):
     eps = 0.1
     checks, rows = [], []
     for idx, lam in enumerate(cfg.get("source.lam_sweep", (0.1, 0.05))):
-        devs = stochastic.sample_action_deviation(
-            lam, n, seed=cfg["run.seed"], step=idx)
-        p_emp = float(np.mean(np.abs(devs) > eps))
+        p_emp = _deviation_stats(cfg, lam, idx, thresholds=(eps,)).above[0] / n
         bound = float(np.exp(-2.0 * eps / abs(lam)))
         se = float(np.sqrt(max(p_emp * (1 - p_emp), 1e-12) / n))
         rows.append((lam, eps, p_emp, bound, se))

@@ -18,7 +18,7 @@ from .hamiltonian import (ClassicalSpec, QuantumOperator, hamiltonian_value,
                           require_node_free, theta_of_S)
 from .kernels import (DOMAIN_DEVIATION, DOMAIN_INIT, DOMAIN_SOURCE,
                       SRC_BINARY, SRC_SMEARED, SRC_SPHERE, counter_uniform,
-                      run_ensemble_window, source_lambda_into)
+                      lambda_range, run_ensemble_window, uniform_range)
 from .lattice import (GridSpec, check_field, gradient, integrate,
                       interp_linear)
 
@@ -76,13 +76,8 @@ def sample_lambda(source: LambdaSource, n: int | None = None,
     count = 1 if n is None else int(n)
     if count < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    pids = np.arange(count, dtype=np.uint64)
-    # the scales are built in the buffer of the first uniforms
-    lam = counter_uniform(source.seed, DOMAIN_SOURCE, step, pids, slot=0)
-    u2 = (counter_uniform(source.seed, DOMAIN_SOURCE, step, pids, slot=1)
-          if source.kind == "smeared" else None)
-    source_lambda_into(source.kind_index, lam, u2, source.hbar,
-                       source.width * _SQRT3, lam)
+    lam = lambda_range(source.seed, DOMAIN_SOURCE, step, count,
+                       source.kind_index, source.hbar, source.width * _SQRT3)
     if n is None:
         return float(lam[0])
     return lam
@@ -105,10 +100,10 @@ def sample_action_deviation(lam: float | np.ndarray, n: int | None = None,
         count = int(n)
         if lam_arr.ndim and lam_arr.size != count:
             raise ShapeError(f"lam has size {lam_arr.size}, expected {count}")
-    pids = np.arange(count, dtype=np.uint64)
-    dev = counter_uniform(seed, DOMAIN_DEVIATION, step, pids, slot=0)
+    dev = uniform_range(seed, DOMAIN_DEVIATION, step, count, slot=0)
     # inverse CDF, sign(lam) ((-|lam|/2) log1p(-u)), on the uniforms' own
-    # buffer; log1p(-u) is exact near u = 0 and u < 1 always.  Rounding is
+    # buffer; log1p(-u) is exact near u = 0 and u < 1 always, and numpy's,
+    # whose bits libm's does not give (see kernels).  Rounding is
     # symmetric in sign, so one product with -lam/2 gives the same bits.
     np.negative(dev, out=dev)
     np.log1p(dev, out=dev)

@@ -52,6 +52,27 @@ def test_scenario_passes_and_reruns_byte_identically(tmp_path, command, scenario
             == _csv_bytes(tmp_path / "a", first.files))
 
 
+def test_exponential_law_with_no_magnitude_above_the_mean_fails_its_tail_check(
+        tmp_path):
+    # 3 draws: at lam = 1 and 2 no magnitude exceeds the mean |lam|/2, so
+    # the tail ratio is undefined; it fails its check, and the run completes
+    result = run_command("sample", {"run.scenario": "exponential_law",
+                                    "ensemble.size": 3, "run.seed": 1},
+                         str(tmp_path))
+    assert result.exit_code == 1
+    checks = {c.name: c for c in result.checks}
+    for lam in ("1", "2"):
+        tail = checks[f"tail_ratio_rel_err_lam_{lam}"]
+        assert np.isnan(tail.value) and not tail.passed
+    assert all(checks[f"sign_violations_lam_{lam}"].passed
+               for lam in ("0.5", "1", "2"))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["files"] == ["deviation_stats.csv", "deviation_hist.csv"]
+    rows = (tmp_path / "deviation_stats.csv").read_text().splitlines()[-2:]
+    assert [row.split(",")[7] for row in rows] == ["nan", "nan"]
+
+
 def test_every_scenario_has_one_runner():
     names = [name for scenarios in SCENARIOS.values() for name in scenarios]
     assert len(names) == len(set(names))

@@ -16,9 +16,9 @@ from stochaction.evolution import gaussian_packet
 from stochaction.hamiltonian import make_system
 from stochaction.kernels import (_SHARD_MIN, DOMAIN_DEVIATION, DOMAIN_LAMBDA,
                                  DOMAIN_SOURCE, SRC_BINARY, SRC_SMEARED,
-                                 SRC_SPHERE, counter_uniform,
+                                 SRC_SPHERE, counter_uniform, lambda_range,
                                  run_ensemble_window, run_madelung_window,
-                                 source_lambda_into)
+                                 sample_stats, uniform_range)
 from stochaction.lattice import (build_grid, gradient_uniform,
                                  second_derivative_uniform)
 from stochaction.madelung import pair_from_wave, step_coupled_pde
@@ -201,34 +201,60 @@ def test_sample_lambda_equals_the_written_out_sources_bitwise(source):
 
 @pytest.mark.parametrize("kind", (SRC_BINARY, SRC_SPHERE, SRC_SMEARED))
 def test_source_lambda_splits_the_uniforms_exactly_at_one_half(kind):
+    # the range draw of sample_lambda hashes its own uniforms; slot keys
+    # made with the inverse finalizer give pid 0 the uniforms u1 and u2
     eps = 2.0 ** -53
-    u1 = np.array([0.0, 0.25, 0.5 - eps, 0.5, 0.5 + eps, 0.75, 1.0 - eps])
-    u2 = np.linspace(0.0, 1.0 - eps, u1.size)
-    for mag0, jitter in ((1.3, 0.4), (0.0, 0.0)):
-        out = np.empty_like(u1)
-        source_lambda_into(kind, u1, u2.copy(), mag0, jitter, out)
-        assert _same_bits(out, _reference_source(kind, u1, u2, mag0, jitter))
+    draw = kernels._library("_ensemble.c").lambda_range
+    for u1 in (0.0, 0.25, 0.5 - eps, 0.5, 0.5 + eps, 0.75, 1.0 - eps):
+        u2 = 0.75 if u1 < 0.5 else 0.0
+        key0, key1 = (_unmix(int(u * 2.0 ** 53) << 11) for u in (u1, u2))
+        for mag0, jitter in ((1.3, 0.4), (0.0, 0.0)):
+            out = np.empty(1)
+            draw(kind, key0, key1, 1, mag0, jitter, out.ctypes.data)
+            assert _same_bits(out, _reference_source(
+                kind, np.array([u1]), np.array([u2]), mag0, jitter))
 
 
-def _bad_source_inputs():
-    u = np.linspace(0.0, 0.9, 8)
-    read_only = np.empty(8)
-    read_only.flags.writeable = False
-    return {
-        "float32 u1": (SRC_BINARY, u.astype(np.float32), None, np.empty(8)),
-        "strided u1": (SRC_BINARY, np.repeat(u, 2)[::2], None, np.empty(8)),
-        "short out": (SRC_SPHERE, u, None, np.empty(7)),
-        "read-only out": (SRC_BINARY, u, None, read_only),
-        "smeared without u2": (SRC_SMEARED, u, None, np.empty(8)),
-        "short u2": (SRC_SMEARED, u, u[:-1].copy(), np.empty(8)),
-    }
+RANGE_SIZES = (0, 1, 7, 8, 9, 65537, 196625)
 
 
-@pytest.mark.parametrize("case", _bad_source_inputs())
-def test_source_lambda_refuses_arrays_the_fill_cannot_take(case):
-    kind, u1, u2, out = _bad_source_inputs()[case]
-    with pytest.raises(ShapeError):
-        source_lambda_into(kind, u1, u2, 1.3, 0.4, out)
+@pytest.mark.parametrize("n", RANGE_SIZES)
+def test_uniform_range_equals_counter_uniform_of_the_pid_range(n):
+    for seed, domain, step, slot in ((7, 2, 13, 1), (0, DOMAIN_DEVIATION, 0, 0),
+                                     ((1 << 64) - 1, 3, (1 << 64) - 1, 0)):
+        got = uniform_range(seed, domain, step, n, slot)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert _same_bits(got, counter_uniform(seed, domain, step,
+                                               np.arange(n), slot))
+        assert _same_bits(got, _reference_uniform(seed, domain, step,
+                                                  np.arange(n), slot))
+
+
+@pytest.mark.parametrize("n", RANGE_SIZES)
+@pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.kind)
+def test_lambda_range_equals_the_sources_of_the_pid_range(source, n):
+    jitter = source.width * math.sqrt(3.0)
+    for domain in (DOMAIN_SOURCE, DOMAIN_LAMBDA):
+        got = lambda_range(source.seed, domain, 4, n, source.kind_index,
+                           source.hbar, jitter)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert _same_bits(got, _reference_lambda(source, n, 4, domain))
+        # the uniforms of counter_uniform, signed by the written-out source
+        u1, u2 = (counter_uniform(source.seed, domain, 4, np.arange(n), slot)
+                  for slot in (0, 1))
+        assert _same_bits(got, _reference_source(
+            source.kind_index, u1, u2, source.hbar, jitter))
+
+
+def test_range_draws_refuse_a_negative_count_or_key():
+    for draw in (lambda n, s: uniform_range(s, 2, 3, n, 0),
+                 lambda n, s: lambda_range(s, 2, 3, n, SRC_SMEARED, 1.3, 0.4)):
+        with pytest.raises(ConfigurationError, match="n >= 0"):
+            draw(-1, 7)
+        with pytest.raises(ConfigurationError, match="RNG keys"):
+            draw(5, -7)
+        with pytest.raises(ConfigurationError, match="RNG keys"):
+            draw(5, 1 << 64)
 
 
 def test_sample_action_deviation_equals_the_written_out_law_bitwise():
@@ -259,6 +285,127 @@ def test_ensemble_draws_the_written_out_sources_bitwise(source):
                         freeze_lo=-0.9, freeze_hi=0.9)
     assert _same_bits(lams, _reference_lambda(source, m, 6, DOMAIN_LAMBDA))
     assert not frozen.any()
+
+
+# ---------------------------------------------------------------------------
+# the sample reducer: every statistic bitwise the numpy expression it
+# replaces
+
+
+def _numpy_stats(x, magnitudes, edges, thresholds, sign, center):
+    y = np.abs(x) if magnitudes else x
+    return {"total": np.add.reduce(y), "mean": np.mean(y), "std": np.std(y),
+            "peak": np.max(np.abs(np.abs(x) - center)),
+            "counts": np.histogram(y, bins=edges)[0],
+            "above": tuple(int(np.count_nonzero(np.abs(x) > t))
+                           for t in thresholds),
+            "violations": int(np.count_nonzero(sign * x < 0))}
+
+
+def _assert_numpy_stats(x, magnitudes, edges, thresholds=(0.5, 1.0),
+                        sign=-1.0, center=1.3):
+    with np.errstate(invalid="ignore"):
+        want = _numpy_stats(x, magnitudes, edges, thresholds, sign, center)
+    got = sample_stats(x, magnitudes, edges, thresholds, sign, center)
+    for name in ("total", "mean", "std", "peak"):
+        assert _same_bits(np.float64(getattr(got, name)), want[name]), name
+    assert got.counts.dtype == want["counts"].dtype
+    assert np.array_equal(got.counts, want["counts"])
+    assert got.above == want["above"]
+    assert got.violations == want["violations"]
+
+
+def _wide_sample(n, rng):
+    """Signed values over 24 decades, whose sum shows any change of the
+    order of addition."""
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+
+
+REDUCE_SIZES = (1, 7, 8, 9, 127, 128, 129, 8191, 8193, 100_003, 10_000_000)
+
+
+@pytest.mark.parametrize("n", REDUCE_SIZES)
+def test_sample_stats_equal_numpy_bitwise_on_the_scenarios_draws(n):
+    # the magnitudes of action deviations and signed smeared scales, as
+    # exponential_law and smeared_source reduce them, and wide values
+    devs = sample_action_deviation(-0.7, n, seed=5, step=2)
+    _assert_numpy_stats(devs, True, np.linspace(0.0, 1.4, 61),
+                        thresholds=(0.35, 0.7), sign=-1.0, center=0.0)
+    lams = sample_lambda(SOURCES[2], n)
+    _assert_numpy_stats(lams, False, np.linspace(-1.9, 1.9, 61),
+                        thresholds=(), sign=1.0, center=1.3)
+    if n <= 100_003:
+        wide = _wide_sample(n, np.random.default_rng(n))
+        for magnitudes in (False, True):
+            _assert_numpy_stats(wide, magnitudes,
+                                np.linspace(-1e-3, 2.0, 61))
+
+
+def test_sample_stats_count_values_on_edges_as_np_histogram():
+    edges = np.linspace(-1.3, 1.3, 61)
+    on = np.concatenate([edges, edges[::-1], np.repeat(edges[[0, -1]], 9)])
+    _assert_numpy_stats(on, False, edges)
+    _assert_numpy_stats(on, True, edges)
+    # zero-width bins, and bins whose offsets guess the wrong bin
+    for uneven in (np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0]),
+                   np.geomspace(1e-3, 2.0, 25)):
+        values = np.concatenate([uneven, np.linspace(-0.5, 2.5, 3001)])
+        _assert_numpy_stats(values, False, uneven)
+    for equal in (np.array([2.0, 2.0]), np.array([2.0, 2.0, 2.0])):
+        _assert_numpy_stats(np.array([1.0, 2.0, 2.0, 3.0]), False, equal)
+
+
+@pytest.mark.parametrize("n", (1, 9, 200))
+def test_sample_stats_of_minus_zeros_and_values_off_the_edges(n):
+    edges = np.array([-1.0, 0.0, 1.0])
+    _assert_numpy_stats(np.full(n, -0.0), False, edges)
+    _assert_numpy_stats(np.full(n, -0.0), True, edges)
+    off = np.resize([-5.0, -1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 7.0, -0.0,
+                     0.25], n)
+    _assert_numpy_stats(off, False, edges)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("n", (1, 9, 129, 8193))
+def test_sample_stats_of_a_sample_with_nan_or_infinities(bad, n):
+    # NaN and +-inf fall in no bin; np.max propagates a NaN
+    x = _wide_sample(n, np.random.default_rng(n))
+    x[n // 2] = bad
+    for magnitudes in (False, True):
+        _assert_numpy_stats(x, magnitudes, np.linspace(-2.0, 2.0, 61))
+    x[-1] = -bad
+    _assert_numpy_stats(x, False, np.linspace(-2.0, 2.0, 61))
+
+
+def test_sample_stats_leave_out_what_is_not_asked_for():
+    x = sample_lambda(SOURCES[0], 1000)
+    got = sample_stats(x)
+    assert got.counts.shape == (0,) and got.above == ()
+    assert got.violations is None and got.peak is None
+    assert _same_bits(np.float64(got.std), np.std(x))
+
+
+def _bad_samples():
+    x = np.linspace(-1.0, 1.0, 16)
+    return {
+        "float32": (x.astype(np.float32), None),
+        "strided": (np.repeat(x, 2)[::2], None),
+        "2-D": (x.reshape(4, 4), None),
+        "empty": (np.zeros(0), None),
+        "list": (list(x), None),
+        "one edge": (x, [0.0]),
+        "falling edges": (x, [1.0, 0.0, 2.0]),
+        "NaN edge": (x, [0.0, np.nan, 2.0]),
+        "infinite edge": (x, [0.0, 1.0, np.inf]),
+        "2-D edges": (x, np.zeros((2, 2))),
+    }
+
+
+@pytest.mark.parametrize("case", _bad_samples())
+def test_sample_stats_refuse_what_the_reducer_cannot_take(case):
+    x, edges = _bad_samples()[case]
+    with pytest.raises(ShapeError):
+        sample_stats(x, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +695,29 @@ def test_a_cold_build_loads_and_equals_the_reference_bitwise(kernel_cache):
     assert _same_bits(_run(y, grid, tables, n_steps=10), out)
     assert os.listdir(kernel_cache) == built
     assert os.stat(kernel_cache / built[0]).st_mtime_ns == stamp
+
+
+def test_a_new_build_deletes_the_older_builds_of_its_source(tmp_path,
+                                                          monkeypatch):
+    with open(os.path.join(kernels._SOURCE_DIR, "_polar.c")) as fh:
+        text = fh.read()
+    src, cache = tmp_path / "src", tmp_path / "cache"
+    src.mkdir()
+    monkeypatch.setattr(kernels, "_SOURCE_DIR", str(src))
+    (src / "_polar.c").write_text(text)
+    first = kernels._build("_polar.c", str(cache))
+    # another source's build and a build in progress are left alone
+    others = {"_ensemble-0123456789abcdef.so", "tmp1a2b3c.so",
+              "_polar-notahash.so"}
+    for name in others:
+        (cache / name).write_bytes(b"")
+    (src / "_polar.c").write_text(text + "/* an edit */\n")
+    second = kernels._build("_polar.c", str(cache))
+    assert second != first and os.path.exists(second)
+    assert set(os.listdir(cache)) == others | {os.path.basename(second)}
+    # a build in place is loaded, not rebuilt, and deletes nothing
+    assert kernels._build("_polar.c", str(cache)) == second
+    assert set(os.listdir(cache)) == others | {os.path.basename(second)}
 
 
 @pytest.mark.parametrize("cc", ("no-such-c-compiler", "", None))
@@ -883,6 +1053,18 @@ def test_the_baseline_clone_equals_the_reference_bitwise(baseline, source):
     want = _window(*case, run=_reference_ensemble_window)
     assert all(_same_bits(g, w) for g, w in zip(got, want))
     assert 0 < np.count_nonzero(case[0][3]) < np.count_nonzero(got[3])
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.kind)
+def test_the_baseline_clone_draws_as_the_reference(baseline, source):
+    n = 65537
+    pids = np.arange(n, dtype=np.uint64)
+    assert _same_bits(uniform_range(7, 2, 13, n, 1),
+                      _reference_uniform(7, 2, 13, pids, 1))
+    assert _same_bits(counter_uniform(7, 2, 13, pids + 3, 1),
+                      _reference_uniform(7, 2, 13, pids + 3, 1))
+    assert _same_bits(sample_lambda(source, n, step=4),
+                      _reference_lambda(source, n, 4))
 
 
 @pytest.mark.parametrize("check", (_nan_position_fails,
