@@ -6,17 +6,22 @@
  * into one key per step and slot with the splitmix64 finalizer mix, and
  * uniform hashes a pid's key under it.  counter_uniform_fill draws the
  * uniforms of a pid array (kernels.counter_uniform); uniform_range and
- * lambda_range draw those of pids 0 .. n - 1 with no pid array
- * (kernels.uniform_range and kernels.lambda_range), lambda_range signing
- * its scales with draw_lambda as ensemble_window signs its own.  The hash
- * is integer arithmetic, and its top 53 bits convert to a double exactly.
+ * lambda_range draw those of the pid range pid0 .. pid0 + n - 1 with no
+ * pid array (a shard of kernels.uniform_range and kernels.lambda_range),
+ * lambda_range signing its scales with draw_lambda as ensemble_window
+ * signs its own.  The hash is integer arithmetic, and its top 53 bits
+ * convert to a double exactly, so a shard of a range draws the bits of
+ * the whole.
  *
- * sample_stats reduces a sample in two passes over it, to numpy's bits:
- * its sum and the sum of its squared deviations from the mean in numpy's
- * pairwise order, a histogram, threshold and sign counts, and a maximum;
- * see kernels.sample_stats.  The action deviation's log1p is left to
- * numpy: its SIMD log1p and libm's differ in the last bit on some inputs,
- * so a C log1p would change the deviations.
+ * sample_sum and sample_squares reduce one subtree of numpy's pairwise
+ * tree of a sample, to numpy's bits: sample_sum its sum in numpy's
+ * pairwise order, with its own histogram, threshold and sign counts and
+ * maximum, and sample_squares the sum of its squared deviations from the
+ * mean, for the std only.  kernels.sample_stats runs the subtrees as
+ * shards and adds their sums in the tree's order; see there.  The action
+ * deviation's log1p is left to numpy: its SIMD log1p and libm's differ in
+ * the last bit on some inputs, so a C log1p would change the
+ * deviations.
  *
  * Every floating-point value of the window is computed with the IEEE
  * operations, in the order, that the numpy transcription in
@@ -120,11 +125,11 @@ CLONED void counter_uniform_fill(uint64_t key,
         out[i] = uniform(pids[i] * K_PID ^ key);
 }
 
-/* out[i] = the uniform of pid i under a key of counter_keys */
-CLONED void uniform_range(uint64_t key, long n, double *out)
+/* out[i] = the uniform of pid pid0 + i under a key of counter_keys */
+CLONED void uniform_range(uint64_t key, long pid0, long n, double *out)
 {
     for (long i = 0; i < n; i++)
-        out[i] = uniform((uint64_t)i * K_PID ^ key);
+        out[i] = uniform((uint64_t)(pid0 + i) * K_PID ^ key);
 }
 
 /* The signed action scale of a lambda source drawn for a pid's key
@@ -145,13 +150,14 @@ static inline double draw_lambda(long kind, uint64_t pid_key, uint64_t key0,
     return copysign(mag, side);
 }
 
-/* out[i] = the scale of pid i under a step's slot keys key0 and key1 */
-CLONED void lambda_range(long kind, uint64_t key0, uint64_t key1, long n,
-                         double mag0, double jitter, double *out)
+/* out[i] = the scale of pid pid0 + i under a step's slot keys key0 and
+ * key1 */
+CLONED void lambda_range(long kind, uint64_t key0, uint64_t key1, long pid0,
+                         long n, double mag0, double jitter, double *out)
 {
     for (long i = 0; i < n; i++)
-        out[i] = draw_lambda(kind, (uint64_t)i * K_PID, key0, key1, mag0,
-                             jitter);
+        out[i] = draw_lambda(kind, (uint64_t)(pid0 + i) * K_PID, key0, key1,
+                             mag0, jitter);
 }
 
 /* numpy's pairwise summation, the order of np.add.reduce over a
@@ -161,13 +167,14 @@ CLONED void lambda_range(long kind, uint64_t key0, uint64_t key1, long n,
  * values is summed in 8 interleaved running sums, added as
  * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then its last
  * n % 8 values in turn; a leaf of under 8 values is a running sum.  The
- * reduction adds the sum to its identity 0.0, which turns a -0.0 sum to
- * +0.0. */
+ * reduction then adds the sum to its identity 0.0, which turns a -0.0
+ * sum to +0.0; kernels.sample_stats does that once the subtrees' sums
+ * are added. */
 #define PW_BLOCK 128
 
-/* A reduction of sample_stats: the values y are x, or |x| where absval
- * is set.  The first pass sums y and tallies counts and peak; the second
- * sums (y - mean)^2. */
+/* A pass over a subtree: the values y are x, or |x| where absval is
+ * set.  The first pass (sample_sum) sums y and tallies counts and peak;
+ * the second (sample_squares) sums (y - mean)^2. */
 struct reduction {
     long absval, second;
     double mean;
@@ -292,30 +299,34 @@ static double pairwise(const double *x, long n, struct reduction *r)
     return left + pairwise(x + half, n - half, r);
 }
 
-/* The statistics of x[0 .. n - 1], n >= 1, where y is x, or |x| where
- * absval is set:
- *   out[0] = the sum of y and out[1] = the sum of (y - out[0] / n)^2,
- *     each as np.add.reduce forms it;
+/* The passes of sample_stats over one subtree x[0 .. n - 1], n >= 1, of
+ * numpy's pairwise tree, where y is x, or |x| where absval is set; each
+ * returns the subtree's pairwise sum, with no identity added.
+ * sample_sum sums y, and adds the subtree's tallies to those of the
+ * shard's earlier subtrees (zeros and -inf before the first):
  *   counts[k], k < bins = the values y in bin k of edges[0 .. bins],
  *     as np.histogram counts them (bins may be 0, with no edges read);
  *   counts[bins + t], t < n_over = the magnitudes |x| above over[t];
  *   counts[bins + n_over] = the values with sign * x < 0, counted unless
  *     sign is 0;
- *   out[2] = the largest ||x| - center|, NaN if any is NaN (np.max),
- *     found unless center is NaN. */
-void sample_stats(const double *x, long n, long absval, const double *edges,
+ *   *peak = the largest ||x| - center|, NaN if any is NaN (np.max), found
+ *     unless center is NaN.
+ * sample_squares sums (y - mean)^2. */
+double sample_sum(const double *x, long n, long absval, const double *edges,
                   long bins, const double *over, long n_over, double center,
-                  double sign, int64_t *counts, double *out)
+                  double sign, int64_t *counts, double *peak)
 {
     struct reduction r = {absval, 0, 0.0, edges, over, bins, n_over, center,
-                          sign, counts, -INFINITY};
-    for (long k = 0; k <= bins + n_over; k++)
-        counts[k] = 0;
-    out[0] = 0.0 + pairwise(x, n, &r);
-    r.second = 1;
-    r.mean = out[0] / (double)n;
-    out[1] = 0.0 + pairwise(x, n, &r);
-    out[2] = r.peak;
+                          sign, counts, *peak};
+    const double sum = pairwise(x, n, &r);
+    *peak = r.peak;
+    return sum;
+}
+
+double sample_squares(const double *x, long n, long absval, double mean)
+{
+    struct reduction r = {.absval = absval, .second = 1, .mean = mean};
+    return pairwise(x, n, &r);
 }
 
 /* table[j] + w * (table[j + 1] - table[j]), as numpy forms it */

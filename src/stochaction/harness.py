@@ -686,10 +686,12 @@ def _run_source(cfg, out):
     lo = -source.hbar - source.width * 2.0
     edges = np.linspace(lo, -lo, cfg.get("ensemble.bins", 60) + 1)
     stats = sample_stats(stochastic.sample_lambda(source, n), edges=edges,
-                         center=source.hbar)
+                         center=source.hbar, std=True)
     mean = stats.mean
     se = float(stats.std / np.sqrt(n))
-    bias_sigma = abs(mean) / se if se > 0 else 0.0
+    # a sample whose every sign agrees has no spread but a mean of +-hbar,
+    # an infinite bias that fails the check
+    bias_sigma = abs(mean) / se if se > 0 else np.inf if mean else 0.0
     mag_err = stats.peak
     out.csv("lambda_stats.csv",
             ["kind", "n", "mean", "se", "sign_bias_sigma", "max_abs_minus_hbar"],
@@ -723,7 +725,7 @@ def _run_exponential_law(cfg, out):
         edges = np.linspace(0.0, 4.0 * expected, bins + 1)
         stats = _deviation_stats(cfg, lam, idx, edges=edges,
                                  thresholds=(xbar, 2.0 * xbar),
-                                 sign=np.sign(lam))
+                                 sign=np.sign(lam), std=True)
         violations = stats.violations
         mean = stats.mean
         rel = abs(mean / expected - 1.0)

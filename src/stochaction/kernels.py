@@ -12,15 +12,26 @@ in the same C loop; and the ensemble window hashes its lambda draws with
 the same code.
 
 sample_stats reduces a sample to every statistic the sample scenarios
-check, in one C call that reads the sample twice and makes no temporary,
-where numpy made some ten passes: the sum and the sum of squared
-deviations in numpy's pairwise order, which gives np.mean's and np.std's
-bits, and the histogram, threshold, sign and maximum tallies, which are
-exact.  The inverse CDF of the action deviation stays numpy's np.log1p:
-numpy's SIMD log1p and glibc's log1p differ by one unit in the last place
-on some inputs (on 14 625 of the first 200 000 deviation uniforms of seed
-0, with numpy 2.4.6 on an AVX-512 CPU), so a C log1p would change the
-deviations.
+check in C, reading the sample once, or twice for the std, with no
+temporary, where numpy made some ten passes: the sum and the sum of
+squared deviations in numpy's pairwise order, which gives np.mean's and
+np.std's bits, and the histogram, threshold, sign and maximum tallies,
+which are exact.  The inverse CDF of the action deviation stays numpy's
+np.log1p: numpy's SIMD log1p and glibc's log1p differ by one unit in the
+last place on some inputs (on 14 625 of the first 200 000 deviation
+uniforms of seed 0, with numpy 2.4.6 on an AVX-512 CPU), so a C log1p
+would change the deviations.
+
+A sample of at least 2 * _SAMPLE_SHARD_MIN values is drawn, inverted and
+reduced in contiguous shards, at most one per usable CPU, each on its own
+thread.  A draw is keyed by its pid, and the inverse CDF is elementwise,
+so a shard gives the bits of the whole on its slice.  A sum is not
+elementwise, but numpy's pairwise summation is a fixed binary tree over
+contiguous ranges: the reducer's shards are whole subtrees of that tree,
+found by splitting as numpy splits, and their sums are added in the
+tree's own order, which keeps np.add.reduce's bits.  Counts are added as
+integers, and maxima are combined with the reducer's own NaN-sticky
+maximum, so every statistic is the same for any shard count.
 
 The ensemble micro-step window and the polar-pair RK4 window are C
 (``_ensemble.c``, ``_polar.c``), compiled on first use.  Numpy versions
@@ -53,13 +64,14 @@ its sign back with copysign, since np.floor keeps it and the sign can
 reach a result through the interpolation weight.
 
 A window of ensemble micro steps splits the particles into contiguous
-shards, at most one per usable CPU, and runs each shard's steps as one
+shards in the same way, and runs each shard's steps as one
 call of the compiled kernel on its own slices of the arrays.  Each
 particle's update reads only its own entries and is keyed by its own pid,
 so a shard reads and writes nothing of another's.  The shards need no
 synchronisation inside the window, and the result is bitwise the same
-for any shard count.  ctypes releases the interpreter lock for the
-length of each call, so the shards run in parallel.
+for any shard count.  ctypes, and numpy in its ufunc loops, release the
+interpreter lock for the length of each call, so the shards run in
+parallel.
 """
 from __future__ import annotations
 
@@ -137,7 +149,8 @@ def uniform_range(seed: int, domain: int, step: int, n: int,
     n = _count(n)
     key = int(_stream_keys(seed, domain, step, 1, slot, 1)[0, 0])
     out = np.empty(n)
-    _library("_ensemble.c").uniform_range(key, n, out.ctypes.data)
+    fill = _library("_ensemble.c").uniform_range
+    run_sample_shards(n, lambda s, e: fill(key, s, e - s, out[s:].ctypes.data))
     return out
 
 
@@ -156,9 +169,10 @@ def lambda_range(seed: int, domain: int, step: int, n: int, src_kind: int,
     n = _count(n)
     key0, key1 = (int(k) for k in _stream_keys(seed, domain, step, 1, 0, 2)[0])
     out = np.empty(n)
-    _library("_ensemble.c").lambda_range(int(src_kind), key0, key1, n,
-                                         float(mag0), float(jitter),
-                                         out.ctypes.data)
+    fill = _library("_ensemble.c").lambda_range
+    src_kind, mag0, jitter = int(src_kind), float(mag0), float(jitter)
+    run_sample_shards(n, lambda s, e: fill(src_kind, key0, key1, s, e - s, mag0,
+                                           jitter, out[s:].ctypes.data))
     return out
 
 
@@ -167,7 +181,7 @@ class SampleStats:
     """The statistics of a sample; see sample_stats."""
     total: float
     mean: float
-    std: float
+    std: float | None
     counts: np.ndarray
     above: tuple
     violations: int | None
@@ -175,14 +189,14 @@ class SampleStats:
 
 
 def sample_stats(x, magnitudes: bool = False, edges=None, thresholds=(),
-                 sign: float | None = None,
-                 center: float | None = None) -> SampleStats:
+                 sign: float | None = None, center: float | None = None,
+                 std: bool = False) -> SampleStats:
     """The statistics of a sample x, a C-contiguous 1-D float64 array of
     n >= 1 values, each bitwise the numpy expression beside it, with
     y = np.abs(x) where magnitudes is set, else x:
         total       np.add.reduce(y)
         mean        np.mean(y)
-        std         np.std(y)
+        std         np.std(y); None unless std is set
         counts      np.histogram(y, bins=edges)[0]; none without edges,
                     which must be at least two finite, non-decreasing
                     values
@@ -192,10 +206,14 @@ def sample_stats(x, magnitudes: bool = False, edges=None, thresholds=(),
         peak        np.max(np.abs(np.abs(x) - center)); None without a
                     center
 
-    One C call reads x twice: once to sum y in numpy's pairwise order and
-    tally the rest, and once to sum (y - mean)^2 in the same order.  The
-    mean is the first sum over n and the std the root of the second over
-    n, as numpy forms them.
+    The C reducer reads x once to sum y in numpy's pairwise order and tally
+    the rest, and, for the std only, once more to sum (y - mean)^2 in the
+    same order.  The mean is the first sum over n and the std the root of
+    the second over n, as numpy forms them.  Each pass runs on the
+    subtrees of numpy's pairwise tree as shards (see _pairwise_shards);
+    each shard tallies into its own row of counts and its own peak, and
+    the rows are added as integers and the peaks combined by the C's own
+    NaN-sticky maximum.
     """
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64
             and x.ndim == 1 and x.size >= 1 and x.flags.c_contiguous):
@@ -212,17 +230,27 @@ def sample_stats(x, magnitudes: bool = False, edges=None, thresholds=(),
         raise ShapeError("histogram edges must be 2 to 2^31 finite, "
                          "non-decreasing values")
     thresholds = np.ascontiguousarray(thresholds, dtype=np.float64).ravel()
-    counts = np.empty(bins + thresholds.size + 1, np.int64)
-    sums = np.empty(3)
-    _library("_ensemble.c").sample_stats(
-        x.ctypes.data, x.size, int(bool(magnitudes)), edges.ctypes.data, bins,
+    n, absval = x.size, int(bool(magnitudes))
+    shards = _sample_shards(n)
+    counts = np.zeros((shards, bins + thresholds.size + 1), np.int64)
+    peaks = np.full(shards, -math.inf)
+    lib = _library("_ensemble.c")
+    total = _pairwise_shards(n, shards, lambda i, s, e: lib.sample_sum(
+        x[s:].ctypes.data, e - s, absval, edges.ctypes.data, bins,
         thresholds.ctypes.data, thresholds.size,
         math.nan if center is None else float(center),
-        0.0 if sign is None else float(sign), counts.ctypes.data,
-        sums.ctypes.data)
-    total, squares, peak = (float(v) for v in sums)
+        0.0 if sign is None else float(sign), counts[i].ctypes.data,
+        peaks[i:].ctypes.data))
+    squares = None if not std else _pairwise_shards(
+        n, shards, lambda i, s, e: lib.sample_squares(
+            x[s:].ctypes.data, e - s, absval, total / n))
+    peak = -math.inf
+    for p in peaks.tolist():
+        peak = p if p > peak or math.isnan(p) else peak
+    counts = counts.sum(axis=0)
     return SampleStats(
-        total=total, mean=total / x.size, std=math.sqrt(squares / x.size),
+        total=total, mean=total / n,
+        std=None if squares is None else math.sqrt(squares / n),
         counts=counts[:bins], above=tuple(int(c) for c in counts[bins:-1]),
         violations=None if not sign else int(counts[-1]),
         peak=None if center is None else peak)
@@ -313,9 +341,10 @@ _SIGNATURES = {
                             _R, _R, _P, _N, _N, _R, _R, _R, _R),
         "counter_keys": (None, _U, _U, _U, _N, _U, _N, _P),
         "counter_uniform_fill": (None, _U, _P, _N, _P),
-        "uniform_range": (None, _U, _N, _P),
-        "lambda_range": (None, _N, _U, _U, _N, _R, _R, _P),
-        "sample_stats": (None, _P, _N, _N, _P, _N, _P, _N, _R, _R, _P, _P)},
+        "uniform_range": (None, _U, _N, _N, _P),
+        "lambda_range": (None, _N, _U, _U, _N, _N, _R, _R, _P),
+        "sample_sum": (_R, _P, _N, _N, _P, _N, _P, _N, _R, _R, _P, _P),
+        "sample_squares": (_R, _P, _N, _N, _R)},
 }
 # the loaded libraries, by source
 _libraries = {}
@@ -406,6 +435,109 @@ def _library(source: str):
 
 
 # ---------------------------------------------------------------------------
+# shards
+# ---------------------------------------------------------------------------
+# The bulk work of an ensemble window and of a sample runs as contiguous
+# shards, at most one per usable CPU: the calling thread runs the first
+# and one pool of threads the rest.  Each shard is one call of a compiled
+# kernel, or numpy ufunc loops, on its own slices, and ctypes and numpy
+# release the interpreter lock for the length of each, so the shards run
+# in parallel.
+
+# the CPUs this process may run on; a window or a sample runs at most one
+# shard on each
+_WORKERS = len(os.sched_getaffinity(0))
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shard_pool():
+    """The threads that run every shard but the caller's own, made on first
+    use, so that importing this module starts no thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="shard")
+        return _pool
+
+
+def _run_shards(run, shards: int) -> list:
+    """[run(0), ..., run(shards - 1)], shard 0 run by the calling thread and
+    the others by the pool, which is not made for one shard.  Returns, or
+    raises a shard's exception, only once every shard has finished, so no
+    shard writes after the call."""
+    futures = [_shard_pool().submit(run, i) for i in range(1, shards)]
+    try:
+        first = run(0)
+    finally:
+        for f in futures:
+            f.exception()  # waits
+    return [first] + [f.result() for f in futures]
+
+
+# the fewest values a shard of a sample's draws, inverse CDF or reduction
+# takes, so a sample of under 2 * _SAMPLE_SHARD_MIN values runs as one
+# shard.  Measured on 2 vCPUs, one shard against two, in ms (medians of
+# 15 to 21 interleaved timings, in three sessions): the reducer, every
+# statistic of exponential_law with the std, took 6.5 against 6.9, 7.0
+# against 4.9 and 9.1 against 9.3 on 1e6 values; 29.3 against 32.9, 31.1
+# against 21.0 and 32.0 against 33.8 on 4e6; and 89 against 57, 86
+# against 60 and 79 against 58 on 1e7.  The action deviations of 1e7
+# values, drawn and inverted, took 67 against 36, 65 against 36 and 62
+# against 37; on 4e6, 17.8 against 18.6, 16.5 against 7.3 and 17.8
+# against 18.2.  Two shards gained on 1e7 values in every session, and
+# on 4e6 or fewer in one of three.  2^22 keeps samples of up to 8.4e6
+# values, the registry's 1e6 among them, in one shard
+_SAMPLE_SHARD_MIN = 1 << 22
+
+
+def _sample_shards(n: int) -> int:
+    """The shards of a sample of n values: at most one per usable CPU and
+    per _SAMPLE_SHARD_MIN values, and at least one."""
+    return max(1, min(_WORKERS, n // _SAMPLE_SHARD_MIN))
+
+
+def run_sample_shards(n: int, run) -> None:
+    """run(s, e) on the contiguous shards [s, e) of 0 .. n - 1 that
+    _sample_shards sets, each on its own thread.  For an elementwise run,
+    as a draw by pid or a ufunc, the result does not depend on the
+    split."""
+    shards = _sample_shards(n)
+    bounds = [n * i // shards for i in range(shards + 1)]
+    _run_shards(lambda i: run(bounds[i], bounds[i + 1]), shards)
+
+
+def _pairwise_shards(n: int, shards: int, subtree) -> float:
+    """np.add.reduce's sum of n > 0 terms, from the sums subtree(i, s, e)
+    of the terms s .. e - 1 of each of the 2^d subtrees of numpy's
+    pairwise tree d = ceil(log2 shards) levels below its root, run by
+    shard i of shards; a shard takes one subtree, or two adjacent ones.
+
+    numpy sums a contiguous array along a fixed binary tree: a node of
+    more than 128 values splits at half its size rounded down to a
+    multiple of 8 and adds its halves' sums; a leaf is summed in the
+    order _ensemble.c's pairwise follows.  The subtrees' sums, added pair
+    by pair up the tree and then to the identity 0.0, are therefore that
+    tree's sum bit for bit, wherever each subtree ran.  Every node above
+    the subtrees splits, since _sample_shards gives each shard at least
+    _SAMPLE_SHARD_MIN > 256 values."""
+    depth = (shards - 1).bit_length()
+    bounds = [0, n]
+    for _ in range(depth):
+        bounds = [b for s, e in zip(bounds, bounds[1:])
+                  for b in (s, s + (e - s) // 2 // 8 * 8)] + [n]
+    k = len(bounds) - 1
+    sums = [v for part in _run_shards(
+        lambda i: [subtree(i, bounds[j], bounds[j + 1])
+                   for j in range(k * i // shards, k * (i + 1) // shards)],
+        shards) for v in part]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return 0.0 + sums[0]
+
+
+# ---------------------------------------------------------------------------
 # ensemble micro-stepping
 # ---------------------------------------------------------------------------
 # State arrays (mutated in place): positions qs, scales lams, log-weights
@@ -436,22 +568,6 @@ def _library(source: str):
 # windows of 1e5 particles in one shard, and splits a window of 12 steps
 # from 2^15 particles on
 _SHARD_MIN = 3 << 16
-# the CPUs this process may run on; a window runs at most one shard on each
-_WORKERS = len(os.sched_getaffinity(0))
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _shard_pool():
-    """The threads that run every shard but the caller's own, made on first
-    use, so that importing this module starts no thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS - 1,
-                                       thread_name_prefix="ensemble-shard")
-        return _pool
 
 
 def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
@@ -515,14 +631,8 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 
     shards = max(1, min(_WORKERS, m, m * n_sub // _SHARD_MIN))
     bounds = [m * i // shards for i in range(shards + 1)]
-    futures = [_shard_pool().submit(advance, s, e)
-               for s, e in zip(bounds[1:-1], bounds[2:])]
-    try:
-        done = [advance(bounds[0], bounds[1])]
-    finally:
-        for f in futures:
-            f.exception()  # waits: no shard writes after this call returns
-    done = min(done + [f.result() for f in futures])
+    done = min(_run_shards(lambda i: advance(bounds[i], bounds[i + 1]),
+                           shards))
     if done < n_sub:
         raise NumericalError(
             f"at micro step {step0 + done} an active particle's position is "

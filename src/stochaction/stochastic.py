@@ -18,7 +18,8 @@ from .hamiltonian import (ClassicalSpec, QuantumOperator, hamiltonian_value,
                           require_node_free, theta_of_S)
 from .kernels import (DOMAIN_DEVIATION, DOMAIN_INIT, DOMAIN_SOURCE,
                       SRC_BINARY, SRC_SMEARED, SRC_SPHERE, counter_uniform,
-                      lambda_range, run_ensemble_window, uniform_range)
+                      lambda_range, run_ensemble_window, run_sample_shards,
+                      uniform_range)
 from .lattice import (GridSpec, check_field, gradient, integrate,
                       interp_linear)
 
@@ -101,13 +102,20 @@ def sample_action_deviation(lam: float | np.ndarray, n: int | None = None,
         if lam_arr.ndim and lam_arr.size != count:
             raise ShapeError(f"lam has size {lam_arr.size}, expected {count}")
     dev = uniform_range(seed, DOMAIN_DEVIATION, step, count, slot=0)
-    # inverse CDF, sign(lam) ((-|lam|/2) log1p(-u)), on the uniforms' own
-    # buffer; log1p(-u) is exact near u = 0 and u < 1 always, and numpy's,
-    # whose bits libm's does not give (see kernels).  Rounding is
-    # symmetric in sign, so one product with -lam/2 gives the same bits.
-    np.negative(dev, out=dev)
-    np.log1p(dev, out=dev)
-    dev *= -0.5 * lam_arr
+
+    def invert(s, e):
+        # inverse CDF, sign(lam) ((-|lam|/2) log1p(-u)), on the uniforms'
+        # own buffer; log1p(-u) is exact near u = 0 and u < 1 always, and
+        # numpy's, whose bits libm's does not give (see kernels).
+        # Rounding is symmetric in sign, so one product with -lam/2 gives
+        # the same bits.  Each op is elementwise, so a shard of the
+        # values gives the bits of the whole
+        d = dev[s:e]
+        np.negative(d, out=d)
+        np.log1p(d, out=d)
+        d *= -0.5 * (lam_arr[s:e] if lam_arr.ndim else lam_arr)
+
+    run_sample_shards(count, invert)
     if n is None and np.ndim(lam) == 0:
         return float(dev[0])
     return dev

@@ -73,6 +73,21 @@ def test_exponential_law_with_no_magnitude_above_the_mean_fails_its_tail_check(
     assert [row.split(",")[7] for row in rows] == ["nan", "nan"]
 
 
+@pytest.mark.parametrize("size,seed", [(1, 0), (2, 1), (2, 5)])
+def test_a_binary_source_whose_signs_all_agree_fails_its_bias_check(
+        tmp_path, size, seed):
+    # one draw, or two of one sign (+hbar at seed 1, -hbar at seed 5): the
+    # sample has no spread, and its mean of +-hbar is an infinite bias
+    result = run_command("sample", {"run.scenario": "binary_source",
+                                    "ensemble.size": size, "run.seed": seed},
+                         str(tmp_path))
+    assert result.exit_code == 1
+    bias = {c.name: c for c in result.checks}["sign_bias_sigma"]
+    assert bias.value == np.inf and not bias.passed
+    row = (tmp_path / "lambda_stats.csv").read_text().splitlines()[-1]
+    assert row.split(",")[3:5] == ["0.0", "inf"]
+
+
 def test_every_scenario_has_one_runner():
     names = [name for scenarios in SCENARIOS.values() for name in scenarios]
     assert len(names) == len(set(names))
@@ -220,5 +235,34 @@ def test_csvs_do_not_depend_on_ensemble_worker_count(tmp_path, monkeypatch):
     one, one_checks = _tau_sweep_at_workers(1, tmp_path / "w1", monkeypatch)
     two, two_checks = _tau_sweep_at_workers(2, tmp_path / "w2", monkeypatch)
     assert sorted(one) == ["equivariance.csv", "sweep.csv", "weighted.csv"]
+    assert one == two
+    assert one_checks == two_checks
+
+
+def _exponential_law_at_workers(workers: int, out_dir: Path, monkeypatch):
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    monkeypatch.setattr(kernels, "_pool", None)
+    try:
+        result = run_command("sample", {
+            "run.scenario": "exponential_law",
+            "ensemble.size": 2 * kernels._SAMPLE_SHARD_MIN}, str(out_dir))
+        sharded = kernels._pool is not None
+    finally:
+        if kernels._pool is not None:
+            kernels._pool.shutdown()
+    assert sharded == (workers > 1)
+    assert result.exit_code == 0
+    checks = [(c.name, c.value) for c in result.checks]
+    return _csv_bytes(out_dir, result.files), checks
+
+
+def test_sample_csvs_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    # at twice the sample shard gate two workers split every draw, inverse
+    # CDF and reduction in two
+    one, one_checks = _exponential_law_at_workers(1, tmp_path / "w1",
+                                                  monkeypatch)
+    two, two_checks = _exponential_law_at_workers(2, tmp_path / "w2",
+                                                  monkeypatch)
+    assert sorted(one) == ["deviation_hist.csv", "deviation_stats.csv"]
     assert one == two
     assert one_checks == two_checks

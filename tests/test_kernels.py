@@ -210,7 +210,7 @@ def test_source_lambda_splits_the_uniforms_exactly_at_one_half(kind):
         key0, key1 = (_unmix(int(u * 2.0 ** 53) << 11) for u in (u1, u2))
         for mag0, jitter in ((1.3, 0.4), (0.0, 0.0)):
             out = np.empty(1)
-            draw(kind, key0, key1, 1, mag0, jitter, out.ctypes.data)
+            draw(kind, key0, key1, 0, 1, mag0, jitter, out.ctypes.data)
             assert _same_bits(out, _reference_source(
                 kind, np.array([u1]), np.array([u2]), mag0, jitter))
 
@@ -306,7 +306,8 @@ def _assert_numpy_stats(x, magnitudes, edges, thresholds=(0.5, 1.0),
                         sign=-1.0, center=1.3):
     with np.errstate(invalid="ignore"):
         want = _numpy_stats(x, magnitudes, edges, thresholds, sign, center)
-    got = sample_stats(x, magnitudes, edges, thresholds, sign, center)
+    got = sample_stats(x, magnitudes, edges, thresholds, sign, center,
+                       std=True)
     for name in ("total", "mean", "std", "peak"):
         assert _same_bits(np.float64(getattr(got, name)), want[name]), name
     assert got.counts.dtype == want["counts"].dtype
@@ -381,8 +382,9 @@ def test_sample_stats_leave_out_what_is_not_asked_for():
     x = sample_lambda(SOURCES[0], 1000)
     got = sample_stats(x)
     assert got.counts.shape == (0,) and got.above == ()
-    assert got.violations is None and got.peak is None
-    assert _same_bits(np.float64(got.std), np.std(x))
+    assert got.violations is None and got.peak is None and got.std is None
+    assert _same_bits(np.float64(got.mean), np.mean(x))
+    assert _same_bits(np.float64(sample_stats(x, std=True).std), np.std(x))
 
 
 def _bad_samples():
@@ -406,6 +408,119 @@ def test_sample_stats_refuse_what_the_reducer_cannot_take(case):
     x, edges = _bad_samples()[case]
     with pytest.raises(ShapeError):
         sample_stats(x, edges=edges)
+
+
+# ---------------------------------------------------------------------------
+# sharded sample draws, inverse CDF and reducer: bitwise the one-shot
+# numpy references at any worker count
+
+# the shard gate of these tests, in values: 2 * SAMPLE_GATE values are
+# two shards, 4 * SAMPLE_GATE four
+SAMPLE_GATE = 4096
+# the sizes about the gates of two, three and four shards, and about the
+# split point 10 240 (half of 5 * SAMPLE_GATE, a multiple of 8) of the
+# pairwise tree, where n - 8 moves the split down by 8 and n + 8 does not
+SAMPLE_SIZES = (2 * SAMPLE_GATE - 1, 2 * SAMPLE_GATE, 2 * SAMPLE_GATE + 1,
+                3 * SAMPLE_GATE, 4 * SAMPLE_GATE - 1, 4 * SAMPLE_GATE + 1,
+                5 * SAMPLE_GATE - 8, 5 * SAMPLE_GATE, 5 * SAMPLE_GATE + 8)
+
+
+@pytest.fixture(params=(1, 2, 3, 4), ids=lambda w: f"workers{w}")
+def sample_workers(request, monkeypatch):
+    """The sample path run as if the process could use 1 to 4 CPUs, with a
+    fresh pool and a shard gate of SAMPLE_GATE values; 3 shards take the
+    4 subtrees two levels down, and 4 on a 2-CPU machine interleave."""
+    monkeypatch.setattr(kernels, "_WORKERS", request.param)
+    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(kernels, "_SAMPLE_SHARD_MIN", SAMPLE_GATE)
+    yield request.param
+    if kernels._pool is not None:
+        kernels._pool.shutdown()
+
+
+def _pool_matches_shards(workers, n):
+    # a pool is made exactly when the sample runs as two or more shards
+    return (kernels._pool is not None) == (workers > 1
+                                           and n >= 2 * SAMPLE_GATE)
+
+
+@pytest.mark.parametrize("n", SAMPLE_SIZES)
+def test_sharded_range_draws_equal_the_one_shot_hash_bitwise(sample_workers,
+                                                             n):
+    assert _same_bits(uniform_range(7, 2, 13, n, 1),
+                      _reference_uniform(7, 2, 13, np.arange(n), 1))
+    for source in SOURCES:
+        got = lambda_range(source.seed, DOMAIN_SOURCE, 4, n,
+                           source.kind_index, source.hbar,
+                           source.width * math.sqrt(3.0))
+        assert _same_bits(got, _reference_lambda(source, n, 4))
+    assert _pool_matches_shards(sample_workers, n)
+
+
+@pytest.mark.parametrize("n", SAMPLE_SIZES)
+def test_sharded_deviation_equals_the_written_out_law_bitwise(sample_workers,
+                                                              n):
+    for scalar in (0.7, -2.0):
+        assert _same_bits(sample_action_deviation(scalar, n, seed=5, step=2),
+                          _reference_deviation(scalar, n, 5, 2))
+    lam = sample_lambda(SOURCES[2], n)
+    assert _same_bits(sample_action_deviation(lam, seed=5, step=2),
+                      _reference_deviation(lam, n, 5, 2))
+    assert _pool_matches_shards(sample_workers, n)
+
+
+@pytest.mark.parametrize("n", SAMPLE_SIZES)
+def test_sharded_sample_stats_equal_numpy_bitwise(sample_workers, n):
+    devs = sample_action_deviation(-0.7, n, seed=5, step=2)
+    _assert_numpy_stats(devs, True, np.linspace(0.0, 1.4, 61),
+                        thresholds=(0.35, 0.7), sign=-1.0, center=0.0)
+    wide = _wide_sample(n, np.random.default_rng(n))
+    for magnitudes in (False, True):
+        _assert_numpy_stats(wide, magnitudes, np.linspace(-1e-3, 2.0, 61))
+    assert _pool_matches_shards(sample_workers, n)
+
+
+@pytest.mark.parametrize("bad", ("nan", "inner edge", "off the edges"))
+def test_a_value_in_the_last_shard_only_counts_as_numpy_counts_it(
+        sample_workers, bad):
+    # the last shard holds the last values at any worker count; its NaN
+    # must win the peak, and its count must reach the totals
+    n = 5 * SAMPLE_GATE
+    edges = np.linspace(-2.0, 2.0, 61)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, n)
+    x[n - 3] = {"nan": np.nan, "inner edge": edges[17],
+                "off the edges": 7.5}[bad]
+    for magnitudes in (False, True):
+        _assert_numpy_stats(x, magnitudes, edges)
+    assert _pool_matches_shards(sample_workers, n)
+
+
+@pytest.mark.parametrize("n", (2 * kernels._SAMPLE_SHARD_MIN - 1,
+                               2 * kernels._SAMPLE_SHARD_MIN + 1))
+def test_the_sample_gate_splits_a_sample_with_the_same_bits(monkeypatch, n):
+    # at the gate itself the two-shard draws and reducer give the bits of
+    # one shard; the one-shard path is the one the tests above pin to numpy
+    edges = np.linspace(0.0, 1.4, 61)
+
+    def run():
+        devs = sample_action_deviation(-0.7, n, seed=5, step=2)
+        return devs, sample_stats(devs, True, edges, (0.35, 0.7), -1.0, 0.0,
+                                  std=True)
+
+    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    one = run()
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    try:
+        two = run()
+        assert (kernels._pool is not None) == (n > 2 * kernels._SAMPLE_SHARD_MIN)
+    finally:
+        if kernels._pool is not None:
+            kernels._pool.shutdown()
+    assert _same_bits(one[0], two[0])
+    for name in ("total", "mean", "std", "peak", "above", "violations"):
+        assert _same_bits(getattr(one[1], name), getattr(two[1], name)), name
+    assert _same_bits(one[1].counts, two[1].counts)
 
 
 # ---------------------------------------------------------------------------
