@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .hamiltonian import QuantumOperator, tridiagonal_apply
@@ -84,6 +83,10 @@ def propagate_crank_nicolson(state: WaveState, H: QuantumOperator,
     _check_operator(state, H)
     if steps == 0:
         return state
+    # imported here, not at module level: scipy takes over half of the
+    # package's import time and most scenarios never step a wave
+    import scipy.linalg
+
     c = 0.5j * dt / state.hbar_eff
     X = (c * H.lower, c * H.diag, c * H.upper)
     # 1 + X is factored once; 1 - X is applied as a stencil at each step

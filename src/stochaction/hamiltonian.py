@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, NodeError, ShapeError
 from .lattice import NODE_EPS, GridSpec, check_field, gradient
@@ -219,6 +218,10 @@ class QuantumOperator:
         if not np.array_equal(self.lower, np.conj(self.upper)):
             raise ConfigurationError(
                 "eigendecomposition needs a Hermitian operator")
+        # imported here, not at module level: scipy takes over half of the
+        # package's import time and most scenarios never decompose
+        import scipy.linalg
+
         d = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(-self.upper)))))
         w, V = scipy.linalg.eigh_tridiagonal(self.diag, -np.abs(self.upper),
                                              lapack_driver="stemr")

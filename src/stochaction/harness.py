@@ -414,8 +414,21 @@ class _Out:
     def manifest(self, doc: dict) -> None:
         with open(os.path.join(self.path, "manifest.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(_finite_json(doc), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
+
+
+def _finite_json(value):
+    """value with each non-finite float written as the CSVs write it
+    ("inf", "-inf", "nan"): JSON has no literal for one."""
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return _fmt(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +882,10 @@ def _ordering_rows(spec, grid, hbar, case):
     sandwich = build_quantum_hamiltonian(spec, grid, hbar).matrix
     rows = []
     results = {}
+    # each distinct matrix's spectrum, by its bytes: at constant g the
+    # naive builds equal the sandwich bit for bit (bytes, not values, so a
+    # -0.0 entry never takes another matrix's spectrum)
+    spectra = {}
     for build in ("sandwich", "g_pp", "pp_g"):
         if build == "sandwich":
             M = sandwich
@@ -877,7 +894,10 @@ def _ordering_rows(spec, grid, hbar, case):
         defect = hermiticity_defect(M)
         rel = defect / float(np.max(np.abs(M)))
         diff = float(np.max(np.abs(M - sandwich)))
-        low, max_imag = _low_spectrum(M)
+        key = M.tobytes()
+        if key not in spectra:
+            spectra[key] = _low_spectrum(M)
+        low, max_imag = spectra[key]
         rows.append((case, build, defect, rel, diff, *low, max_imag))
         results[build] = (rel, diff, max_imag)
     return rows, results

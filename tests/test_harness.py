@@ -52,6 +52,15 @@ def test_scenario_passes_and_reruns_byte_identically(tmp_path, command, scenario
             == _csv_bytes(tmp_path / "a", first.files))
 
 
+def _strict_manifest(out_dir: Path) -> dict:
+    """manifest.json, read as RFC 8259 JSON: json.dump's default would
+    write a non-finite value as the bare token Infinity or NaN."""
+    def reject(token):
+        raise ValueError(f"manifest.json holds the non-JSON token {token}")
+    return json.loads((out_dir / "manifest.json").read_text(),
+                      parse_constant=reject)
+
+
 def test_exponential_law_with_no_magnitude_above_the_mean_fails_its_tail_check(
         tmp_path):
     # 3 draws: at lam = 1 and 2 no magnitude exceeds the mean |lam|/2, so
@@ -66,9 +75,11 @@ def test_exponential_law_with_no_magnitude_above_the_mean_fails_its_tail_check(
         assert np.isnan(tail.value) and not tail.passed
     assert all(checks[f"sign_violations_lam_{lam}"].passed
                for lam in ("0.5", "1", "2"))
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = _strict_manifest(tmp_path)
     assert manifest["status"] == "complete"
     assert manifest["files"] == ["deviation_stats.csv", "deviation_hist.csv"]
+    values = {c["name"]: c["value"] for c in manifest["checks"]}
+    assert values["tail_ratio_rel_err_lam_1"] == "nan"
     rows = (tmp_path / "deviation_stats.csv").read_text().splitlines()[-2:]
     assert [row.split(",")[7] for row in rows] == ["nan", "nan"]
 
@@ -86,6 +97,27 @@ def test_a_binary_source_whose_signs_all_agree_fails_its_bias_check(
     assert bias.value == np.inf and not bias.passed
     row = (tmp_path / "lambda_stats.csv").read_text().splitlines()[-1]
     assert row.split(",")[3:5] == ["0.0", "inf"]
+    values = {c["name"]: c["value"]
+              for c in _strict_manifest(tmp_path)["checks"]}
+    assert values["sign_bias_sigma"] == "inf"
+
+
+def test_ordering_contrast_computes_each_distinct_spectrum_once(
+        tmp_path, monkeypatch):
+    # at constant g both naive builds equal the sandwich byte for byte, so
+    # the six orderings have four distinct spectra
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(matrix):
+        calls.append(1)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    result = run_command("orderings", {"run.scenario": "ordering_contrast",
+                                       "grid.n": 64}, str(tmp_path))
+    assert result.exit_code == 0
+    assert len(calls) == 4
 
 
 def test_every_scenario_has_one_runner():
@@ -188,12 +220,16 @@ run_command("equivariance", {"run.scenario": "tau_sweep", "time.T": 0.04,
 """
 
 
-def _run_at_blas_threads(threads: int, out_dir: Path) -> dict:
+def _source_env(**overrides) -> dict:
+    """This process's environment, with the source tree on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               OMP_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _run_at_blas_threads(threads: int, out_dir: Path) -> dict:
+    env = _source_env(OPENBLAS_NUM_THREADS=str(threads),
+                      OMP_NUM_THREADS=str(threads))
     subprocess.run([sys.executable, "-c", _THREAD_RUN, str(out_dir)],
                    env=env, check=True, timeout=300)
     return {str(p.relative_to(out_dir)): p.read_bytes()
@@ -209,6 +245,29 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
         "tau_sweep/weighted.csv"]
     for name in one:
         assert one[name] == two[name], name
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+from stochaction.harness import SCENARIOS, run_command
+out = sys.argv[1]
+for name in SCENARIOS["sample"]:
+    run_command("sample", {"run.scenario": name, "ensemble.size": 1000},
+                out + "/" + name)
+run_command("orderings", {"run.scenario": "ordering_contrast", "grid.n": 64},
+            out + "/ordering_contrast")
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_sample_scenarios_and_ordering_contrast_never_load_scipy(tmp_path):
+    # scipy is imported where its two LAPACK calls are made, so a process
+    # that only samples, or only contrasts orderings, never pays for it
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
+                         env=_source_env(), check=True, timeout=300,
+                         capture_output=True, text=True)
+    assert json.loads(run.stdout) == []
 
 
 def _tau_sweep_at_workers(workers: int, out_dir: Path, monkeypatch):
