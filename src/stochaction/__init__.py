@@ -16,11 +16,10 @@ from .madelung import (MadelungState, PhasePair, check_phase_offset,
                        from_polar, pair_from_wave, quantum_potential,
                        step_coupled_pde, to_polar)
 from .classical import PhasePoint, action_of_path, hamilton_step, integrate_path
-from .stochastic import (ActionSegment, EnsembleState, LambdaSource,
-                         bohmian_velocity, effective_velocity, init_ensemble,
+from .stochastic import (EnsembleState, LambdaSource, bohmian_velocity,
+                         effective_velocity, init_ensemble,
                          microscopic_velocity, propagate_ensemble,
-                         sample_action_deviation, sample_lambda,
-                         segment_weight)
+                         sample_action_deviation, sample_lambda)
 from .harness import parse_config, run_command
 
 __all__ = [
@@ -36,8 +35,8 @@ __all__ = [
     "MadelungState", "PhasePair", "to_polar", "from_polar", "pair_from_wave",
     "step_coupled_pde", "quantum_potential", "check_phase_offset",
     "PhasePoint", "hamilton_step", "integrate_path", "action_of_path",
-    "LambdaSource", "ActionSegment", "EnsembleState",
-    "sample_lambda", "sample_action_deviation", "segment_weight",
+    "LambdaSource", "EnsembleState",
+    "sample_lambda", "sample_action_deviation",
     "microscopic_velocity", "effective_velocity", "bohmian_velocity",
     "init_ensemble", "propagate_ensemble",
     "parse_config", "run_command",

@@ -716,7 +716,7 @@ def _run_source(cfg, out):
         checks.append(_check("magnitude_exact", mag_err, 0.0, "=="))
     else:
         checks.append(_check("magnitude_within_support", mag_err,
-                             source.width * np.sqrt(3.0) * (1 + 1e-12), "<="))
+                             source.jitter * (1 + 1e-12), "<="))
     return checks
 
 
@@ -789,9 +789,9 @@ def _guided_ensembles(cfg, taus):
     T = cfg["time.T"]
     frames = stochastic.build_wave_frames(state0, H, spec, T,
                                           cfg["time.dt_window"], cfg["time.dt"])
-    disable = cfg.get("ensemble.disable_lambda", False)
+    # no source switches lambda off: guidance-velocity transport alone
     source = None
-    if not disable:
+    if not cfg.get("ensemble.disable_lambda", False):
         source = stochastic.LambdaSource(kind=cfg.get("source.kind", "binary"),
                                          hbar=cfg["source.hbar"],
                                          width=cfg.get("source.width", 0.0),
@@ -801,7 +801,7 @@ def _guided_ensembles(cfg, taus):
         final, diags = stochastic.propagate_ensemble(
             stochastic.init_ensemble(state0, cfg["ensemble.size"], tau,
                                      cfg["run.seed"]),
-            frames, spec, T, source=source, disable_lambda=disable,
+            frames, spec, T, source=source,
             bins=cfg.get("ensemble.bins", 50),
             snapshots=cfg.get("run.snapshots", 5))
         return final.frozen_fraction, diags

@@ -26,6 +26,10 @@ from .lattice import (GridSpec, check_field, gradient, integrate,
 # entry to `step_coupled_pde`, aborts the integration
 NORM_DRIFT_LIMIT = 1e-3
 
+# `step_coupled_pde` runs the kernel in windows of this many steps and
+# applies its guards between them
+CHECK_EVERY = 200
+
 # weight C of the default step dt = C * dq^2 / (max g * |lam|); a
 # conservative choice, about 1/22 of the step at which RK4 on the pair
 # was measured to go unstable for smooth low-passed states
@@ -209,7 +213,7 @@ def _guard_branch(name: str, omega: np.ndarray, S: np.ndarray) -> None:
 
 
 def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
-                     steps: int = 1, check_every: int = 200) -> PhasePair:
+                     steps: int = 1) -> PhasePair:
     """Advance both branches of the pair by `steps` explicit RK4 steps.
 
     Co-evolution uses the pair-cancelled continuity rate for each branch
@@ -220,7 +224,7 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
     result and not an assumption.
 
     The node-free precondition is checked once on entry.  During the run,
-    every `check_every` steps, each branch must be finite, must not have
+    every CHECK_EVERY steps, each branch must be finite, must not have
     gone significantly negative in density, and must keep its norm within
     NORM_DRIFT_LIMIT of its value on entry.
     """
@@ -246,7 +250,7 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
     y[1] = [m.S for m in branches]
     done = 0
     while done < steps:
-        chunk = min(check_every, steps - done)
+        chunk = min(CHECK_EVERY, steps - done)
         np.square(R, out=y[0])
         run_madelung_window(y, g, dg, A, V, grid.dq, dt, chunk,
                             abs(pair.plus.lam))

@@ -1,5 +1,5 @@
-"""Random action scales, exponential action-deviation sampling, segment
-weights, microscopic/effective velocities, and guided-ensemble transport.
+"""Random action scales, exponential action-deviation sampling,
+microscopic/effective velocities, and guided-ensemble transport.
 
 Randomness comes from the counter streams in `kernels`: every draw is a
 pure function of (seed, domain, step, particle, slot), so results are
@@ -14,14 +14,13 @@ import numpy as np
 
 from .errors import ConfigurationError, ShapeError
 from .evolution import WaveState, propagate_crank_nicolson
-from .hamiltonian import (ClassicalSpec, QuantumOperator, hamiltonian_value,
-                          require_node_free, theta_of_S)
+from .hamiltonian import (ClassicalSpec, QuantumOperator, require_node_free,
+                          theta_of_S)
 from .kernels import (DOMAIN_DEVIATION, DOMAIN_INIT, DOMAIN_SOURCE,
                       SRC_BINARY, SRC_SMEARED, SRC_SPHERE, counter_uniform,
                       lambda_range, run_ensemble_window, run_sample_shards,
                       uniform_range)
-from .lattice import (GridSpec, check_field, gradient, integrate,
-                      interp_linear)
+from .lattice import GridSpec, check_field, gradient, interp_linear
 
 SOURCE_KINDS = ("binary", "sphere", "smeared")
 
@@ -49,7 +48,7 @@ class LambdaSource:
         if self.width > 0 and self.kind != "smeared":
             raise ConfigurationError("width applies to the smeared kind only")
         # keep |lambda| > 0: the uniform perturbation spans width*sqrt(3)
-        if self.kind == "smeared" and self.width * _SQRT3 >= self.hbar:
+        if self.kind == "smeared" and self.jitter >= self.hbar:
             raise ConfigurationError(
                 f"width {self.width} too large: magnitude could reach zero "
                 f"(need width < hbar/sqrt(3) = {self.hbar / _SQRT3:.6g})")
@@ -61,12 +60,12 @@ class LambdaSource:
         return _KIND_INDEX[self.kind]
 
     @property
-    def mean_abs(self) -> float:
-        return self.hbar
+    def jitter(self) -> float:
+        """Half-width of the smeared kind's uniform magnitude perturbation."""
+        return self.width * _SQRT3
 
 
-def sample_lambda(source: LambdaSource, n: int | None = None,
-                  step: int = 0) -> float | np.ndarray:
+def sample_lambda(source: LambdaSource, n: int, step: int = 0) -> np.ndarray:
     """Draw signed action scales from the source's counter stream.
 
     binary: +-hbar with equal probability.  sphere: the z-coordinate of a
@@ -74,34 +73,25 @@ def sample_lambda(source: LambdaSource, n: int | None = None,
     magnitude is hbar always.  smeared: +-(hbar + uniform perturbation of
     standard deviation width), sign unbiased.
     """
-    count = 1 if n is None else int(n)
-    if count < 1:
+    if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    lam = lambda_range(source.seed, DOMAIN_SOURCE, step, count,
-                       source.kind_index, source.hbar, source.width * _SQRT3)
-    if n is None:
-        return float(lam[0])
-    return lam
+    return lambda_range(source.seed, DOMAIN_SOURCE, step, n,
+                        source.kind_index, source.hbar, source.jitter)
 
 
-def sample_action_deviation(lam: float | np.ndarray, n: int | None = None,
-                            seed: int = 0, step: int = 0) -> float | np.ndarray:
-    """Signed exponential action deviation: sign(lam) * Exp(mean |lam|/2).
+def sample_action_deviation(lam: float, n: int, seed: int = 0,
+                            step: int = 0) -> np.ndarray:
+    """n signed exponential action deviations at the scale lam:
+    sign(lam) * Exp(mean |lam|/2).
 
     The deviation never crosses zero against the sign of lam, and its
-    magnitude is memoryless with mean |lam|/2.  A scalar lam with n draws
-    gives the same values as an array of n copies of it.
+    magnitude is memoryless with mean |lam|/2.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr == 0) or not np.all(np.isfinite(lam_arr)):
+    if np.ndim(lam):
+        raise ShapeError(f"lam must be a scalar, got shape {np.shape(lam)}")
+    if lam == 0 or not np.isfinite(lam):
         raise ConfigurationError("lam must be nonzero and finite")
-    if n is None:
-        count = lam_arr.size if lam_arr.ndim else 1
-    else:
-        count = int(n)
-        if lam_arr.ndim and lam_arr.size != count:
-            raise ShapeError(f"lam has size {lam_arr.size}, expected {count}")
-    dev = uniform_range(seed, DOMAIN_DEVIATION, step, count, slot=0)
+    dev = uniform_range(seed, DOMAIN_DEVIATION, step, n, slot=0)
 
     def invert(s, e):
         # inverse CDF, sign(lam) ((-|lam|/2) log1p(-u)), on the uniforms'
@@ -113,67 +103,10 @@ def sample_action_deviation(lam: float | np.ndarray, n: int | None = None,
         d = dev[s:e]
         np.negative(d, out=d)
         np.log1p(d, out=d)
-        d *= -0.5 * (lam_arr[s:e] if lam_arr.ndim else lam_arr)
+        d *= -0.5 * lam
 
-    run_sample_shards(count, invert)
-    if n is None and np.ndim(lam) == 0:
-        return float(dev[0])
+    run_sample_shards(dev.size, invert)
     return dev
-
-
-def classical_action_increment(q: float, p: float, spec: ClassicalSpec,
-                               dt: float) -> float:
-    """Stationary-path action over a short segment: p*qdot*dt - H*dt."""
-    if dt <= 0 or not np.isfinite(dt):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    g = float(spec.g(q))
-    A = float(spec.A(q))
-    qdot = g * (p - A)
-    return p * qdot * dt - hamiltonian_value(q, p, spec) * dt
-
-
-def segment_weight(S: np.ndarray, spec: ClassicalSpec, grid: GridSpec,
-                   dt: float, q: float | np.ndarray) -> float | np.ndarray:
-    """exp(-theta(S)(q) dt): > 1 where the S-flow converges, < 1 where it
-    spreads."""
-    if dt < 0 or not np.isfinite(dt):
-        raise ConfigurationError(f"dt must be >= 0 and finite, got {dt}")
-    theta = theta_of_S(S, spec, grid)
-    return np.exp(-interp_linear(theta, grid, q) * dt)
-
-
-@dataclass(frozen=True)
-class ActionSegment:
-    dS: float
-    dS_classical: float
-    lam: float
-    weight: float
-
-    def __post_init__(self):
-        if (self.dS - self.dS_classical) * np.sign(self.lam) < 0:
-            raise ConfigurationError(
-                "segment violates the sign constraint "
-                f"(dS - dS_classical = {self.dS - self.dS_classical!r}, "
-                f"lam = {self.lam!r})")
-        if not (self.weight > 0):
-            raise ConfigurationError(f"weight must be > 0, got {self.weight}")
-
-    @property
-    def deviation(self) -> float:
-        return self.dS - self.dS_classical
-
-
-def draw_segments(q: float, p: float, spec: ClassicalSpec, grid: GridSpec,
-                  S: np.ndarray, dt: float, source: LambdaSource, n: int,
-                  seed: int = 0, step: int = 0) -> list[ActionSegment]:
-    """Sample n action segments at phase point (q, p)."""
-    lams = sample_lambda(source, n, step=step)
-    devs = sample_action_deviation(lams, n, seed=seed, step=step)
-    base = classical_action_increment(q, p, spec, dt)
-    w = float(segment_weight(S, spec, grid, dt, q))
-    return [ActionSegment(dS=base + float(d), dS_classical=base,
-                          lam=float(l), weight=w)
-            for d, l in zip(devs, lams)]
 
 
 def microscopic_velocity(q: float | np.ndarray, S: np.ndarray,
@@ -249,7 +182,7 @@ class EnsembleState:
 
 
 def sample_positions_from_density(density: np.ndarray, grid: GridSpec, n: int,
-                                  seed: int, step: int = 0) -> np.ndarray:
+                                  seed: int) -> np.ndarray:
     """Inverse-CDF sampling of a gridded density (trapezoid CDF)."""
     density = check_field(density, grid, "density")
     if np.any(density < 0):
@@ -261,23 +194,19 @@ def sample_positions_from_density(density: np.ndarray, grid: GridSpec, n: int,
         raise ShapeError("density integrates to zero")
     cdf /= total
     pids = np.arange(n, dtype=np.uint64)
-    u = counter_uniform(seed, DOMAIN_INIT, step, pids, slot=0)
+    u = counter_uniform(seed, DOMAIN_INIT, 0, pids, slot=0)
     return np.interp(u, cdf, grid.points())
 
 
-def init_ensemble(state: WaveState, n: int, tau_Q: float, seed: int,
-                  source: LambdaSource | None = None) -> EnsembleState:
-    """Positions sampled from |psi|^2; lambdas drawn from the source (they
-    are refreshed again at the first micro step)."""
+def init_ensemble(state: WaveState, n: int, tau_Q: float,
+                  seed: int) -> EnsembleState:
+    """Positions sampled from |psi|^2, every lambda 0; propagate_ensemble
+    draws each particle's lambda afresh at every micro step."""
     if n < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {n}")
     density = np.abs(state.psi) ** 2
     positions = sample_positions_from_density(density, state.grid, n, seed)
-    if source is not None:
-        lambdas = np.asarray(sample_lambda(source, n, step=0), dtype=float)
-    else:
-        lambdas = np.zeros(n)
-    return EnsembleState(positions=positions, lambdas=lambdas, tau_Q=tau_Q,
+    return EnsembleState(positions=positions, lambdas=np.zeros(n), tau_Q=tau_Q,
                          t=state.t, seed=seed, frozen=np.zeros(n, dtype=np.uint8),
                          log_weights=np.zeros(n))
 
@@ -323,7 +252,12 @@ def build_wave_frames(state: WaveState, H: QuantumOperator,
     if T > 0 and abs(n_windows * dt_window - T) > 1e-9 * T:
         raise ConfigurationError(
             f"dt_window = {dt_window} does not divide T = {T}")
-    n_half = max(1, int(round(0.5 * dt_window / dt_cn)))
+    # the fields are taken at window midpoints, so dt_cn must divide half
+    # a window
+    n_half = int(round(0.5 * dt_window / dt_cn)) if dt_cn > 0 else 0
+    if n_half < 1 or abs(n_half * dt_cn - 0.5 * dt_window) > 1e-9 * dt_window:
+        raise ConfigurationError(
+            f"dt_cn = {dt_cn} does not divide half of dt_window = {dt_window}")
     dt_half = 0.5 * dt_window / n_half
     grid = state.grid
     dens = np.empty((n_windows + 1, grid.n))
@@ -386,27 +320,23 @@ def _snapshot(ens_positions, log_weights, frozen, t, wave_density, grid,
 
 def propagate_ensemble(ens: EnsembleState, frames: WaveFrames,
                        spec: ClassicalSpec, T: float,
-                       source: LambdaSource | None = None,
-                       disable_lambda: bool = False, bins: int = 50,
+                       source: LambdaSource | None = None, bins: int = 50,
                        snapshots: int = 5) -> tuple[EnsembleState, list[dict]]:
     """Micro-step the ensemble along the wave trajectory for duration T.
 
-    Per micro step of length tau_Q each particle redraws lambda, moves by
-    its microscopic velocity, and accumulates the segment log-weight
-    -theta dt.  Particles stepping outside the domain are frozen at the
-    edge and counted.  Returns the final ensemble and per-snapshot
+    Per micro step of length tau_Q each particle redraws lambda from the
+    source, moves by its microscopic velocity, and accumulates the
+    log-weight -theta dt.  With no source every lambda is 0: each particle
+    moves with the guidance field alone, and the osmotic table is not
+    felt.  Particles stepping outside the domain are frozen at the edge
+    and counted.  Returns the final ensemble and per-snapshot
     equivariance diagnostics (unweighted histogram is the transported
     density; the weighted one is reported alongside).
     """
-    if disable_lambda:
+    if source is None:
         src_kind, mag0, jitter = SRC_BINARY, 0.0, 0.0
     else:
-        if source is None:
-            raise ConfigurationError(
-                "a LambdaSource is required unless disable_lambda is set")
-        src_kind = source.kind_index
-        mag0 = source.hbar
-        jitter = source.width * _SQRT3
+        src_kind, mag0, jitter = source.kind_index, source.hbar, source.jitter
     grid = frames.grid
     n_sub = int(round(frames.dt_window / ens.tau_Q))
     if n_sub < 1 or abs(n_sub * ens.tau_Q - frames.dt_window) > 1e-9 * frames.dt_window:

@@ -147,6 +147,26 @@ def test_evolve_rejects_a_step_that_does_not_divide_the_horizon(
     assert manifest["files"] == []
 
 
+# equivariance takes its wave-field frames at window midpoints, so
+# time.dt must divide half of time.dt_window; 3e-3 used to run at 2.5e-3
+# while the manifest recorded 3e-3, and 0 to divide by zero
+@pytest.mark.parametrize("dt", (0.0, 3e-3))
+def test_equivariance_rejects_a_step_that_does_not_divide_half_a_window(
+        tmp_path, capsys, dt):
+    config = {"run.scenario": "bohmian", "time.dt": dt}
+    with pytest.raises(ConfigurationError, match="dt_cn"):
+        run_command("equivariance", config, str(tmp_path / "api"))
+    cfg = tmp_path / "step.cfg"
+    cfg.write_text(f"time.dt = {dt!r}\n")
+    assert cli.main(["equivariance", "--scenario", "bohmian", "--config",
+                     str(cfg), "--out", str(tmp_path / "cli")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    for out in ("api", "cli"):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["files"] == []
+
+
 def test_propagator_quality_records_the_last_step(tmp_path):
     # 25 steps: the ten record bounds must end at step 25, not at 24
     result = run_command("evolve", {"run.scenario": "propagator_quality",

@@ -196,7 +196,6 @@ def test_sample_lambda_equals_the_written_out_sources_bitwise(source):
     for size in (1, 196625):
         assert _same_bits(sample_lambda(source, size, step=4),
                               _reference_lambda(source, size, 4))
-    assert sample_lambda(source, step=4) == _reference_lambda(source, 1, 4)[0]
 
 
 @pytest.mark.parametrize("kind", (SRC_BINARY, SRC_SPHERE, SRC_SMEARED))
@@ -258,16 +257,11 @@ def test_range_draws_refuse_a_negative_count_or_key():
 
 
 def test_sample_action_deviation_equals_the_written_out_law_bitwise():
-    size = 196625
-    lam = sample_lambda(SOURCES[2], size)
-    assert _same_bits(sample_action_deviation(lam, seed=5, step=2),
-                          _reference_deviation(lam, size, 5, 2))
-    for scalar in (0.7, -2.0):
-        assert _same_bits(
-            sample_action_deviation(scalar, size, seed=5, step=2),
-            _reference_deviation(scalar, size, 5, 2))
-    assert (sample_action_deviation(-2.0, seed=4, step=9)
-            == _reference_deviation(-2.0, 1, 4, 9)[0])
+    for size in (1, 196625):
+        for lam in (0.7, -2.0):
+            assert _same_bits(
+                sample_action_deviation(lam, size, seed=5, step=2),
+                _reference_deviation(lam, size, 5, 2))
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.kind)
@@ -463,9 +457,6 @@ def test_sharded_deviation_equals_the_written_out_law_bitwise(sample_workers,
     for scalar in (0.7, -2.0):
         assert _same_bits(sample_action_deviation(scalar, n, seed=5, step=2),
                           _reference_deviation(scalar, n, 5, 2))
-    lam = sample_lambda(SOURCES[2], n)
-    assert _same_bits(sample_action_deviation(lam, seed=5, step=2),
-                      _reference_deviation(lam, n, 5, 2))
     assert _pool_matches_shards(sample_workers, n)
 
 

@@ -1,5 +1,7 @@
-"""Signed action-scale sources, exponential action deviations, segment
-weights, microscopic/effective velocities, and guided ensembles."""
+"""Signed action-scale sources, exponential action deviations,
+microscopic/effective velocities, and guided ensembles."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,13 @@ from stochaction.evolution import (coherent_state, gaussian_packet,
                                    propagate_crank_nicolson, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.lattice import build_grid, gradient
-from stochaction.classical import PhasePoint, action_of_path, integrate_path
-from stochaction import stochastic
-from stochaction.stochastic import (ActionSegment, LambdaSource,
-                                    bohmian_velocity, build_wave_frames,
-                                    classical_action_increment, draw_segments,
-                                    effective_velocity, init_ensemble,
-                                    microscopic_velocity, propagate_ensemble,
+from stochaction.stochastic import (LambdaSource, bohmian_velocity,
+                                    build_wave_frames, effective_velocity,
+                                    init_ensemble, microscopic_velocity,
+                                    propagate_ensemble,
                                     sample_action_deviation, sample_lambda,
                                     sample_positions_from_density,
-                                    segment_weight, tv_distance)
+                                    tv_distance)
 
 N_DRAWS = 1_000_000
 
@@ -84,127 +83,31 @@ def test_sample_lambda_is_deterministic_per_key():
 
 
 def test_deviation_sign_follows_the_scale_sign():
-    dev_plus = sample_action_deviation(np.full(N_DRAWS, 1.0), seed=30)
-    dev_minus = sample_action_deviation(np.full(N_DRAWS, -1.0), seed=31)
+    dev_plus = sample_action_deviation(1.0, N_DRAWS, seed=30)
+    dev_minus = sample_action_deviation(-1.0, N_DRAWS, seed=31)
     assert np.all(dev_plus >= 0.0)
     assert np.all(dev_minus <= 0.0)
 
 
 def test_deviation_mean_is_half_the_scale():
     for lam, seed in ((0.5, 32), (1.0, 33), (2.0, 34)):
-        dev = sample_action_deviation(np.full(N_DRAWS, lam), seed=seed)
+        dev = sample_action_deviation(lam, N_DRAWS, seed=seed)
         assert abs(np.mean(dev) - lam / 2.0) / (lam / 2.0) < 0.005
 
 
 def test_deviation_tail_is_memoryless():
-    dev = sample_action_deviation(np.full(N_DRAWS, 1.0), seed=35)
+    dev = sample_action_deviation(1.0, N_DRAWS, seed=35)
     ratio = np.count_nonzero(dev > 1.0) / np.count_nonzero(dev > 0.5)
     assert abs(ratio - np.exp(-1.0)) / np.exp(-1.0) < 0.02
 
 
-def test_deviation_rejects_zero_scale():
-    with pytest.raises(ConfigurationError):
-        sample_action_deviation(0.0)
-
-
-def test_scalar_scale_with_n_equals_an_array_of_copies_bitwise():
-    # the harness passes lam and n rather than n copies of lam
-    n = 131077
-    for lam in (0.5, -2.0):
-        a = sample_action_deviation(lam, n, seed=36, step=1)
-        b = sample_action_deviation(np.full(n, lam), seed=36, step=1)
-        assert a.shape == (n,) and a.tobytes() == b.tobytes()
-
-
-def test_scalar_deviation_round_trip():
-    d = sample_action_deviation(-2.0, seed=4, step=9)
-    assert isinstance(d, float) and d <= 0.0
-
-
-# ---------------------------------------------------------------------------
-# action increments and segment weights
-
-
-def test_free_particle_increment():
-    spec = make_system("free", m=1.0)
-    assert classical_action_increment(0.0, 1.0, spec, 0.1) == pytest.approx(
-        0.05, abs=1e-15)
-
-
-def test_increment_vanishes_at_rest_at_the_well_bottom():
-    spec = make_system("harmonic")
-    assert classical_action_increment(0.0, 0.0, spec, 0.1) == 0.0
-
-
-def test_increment_rejects_nonpositive_dt():
-    spec = make_system("free")
-    with pytest.raises(ConfigurationError):
-        classical_action_increment(0.0, 1.0, spec, 0.0)
-    with pytest.raises(ConfigurationError):
-        classical_action_increment(0.0, 1.0, spec, -0.1)
-
-
-def test_midpoint_increment_sum_matches_path_action_at_second_order():
-    # midpoint-sampled increments vs the trapezoid path action: the
-    # difference is 0.0737 dt^2 on this trajectory (measured at two
-    # resolutions)
-    spec = make_system("harmonic")
-    diffs = []
-    for dt in (1e-2, 5e-3):
-        steps = int(round(1.0 / dt))
-        path = integrate_path(PhasePoint(0.8, 0.3), spec, dt, steps)
-        qm = 0.5 * (path.qs[1:] + path.qs[:-1])
-        pm = 0.5 * (path.ps[1:] + path.ps[:-1])
-        total = sum(classical_action_increment(float(q), float(p), spec, dt)
-                    for q, p in zip(qm, pm))
-        diffs.append(abs(total - action_of_path(path, spec)) / dt ** 2)
-    assert diffs[0] == pytest.approx(0.0737, abs=0.005)
-    assert diffs[1] == pytest.approx(0.0737, abs=0.005)
-
-
-def test_segment_weight_is_one_for_uniform_flow():
-    grid = build_grid(128, -4.0, 4.0)
-    spec = make_system("free")
-    S = 0.7 * grid.points()
-    assert segment_weight(S, spec, grid, 0.3, 0.5) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_segment_weight_of_compressing_flow():
-    # theta = alpha/m from S = alpha q^2 / 2: weight e^{-alpha dt / m} < 1
-    grid = build_grid(251, -5.0, 5.0)
-    spec = make_system("free", m=2.0)
-    alpha = 0.7
-    S = 0.5 * alpha * grid.points() ** 2
-    w = segment_weight(S, spec, grid, 0.3, 0.0)
-    assert w == pytest.approx(np.exp(-alpha * 0.3 / 2.0), abs=1e-10)
-    assert w < 1.0
-
-
-def test_segment_weight_tends_to_one_as_dt_vanishes():
-    grid = build_grid(251, -5.0, 5.0)
-    spec = make_system("free", m=2.0)
-    S = 0.35 * grid.points() ** 2
-    assert segment_weight(S, spec, grid, 0.0, 0.0) == 1.0
-    assert abs(segment_weight(S, spec, grid, 1e-12, 0.0) - 1.0) < 1e-10
-
-
-def test_drawn_segments_respect_the_sign_constraint():
-    grid = build_grid(128, -4.0, 4.0)
-    spec = make_system("harmonic")
-    S = 0.1 * grid.points() ** 2
-    src = LambdaSource(kind="binary", hbar=1.0, seed=8)
-    segs = draw_segments(0.4, 0.9, spec, grid, S, 1e-2, src, 500)
-    assert len(segs) == 500
-    for s in segs:
-        assert s.deviation * np.sign(s.lam) >= 0.0
-        assert s.weight > 0.0
-
-
-def test_action_segment_rejects_sign_violations():
-    with pytest.raises(ConfigurationError):
-        ActionSegment(dS=0.0, dS_classical=0.1, lam=1.0, weight=1.0)
-    with pytest.raises(ConfigurationError):
-        ActionSegment(dS=0.2, dS_classical=0.1, lam=1.0, weight=0.0)
+def test_deviation_rejects_a_zero_infinite_or_array_scale():
+    for lam in (0.0, -0.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            sample_action_deviation(lam, 10)
+    # one scale per draw: a per-draw array is refused
+    with pytest.raises(ShapeError):
+        sample_action_deviation(np.full(10, 1.0), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +242,12 @@ def test_position_sampling_matches_the_density():
     assert tv_distance(hist * np.diff(edges), expected * np.diff(edges)) < 0.02
 
 
-def test_init_ensemble_draws_scales_from_the_source():
+def test_init_ensemble_starts_every_lambda_at_zero():
     grid = build_grid(200, -3.0, 3.0)
     st = gaussian_packet(grid, sigma=0.8)
-    src = LambdaSource(kind="binary", hbar=2.0, seed=12)
-    ens = init_ensemble(st, 4000, tau_Q=1e-3, seed=12, source=src)
+    ens = init_ensemble(st, 4000, tau_Q=1e-3, seed=12)
     assert ens.size == 4000
-    assert np.all(np.abs(ens.lambdas) == 2.0)
+    assert np.all(ens.lambdas == 0.0)
     assert ens.frozen_fraction == 0.0
 
 
@@ -366,6 +268,11 @@ def test_wave_frames_validate_the_time_grid():
         build_wave_frames(st, H, spec, T=1.0, dt_window=0.3, dt_cn=1e-3)
     with pytest.raises(ConfigurationError):
         build_wave_frames(st, H, spec, T=1.0, dt_window=0.0, dt_cn=1e-3)
+    # the Crank-Nicolson step must divide half a window: none, one that
+    # does not divide it, one longer than it
+    for dt_cn in (0.0, -1e-3, np.nan, 3e-3, 8e-3):
+        with pytest.raises(ConfigurationError):
+            build_wave_frames(st, H, spec, T=1.0, dt_window=1e-2, dt_cn=dt_cn)
 
 
 def test_zero_time_propagation_returns_the_sampling_noise_floor():
@@ -377,8 +284,7 @@ def test_zero_time_propagation_returns_the_sampling_noise_floor():
     st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
     frames = build_wave_frames(st, H, spec, T=0.0, dt_window=1e-2, dt_cn=1e-3)
     ens = init_ensemble(st, 50_000, tau_Q=1e-3, seed=77)
-    _, diags = propagate_ensemble(ens, frames, spec, 0.0,
-                                  disable_lambda=True, bins=50)
+    _, diags = propagate_ensemble(ens, frames, spec, 0.0, bins=50)
     assert diags[0]["tv_distance"] < 0.02
     assert diags[0]["frozen_fraction"] == 0.0
 
@@ -390,13 +296,35 @@ def test_propagate_ensemble_validates_timescales():
     st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
     frames = build_wave_frames(st, H, spec, T=0.1, dt_window=1e-2, dt_cn=1e-3)
     src = LambdaSource(kind="binary", hbar=1.0, seed=5)
-    ens = init_ensemble(st, 100, tau_Q=3e-3, seed=5, source=src)
+    ens = init_ensemble(st, 100, tau_Q=3e-3, seed=5)
     with pytest.raises(ConfigurationError):
         # tau_Q does not divide the window
         propagate_ensemble(ens, frames, spec, 0.1, source=src)
-    ens2 = init_ensemble(st, 100, tau_Q=1e-3, seed=5, source=src)
+    ens2 = init_ensemble(st, 100, tau_Q=1e-3, seed=5)
     with pytest.raises(ConfigurationError):
         # horizon not commensurate with the window
         propagate_ensemble(ens2, frames, spec, 0.093, source=src)
     with pytest.raises(ConfigurationError):
         propagate_ensemble(ens2, frames, spec, 0.1, source=src, bins=1)
+
+
+def test_with_lambda_off_the_osmotic_table_has_no_effect():
+    # source None: every particle moves with the guidance field alone, so
+    # doubling the osmotic table leaves the positions bitwise the same;
+    # with a source the same doubling moves them
+    grid = build_grid(320, -3.2, 3.2)
+    spec = make_system("harmonic")
+    H = build_quantum_hamiltonian(spec, grid, 1.0)
+    st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
+    frames = build_wave_frames(st, H, spec, T=0.04, dt_window=1e-2, dt_cn=1e-3)
+    doubled = replace(frames, osm=2.0 * frames.osm)
+    ens = init_ensemble(st, 2000, tau_Q=1e-3, seed=13)
+    off = [propagate_ensemble(ens, f, spec, 0.04)[0]
+           for f in (frames, doubled)]
+    assert off[0].positions.tobytes() == off[1].positions.tobytes()
+    assert not np.array_equal(off[0].positions, ens.positions)
+    assert all(np.all(e.lambdas == 0.0) for e in off)
+    src = LambdaSource(kind="binary", hbar=1.0, seed=13)
+    on = [propagate_ensemble(ens, f, spec, 0.04, source=src)[0]
+          for f in (frames, doubled)]
+    assert not np.array_equal(on[0].positions, on[1].positions)
