@@ -149,8 +149,9 @@ def test_evolve_rejects_a_step_that_does_not_divide_the_horizon(
 
 # equivariance takes its wave-field frames at window midpoints, so
 # time.dt must divide half of time.dt_window; 3e-3 used to run at 2.5e-3
-# while the manifest recorded 3e-3, and 0 to divide by zero
-@pytest.mark.parametrize("dt", (0.0, 3e-3))
+# and 6e-3 at 5e-3 while the manifest recorded the configured step, and 0
+# to divide by zero
+@pytest.mark.parametrize("dt", (0.0, -1e-3, 3e-3, 6e-3))
 def test_equivariance_rejects_a_step_that_does_not_divide_half_a_window(
         tmp_path, capsys, dt):
     config = {"run.scenario": "bohmian", "time.dt": dt}
@@ -165,6 +166,30 @@ def test_equivariance_rejects_a_step_that_does_not_divide_half_a_window(
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["files"] == []
+
+
+def _bohmian_density_csvs(out_dir: Path, **config) -> dict:
+    result = run_command("equivariance", {
+        "run.scenario": "bohmian", "time.T": 0.04, "ensemble.size": 4000,
+        **config}, str(out_dir))
+    return _csv_bytes(out_dir, [f for f in result.files
+                                if f in ("equivariance.csv", "weighted.csv")])
+
+
+def test_disable_lambda_runs_the_ensemble_without_its_source(tmp_path):
+    # with ensemble.disable_lambda the ensemble gets no source: another
+    # kind leaves its CSVs the same bytes, while with lambda on the kind
+    # moves them (source.hbar is not varied: it also sets the wave's hbar)
+    smeared = {"source.kind": "smeared", "source.width": 0.3}
+    base = _bohmian_density_csvs(tmp_path / "base")
+    assert sorted(base) == ["equivariance.csv", "weighted.csv"]
+    assert _bohmian_density_csvs(tmp_path / "other", **smeared) == base
+    on = _bohmian_density_csvs(tmp_path / "on",
+                               **{"ensemble.disable_lambda": False})
+    on_smeared = _bohmian_density_csvs(
+        tmp_path / "on_smeared", **{"ensemble.disable_lambda": False},
+        **smeared)
+    assert on != base and on_smeared != on
 
 
 def test_propagator_quality_records_the_last_step(tmp_path):

@@ -10,7 +10,8 @@ from stochaction.evolution import (coherent_state, gaussian_packet, ground_state
                                    l2_distance, propagate_eigen_oracle)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.lattice import build_grid, gradient, integrate
-from stochaction.madelung import (check_phase_offset, continuity_rate_pair,
+from stochaction.madelung import (CHECK_EVERY, check_phase_offset,
+                                  continuity_rate_pair,
                                   continuity_rate_signed, default_timestep,
                                   from_polar, pair_from_wave,
                                   quantum_potential, step_coupled_pde, to_polar)
@@ -205,6 +206,21 @@ def test_free_packet_tracks_the_schrodinger_density():
     dS = gradient(pair.plus.S, grid) - gradient(np.unwrap(np.angle(ref.psi)), grid)
     w = np.where(dens_ref >= 1e-6 * dens_ref.max(), dens_ref, 0.0)
     assert float(np.sqrt(integrate(dS ** 2 * w, grid))) < 1e-2
+
+
+def test_a_run_splits_at_the_guard_interval_with_the_same_bits(ground_384):
+    # the guards run every CHECK_EVERY steps and the next chunk restarts
+    # from the guarded amplitude, so two calls that end a chunk where one
+    # call would give that call's bits
+    _, spec, gs = ground_384
+    pair = pair_from_wave(gs, offset_quanta=1)
+    one = step_coupled_pde(pair, spec, 5e-4, steps=2 * CHECK_EVERY + 1)
+    two = step_coupled_pde(step_coupled_pde(pair, spec, 5e-4, CHECK_EVERY),
+                           spec, 5e-4, CHECK_EVERY + 1)
+    for a, b in ((one.plus, two.plus), (one.minus, two.minus)):
+        assert a.R.tobytes() == b.R.tobytes()
+        assert a.S.tobytes() == b.S.tobytes()
+        assert a.t == b.t
 
 
 def test_step_rejects_oversized_timestep(ground_384):

@@ -5,10 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stochaction.classical import (PhasePoint, action_of_path, integrate_path,
+                                   lagrangian_value)
 from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.evolution import (coherent_state, gaussian_packet,
                                    propagate_crank_nicolson, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
+from stochaction.kernels import DOMAIN_DEVIATION, counter_uniform
 from stochaction.lattice import build_grid, gradient
 from stochaction.stochastic import (LambdaSource, bohmian_velocity,
                                     build_wave_frames, effective_velocity,
@@ -57,6 +60,18 @@ def test_smeared_source_magnitude_stays_inside_its_band():
     assert abs(np.mean(np.sign(lam))) < 0.004
 
 
+def test_smeared_jitter_spans_a_band_whose_spread_is_the_width():
+    # uniform on hbar +- jitter, jitter = width sqrt(3): the magnitudes
+    # fill the whole band and their standard deviation is the width
+    src = LambdaSource(kind="smeared", hbar=1.0, width=0.2, seed=24)
+    assert src.jitter == 0.2 * np.sqrt(3.0)
+    assert LambdaSource(kind="binary").jitter == 0.0
+    mags = np.abs(sample_lambda(src, N_DRAWS))
+    assert mags.min() - (1.0 - src.jitter) < 1e-4
+    assert (1.0 + src.jitter) - mags.max() < 1e-4
+    assert abs(np.std(mags) - 0.2) / 0.2 < 0.005
+
+
 def test_source_rejects_invalid_parameters():
     with pytest.raises(ConfigurationError):
         LambdaSource(kind="gaussian")
@@ -101,13 +116,62 @@ def test_deviation_tail_is_memoryless():
     assert abs(ratio - np.exp(-1.0)) / np.exp(-1.0) < 0.02
 
 
-def test_deviation_rejects_a_zero_infinite_or_array_scale():
-    for lam in (0.0, -0.0, np.inf, np.nan):
+def test_deviation_rejects_zero_scale():
+    for lam in (0.0, -0.0):
+        with pytest.raises(ConfigurationError):
+            sample_action_deviation(lam, 10)
+
+
+def test_deviation_rejects_an_infinite_or_array_scale():
+    for lam in (np.inf, -np.inf, np.nan):
         with pytest.raises(ConfigurationError):
             sample_action_deviation(lam, 10)
     # one scale per draw: a per-draw array is refused
     with pytest.raises(ShapeError):
         sample_action_deviation(np.full(10, 1.0), 10)
+
+
+def test_scalar_scale_with_n_equals_an_array_of_copies_bitwise():
+    # the harness passes lam and n rather than n copies of lam: the
+    # per-draw law written out over n copies gives the same bits
+    n = 131077
+    u = counter_uniform(36, DOMAIN_DEVIATION, 1,
+                        np.arange(n, dtype=np.uint64), 0)
+    for lam in (0.5, -2.0):
+        lams = np.full(n, lam)
+        ref = np.sign(lams) * (-0.5 * np.abs(lams) * np.log1p(-u))
+        a = sample_action_deviation(lam, n, seed=36, step=1)
+        assert a.shape == (n,) and a.tobytes() == ref.tobytes()
+
+
+def test_scalar_deviation_round_trip():
+    # one draw is an array of one, the first of any longer draw at its key
+    d = sample_action_deviation(-2.0, 1, seed=4, step=9)
+    assert d.shape == (1,) and d.dtype == np.float64 and d[0] <= 0.0
+    many = sample_action_deviation(-2.0, 1000, seed=4, step=9)
+    assert d.tobytes() == many[:1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stationary-path action increment the deviations are added to
+
+
+def test_midpoint_increment_sum_matches_path_action_at_second_order():
+    # midpoint-sampled increments L dt vs the trapezoid path action: the
+    # difference is 0.0737 dt^2 on this trajectory (measured at two
+    # resolutions)
+    spec = make_system("harmonic")
+    diffs = []
+    for dt in (1e-2, 5e-3):
+        steps = int(round(1.0 / dt))
+        path = integrate_path(PhasePoint(0.8, 0.3), spec, dt, steps)
+        qm = 0.5 * (path.qs[1:] + path.qs[:-1])
+        pm = 0.5 * (path.ps[1:] + path.ps[:-1])
+        total = sum(float(lagrangian_value(q, p, spec)) * dt
+                    for q, p in zip(qm, pm))
+        diffs.append(abs(total - action_of_path(path, spec)) / dt ** 2)
+    assert diffs[0] == pytest.approx(0.0737, abs=0.005)
+    assert diffs[1] == pytest.approx(0.0737, abs=0.005)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +313,21 @@ def test_init_ensemble_starts_every_lambda_at_zero():
     assert ens.size == 4000
     assert np.all(ens.lambdas == 0.0)
     assert ens.frozen_fraction == 0.0
+
+
+def test_the_first_micro_step_draws_every_scale_from_the_source():
+    # init_ensemble leaves every lambda at 0; one micro step later each
+    # holds a draw from the source, so the ensemble needs none at start
+    grid = build_grid(320, -3.2, 3.2)
+    spec = make_system("harmonic")
+    H = build_quantum_hamiltonian(spec, grid, 1.0)
+    st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
+    frames = build_wave_frames(st, H, spec, T=1e-2, dt_window=1e-2, dt_cn=1e-3)
+    ens = init_ensemble(st, 4000, tau_Q=1e-2, seed=12)
+    src = LambdaSource(kind="binary", hbar=2.0, seed=12)
+    out, _ = propagate_ensemble(ens, frames, spec, 1e-2, source=src)
+    assert np.all(np.abs(out.lambdas) == 2.0)
+    assert abs(np.mean(np.sign(out.lambdas))) < 0.1
 
 
 def test_tv_distance_basics():
