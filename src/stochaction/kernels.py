@@ -647,7 +647,10 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 #   d(S)/dt     = -( g (dS/dq - A)^2 / 2 + V + QP )
 #   QP          = -(lam^2/2) (g d2R + dg dR) / R,  R = sqrt(omega)
 # Both branches of the pair obey these equations with the same |lam|, so
-# they are advanced together as one batch.
+# they are advanced together as one batch, one row per branch.  Row b of
+# the result depends on row b of the input alone, so two byte-equal rows
+# give byte-equal results: madelung.step_coupled_pde advances a pair whose
+# branches are byte for byte equal as a single row.
 #
 # Wall closure: the wave propagators hold psi = 0 at the ghost points just
 # outside the domain.  Approximate closures at the two wall cells are

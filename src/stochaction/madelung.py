@@ -4,7 +4,11 @@ coupled amplitude/phase PDEs for the signed action scale.
 A single branch carries amplitude R, phase-action S and its signed scale
 lam.  The co-evolved pair (+|lam|, -|lam|) shares one density because the
 sign-odd transport terms cancel between the branches; `step_coupled_pde`
-integrates both branches of that pair together.  The signed single-branch
+integrates both branches of that pair together.  Branches that start byte
+for byte equal (an offset-0 pair) are advanced once and the result taken
+for both: they obey the same equations at the same |lam|, and the kernel
+advances each row from that row alone, so the bits are the same as
+advancing both.  The signed single-branch
 density rate is kept as `continuity_rate_signed`, to show that its branch
 average is the pair rate.
 """
@@ -212,6 +216,11 @@ def _guard_branch(name: str, omega: np.ndarray, S: np.ndarray) -> None:
             "node-free regime")
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype and equal bytes; unlike ==, a signed zero differs."""
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
                      steps: int = 1) -> PhasePair:
     """Advance both branches of the pair by `steps` explicit RK4 steps.
@@ -220,16 +229,28 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
     (the sign-odd transport terms of the two branches cancel identically
     when the amplitudes agree), so the integration is stable in both
     branches and preserves amplitude symmetry and the S0 offset.  Both
-    branches are integrated, stacked as one batch, so the S0 offset is a
-    result and not an assumption.
+    branches are integrated, so the S0 offset is a result and not an
+    assumption.  Branches that differ are stacked as one two-row batch.
+    Branches whose R and S are byte for byte equal, as in an offset-0
+    pair, are advanced once, as a single row, and the result is returned
+    as both branches, each in its own arrays: they obey the same equations
+    at the same |lam|, and row b of the kernel's result depends on row b
+    of its input alone, so the second row would repeat the first bit for
+    bit.
 
-    The node-free precondition is checked once on entry.  During the run,
-    every CHECK_EVERY steps, each branch must be finite, must not have
-    gone significantly negative in density, and must keep its norm within
-    NORM_DRIFT_LIMIT of its value on entry.
+    The node-free precondition is checked once on entry, on each distinct
+    branch.  During the run, every CHECK_EVERY steps, each advanced row
+    must be finite, must not have gone significantly negative in density,
+    and must keep its norm within NORM_DRIFT_LIMIT of its value on entry.
     """
     _check_pair(pair)
-    require_node_free(pair.plus.R ** 2, "pair density")
+    branches = (pair.plus, pair.minus)
+    # the kernel row that carries each branch
+    rows = ([0, 0] if _same_bits(pair.plus.R, pair.minus.R)
+            and _same_bits(pair.plus.S, pair.minus.S) else [0, 1])
+    advanced, names = branches[:rows[1] + 1], ("plus", "minus")[:rows[1] + 1]
+    for m, name in zip(advanced, names):
+        require_node_free(m.R ** 2, f"density of the {name} branch")
     if dt <= 0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
@@ -240,14 +261,12 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
         raise ConfigurationError(
             f"dt = {dt} is more than 10x the default step {dt_default:.3e}")
     g, dg, A, V = _field_tables(spec, grid)
-    branches = (pair.plus, pair.minus)
-    names = ("plus", "minus")
-    norms0 = [integrate(m.R ** 2, grid) for m in branches]
+    norms0 = [integrate(m.R ** 2, grid) for m in advanced]
     times = [m.t for m in branches]
-    # y[0] holds omega and y[1] holds S, each for (plus, minus)
-    y = np.empty((2, 2, grid.n))
-    R = np.stack([m.R for m in branches])
-    y[1] = [m.S for m in branches]
+    # y[0] holds omega and y[1] holds S, one row per advanced branch
+    y = np.empty((2, len(names), grid.n))
+    R = np.stack([m.R for m in advanced])
+    y[1] = [m.S for m in advanced]
     done = 0
     while done < steps:
         chunk = min(CHECK_EVERY, steps - done)
@@ -264,9 +283,10 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
                     f"norm of the {name} branch drifted by more than "
                     f"{NORM_DRIFT_LIMIT:g} ({norms0[b]!r} -> {norm!r} after "
                     f"{done + chunk} steps)")
-            times[b] = times[b] + dt * chunk
+        times = [t + dt * chunk for t in times]
         done += chunk
-    plus, minus = (replace(m, R=R[b], S=y[1, b].copy(), t=times[b])
+    # indexing with the row list copies, so no two branches share memory
+    R, S = R[rows], y[1][rows]
+    plus, minus = (replace(m, R=R[b], S=S[b], t=times[b])
                    for b, m in enumerate(branches))
     return PhasePair(plus=plus, minus=minus, S0=pair.S0)
-

@@ -8,7 +8,9 @@ import pytest
 from stochaction.errors import ConfigurationError, NodeError, NumericalError
 from stochaction.evolution import (coherent_state, gaussian_packet, ground_state,
                                    l2_distance, propagate_eigen_oracle)
+from stochaction import madelung
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
+from stochaction.kernels import run_madelung_window
 from stochaction.lattice import build_grid, gradient, integrate
 from stochaction.madelung import (CHECK_EVERY, check_phase_offset,
                                   continuity_rate_pair,
@@ -285,3 +287,87 @@ def test_norm_guard_fires_on_a_packet_cut_off_by_the_walls():
     dt = default_timestep(grid, spec, 1.0)
     with pytest.raises(NumericalError, match="norm of the plus branch"):
         step_coupled_pde(pair, spec, dt, steps=200)
+
+
+# ---------------------------------------------------------------------------
+# byte-equal branches advance as one kernel row
+
+
+def _record_batch_shapes(monkeypatch):
+    shapes = []
+    run = madelung.run_madelung_window
+
+    def recording(y, *args):
+        shapes.append(y.shape)
+        return run(y, *args)
+
+    monkeypatch.setattr(madelung, "run_madelung_window", recording)
+    return shapes
+
+
+def test_a_byte_equal_pair_advances_one_row(ground_384, monkeypatch):
+    grid, spec, gs = ground_384
+    shapes = _record_batch_shapes(monkeypatch)
+    step_coupled_pde(pair_from_wave(gs), spec, 5e-4, steps=CHECK_EVERY + 1)
+    assert shapes == [(2, 1, grid.n)] * 2
+
+
+def test_pairs_that_differ_in_any_bit_advance_two_rows(ground_384, monkeypatch):
+    # a signed zero equals its opposite by value but not by bytes
+    grid, spec, gs = ground_384
+    pair = pair_from_wave(gs)
+    assert pair.minus.S[0] == 0.0
+    S = pair.minus.S.copy()
+    S[0] = -0.0
+    signed = replace(pair, minus=replace(pair.minus, S=S))
+    shapes = _record_batch_shapes(monkeypatch)
+    for p in (signed, pair_from_wave(gs, offset_quanta=1)):
+        step_coupled_pde(p, spec, 5e-4, steps=1)
+    assert shapes == [(2, 2, grid.n)] * 2
+
+
+def test_one_row_equals_a_two_row_batch_bitwise(ground_384):
+    # the reference is the two-row batch run in the stepper's guard
+    # windows, each restarting from the guarded amplitude
+    grid, spec, gs = ground_384
+    pair = pair_from_wave(gaussian_packet(grid, sigma=0.8, momentum=0.9,
+                                          center=0.3))
+    dt, steps = 5e-4, 2 * CHECK_EVERY + 1
+    out = step_coupled_pde(pair, spec, dt, steps=steps)
+    pts = grid.points()
+    tables = [np.asarray(f(pts), dtype=float)
+              for f in (spec.g, spec.dg, spec.A, spec.V)]
+    y = np.empty((2, 2, grid.n))
+    R = np.stack([pair.plus.R, pair.minus.R])
+    y[1] = [pair.plus.S, pair.minus.S]
+    for chunk in (CHECK_EVERY, CHECK_EVERY, 1):
+        np.square(R, out=y[0])
+        run_madelung_window(y, *tables, grid.dq, dt, chunk, 1.0)
+        R = np.sqrt(np.maximum(y[0], 0.0))
+    for b, m in enumerate((out.plus, out.minus)):
+        assert m.R.tobytes() == R[b].tobytes()
+        assert m.S.tobytes() == y[1, b].tobytes()
+        assert m.t == pair.plus.t + dt * CHECK_EVERY + dt * CHECK_EVERY + dt
+
+
+def test_the_branches_of_a_one_row_result_share_no_memory(ground_384):
+    _, spec, gs = ground_384
+    out = step_coupled_pde(pair_from_wave(gs), spec, 5e-4, steps=1)
+    assert not np.shares_memory(out.plus.R, out.minus.R)
+    assert not np.shares_memory(out.plus.S, out.minus.S)
+
+
+def test_a_node_in_the_minus_branch_only_is_caught_on_entry(monkeypatch):
+    # a plus-only node check let this pair into the kernel, which then
+    # failed with non-finite fields in the minus branch
+    grid = build_grid(128, -6.0, 6.0)
+    spec = make_system("harmonic", m=1.0, omega=1.0)
+    pair = pair_from_wave(gaussian_packet(grid, sigma=0.9))
+    R = pair.minus.R.copy()
+    R[40] = 0.0
+    R /= np.sqrt(integrate(R ** 2, grid))
+    nodey = replace(pair, minus=replace(pair.minus, R=R))
+    shapes = _record_batch_shapes(monkeypatch)
+    with pytest.raises(NodeError, match="minus branch"):
+        step_coupled_pde(nodey, spec, 1e-4, steps=1)
+    assert shapes == []
