@@ -189,6 +189,11 @@ class QuantumOperator:
 
     @property
     def matrix(self) -> np.ndarray:
+        """The dense n x n form, complex128 whatever the link phases.  With
+        no link phase (A = 0) its imaginary part is zero, and
+        ``harness._ordering_rows`` takes its spectrum on the real part:
+        LAPACK's ``dgeev`` works in real arithmetic, about 2.7 times
+        faster than ``zgeev`` at n = 256 on one x86-64 thread."""
         n = self.grid.n
         M = np.zeros((n, n), dtype=complex)
         idx = np.arange(n)

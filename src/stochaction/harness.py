@@ -870,7 +870,14 @@ def _run_tau_sweep(cfg, out):
 
 
 def _low_spectrum(matrix, k=5):
-    evals = np.linalg.eigvals(matrix)
+    # a matrix with a link phase is refused, not cut to its real part
+    imag = float(np.max(np.abs(matrix.imag)))
+    if imag != 0.0:
+        raise ConfigurationError(
+            "the ordering spectra are taken on real matrices, and this "
+            f"operator has imaginary entries up to {imag:g}: its links carry "
+            "a phase (vector potential A != 0)")
+    evals = np.linalg.eigvals(matrix.real)
     order = np.argsort(evals.real)
     low = evals[order][:k]
     return low.real, float(np.max(np.abs(evals.imag)))
@@ -878,7 +885,10 @@ def _low_spectrum(matrix, k=5):
 
 def _ordering_rows(spec, grid, hbar, case):
     # dense on purpose: the naive orderings are not Hermitian, so their
-    # spectra need the general eigensolver
+    # spectra need the general eigensolver.  It runs on the float64 part,
+    # since no ordering preset carries a link phase (A = 0); a real matrix
+    # whose spectrum is not real still gives complex-conjugate pairs, so
+    # max_imag_eig still sees a spectrum off the real axis
     sandwich = build_quantum_hamiltonian(spec, grid, hbar).matrix
     rows = []
     results = {}

@@ -1,20 +1,22 @@
-"""Planted defects flip the sample scenarios' checks.
+"""Planted defects flip the sample and ordering scenarios' checks.
 
 Each test runs a scenario through run_command twice at one size: as it
 is, where the check under test passes, and with one known defect patched
-into a sampler, where that check must fail.  The sizes are the registry's
-1e6 draws where the defect needs them (a sign bias of 3e-3 is 6 standard
-errors at 1e6 draws, and under 2 at 1e5), and less elsewhere.
+into a sampler or an operator build, where that check must fail.  The
+sample sizes are the registry's 1e6 draws where the defect needs them (a
+sign bias of 3e-3 is 6 standard errors at 1e6 draws, and under 2 at
+1e5), and less elsewhere; the orderings run at grid.n = 64.
 """
 import numpy as np
 import pytest
 
-from stochaction import stochastic
+from stochaction import harness, stochastic
+from stochaction.hamiltonian import QuantumOperator
 from stochaction.harness import run_command
 
 
-def _checks(out_dir, scenario, config):
-    result = run_command("sample", {"run.scenario": scenario, **config},
+def _checks(out_dir, scenario, config, command="sample"):
+    result = run_command(command, {"run.scenario": scenario, **config},
                          str(out_dir))
     return {c.name: c.passed for c in result.checks}
 
@@ -117,3 +119,51 @@ def test_a_deviation_scale_25_percent_over_fails_concentration(tmp_path,
         lambda devs: devs * 1.25, **{"ensemble.size": 100_000})
     assert _flipped(clean, planted) == {"concentration_lam_0.1",
                                         "concentration_lam_0.05"}
+
+
+def _orderings_clean_and_planted(tmp_path, monkeypatch, builder, patched):
+    """The pass/fail of every ordering_contrast check as it is, and with
+    harness.<builder> replaced by patched(real builder)."""
+    config = {"grid.n": 64}
+    clean = _checks(tmp_path / "clean", "ordering_contrast", config,
+                    "orderings")
+    monkeypatch.setattr(harness, builder,
+                        patched(getattr(harness, builder)))
+    return clean, _checks(tmp_path / "planted", "ordering_contrast", config,
+                          "orderings")
+
+
+def test_a_sign_flipped_sandwich_link_fails_hermiticity_and_real_spectrum(
+        tmp_path, monkeypatch):
+    # H[k+1, k] = -conj(H[k, k+1]) on the middle link: a defect of
+    # 2 |H[k, k+1]| (0.47 of the largest entry), and a link whose hopping
+    # product is negative, which pairs eigenvalues off the real axis
+    # (largest imaginary part 1.42)
+    def patched(real):
+        def build(spec, grid, hbar):
+            H = real(spec, grid, hbar)
+            lower = H.lower.copy()
+            lower[grid.n // 2 - 1] *= -1.0
+            return QuantumOperator(lower, H.diag, H.upper, H.hbar_eff, grid)
+        return build
+    clean, planted = _orderings_clean_and_planted(
+        tmp_path, monkeypatch, "build_quantum_hamiltonian", patched)
+    # the defect is in every sandwich build, so the constant-g naive builds
+    # no longer equal it either
+    assert _flipped(clean, planted) == {"sandwich_defect_rel",
+                                        "sandwich_spectrum_imag",
+                                        "constant_g_entrywise_agreement"}
+
+
+@pytest.mark.parametrize("ordering", ["g_pp", "pp_g"])
+def test_a_naive_build_that_returns_the_sandwich_fails_its_defect_check(
+        tmp_path, monkeypatch, ordering):
+    def patched(real):
+        def build(spec, grid, hbar, which):
+            if which == ordering:
+                return harness.build_quantum_hamiltonian(spec, grid, hbar)
+            return real(spec, grid, hbar, which)
+        return build
+    clean, planted = _orderings_clean_and_planted(
+        tmp_path, monkeypatch, "build_naive_ordering", patched)
+    assert _flipped(clean, planted) == {f"{ordering}_defect_rel"}

@@ -12,7 +12,11 @@ import pytest
 
 from stochaction import cli, kernels
 from stochaction.errors import ConfigurationError
-from stochaction.harness import _RUNNERS, SCENARIOS, resolve_config, run_command
+from stochaction.hamiltonian import (build_naive_ordering,
+                                     build_quantum_hamiltonian, make_system)
+from stochaction.harness import (_RUNNERS, SCENARIOS, _build_grid,
+                                 _build_system, _low_spectrum, _ordering_rows,
+                                 resolve_config, run_command)
 
 # every scenario that runs in about 3 s or less on one core (bohmian on
 # two; on one it takes about 5 s)
@@ -105,19 +109,56 @@ def test_a_binary_source_whose_signs_all_agree_fails_its_bias_check(
 def test_ordering_contrast_computes_each_distinct_spectrum_once(
         tmp_path, monkeypatch):
     # at constant g both naive builds equal the sandwich byte for byte, so
-    # the six orderings have four distinct spectra
-    calls = []
+    # the six orderings have four distinct spectra, each taken on a real
+    # matrix (LAPACK dgeev, not zgeev)
+    dtypes = []
     eigvals = np.linalg.eigvals
 
     def counted(matrix):
-        calls.append(1)
+        dtypes.append(matrix.dtype)
         return eigvals(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     result = run_command("orderings", {"run.scenario": "ordering_contrast",
                                        "grid.n": 64}, str(tmp_path))
     assert result.exit_code == 0
-    assert len(calls) == 4
+    assert dtypes == [np.float64] * 4
+
+
+def _registry_ordering_systems():
+    """ordering_contrast's grid and hbar, and its two systems: the
+    variable-mass preset and the constant-g (harmonic) one."""
+    cfg = resolve_config("orderings", {"run.scenario": "ordering_contrast"})
+    systems = {"variable_mass": _build_system(cfg),
+               "constant_g": make_system("harmonic", m=cfg["system.m"],
+                                         omega=cfg["system.omega"])}
+    return _build_grid(cfg), cfg["source.hbar"], systems
+
+
+@pytest.mark.parametrize("case", ["variable_mass", "constant_g"])
+@pytest.mark.parametrize("build", ["sandwich", "g_pp", "pp_g"])
+def test_the_real_ordering_spectra_agree_with_the_complex_solver(case, build):
+    grid, hbar, systems = _registry_ordering_systems()
+    spec = systems[case]
+    sandwich = build_quantum_hamiltonian(spec, grid, hbar)
+    op = (sandwich if build == "sandwich"
+          else build_naive_ordering(spec, grid, hbar, build))
+    low, _ = _low_spectrum(op.matrix)
+    evals = np.linalg.eigvals(op.matrix)
+    assert evals.dtype == np.complex128
+    np.testing.assert_allclose(low, np.sort(evals.real)[:5], rtol=0,
+                               atol=1e-11)
+    if build == "sandwich" or case == "constant_g":
+        # the sandwich's spectrum, which the naive builds share at constant g
+        np.testing.assert_allclose(low, sandwich.eigensystem[0][:5], rtol=0,
+                                   atol=1e-11)
+
+
+def test_ordering_rows_refuse_an_operator_whose_links_carry_a_phase():
+    grid, hbar, _ = _registry_ordering_systems()
+    spec = make_system("gauged", a1=0.5)
+    with pytest.raises(ConfigurationError, match="real matrices"):
+        _ordering_rows(spec, grid, hbar, "gauged")
 
 
 def test_every_scenario_has_one_runner():
@@ -253,7 +294,9 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
 
 
 # Small versions of the two scenarios whose CSVs lean on the wave layer
-# (banded Crank-Nicolson, the eigen oracle, and the guidance frames)
+# (banded Crank-Nicolson, the eigen oracle, and the guidance frames), and
+# ordering_contrast at the registry's n = 256, whose dense spectra run
+# LAPACK's blocked, BLAS-threaded dgeev
 _THREAD_RUN = """
 import sys
 from stochaction.harness import run_command
@@ -262,6 +305,8 @@ run_command("evolve", {"run.scenario": "propagator_quality", "grid.n": 128},
             out + "/propagator_quality")
 run_command("equivariance", {"run.scenario": "tau_sweep", "time.T": 0.04,
                              "ensemble.size": 10000}, out + "/tau_sweep")
+run_command("orderings", {"run.scenario": "ordering_contrast"},
+            out + "/ordering_contrast")
 """
 
 
@@ -285,6 +330,7 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
     one = _run_at_blas_threads(1, tmp_path / "t1")
     two = _run_at_blas_threads(2, tmp_path / "t2")
     assert sorted(one) == [
+        "ordering_contrast/orderings.csv",
         "propagator_quality/propagator_quality.csv",
         "tau_sweep/equivariance.csv", "tau_sweep/sweep.csv",
         "tau_sweep/weighted.csv"]
