@@ -15,7 +15,7 @@ from .evolution import (WaveState, coherent_state, gaussian_packet,
 from .madelung import (MadelungState, PhasePair, check_phase_offset,
                        from_polar, pair_from_wave, quantum_potential,
                        step_coupled_pde, to_polar)
-from .classical import PhasePoint, action_of_path, hamilton_step, integrate_path
+from .classical import PhasePoint, hamilton_step, integrate_path
 from .stochastic import (EnsembleState, LambdaSource, bohmian_velocity,
                          effective_velocity, init_ensemble,
                          microscopic_velocity, propagate_ensemble,
@@ -34,7 +34,7 @@ __all__ = [
     "propagate_crank_nicolson", "propagate_eigen_oracle",
     "MadelungState", "PhasePair", "to_polar", "from_polar", "pair_from_wave",
     "step_coupled_pde", "quantum_potential", "check_phase_offset",
-    "PhasePoint", "hamilton_step", "integrate_path", "action_of_path",
+    "PhasePoint", "hamilton_step", "integrate_path",
     "LambdaSource", "EnsembleState",
     "sample_lambda", "sample_action_deviation",
     "microscopic_velocity", "effective_velocity", "bohmian_velocity",

@@ -1,6 +1,5 @@
-"""Classical trajectory layer: symplectic stepping, path actions, and the
-Euler-Lagrange residual used to certify that integrated paths are
-stationary points of the action.
+"""Classical trajectory layer: symplectic stepping of Hamilton's equations
+and the recorded reference path of the classical limit.
 """
 from __future__ import annotations
 
@@ -9,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .hamiltonian import ClassicalSpec, classical_velocity, hamiltonian_value
-from .lattice import gradient_uniform
+from .hamiltonian import ClassicalSpec, classical_velocity
 
 IMPLICIT_TOL = 1e-12
 IMPLICIT_MAX_ITER = 50
@@ -38,88 +36,58 @@ class PathRecord:
             raise ShapeError("path timestamps are not uniformly spaced")
 
 
-def _grad_h_q(q: float, p: float, spec: ClassicalSpec) -> float:
-    dp = p - float(spec.A(q))
-    return (0.5 * float(spec.dg(q)) * dp * dp
-            - float(spec.g(q)) * dp * float(spec.dA(q))
-            + float(spec.dV(q)))
+def _check_dt(dt: float) -> None:
+    if dt == 0 or not np.isfinite(dt):
+        raise ConfigurationError(f"dt must be a nonzero finite number, got {dt}")
 
 
-def hamilton_step(pt: PhasePoint, spec: ClassicalSpec, dt: float) -> PhasePoint:
-    """One symplectic step of Hamilton's equations.
+def _step(q: float, p: float, spec: ClassicalSpec, dt: float) -> tuple[float, float]:
+    """One symplectic step of Hamilton's equations on plain floats.
 
     Constant g and A separate the Hamiltonian, so the usual
     kick-drift-kick update applies; a position-dependent kinetic term
     falls back to the implicit midpoint rule with fixed-point iteration.
     """
-    if dt == 0 or not np.isfinite(dt):
-        raise ConfigurationError(f"dt must be a nonzero finite number, got {dt}")
-    q, p, t = pt.q, pt.p, pt.t
     if not spec.kinetic_q_dependent:
-        p_half = p - 0.5 * dt * float(spec.dV(q))
-        q_new = q + dt * float(classical_velocity(q, p_half, spec))
-        p_new = p_half - 0.5 * dt * float(spec.dV(q_new))
-        return PhasePoint(q=q_new, p=p_new, t=t + dt)
+        p_half = p - 0.5 * dt * spec.dV(q)
+        q_new = q + dt * classical_velocity(q, p_half, spec)
+        return q_new, p_half - 0.5 * dt * spec.dV(q_new)
 
     # implicit midpoint: z' = z + dt * J dH((z + z')/2)
     q_new, p_new = q, p
     for _ in range(IMPLICIT_MAX_ITER):
         qm = 0.5 * (q + q_new)
         pm = 0.5 * (p + p_new)
-        q_next = q + dt * float(classical_velocity(qm, pm, spec))
-        p_next = p - dt * _grad_h_q(qm, pm, spec)
+        dp = pm - spec.A(qm)
+        grad_q = (0.5 * spec.dg(qm) * dp * dp - spec.g(qm) * dp * spec.dA(qm)
+                  + spec.dV(qm))
+        q_next = q + dt * classical_velocity(qm, pm, spec)
+        p_next = p - dt * grad_q
         delta = max(abs(q_next - q_new), abs(p_next - p_new))
         q_new, p_new = q_next, p_next
         if delta < IMPLICIT_TOL * (1.0 + abs(q_new) + abs(p_new)):
-            return PhasePoint(q=q_new, p=p_new, t=t + dt)
+            return q_new, p_new
     raise NumericalError(
         f"implicit midpoint failed to converge in {IMPLICIT_MAX_ITER} iterations "
         f"(dt={dt}); reduce the step")
 
 
+def hamilton_step(pt: PhasePoint, spec: ClassicalSpec, dt: float) -> PhasePoint:
+    """One symplectic step of Hamilton's equations (see `_step`)."""
+    _check_dt(dt)
+    q, p = _step(float(pt.q), float(pt.p), spec, dt)
+    return PhasePoint(q=q, p=p, t=pt.t + dt)
+
+
 def integrate_path(pt0: PhasePoint, spec: ClassicalSpec, dt: float,
                    steps: int) -> PathRecord:
-    if steps < 1:
-        raise ConfigurationError(f"need at least 1 step, got {steps}")
-    qs = np.empty(steps + 1)
-    ps = np.empty(steps + 1)
-    qs[0], ps[0] = pt0.q, pt0.p
-    pt = pt0
-    for k in range(steps):
-        pt = hamilton_step(pt, spec, dt)
-        qs[k + 1], ps[k + 1] = pt.q, pt.p
+    """`steps` symplectic steps of size dt from pt0, every point recorded."""
+    _check_dt(dt)
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ConfigurationError(f"need an integer number of steps >= 1, got {steps!r}")
+    points = [(float(pt0.q), float(pt0.p))]
+    for _ in range(steps):
+        points.append(_step(*points[-1], spec, dt))
+    qs, ps = map(np.array, zip(*points))
     ts = pt0.t + dt * np.arange(steps + 1)
     return PathRecord(qs=qs, ps=ps, ts=ts, dt=dt)
-
-
-def lagrangian_value(q, p, spec: ClassicalSpec):
-    """L = p qdot - H along a phase-space sample."""
-    qdot = classical_velocity(q, p, spec)
-    return p * qdot - hamiltonian_value(q, p, spec)
-
-
-def action_of_path(path: PathRecord, spec: ClassicalSpec) -> float:
-    """Trapezoid integral of the Lagrangian along the record."""
-    L = lagrangian_value(path.qs, path.ps, spec)
-    return float(np.trapezoid(L, dx=path.dt))
-
-
-def euler_lagrange_residual(path: PathRecord, spec: ClassicalSpec) -> np.ndarray:
-    """d/dt (dL/dqdot) - dL/dq at interior path samples, from positions only.
-
-    Momenta are reconstructed from the discrete velocity so the residual
-    genuinely tests the configuration path; it vanishes at O(dt^2) on true
-    trajectories and grows linearly with an added perturbation.
-    """
-    if len(path.qs) < 7:
-        raise ShapeError("residual needs at least 7 samples")
-    q = path.qs
-    qdot = gradient_uniform(q, path.dt)
-    p_lag = qdot / spec.g(q) + spec.A(q)
-    dpdt = gradient_uniform(p_lag, path.dt)
-    g = spec.g(q)
-    dLdq = (-spec.dg(q) / (2.0 * g * g) * qdot * qdot
-            + spec.dA(q) * qdot - spec.dV(q))
-    # the two samples adjacent to each end inherit first-order error from
-    # the one-sided edge stencils; the interior is second order
-    return (dpdt - dLdq)[2:-2]

@@ -169,14 +169,6 @@ def eigenpairs(H: QuantumOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:k], d[:, None] * V[:, :k]
 
 
-def position_variance(state: WaveState) -> float:
-    q = state.grid.points()
-    rho = np.abs(state.psi) ** 2
-    z = integrate(rho, state.grid)
-    mu = integrate(q * rho, state.grid) / z
-    return integrate((q - mu) ** 2 * rho, state.grid) / z
-
-
 def energy_expectation(state: WaveState, H: QuantumOperator) -> float:
     from .lattice import quadrature_weights
     w = quadrature_weights(state.grid)

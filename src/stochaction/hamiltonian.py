@@ -47,6 +47,16 @@ class ClassicalSpec:
     params: dict = field(default_factory=dict)
 
 
+def _num(q):
+    # a Python float stays a float, so that the classical stepper runs in
+    # plain floats; the same IEEE operations give it an array's bits
+    return q if type(q) is float else np.asarray(q, dtype=float)
+
+
+def _const(c: float):
+    return lambda q: c if type(q) is float else np.full_like(_num(q), c)
+
+
 def make_system(preset: str, **params) -> ClassicalSpec:
     """Build one of the shipped (g, A, V) presets."""
     if preset not in PRESET_PARAMS:
@@ -60,67 +70,47 @@ def make_system(preset: str, **params) -> ClassicalSpec:
     if m <= 0:
         raise ConfigurationError(f"mass must be positive, got {m}")
 
-    zero = lambda q: np.zeros_like(np.asarray(q, dtype=float))
+    g0 = _const(1.0 / m)
+    zero = _const(0.0)
 
     if preset == "free":
-        return ClassicalSpec(
-            name=preset,
-            g=lambda q: np.full_like(np.asarray(q, dtype=float), 1.0 / m),
-            A=zero, V=zero, dg=zero, dA=zero, dV=zero,
-            kinetic_q_dependent=False, params=p)
+        return ClassicalSpec(name=preset, g=g0, A=zero, V=zero, dg=zero,
+                             dA=zero, dV=zero, params=p)
+    w = float(p["omega"])
+    # squares are x * x, which numpy's x ** 2 computes on an array; a
+    # Python float's ** 2 calls libm's pow instead
+    V = lambda q: 0.5 * m * w * w * (_num(q) * _num(q))
+    dV = lambda q: m * w * w * _num(q)
     if preset == "harmonic":
-        w = float(p["omega"])
-        return ClassicalSpec(
-            name=preset,
-            g=lambda q: np.full_like(np.asarray(q, dtype=float), 1.0 / m),
-            A=zero,
-            V=lambda q: 0.5 * m * w * w * np.asarray(q, dtype=float) ** 2,
-            dg=zero, dA=zero,
-            dV=lambda q: m * w * w * np.asarray(q, dtype=float),
-            kinetic_q_dependent=False, params=p)
+        return ClassicalSpec(name=preset, g=g0, A=zero, V=V, dg=zero,
+                             dA=zero, dV=dV, params=p)
     if preset == "variable_mass":
-        w = float(p["omega"])
         b = float(p["beta"])
         if b < 0:
             raise ConfigurationError(f"beta must be >= 0, got {b}")
 
         def g(q):
-            q = np.asarray(q, dtype=float)
+            q = _num(q)
             return 1.0 / (m * (1.0 + b * q * q))
 
         def dg(q):
-            q = np.asarray(q, dtype=float)
-            return -2.0 * b * q / (m * (1.0 + b * q * q) ** 2)
+            q = _num(q)
+            d = m * (1.0 + b * q * q)
+            return -2.0 * b * q / (d * d)
 
-        return ClassicalSpec(
-            name=preset, g=g, A=zero,
-            V=lambda q: 0.5 * m * w * w * np.asarray(q, dtype=float) ** 2,
-            dg=dg, dA=zero,
-            dV=lambda q: m * w * w * np.asarray(q, dtype=float),
-            kinetic_q_dependent=b != 0.0, params=p)
+        return ClassicalSpec(name=preset, g=g, A=zero, V=V, dg=dg, dA=zero,
+                             dV=dV, kinetic_q_dependent=b != 0.0, params=p)
     # gauged
-    w = float(p["omega"])
     a0 = float(p["a0"])
     a1 = float(p["a1"])
-    return ClassicalSpec(
-        name=preset,
-        g=lambda q: np.full_like(np.asarray(q, dtype=float), 1.0 / m),
-        A=lambda q: a0 + a1 * np.asarray(q, dtype=float),
-        V=lambda q: 0.5 * m * w * w * np.asarray(q, dtype=float) ** 2,
-        dg=zero,
-        dA=lambda q: np.full_like(np.asarray(q, dtype=float), a1),
-        dV=lambda q: m * w * w * np.asarray(q, dtype=float),
-        kinetic_q_dependent=a1 != 0.0, params=p)
+    return ClassicalSpec(name=preset, g=g0, A=lambda q: a0 + a1 * _num(q),
+                         V=V, dg=zero, dA=_const(a1), dV=dV,
+                         kinetic_q_dependent=a1 != 0.0, params=p)
 
 
 def classical_velocity(q, p, spec: ClassicalSpec):
     """dq/dt = g(q) (p - A(q))."""
     return spec.g(q) * (p - spec.A(q))
-
-
-def hamiltonian_value(q, p, spec: ClassicalSpec):
-    dp = p - spec.A(q)
-    return 0.5 * spec.g(q) * dp * dp + spec.V(q)
 
 
 def node_floor(omega: np.ndarray) -> float:

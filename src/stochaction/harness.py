@@ -15,6 +15,7 @@ import operator
 import os
 import time as _time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -363,9 +364,13 @@ def _fmt(value) -> str:
 
 
 def _fmt_row(row) -> str:
-    # most rows are all floats (numpy's float64 is a float), which _fmt
-    # would write as repr(float(v)): format them in one pass at C level,
-    # with no Python call per value
+    # each cell as _fmt writes it, and a str cell as is; all-str rows (the
+    # snapshot tables) and all-float rows (numpy's float64 is a float) are
+    # joined in one pass at C level, with no Python call per value
+    try:
+        return ",".join(row)
+    except TypeError:
+        pass
     try:
         return ",".join(map(float.__repr__, row))
     except TypeError:
@@ -373,6 +378,8 @@ def _fmt_row(row) -> str:
 
 
 def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
+    """`meta` as comment lines, the header, then one line per row of the
+    iterable `rows`: each cell as _fmt writes it, a str cell as it is."""
     lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(header))
     lines.extend(map(_fmt_row, rows))
@@ -534,11 +541,21 @@ def _polar_advance(spec, dt):
 # evolve
 
 
+def _snapshot_rows(q: list[str], snapshots):
+    """The rows (t, q, *fields) of snapshots (t, *field arrays), one per grid
+    point, with every cell already written as write_csv writes a float; q is
+    the grid column's strings.  A field byte-equal to another field of its
+    snapshot, as an offset-0 pair's branches are, is formatted once."""
+    for t, *fields in snapshots:
+        distinct = {f.tobytes(): f for f in fields}
+        text = {k: list(map(float.__repr__, f.tolist())) for k, f in distinct.items()}
+        yield from zip(repeat(_fmt(t)), q, *(text[f.tobytes()] for f in fields))
+
+
 def _chain_snapshots(cfg, out):
     spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
-    rows_wave, rows_pair, rows_chain = [], [], []
-    pts = grid.points()
+    snaps, rows_chain = [], []
 
     def record(pair, b):
         t = b * dt
@@ -554,16 +571,17 @@ def _chain_snapshots(cfg, out):
         w = np.where(dens_ref >= 1e-6 * dens_ref.max(), dens_ref, 0.0)
         pg = float(np.sqrt(integrate((dS_pair - dS_ref) ** 2 * w, grid)))
         rows_chain.append((t, l2, pg))
-        for i in range(grid.n):
-            rows_wave.append((t, pts[i], dens_ref[i]))
-            rows_pair.append((t, pts[i], pair.plus.R[i], pair.minus.R[i],
-                              pair.plus.S[i], pair.minus.S[i]))
+        snaps.append((t, dens_ref, pair.plus.R, pair.minus.R,
+                      pair.plus.S, pair.minus.S))
 
     _march(madelung.pair_from_wave(state0), _polar_advance(spec, dt),
            [0, *_every(_steps(cfg), 10)], record)
-    out.csv("wave_density.csv", ["t", "q", "density"], rows_wave)
+    q = list(map(float.__repr__, grid.points().tolist()))
+    out.csv("wave_density.csv", ["t", "q", "density"],
+            _snapshot_rows(q, (s[:2] for s in snaps)))
     out.csv("madelung_pair.csv",
-            ["t", "q", "R_plus", "R_minus", "S_plus", "S_minus"], rows_pair)
+            ["t", "q", "R_plus", "R_minus", "S_plus", "S_minus"],
+            _snapshot_rows(q, ((s[0], *s[2:]) for s in snaps)))
     out.csv("chain_equivalence.csv", ["t", "l2_density", "phase_grad_dist"],
             rows_chain)
     return [_check("chain_l2_density_max", max(r[1] for r in rows_chain), 1e-3),

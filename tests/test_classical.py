@@ -3,11 +3,11 @@ path-stationarity residual."""
 import numpy as np
 import pytest
 
-from stochaction.classical import (PathRecord, PhasePoint, action_of_path,
-                                   euler_lagrange_residual, hamilton_step,
-                                   integrate_path)
-from stochaction.errors import ShapeError
-from stochaction.hamiltonian import hamiltonian_value, make_system
+from path_action import action_of_path, euler_lagrange_residual, hamiltonian_value
+from stochaction.classical import (IMPLICIT_MAX_ITER, IMPLICIT_TOL, PathRecord,
+                                   PhasePoint, hamilton_step, integrate_path)
+from stochaction.errors import ConfigurationError, ShapeError
+from stochaction.hamiltonian import make_system
 
 
 def _harmonic():
@@ -169,3 +169,116 @@ def test_action_is_stationary_under_endpoint_fixed_variations():
         deltas.append(abs(action_of_coordinates(path.qs + bump) - S0))
     # quadrupling, not doubling, under eps -> 2 eps
     assert deltas[1] / deltas[0] == pytest.approx(4.0, rel=0.2)
+
+
+# ---------------------------------------------------------------------------
+# the stepper on plain floats against the numpy expressions it replaced
+
+
+def _numpy_presets(preset, m=1.0, omega=1.0, beta=0.3, a0=0.0, a1=0.0):
+    """(g, A, V, dg, dA, dV) of a preset as numpy expressions on float64
+    arrays, which return a 0-d array for a scalar: the reference the
+    presets must match bit for bit, arrays and Python floats alike."""
+    arr = lambda q: np.asarray(q, dtype=float)
+    zero = lambda q: np.zeros_like(arr(q))
+    inv_m = lambda q: np.full_like(arr(q), 1.0 / m)
+    V = lambda q: 0.5 * m * omega * omega * arr(q) ** 2
+    dV = lambda q: m * omega * omega * arr(q)
+    if preset == "free":
+        return inv_m, zero, zero, zero, zero, zero
+    if preset == "harmonic":
+        return inv_m, zero, V, zero, zero, dV
+    if preset == "variable_mass":
+        return (lambda q: 1.0 / (m * (1.0 + beta * arr(q) * arr(q))), zero, V,
+                lambda q: (-2.0 * beta * arr(q)
+                           / (m * (1.0 + beta * arr(q) * arr(q))) ** 2),
+                zero, dV)
+    return (inv_m, lambda q: a0 + a1 * arr(q), V, zero,
+            lambda q: np.full_like(arr(q), a1), dV)
+
+
+def _numpy_path(fns, q, p, dt, steps, implicit):
+    """The kick-drift-kick or implicit-midpoint loop with every function
+    value taken as float() of a 0-d array."""
+    g, A, V, dg, dA, dV = fns
+    f = lambda fn, x: float(fn(x))
+    velocity = lambda q, p: float(g(q) * (p - A(q)))
+    qs, ps = [q], [p]
+    for _ in range(steps):
+        if not implicit:
+            p_half = p - 0.5 * dt * f(dV, q)
+            q = q + dt * velocity(q, p_half)
+            p = p_half - 0.5 * dt * f(dV, q)
+        else:
+            q_new, p_new = q, p
+            for _ in range(IMPLICIT_MAX_ITER):
+                qm, pm = 0.5 * (q + q_new), 0.5 * (p + p_new)
+                dp = pm - f(A, qm)
+                grad = (0.5 * f(dg, qm) * dp * dp - f(g, qm) * dp * f(dA, qm)
+                        + f(dV, qm))
+                q_next = q + dt * velocity(qm, pm)
+                p_next = p - dt * grad
+                delta = max(abs(q_next - q_new), abs(p_next - p_new))
+                q_new, p_new = q_next, p_next
+                if delta < IMPLICIT_TOL * (1.0 + abs(q_new) + abs(p_new)):
+                    break
+            q, p = q_new, p_new
+        qs.append(q)
+        ps.append(p)
+    return np.array(qs), np.array(ps)
+
+
+PRESETS = [
+    ("free", {"m": 2.0}),
+    ("harmonic", {"m": 1.3, "omega": 0.7}),
+    ("gauged", {"omega": 1.1, "a0": 0.4}),
+    ("variable_mass", {"omega": 0.9, "beta": 0.0}),
+    ("variable_mass", {"omega": 0.9, "beta": 0.3}),
+]
+
+
+@pytest.mark.parametrize("preset,params", PRESETS)
+def test_integrate_path_is_the_numpy_stepper_bit_for_bit(preset, params):
+    spec = make_system(preset, **params)
+    # separable presets take kick-drift-kick, beta > 0 the implicit midpoint
+    assert spec.kinetic_q_dependent == (params.get("beta", 0.0) > 0.0)
+    dt, steps = 1e-2, 400
+    path = integrate_path(PhasePoint(0.8, -0.3), spec, dt, steps)
+    qs, ps = _numpy_path(_numpy_presets(preset, **params), 0.8, -0.3, dt,
+                         steps, spec.kinetic_q_dependent)
+    assert path.qs.tobytes() == qs.tobytes()
+    assert path.ps.tobytes() == ps.tobytes()
+    pt = PhasePoint(0.8, -0.3)
+    for _ in range(3):
+        pt = hamilton_step(pt, spec, dt)
+    assert (pt.q, pt.p) == (path.qs[3], path.ps[3])
+
+
+@pytest.mark.parametrize("preset,params", PRESETS + [
+    ("gauged", {"a0": -0.2, "a1": 0.5}), ("gauged", {"a1": -0.0})])
+def test_preset_functions_keep_the_numpy_bytes(preset, params):
+    # negative q, both signed zeros and a NaN: zeros_like writes +0.0 where
+    # 0.0 * q would write -0.0 or NaN, and dg at beta = 0 is a signed zero
+    q = np.concatenate((np.linspace(-3.0, 3.0, 13), [-0.0, 0.0, np.nan]))
+    spec = make_system(preset, **params)
+    mine = (spec.g, spec.A, spec.V, spec.dg, spec.dA, spec.dV)
+    for fn, ref in zip(mine, _numpy_presets(preset, **params)):
+        assert fn(q).dtype == np.float64
+        assert fn(q).tobytes() == ref(q).tobytes()
+        for x in q.tolist():
+            assert type(fn(x)) is float
+            assert np.float64(fn(x)).tobytes() == ref(x).tobytes()
+
+
+def test_integrate_path_refuses_a_bad_step_or_step_count():
+    spec = _harmonic()
+    for dt in (0.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="dt"):
+            integrate_path(PhasePoint(0.5, 0.0), spec, dt, 10)
+        with pytest.raises(ConfigurationError, match="dt"):
+            hamilton_step(PhasePoint(0.5, 0.0), spec, dt)
+    for steps in (0, 2.5, "3"):
+        with pytest.raises(ConfigurationError, match="steps"):
+            integrate_path(PhasePoint(0.5, 0.0), spec, 1e-2, steps)
+    path = integrate_path(PhasePoint(0.5, 0.0), spec, 1e-2, np.int64(3))
+    assert len(path.qs) == 4

@@ -8,8 +8,7 @@ from stochaction.errors import ConfigurationError, ShapeError
 from stochaction.evolution import (WaveState, coherent_state, eigenpairs,
                                    energy_expectation, gaussian_packet,
                                    ground_state, l2_distance, norm_squared,
-                                   normalized, position_variance,
-                                   propagate_crank_nicolson,
+                                   normalized, propagate_crank_nicolson,
                                    propagate_eigen_oracle, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.lattice import build_grid, integrate
@@ -21,6 +20,14 @@ def harmonic_256():
     spec = make_system("harmonic", m=1.0, omega=1.0)
     H = build_quantum_hamiltonian(spec, grid, 1.0)
     return grid, spec, H
+
+
+def position_variance(state: WaveState) -> float:
+    q = state.grid.points()
+    rho = np.abs(state.psi) ** 2
+    z = integrate(rho, state.grid)
+    mu = integrate(q * rho, state.grid) / z
+    return integrate((q - mu) ** 2 * rho, state.grid) / z
 
 
 def _overlap(a: WaveState, b: WaveState) -> complex:

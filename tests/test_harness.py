@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochaction import cli, kernels
+from stochaction import cli, harness, kernels
 from stochaction.errors import ConfigurationError
 from stochaction.hamiltonian import (build_naive_ordering,
                                      build_quantum_hamiltonian, make_system)
 from stochaction.harness import (_RUNNERS, SCENARIOS, _build_grid,
-                                 _build_system, _low_spectrum, _ordering_rows,
-                                 resolve_config, run_command)
+                                 _build_system, _fmt, _fmt_row, _low_spectrum,
+                                 _ordering_rows, _snapshot_rows, resolve_config,
+                                 run_command, write_csv)
 
 # every scenario that runs in about 3 s or less on one core (bohmian on
 # two; on one it takes about 5 s)
@@ -159,6 +160,55 @@ def test_ordering_rows_refuse_an_operator_whose_links_carry_a_phase():
     spec = make_system("gauged", a1=0.5)
     with pytest.raises(ConfigurationError, match="real matrices"):
         _ordering_rows(spec, grid, hbar, "gauged")
+
+
+def test_snapshot_rows_write_the_bytes_of_per_point_float_rows(tmp_path):
+    # the rows a snapshot table had before it was formatted column by
+    # column: (t, q[i], *field[i]) of numpy floats, each cell written by _fmt
+    cells = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05,
+             0.1 + 0.2, 2.0]
+    q = np.linspace(-1.0, 1.0, len(cells))
+    a = np.array(cells)
+    b = a[::-1].copy()
+    flipped = np.where(a == 0.0, -a, a)   # equal to a, but not byte-equal
+    snapshots = [(-0.25, a, a.copy(), b, flipped), (0.0, b, b, a, a),
+                 (0.1 + 0.2, flipped, a, a.copy(), b)]
+    old_rows = [(t, q[i], *(f[i] for f in fields))
+                for t, *fields in snapshots for i in range(len(q))]
+    new_rows = list(_snapshot_rows(list(map(float.__repr__, q.tolist())),
+                                   snapshots))
+    assert [_fmt_row(r) for r in new_rows] == [",".join(map(_fmt, r))
+                                               for r in old_rows]
+    header = ["t", "q", "f1", "f2", "f3", "f4"]
+    write_csv(str(tmp_path / "old.csv"), {"k": 1.5}, header, old_rows)
+    write_csv(str(tmp_path / "new.csv"), {"k": 1.5}, header,
+              _snapshot_rows(list(map(float.__repr__, q.tolist())),
+                             iter(snapshots)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a str cell is written as is, also beside other kinds of cell
+    assert _fmt_row(("ratio", np.float64(0.5), 3, True)) == "ratio,0.5,3,true"
+
+
+def test_chain_snapshot_tables_pass_one_row_per_grid_point_per_snapshot(
+        tmp_path, monkeypatch):
+    # write_csv is handed each row, so a count of the rows it receives (the
+    # benchmark's traced harness.csv_rows) still counts table lines
+    received = {}
+    original = harness.write_csv
+
+    def counted(path, meta, header, rows):
+        rows = list(rows)
+        received[os.path.basename(path)] = len(rows)
+        original(path, meta, header, rows)
+
+    monkeypatch.setattr(harness, "write_csv", counted)
+    result = run_command("evolve", {"run.scenario": "harmonic_stationary",
+                                    "time.T": 5e-4}, str(tmp_path))
+    assert result.exit_code == 0
+    snapshots, n = 11, 384   # t = 0 and the 10 steps
+    assert received == {"wave_density.csv": snapshots * n,
+                        "madelung_pair.csv": snapshots * n,
+                        "chain_equivalence.csv": snapshots}
 
 
 def test_every_scenario_has_one_runner():

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochaction.classical import (PhasePoint, action_of_path, integrate_path,
-                                   lagrangian_value)
+from path_action import action_of_path, lagrangian_value
+from stochaction.classical import PhasePoint, integrate_path
 from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.evolution import (coherent_state, gaussian_packet,
                                    propagate_crank_nicolson, spectral_filter)
