@@ -30,6 +30,11 @@ class WaveState:
     grid: GridSpec
 
 
+def wave_phase(state: WaveState) -> np.ndarray:
+    """Phase-action hbar_eff * arg(psi), unwrapped left to right."""
+    return state.hbar_eff * np.unwrap(np.angle(state.psi))
+
+
 def _check_state(state: WaveState) -> None:
     if state.psi.shape != (state.grid.n,):
         raise ShapeError(f"psi has shape {state.psi.shape}, expected ({state.grid.n},)")

@@ -148,6 +148,14 @@ def require_wave_node_free(psi: np.ndarray, what: str = "|psi|^2") -> None:
             "amplitude-dividing operations are unreliable near nodes")
 
 
+def guidance_field(S: np.ndarray, spec: ClassicalSpec,
+                   grid: GridSpec) -> np.ndarray:
+    """The action-gradient velocity field g (dS/dq - A) on the grid."""
+    S = check_field(S, grid, "action field")
+    pts = grid.points()
+    return spec.g(pts) * (gradient(S, grid) - spec.A(pts))
+
+
 def theta_of_S(S: np.ndarray, spec: ClassicalSpec, grid: GridSpec) -> np.ndarray:
     """Divergence of the action-gradient velocity field, d/dq[g (dS/dq - A)].
 
@@ -155,9 +163,7 @@ def theta_of_S(S: np.ndarray, spec: ClassicalSpec, grid: GridSpec) -> np.ndarray
     compressing flow gives a positive constant.  Depends on S only through
     its gradient.
     """
-    S = check_field(S, grid, "action field")
-    pts = grid.points()
-    return gradient(spec.g(pts) * (gradient(S, grid) - spec.A(pts)), grid)
+    return gradient(guidance_field(S, spec, grid), grid)
 
 
 @dataclass(frozen=True)

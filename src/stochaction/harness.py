@@ -25,12 +25,12 @@ from .errors import ConfigurationError, StochactionError
 from .evolution import (WaveState, coherent_state, eigenpairs, gaussian_packet,
                         ground_state, l2_distance, norm_squared,
                         propagate_crank_nicolson, propagate_eigen_oracle,
-                        spectral_filter)
+                        spectral_filter, wave_phase)
 from .hamiltonian import (PRESET_PARAMS, build_naive_ordering,
                           build_quantum_hamiltonian, hermiticity_defect,
                           make_system)
 from .kernels import sample_stats
-from .lattice import GridSpec, build_grid, gradient, integrate
+from .lattice import GridSpec, build_grid, gradient, integrate, whole_steps
 
 OUTPUT_ENV = "STOCHACTION_OUT"
 DEFAULT_SEED = 1234
@@ -206,26 +206,23 @@ SCENARIOS = {
             system__preset="harmonic", system__m=1.0, system__omega=1.0,
             grid__n=512, grid__q_min=-10.0, grid__q_max=10.0,
             state__kind="coherent", state__center=0.5, state__momentum=0.0,
-            source__hbar=1.0, time__dt=1e-3, time__T=1.0),
+            state__ecut=0.0, source__hbar=1.0, time__dt=1e-3, time__T=1.0),
     },
     "sample": {
         "exponential_law": _scn(
-            source__kind="binary", source__hbar=1.0,
             source__lam_sweep=(0.5, 1.0, 2.0), ensemble__size=1000000,
             ensemble__bins=60),
         "binary_source": _scn(
-            source__kind="binary", source__hbar=1.0, ensemble__size=1000000,
-            ensemble__bins=60),
+            source__kind="binary", source__hbar=1.0, source__width=0.0,
+            ensemble__size=1000000, ensemble__bins=60),
         "sphere_source": _scn(
-            source__kind="sphere", source__hbar=1.0, ensemble__size=1000000,
-            ensemble__bins=60),
+            source__kind="sphere", source__hbar=1.0, source__width=0.0,
+            ensemble__size=1000000, ensemble__bins=60),
         "smeared_source": _scn(
             source__kind="smeared", source__hbar=1.0, source__width=0.2,
             ensemble__size=1000000, ensemble__bins=60),
         "concentration": _scn(
-            source__kind="binary", source__hbar=1.0,
-            source__lam_sweep=(0.1, 0.05), ensemble__size=1000000,
-            ensemble__bins=60),
+            source__lam_sweep=(0.1, 0.05), ensemble__size=1000000),
     },
     "equivariance": {
         # lambda disabled: pure guidance-velocity transport.  Walls sit
@@ -238,7 +235,7 @@ SCENARIOS = {
             grid__n=320, grid__q_min=-3.2, grid__q_max=3.2,
             state__kind="coherent", state__center=0.8, state__momentum=0.0,
             state__ecut=8.5,
-            source__kind="binary", source__hbar=1.0,
+            source__kind="binary", source__hbar=1.0, source__width=0.0,
             time__T=1.0, time__dt_window=1e-2, time__dt=1e-3, time__tau_Q=1e-3,
             ensemble__size=100000, ensemble__bins=50,
             ensemble__disable_lambda=True, run__snapshots=5),
@@ -247,7 +244,8 @@ SCENARIOS = {
             system__preset="harmonic", system__m=1.0, system__omega=4.0,
             grid__n=256, grid__q_min=-2.1, grid__q_max=2.1,
             state__kind="coherent", state__center=0.3, state__momentum=0.0,
-            source__kind="binary", source__hbar=1.0,
+            state__ecut=0.0,
+            source__kind="binary", source__hbar=1.0, source__width=0.0,
             time__T=1.0, time__dt_window=1e-2, time__dt=1e-3,
             time__tau_sweep=(1e-2, 1e-3, 1e-4),
             ensemble__size=100000, ensemble__bins=50,
@@ -271,16 +269,14 @@ COMMAND_DEFAULT = {
     "orderings": "ordering_contrast",
 }
 
-REQUIRED_KEYS = {
-    "evolve": ("system.preset", "grid.n", "grid.q_min", "grid.q_max",
-               "time.dt", "time.T", "state.kind", "source.hbar"),
-    "sample": ("source.kind", "source.hbar", "ensemble.size"),
-    "equivariance": ("system.preset", "grid.n", "grid.q_min", "grid.q_max",
-                     "time.T", "time.dt_window", "time.dt", "state.kind",
-                     "source.hbar", "ensemble.size"),
-    "orderings": ("system.preset", "grid.n", "grid.q_min", "grid.q_max",
-                  "source.hbar"),
-}
+class _Config(dict):
+    """A resolved config.  Every default sits in the scenario registry, so
+    a key a run reads and the config lacks is an error that names it."""
+
+    def __missing__(self, key):
+        raise ConfigurationError(
+            f"scenario {self.get('run.scenario')!r} reads config key "
+            f"{key!r}, which it does not set")
 
 
 def resolve_config(command: str, config: dict | None = None) -> dict:
@@ -298,15 +294,10 @@ def resolve_config(command: str, config: dict | None = None) -> dict:
         raise ConfigurationError(
             f"unknown scenario {scenario!r} for command {command!r}; "
             f"expected one of {sorted(SCENARIOS[command])}")
-    cfg = dict(SCENARIOS[command][scenario])
+    cfg = _Config(SCENARIOS[command][scenario])
     cfg.update(config)
     cfg["run.scenario"] = scenario
     cfg.setdefault("run.seed", DEFAULT_SEED)
-    missing = [k for k in REQUIRED_KEYS[command] if k not in cfg]
-    if missing:
-        raise ConfigurationError(
-            f"config for {command!r} is missing required key(s): "
-            + ", ".join(repr(k) for k in missing))
     for key, least in KEY_MIN.items():
         if key in cfg and cfg[key] < least:
             raise ConfigurationError(f"{key} must be >= {least}, got {cfg[key]}")
@@ -457,19 +448,17 @@ def _build_state(cfg: dict, grid: GridSpec, spec, H) -> WaveState:
     kind = cfg["state.kind"]
     hbar = cfg["source.hbar"]
     if kind == "gaussian":
-        state = gaussian_packet(grid, center=cfg.get("state.center", 0.0),
-                                sigma=cfg.get("state.sigma", 1.0),
-                                momentum=cfg.get("state.momentum", 0.0),
-                                hbar_eff=hbar)
+        state = gaussian_packet(grid, center=cfg["state.center"],
+                                sigma=cfg["state.sigma"],
+                                momentum=cfg["state.momentum"], hbar_eff=hbar)
     elif kind == "coherent":
         if cfg["system.preset"] != "harmonic":
             raise ConfigurationError(
                 "state.kind = coherent requires the harmonic preset")
-        state = coherent_state(grid, m=cfg.get("system.m", 1.0),
-                               omega=cfg.get("system.omega", 1.0),
-                               center=cfg.get("state.center", 0.0),
-                               momentum=cfg.get("state.momentum", 0.0),
-                               hbar_eff=hbar)
+        state = coherent_state(grid, m=cfg["system.m"],
+                               omega=cfg["system.omega"],
+                               center=cfg["state.center"],
+                               momentum=cfg["state.momentum"], hbar_eff=hbar)
     elif kind == "ground":
         _, state = ground_state(H)
         return state
@@ -479,7 +468,7 @@ def _build_state(cfg: dict, grid: GridSpec, spec, H) -> WaveState:
     # scenarios that feed the polar pair low-pass the analytic packet: the
     # retained modes individually satisfy the walls, so the tail carries no
     # fast-beating content that the polar fields cannot represent
-    e_cut = cfg.get("state.ecut", 0.0)
+    e_cut = cfg["state.ecut"]
     if e_cut > 0.0:
         state = spectral_filter(state, H, e_cut)
     return state
@@ -493,25 +482,18 @@ def _wave_setup(cfg: dict):
     return spec, grid, H, _build_state(cfg, grid, spec, H)
 
 
-def _wave_phase(state: WaveState) -> np.ndarray:
-    return state.hbar_eff * np.unwrap(np.angle(state.psi))
-
-
 # ---------------------------------------------------------------------------
 # advance and record
 
 
-def _steps(cfg: dict) -> int:
-    """The number of time.dt steps in time.T; dt must divide T."""
-    dt = cfg["time.dt"]
-    T = cfg["time.T"]
-    if not 0.0 < dt <= T < np.inf:
+def _steps(cfg: dict, key: str = "time.dt") -> int:
+    """The number of steps of the config's `key` in time.T; the step must
+    divide T, and 0 < step <= T < inf."""
+    step, T = cfg[key], cfg["time.T"]
+    if not 0.0 < step <= T < np.inf:
         raise ConfigurationError(
-            f"need 0 < time.dt <= time.T < inf, got time.dt = {dt}, time.T = {T}")
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * T:
-        raise ConfigurationError(f"time.dt = {dt} does not divide time.T = {T}")
-    return steps
+            f"need 0 < {key} <= time.T < inf, got {key} = {step}, time.T = {T}")
+    return whole_steps(T, step, key, "time.T")
 
 
 def _every(steps: int, k: int) -> list[int]:
@@ -564,7 +546,7 @@ def _chain_snapshots(cfg, out):
         dens_pair = pair.plus.R ** 2
         l2 = l2_distance(dens_pair, dens_ref, grid)
         dS_pair = gradient(pair.plus.S, grid)
-        dS_ref = gradient(_wave_phase(ref), grid)
+        dS_ref = gradient(wave_phase(ref), grid)
         # compare phase gradients only where the density is non-negligible:
         # in the deep tail the reference phase unwraps through near-zeros
         # and has no polar counterpart
@@ -591,7 +573,7 @@ def _chain_snapshots(cfg, out):
 def _run_phase_offset(cfg, out):
     spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
-    quanta = cfg.get("state.offset_quanta", 1)
+    quanta = cfg["state.offset_quanta"]
     h_quantum = 2.0 * np.pi * cfg["source.hbar"]
     target = quanta * h_quantum
     rows = []
@@ -630,8 +612,8 @@ def _run_classical_limit(cfg, out):
     steps = _steps(cfg)
     hbar = cfg["source.hbar"]
     path_ref = classical.integrate_path(
-        classical.PhasePoint(q=cfg.get("state.center", 0.0),
-                             p=cfg.get("state.momentum", 0.0)), spec, dt, steps)
+        classical.PhasePoint(q=cfg["state.center"], p=cfg["state.momentum"]),
+        spec, dt, steps)
     rows = []
     pts = grid.points()
 
@@ -660,8 +642,8 @@ def _run_classical_limit(cfg, out):
         st = gaussian_packet(qp_grid, center=0.0, sigma=0.32, momentum=0.0,
                              hbar_eff=lam)
         pr = madelung.pair_from_wave(st)
-        qp_steps = int(round(0.25 / qp_dt))
-        pr = madelung.step_coupled_pde(pr, spec, qp_dt, steps=qp_steps)
+        pr = madelung.step_coupled_pde(pr, spec, qp_dt,
+                                       steps=whole_steps(0.25, qp_dt))
         qp = madelung.quantum_potential(pr.plus.R, spec, qp_grid, lam)
         dens = pr.plus.R ** 2
         w_norm = float(np.sqrt(integrate(qp ** 2 * dens, qp_grid)
@@ -712,10 +694,10 @@ def _run_source(cfg, out):
     n = cfg["ensemble.size"]
     source = stochastic.LambdaSource(kind=cfg["source.kind"],
                                      hbar=cfg["source.hbar"],
-                                     width=cfg.get("source.width", 0.0),
+                                     width=cfg["source.width"],
                                      seed=cfg["run.seed"])
     lo = -source.hbar - source.width * 2.0
-    edges = np.linspace(lo, -lo, cfg.get("ensemble.bins", 60) + 1)
+    edges = np.linspace(lo, -lo, cfg["ensemble.bins"] + 1)
     stats = sample_stats(stochastic.sample_lambda(source, n), edges=edges,
                          center=source.hbar, std=True)
     mean = stats.mean
@@ -748,9 +730,9 @@ def _deviation_stats(cfg, lam, step, **reduce):
 
 def _run_exponential_law(cfg, out):
     n = cfg["ensemble.size"]
-    bins = cfg.get("ensemble.bins", 60)
+    bins = cfg["ensemble.bins"]
     checks, stat_rows, hist_rows = [], [], []
-    for idx, lam in enumerate(cfg.get("source.lam_sweep", (0.5, 1.0, 2.0))):
+    for idx, lam in enumerate(cfg["source.lam_sweep"]):
         expected = abs(lam) / 2.0
         xbar = expected
         edges = np.linspace(0.0, 4.0 * expected, bins + 1)
@@ -784,7 +766,7 @@ def _run_concentration(cfg, out):
     n = cfg["ensemble.size"]
     eps = 0.1
     checks, rows = [], []
-    for idx, lam in enumerate(cfg.get("source.lam_sweep", (0.1, 0.05))):
+    for idx, lam in enumerate(cfg["source.lam_sweep"]):
         p_emp = _deviation_stats(cfg, lam, idx, thresholds=(eps,)).above[0] / n
         bound = float(np.exp(-2.0 * eps / abs(lam)))
         se = float(np.sqrt(max(p_emp * (1 - p_emp), 1e-12) / n))
@@ -803,16 +785,18 @@ def _guided_ensembles(cfg, taus):
     """The wave setup, and one guided ensemble run per micro-timescale in
     `taus`, all through one set of wave frames: [(final frozen fraction,
     diags)].  Only these are kept, not the ensembles themselves."""
+    # the library takes a zero span, a run needs at least one window
+    _steps(cfg, "time.dt_window")
     spec, grid, H, state0 = _wave_setup(cfg)
     T = cfg["time.T"]
     frames = stochastic.build_wave_frames(state0, H, spec, T,
                                           cfg["time.dt_window"], cfg["time.dt"])
     # no source switches lambda off: guidance-velocity transport alone
     source = None
-    if not cfg.get("ensemble.disable_lambda", False):
-        source = stochastic.LambdaSource(kind=cfg.get("source.kind", "binary"),
+    if not cfg["ensemble.disable_lambda"]:
+        source = stochastic.LambdaSource(kind=cfg["source.kind"],
                                          hbar=cfg["source.hbar"],
-                                         width=cfg.get("source.width", 0.0),
+                                         width=cfg["source.width"],
                                          seed=cfg["run.seed"])
 
     def run(tau):
@@ -820,8 +804,7 @@ def _guided_ensembles(cfg, taus):
             stochastic.init_ensemble(state0, cfg["ensemble.size"], tau,
                                      cfg["run.seed"]),
             frames, spec, T, source=source,
-            bins=cfg.get("ensemble.bins", 50),
-            snapshots=cfg.get("run.snapshots", 5))
+            bins=cfg["ensemble.bins"], snapshots=cfg["run.snapshots"])
         return final.frozen_fraction, diags
 
     return (spec, grid, H, state0), [run(tau) for tau in taus]
@@ -850,9 +833,10 @@ def _run_bohmian(cfg, out):
     # packet is momentumless and the check would be vacuous)
     hbar = cfg["source.hbar"]
     probe_state = propagate_crank_nicolson(
-        state0, H, cfg["time.dt"], int(round(0.25 / cfg["time.dt"])))
+        state0, H, cfg["time.dt"],
+        whole_steps(0.25, cfg["time.dt"], "time.dt", "the probe time 0.25"))
     omega = np.abs(probe_state.psi) ** 2
-    S = _wave_phase(probe_state)
+    S = wave_phase(probe_state)
     probe = grid.points()[grid.n // 7:: grid.n // 11]
     v_plus = stochastic.microscopic_velocity(probe, S, omega, hbar, spec, grid)
     v_minus = stochastic.microscopic_velocity(probe, S, omega, -hbar, spec, grid)
@@ -868,11 +852,11 @@ def _run_bohmian(cfg, out):
 
 
 def _run_tau_sweep(cfg, out):
-    sweep = cfg.get("time.tau_sweep", (1e-2, 1e-3, 1e-4))
+    sweep = cfg["time.tau_sweep"]
     _, runs = _guided_ensembles(cfg, sweep)
     T = cfg["time.T"]
     rows = [(tau, diags[-1]["tv_distance"], diags[-1]["tv_weighted"],
-             frozen, int(round(T / tau)))
+             frozen, whole_steps(T, tau))
             for tau, (frozen, diags) in zip(sweep, runs)]
     _density_csvs(out, runs[-1][1])
     out.csv("sweep.csv", ["tau_Q", "tv_final", "tv_weighted_final",
@@ -939,8 +923,8 @@ def _run_ordering_contrast(cfg, out):
             "ordering_contrast requires system.preset = variable_mass")
     rows, results = _ordering_rows(_build_system(cfg), grid, hbar,
                                    "variable_mass")
-    const_spec = make_system("harmonic", m=cfg.get("system.m", 1.0),
-                             omega=cfg.get("system.omega", 1.0))
+    const_spec = make_system("harmonic", m=cfg["system.m"],
+                             omega=cfg["system.omega"])
     rows_c, results_c = _ordering_rows(const_spec, grid, hbar, "constant_g")
     out.csv("orderings.csv",
             ["case", "build", "hermiticity_defect", "defect_rel",
@@ -961,7 +945,7 @@ def _run_harmonic_spectrum(cfg, out):
     hbar = cfg["source.hbar"]
     H = build_quantum_hamiltonian(_build_system(cfg), grid, hbar)
     evals, _ = eigenpairs(H, 5)
-    exact = hbar * cfg.get("system.omega", 1.0) * (np.arange(5) + 0.5)
+    exact = hbar * cfg["system.omega"] * (np.arange(5) + 0.5)
     out.csv("spectrum.csv", ["k", "energy", "exact", "abs_err"],
             [(k, float(evals[k]), float(exact[k]),
               float(abs(evals[k] - exact[k]))) for k in range(5)])

