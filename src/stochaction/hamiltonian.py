@@ -156,16 +156,6 @@ def guidance_field(S: np.ndarray, spec: ClassicalSpec,
     return spec.g(pts) * (gradient(S, grid) - spec.A(pts))
 
 
-def theta_of_S(S: np.ndarray, spec: ClassicalSpec, grid: GridSpec) -> np.ndarray:
-    """Divergence of the action-gradient velocity field, d/dq[g (dS/dq - A)].
-
-    This is the decay rate attached to each path segment; a uniformly
-    compressing flow gives a positive constant.  Depends on S only through
-    its gradient.
-    """
-    return gradient(guidance_field(S, spec, grid), grid)
-
-
 @dataclass(frozen=True)
 class QuantumOperator:
     """A tridiagonal lattice operator, stored as its three diagonals.

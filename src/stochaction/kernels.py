@@ -56,12 +56,14 @@ for x86-64-v4, whose AVX-512 vectors step 8 particles at once, and for
 the baseline that every x86-64 CPU runs.  The library picks a clone when
 it is loaded, from the CPU's features, so one build serves any x86-64
 CPU and none meets an instruction it lacks; other targets and compilers
-(and gcc before 12) get the one plain body.  A vector lane does the scalar operations, so
-both clones give the numpy window's bits.  To look up its tables the
-loop needs an integer cell: it clamps the cell to [0, n - 2] before it
-truncates it, which on that range equals floor, and gives a -0.0 cell
-its sign back with copysign, since np.floor keeps it and the sign can
-reach a result through the interpolation weight.
+(and gcc before 12) get the one plain body.  A vector lane does the
+scalar operations, so both clones give the numpy window's bits; the
+x86-64-v4 clone reads its tables with gathers, which gcc makes only when
+told to (_GATHER).  To look up its tables the loop needs an integer cell:
+it clamps the cell to [0, n - 2] before it truncates it, which on that
+range equals floor, and gives a -0.0 cell its sign back with copysign,
+since np.floor keeps it and the sign can reach a result through the
+interpolation weight.
 
 A window of ensemble micro steps splits the particles into contiguous
 shards in the same way, and runs each shard's steps as one
@@ -261,9 +263,12 @@ def active_backend() -> str:
     and ensemble kernels with the compiler and every flag they are built
     with, the ensemble clone this CPU runs, and the rng, which the ensemble
     library holds.  Builds nothing."""
-    import sysconfig
-    cc = sysconfig.get_config_var("CC") or "no compiler (sysconfig CC empty)"
-    return (f"polar and ensemble: C, {cc} {' '.join(_CFLAGS)}; "
+    try:
+        cc = _compiler()
+        build = " ".join((*cc, *_cflags(cc)))
+    except ConfigurationError:
+        build = "no compiler (sysconfig CC empty)"
+    return (f"polar and ensemble: C, {build}; "
             f"ensemble clone: {_ensemble_clone()}; rng: C")
 
 
@@ -325,10 +330,33 @@ def _ensemble_clone() -> str:
 # faster (one thread: 20.6 to 21.0 against 15.9 to 16.9 ns per
 # particle-step); -fno-if-conversion keeps those branches, and leaves the
 # vectorizer's if-conversion, another pass, alone.
+# _GATHER, -mtune-ctrl=use_gather, lets gcc use the AVX-512 gather
+# instructions, which its generic tuning turns off.  Without it gcc 12.2
+# assembles each particle's six table reads in the x86-64-v4 clone of the
+# ensemble kernel (vb, osm and th at j and j + 1) from scalar loads and
+# inserts, 192 vmovhpd and 88 vinsertf128; with it, from 48 vgatherqpd.  A
+# gather loads the same doubles, so no value changes.  On the 40 windows
+# of the ensemble_sweep benchmark, replayed on one thread of a Sapphire
+# Rapids CPU, the kernel went from 5.6 to 4.4 and from 5.1 to 4.0 ns per
+# particle-step (medians of 9 and of 15 interleaved replays, in two
+# sessions, with the same output bytes).  The flag changes the
+# instructions of no other function of either library, nor of the
+# window's baseline clone.  It goes only to gcc on x86-64 (_cflags):
+# clang rejects it, and elsewhere there is no such clone.
+# Tried and not worth it: the whole -mtune=sapphirerapids or
+# =icelake-server tuning (2.5 times slower), tables of differences
+# t[j + 1] - t[j] made per window (no gain), BLOCK from 128 to 2048 (flat),
+# the sign of lambda from the top bit of its hash (within noise), and a
+# per-block cache of each particle's six values, refreshed only when its
+# cell changes (3.87 against 3.62 ns, not worth some 40 lines).  On a CPU
+# with the microcode fix for Gather Data Sampling, gathers are slower;
+# the CPU measured reports itself not affected, and no affected CPU has
+# been measured.
 _SOURCE_DIR = os.path.dirname(__file__)
 _CACHE = os.path.join(_SOURCE_DIR, "__pycache__")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math",
            "-fno-if-conversion", "-fPIC", "-shared")
+_GATHER = "-mtune-ctrl=use_gather"
 _P, _N = ctypes.c_void_p, ctypes.c_long
 _R, _U = ctypes.c_double, ctypes.c_uint64
 # the functions of each library: the return type, then the argument types
@@ -363,6 +391,18 @@ def _compiler() -> list:
     return shlex.split(cc)
 
 
+def _cflags(cc: list) -> tuple:
+    """The flags of a build by the compiler command cc: _CFLAGS, and
+    _GATHER where cc names gcc and the machine is x86-64, where the
+    ensemble kernel has an x86-64-v4 clone (from gcc 12 on).  Another
+    compiler (clang rejects the flag) or a bare cc is given _CFLAGS
+    alone."""
+    import platform
+    gather = ("gcc" in os.path.basename(cc[0])
+              and platform.machine() in ("x86_64", "AMD64"))
+    return _CFLAGS + ((_GATHER,) if gather else ())
+
+
 def _build(source: str, cache_dir: str) -> str:
     """Path of the shared library of the package's C file source (say
     "_polar.c") in cache_dir, compiled there first unless a build of the
@@ -376,10 +416,11 @@ def _build(source: str, cache_dir: str) -> str:
     import subprocess
     import tempfile
     cc = _compiler()
+    flags = _cflags(cc)
     source_path = os.path.join(_SOURCE_DIR, source)
     with open(source_path, "rb") as fh:
         text = fh.read()
-    key = "\0".join((*cc, *_CFLAGS)).encode()
+    key = "\0".join((*cc, *flags)).encode()
     digest = hashlib.sha256(text + b"\0" + key).hexdigest()[:16]
     stem = os.path.splitext(source)[0]
     path = os.path.join(cache_dir, f"{stem}-{digest}.so")
@@ -395,7 +436,7 @@ def _build(source: str, cache_dir: str) -> str:
     os.close(fd)
     try:
         try:
-            proc = subprocess.run([*cc, *_CFLAGS, "-o", tmp, source_path,
+            proc = subprocess.run([*cc, *flags, "-o", tmp, source_path,
                                    "-lm"], capture_output=True, text=True)
         except OSError as exc:
             raise ConfigurationError(
@@ -555,18 +596,19 @@ def _pairwise_shards(n: int, shards: int, subtree) -> float:
 # shard takes, so a window of under 2 * _SHARD_MIN particle-steps runs as
 # one shard: a second shard costs a thread hand-off and cold caches once
 # per window, which only enough work outweighs.  Measured with the
-# vectorized kernel on 2 vCPUs, on the tau_sweep fields, in ns per
-# particle-step, one shard against two (medians of 12 to 16 interleaved
-# timings of at least 3 windows each, in three sessions): 1e5 particles
-# with one step a window ran at 8.3 against 9.3, 8.8 against 8.0 and 8.7
-# against 9.7; with 100 steps at 5.9 against 5.2 and 6.5 against 3.8.
-# 2^15 particles with 10 steps ran at 7.1 against 4.3 twice, and with one
-# step at 11.6 against 11.5 and 10.2 against 11.8.  Two shards gained only
-# while the other vCPU was free: in the third session they lost on every
-# window up to 3e5 particle-steps.  The break-even, about 1e5 particle-
-# steps per shard, moves with the host's load; 3 * 2^16 keeps one-step
-# windows of 1e5 particles in one shard, and splits a window of 12 steps
-# from 2^15 particles on
+# gathering kernel (_GATHER) on 2 vCPUs, on the tau_sweep fields, in ns
+# per particle-step, one shard against two (medians of 15 interleaved
+# timings of 3 windows each, in three sessions): 1e5 particles with one
+# step a window ran at 7.2 against 8.3, 4.5 against 3.9 and 4.3 against
+# 4.8; with 100 steps at 4.3 against 2.3, 4.5 against 2.3 and 4.2 against
+# 2.4.  2^15 particles with 10 steps ran at 3.8 against 2.3, 5.3 against
+# 3.0 and 4.1 against 3.0, and with one step at 4.9 against 5.6, 7.5
+# against 6.8 and 5.7 against 7.6.  The one-step windows of 1e5
+# particles, the only registry windows under the gate (tau_sweep at
+# tau_Q = 1e-2), ran faster as one shard in two sessions of three, and
+# 3 * 2^16 keeps them in one shard; it splits a window of 12 steps from
+# 2^15 particles on.  Windows of 2e5 to 3.9e5 particle-steps would gain
+# from a second shard, but no scenario runs one
 _SHARD_MIN = 3 << 16
 
 

@@ -6,10 +6,10 @@ import pytest
 from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.hamiltonian import (ClassicalSpec, build_naive_ordering,
                                      build_quantum_hamiltonian,
-                                     classical_velocity, hermiticity_defect,
-                                     make_system, require_wave_node_free,
-                                     theta_of_S)
-from stochaction.lattice import build_grid
+                                     classical_velocity, guidance_field,
+                                     hermiticity_defect, make_system,
+                                     require_wave_node_free)
+from stochaction.lattice import build_grid, gradient
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +42,17 @@ def test_make_system_rejects_unknown_preset_and_parameters():
 
 # ---------------------------------------------------------------------------
 # divergence of the S-velocity field
+
+
+def theta_of_S(S, spec, grid):
+    """Divergence of the action-gradient velocity field, d/dq[g (dS/dq - A)].
+
+    This is the decay rate attached to each path segment; a uniformly
+    compressing flow gives a positive constant.  Depends on S only through
+    its gradient.  The ensemble's log-weight decay table is this gradient
+    of the guidance table (stochastic._guidance_tables).
+    """
+    return gradient(guidance_field(S, spec, grid), grid)
 
 
 def test_theta_vanishes_for_constant_S():

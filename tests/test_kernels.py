@@ -902,15 +902,55 @@ def test_an_infinite_wall_phase_step_gives_nan_then_a_numerical_error():
         step_coupled_pde(pair, spec, 1e-4, steps=5)
 
 
-def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache):
+def _build_command(monkeypatch, cache):
+    """The command _build runs to compile _ensemble.c into cache, up to
+    its output file, caught before the compiler starts."""
+    seen = []
+
+    def run(args, **kwargs):
+        seen.append(args)
+        return subprocess.CompletedProcess(args, 1, "", "not compiled")
+    monkeypatch.setattr(subprocess, "run", run)
+    with pytest.raises(ConfigurationError, match="not compiled"):
+        kernels._build("_ensemble.c", str(cache))
+    [args] = seen
+    assert args[-2:] == [os.path.join(kernels._SOURCE_DIR, "_ensemble.c"),
+                         "-lm"] and args[-4] == "-o"
+    assert os.listdir(cache) == []
+    return args[:-4]
+
+
+def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache,
+                                                              tmp_path,
+                                                              monkeypatch):
     name = kernels.active_backend()
     assert name.startswith("polar and ensemble: C, ")
     assert name.endswith(f"; ensemble clone: {kernels._ensemble_clone()}; "
                          "rng: C")
-    cc = sysconfig.get_config_var("CC")
-    assert f"{cc} {' '.join(kernels._CFLAGS)};" in name
     assert not kernel_cache.exists()
     assert kernels._libraries == {}
+    # the compiler and every flag a build is given, as a build runs them
+    command = _build_command(monkeypatch, tmp_path / "probe")
+    assert command[:len(kernels._compiler())] == kernels._compiler()
+    assert f"polar and ensemble: C, {' '.join(command)};" in name
+
+
+@pytest.mark.parametrize("cc, machine, gather", (
+    (["gcc"], "x86_64", True),
+    (["/usr/bin/x86_64-linux-gnu-gcc-12", "-pthread"], "x86_64", True),
+    (["gcc"], "AMD64", True),
+    (["gcc"], "aarch64", False),
+    (["clang"], "x86_64", False),
+    (["cc"], "x86_64", False),
+    (["/opt/llvm/bin/clang", "-pthread"], "aarch64", False)))
+def test_only_gcc_on_x86_64_is_given_the_gather_tuning(tmp_path, monkeypatch,
+                                                       cc, machine, gather):
+    monkeypatch.setattr(kernels, "_compiler", lambda: list(cc))
+    monkeypatch.setattr(platform, "machine", lambda: machine)
+    flags = kernels._CFLAGS + (("-mtune-ctrl=use_gather",) if gather else ())
+    assert kernels._cflags(cc) == flags
+    assert f"C, {' '.join((*cc, *flags))};" in kernels.active_backend()
+    assert _build_command(monkeypatch, tmp_path) == [*cc, *flags]
 
 
 # ---------------------------------------------------------------------------
@@ -1181,6 +1221,35 @@ def test_the_baseline_clone_draws_as_the_reference(baseline, source):
 def test_the_baseline_clone_fails_and_discards_as_the_reference(baseline,
                                                                 check):
     check()
+
+
+@pytest.mark.parametrize("n", (2, 4099))
+@pytest.mark.parametrize("clone", ("picked", "baseline"))
+def test_lookups_at_the_table_ends_equal_the_reference_bitwise(request, clone,
+                                                               n):
+    # cells below 0, at -0.0, exactly n - 2 and n - 1, and beyond the last
+    # point: the clamped lookups at j = 0 and j = n - 2, whose upper point
+    # is the tables' last, n - 1.  q_min = 0 and dq = 1 make each cell its
+    # position.  The pattern repeats at every vector lane and in the
+    # loop's tail, a third of the particles frozen, and the particles
+    # beyond the freeze bounds leave in the first step
+    if clone == "baseline":
+        request.getfixturevalue("baseline")
+    cells = np.array([-7.5, -1.0, -2.0 ** -40, -0.0, 0.0, 0.25, 1.0,
+                      n - 2.5, n - 2.0, n - 1.5, n - 1.0, n - 0.5, n,
+                      n + 3.25, 1e6])
+    m = cells.size * 37
+    rng = np.random.default_rng(n)
+    tables = [rng.normal(size=n) for _ in range(3)]
+    state = [np.tile(cells, 37), rng.normal(size=m), rng.normal(size=m),
+             (np.arange(m) % 3 == 0).astype(np.uint8)]
+    rest = (0.0, 1.0, 1e-2, 3)
+    kwargs = dict(step0=0, seed=11, src_kind=SRC_SMEARED, mag0=1.3,
+                  jitter=0.5, freeze_lo=-3.0, freeze_hi=n + 1.0)
+    want = _window(state, tables, rest, kwargs, run=_reference_ensemble_window)
+    got = _window(state, tables, rest, kwargs)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    assert np.count_nonzero(state[3]) < np.count_nonzero(got[3]) < m
 
 
 # ---------------------------------------------------------------------------
