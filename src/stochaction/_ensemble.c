@@ -78,12 +78,13 @@ enum { SRC_BINARY, SRC_SPHERE, SRC_SMEARED };
  * values cloned, every statistic of 1e7 values took 108 ms against 90 ms
  * for the baseline body (best of 15).  The v4 clone reads the window's
  * tables with gathers where gcc is given -mtune-ctrl=use_gather, which
- * kernels.py gives it on x86-64: its generic tuning makes no gather, and
- * builds each vector of table values from scalar loads and inserts,
+ * kernels.py gives gcc 12 on x86-64: its generic tuning makes no gather,
+ * and builds each vector of table values from scalar loads and inserts,
  * which took 5.1 to 5.6 against 4.0 to 4.4 ns per particle-step on one
  * thread of a Sapphire Rapids CPU.  Gathers are slower on CPUs with the
- * microcode fix for Gather Data Sampling, none of which has been
- * measured; see kernels.py for the tunings tried. */
+ * microcode fix for Gather Data Sampling, so a CPU that lists that bug
+ * gets no flag; none has been measured.  See kernels.py for the tunings
+ * tried. */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && __GNUC__ >= 12
 #define CLONED __attribute__((target_clones("arch=x86-64-v4", "default")))

@@ -57,13 +57,14 @@ the baseline that every x86-64 CPU runs.  The library picks a clone when
 it is loaded, from the CPU's features, so one build serves any x86-64
 CPU and none meets an instruction it lacks; other targets and compilers
 (and gcc before 12) get the one plain body.  A vector lane does the
-scalar operations, so both clones give the numpy window's bits; the
-x86-64-v4 clone reads its tables with gathers, which gcc makes only when
-told to (_GATHER).  To look up its tables the loop needs an integer cell:
-it clamps the cell to [0, n - 2] before it truncates it, which on that
-range equals floor, and gives a -0.0 cell its sign back with copysign,
-since np.floor keeps it and the sign can reach a result through the
-interpolation weight.
+scalar operations, so both clones give the numpy window's bits; built
+by gcc 12, the x86-64-v4 clone reads its tables with gathers, which gcc
+makes only when told to (_GATHER), except on a CPU whose gathers the
+microcode fix for Gather Data Sampling slows.  To look up its tables the
+loop needs an integer cell: it clamps the cell to [0, n - 2] before it
+truncates it, which on that range equals floor, and gives a -0.0 cell
+its sign back with copysign, since np.floor keeps it and the sign can
+reach a result through the interpolation weight.
 
 A window of ensemble micro steps splits the particles into contiguous
 shards in the same way, and runs each shard's steps as one
@@ -78,6 +79,7 @@ parallel.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -341,17 +343,22 @@ def _ensemble_clone() -> str:
 # particle-step (medians of 9 and of 15 interleaved replays, in two
 # sessions, with the same output bytes).  The flag changes the
 # instructions of no other function of either library, nor of the
-# window's baseline clone.  It goes only to gcc on x86-64 (_cflags):
-# clang rejects it, and elsewhere there is no such clone.
+# window's baseline clone.  It goes only to gcc 12 on x86-64 (_cflags):
+# clang rejects it, and elsewhere there is no such clone.  gcc rejects a
+# tuning name it does not know, and the names differ between gcc
+# versions, so only gcc 12, the version built and measured with it, is
+# given it; another keeps the old command line.
 # Tried and not worth it: the whole -mtune=sapphirerapids or
 # =icelake-server tuning (2.5 times slower), tables of differences
 # t[j + 1] - t[j] made per window (no gain), BLOCK from 128 to 2048 (flat),
 # the sign of lambda from the top bit of its hash (within noise), and a
 # per-block cache of each particle's six values, refreshed only when its
 # cell changes (3.87 against 3.62 ns, not worth some 40 lines).  On a CPU
-# with the microcode fix for Gather Data Sampling, gathers are slower;
-# the CPU measured reports itself not affected, and no affected CPU has
-# been measured.
+# with the microcode fix for Gather Data Sampling, gathers are much
+# slower, so a CPU whose /proc/cpuinfo lists "gds" among its bugs gets no
+# _GATHER (_gds_affected); the CPU measured reports itself not affected,
+# and no affected CPU has been measured.  A kernel too old to know the
+# bug lists it for no CPU.
 _SOURCE_DIR = os.path.dirname(__file__)
 _CACHE = os.path.join(_SOURCE_DIR, "__pycache__")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math",
@@ -393,14 +400,43 @@ def _compiler() -> list:
 
 def _cflags(cc: list) -> tuple:
     """The flags of a build by the compiler command cc: _CFLAGS, and
-    _GATHER where cc names gcc and the machine is x86-64, where the
-    ensemble kernel has an x86-64-v4 clone (from gcc 12 on).  Another
-    compiler (clang rejects the flag) or a bare cc is given _CFLAGS
+    _GATHER where cc names gcc 12, the machine is x86-64, where the
+    ensemble kernel has an x86-64-v4 clone, and the CPU is not affected
+    by Gather Data Sampling.  Another compiler (clang rejects the flag), a
+    bare cc, another gcc version or an affected CPU is given _CFLAGS
     alone."""
     import platform
     gather = ("gcc" in os.path.basename(cc[0])
-              and platform.machine() in ("x86_64", "AMD64"))
+              and platform.machine() in ("x86_64", "AMD64")
+              and _gcc_major(tuple(cc)) == 12 and not _gds_affected())
     return _CFLAGS + ((_GATHER,) if gather else ())
+
+
+@functools.lru_cache(maxsize=None)
+def _gcc_major(cc: tuple):
+    """The major version that the gcc command cc prints for -dumpversion,
+    or None where it cannot be run or prints none."""
+    import subprocess
+    try:
+        proc = subprocess.run([*cc, "-dumpversion"], capture_output=True,
+                              text=True)
+    except OSError:
+        return None
+    major = proc.stdout.strip().split(".")[0]
+    return int(major) if proc.returncode == 0 and major.isdigit() else None
+
+
+def _gds_affected() -> bool:
+    """Whether /proc/cpuinfo lists Gather Data Sampling ("gds") among the
+    CPU's bugs; False where it cannot be read."""
+    try:
+        with open(_CPUINFO) as fh:
+            for line in fh:
+                if line.startswith("bugs"):
+                    return "gds" in line.split(":", 1)[-1].split()
+    except OSError:
+        pass
+    return False
 
 
 def _build(source: str, cache_dir: str) -> str:

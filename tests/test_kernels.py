@@ -935,22 +935,69 @@ def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache,
     assert f"polar and ensemble: C, {' '.join(command)};" in name
 
 
-@pytest.mark.parametrize("cc, machine, gather", (
-    (["gcc"], "x86_64", True),
-    (["/usr/bin/x86_64-linux-gnu-gcc-12", "-pthread"], "x86_64", True),
-    (["gcc"], "AMD64", True),
-    (["gcc"], "aarch64", False),
-    (["clang"], "x86_64", False),
-    (["cc"], "x86_64", False),
-    (["/opt/llvm/bin/clang", "-pthread"], "aarch64", False)))
-def test_only_gcc_on_x86_64_is_given_the_gather_tuning(tmp_path, monkeypatch,
-                                                       cc, machine, gather):
+@pytest.mark.parametrize("cc, machine, major, gather", (
+    (["gcc"], "x86_64", 12, True),
+    (["/usr/bin/x86_64-linux-gnu-gcc-12", "-pthread"], "x86_64", 12, True),
+    (["gcc"], "AMD64", 12, True),
+    (["gcc"], "x86_64", 11, False),
+    (["gcc"], "x86_64", 13, False),
+    (["/usr/bin/gcc-14"], "x86_64", 14, False),
+    (["gcc"], "x86_64", None, False),
+    (["gcc"], "aarch64", 12, False),
+    (["clang"], "x86_64", 12, False),
+    (["cc"], "x86_64", 12, False),
+    (["/opt/llvm/bin/clang", "-pthread"], "aarch64", 15, False)))
+def test_only_gcc_12_on_x86_64_is_given_the_gather_tuning(tmp_path,
+                                                          monkeypatch, cc,
+                                                          machine, major,
+                                                          gather):
     monkeypatch.setattr(kernels, "_compiler", lambda: list(cc))
+    monkeypatch.setattr(kernels, "_gcc_major", lambda command: major)
     monkeypatch.setattr(platform, "machine", lambda: machine)
+    monkeypatch.setattr(kernels, "_CPUINFO", str(tmp_path / "cpuinfo"))
     flags = kernels._CFLAGS + (("-mtune-ctrl=use_gather",) if gather else ())
     assert kernels._cflags(cc) == flags
     assert f"C, {' '.join((*cc, *flags))};" in kernels.active_backend()
-    assert _build_command(monkeypatch, tmp_path) == [*cc, *flags]
+    assert _build_command(monkeypatch, tmp_path / "cache") == [*cc, *flags]
+
+
+def test_a_cpu_that_lists_gather_data_sampling_gets_no_gather_tuning(
+        tmp_path, monkeypatch):
+    cpuinfo = tmp_path / "cpuinfo"
+    monkeypatch.setattr(kernels, "_CPUINFO", str(cpuinfo))
+    monkeypatch.setattr(kernels, "_gcc_major", lambda command: 12)
+    monkeypatch.setattr(platform, "machine", lambda: "x86_64")
+    gather = kernels._CFLAGS + ("-mtune-ctrl=use_gather",)
+    assert kernels._cflags(["gcc"]) == gather  # no /proc/cpuinfo to read
+    for bugs, flags in (("spectre_v1 spectre_v2 taa bhi", gather),
+                        ("spectre_v1 mds gds bhi", kernels._CFLAGS),
+                        ("gds", kernels._CFLAGS),
+                        ("", gather)):
+        cpuinfo.write_text("".join(f"processor\t: {i}\nflags\t\t: avx512f\n"
+                                   f"bugs\t\t: {bugs}\n\n"
+                                   for i in range(2)))
+        assert kernels._cflags(["gcc"]) == flags
+    cpuinfo.write_text("processor\t: 0\nflags\t\t: avx512f\n\n")
+    assert kernels._cflags(["gcc"]) == gather
+
+
+@pytest.mark.parametrize("stdout, code, major", (
+    ("12\n", 0, 12), ("12.2.0\n", 0, 12), ("13.2.0\n", 0, 13),
+    ("", 1, None), ("unknown\n", 0, None)))
+def test_the_gcc_major_version_is_read_from_dumpversion(monkeypatch, stdout,
+                                                        code, major):
+    seen = []
+
+    def run(args, **kwargs):
+        seen.append(args)
+        return subprocess.CompletedProcess(args, code, stdout, "")
+    monkeypatch.setattr(subprocess, "run", run)
+    assert kernels._gcc_major.__wrapped__(("gcc", "-pthread")) == major
+    assert seen == [["gcc", "-pthread", "-dumpversion"]]
+
+
+def test_a_gcc_that_cannot_be_run_has_no_major_version(tmp_path):
+    assert kernels._gcc_major.__wrapped__((str(tmp_path / "gcc"),)) is None
 
 
 # ---------------------------------------------------------------------------
