@@ -72,13 +72,6 @@ def _step(q: float, p: float, spec: ClassicalSpec, dt: float) -> tuple[float, fl
         f"(dt={dt}); reduce the step")
 
 
-def hamilton_step(pt: PhasePoint, spec: ClassicalSpec, dt: float) -> PhasePoint:
-    """One symplectic step of Hamilton's equations (see `_step`)."""
-    _check_dt(dt)
-    q, p = _step(float(pt.q), float(pt.p), spec, dt)
-    return PhasePoint(q=q, p=p, t=pt.t + dt)
-
-
 def integrate_path(pt0: PhasePoint, spec: ClassicalSpec, dt: float,
                    steps: int) -> PathRecord:
     """`steps` symplectic steps of size dt from pt0, every point recorded."""

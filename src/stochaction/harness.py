@@ -444,7 +444,7 @@ def _build_grid(cfg: dict) -> GridSpec:
     return build_grid(cfg["grid.n"], cfg["grid.q_min"], cfg["grid.q_max"])
 
 
-def _build_state(cfg: dict, grid: GridSpec, spec, H) -> WaveState:
+def _build_state(cfg: dict, grid: GridSpec, H) -> WaveState:
     kind = cfg["state.kind"]
     hbar = cfg["source.hbar"]
     if kind == "gaussian":
@@ -474,12 +474,18 @@ def _build_state(cfg: dict, grid: GridSpec, spec, H) -> WaveState:
     return state
 
 
+def _build_source(cfg: dict) -> stochastic.LambdaSource:
+    return stochastic.LambdaSource(kind=cfg["source.kind"],
+                                   hbar=cfg["source.hbar"],
+                                   width=cfg["source.width"])
+
+
 def _wave_setup(cfg: dict):
     """(spec, grid, H, initial state) of a wave-layer scenario."""
     spec = _build_system(cfg)
     grid = _build_grid(cfg)
     H = build_quantum_hamiltonian(spec, grid, cfg["source.hbar"])
-    return spec, grid, H, _build_state(cfg, grid, spec, H)
+    return spec, grid, H, _build_state(cfg, grid, H)
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +698,11 @@ def _hist_rows(tag, counts, edges, n):
 
 def _run_source(cfg, out):
     n = cfg["ensemble.size"]
-    source = stochastic.LambdaSource(kind=cfg["source.kind"],
-                                     hbar=cfg["source.hbar"],
-                                     width=cfg["source.width"],
-                                     seed=cfg["run.seed"])
+    source = _build_source(cfg)
     lo = -source.hbar - source.width * 2.0
     edges = np.linspace(lo, -lo, cfg["ensemble.bins"] + 1)
-    stats = sample_stats(stochastic.sample_lambda(source, n), edges=edges,
-                         center=source.hbar, std=True)
+    lams = stochastic.sample_lambda(source, n, seed=cfg["run.seed"])
+    stats = sample_stats(lams, edges=edges, center=source.hbar, std=True)
     mean = stats.mean
     se = float(stats.std / np.sqrt(n))
     # a sample whose every sign agrees has no spread but a mean of +-hbar,
@@ -792,18 +795,13 @@ def _guided_ensembles(cfg, taus):
     frames = stochastic.build_wave_frames(state0, H, spec, T,
                                           cfg["time.dt_window"], cfg["time.dt"])
     # no source switches lambda off: guidance-velocity transport alone
-    source = None
-    if not cfg["ensemble.disable_lambda"]:
-        source = stochastic.LambdaSource(kind=cfg["source.kind"],
-                                         hbar=cfg["source.hbar"],
-                                         width=cfg["source.width"],
-                                         seed=cfg["run.seed"])
+    source = None if cfg["ensemble.disable_lambda"] else _build_source(cfg)
 
     def run(tau):
         final, diags = stochastic.propagate_ensemble(
             stochastic.init_ensemble(state0, cfg["ensemble.size"], tau,
                                      cfg["run.seed"]),
-            frames, spec, T, source=source,
+            frames, T, source=source,
             bins=cfg["ensemble.bins"], snapshots=cfg["run.snapshots"])
         return final.frozen_fraction, diags
 

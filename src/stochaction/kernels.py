@@ -263,15 +263,14 @@ def sample_stats(x, magnitudes: bool = False, edges=None, thresholds=(),
 def active_backend() -> str:
     """Names the kernels, recorded with benchmark runs: the compiled polar
     and ensemble kernels with the compiler and every flag they are built
-    with, the ensemble clone this CPU runs, and the rng, which the ensemble
-    library holds.  Builds nothing."""
+    with, the ensemble clone this CPU runs in that build, and the rng,
+    which the ensemble library holds.  Builds nothing."""
     try:
         cc = _compiler()
-        build = " ".join((*cc, *_cflags(cc)))
+        build, clone = " ".join((*cc, *_cflags(cc))), _ensemble_clone(cc)
     except ConfigurationError:
-        build = "no compiler (sysconfig CC empty)"
-    return (f"polar and ensemble: C, {build}; "
-            f"ensemble clone: {_ensemble_clone()}; rng: C")
+        build, clone = "no compiler (sysconfig CC empty)", "none"
+    return f"polar and ensemble: C, {build}; ensemble clone: {clone}; rng: C"
 
 
 # the CPU features of x86-64-v4 beyond x86-64-v3, as /proc/cpuinfo names
@@ -281,25 +280,42 @@ _V4_FLAGS = frozenset(("avx512f", "avx512bw", "avx512cd", "avx512dq",
 _CPUINFO = "/proc/cpuinfo"
 
 
-def _ensemble_clone() -> str:
-    """The clone of the ensemble kernel that gcc's loader picks on this CPU:
-    "x86-64-v4" where /proc/cpuinfo lists the AVX-512 features of that
-    level, else "default"; "none" off x86-64, where the kernel has one
-    body, and "unknown" where the CPU's features cannot be read.  A build
-    by another compiler than gcc 12 or later has the one body on any
-    CPU."""
-    import platform
-    if platform.machine() not in ("x86_64", "AMD64"):
-        return "none"
+def _cpuinfo(key: str):
+    """The words of the first /proc/cpuinfo line that starts with key
+    ("flags", "bugs"); None where there is none or it cannot be read."""
     try:
         with open(_CPUINFO) as fh:
-            for line in fh:
-                if line.startswith("flags"):
-                    has = set(line.split(":", 1)[-1].split())
-                    return "x86-64-v4" if _V4_FLAGS <= has else "default"
+            return next((line.split(":", 1)[-1].split() for line in fh
+                         if line.startswith(key)), None)
     except OSError:
-        pass
-    return "unknown"
+        return None
+
+
+def _has_clone(cc: list):
+    """Whether a build by the compiler command cc gives the ensemble kernel
+    its x86-64-v4 clone (CLONED in _ensemble.c: gcc 12 or later on x86-64),
+    from the name of cc and its -dumpversion; None where they do not tell:
+    a bare cc, which may be clang, or a gcc whose version cannot be read."""
+    import platform
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    name = os.path.basename(cc[0])
+    if "gcc" not in name:
+        return False if "clang" in name else None
+    major = _gcc_major(tuple(cc))
+    return None if major is None else major >= 12
+
+
+def _ensemble_clone(cc: list) -> str:
+    """The clone of the ensemble kernel that a build by cc runs here:
+    "x86-64-v4" where the build has one (_has_clone) and /proc/cpuinfo
+    lists the AVX-512 features of that level, else "default"; "none" where
+    the build has none, "unknown" where the build or CPU cannot be told."""
+    has = _has_clone(cc)
+    flags = _cpuinfo("flags") if has else None
+    if flags is None:
+        return "none" if has is False else "unknown"
+    return "x86-64-v4" if _V4_FLAGS <= set(flags) else "default"
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +415,11 @@ def _compiler() -> list:
 
 
 def _cflags(cc: list) -> tuple:
-    """The flags of a build by the compiler command cc: _CFLAGS, and
-    _GATHER where cc names gcc 12, the machine is x86-64, where the
-    ensemble kernel has an x86-64-v4 clone, and the CPU is not affected
-    by Gather Data Sampling.  Another compiler (clang rejects the flag), a
-    bare cc, another gcc version or an affected CPU is given _CFLAGS
-    alone."""
-    import platform
-    gather = ("gcc" in os.path.basename(cc[0])
-              and platform.machine() in ("x86_64", "AMD64")
-              and _gcc_major(tuple(cc)) == 12 and not _gds_affected())
+    """The flags of a build by the compiler command cc: _CFLAGS, plus
+    _GATHER for gcc 12 on x86-64, which makes the x86-64-v4 clone (clang
+    rejects the flag), unless the CPU is affected by Gather Data Sampling."""
+    gather = (_has_clone(cc) and _gcc_major(tuple(cc)) == 12
+              and not _gds_affected())
     return _CFLAGS + ((_GATHER,) if gather else ())
 
 
@@ -429,14 +440,7 @@ def _gcc_major(cc: tuple):
 def _gds_affected() -> bool:
     """Whether /proc/cpuinfo lists Gather Data Sampling ("gds") among the
     CPU's bugs; False where it cannot be read."""
-    try:
-        with open(_CPUINFO) as fh:
-            for line in fh:
-                if line.startswith("bugs"):
-                    return "gds" in line.split(":", 1)[-1].split()
-    except OSError:
-        pass
-    return False
+    return "gds" in (_cpuinfo("bugs") or ())
 
 
 def _build(source: str, cache_dir: str) -> str:

@@ -3,7 +3,9 @@ microscopic/effective velocities, and guided-ensemble transport.
 
 Randomness comes from the counter streams in `kernels`: every draw is a
 pure function of (seed, domain, step, particle, slot), so results are
-bitwise reproducible and independent of scheduling or worker count.
+bitwise reproducible and independent of scheduling or worker count.  The
+seed is the run's, passed to each sampler and held by an ensemble; a
+LambdaSource is a law only.
 """
 from __future__ import annotations
 
@@ -33,10 +35,11 @@ _SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class LambdaSource:
+    """The law of the signed action scale lambda, and only the law: the
+    seed that keys its draws is the run's (see sample_lambda)."""
     kind: str
     hbar: float = 1.0
     width: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
@@ -53,12 +56,6 @@ class LambdaSource:
             raise ConfigurationError(
                 f"width {self.width} too large: magnitude could reach zero "
                 f"(need width < hbar/sqrt(3) = {self.hbar / _SQRT3:.6g})")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def kind_index(self) -> int:
-        return _KIND_INDEX[self.kind]
 
     @property
     def jitter(self) -> float:
@@ -66,18 +63,30 @@ class LambdaSource:
         return self.width * _SQRT3
 
 
-def sample_lambda(source: LambdaSource, n: int, step: int = 0) -> np.ndarray:
-    """Draw signed action scales from the source's counter stream.
+def _kernel_source(source: LambdaSource | None) -> tuple[int, float, float]:
+    """The (kind, magnitude, jitter) with which the kernels draw from
+    source; None switches lambda off, every scale 0."""
+    if source is None:
+        return SRC_BINARY, 0.0, 0.0
+    return _KIND_INDEX[source.kind], source.hbar, source.jitter
+
+
+def sample_lambda(source: LambdaSource, n: int, seed: int = 0,
+                  step: int = 0) -> np.ndarray:
+    """n signed action scales drawn from the law source, keyed by the
+    run's seed and step.
 
     binary: +-hbar with equal probability.  sphere: the z-coordinate of a
     uniform point on the radius-hbar sphere picks the hemisphere, the
-    magnitude is hbar always.  smeared: +-(hbar + uniform perturbation of
-    standard deviation width), sign unbiased.
+    magnitude is hbar always; this is the binary law, each draw's sign
+    reversed, kept because its + on u1 >= 1/2 pins the other side of the
+    binary kind's exact split at u1 = 1/2, and the sampling benchmark runs
+    sphere_source.  smeared: +-(hbar + uniform perturbation of standard
+    deviation width), sign unbiased.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    return lambda_range(source.seed, DOMAIN_SOURCE, step, n,
-                        source.kind_index, source.hbar, source.jitter)
+    return lambda_range(seed, DOMAIN_SOURCE, step, n, *_kernel_source(source))
 
 
 def sample_action_deviation(lam: float, n: int, seed: int = 0,
@@ -225,9 +234,8 @@ class WaveFrames:
 
 def _guidance_tables(state: WaveState, spec: ClassicalSpec):
     grid = state.grid
+    vb = bohmian_velocity(state, spec, grid)
     omega = np.abs(state.psi) ** 2
-    require_node_free(omega, "|psi|^2")
-    vb = guidance_field(wave_phase(state), spec, grid)
     osm = 0.5 * spec.g(grid.points()) * gradient(omega, grid) / omega
     return vb, osm, gradient(vb, grid)
 
@@ -298,25 +306,21 @@ def _snapshot(ens_positions, log_weights, frozen, t, wave_density, grid,
     }
 
 
-def propagate_ensemble(ens: EnsembleState, frames: WaveFrames,
-                       spec: ClassicalSpec, T: float,
+def propagate_ensemble(ens: EnsembleState, frames: WaveFrames, T: float,
                        source: LambdaSource | None = None, bins: int = 50,
                        snapshots: int = 5) -> tuple[EnsembleState, list[dict]]:
     """Micro-step the ensemble along the wave trajectory for duration T.
 
     Per micro step of length tau_Q each particle redraws lambda from the
-    source, moves by its microscopic velocity, and accumulates the
-    log-weight -theta dt.  With no source every lambda is 0: each particle
-    moves with the guidance field alone, and the osmotic table is not
-    felt.  Particles stepping outside the domain are frozen at the edge
-    and counted.  Returns the final ensemble and per-snapshot
-    equivariance diagnostics (unweighted histogram is the transported
-    density; the weighted one is reported alongside).
+    source's law, keyed by the ensemble's seed, moves by its microscopic
+    velocity, and accumulates the log-weight -theta dt.  With no source
+    every lambda is 0: each particle moves with the guidance field alone,
+    and the osmotic table is not felt.  Particles stepping outside the
+    domain are frozen at the edge and counted.  Returns the final ensemble
+    and per-snapshot equivariance diagnostics (unweighted histogram is the
+    transported density; the weighted one is reported alongside).
     """
-    if source is None:
-        src_kind, mag0, jitter = SRC_BINARY, 0.0, 0.0
-    else:
-        src_kind, mag0, jitter = source.kind_index, source.hbar, source.jitter
+    src_kind, mag0, jitter = _kernel_source(source)
     grid = frames.grid
     n_sub = whole_steps(frames.dt_window, ens.tau_Q, "tau_Q", "the window")
     n_windows = whole_steps(T, frames.dt_window, "the window", "T")

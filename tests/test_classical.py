@@ -5,9 +5,18 @@ import pytest
 
 from path_action import action_of_path, euler_lagrange_residual, hamiltonian_value
 from stochaction.classical import (IMPLICIT_MAX_ITER, IMPLICIT_TOL, PathRecord,
-                                   PhasePoint, hamilton_step, integrate_path)
+                                   PhasePoint, _check_dt, _step,
+                                   integrate_path)
 from stochaction.errors import ConfigurationError, ShapeError
 from stochaction.hamiltonian import make_system
+
+
+def hamilton_step(pt, spec, dt):
+    """One symplectic step of Hamilton's equations from pt, the step that
+    integrate_path repeats (classical._step)."""
+    _check_dt(dt)
+    q, p = _step(float(pt.q), float(pt.p), spec, dt)
+    return PhasePoint(q=q, p=p, t=pt.t + dt)
 
 
 def _harmonic():

@@ -146,9 +146,9 @@ def _reference_source(kind, u1, u2, mag0, jitter):
 
 def _reference_lambda(source, n, step, domain=DOMAIN_SOURCE):
     pids = np.arange(n, dtype=np.uint64)
-    u1, u2 = (_reference_uniform(source.seed, domain, step, pids, slot)
+    u1, u2 = (_reference_uniform(SEED, domain, step, pids, slot)
               for slot in (0, 1))
-    return _reference_source(source.kind_index, u1, u2, source.hbar,
+    return _reference_source(KINDS[source.kind], u1, u2, source.hbar,
                              source.width * math.sqrt(3.0))
 
 
@@ -165,9 +165,11 @@ def _same_bits(a, b):
 
 
 SIZES = (1, 65535, 65536, 65537, 196625)
-SOURCES = (LambdaSource("binary", 1.3, seed=9),
-           LambdaSource("sphere", 0.7, seed=9),
-           LambdaSource("smeared", 1.3, width=0.3, seed=9))
+SOURCES = (LambdaSource("binary", 1.3), LambdaSource("sphere", 0.7),
+           LambdaSource("smeared", 1.3, width=0.3))
+# the kernels' index of each source kind, and the seed of the draws
+KINDS = {"binary": SRC_BINARY, "sphere": SRC_SPHERE, "smeared": SRC_SMEARED}
+SEED = 9
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -194,8 +196,8 @@ def test_counter_uniform_keeps_the_shape_of_its_pids():
 @pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.kind)
 def test_sample_lambda_equals_the_written_out_sources_bitwise(source):
     for size in (1, 196625):
-        assert _same_bits(sample_lambda(source, size, step=4),
-                              _reference_lambda(source, size, 4))
+        assert _same_bits(sample_lambda(source, size, seed=SEED, step=4),
+                          _reference_lambda(source, size, 4))
 
 
 @pytest.mark.parametrize("kind", (SRC_BINARY, SRC_SPHERE, SRC_SMEARED))
@@ -234,15 +236,15 @@ def test_uniform_range_equals_counter_uniform_of_the_pid_range(n):
 def test_lambda_range_equals_the_sources_of_the_pid_range(source, n):
     jitter = source.width * math.sqrt(3.0)
     for domain in (DOMAIN_SOURCE, DOMAIN_LAMBDA):
-        got = lambda_range(source.seed, domain, 4, n, source.kind_index,
+        got = lambda_range(SEED, domain, 4, n, KINDS[source.kind],
                            source.hbar, jitter)
         assert got.shape == (n,) and got.dtype == np.float64
         assert _same_bits(got, _reference_lambda(source, n, 4, domain))
         # the uniforms of counter_uniform, signed by the written-out source
-        u1, u2 = (counter_uniform(source.seed, domain, 4, np.arange(n), slot)
+        u1, u2 = (counter_uniform(SEED, domain, 4, np.arange(n), slot)
                   for slot in (0, 1))
         assert _same_bits(got, _reference_source(
-            source.kind_index, u1, u2, source.hbar, jitter))
+            KINDS[source.kind], u1, u2, source.hbar, jitter))
 
 
 def test_range_draws_refuse_a_negative_count_or_key():
@@ -273,8 +275,8 @@ def test_ensemble_draws_the_written_out_sources_bitwise(source):
     lams, logws, frozen = np.zeros(m), np.zeros(m), np.zeros(m, np.uint8)
     zero = np.zeros(n)
     run_ensemble_window(qs, lams, logws, frozen, zero, zero, zero, -1.0,
-                        2.0 / (n - 1), 1e-3, 1, step0=6, seed=source.seed,
-                        src_kind=source.kind_index, mag0=source.hbar,
+                        2.0 / (n - 1), 1e-3, 1, step0=6, seed=SEED,
+                        src_kind=KINDS[source.kind], mag0=source.hbar,
                         jitter=source.width * math.sqrt(3.0),
                         freeze_lo=-0.9, freeze_hi=0.9)
     assert _same_bits(lams, _reference_lambda(source, m, 6, DOMAIN_LAMBDA))
@@ -326,7 +328,7 @@ def test_sample_stats_equal_numpy_bitwise_on_the_scenarios_draws(n):
     devs = sample_action_deviation(-0.7, n, seed=5, step=2)
     _assert_numpy_stats(devs, True, np.linspace(0.0, 1.4, 61),
                         thresholds=(0.35, 0.7), sign=-1.0, center=0.0)
-    lams = sample_lambda(SOURCES[2], n)
+    lams = sample_lambda(SOURCES[2], n, seed=SEED)
     _assert_numpy_stats(lams, False, np.linspace(-1.9, 1.9, 61),
                         thresholds=(), sign=1.0, center=1.3)
     if n <= 100_003:
@@ -373,7 +375,7 @@ def test_sample_stats_of_a_sample_with_nan_or_infinities(bad, n):
 
 
 def test_sample_stats_leave_out_what_is_not_asked_for():
-    x = sample_lambda(SOURCES[0], 1000)
+    x = sample_lambda(SOURCES[0], 1000, seed=SEED)
     got = sample_stats(x)
     assert got.counts.shape == (0,) and got.above == ()
     assert got.violations is None and got.peak is None and got.std is None
@@ -444,9 +446,8 @@ def test_sharded_range_draws_equal_the_one_shot_hash_bitwise(sample_workers,
     assert _same_bits(uniform_range(7, 2, 13, n, 1),
                       _reference_uniform(7, 2, 13, np.arange(n), 1))
     for source in SOURCES:
-        got = lambda_range(source.seed, DOMAIN_SOURCE, 4, n,
-                           source.kind_index, source.hbar,
-                           source.width * math.sqrt(3.0))
+        got = lambda_range(SEED, DOMAIN_SOURCE, 4, n, KINDS[source.kind],
+                           source.hbar, source.width * math.sqrt(3.0))
         assert _same_bits(got, _reference_lambda(source, n, 4))
     assert _pool_matches_shards(sample_workers, n)
 
@@ -840,7 +841,7 @@ def test_a_missing_compiler_raises_and_leaves_no_numpy_path(kernel_cache,
     assert _same_bits(y, before)
     # a counter draw has no numpy path either
     for draw in (lambda: counter_uniform(7, 2, 13, pids, 0),
-                 lambda: sample_lambda(SOURCES[2], 10)):
+                 lambda: sample_lambda(SOURCES[2], 10, seed=SEED)):
         with pytest.raises(ConfigurationError,
                            match=cc or "names no C compiler"):
             draw()
@@ -925,8 +926,8 @@ def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache,
                                                               monkeypatch):
     name = kernels.active_backend()
     assert name.startswith("polar and ensemble: C, ")
-    assert name.endswith(f"; ensemble clone: {kernels._ensemble_clone()}; "
-                         "rng: C")
+    clone = kernels._ensemble_clone(kernels._compiler())
+    assert name.endswith(f"; ensemble clone: {clone}; rng: C")
     assert not kernel_cache.exists()
     assert kernels._libraries == {}
     # the compiler and every flag a build is given, as a build runs them
@@ -1256,7 +1257,7 @@ def test_the_baseline_clone_draws_as_the_reference(baseline, source):
                       _reference_uniform(7, 2, 13, pids, 1))
     assert _same_bits(counter_uniform(7, 2, 13, pids + 3, 1),
                       _reference_uniform(7, 2, 13, pids + 3, 1))
-    assert _same_bits(sample_lambda(source, n, step=4),
+    assert _same_bits(sample_lambda(source, n, seed=SEED, step=4),
                       _reference_lambda(source, n, 4))
 
 
@@ -1312,18 +1313,56 @@ def test_the_kernel_sources_compile_without_a_warning(source):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_ensemble_clone_is_read_from_the_cpu_features(tmp_path,
-                                                         monkeypatch):
+V4 = "fpu sse2 avx2 fma avx512f avx512dq avx512cd avx512bw avx512vl"
+
+
+@pytest.mark.parametrize("cc, machine, major, flags, clone", (
+    (["gcc"], "x86_64", 12, V4, "x86-64-v4"),
+    (["/usr/bin/x86_64-linux-gnu-gcc-12", "-pthread"], "x86_64", 12, V4,
+     "x86-64-v4"),
+    (["gcc"], "x86_64", 12, V4.replace(" avx512vl", ""), "default"),
+    (["gcc"], "x86_64", 12, "fpu sse2 avx2 fma", "default"),
+    (["gcc"], "x86_64", 12, None, "unknown"),
+    (["gcc"], "x86_64", 13, V4, "x86-64-v4"),
+    (["gcc-11"], "x86_64", 11, V4, "none"),
+    (["gcc"], "x86_64", None, V4, "unknown"),
+    # neither clang nor a bare cc is asked for a gcc version
+    (["clang"], "x86_64", 12, V4, "none"),
+    (["/opt/llvm/bin/clang", "-pthread"], "x86_64", 12, V4, "none"),
+    (["cc"], "x86_64", 12, V4, "unknown"),
+    (["gcc"], "aarch64", 12, "fp asimd", "none"),
+    (["clang"], "aarch64", 12, None, "none")))
+def test_the_ensemble_clone_is_read_from_the_cpu_features(
+        kernel_cache, tmp_path, monkeypatch, cc, machine, major, flags,
+        clone):
+    # and from the compiler: the clone exists only where CLONED in
+    # _ensemble.c is defined, gcc 12 or later on x86-64; the report builds
+    # and runs nothing
     cpuinfo = tmp_path / "cpuinfo"
-    monkeypatch.setattr(kernels, "_CPUINFO", str(cpuinfo))
-    monkeypatch.setattr(platform, "machine", lambda: "x86_64")
-    v4 = "fpu sse2 avx2 fma avx512f avx512dq avx512cd avx512bw avx512vl"
-    for flags, clone in ((v4, "x86-64-v4"),
-                         (v4.replace(" avx512vl", ""), "default")):
+    if flags is not None:
         cpuinfo.write_text("".join(f"processor\t: {i}\nflags\t\t: {flags}\n\n"
                                    for i in range(2)))
-        assert kernels._ensemble_clone() == clone
-    cpuinfo.unlink()
-    assert kernels._ensemble_clone() == "unknown"
-    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
-    assert kernels._ensemble_clone() == "none"
+    monkeypatch.setattr(kernels, "_CPUINFO", str(cpuinfo))
+    monkeypatch.setattr(kernels, "_compiler", lambda: list(cc))
+    monkeypatch.setattr(kernels, "_gcc_major", lambda command: major)
+    monkeypatch.setattr(platform, "machine", lambda: machine)
+
+    def run(args, **kwargs):
+        raise AssertionError(f"the report ran {args}")
+    monkeypatch.setattr(subprocess, "run", run)
+    assert kernels._ensemble_clone(cc) == clone
+    assert kernels.active_backend().endswith(
+        f"; ensemble clone: {clone}; rng: C")
+    assert not kernel_cache.exists()
+    assert kernels._libraries == {}
+
+
+def test_with_no_compiler_the_backend_reports_no_clone(kernel_cache,
+                                                       monkeypatch):
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "" if name == "CC" else real(name))
+    assert kernels.active_backend() == (
+        "polar and ensemble: C, no compiler (sysconfig CC empty); "
+        "ensemble clone: none; rng: C")
+    assert not kernel_cache.exists()

@@ -29,30 +29,30 @@ N_DRAWS = 1_000_000
 
 
 def test_binary_source_is_unbiased_with_exact_magnitude():
-    src = LambdaSource(kind="binary", hbar=1.0, seed=20)
-    lam = sample_lambda(src, N_DRAWS)
+    src = LambdaSource(kind="binary", hbar=1.0)
+    lam = sample_lambda(src, N_DRAWS, seed=20)
     assert np.all(np.abs(lam) == 1.0)
     assert abs(np.mean(lam)) < 0.004   # 4 sigma of a fair coin at this N
 
 
 def test_sphere_source_is_unbiased_with_exact_magnitude():
-    src = LambdaSource(kind="sphere", hbar=1.0, seed=21)
-    lam = sample_lambda(src, N_DRAWS)
+    src = LambdaSource(kind="sphere", hbar=1.0)
+    lam = sample_lambda(src, N_DRAWS, seed=21)
     assert np.all(np.abs(lam) == 1.0)
     assert abs(np.mean(np.sign(lam))) < 0.004
 
 
 def test_smeared_source_with_zero_width_reduces_to_binary():
-    binary = LambdaSource(kind="binary", hbar=1.0, seed=22)
-    smeared = LambdaSource(kind="smeared", hbar=1.0, width=0.0, seed=22)
-    a = sample_lambda(binary, 4096)
-    b = sample_lambda(smeared, 4096)
+    binary = LambdaSource(kind="binary", hbar=1.0)
+    smeared = LambdaSource(kind="smeared", hbar=1.0, width=0.0)
+    a = sample_lambda(binary, 4096, seed=22)
+    b = sample_lambda(smeared, 4096, seed=22)
     assert np.array_equal(a, b)
 
 
 def test_smeared_source_magnitude_stays_inside_its_band():
-    src = LambdaSource(kind="smeared", hbar=1.0, width=0.2, seed=23)
-    lam = sample_lambda(src, N_DRAWS)
+    src = LambdaSource(kind="smeared", hbar=1.0, width=0.2)
+    lam = sample_lambda(src, N_DRAWS, seed=23)
     lo, hi = 1.0 - 0.2 * np.sqrt(3.0), 1.0 + 0.2 * np.sqrt(3.0)
     mags = np.abs(lam)
     assert np.min(mags) >= lo - 1e-12 and np.max(mags) <= hi + 1e-12
@@ -63,10 +63,10 @@ def test_smeared_source_magnitude_stays_inside_its_band():
 def test_smeared_jitter_spans_a_band_whose_spread_is_the_width():
     # uniform on hbar +- jitter, jitter = width sqrt(3): the magnitudes
     # fill the whole band and their standard deviation is the width
-    src = LambdaSource(kind="smeared", hbar=1.0, width=0.2, seed=24)
+    src = LambdaSource(kind="smeared", hbar=1.0, width=0.2)
     assert src.jitter == 0.2 * np.sqrt(3.0)
     assert LambdaSource(kind="binary").jitter == 0.0
-    mags = np.abs(sample_lambda(src, N_DRAWS))
+    mags = np.abs(sample_lambda(src, N_DRAWS, seed=24))
     assert mags.min() - (1.0 - src.jitter) < 1e-4
     assert (1.0 + src.jitter) - mags.max() < 1e-4
     assert abs(np.std(mags) - 0.2) / 0.2 < 0.005
@@ -85,12 +85,12 @@ def test_source_rejects_invalid_parameters():
 
 
 def test_sample_lambda_is_deterministic_per_key():
-    src = LambdaSource(kind="binary", hbar=1.0, seed=3)
-    a = sample_lambda(src, 1000, step=5)
-    b = sample_lambda(src, 1000, step=5)
+    src = LambdaSource(kind="binary", hbar=1.0)
+    a = sample_lambda(src, 1000, seed=3, step=5)
+    b = sample_lambda(src, 1000, seed=3, step=5)
     assert np.array_equal(a, b)
-    c = sample_lambda(src, 1000, step=6)
-    assert not np.array_equal(a, c)
+    for other in (dict(seed=3, step=6), dict(seed=4, step=5)):
+        assert not np.array_equal(a, sample_lambda(src, 1000, **other))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +324,8 @@ def test_the_first_micro_step_draws_every_scale_from_the_source():
     st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
     frames = build_wave_frames(st, H, spec, T=1e-2, dt_window=1e-2, dt_cn=1e-3)
     ens = init_ensemble(st, 4000, tau_Q=1e-2, seed=12)
-    src = LambdaSource(kind="binary", hbar=2.0, seed=12)
-    out, _ = propagate_ensemble(ens, frames, spec, 1e-2, source=src)
+    src = LambdaSource(kind="binary", hbar=2.0)
+    out, _ = propagate_ensemble(ens, frames, 1e-2, source=src)
     assert np.all(np.abs(out.lambdas) == 2.0)
     assert abs(np.mean(np.sign(out.lambdas))) < 0.1
 
@@ -367,7 +367,7 @@ def test_zero_time_propagation_returns_the_sampling_noise_floor():
     st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
     frames = build_wave_frames(st, H, spec, T=0.0, dt_window=1e-2, dt_cn=1e-3)
     ens = init_ensemble(st, 50_000, tau_Q=1e-3, seed=77)
-    _, diags = propagate_ensemble(ens, frames, spec, 0.0, bins=50)
+    _, diags = propagate_ensemble(ens, frames, 0.0, bins=50)
     assert diags[0]["tv_distance"] < 0.02
     assert diags[0]["frozen_fraction"] == 0.0
 
@@ -378,19 +378,19 @@ def test_propagate_ensemble_validates_timescales():
     H = build_quantum_hamiltonian(spec, grid, 1.0)
     st = spectral_filter(coherent_state(grid, center=0.8), H, 8.5)
     frames = build_wave_frames(st, H, spec, T=0.1, dt_window=1e-2, dt_cn=1e-3)
-    src = LambdaSource(kind="binary", hbar=1.0, seed=5)
+    src = LambdaSource(kind="binary", hbar=1.0)
     ens = init_ensemble(st, 100, tau_Q=3e-3, seed=5)
     with pytest.raises(ConfigurationError):
         # tau_Q does not divide the window
-        propagate_ensemble(ens, frames, spec, 0.1, source=src)
+        propagate_ensemble(ens, frames, 0.1, source=src)
     ens2 = init_ensemble(st, 100, tau_Q=1e-3, seed=5)
     with pytest.raises(ConfigurationError):
         # horizon not commensurate with the window
-        propagate_ensemble(ens2, frames, spec, 0.093, source=src)
+        propagate_ensemble(ens2, frames, 0.093, source=src)
     with pytest.raises(ConfigurationError):
-        propagate_ensemble(ens2, frames, spec, np.nan, source=src)
+        propagate_ensemble(ens2, frames, np.nan, source=src)
     with pytest.raises(ConfigurationError):
-        propagate_ensemble(ens2, frames, spec, 0.1, source=src, bins=1)
+        propagate_ensemble(ens2, frames, 0.1, source=src, bins=1)
 
 
 def test_with_lambda_off_the_osmotic_table_has_no_effect():
@@ -404,12 +404,12 @@ def test_with_lambda_off_the_osmotic_table_has_no_effect():
     frames = build_wave_frames(st, H, spec, T=0.04, dt_window=1e-2, dt_cn=1e-3)
     doubled = replace(frames, osm=2.0 * frames.osm)
     ens = init_ensemble(st, 2000, tau_Q=1e-3, seed=13)
-    off = [propagate_ensemble(ens, f, spec, 0.04)[0]
+    off = [propagate_ensemble(ens, f, 0.04)[0]
            for f in (frames, doubled)]
     assert off[0].positions.tobytes() == off[1].positions.tobytes()
     assert not np.array_equal(off[0].positions, ens.positions)
     assert all(np.all(e.lambdas == 0.0) for e in off)
-    src = LambdaSource(kind="binary", hbar=1.0, seed=13)
-    on = [propagate_ensemble(ens, f, spec, 0.04, source=src)[0]
+    src = LambdaSource(kind="binary", hbar=1.0)
+    on = [propagate_ensemble(ens, f, 0.04, source=src)[0]
           for f in (frames, doubled)]
     assert not np.array_equal(on[0].positions, on[1].positions)
