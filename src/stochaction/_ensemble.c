@@ -34,10 +34,17 @@
  * logws and frozen point at their entries and are advanced in place.
  * keys holds the (slot 0, slot 1) lambda keys of each of the n_sub steps.
  * The particles run in blocks of BLOCK, each block through every step
- * before the next: a block's state stays in L1.
+ * before the next: a block's state stays in L1, and its pids' keys are
+ * multiplied out once, not once a step.
  *
- * The particle loop branches on nothing but the source kind, which is
- * the same for every particle, so gcc vectorizes it: every particle is
+ * The window has one particle loop per source kind (MICRO_STEP), and
+ * runs the loop of its kind at every step.  The kind is a constant in
+ * each loop, so each hashes only the uniforms its kind draws: the binary
+ * and sphere loops, lambda off among them, the slot-0 uniform, and the
+ * smeared loop the slot-1 uniform too.  In one loop for every kind, the
+ * kind known only at run time, gcc turned the choice of the slot-1
+ * uniform into a select, and so hashed and converted it for every kind.
+ * A loop branches on nothing, so gcc vectorizes it: every particle is
  * computed, and selects keep the entries of a frozen one, as the numpy
  * window computes them and discards the result.  An active particle
  * whose cell (q - q_min) / dq is not finite keeps its q, logw and frozen
@@ -159,7 +166,9 @@ static inline double draw_lambda(long kind, uint64_t pid_key, uint64_t key0,
 }
 
 /* out[i] = the scale of pid pid0 + i under a step's slot keys key0 and
- * key1 */
+ * key1.  The kind is known at run time only, so the vectorized loop hashes
+ * u2 for every kind; a loop per kind gained nothing on these draws, which
+ * are bound by memory (see kernels.py). */
 CLONED void lambda_range(long kind, uint64_t key0, uint64_t key1, long pid0,
                          long n, double mag0, double jitter, double *out)
 {
@@ -344,6 +353,46 @@ static inline double lerp(const double *t, long j, double w)
     return (t[j + 1] - c) * w + c;
 }
 
+/* One micro step of the block's particles b0 .. b1 - 1 under the step keys
+ * key0 and key1, for the constant source kind KIND.  A macro, so that each
+ * kind's loop sits in ensemble_window's own body: gcc 12 did not vectorize
+ * the loop in an always_inline function. */
+#define MICRO_STEP(KIND)                                                    \
+    for (long i = b0; i < b1; i++) {                                        \
+        const int keep = frozen[i] != 0;                                    \
+        const double lam = draw_lambda(KIND, pid_keys[i - b0], key0, key1,  \
+                                       mag0, jitter);                       \
+        lams[i] = keep ? lams[i] : lam;                                     \
+                                                                            \
+        /* clamped linear interpolation.  Clamping the cell to             \
+         * [0, n - 2] first (a NaN to 0) makes truncation equal floor;      \
+         * np.clip keeps a value equal to a bound, so a -0.0 cell floors    \
+         * to -0.0, which copysign restores */                              \
+        const double q = qs[i];                                             \
+        const double cell = (q - q_min) / dq;                               \
+        const int undefined = !isfinite(cell);                              \
+        const int hold = keep | undefined;                                  \
+        fail |= undefined & !keep;                                          \
+        double c = cell >= 0.0 ? cell : 0.0;                                \
+        c = c <= top ? c : top;                                             \
+        const long j = (long)c;                                             \
+        const double a = copysign((double)j, c);                            \
+        double w = cell - a;                                                \
+        w = w < 0.0 ? 0.0 : w;                                              \
+        w = w > 1.0 ? 1.0 : w;                                              \
+                                                                            \
+        /* move, then freeze a leaver at the bound it crossed */            \
+        double qn = (lerp(vb, j, w) + lerp(osm, j, w) * lam) * dt + q;      \
+        const int out = qn < lo || qn > hi;                                 \
+        double qc = qn >= lo ? qn : lo;                                     \
+        qc = qc <= hi ? qc : hi;                                            \
+        qn = out ? qc : qn;                                                 \
+        const double lw = logws[i] - lerp(th, j, w) * dt;                   \
+        logws[i] = hold ? logws[i] : lw;                                    \
+        qs[i] = hold ? q : qn;                                              \
+        frozen[i] = hold ? frozen[i] : (unsigned char)out;                  \
+    }
+
 CLONED long ensemble_window(double *restrict qs, double *restrict lams,
                      double *restrict logws, unsigned char *restrict frozen,
                      long m, long pid0, const double *vb, const double *osm,
@@ -356,45 +405,22 @@ CLONED long ensemble_window(double *restrict qs, double *restrict lams,
     long bad = n_sub;
     for (long b0 = 0; b0 < m; b0 += BLOCK) {
         const long b1 = m - b0 < BLOCK ? m : b0 + BLOCK;
+        uint64_t pid_keys[BLOCK];
+        for (long i = b0; i < b1; i++)
+            pid_keys[i - b0] = (uint64_t)(pid0 + i) * K_PID;
         for (long k = 0; k < bad; k++) {
             const uint64_t key0 = keys[2 * k], key1 = keys[2 * k + 1];
             int fail = 0;
-            for (long i = b0; i < b1; i++) {
-                const int keep = frozen[i] != 0;
-                const uint64_t pid_key = (uint64_t)(pid0 + i) * K_PID;
-
-                const double lam = draw_lambda(src_kind, pid_key, key0, key1,
-                                               mag0, jitter);
-                lams[i] = keep ? lams[i] : lam;
-
-                /* clamped linear interpolation.  Clamping the cell to
-                 * [0, n - 2] first (a NaN to 0) makes truncation equal
-                 * floor; np.clip keeps a value equal to a bound, so a
-                 * -0.0 cell floors to -0.0, which copysign restores */
-                const double q = qs[i];
-                const double cell = (q - q_min) / dq;
-                const int undefined = !isfinite(cell);
-                const int hold = keep | undefined;
-                fail |= undefined & !keep;
-                double c = cell >= 0.0 ? cell : 0.0;
-                c = c <= top ? c : top;
-                const long j = (long)c;
-                const double a = copysign((double)j, c);
-                double w = cell - a;
-                w = w < 0.0 ? 0.0 : w;
-                w = w > 1.0 ? 1.0 : w;
-
-                /* move, then freeze a leaver at the bound it crossed */
-                double qn = (lerp(vb, j, w) + lerp(osm, j, w) * lam) * dt
-                            + q;
-                const int out = qn < lo || qn > hi;
-                double qc = qn >= lo ? qn : lo;
-                qc = qc <= hi ? qc : hi;
-                qn = out ? qc : qn;
-                const double lw = logws[i] - lerp(th, j, w) * dt;
-                logws[i] = hold ? logws[i] : lw;
-                qs[i] = hold ? q : qn;
-                frozen[i] = hold ? frozen[i] : (unsigned char)out;
+            /* kernels.py passes no other kind */
+            switch (src_kind) {
+            case SRC_SPHERE:
+                MICRO_STEP(SRC_SPHERE)
+                break;
+            case SRC_SMEARED:
+                MICRO_STEP(SRC_SMEARED)
+                break;
+            default:
+                MICRO_STEP(SRC_BINARY)
             }
             if (fail)
                 bad = k;

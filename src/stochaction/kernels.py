@@ -50,8 +50,13 @@ np.maximum does, where C's fmax would not.  The polar wall rows take the
 sin and cos of libm, as Python's math module does (gcc fuses the pair
 into glibc's sincos, which gives the same bits).
 
-The ensemble particle loop has no data-dependent branch, so gcc
-vectorizes it, and on x86-64 it is compiled twice (gcc's target_clones):
+The ensemble window has one particle loop per lambda-source kind, the
+kind a constant in each, so that a loop hashes only the uniforms its kind
+draws: the binary and sphere loops, lambda off among them, slot 0's, and
+the smeared loop slot 1's too.  With one loop for every kind, the
+vectorizer computed the smeared kind's slot-1 uniform for each kind and
+discarded it.  No loop has a data-dependent branch, so gcc vectorizes
+each, and on x86-64 the window is compiled twice (gcc's target_clones):
 for x86-64-v4, whose AVX-512 vectors step 8 particles at once, and for
 the baseline that every x86-64 CPU runs.  The library picks a clone when
 it is loaded, from the CPU's features, so one build serves any x86-64
@@ -60,7 +65,7 @@ CPU and none meets an instruction it lacks; other targets and compilers
 scalar operations, so both clones give the numpy window's bits; built
 by gcc 12, the x86-64-v4 clone reads its tables with gathers, which gcc
 makes only when told to (_GATHER), except on a CPU whose gathers the
-microcode fix for Gather Data Sampling slows.  To look up its tables the
+microcode fix for Gather Data Sampling slows.  To look up its tables a
 loop needs an integer cell: it clamps the cell to [0, n - 2] before it
 truncates it, which on that range equals floor, and gives a -0.0 cell
 its sign back with copysign, since np.floor keeps it and the sign can
@@ -104,6 +109,17 @@ DOMAIN_SOURCE = 4
 SRC_BINARY = 0
 SRC_SPHERE = 1
 SRC_SMEARED = 2
+
+
+def _source_kind(kind) -> int:
+    """kind as a kernel integer; one that is not an SRC_* kind is refused,
+    where the C would draw it as binary."""
+    if kind not in (SRC_BINARY, SRC_SPHERE, SRC_SMEARED):
+        raise ConfigurationError(
+            f"unknown lambda-source kind {kind!r}; the kernels draw "
+            f"SRC_BINARY ({SRC_BINARY}), SRC_SPHERE ({SRC_SPHERE}) and "
+            f"SRC_SMEARED ({SRC_SMEARED})")
+    return int(kind)
 
 
 def _stream_keys(seed, domain, step0, n_steps: int, slot0, n_slots: int):
@@ -168,13 +184,13 @@ def lambda_range(seed: int, domain: int, step: int, n: int, src_kind: int,
     where z >= 0, which is exactly where u1 >= 0.5.  smeared: the magnitude
     mag0 + jitter (2 u2 - 1), signed as for binary; u2 is drawn for this
     kind only.  The magnitudes must not be negative (mag0 >= 0,
-    jitter <= mag0).
+    jitter <= mag0); another src_kind is a ConfigurationError.
     """
-    n = _count(n)
+    n, src_kind = _count(n), _source_kind(src_kind)
     key0, key1 = (int(k) for k in _stream_keys(seed, domain, step, 1, 0, 2)[0])
     out = np.empty(n)
     fill = _library("_ensemble.c").lambda_range
-    src_kind, mag0, jitter = int(src_kind), float(mag0), float(jitter)
+    mag0, jitter = float(mag0), float(jitter)
     run_sample_shards(n, lambda s, e: fill(src_kind, key0, key1, s, e - s, mag0,
                                            jitter, out[s:].ctypes.data))
     return out
@@ -367,9 +383,15 @@ def _ensemble_clone(cc: list) -> str:
 # Tried and not worth it: the whole -mtune=sapphirerapids or
 # =icelake-server tuning (2.5 times slower), tables of differences
 # t[j + 1] - t[j] made per window (no gain), BLOCK from 128 to 2048 (flat),
-# the sign of lambda from the top bit of its hash (within noise), and a
+# the sign of lambda from the top bit of its hash (within noise, and again
+# with one particle loop per source kind: 4.00 against 4.02 ns), a
 # per-block cache of each particle's six values, refreshed only when its
-# cell changes (3.87 against 3.62 ns, not worth some 40 lines).  On a CPU
+# cell changes (3.87 against 3.62 ns, not worth some 40 lines), each
+# kind's particle loop in an always_inline function (gcc 12 did not
+# vectorize it: 15.3 against 3.9 ns), and one loop per kind in
+# lambda_range, whose draws are bound by memory (within noise: 1e7 draws
+# into a fresh array took 25.7 against 26.4 ms binary, 26.3 against 25.8
+# sphere and 33.7 against 33.2 smeared).  On a CPU
 # with the microcode fix for Gather Data Sampling, gathers are much
 # slower, so a CPU whose /proc/cpuinfo lists "gds" among its bugs gets no
 # _GATHER (_gds_affected); the CPU measured reports itself not affected,
@@ -635,20 +657,23 @@ def _pairwise_shards(n: int, shards: int, subtree) -> float:
 # the fewest particle-steps (particles times micro steps of the window) a
 # shard takes, so a window of under 2 * _SHARD_MIN particle-steps runs as
 # one shard: a second shard costs a thread hand-off and cold caches once
-# per window, which only enough work outweighs.  Measured with the
-# gathering kernel (_GATHER) on 2 vCPUs, on the tau_sweep fields, in ns
+# per window, which only enough work outweighs.  Measured with one
+# particle loop per source kind on 2 vCPUs, on the tau_sweep fields, in ns
 # per particle-step, one shard against two (medians of 15 interleaved
 # timings of 3 windows each, in three sessions): 1e5 particles with one
-# step a window ran at 7.2 against 8.3, 4.5 against 3.9 and 4.3 against
-# 4.8; with 100 steps at 4.3 against 2.3, 4.5 against 2.3 and 4.2 against
-# 2.4.  2^15 particles with 10 steps ran at 3.8 against 2.3, 5.3 against
-# 3.0 and 4.1 against 3.0, and with one step at 4.9 against 5.6, 7.5
-# against 6.8 and 5.7 against 7.6.  The one-step windows of 1e5
+# step a window ran at 4.0 against 4.7, 4.0 against 4.6 and 4.2 against
+# 4.6; with 100 steps at 3.3 against 3.1, 3.2 against 3.1 and 3.2 against
+# 3.1.  2^15 particles with 10 steps ran at 3.1 against 3.4, 3.3 against
+# 3.5 and 3.3 against 3.5, and with one step at 4.6 against 6.4, 4.7
+# against 6.2 and 6.6 against 7.2.  The second vCPU gave little in those
+# sessions: the single-loop kernel ran 1e5 particles with 100 steps at 3.8
+# against 4.0, where earlier sessions had it at 4.3 against 2.3, 4.5
+# against 2.3 and 4.2 against 2.4.  The one-step windows of 1e5
 # particles, the only registry windows under the gate (tau_sweep at
-# tau_Q = 1e-2), ran faster as one shard in two sessions of three, and
-# 3 * 2^16 keeps them in one shard; it splits a window of 12 steps from
-# 2^15 particles on.  Windows of 2e5 to 3.9e5 particle-steps would gain
-# from a second shard, but no scenario runs one
+# tau_Q = 1e-2), ran faster as one shard in all three, and 3 * 2^16 keeps
+# them in one shard; it splits a window of 12 steps from 2^15 particles
+# on.  Windows of 2e5 to 3.9e5 particle-steps gained from a second shard
+# on the freer host, but no scenario runs one
 _SHARD_MIN = 3 << 16
 
 
@@ -661,7 +686,8 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
     length m, and frozen a writeable C-contiguous uint8 array of that
     length, no two of them overlapping; vb, osm and th are field tables on
     the same n >= 2 grid points.  A bad input raises ShapeError before any
-    array is touched.
+    array is touched, and a negative n_sub or a src_kind that is not an
+    SRC_* kind ConfigurationError.
 
     The particles are split into contiguous shards [s, e): at most one per
     usable CPU, per particle, and per _SHARD_MIN particle-steps m * n_sub
@@ -700,10 +726,11 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
     n_sub, step0, seed = int(n_sub), int(step0), int(seed)
     if n_sub < 0:
         raise ConfigurationError(f"n_sub must be >= 0, got {n_sub}")
+    src_kind = _source_kind(src_kind)
     keys = _stream_keys(seed, DOMAIN_LAMBDA, step0, n_sub, 0, 2)
     kernel = _library("_ensemble.c").ensemble_window
     window = (*(t.ctypes.data for t in tables), n, float(q_min), float(dq),
-              float(dt), keys.ctypes.data, n_sub, int(src_kind), float(mag0),
+              float(dt), keys.ctypes.data, n_sub, src_kind, float(mag0),
               float(jitter), float(freeze_lo), float(freeze_hi))
 
     def advance(s, e):

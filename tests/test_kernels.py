@@ -590,12 +590,14 @@ def workers(request, monkeypatch):
 N_SUB = 12
 SPLIT = -(-2 * _SHARD_MIN // N_SUB)
 ENSEMBLE_SIZES = (1, SPLIT - 1, SPLIT, SPLIT + 1, 100_003)
-# (src_kind, mag0, jitter); the last is the lambda-disabled (Bohmian) path,
-# whose scales are signed zeros
-ENSEMBLE_SOURCES = {"binary": (SRC_BINARY, 1.3, 0.0),
-                    "sphere": (SRC_SPHERE, 0.7, 0.0),
-                    "smeared": (SRC_SMEARED, 1.3, 0.5),
-                    "disabled": (SRC_BINARY, 0.0, 0.0)}
+# the window's source keywords; the last is the lambda-disabled (Bohmian)
+# path, whose scales are signed zeros.  The window has one particle loop
+# per kind, and the disabled path runs the binary one
+ENSEMBLE_SOURCES = {
+    "binary": dict(src_kind=SRC_BINARY, mag0=1.3, jitter=0.0),
+    "sphere": dict(src_kind=SRC_SPHERE, mag0=0.7, jitter=0.0),
+    "smeared": dict(src_kind=SRC_SMEARED, mag0=1.3, jitter=0.5),
+    "disabled": dict(src_kind=SRC_BINARY, mag0=0.0, jitter=0.0)}
 
 
 def _rough_window(m, source):
@@ -609,9 +611,7 @@ def _rough_window(m, source):
     state = (rng.uniform(-0.95, 0.95, m), rng.normal(size=m),
              rng.normal(size=m), (rng.uniform(size=m) < 0.1).astype(np.uint8))
     rest = (-1.0, 2.0 / (n - 1), 1e-2, N_SUB)
-    kwargs = dict(step0=30, seed=5, src_kind=ENSEMBLE_SOURCES[source][0],
-                  mag0=ENSEMBLE_SOURCES[source][1],
-                  jitter=ENSEMBLE_SOURCES[source][2],
+    kwargs = dict(step0=30, seed=5, **ENSEMBLE_SOURCES[source],
                   freeze_lo=-0.9, freeze_hi=0.9)
     return state, tables, rest, kwargs
 
@@ -1005,17 +1005,18 @@ def test_a_gcc_that_cannot_be_run_has_no_major_version(tmp_path):
 # compiled ensemble kernel: build, inputs, and positions it cannot place
 
 
-def _ensemble_case(m=SPLIT + 5, n=48):
+def _ensemble_case(m=SPLIT + 5, n=48, source="smeared"):
     """A window's particle arrays, field tables and other arguments: rough
-    fields over n points and m particles inside the freeze bounds."""
+    fields over n points and m particles inside the freeze bounds, drawn
+    from the ENSEMBLE_SOURCES entry source."""
     rng = np.random.default_rng(3)
     state = [rng.uniform(-0.8, 0.8, m), rng.normal(size=m),
              rng.normal(size=m), np.zeros(m, np.uint8)]
     tables = [3.0 * rng.normal(size=n), 20.0 * rng.normal(size=n),
               rng.normal(size=n)]
     rest = (-1.0, 2.0 / (n - 1), 1e-2, N_SUB)
-    kwargs = dict(step0=30, seed=5, src_kind=SRC_SMEARED, mag0=1.3,
-                  jitter=0.5, freeze_lo=-0.9, freeze_hi=0.9)
+    kwargs = dict(step0=30, seed=5, **ENSEMBLE_SOURCES[source],
+                  freeze_lo=-0.9, freeze_hi=0.9)
     return state, tables, rest, kwargs
 
 
@@ -1134,13 +1135,31 @@ def test_bad_ensemble_inputs_raise_before_the_kernel_is_reached(monkeypatch,
     assert all(_same_bits(np.array(a), b) for a, b in zip(state, before))
 
 
-def _nan_position_fails():
+@pytest.mark.parametrize("kind", (3, -1, 1.5, "binary", None))
+def test_an_unknown_source_kind_is_refused_before_the_kernel_is_reached(
+        monkeypatch, kind):
+    # the C has one particle loop per kind and would draw any other kind
+    # as binary
+    def unreachable(source):
+        raise AssertionError("the compiled kernel was reached")
+    monkeypatch.setattr(kernels, "_library", unreachable)
+    state, tables, rest, kwargs = _ensemble_case(m=64)
+    before = [a.copy() for a in state]
+    with pytest.raises(ConfigurationError, match="lambda-source kind"):
+        run_ensemble_window(*state, *tables, *rest,
+                            **{**kwargs, "src_kind": kind})
+    assert all(_same_bits(a, b) for a, b in zip(state, before))
+    with pytest.raises(ConfigurationError, match="lambda-source kind"):
+        lambda_range(SEED, DOMAIN_LAMBDA, 4, 5, kind, 1.3, 0.4)
+
+
+def _nan_position_fails(source):
     """The numpy window indexes its tables at -2**63 for a NaN position
     and raises IndexError; the compiled one must not read there.  A NaN
     in the last particle's entry fails the window's first step; a NaN
     field value makes the particles of its two cells NaN in that step
     and fails the next, in whichever shard they are."""
-    state, tables, rest, kwargs = _ensemble_case()
+    state, tables, rest, kwargs = _ensemble_case(source=source)
     bad = [a.copy() for a in state]
     bad[0][-1] = np.nan
     with pytest.raises(IndexError), np.errstate(invalid="ignore"):
@@ -1153,14 +1172,15 @@ def _nan_position_fails():
         _window(state, nan_field, rest, kwargs)
 
 
-def test_a_nan_position_is_a_numerical_error_naming_its_step(workers):
-    _nan_position_fails()
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
+def test_a_nan_position_is_a_numerical_error_naming_its_step(workers, source):
+    _nan_position_fails(source)
 
 
-def _infinite_position_fails():
+def _infinite_position_fails(source):
     """An infinite position's cell is infinite, and the kernel takes no
     non-finite cell."""
-    state, tables, rest, kwargs = _ensemble_case()
+    state, tables, rest, kwargs = _ensemble_case(source=source)
     for q in (np.inf, -np.inf):
         bad = [a.copy() for a in state]
         bad[0][SPLIT // 2 + 7] = q
@@ -1168,15 +1188,16 @@ def _infinite_position_fails():
             _window(bad, tables, rest, kwargs)
 
 
-def test_an_infinite_position_is_a_numerical_error(workers):
-    _infinite_position_fails()
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
+def test_an_infinite_position_is_a_numerical_error(workers, source):
+    _infinite_position_fails(source)
 
 
-def _frozen_particle_is_discarded():
+def _frozen_particle_is_discarded(source):
     """A frozen particle is computed and its result discarded, so a NaN
     one is neither an error nor a change: the window equals the reference
     with that particle frozen at a finite position."""
-    state, tables, rest, kwargs = _ensemble_case()
+    state, tables, rest, kwargs = _ensemble_case(source=source)
     state[3][::5] = 1
     want = _window(state, tables, rest, kwargs, run=_reference_ensemble_window)
     state[0][::5] = np.nan
@@ -1186,11 +1207,12 @@ def _frozen_particle_is_discarded():
     assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
-def test_a_frozen_particle_is_never_read(workers):
-    _frozen_particle_is_discarded()
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
+def test_a_frozen_particle_is_never_read(workers, source):
+    _frozen_particle_is_discarded(source)
 
 
-def _minus_zero_cell_floors_to_minus_zero():
+def _minus_zero_cell_floors_to_minus_zero(source):
     """At q = -0.0 on a grid from q_min = 0.0 the cell is -0.0, which
     np.floor keeps, so the weight cell - floor(cell) is +0.0.  A floor of
     +0.0 would give the weight -0.0, and with -0.0 at the tables' first
@@ -1200,16 +1222,17 @@ def _minus_zero_cell_floors_to_minus_zero():
     state = [np.array([-0.0, 0.0, -0.0]), np.zeros(3), np.full(3, -0.0),
              np.zeros(3, np.uint8)]
     rest = (0.0, 1.0, 1e-3, 1)
-    kwargs = dict(step0=0, seed=1, src_kind=SRC_BINARY, mag0=1.0, jitter=0.0,
-                  freeze_lo=-1.0, freeze_hi=1.0)
+    kwargs = dict(step0=0, seed=1, **ENSEMBLE_SOURCES[source], freeze_lo=-1.0,
+                  freeze_hi=1.0)
     want = _window(state, tables, rest, kwargs, run=_reference_ensemble_window)
     got = _window(state, tables, rest, kwargs)
     assert all(_same_bits(g, w) for g, w in zip(got, want))
     assert np.signbit(got[2]).all()
 
 
-def test_a_minus_zero_cell_floors_to_minus_zero_as_np_floor_does():
-    _minus_zero_cell_floors_to_minus_zero()
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
+def test_a_minus_zero_cell_floors_to_minus_zero_as_np_floor_does(source):
+    _minus_zero_cell_floors_to_minus_zero(source)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,20 +1284,22 @@ def test_the_baseline_clone_draws_as_the_reference(baseline, source):
                       _reference_lambda(source, n, 4))
 
 
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
 @pytest.mark.parametrize("check", (_nan_position_fails,
                                    _infinite_position_fails,
                                    _frozen_particle_is_discarded,
                                    _minus_zero_cell_floors_to_minus_zero),
                          ids=lambda f: f.__name__.strip("_"))
 def test_the_baseline_clone_fails_and_discards_as_the_reference(baseline,
-                                                                check):
-    check()
+                                                                check, source):
+    check(source)
 
 
+@pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
 @pytest.mark.parametrize("n", (2, 4099))
 @pytest.mark.parametrize("clone", ("picked", "baseline"))
 def test_lookups_at_the_table_ends_equal_the_reference_bitwise(request, clone,
-                                                               n):
+                                                               n, source):
     # cells below 0, at -0.0, exactly n - 2 and n - 1, and beyond the last
     # point: the clamped lookups at j = 0 and j = n - 2, whose upper point
     # is the tables' last, n - 1.  q_min = 0 and dq = 1 make each cell its
@@ -1292,8 +1317,8 @@ def test_lookups_at_the_table_ends_equal_the_reference_bitwise(request, clone,
     state = [np.tile(cells, 37), rng.normal(size=m), rng.normal(size=m),
              (np.arange(m) % 3 == 0).astype(np.uint8)]
     rest = (0.0, 1.0, 1e-2, 3)
-    kwargs = dict(step0=0, seed=11, src_kind=SRC_SMEARED, mag0=1.3,
-                  jitter=0.5, freeze_lo=-3.0, freeze_hi=n + 1.0)
+    kwargs = dict(step0=0, seed=11, **ENSEMBLE_SOURCES[source],
+                  freeze_lo=-3.0, freeze_hi=n + 1.0)
     want = _window(state, tables, rest, kwargs, run=_reference_ensemble_window)
     got = _window(state, tables, rest, kwargs)
     assert all(_same_bits(g, w) for g, w in zip(got, want))
