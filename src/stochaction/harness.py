@@ -14,7 +14,7 @@ import numbers
 import operator
 import os
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -787,7 +787,12 @@ def _run_concentration(cfg, out):
 def _guided_ensembles(cfg, taus):
     """The wave setup, and one guided ensemble run per micro-timescale in
     `taus`, all through one set of wave frames: [(final frozen fraction,
-    diags)].  Only these are kept, not the ensembles themselves."""
+    diags)].  Only these are kept, not the ensembles themselves.
+
+    Every run starts from the same positions, sampled once: they depend on
+    the state, size and seed, not on tau.  The last run takes
+    `run.snapshots` snapshots, the others only the first and the last,
+    which are all that the sweep reads of them."""
     # the library takes a zero span, a run needs at least one window
     _steps(cfg, "time.dt_window")
     spec, grid, H, state0 = _wave_setup(cfg)
@@ -797,15 +802,18 @@ def _guided_ensembles(cfg, taus):
     # no source switches lambda off: guidance-velocity transport alone
     source = None if cfg["ensemble.disable_lambda"] else _build_source(cfg)
 
-    def run(tau):
+    ens0 = stochastic.init_ensemble(state0, cfg["ensemble.size"], taus[0],
+                                    cfg["run.seed"])
+
+    def run(tau, snapshots):
         final, diags = stochastic.propagate_ensemble(
-            stochastic.init_ensemble(state0, cfg["ensemble.size"], tau,
-                                     cfg["run.seed"]),
-            frames, T, source=source,
-            bins=cfg["ensemble.bins"], snapshots=cfg["run.snapshots"])
+            replace(ens0, tau_Q=tau), frames, T, source=source,
+            bins=cfg["ensemble.bins"], snapshots=snapshots)
         return final.frozen_fraction, diags
 
-    return (spec, grid, H, state0), [run(tau) for tau in taus]
+    return (spec, grid, H, state0), (
+        [run(tau, 2) for tau in taus[:-1]]
+        + [run(taus[-1], cfg["run.snapshots"])])
 
 
 def _density_csvs(out, diags):

@@ -50,26 +50,41 @@ np.maximum does, where C's fmax would not.  The polar wall rows take the
 sin and cos of libm, as Python's math module does (gcc fuses the pair
 into glibc's sincos, which gives the same bits).
 
+The polar window folds each rate of an RK4 stage into the step's sums as
+the stage's interior loop or wall rows make it, with the operations of a
+plain RK4's four combination passes: there is no array of rates and no
+combination pass, and the fourth stage writes y itself.  An interior
+cell takes a square root and five divisions a stage (the phase gradient,
+the flux difference, dR/dq, d2R/dq2 and the quotient by R), so the loop
+is bound by the divider.  Where every entry of dg is a zero, as for a
+constant mass (the free, harmonic and gauged presets), the interior loop
+multiplies dg by R[i + 1] - R[i - 1] and leaves out its quotient by
+2 dq: the product is the same signed zero, or the same NaN (the argument
+is in _polar.c), and four divisions are left.  Like the ensemble window,
+the polar window is cloned for x86-64-v4; it gains less there, since an
+AVX-512 divider divides no more doubles a cycle than the baseline's.
+
 The ensemble window has one particle loop per lambda-source kind, the
 kind a constant in each, so that a loop hashes only the uniforms its kind
 draws: the binary and sphere loops, lambda off among them, slot 0's, and
 the smeared loop slot 1's too.  With one loop for every kind, the
 vectorizer computed the smeared kind's slot-1 uniform for each kind and
 discarded it.  No loop has a data-dependent branch, so gcc vectorizes
-each, and on x86-64 the window is compiled twice (gcc's target_clones):
-for x86-64-v4, whose AVX-512 vectors step 8 particles at once, and for
-the baseline that every x86-64 CPU runs.  The library picks a clone when
-it is loaded, from the CPU's features, so one build serves any x86-64
-CPU and none meets an instruction it lacks; other targets and compilers
-(and gcc before 12) get the one plain body.  A vector lane does the
-scalar operations, so both clones give the numpy window's bits; built
-by gcc 12, the x86-64-v4 clone reads its tables with gathers, which gcc
-makes only when told to (_GATHER), except on a CPU whose gathers the
-microcode fix for Gather Data Sampling slows.  To look up its tables a
-loop needs an integer cell: it clamps the cell to [0, n - 2] before it
-truncates it, which on that range equals floor, and gives a -0.0 cell
-its sign back with copysign, since np.floor keeps it and the sign can
-reach a result through the interpolation weight.
+each, and on x86-64 the window, as the polar one, is compiled twice
+(gcc's target_clones): for x86-64-v4, whose AVX-512 vectors step 8
+particles at once, and for the baseline that every x86-64 CPU runs.
+The library picks a clone when it is loaded, from the CPU's features, so
+one build serves any x86-64 CPU and none meets an instruction it lacks;
+other targets and compilers (and gcc before 12) get the one plain body.
+A vector lane does the scalar operations, so both clones of each window
+give the numpy bits; built by gcc 12, the x86-64-v4 clone of the
+ensemble window reads its tables with gathers, which gcc makes only when
+told to (_GATHER), except on a CPU whose gathers the microcode fix for
+Gather Data Sampling slows.  To look up its tables a loop needs an
+integer cell: it clamps the cell to [0, n - 2] before it truncates it,
+which on that range equals floor, and gives a -0.0 cell its sign back
+with copysign, since np.floor keeps it and the sign can reach a result
+through the interpolation weight.
 
 A window of ensemble micro steps splits the particles into contiguous
 shards in the same way, and runs each shard's steps as one
@@ -279,14 +294,15 @@ def sample_stats(x, magnitudes: bool = False, edges=None, thresholds=(),
 def active_backend() -> str:
     """Names the kernels, recorded with benchmark runs: the compiled polar
     and ensemble kernels with the compiler and every flag they are built
-    with, the ensemble clone this CPU runs in that build, and the rng,
+    with, the clone of both that this CPU runs in that build, and the rng,
     which the ensemble library holds.  Builds nothing."""
     try:
         cc = _compiler()
-        build, clone = " ".join((*cc, *_cflags(cc))), _ensemble_clone(cc)
+        build, clone = " ".join((*cc, *_cflags(cc))), _kernel_clone(cc)
     except ConfigurationError:
         build, clone = "no compiler (sysconfig CC empty)", "none"
-    return f"polar and ensemble: C, {build}; ensemble clone: {clone}; rng: C"
+    return (f"polar and ensemble: C, {build}; polar and ensemble clone: "
+            f"{clone}; rng: C")
 
 
 # the CPU features of x86-64-v4 beyond x86-64-v3, as /proc/cpuinfo names
@@ -308,10 +324,11 @@ def _cpuinfo(key: str):
 
 
 def _has_clone(cc: list):
-    """Whether a build by the compiler command cc gives the ensemble kernel
-    its x86-64-v4 clone (CLONED in _ensemble.c: gcc 12 or later on x86-64),
-    from the name of cc and its -dumpversion; None where they do not tell:
-    a bare cc, which may be clang, or a gcc whose version cannot be read."""
+    """Whether a build by the compiler command cc gives the polar and
+    ensemble kernels their x86-64-v4 clones (CLONED in _polar.c and
+    _ensemble.c: gcc 12 or later on x86-64), from the name of cc and its
+    -dumpversion; None where they do not tell: a bare cc, which may be
+    clang, or a gcc whose version cannot be read."""
     import platform
     if platform.machine() not in ("x86_64", "AMD64"):
         return False
@@ -322,11 +339,12 @@ def _has_clone(cc: list):
     return None if major is None else major >= 12
 
 
-def _ensemble_clone(cc: list) -> str:
-    """The clone of the ensemble kernel that a build by cc runs here:
-    "x86-64-v4" where the build has one (_has_clone) and /proc/cpuinfo
-    lists the AVX-512 features of that level, else "default"; "none" where
-    the build has none, "unknown" where the build or CPU cannot be told."""
+def _kernel_clone(cc: list) -> str:
+    """The clone of the polar and ensemble kernels that a build by cc runs
+    here, the same for both: "x86-64-v4" where the build has one
+    (_has_clone) and /proc/cpuinfo lists the AVX-512 features of that
+    level, else "default"; "none" where the build has none, "unknown"
+    where the build or CPU cannot be told."""
     has = _has_clone(cc)
     flags = _cpuinfo("flags") if has else None
     if flags is None:
@@ -342,7 +360,7 @@ def _ensemble_clone(cc: list) -> str:
 # into the package's __pycache__ under a name that hashes the source, the
 # compiler and the flags, and loaded with ctypes.  The flags keep every
 # operation rounding as numpy's does: where the target has a fused
-# multiply-add (aarch64, or the x86-64-v4 clone of the ensemble kernel),
+# multiply-add (aarch64, or the x86-64-v4 clones of both kernels),
 # gcc would otherwise fuse a multiply and an add into one rounding, and
 # none of -ffast-math's parts that change values (reassociation,
 # reciprocals, ignoring signed zeros or non-finite values) is given.  Two
@@ -788,7 +806,8 @@ def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):
     share the field tables g, dg, A, V (each of shape (n,)) and the scale
     |lam| = lam_abs, and do not interact: branch b of the result depends
     on row b of y alone.  y must be a C-contiguous float64 array, since it
-    is updated in place by the compiled kernel.
+    is updated in place by the compiled kernel, and must share no memory
+    with a table: the kernel's loops are vectorized on that promise.
     """
     if not (isinstance(y, np.ndarray) and y.dtype == np.float64
             and y.ndim == 3 and y.shape[0] == 2 and y.flags.c_contiguous
@@ -805,6 +824,8 @@ def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):
         if t.shape != (n,):
             raise ShapeError(f"field table {name} has shape {t.shape}, "
                              f"expected ({n},)")
+        if np.may_share_memory(y, t):
+            raise ShapeError(f"field table {name} shares memory with y")
     n_steps = int(n_steps)
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")

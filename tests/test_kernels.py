@@ -642,19 +642,60 @@ def test_sharded_window_equals_the_single_threaded_window_bitwise(workers, m,
 # batched polar-pair RK4, compiled from _polar.c
 
 
-def _branch_batch():
+def _one_dg_entry(dg):
+    dg[-2] = 0.25
+    return dg
+
+
+def _minus_zero_dg(dg):
+    dg[1::2] = -0.0
+    return dg
+
+
+# the field tables of the bitwise polar tests, as (preset, its parameters,
+# an edit of its dg table): the harmonic preset, whose dg and A vanish; a
+# variable mass, whose dg reaches the quantum potential through the
+# kernel's general loop; a gauge field, whose A reaches the phase gradient
+# and the wall links; and two dg tables that pin the kernel's check for
+# the constant-mass loop, one zero but for the last interior cell (the
+# general loop) and one of +0.0 and -0.0 entries (the constant-mass loop)
+POLAR_SYSTEMS = {
+    "harmonic": ("harmonic", {}, None),
+    "variable_mass": ("variable_mass", {"beta": 0.3}, None),
+    "gauged": ("gauged", {"a0": 0.4, "a1": -0.3}, None),
+    "one_dg_entry": ("harmonic", {}, _one_dg_entry),
+    "minus_zero_dg": ("harmonic", {}, _minus_zero_dg),
+}
+
+
+def _branch_batch(system="harmonic"):
     """Two different branches on the harmonic grid, stacked as one
-    (2, 2, n) batch (densities, then phases), with the field tables."""
+    (2, 2, n) batch (densities, then phases), with the field tables of
+    POLAR_SYSTEMS[system]."""
     grid = build_grid(128, -5.0, 5.0)
-    spec = make_system("harmonic")
+    preset, params, edit_dg = POLAR_SYSTEMS[system]
+    spec = make_system(preset, **params)
     pts = grid.points()
     om = np.stack([np.exp(-(pts - 0.5) ** 2) / np.sqrt(np.pi),
                    np.exp(-(pts + 0.3) ** 2 / 1.2) / np.sqrt(1.2 * np.pi)])
     S = np.stack([0.4 * np.sin(0.5 * pts) + 0.3 * pts,
                   0.1 * np.cos(pts) - 0.2 * pts - 2.0 * np.pi])
-    tables = [np.asarray(f(pts), dtype=float)
+    tables = [np.array(f(pts), dtype=float)
               for f in (spec.g, spec.dg, spec.A, spec.V)]
+    if edit_dg is not None:
+        tables[1] = edit_dg(tables[1])
     return grid, np.stack([om, S]), tables
+
+
+def test_the_polar_systems_reach_the_terms_they_are_named_for():
+    tables = {name: _branch_batch(name)[2] for name in POLAR_SYSTEMS}
+    for name, (g, dg, A, V) in tables.items():
+        constant = name in ("harmonic", "gauged", "minus_zero_dg")
+        assert (dg == 0.0).all() == constant
+        assert (A != 0.0).all() == (name == "gauged")
+        assert (np.diff(g) != 0.0).any() == (name == "variable_mass")
+    assert np.count_nonzero(tables["one_dg_entry"][1]) == 1
+    assert np.signbit(tables["minus_zero_dg"][1]).any()
 
 
 def _run(y, grid, tables, n_steps=40):
@@ -698,14 +739,28 @@ def _reference_run(om, S, tables, dq, dt, n_steps, lam=1.0):
     return om, S
 
 
-def test_batched_kernel_matches_the_written_out_equations_bitwise():
-    grid, y, tables = _branch_batch()
+def _on_clone(request, clone):
+    """Run the kernels' baseline clone where clone is "baseline", and the
+    clone this CPU picks where it is "picked"."""
+    if clone == "baseline":
+        request.getfixturevalue("baseline")
+
+
+CLONES = pytest.mark.parametrize("clone", ("picked", "baseline"))
+
+
+@CLONES
+@pytest.mark.parametrize("system", POLAR_SYSTEMS)
+def test_batched_kernel_matches_the_written_out_equations_bitwise(
+        request, clone, system):
+    _on_clone(request, clone)
+    grid, y, tables = _branch_batch(system)
     out = _run(y, grid, tables)
     assert not np.array_equal(out, y)
     for b in range(2):
         om, S = _reference_run(y[0, b], y[1, b], tables, grid.dq, 5e-4, 40)
-        assert np.array_equal(out[0, b], om)
-        assert np.array_equal(out[1, b], S)
+        assert _same_bits(out[0, b], om)
+        assert _same_bits(out[1, b], S)
 
 
 def test_a_branch_run_alone_equals_its_row_of_the_batch_bitwise():
@@ -731,13 +786,17 @@ def _assert_matches_reference(y, out, tables, dq, dt, n_steps, lam):
         assert _same_bits(out[1, b], S)
 
 
-def test_floored_densities_at_two_scales_match_the_reference_bitwise():
+@CLONES
+@pytest.mark.parametrize("system", POLAR_SYSTEMS)
+def test_floored_densities_at_two_scales_match_the_reference_bitwise(
+        request, clone, system):
     # left tails that fall by 6.3 decades a cell through the density floor
     # to underflow, with negligible negatives and a signed zero below the
     # floor; a second scale weights the wall rows and the potential term
     # differently.  The steep tails drive a large potential term, so the
     # run is two short steps
-    grid, y, tables = _branch_batch()
+    _on_clone(request, clone)
+    grid, y, tables = _branch_batch(system)
     y[0] *= 10.0 ** (-80.0 * np.clip(-1.0 - grid.points(), 0.0, None))
     assert (y[0, :, :5] < 1e-300).all()
     y[0, 0, 1] = -1e-310
@@ -749,11 +808,15 @@ def test_floored_densities_at_two_scales_match_the_reference_bitwise():
         _assert_matches_reference(y, out, tables, grid.dq, 1e-8, 2, lam)
 
 
-def test_one_step_from_zero_phases_keeps_every_rounding_of_the_rhs():
+@CLONES
+@pytest.mark.parametrize("system", POLAR_SYSTEMS)
+def test_one_step_from_zero_phases_keeps_every_rounding_of_the_rhs(
+        request, clone, system):
     # after many steps a one-ulp change in a right-hand side term is
     # mostly lost when dt times it is added to the state; from S = 0 the
     # phases after one step are the RK4 sum of the stages itself
-    grid, y, tables = _branch_batch()
+    _on_clone(request, clone)
+    grid, y, tables = _branch_batch(system)
     y[1] = 0.0
     for dt in (5e-4, 1e-2):
         out = y.copy()
@@ -762,10 +825,14 @@ def test_one_step_from_zero_phases_keeps_every_rounding_of_the_rhs():
         _assert_matches_reference(y, out, tables, grid.dq, dt, 1, 1.0)
 
 
-def test_a_nan_density_turns_its_phase_nan_as_np_maximum_does():
+@CLONES
+@pytest.mark.parametrize("system", POLAR_SYSTEMS)
+def test_a_nan_density_turns_its_phase_nan_as_np_maximum_does(request, clone,
+                                                               system):
     # the density floor must pass NaN through, as np.maximum does; C's
     # fmax would floor it and leave the phase finite
-    grid, y, tables = _branch_batch()
+    _on_clone(request, clone)
+    grid, y, tables = _branch_batch(system)
     y[0, 0, 60] = np.nan
     out = y.copy()
     run_madelung_window(out, *tables, grid.dq, 5e-4, 1, 1.0)
@@ -776,6 +843,35 @@ def test_a_nan_density_turns_its_phase_nan_as_np_maximum_does():
     assert np.array_equal(np.isnan(out[0, 0]), np.isnan(om))
     _assert_matches_reference(y[:, 1:], out[:, 1:], tables, grid.dq, 5e-4,
                               1, 1.0)
+
+
+@CLONES
+def test_a_grid_step_below_2_to_the_minus_512_takes_the_general_loop(
+        request, clone):
+    # the constant-mass loop leaves out dR/dq's division by 2 dq, which
+    # keeps the bits only while that quotient cannot overflow.  A free
+    # particle at rest with R = 2^504 (1, 2, 3, ...) (the last halved, so
+    # that no wall rate is infinite) has d2R = 0 and R[i + 1] - R[i - 1] =
+    # 2^505, which over 2 dq = 2^-519 is infinite: times dg = 0 the
+    # potential term is NaN, where 0 * 2^505 would leave the middle cells
+    # at rest
+    _on_clone(request, clone)
+    n = 16
+    spec = make_system("free")
+    pts = build_grid(n, -1.0, 1.0).points()
+    tables = [np.array(f(pts), dtype=float)
+              for f in (spec.g, spec.dg, spec.A, spec.V)]
+    R = 2.0 ** 504 * (1.0 + np.arange(n))
+    R[-1] = R[-2] / 2.0
+    y = np.zeros((2, 1, n))
+    y[0, 0] = R * R
+    dq = 2.0 ** -520
+    out = y.copy()
+    run_madelung_window(out, *tables, dq, 1e-3, 1, 1.0)
+    with np.errstate(all="ignore"):
+        om, S = _reference_run(y[0, 0], y[1, 0], tables, dq, 1e-3, 1)
+    assert np.isnan(om).all() and np.isnan(S).all()
+    assert np.isnan(out).all()
 
 
 @pytest.fixture
@@ -857,6 +953,7 @@ def _bad_inputs():
     frozen = y.copy()
     frozen.flags.writeable = False
     short = [t[:-1] if i == 2 else t for i, t in enumerate(tables)]
+    aliased = y.copy()
     return {
         "non-contiguous y": (strided, tables),
         "float32 y": (y.astype(np.float32), tables),
@@ -865,6 +962,7 @@ def _bad_inputs():
         "table of length n - 1": (y, short),
         "n < 3": (np.ascontiguousarray(y[:, :, :2]),
                   [t[:2] for t in tables]),
+        "table sharing memory with y": (aliased, [*tables[:3], aliased[1, 0]]),
     }
 
 
@@ -926,8 +1024,8 @@ def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache,
                                                               monkeypatch):
     name = kernels.active_backend()
     assert name.startswith("polar and ensemble: C, ")
-    clone = kernels._ensemble_clone(kernels._compiler())
-    assert name.endswith(f"; ensemble clone: {clone}; rng: C")
+    clone = kernels._kernel_clone(kernels._compiler())
+    assert name.endswith(f"; polar and ensemble clone: {clone}; rng: C")
     assert not kernel_cache.exists()
     assert kernels._libraries == {}
     # the compiler and every flag a build is given, as a build runs them
@@ -1236,31 +1334,34 @@ def test_a_minus_zero_cell_floors_to_minus_zero_as_np_floor_does(source):
 
 
 # ---------------------------------------------------------------------------
-# the baseline clone of the ensemble kernel, which this CPU may not pick
+# the baseline clones of the kernels, which this CPU may not pick
 
 
 @pytest.fixture(scope="module")
-def baseline_library(tmp_path_factory):
-    """The ensemble library built from a copy of _ensemble.c without its
-    target_clones line: the body the loader picks on an x86-64 CPU without
-    x86-64-v4, and the one body elsewhere."""
+def baseline_libraries(tmp_path_factory):
+    """The polar and ensemble libraries, each built from a copy of its
+    source without its target_clones line: the bodies the loader picks on
+    an x86-64 CPU without x86-64-v4, and the one bodies elsewhere."""
     src = tmp_path_factory.mktemp("baseline")
-    with open(os.path.join(kernels._SOURCE_DIR, "_ensemble.c")) as fh:
-        lines = fh.readlines()
-    kept = [line for line in lines if "target_clones" not in line]
-    assert len(kept) == len(lines) - 1
-    (src / "_ensemble.c").write_text("".join(kept))
+    for source in kernels._SIGNATURES:
+        with open(os.path.join(kernels._SOURCE_DIR, source)) as fh:
+            lines = fh.readlines()
+        kept = [line for line in lines if "target_clones" not in line]
+        assert len(kept) == len(lines) - 1
+        (src / source).write_text("".join(kept))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_SOURCE_DIR", str(src))
         mp.setattr(kernels, "_CACHE", str(src / "cache"))
         mp.setattr(kernels, "_libraries", {})
-        return kernels._library("_ensemble.c")
+        return {source: kernels._library(source)
+                for source in kernels._SIGNATURES}
 
 
 @pytest.fixture
-def baseline(baseline_library, monkeypatch):
-    """run_ensemble_window runs the baseline clone."""
-    monkeypatch.setitem(kernels._libraries, "_ensemble.c", baseline_library)
+def baseline(baseline_libraries, monkeypatch):
+    """Both kernels run their baseline clone."""
+    for source, library in baseline_libraries.items():
+        monkeypatch.setitem(kernels._libraries, source, library)
 
 
 @pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
@@ -1297,7 +1398,7 @@ def test_the_baseline_clone_fails_and_discards_as_the_reference(baseline,
 
 @pytest.mark.parametrize("source", ENSEMBLE_SOURCES)
 @pytest.mark.parametrize("n", (2, 4099))
-@pytest.mark.parametrize("clone", ("picked", "baseline"))
+@CLONES
 def test_lookups_at_the_table_ends_equal_the_reference_bitwise(request, clone,
                                                                n, source):
     # cells below 0, at -0.0, exactly n - 2 and n - 1, and beyond the last
@@ -1306,8 +1407,7 @@ def test_lookups_at_the_table_ends_equal_the_reference_bitwise(request, clone,
     # position.  The pattern repeats at every vector lane and in the
     # loop's tail, a third of the particles frozen, and the particles
     # beyond the freeze bounds leave in the first step
-    if clone == "baseline":
-        request.getfixturevalue("baseline")
+    _on_clone(request, clone)
     cells = np.array([-7.5, -1.0, -2.0 ** -40, -0.0, 0.0, 0.25, 1.0,
                       n - 2.5, n - 2.0, n - 1.5, n - 1.0, n - 0.5, n,
                       n + 3.25, 1e6])
@@ -1361,8 +1461,8 @@ def test_the_ensemble_clone_is_read_from_the_cpu_features(
         kernel_cache, tmp_path, monkeypatch, cc, machine, major, flags,
         clone):
     # and from the compiler: the clone exists only where CLONED in
-    # _ensemble.c is defined, gcc 12 or later on x86-64; the report builds
-    # and runs nothing
+    # _polar.c and _ensemble.c is defined, gcc 12 or later on x86-64; the
+    # report builds and runs nothing
     cpuinfo = tmp_path / "cpuinfo"
     if flags is not None:
         cpuinfo.write_text("".join(f"processor\t: {i}\nflags\t\t: {flags}\n\n"
@@ -1375,9 +1475,9 @@ def test_the_ensemble_clone_is_read_from_the_cpu_features(
     def run(args, **kwargs):
         raise AssertionError(f"the report ran {args}")
     monkeypatch.setattr(subprocess, "run", run)
-    assert kernels._ensemble_clone(cc) == clone
+    assert kernels._kernel_clone(cc) == clone
     assert kernels.active_backend().endswith(
-        f"; ensemble clone: {clone}; rng: C")
+        f"; polar and ensemble clone: {clone}; rng: C")
     assert not kernel_cache.exists()
     assert kernels._libraries == {}
 
@@ -1389,5 +1489,5 @@ def test_with_no_compiler_the_backend_reports_no_clone(kernel_cache,
                         lambda name: "" if name == "CC" else real(name))
     assert kernels.active_backend() == (
         "polar and ensemble: C, no compiler (sysconfig CC empty); "
-        "ensemble clone: none; rng: C")
+        "polar and ensemble clone: none; rng: C")
     assert not kernel_cache.exists()
