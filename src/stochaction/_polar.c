@@ -108,12 +108,12 @@ enum { MASS_CONSTANT, MASS_VARIABLE };
                               + qp));                                       \
         }                                                                   \
                                                                             \
-        /* the exact polar wall rows, with the midpoint gauge link; sin     \
-         * and cos of an infinite phase step are NaN */                     \
-        double th = ((S[1] - S[0]) - linkL) / lam;                          \
+        /* the exact polar wall rows; sin and cos of an infinite phase      \
+         * step are NaN */                                                  \
+        double th = (S[1] - S[0]) / lam;                                    \
         EMIT(NO, o, domL * R[0] * R[1] * sin(th));                          \
         EMIT(NO, s, dSL * ((R[1] / R[0]) * cos(th) - 2.0) - V[0]);          \
-        th = ((S[n - 1] - S[n - 2]) - linkR) / lam;                         \
+        th = (S[n - 1] - S[n - 2]) / lam;                                   \
         EMIT(NO, o + n - 1, domR * R[n - 2] * R[n - 1] * sin(th));          \
         EMIT(NO, s + n - 1,                                                 \
              dSR * ((R[n - 2] / R[n - 1]) * cos(th) - 2.0) - V[n - 1]);     \
@@ -129,9 +129,8 @@ enum { MASS_CONSTANT, MASS_VARIABLE };
     }
 
 CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
-                            const double *dg, const double *A,
-                            const double *V, double dq, double dt,
-                            long n_steps, double lam)
+                            const double *dg, const double *V, double dq,
+                            double dt, long n_steps, double lam)
 {
     const long cells = nb * n, size = 2 * cells;
     double *work = malloc(sizeof(double) * (size_t)(3 * size + 3 * n));
@@ -142,8 +141,6 @@ CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
 
     const double dq2 = 2.0 * dq, h2 = dq * dq, lam2half = 0.5 * lam * lam;
     const double nl2h = -lam2half;
-    const double linkL = dq * 0.5 * (A[0] + A[1]);
-    const double linkR = dq * 0.5 * (A[n - 2] + A[n - 1]);
     const double domL = -(g[0] * lam / h2), domR = g[n - 1] * lam / h2;
     const double dSL = g[0] * lam2half / h2, dSR = g[n - 1] * lam2half / h2;
     const double half = 0.5 * dt, sixth = dt / 6.0;
@@ -162,14 +159,14 @@ CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
                 const long o = b * n, s = cells + b * n;
                 const double *om = in + o, *S = in + s;
 
-                /* dS/dq - A: central in the interior, one-sided (difference
+                /* dS/dq: central in the interior, one-sided (difference
                  * form of (-3 f0 + 4 f1 - f2) / 2h and its mirror) at the
                  * edges */
-                dp[0] = (-3.0 * (S[0] - S[1]) + (S[1] - S[2])) / dq2 - A[0];
+                dp[0] = (-3.0 * (S[0] - S[1]) + (S[1] - S[2])) / dq2;
                 IVDEP for (long i = 1; i < n - 1; i++)
-                    dp[i] = (S[i + 1] - S[i - 1]) / dq2 - A[i];
+                    dp[i] = (S[i + 1] - S[i - 1]) / dq2;
                 dp[n - 1] = (3.0 * (S[n - 1] - S[n - 2])
-                             - (S[n - 2] - S[n - 3])) / dq2 - A[n - 1];
+                             - (S[n - 2] - S[n - 3])) / dq2;
                 IVDEP for (long i = 0; i < n; i++) {
                     flux[i] = g[i] * dp[i] * om[i];
                     /* a NaN density stays NaN, as under np.maximum */

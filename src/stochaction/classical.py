@@ -44,7 +44,7 @@ def _check_dt(dt: float) -> None:
 def _step(q: float, p: float, spec: ClassicalSpec, dt: float) -> tuple[float, float]:
     """One symplectic step of Hamilton's equations on plain floats.
 
-    Constant g and A separate the Hamiltonian, so the usual
+    A constant g separates the Hamiltonian, so the usual
     kick-drift-kick update applies; a position-dependent kinetic term
     falls back to the implicit midpoint rule with fixed-point iteration.
     """
@@ -58,9 +58,7 @@ def _step(q: float, p: float, spec: ClassicalSpec, dt: float) -> tuple[float, fl
     for _ in range(IMPLICIT_MAX_ITER):
         qm = 0.5 * (q + q_new)
         pm = 0.5 * (p + p_new)
-        dp = pm - spec.A(qm)
-        grad_q = (0.5 * spec.dg(qm) * dp * dp - spec.g(qm) * dp * spec.dA(qm)
-                  + spec.dV(qm))
+        grad_q = 0.5 * spec.dg(qm) * pm * pm + spec.dV(qm)
         q_next = q + dt * classical_velocity(qm, pm, spec)
         p_next = p - dt * grad_q
         delta = max(abs(q_next - q_new), abs(p_next - p_new))

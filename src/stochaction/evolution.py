@@ -6,8 +6,8 @@ Everything works on the three diagonals of the operators from
 1 - i dt H / 2hbar as a 3-point stencil and solves with a tridiagonal LU
 (LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle,
 spectral filter and ground state read the operator's cached
-eigendecomposition: the link phases gauged away by a diagonal unitary,
-one real symmetric tridiagonal solve (LAPACK stemr) per operator.
+eigendecomposition, one real symmetric tridiagonal solve (LAPACK stemr)
+per operator.
 """
 from __future__ import annotations
 
@@ -81,8 +81,8 @@ def propagate_crank_nicolson(state: WaveState, H: QuantumOperator,
                              dt: float, steps: int) -> WaveState:
     """Unitary Cayley stepping (1 + i dt H / 2hbar)^-1 (1 - i dt H / 2hbar)."""
     _check_state(state)
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
     _check_operator(state, H)
@@ -128,9 +128,11 @@ def propagate_eigen_oracle(state: WaveState, H: QuantumOperator, t: float) -> Wa
     """Reference propagator exp(-i H t / hbar) from the operator's cached
     eigendecomposition."""
     _check_spectral(state, H, "eigen-oracle propagation")
-    w, V, d = H.eigensystem
-    coeff = _real_matvec(V.T, np.conj(d) * state.psi)
-    psi = d * _real_matvec(V, np.exp(-1j * w * t / state.hbar_eff) * coeff)
+    if not np.isfinite(t):
+        raise ConfigurationError(f"t must be finite, got {t}")
+    w, V = H.eigensystem
+    coeff = _real_matvec(V.T, state.psi)
+    psi = _real_matvec(V, np.exp(-1j * w * t / state.hbar_eff) * coeff)
     return WaveState(psi=psi, hbar_eff=state.hbar_eff, t=state.t + t, grid=state.grid)
 
 
@@ -145,20 +147,22 @@ def spectral_filter(state: WaveState, H: QuantumOperator,
     deep wall tail, where their beating sweeps the density through zero.
     """
     _check_spectral(state, H, "spectral filtering")
-    w, V, d = H.eigensystem
+    w, V = H.eigensystem
     keep = w <= e_cut
     if not bool(np.any(keep)):
         raise ConfigurationError(
             f"energy cutoff {e_cut} lies below the entire spectrum")
     sub = V[:, keep]
-    psi = d * _real_matvec(sub, _real_matvec(sub.T, np.conj(d) * state.psi))
+    psi = _real_matvec(sub, _real_matvec(sub.T, state.psi))
     return normalized(replace(state, psi=psi))
 
 
 def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
     """Lowest eigenpair, unit trapezoid norm, real-positive at mid-grid."""
-    w, V, d = H.eigensystem
-    psi = d * V[:, 0]
+    w, V = H.eigensystem
+    # complex, as every wave state is: np.angle reads the sign of a zero
+    # imaginary part, +pi or -pi at a negative real entry
+    psi = V[:, 0].astype(complex)
     mid = H.grid.n // 2
     anchor = psi[mid]
     if abs(anchor) < 1e-300:
@@ -169,9 +173,9 @@ def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
 
 
 def eigenpairs(H: QuantumOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues and their (complex) eigenvectors."""
-    w, V, d = H.eigensystem
-    return w[:k], d[:, None] * V[:, :k]
+    """The k lowest eigenvalues and their real eigenvectors."""
+    w, V = H.eigensystem
+    return w[:k], V[:, :k]
 
 
 def energy_expectation(state: WaveState, H: QuantumOperator) -> float:

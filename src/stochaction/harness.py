@@ -48,8 +48,6 @@ KEY_TYPES = {
     "system.m": float,
     "system.omega": float,
     "system.beta": float,
-    "system.a0": float,
-    "system.a1": float,
     "grid.n": int,
     "grid.q_min": float,
     "grid.q_max": float,
@@ -76,6 +74,7 @@ KEY_TYPES = {
 # smallest admissible value of the keys that have one
 KEY_MIN = {
     "run.seed": 0,
+    "run.snapshots": 2,
     "ensemble.size": 1,
     "ensemble.bins": 2,
 }
@@ -434,9 +433,17 @@ def _finite_json(value):
 
 
 def _build_system(cfg: dict):
+    """The system.preset system with the config's other system.* keys as
+    its parameters; a key that the preset does not take is refused."""
     preset = cfg["system.preset"]
-    params = {p: cfg[f"system.{p}"] for p in PRESET_PARAMS.get(preset, ())
-              if f"system.{p}" in cfg}
+    params = {key.partition(".")[2]: value for key, value in cfg.items()
+              if key.startswith("system.") and key != "system.preset"}
+    extra = sorted(set(params) - set(PRESET_PARAMS.get(preset, params)))
+    if extra:
+        raise ConfigurationError(
+            f"system.preset = {preset} takes no "
+            f"{', '.join('system.' + p for p in extra)}")
+    # make_system refuses an unknown preset
     return make_system(preset, **params)
 
 
@@ -878,25 +885,18 @@ def _run_tau_sweep(cfg, out):
 
 
 def _low_spectrum(matrix, k=5):
-    # a matrix with a link phase is refused, not cut to its real part
-    imag = float(np.max(np.abs(matrix.imag)))
-    if imag != 0.0:
-        raise ConfigurationError(
-            "the ordering spectra are taken on real matrices, and this "
-            f"operator has imaginary entries up to {imag:g}: its links carry "
-            "a phase (vector potential A != 0)")
-    evals = np.linalg.eigvals(matrix.real)
+    evals = np.linalg.eigvals(matrix)
     order = np.argsort(evals.real)
     low = evals[order][:k]
     return low.real, float(np.max(np.abs(evals.imag)))
 
 
 def _ordering_rows(spec, grid, hbar, case):
-    # dense on purpose: the naive orderings are not Hermitian, so their
-    # spectra need the general eigensolver.  It runs on the float64 part,
-    # since no ordering preset carries a link phase (A = 0); a real matrix
-    # whose spectrum is not real still gives complex-conjugate pairs, so
-    # max_imag_eig still sees a spectrum off the real axis
+    # dense on purpose: the naive orderings are not symmetric, so their
+    # spectra need the general eigensolver, which runs on the float64
+    # matrices in real arithmetic; a real matrix whose spectrum is not
+    # real still gives complex-conjugate pairs, so max_imag_eig still
+    # sees a spectrum off the real axis
     sandwich = build_quantum_hamiltonian(spec, grid, hbar).matrix
     rows = []
     results = {}

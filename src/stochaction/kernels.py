@@ -57,7 +57,7 @@ combination pass, and the fourth stage writes y itself.  An interior
 cell takes a square root and five divisions a stage (the phase gradient,
 the flux difference, dR/dq, d2R/dq2 and the quotient by R), so the loop
 is bound by the divider.  Where every entry of dg is a zero, as for a
-constant mass (the free, harmonic and gauged presets), the interior loop
+constant mass (the free and harmonic presets), the interior loop
 multiplies dg by R[i + 1] - R[i - 1] and leaves out its quotient by
 2 dq: the product is the same signed zero, or the same NaN (the argument
 is in _polar.c), and four divisions are left.  Like the ensemble window,
@@ -425,8 +425,8 @@ _R, _U = ctypes.c_double, ctypes.c_uint64
 # the functions of each library: the return type, then the argument types
 _SIGNATURES = {
     "_polar.c": {
-        "polar_rk4_window": (ctypes.c_int, _P, _N, _N, _P, _P, _P, _P, _R, _R,
-                             _N, _R)},
+        "polar_rk4_window": (ctypes.c_int, _P, _N, _N, _P, _P, _P, _R, _R, _N,
+                             _R)},
     "_ensemble.c": {
         "ensemble_window": (_N, _P, _P, _P, _P, _N, _N, _P, _P, _P, _N, _R,
                             _R, _R, _P, _N, _N, _R, _R, _R, _R),
@@ -664,7 +664,7 @@ def _pairwise_shards(n: int, shards: int, subtree) -> float:
 # State arrays (mutated in place): positions qs, scales lams, log-weights
 # logws, frozen flags (uint8).  Field tables on the grid, sampled by clamped
 # linear interpolation identical to lattice.interp_linear:
-#   vb   = g (dS/dq - A)          drift per unit time
+#   vb   = g dS/dq                drift per unit time
 #   osm  = 0.5 g (dOmega/dq)/Omega  drift per unit (time * lambda)
 #   th   = theta(S)               log-weight decay rate
 # One micro step of length dt: redraw lambda (keyed by the global step
@@ -770,8 +770,8 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 # polar-pair RK4 integration
 # ---------------------------------------------------------------------------
 # One branch of the pair: density omega = R^2 and phase S on the grid.
-#   d(omega)/dt = -d/dq [ g (dS/dq - A) omega ]        (diffusion eliminated)
-#   d(S)/dt     = -( g (dS/dq - A)^2 / 2 + V + QP )
+#   d(omega)/dt = -d/dq [ g dS/dq omega ]        (diffusion eliminated)
+#   d(S)/dt     = -( g (dS/dq)^2 / 2 + V + QP )
 #   QP          = -(lam^2/2) (g d2R + dg dR) / R,  R = sqrt(omega)
 # Both branches of the pair obey these equations with the same |lam|, so
 # they are advanced together as one batch, one row per branch.  Row b of
@@ -786,7 +786,7 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 # wall phase misses the Dirichlet reflection layer and feeds a slow
 # instability whenever the packet moves.  Instead the wall cells integrate
 # the boundary rows of the discrete wave Hamiltonian rewritten in polar
-# variables (theta is the covariant phase step across the wall link):
+# variables (theta is the phase step across the wall link over lam):
 #   d(omega_0)/dt = -(g lam / dq^2) R_0 R_1 sin(theta)
 #   d(S_0)/dt     = (g lam^2 / 2 dq^2) ((R_1/R_0) cos(theta) - 2) - V_0
 # which is the exact wall dynamics of the underlying unitary system, not a
@@ -798,12 +798,12 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 # polar_rk4_window in _polar.c.
 
 
-def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):
+def run_madelung_window(y, g, dg, V, dq, dt, n_steps, lam_abs):
     """Advance a batch of polar branches in place by n_steps RK4 steps.
 
     y has shape (2, B, n): y[0] holds the densities omega = R^2 of the B
     branches and y[1] their phases S.  The branches
-    share the field tables g, dg, A, V (each of shape (n,)) and the scale
+    share the field tables g, dg, V (each of shape (n,)) and the scale
     |lam| = lam_abs, and do not interact: branch b of the result depends
     on row b of y alone.  y must be a C-contiguous float64 array, since it
     is updated in place by the compiled kernel, and must share no memory
@@ -819,8 +819,8 @@ def run_madelung_window(y, g, dg, A, V, dq, dt, n_steps, lam_abs):
     _, nb, n = y.shape
     if n < 3:
         raise ShapeError(f"the polar stencils need n >= 3 cells, got {n}")
-    tables = [np.ascontiguousarray(t, dtype=np.float64) for t in (g, dg, A, V)]
-    for name, t in zip(("g", "dg", "A", "V"), tables):
+    tables = [np.ascontiguousarray(t, dtype=np.float64) for t in (g, dg, V)]
+    for name, t in zip(("g", "dg", "V"), tables):
         if t.shape != (n,):
             raise ShapeError(f"field table {name} has shape {t.shape}, "
                              f"expected ({n},)")

@@ -163,7 +163,6 @@ def _field_tables(spec: ClassicalSpec, grid: GridSpec):
     pts = grid.points()
     return (np.ascontiguousarray(spec.g(pts), dtype=float),
             np.ascontiguousarray(spec.dg(pts), dtype=float),
-            np.ascontiguousarray(spec.A(pts), dtype=float),
             np.ascontiguousarray(spec.V(pts), dtype=float))
 
 
@@ -227,7 +226,7 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
     if dt > 10.0 * dt_default:
         raise ConfigurationError(
             f"dt = {dt} is more than 10x the default step {dt_default:.3e}")
-    g, dg, A, V = _field_tables(spec, grid)
+    g, dg, V = _field_tables(spec, grid)
     norms0 = [integrate(m.R ** 2, grid) for m in advanced]
     times = [m.t for m in branches]
     # y[0] holds omega and y[1] holds S, one row per advanced branch
@@ -238,7 +237,7 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
     while done < steps:
         chunk = min(CHECK_EVERY, steps - done)
         np.square(R, out=y[0])
-        run_madelung_window(y, g, dg, A, V, grid.dq, dt, chunk,
+        run_madelung_window(y, g, dg, V, grid.dq, dt, chunk,
                             abs(pair.plus.lam))
         for b, name in enumerate(names):
             _guard_branch(name, y[0, b], y[1, b])

@@ -123,7 +123,7 @@ def microscopic_velocity(q: float | np.ndarray, S: np.ndarray,
                          Omega: np.ndarray, lam: float, spec: ClassicalSpec,
                          grid: GridSpec) -> float | np.ndarray:
     """Scale-dependent particle velocity
-    g(q) (dS/dq - A) + (lam/2) g(q) (dOmega/dq)/Omega
+    g(q) dS/dq + (lam/2) g(q) (dOmega/dq)/Omega
     with the fields linearly interpolated to q.
     """
     S = check_field(S, grid, "S")
@@ -133,19 +133,18 @@ def microscopic_velocity(q: float | np.ndarray, S: np.ndarray,
     dOm_q = interp_linear(gradient(Omega, grid), grid, q)
     Om_q = interp_linear(Omega, grid, q)
     g = spec.g(q)
-    A = spec.A(q)
-    return g * (dS_q - A) + 0.5 * lam * g * dOm_q / Om_q
+    return g * dS_q + 0.5 * lam * g * dOm_q / Om_q
 
 
 def effective_velocity(v_plus, v_minus):
     """Mean of the +lam and -lam microscopic velocities; the lam-odd
-    osmotic parts cancel, leaving g(dS/dq - A)."""
+    osmotic parts cancel, leaving g dS/dq."""
     return 0.5 * (v_plus + v_minus)
 
 
 def bohmian_velocity(state: WaveState, spec: ClassicalSpec,
                      grid: GridSpec) -> np.ndarray:
-    """Guidance velocity field g (dS_Q/dq - A) from the unwrapped phase."""
+    """Guidance velocity field g dS_Q/dq from the unwrapped phase."""
     if grid != state.grid:
         raise ShapeError("grid does not match the state's grid")
     require_node_free(np.abs(state.psi) ** 2, "|psi|^2")
@@ -225,7 +224,7 @@ class WaveFrames:
     """
     times: np.ndarray       # window boundary times, shape (W+1,)
     dens: np.ndarray        # |psi|^2 at boundaries, shape (W+1, n)
-    vb: np.ndarray          # g (dS/dq - A) at midpoints, shape (W, n)
+    vb: np.ndarray          # g dS/dq at midpoints, shape (W, n)
     osm: np.ndarray         # 0.5 g (dOmega/dq)/Omega at midpoints
     theta: np.ndarray       # theta(S) at midpoints
     dt_window: float

@@ -12,8 +12,7 @@ from stochaction.lattice import gradient_uniform
 
 
 def hamiltonian_value(q, p, spec: ClassicalSpec):
-    dp = p - spec.A(q)
-    return 0.5 * spec.g(q) * dp * dp + spec.V(q)
+    return 0.5 * spec.g(q) * p * p + spec.V(q)
 
 
 def lagrangian_value(q, p, spec: ClassicalSpec):
@@ -39,11 +38,10 @@ def euler_lagrange_residual(path: PathRecord, spec: ClassicalSpec) -> np.ndarray
         raise ShapeError("residual needs at least 7 samples")
     q = path.qs
     qdot = gradient_uniform(q, path.dt)
-    p_lag = qdot / spec.g(q) + spec.A(q)
+    p_lag = qdot / spec.g(q)
     dpdt = gradient_uniform(p_lag, path.dt)
     g = spec.g(q)
-    dLdq = (-spec.dg(q) / (2.0 * g * g) * qdot * qdot
-            + spec.dA(q) * qdot - spec.dV(q))
+    dLdq = -spec.dg(q) / (2.0 * g * g) * qdot * qdot - spec.dV(q)
     # the two samples adjacent to each end inherit first-order error from
     # the one-sided edge stencils; the interior is second order
     return (dpdt - dLdq)[2:-2]

@@ -1,5 +1,7 @@
 """Classical system presets, the S-divergence and the symmetrically
 ordered quantum Hamiltonian."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,19 +23,16 @@ def test_free_particle_velocity_is_p_over_m():
     assert classical_velocity(0.3, 2.0, spec) == pytest.approx(2.0, abs=1e-15)
 
 
-def test_velocity_vanishes_when_gauge_field_equals_momentum():
-    spec = make_system("gauged", m=1.0, a0=2.0)
-    assert classical_velocity(1.7, 2.0, spec) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_variable_mass_velocity():
     spec = make_system("variable_mass", m=1.0, beta=1.0)   # g = 1/(1 + q^2)
     assert classical_velocity(1.0, 3.0, spec) == pytest.approx(1.5, abs=1e-14)
 
 
 def test_make_system_rejects_unknown_preset_and_parameters():
-    with pytest.raises(ConfigurationError):
-        make_system("anharmonic")
+    for name in ("anharmonic", "gauged"):
+        with pytest.raises(ConfigurationError,
+                           match=r"\['free', 'harmonic', 'variable_mass'\]"):
+            make_system(name)
     with pytest.raises(ConfigurationError):
         make_system("free", omega=2.0)
     with pytest.raises(ConfigurationError):
@@ -45,7 +44,7 @@ def test_make_system_rejects_unknown_preset_and_parameters():
 
 
 def theta_of_S(S, spec, grid):
-    """Divergence of the action-gradient velocity field, d/dq[g (dS/dq - A)].
+    """Divergence of the action-gradient velocity field, d/dq[g dS/dq].
 
     This is the decay rate attached to each path segment; a uniformly
     compressing flow gives a positive constant.  Depends on S only through
@@ -126,13 +125,18 @@ def test_sandwich_build_is_hermitian_for_variable_mass():
     assert hermiticity_defect(H) <= 1e-12 * scale
 
 
-def test_constant_gauge_shift_leaves_spectrum_unchanged():
+def test_constant_potential_shift_moves_the_spectrum_by_the_shift():
+    # a constant in V lands on the diagonal alone, so every level moves by
+    # it and the links keep their bytes
     grid = build_grid(256, -9.0, 9.0)
-    base = make_system("harmonic", m=1.0, omega=1.0)
-    shifted = make_system("gauged", m=1.0, omega=1.0, a0=0.7)
-    ev0 = np.linalg.eigvalsh(build_quantum_hamiltonian(base, grid, 1.0).matrix)
-    ev1 = np.linalg.eigvalsh(build_quantum_hamiltonian(shifted, grid, 1.0).matrix)
-    assert np.max(np.abs(ev0[:20] - ev1[:20])) < 1e-8
+    base = make_system("variable_mass", m=1.0, omega=1.0, beta=0.3)
+    shifted = replace(base, V=lambda q: base.V(q) + 0.7)
+    H0 = build_quantum_hamiltonian(base, grid, 1.0)
+    H1 = build_quantum_hamiltonian(shifted, grid, 1.0)
+    assert np.array_equal(H0.lower, H1.lower)
+    assert np.array_equal(H0.upper, H1.upper)
+    w0, w1 = H0.eigensystem[0], H1.eigensystem[0]
+    assert np.max(np.abs(w1[:20] - w0[:20] - 0.7)) < 1e-12   # measured 1.6e-14
 
 
 def test_constant_g_kinetic_matrix_is_three_point_laplacian():
@@ -154,32 +158,34 @@ def test_spectrum_bounded_below_by_potential_minimum():
     assert evals[0] > -1e-9   # min V = 0
 
 
-# parity of the three-diagonal storage with its dense form, on an
-# operator whose links carry a phase (so the gauge is not the identity)
-# and on one with a position-dependent mass
-TRIDIAGONAL_CASES = (("gauged", {"a0": 0.4, "a1": 0.3}),
+# parity of the three-diagonal storage with its dense form, under a
+# position-dependent mass: a stiff one, whose g falls from 1 at the centre
+# to 1/73 at the walls, and a mild one
+TRIDIAGONAL_CASES = (("variable_mass", {"beta": 2.0, "omega": 0.5}),
                      ("variable_mass", {"beta": 0.3}))
+
+
+def _operator_64(preset, kw):
+    grid = build_grid(64, -6.0, 6.0)
+    return grid, build_quantum_hamiltonian(make_system(preset, **kw), grid, 1.0)
 
 
 @pytest.mark.parametrize("preset,kw", TRIDIAGONAL_CASES)
 def test_tridiagonal_eigenvalues_match_dense(preset, kw):
-    grid = build_grid(64, -6.0, 6.0)
-    H = build_quantum_hamiltonian(make_system(preset, **kw), grid, 1.0)
-    w, V, d = H.eigensystem
+    grid, H = _operator_64(preset, kw)
+    w, V = H.eigensystem
+    for a in (H.lower, H.diag, H.upper, H.matrix, V):
+        assert a.dtype == np.float64
     dense = np.linalg.eigvalsh(H.matrix)
-    # measured 8.3e-16 (gauged) and 1.1e-15 (variable_mass)
+    # measured 7.3e-16 (beta = 2) and 1.1e-15 (beta = 0.3)
     assert np.max(np.abs(w - dense)) <= 1e-12 * np.max(np.abs(dense))
-    U = d[:, None] * V
-    assert np.max(np.abs(H.matrix @ U - U * w)) <= 1e-12 * np.max(np.abs(dense))
-    assert np.max(np.abs(U.conj().T @ U - np.eye(grid.n))) < 1e-12
-    gauge_moves = np.max(np.abs(d - 1.0)) > 0.1
-    assert gauge_moves == (preset == "gauged")
+    assert np.max(np.abs(H.matrix @ V - V * w)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.max(np.abs(V.T @ V - np.eye(grid.n))) < 1e-12
 
 
 @pytest.mark.parametrize("preset,kw", TRIDIAGONAL_CASES)
 def test_stencil_matches_dense_product(preset, kw):
-    grid = build_grid(64, -6.0, 6.0)
-    H = build_quantum_hamiltonian(make_system(preset, **kw), grid, 1.0)
+    grid, H = _operator_64(preset, kw)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     dense = H.matrix @ psi
@@ -196,9 +202,8 @@ def test_eigendecomposition_needs_a_hermitian_operator():
 def test_build_rejects_nonpositive_inverse_mass():
     grid = build_grid(64, -3.0, 3.0)
     zero = lambda q: np.zeros_like(np.asarray(q, dtype=float))
-    bad = ClassicalSpec(
-        name="bad", g=lambda q: -np.ones_like(np.asarray(q, dtype=float)),
-        A=zero, V=zero, dg=zero, dA=zero, dV=zero)
+    bad = ClassicalSpec(g=lambda q: -np.ones_like(np.asarray(q, dtype=float)),
+                        V=zero, dg=zero, dV=zero)
     with pytest.raises(ConfigurationError):
         build_quantum_hamiltonian(bad, grid, 1.0)
 

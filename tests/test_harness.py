@@ -145,7 +145,8 @@ def test_the_real_ordering_spectra_agree_with_the_complex_solver(case, build):
     op = (sandwich if build == "sandwich"
           else build_naive_ordering(spec, grid, hbar, build))
     low, _ = _low_spectrum(op.matrix)
-    evals = np.linalg.eigvals(op.matrix)
+    # zgeev, on the same entries as complex numbers
+    evals = np.linalg.eigvals(op.matrix.astype(complex))
     assert evals.dtype == np.complex128
     np.testing.assert_allclose(low, np.sort(evals.real)[:5], rtol=0,
                                atol=1e-11)
@@ -153,13 +154,6 @@ def test_the_real_ordering_spectra_agree_with_the_complex_solver(case, build):
         # the sandwich's spectrum, which the naive builds share at constant g
         np.testing.assert_allclose(low, sandwich.eigensystem[0][:5], rtol=0,
                                    atol=1e-11)
-
-
-def test_ordering_rows_refuse_an_operator_whose_links_carry_a_phase():
-    grid, hbar, _ = _registry_ordering_systems()
-    spec = make_system("gauged", a1=0.5)
-    with pytest.raises(ConfigurationError, match="real matrices"):
-        _ordering_rows(spec, grid, hbar, "gauged")
 
 
 def test_snapshot_rows_write_the_bytes_of_per_point_float_rows(tmp_path):
@@ -335,6 +329,7 @@ def test_propagator_quality_records_the_last_step(tmp_path):
     ("ensemble.size", 0),             # below its minimum
     ("run.seed", -1),
     ("ensemble.bins", 1),             # a sample run wrote an empty histogram
+    ("run.snapshots", 1),             # a run took 2 snapshots all the same
 ])
 def test_resolve_config_rejects_mistyped_values(key, value):
     with pytest.raises(ConfigurationError, match=key.replace(".", r"\.")):
@@ -359,12 +354,34 @@ def test_mistyped_value_fails_before_the_run_starts(tmp_path):
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("grid.n = 64\ngrid.spacing = 0.1\n")
-    assert cli.main(["evolve", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 2
-    assert "unknown config key 'grid.spacing'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for n, (line, error, started) in enumerate((
+            ("grid.spacing = 0.1", "unknown config key 'grid.spacing'", False),
+            ("system.a0 = 0.4", "unknown config key 'system.a0'", False),
+            # the run refuses the preset, once its manifest is written
+            ("system.preset = gauged", "unknown system preset 'gauged'",
+             True))):
+        cfg, out = tmp_path / f"bad{n}.cfg", tmp_path / f"out{n}"
+        cfg.write_text(f"grid.n = 64\n{line}\n")
+        assert cli.main(["evolve", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert out.exists() == started
+
+
+@pytest.mark.parametrize("command,scenario,key,value", [
+    ("evolve", "classical_limit", "system.beta", 0.7),
+    ("evolve", "free_gaussian", "system.omega", 2.0),
+    ("equivariance", "tau_sweep", "system.beta", 0.0),
+    ("orderings", "harmonic_spectrum", "system.beta", 0.3),
+])
+def test_a_system_key_the_preset_does_not_take_is_refused(
+        tmp_path, command, scenario, key, value):
+    # unread, the key would leave the run on the registry's system
+    preset = SCENARIOS[command][scenario]["system.preset"]
+    with pytest.raises(ConfigurationError,
+                       match=rf"system\.preset = {preset} takes no {key}"):
+        run_command(command, {"run.scenario": scenario, key: value},
+                    str(tmp_path))
 
 
 # Small versions of the two scenarios whose CSVs lean on the wave layer

@@ -653,16 +653,14 @@ def _minus_zero_dg(dg):
 
 
 # the field tables of the bitwise polar tests, as (preset, its parameters,
-# an edit of its dg table): the harmonic preset, whose dg and A vanish; a
+# an edit of its dg table): the harmonic preset, whose dg vanishes; a
 # variable mass, whose dg reaches the quantum potential through the
-# kernel's general loop; a gauge field, whose A reaches the phase gradient
-# and the wall links; and two dg tables that pin the kernel's check for
+# kernel's general loop; and two dg tables that pin the kernel's check for
 # the constant-mass loop, one zero but for the last interior cell (the
 # general loop) and one of +0.0 and -0.0 entries (the constant-mass loop)
 POLAR_SYSTEMS = {
     "harmonic": ("harmonic", {}, None),
     "variable_mass": ("variable_mass", {"beta": 0.3}, None),
-    "gauged": ("gauged", {"a0": 0.4, "a1": -0.3}, None),
     "one_dg_entry": ("harmonic", {}, _one_dg_entry),
     "minus_zero_dg": ("harmonic", {}, _minus_zero_dg),
 }
@@ -681,7 +679,7 @@ def _branch_batch(system="harmonic"):
     S = np.stack([0.4 * np.sin(0.5 * pts) + 0.3 * pts,
                   0.1 * np.cos(pts) - 0.2 * pts - 2.0 * np.pi])
     tables = [np.array(f(pts), dtype=float)
-              for f in (spec.g, spec.dg, spec.A, spec.V)]
+              for f in (spec.g, spec.dg, spec.V)]
     if edit_dg is not None:
         tables[1] = edit_dg(tables[1])
     return grid, np.stack([om, S]), tables
@@ -689,10 +687,9 @@ def _branch_batch(system="harmonic"):
 
 def test_the_polar_systems_reach_the_terms_they_are_named_for():
     tables = {name: _branch_batch(name)[2] for name in POLAR_SYSTEMS}
-    for name, (g, dg, A, V) in tables.items():
-        constant = name in ("harmonic", "gauged", "minus_zero_dg")
+    for name, (g, dg, V) in tables.items():
+        constant = name in ("harmonic", "minus_zero_dg")
         assert (dg == 0.0).all() == constant
-        assert (A != 0.0).all() == (name == "gauged")
         assert (np.diff(g) != 0.0).any() == (name == "variable_mass")
     assert np.count_nonzero(tables["one_dg_entry"][1]) == 1
     assert np.signbit(tables["minus_zero_dg"][1]).any()
@@ -704,21 +701,21 @@ def _run(y, grid, tables, n_steps=40):
     return y
 
 
-def _reference_rhs(om, S, g, dg, A, V, dq, lam):
+def _reference_rhs(om, S, g, dg, V, dq, lam):
     # one branch, written out with the lattice stencils, in the kernel's
     # order of operations
     dS = gradient_uniform(S, dq)
-    dom = -gradient_uniform(g * (dS - A) * om, dq)
+    dom = -gradient_uniform(g * dS * om, dq)
     R = np.sqrt(np.maximum(om, 1e-300))
     qp = (-0.5 * lam * lam * (g * second_derivative_uniform(R, dq)
                               + dg * gradient_uniform(R, dq)) / R)
-    dSdt = -(0.5 * g * (dS - A) * (dS - A) + V + qp)
+    dSdt = -(0.5 * g * dS * dS + V + qp)
     h2 = dq * dq
-    th = (S[1] - S[0] - dq * 0.5 * (A[0] + A[1])) / lam
+    th = (S[1] - S[0]) / lam
     dom[0] = -(g[0] * lam / h2) * R[0] * R[1] * math.sin(th)
     dSdt[0] = (g[0] * (0.5 * lam * lam) / h2) * (
         (R[1] / R[0]) * math.cos(th) - 2.0) - V[0]
-    th = (S[-1] - S[-2] - dq * 0.5 * (A[-2] + A[-1])) / lam
+    th = (S[-1] - S[-2]) / lam
     dom[-1] = (g[-1] * lam / h2) * R[-2] * R[-1] * math.sin(th)
     dSdt[-1] = (g[-1] * (0.5 * lam * lam) / h2) * (
         (R[-2] / R[-1]) * math.cos(th) - 2.0) - V[-1]
@@ -860,7 +857,7 @@ def test_a_grid_step_below_2_to_the_minus_512_takes_the_general_loop(
     spec = make_system("free")
     pts = build_grid(n, -1.0, 1.0).points()
     tables = [np.array(f(pts), dtype=float)
-              for f in (spec.g, spec.dg, spec.A, spec.V)]
+              for f in (spec.g, spec.dg, spec.V)]
     R = 2.0 ** 504 * (1.0 + np.arange(n))
     R[-1] = R[-2] / 2.0
     y = np.zeros((2, 1, n))
@@ -962,7 +959,7 @@ def _bad_inputs():
         "table of length n - 1": (y, short),
         "n < 3": (np.ascontiguousarray(y[:, :, :2]),
                   [t[:2] for t in tables]),
-        "table sharing memory with y": (aliased, [*tables[:3], aliased[1, 0]]),
+        "table sharing memory with y": (aliased, [*tables[:2], aliased[1, 0]]),
     }
 
 

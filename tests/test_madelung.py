@@ -183,7 +183,7 @@ def test_amplitude_symmetry_is_preserved(ground_384):
 
 def continuity_rate_signed(m, spec):
     """Signed single-branch density rate
-    -d/dq[g (dS/dq - A) Omega] - (lam/2) d/dq[g dOmega/dq].
+    -d/dq[g dS/dq Omega] - (lam/2) d/dq[g dOmega/dq].
 
     The lam-term is anti-diffusive for lam > 0; the pair integration uses
     the branch average of this rate, `continuity_rate_pair`.
@@ -191,21 +191,19 @@ def continuity_rate_signed(m, spec):
     madelung._check_madelung(m)
     pts = m.grid.points()
     g = np.asarray(spec.g(pts), dtype=float)
-    A = np.asarray(spec.A(pts), dtype=float)
     omega = m.R ** 2
-    adv = gradient(g * (gradient(m.S, m.grid) - A) * omega, m.grid)
+    adv = gradient(g * gradient(m.S, m.grid) * omega, m.grid)
     diff = gradient(g * gradient(omega, m.grid), m.grid)
     return -adv - 0.5 * m.lam * diff
 
 
 def continuity_rate_pair(m, spec):
-    """Density rate with the sign-odd term cancelled: -d/dq[g (dS/dq - A) Omega]."""
+    """Density rate with the sign-odd term cancelled: -d/dq[g dS/dq Omega]."""
     madelung._check_madelung(m)
     pts = m.grid.points()
     g = np.asarray(spec.g(pts), dtype=float)
-    A = np.asarray(spec.A(pts), dtype=float)
     omega = m.R ** 2
-    return -gradient(g * (gradient(m.S, m.grid) - A) * omega, m.grid)
+    return -gradient(g * gradient(m.S, m.grid) * omega, m.grid)
 
 
 def test_branch_average_of_signed_rates_is_the_pair_rate(ground_384):
@@ -362,7 +360,7 @@ def test_one_row_equals_a_two_row_batch_bitwise(ground_384):
     out = step_coupled_pde(pair, spec, dt, steps=steps)
     pts = grid.points()
     tables = [np.asarray(f(pts), dtype=float)
-              for f in (spec.g, spec.dg, spec.A, spec.V)]
+              for f in (spec.g, spec.dg, spec.V)]
     y = np.empty((2, 2, grid.n))
     R = np.stack([pair.plus.R, pair.minus.R])
     y[1] = [pair.plus.S, pair.minus.S]
