@@ -1,9 +1,15 @@
 """Scenario runner: config parsing, seeded deterministic runs, CSV output
 with a machine-readable manifest, and pass/fail checks per scenario.
 
-Config files are line-oriented `section.key = value`; unknown keys are
-errors.  Every run writes manifest.json (status "running") before any data
-file and finalizes it afterwards, so interrupted runs are detectable.
+Config files are line-oriented `section.key = value`, each key set once.
+The scenario registry is the config contract (resolve_config): a command
+takes the run keys, its scenarios' keys and its preset's parameters, each
+of its defaults' type, and any other config is refused before a file is
+written.  The run refuses a step that does not divide its horizon, a node,
+the polar step limit, the source law and ordering_contrast's preset, and
+leaves an error manifest.  Every run writes manifest.json (status
+"running") before any data file and finalizes it afterwards, so
+interrupted runs are detectable.
 CSV files carry `#` metadata lines (units, seed, version) and are
 byte-identical across re-runs with the same config and seed.
 """
@@ -39,38 +45,6 @@ DEFAULT_SEED = 1234
 # configuration
 
 
-KEY_TYPES = {
-    "run.scenario": str,
-    "run.seed": int,
-    "run.out": str,
-    "run.snapshots": int,
-    "system.preset": str,
-    "system.m": float,
-    "system.omega": float,
-    "system.beta": float,
-    "grid.n": int,
-    "grid.q_min": float,
-    "grid.q_max": float,
-    "time.dt": float,
-    "time.T": float,
-    "time.dt_window": float,
-    "time.tau_Q": float,
-    "time.tau_sweep": "float_list",
-    "source.kind": str,
-    "source.hbar": float,
-    "source.width": float,
-    "source.lam_sweep": "float_list",
-    "ensemble.size": int,
-    "ensemble.bins": int,
-    "ensemble.disable_lambda": bool,
-    "state.kind": str,
-    "state.sigma": float,
-    "state.center": float,
-    "state.momentum": float,
-    "state.offset_quanta": int,
-    "state.ecut": float,
-}
-
 # smallest admissible value of the keys that have one
 KEY_MIN = {
     "run.seed": 0,
@@ -84,22 +58,17 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
 
-def _kind_name(kind) -> str:
-    return kind if isinstance(kind, str) else kind.__name__
-
-
 def _parse_value(key: str, raw: str):
     kind = KEY_TYPES[key]
-    raw = raw.strip()
     try:
-        if kind == "float_list":
+        if kind is tuple:
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
         if kind is bool:
             return _BOOL_WORDS[raw.lower()]
         return kind(raw)
     except (KeyError, ValueError):
         raise ConfigurationError(
-            f"config key {key!r}: cannot parse {raw!r} as {_kind_name(kind)}")
+            f"config key {key!r}: cannot parse {raw!r} as {kind.__name__}")
 
 
 def _is_a(value, kind) -> bool:
@@ -118,19 +87,20 @@ def _typed(key: str, value):
     """`value` as the type KEY_TYPES gives `key`; ConfigurationError if it
     is not one."""
     kind = KEY_TYPES[key]
-    if kind == "float_list":
+    if kind is tuple:
         if (isinstance(value, (tuple, list)) and value
                 and all(_is_a(v, float) for v in value)):
             return tuple(map(float, value))
     elif _is_a(value, kind):
         return kind(value)
     raise ConfigurationError(
-        f"config key {key!r}: expected {_kind_name(kind)}, got {value!r}")
+        f"config key {key!r}: expected {kind.__name__}, got {value!r}")
 
 
 def parse_config(path: str) -> dict:
-    """Read a `section.key = value` file; unknown keys are errors."""
-    cfg = {}
+    """Read a `section.key = value` file; an unknown key, or one set twice,
+    is an error."""
+    cfg, lines_of = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -143,10 +113,13 @@ def parse_config(path: str) -> dict:
         if "=" not in body:
             raise ConfigurationError(
                 f"{path}:{lineno}: expected 'section.key = value', got {line.rstrip()!r}")
-        key, raw = body.split("=", 1)
-        key = key.strip()
+        key, raw = (part.strip() for part in body.split("=", 1))
         if key not in KEY_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines_of:
+            raise ConfigurationError(f"{path}:{lineno}: config key {key!r} "
+                                     f"is already set on line {lines_of[key]}")
+        lines_of[key] = lineno
         cfg[key] = _parse_value(key, raw)
     return cfg
 
@@ -268,6 +241,25 @@ COMMAND_DEFAULT = {
     "orderings": "ordering_contrast",
 }
 
+
+# a key's type is that of its registry or PRESET_PARAMS defaults (a tuple is
+# a list of floats); the run keys, set by no registry entry, are typed here
+_RUN_KEYS = {"run.scenario": str, "run.seed": int, "run.out": str}
+KEY_TYPES = {**_RUN_KEYS, **{
+    f"system.{name}": type(value) for params in PRESET_PARAMS.values()
+    for name, value in params.items()}, **{
+    key: type(value) for scenarios in SCENARIOS.values()
+    for entry in scenarios.values() for key, value in entry.items()}}
+# the keys each command takes: the run keys, those its scenarios set and,
+# with system.preset, every preset parameter (_build_system refuses one the
+# chosen preset does not take)
+_COMMAND_KEYS = {command: set(_RUN_KEYS).union(*scenarios.values())
+                 for command, scenarios in SCENARIOS.items()}
+for _keys in _COMMAND_KEYS.values():
+    if "system.preset" in _keys:
+        _keys.update(key for key in KEY_TYPES if key.startswith("system."))
+
+
 class _Config(dict):
     """A resolved config.  Every default sits in the scenario registry, so
     a key a run reads and the config lacks is an error that names it."""
@@ -279,15 +271,19 @@ class _Config(dict):
 
 
 def resolve_config(command: str, config: dict | None = None) -> dict:
-    """Scenario defaults overlaid with the user config; validates keys,
-    value types and minimums."""
+    """Scenario defaults overlaid with the user config, which must keep the
+    contract: each key is a run key, one some scenario of the command sets
+    or a parameter of the chosen preset, with its type (KEY_TYPES) and
+    minimum (KEY_MIN); the system and grid build; and state.kind is one
+    _build_state makes, coherent only on the harmonic preset.  Only the run
+    refuses a step that does not divide its horizon, a node, the polar step
+    limit, the source law and ordering_contrast's preset."""
     if command not in SCENARIOS:
         raise ConfigurationError(f"unknown command {command!r}")
-    config = dict(config or {})
-    for key in config:
-        if key not in KEY_TYPES:
-            raise ConfigurationError(f"unknown config key {key!r}")
-    config = {key: _typed(key, value) for key, value in config.items()}
+    for key in config or {}:
+        if key not in _COMMAND_KEYS[command]:
+            raise ConfigurationError(f"{command} takes no config key {key!r}")
+    config = {key: _typed(key, value) for key, value in (config or {}).items()}
     scenario = config.get("run.scenario", COMMAND_DEFAULT[command])
     if scenario not in SCENARIOS[command]:
         raise ConfigurationError(
@@ -300,6 +296,16 @@ def resolve_config(command: str, config: dict | None = None) -> dict:
     for key, least in KEY_MIN.items():
         if key in cfg and cfg[key] < least:
             raise ConfigurationError(f"{key} must be >= {least}, got {cfg[key]}")
+    if "system.preset" in cfg:
+        _build_system(cfg)
+    if "grid.n" in cfg:
+        _build_grid(cfg)
+    kind = cfg.get("state.kind")
+    if kind not in (None, "gaussian", "coherent", "ground"):
+        raise ConfigurationError(
+            f"unknown state.kind {kind!r}; expected gaussian, coherent, or ground")
+    if kind == "coherent" and cfg["system.preset"] != "harmonic":
+        raise ConfigurationError("state.kind = coherent requires the harmonic preset")
     return cfg
 
 
@@ -459,19 +465,12 @@ def _build_state(cfg: dict, grid: GridSpec, H) -> WaveState:
                                 sigma=cfg["state.sigma"],
                                 momentum=cfg["state.momentum"], hbar_eff=hbar)
     elif kind == "coherent":
-        if cfg["system.preset"] != "harmonic":
-            raise ConfigurationError(
-                "state.kind = coherent requires the harmonic preset")
         state = coherent_state(grid, m=cfg["system.m"],
                                omega=cfg["system.omega"],
                                center=cfg["state.center"],
                                momentum=cfg["state.momentum"], hbar_eff=hbar)
-    elif kind == "ground":
-        _, state = ground_state(H)
-        return state
-    else:
-        raise ConfigurationError(
-            f"unknown state.kind {kind!r}; expected gaussian, coherent, or ground")
+    else:  # ground: resolve_config refuses any other kind
+        return ground_state(H)[1]
     # scenarios that feed the polar pair low-pass the analytic packet: the
     # retained modes individually satisfy the walls, so the tail carries no
     # fast-beating content that the polar fields cannot represent

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import stochaction  # noqa: F401  (loads every module the tracer patches)
+from stochaction.harness import resolve_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -102,3 +103,16 @@ def test_the_benchmark_calls_bind_to_the_program_signatures(script):
         [window] = [node for name, _, node in calls
                     if name == "run_ensemble_window"]
         assert len(window.args) == 18 and not window.keywords
+
+
+def test_every_workload_config_keeps_the_config_contract(monkeypatch):
+    # the benchmark's setup sample resolves each of these configs, so a
+    # contract that refused one would show only as a failed benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    configs = [(sc.command, sc.config(0))
+               for scenarios in workloads.WORKLOADS.values()
+               for sc in scenarios]
+    assert len(configs) == 11
+    for command, config in configs:
+        resolve_config(command, config)

@@ -12,12 +12,12 @@ import pytest
 
 from stochaction import cli, harness, kernels
 from stochaction.errors import ConfigurationError
-from stochaction.hamiltonian import (build_naive_ordering,
+from stochaction.hamiltonian import (PRESET_PARAMS, build_naive_ordering,
                                      build_quantum_hamiltonian, make_system)
-from stochaction.harness import (_RUNNERS, SCENARIOS, _build_grid,
+from stochaction.harness import (_RUNNERS, KEY_TYPES, SCENARIOS, _build_grid,
                                  _build_system, _fmt, _fmt_row, _low_spectrum,
-                                 _ordering_rows, _snapshot_rows, resolve_config,
-                                 run_command, write_csv)
+                                 _ordering_rows, _snapshot_rows, parse_config,
+                                 resolve_config, run_command, write_csv)
 
 # every scenario that runs in about 3 s or less on one core (bohmian on
 # two; on one it takes about 5 s)
@@ -357,15 +357,87 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     for n, (line, error, started) in enumerate((
             ("grid.spacing = 0.1", "unknown config key 'grid.spacing'", False),
             ("system.a0 = 0.4", "unknown config key 'system.a0'", False),
-            # the run refuses the preset, once its manifest is written
+            # refused before the run directory is made
             ("system.preset = gauged", "unknown system preset 'gauged'",
-             True))):
+             False))):
         cfg, out = tmp_path / f"bad{n}.cfg", tmp_path / f"out{n}"
         cfg.write_text(f"grid.n = 64\n{line}\n")
         assert cli.main(["evolve", "--config", str(cfg),
                          "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert out.exists() == started
+
+
+# configs that break the contract: keys no scenario of the command reads
+# (which used to run and pass, unread), and values the builders or the
+# state kinds refuse (which used to be refused once the run had started,
+# leaving an error run directory)
+@pytest.mark.parametrize("command,scenario,config,match", [
+    pytest.param("sample", "concentration", {"system.beta": 0.7, "grid.n": 5},
+                 "sample takes no config key 'system.beta'", id="unread-sample"),
+    pytest.param("orderings", "harmonic_spectrum",
+                 {"time.dt": 5.0, "state.kind": "bogus"},
+                 "orderings takes no config key 'time.dt'",
+                 id="unread-orderings"),
+    pytest.param("evolve", "free_gaussian", {"system.preset": "gauged"},
+                 "unknown system preset 'gauged'", id="preset"),
+    pytest.param("equivariance", "bohmian", {"state.kind": "bogus"},
+                 "unknown state.kind 'bogus'", id="state-kind"),
+    pytest.param("evolve", "free_gaussian",
+                 {"state.kind": "coherent", "system.preset": "free"},
+                 "state.kind = coherent requires the harmonic preset",
+                 id="coherent-free"),
+    pytest.param("evolve", "free_gaussian", {"grid.n": 2},
+                 "grid needs at least", id="grid"),
+    pytest.param("evolve", "free_gaussian", {"system.m": -1.0},
+                 "mass must be positive", id="mass"),
+])
+def test_a_config_that_breaks_the_contract_leaves_no_run_directory(
+        tmp_path, capsys, command, scenario, config, match):
+    with pytest.raises(ConfigurationError, match=match):
+        run_command(command, {"run.scenario": scenario, **config},
+                    str(tmp_path / "api"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    assert cli.main([command, "--scenario", scenario, "--config", str(cfg),
+                     "--out", str(tmp_path / "cli")]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "api").exists()
+    assert not (tmp_path / "cli").exists()
+
+
+def test_a_preset_switch_takes_the_new_presets_parameters(tmp_path):
+    # system.omega belongs to the harmonic preset, which free_gaussian's
+    # registry entry does not use
+    result = run_command("evolve", {
+        "run.scenario": "free_gaussian", "system.preset": "harmonic",
+        "system.omega": 0.5, "time.T": 1.25e-3}, str(tmp_path))
+    assert result.passed
+
+
+def test_each_config_key_has_one_type():
+    # a key's type is that of its defaults: two defaults of one key with
+    # different types would make it depend on the registry's order
+    types = {}
+    for scenarios in SCENARIOS.values():
+        for entry in scenarios.values():
+            for key, value in entry.items():
+                types.setdefault(key, set()).add(type(value))
+    for params in PRESET_PARAMS.values():
+        for name, value in params.items():
+            assert type(value) is float, name
+            types.setdefault(f"system.{name}", set()).add(float)
+    assert {key: {KEY_TYPES[key]} for key in types} == types
+
+
+def test_a_key_set_twice_in_a_config_file_is_refused(tmp_path):
+    # the later line used to win: this file ran at grid.n = 128
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("grid.n = 64\n# the grid\ngrid.n = 128\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"twice\.cfg:3: config key 'grid\.n' is already "
+                             r"set on line 1"):
+        parse_config(str(cfg))
 
 
 @pytest.mark.parametrize("command,scenario,key,value", [
