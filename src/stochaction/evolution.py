@@ -7,10 +7,13 @@ Everything works on the three diagonals of the operators from
 (LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle,
 spectral filter and ground state read the operator's cached
 eigendecomposition, one real symmetric tridiagonal solve (LAPACK stemr)
-per operator.
+per operator.  The oracle takes a run's record times in one call: it
+projects the initial state onto the eigenvectors once, then forms each
+time's state with its own product.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,16 +127,37 @@ def _real_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (M @ x.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def propagate_eigen_oracle(state: WaveState, H: QuantumOperator, t: float) -> WaveState:
+def propagate_eigen_oracle(state: WaveState, H: QuantumOperator,
+                           t: float | Sequence[float]
+                           ) -> WaveState | list[WaveState]:
     """Reference propagator exp(-i H t / hbar) from the operator's cached
-    eigendecomposition."""
+    eigendecomposition.
+
+    `t` is one time, which gives one state, or a sequence of times, which
+    gives a list of states, one per time.  Every time is checked finite
+    before the operator is decomposed.  The projection c = V^T psi0 does not
+    depend on t, so a series takes it once; each state is then its own
+    two-column product V (exp(-i w t / hbar) * c), as in the one-time call,
+    so a series gives each time the bits of one call per time.  The times
+    are not folded into one wider product: BLAS blocks a wider matrix
+    differently, which reorders the sums and moved the chain and
+    propagator_quality check values at n = 512 and 640.
+    """
     _check_spectral(state, H, "eigen-oracle propagation")
-    if not np.isfinite(t):
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ShapeError(
+            f"t must be a time or a sequence of times, got shape {times.shape}")
+    if not np.all(np.isfinite(times)):
         raise ConfigurationError(f"t must be finite, got {t}")
     w, V = H.eigensystem
     coeff = _real_matvec(V.T, state.psi)
-    psi = _real_matvec(V, np.exp(-1j * w * t / state.hbar_eff) * coeff)
-    return WaveState(psi=psi, hbar_eff=state.hbar_eff, t=state.t + t, grid=state.grid)
+    phase = -1j * w
+    states = [WaveState(
+        psi=_real_matvec(V, np.exp(phase * tk / state.hbar_eff) * coeff),
+        hbar_eff=state.hbar_eff, t=state.t + tk, grid=state.grid)
+        for tk in times.ravel().tolist()]
+    return states if times.ndim else states[0]
 
 
 def spectral_filter(state: WaveState, H: QuantumOperator,

@@ -3,8 +3,9 @@ with a machine-readable manifest, and pass/fail checks per scenario.
 
 Config files are line-oriented `section.key = value`, each key set once.
 The scenario registry is the config contract (resolve_config): a command
-takes the run keys, its scenarios' keys and its preset's parameters, each
-of its defaults' type, and any other config is refused before a file is
+takes the run keys, its scenarios' keys, its preset's parameters and its
+state kind's parameters, each of its defaults' type; a state kind's
+parameters must be set, and any other config is refused before a file is
 written.  The run refuses a step that does not divide its horizon, a node,
 the polar step limit, the source law and ordering_contrast's preset, and
 leaves an error manifest.  Every run writes manifest.json (status
@@ -242,6 +243,16 @@ COMMAND_DEFAULT = {
 }
 
 
+# each state.kind's parameters, which _build_state reads: a config that
+# sets the kind must set them (they have no defaults); a coherent state also
+# reads the harmonic preset's m and omega
+STATE_PARAMS = {
+    "gaussian": ("state.center", "state.sigma", "state.momentum", "state.ecut"),
+    "coherent": ("state.center", "state.momentum", "state.ecut"),
+    "ground": (),
+}
+
+
 # a key's type is that of its registry or PRESET_PARAMS defaults (a tuple is
 # a list of floats); the run keys, set by no registry entry, are typed here
 _RUN_KEYS = {"run.scenario": str, "run.seed": int, "run.out": str}
@@ -250,14 +261,16 @@ KEY_TYPES = {**_RUN_KEYS, **{
     for name, value in params.items()}, **{
     key: type(value) for scenarios in SCENARIOS.values()
     for entry in scenarios.values() for key, value in entry.items()}}
-# the keys each command takes: the run keys, those its scenarios set and,
-# with system.preset, every preset parameter (_build_system refuses one the
-# chosen preset does not take)
+# the keys each command takes: the run keys, those its scenarios set, with
+# system.preset every preset parameter (_build_system refuses one the chosen
+# preset does not take) and with state.kind every kind's parameters
 _COMMAND_KEYS = {command: set(_RUN_KEYS).union(*scenarios.values())
                  for command, scenarios in SCENARIOS.items()}
 for _keys in _COMMAND_KEYS.values():
     if "system.preset" in _keys:
         _keys.update(key for key in KEY_TYPES if key.startswith("system."))
+    if "state.kind" in _keys:
+        _keys.update(*STATE_PARAMS.values())
 
 
 class _Config(dict):
@@ -275,9 +288,10 @@ def resolve_config(command: str, config: dict | None = None) -> dict:
     contract: each key is a run key, one some scenario of the command sets
     or a parameter of the chosen preset, with its type (KEY_TYPES) and
     minimum (KEY_MIN); the system and grid build; and state.kind is one
-    _build_state makes, coherent only on the harmonic preset.  Only the run
-    refuses a step that does not divide its horizon, a node, the polar step
-    limit, the source law and ordering_contrast's preset."""
+    _build_state makes, coherent only on the harmonic preset, with each of
+    its STATE_PARAMS set.  Only the run refuses a step that does not divide
+    its horizon, a node, the polar step limit, the source law and
+    ordering_contrast's preset."""
     if command not in SCENARIOS:
         raise ConfigurationError(f"unknown command {command!r}")
     for key in config or {}:
@@ -301,11 +315,19 @@ def resolve_config(command: str, config: dict | None = None) -> dict:
     if "grid.n" in cfg:
         _build_grid(cfg)
     kind = cfg.get("state.kind")
-    if kind not in (None, "gaussian", "coherent", "ground"):
+    if kind is None:
+        return cfg
+    if kind not in STATE_PARAMS:
         raise ConfigurationError(
             f"unknown state.kind {kind!r}; expected gaussian, coherent, or ground")
     if kind == "coherent" and cfg["system.preset"] != "harmonic":
         raise ConfigurationError("state.kind = coherent requires the harmonic preset")
+    unset = [key for key in STATE_PARAMS[kind] if key not in cfg]
+    if unset:
+        raise ConfigurationError(
+            f"state.kind = {kind} reads config key "
+            f"{', '.join(map(repr, unset))}, which scenario {scenario!r} "
+            "does not set")
     return cfg
 
 
@@ -438,9 +460,10 @@ def _finite_json(value):
 # shared builders
 
 
-def _build_system(cfg: dict):
-    """The system.preset system with the config's other system.* keys as
-    its parameters; a key that the preset does not take is refused."""
+def _system_params(cfg: dict) -> dict:
+    """The system.preset preset's parameters: its PRESET_PARAMS defaults
+    overlaid with the config's other system.* keys; a key that the preset
+    does not take is refused."""
     preset = cfg["system.preset"]
     params = {key.partition(".")[2]: value for key, value in cfg.items()
               if key.startswith("system.") and key != "system.preset"}
@@ -449,8 +472,12 @@ def _build_system(cfg: dict):
         raise ConfigurationError(
             f"system.preset = {preset} takes no "
             f"{', '.join('system.' + p for p in extra)}")
+    return {**PRESET_PARAMS.get(preset, {}), **params}
+
+
+def _build_system(cfg: dict):
     # make_system refuses an unknown preset
-    return make_system(preset, **params)
+    return make_system(cfg["system.preset"], **_system_params(cfg))
 
 
 def _build_grid(cfg: dict) -> GridSpec:
@@ -465,11 +492,12 @@ def _build_state(cfg: dict, grid: GridSpec, H) -> WaveState:
                                 sigma=cfg["state.sigma"],
                                 momentum=cfg["state.momentum"], hbar_eff=hbar)
     elif kind == "coherent":
-        state = coherent_state(grid, m=cfg["system.m"],
-                               omega=cfg["system.omega"],
+        system = _system_params(cfg)
+        state = coherent_state(grid, m=system["m"], omega=system["omega"],
                                center=cfg["state.center"],
                                momentum=cfg["state.momentum"], hbar_eff=hbar)
-    else:  # ground: resolve_config refuses any other kind
+    else:  # ground: resolve_config refuses any other kind, and a kind
+        # whose STATE_PARAMS the config does not set
         return ground_state(H)[1]
     # scenarios that feed the polar pair low-pass the analytic packet: the
     # retained modes individually satisfy the walls, so the tail carries no
@@ -549,11 +577,14 @@ def _snapshot_rows(q: list[str], snapshots):
 def _chain_snapshots(cfg, out):
     spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
+    bounds = [0, *_every(_steps(cfg), 10)]
+    refs = dict(zip(bounds, propagate_eigen_oracle(
+        state0, H, [b * dt for b in bounds])))
     snaps, rows_chain = [], []
 
     def record(pair, b):
         t = b * dt
-        ref = propagate_eigen_oracle(state0, H, t)
+        ref = refs[b]
         dens_ref = np.abs(ref.psi) ** 2
         dens_pair = pair.plus.R ** 2
         l2 = l2_distance(dens_pair, dens_ref, grid)
@@ -568,8 +599,8 @@ def _chain_snapshots(cfg, out):
         snaps.append((t, dens_ref, pair.plus.R, pair.minus.R,
                       pair.plus.S, pair.minus.S))
 
-    _march(madelung.pair_from_wave(state0), _polar_advance(spec, dt),
-           [0, *_every(_steps(cfg), 10)], record)
+    _march(madelung.pair_from_wave(state0), _polar_advance(spec, dt), bounds,
+           record)
     q = list(map(float.__repr__, grid.points().tolist()))
     out.csv("wave_density.csv", ["t", "q", "density"],
             _snapshot_rows(q, (s[:2] for s in snaps)))
@@ -674,15 +705,17 @@ def _run_classical_limit(cfg, out):
 def _run_propagator_quality(cfg, out):
     spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
+    bounds = _every(_steps(cfg), 10)
+    refs = dict(zip(bounds, propagate_eigen_oracle(
+        state0, H, [b * dt for b in bounds])))
     rows = []
 
     def record(cur, b):
-        ref = propagate_eigen_oracle(state0, H, b * dt)
         rows.append((b * dt, abs(norm_squared(cur) - 1.0),
-                     l2_distance(cur.psi, ref.psi, grid)))
+                     l2_distance(cur.psi, refs[b].psi, grid)))
 
     _march(state0, lambda st, n: propagate_crank_nicolson(st, H, dt, n),
-           _every(_steps(cfg), 10), record)
+           bounds, record)
     out.csv("propagator_quality.csv", ["t", "norm_drift", "l2_to_oracle"], rows)
     return [
         _check("cn_norm_drift_max", max(r[1] for r in rows), 1e-10),
@@ -901,7 +934,9 @@ def _ordering_rows(spec, grid, hbar, case):
     results = {}
     # each distinct matrix's spectrum, by its bytes: at constant g the
     # naive builds equal the sandwich bit for bit (bytes, not values, so a
-    # -0.0 entry never takes another matrix's spectrum)
+    # -0.0 entry never takes another matrix's spectrum).  A matrix and its
+    # transpose share one spectrum, and pp_g is g_pp's transpose bit for
+    # bit, so pp_g takes g_pp's
     spectra = {}
     for build in ("sandwich", "g_pp", "pp_g"):
         if build == "sandwich":
@@ -911,9 +946,10 @@ def _ordering_rows(spec, grid, hbar, case):
         defect = hermiticity_defect(M)
         rel = defect / float(np.max(np.abs(M)))
         diff = float(np.max(np.abs(M - sandwich)))
-        key = M.tobytes()
+        key, key_t = M.tobytes(), M.T.tobytes()
         if key not in spectra:
-            spectra[key] = _low_spectrum(M)
+            spectra[key] = (spectra[key_t] if key_t in spectra
+                            else _low_spectrum(M))
         low, max_imag = spectra[key]
         rows.append((case, build, defect, rel, diff, *low, max_imag))
         results[build] = (rel, diff, max_imag)

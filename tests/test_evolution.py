@@ -11,6 +11,7 @@ from stochaction.evolution import (WaveState, coherent_state, eigenpairs,
                                    normalized, propagate_crank_nicolson,
                                    propagate_eigen_oracle, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
+from stochaction.harness import _every, _steps, _wave_setup, resolve_config
 from stochaction.lattice import build_grid, integrate
 
 
@@ -78,10 +79,14 @@ def test_crank_nicolson_refuses_a_non_finite_dt_before_it_factors(
         propagate_crank_nicolson(coherent_state(grid, center=1.0), H, dt, 10)
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["time", "alone", "first", "middle", "last"])
 def test_eigen_oracle_refuses_a_non_finite_time_before_it_diagonalizes(
-        monkeypatch, t):
-    # propagated, such a t gave an all-NaN state and a RuntimeWarning
+        monkeypatch, bad, where):
+    # propagated, such a t gave an all-NaN state and a RuntimeWarning; in
+    # a series, one such time refuses the whole series
+    t = {"time": bad, "alone": [bad], "first": [bad, 0.5],
+         "middle": [0.1, bad, 0.2], "last": [0.5, bad]}[where]
     grid, H, st = _small_case(*TRIDIAGONAL_CASES[1])
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse_to_compute)
     with pytest.raises(ConfigurationError, match="t must be finite"):
@@ -180,11 +185,37 @@ def test_eigendecomposition_is_computed_once_per_operator(monkeypatch):
     grid, H, st = _small_case(*TRIDIAGONAL_CASES[1])
     first = propagate_eigen_oracle(st, H, 0.5)
     second = propagate_eigen_oracle(st, H, 0.5)
+    series = propagate_eigen_oracle(st, H, [0.25, 0.5])
     spectral_filter(st, H, 5.0)
     ground_state(H)
     eigenpairs(H, 3)
     assert len(calls) == 1
     assert np.array_equal(first.psi, second.psi)
+    assert np.array_equal(series[1].psi, first.psi)
+
+
+# the oracle's states at each registry grid size the wave layer reaches:
+# the polar chains' (classical_limit 96, harmonic_stationary 384,
+# harmonic_coherent 640, free_gaussian 768), propagator_quality's 512, and
+# the benchmark's propagator_quality at SPECTRAL_MAX_N
+@pytest.mark.parametrize("scenario,n", [
+    ("classical_limit", 96), ("harmonic_stationary", 384),
+    ("propagator_quality", 512), ("harmonic_coherent", 640),
+    ("free_gaussian", 768), ("propagator_quality", 1024)])
+def test_an_oracle_series_is_one_call_per_time_bit_for_bit(scenario, n):
+    cfg = resolve_config("evolve", {"run.scenario": scenario, "grid.n": n})
+    _, grid, H, st = _wave_setup(cfg)
+    assert grid.n == n
+    times = [b * cfg["time.dt"] for b in [0, *_every(_steps(cfg), 10)]]
+    series = propagate_eigen_oracle(st, H, times)
+    assert len(series) == len(times) == 11
+    for t, out in zip(times, series):
+        one = propagate_eigen_oracle(st, H, t)
+        assert out.psi.tobytes() == one.psi.tobytes()
+        assert out.t == one.t == t
+    assert propagate_eigen_oracle(st, H, []) == []
+    as_array = propagate_eigen_oracle(st, H, np.array(times))
+    assert [s.psi.tobytes() for s in as_array] == [s.psi.tobytes() for s in series]
 
 
 def test_eigen_oracle_rejects_oversized_grids():

@@ -14,9 +14,9 @@ from stochaction import cli, harness, kernels
 from stochaction.errors import ConfigurationError
 from stochaction.hamiltonian import (PRESET_PARAMS, build_naive_ordering,
                                      build_quantum_hamiltonian, make_system)
-from stochaction.harness import (_RUNNERS, KEY_TYPES, SCENARIOS, _build_grid,
-                                 _build_system, _fmt, _fmt_row, _low_spectrum,
-                                 _ordering_rows, _snapshot_rows, parse_config,
+from stochaction.harness import (_RUNNERS, KEY_TYPES, SCENARIOS, STATE_PARAMS,
+                                 _build_grid, _build_system, _fmt, _fmt_row,
+                                 _low_spectrum, _snapshot_rows, parse_config,
                                  resolve_config, run_command, write_csv)
 
 # every scenario that runs in about 3 s or less on one core (bohmian on
@@ -109,9 +109,10 @@ def test_a_binary_source_whose_signs_all_agree_fails_its_bias_check(
 
 def test_ordering_contrast_computes_each_distinct_spectrum_once(
         tmp_path, monkeypatch):
-    # at constant g both naive builds equal the sandwich byte for byte, so
-    # the six orderings have four distinct spectra, each taken on a real
-    # matrix (LAPACK dgeev, not zgeev)
+    # at constant g both naive builds equal the sandwich byte for byte, and
+    # at variable g pp_g is g_pp's transpose byte for byte, which has the
+    # same spectrum: the six orderings have three distinct spectra, each
+    # taken on a real matrix (LAPACK dgeev, not zgeev)
     dtypes = []
     eigvals = np.linalg.eigvals
 
@@ -123,7 +124,14 @@ def test_ordering_contrast_computes_each_distinct_spectrum_once(
     result = run_command("orderings", {"run.scenario": "ordering_contrast",
                                        "grid.n": 64}, str(tmp_path))
     assert result.exit_code == 0
-    assert dtypes == [np.float64] * 4
+    assert dtypes == [np.float64] * 3
+    lines = (tmp_path / "orderings.csv").read_text().splitlines()
+    header, *rows = [line.split(",") for line in lines
+                     if not line.startswith("#")]
+    rows = {(r[0], r[1]): dict(zip(header, r)) for r in rows}
+    spectrum = ["e0", "e1", "e2", "e3", "e4", "max_imag_eig"]
+    g_pp, pp_g = rows["variable_mass", "g_pp"], rows["variable_mass", "pp_g"]
+    assert [pp_g[k] for k in spectrum] == [g_pp[k] for k in spectrum]
 
 
 def _registry_ordering_systems():
@@ -268,13 +276,35 @@ def test_equivariance_rejects_a_step_that_does_not_divide_half_a_window(
 
 def test_a_key_the_scenario_does_not_set_is_named_not_defaulted(tmp_path):
     # a Gaussian packet reads state.sigma, which harmonic_coherent (a
-    # coherent state) does not set; it used to run at sigma = 1.0
+    # coherent state) does not set; it used to run at sigma = 1.0, and then
+    # to be refused in the run, leaving an error run directory
     config = {"run.scenario": "harmonic_coherent", "state.kind": "gaussian"}
     with pytest.raises(ConfigurationError, match=r"'state\.sigma'"):
-        run_command("evolve", config, str(tmp_path))
+        run_command("evolve", config, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_state_kind_takes_its_parameters_on_every_command(tmp_path):
+    # no equivariance scenario sets state.sigma, which used to be refused
+    # there, so a Gaussian state could not be configured on bohmian
+    result = run_command("equivariance", {
+        "run.scenario": "bohmian", "state.kind": "gaussian",
+        "state.sigma": 0.5, "time.T": 0.04, "ensemble.size": 4000},
+        str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["status"] == "error"
-    assert manifest["files"] == []
+    assert manifest["status"] == "complete"
+    assert manifest["config"]["state.sigma"] == 0.5
+    assert result.files == manifest["files"] and result.files
+
+
+def test_a_coherent_state_reads_the_presets_default_parameters(tmp_path):
+    # free_gaussian's registry entry sets no system.omega: the coherent
+    # state takes the harmonic preset's default, as the operator does,
+    # where it used to fail in the run on the unset key
+    result = run_command("evolve", {
+        "run.scenario": "free_gaussian", "system.preset": "harmonic",
+        "state.kind": "coherent", "time.T": 1.25e-3}, str(tmp_path))
+    assert result.passed
 
 
 def _bohmian_density_csvs(out_dir: Path, **config) -> dict:
@@ -383,6 +413,9 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
                  "unknown system preset 'gauged'", id="preset"),
     pytest.param("equivariance", "bohmian", {"state.kind": "bogus"},
                  "unknown state.kind 'bogus'", id="state-kind"),
+    pytest.param("equivariance", "bohmian", {"state.kind": "gaussian"},
+                 "state.kind = gaussian reads config key 'state.sigma'",
+                 id="state-params"),
     pytest.param("evolve", "free_gaussian",
                  {"state.kind": "coherent", "system.preset": "free"},
                  "state.kind = coherent requires the harmonic preset",
@@ -428,6 +461,9 @@ def test_each_config_key_has_one_type():
             assert type(value) is float, name
             types.setdefault(f"system.{name}", set()).add(float)
     assert {key: {KEY_TYPES[key]} for key in types} == types
+    # a state kind's parameters have no defaults: some scenario types them
+    assert all(key in types for params in STATE_PARAMS.values()
+               for key in params)
 
 
 def test_a_key_set_twice_in_a_config_file_is_refused(tmp_path):
@@ -459,13 +495,19 @@ def test_a_system_key_the_preset_does_not_take_is_refused(
 # Small versions of the two scenarios whose CSVs lean on the wave layer
 # (banded Crank-Nicolson, the eigen oracle, and the guidance frames), and
 # ordering_contrast at the registry's n = 256, whose dense spectra run
-# LAPACK's blocked, BLAS-threaded dgeev
+# LAPACK's blocked, BLAS-threaded dgeev.  Then the registry's
+# propagator_quality (n = 512), and free_gaussian over a fifth of its
+# horizon, whose spectral filter and 11-time oracle series run at n = 768
 _THREAD_RUN = """
 import sys
 from stochaction.harness import run_command
 out = sys.argv[1]
 run_command("evolve", {"run.scenario": "propagator_quality", "grid.n": 128},
             out + "/propagator_quality")
+run_command("evolve", {"run.scenario": "propagator_quality"},
+            out + "/propagator_quality_512")
+run_command("evolve", {"run.scenario": "free_gaussian", "time.T": 0.1},
+            out + "/free_gaussian")
 run_command("equivariance", {"run.scenario": "tau_sweep", "time.T": 0.04,
                              "ensemble.size": 10000}, out + "/tau_sweep")
 run_command("orderings", {"run.scenario": "ordering_contrast"},
@@ -493,8 +535,11 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
     one = _run_at_blas_threads(1, tmp_path / "t1")
     two = _run_at_blas_threads(2, tmp_path / "t2")
     assert sorted(one) == [
+        "free_gaussian/chain_equivalence.csv",
+        "free_gaussian/madelung_pair.csv", "free_gaussian/wave_density.csv",
         "ordering_contrast/orderings.csv",
         "propagator_quality/propagator_quality.csv",
+        "propagator_quality_512/propagator_quality.csv",
         "tau_sweep/equivariance.csv", "tau_sweep/sweep.csv",
         "tau_sweep/weighted.csv"]
     for name in one:
