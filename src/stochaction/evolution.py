@@ -10,6 +10,12 @@ eigendecomposition, one real symmetric tridiagonal solve (LAPACK stemr)
 per operator.  The oracle takes a run's record times in one call: it
 projects the initial state onto the eigenvectors once, then forms each
 time's state with its own product.
+
+An operator built with a finite band holds only the eigenpairs up to that
+energy, and nothing here truncates a state to it silently: the spectral
+filter refuses a cutoff above the band, the oracle refuses a state with
+more than BAND_LEAK_MAX of its weight outside the band, and the ground
+state and eigenpairs refuse a band with fewer modes than they return.
 """
 from __future__ import annotations
 
@@ -23,6 +29,13 @@ from .hamiltonian import QuantumOperator, tridiagonal_apply
 from .lattice import GridSpec, integrate
 
 SPECTRAL_MAX_N = 1024
+# the largest fraction of a state's weight (sum |psi|^2) that the eigen
+# oracle lets lie outside its operator's band.  Far above what a state
+# low-passed at the band leaves there (under 1e-15 on the registry's four
+# banded operators, whose columns are orthonormal to 1e-14), and far below
+# a real leak: the same packets unfiltered leave 3e-6 (free_gaussian) to
+# 3e-4 (bohmian) outside
+BAND_LEAK_MAX = 1e-10
 
 
 @dataclass(frozen=True)
@@ -135,13 +148,15 @@ def propagate_eigen_oracle(state: WaveState, H: QuantumOperator,
 
     `t` is one time, which gives one state, or a sequence of times, which
     gives a list of states, one per time.  Every time is checked finite
-    before the operator is decomposed.  The projection c = V^T psi0 does not
-    depend on t, so a series takes it once; each state is then its own
-    two-column product V (exp(-i w t / hbar) * c), as in the one-time call,
-    so a series gives each time the bits of one call per time.  The times
-    are not folded into one wider product: BLAS blocks a wider matrix
-    differently, which reorders the sums and moved the chain and
-    propagator_quality check values at n = 512 and 640.
+    before the operator is decomposed.  A state with more than
+    BAND_LEAK_MAX of its weight outside the operator's band is refused:
+    the band's modes alone cannot carry it.  The projection c = V^T psi0
+    does not depend on t, so a series takes it once; each state is then
+    its own two-column product V (exp(-i w t / hbar) * c), as in the
+    one-time call, so a series gives each time the bits of one call per
+    time.  The times are not folded into one wider product: BLAS blocks a
+    wider matrix differently, which reorders the sums and moved the chain
+    and propagator_quality check values at n = 512 and 640.
     """
     _check_spectral(state, H, "eigen-oracle propagation")
     times = np.asarray(t, dtype=float)
@@ -152,6 +167,13 @@ def propagate_eigen_oracle(state: WaveState, H: QuantumOperator,
         raise ConfigurationError(f"t must be finite, got {t}")
     w, V = H.eigensystem
     coeff = _real_matvec(V.T, state.psi)
+    weight = float(np.vdot(state.psi, state.psi).real)
+    outside = weight - float(np.vdot(coeff, coeff).real)
+    if outside > BAND_LEAK_MAX * weight:
+        raise ConfigurationError(
+            f"eigen-oracle propagation: {outside / weight:.3g} of the "
+            f"state's weight lies outside the operator's band "
+            f"w <= {H.band}, more than {BAND_LEAK_MAX:g}")
     phase = -1j * w
     states = [WaveState(
         psi=_real_matvec(V, np.exp(phase * tk / state.hbar_eff) * coeff),
@@ -169,8 +191,13 @@ def spectral_filter(state: WaveState, H: QuantumOperator,
     Polar-form integration needs initial data of exactly this kind: fast
     spectral components are invisible in the interior but dominate the
     deep wall tail, where their beating sweeps the density through zero.
+    A cutoff above the operator's band is refused: the modes between the
+    two are not held.
     """
     _check_spectral(state, H, "spectral filtering")
+    if e_cut > H.band:
+        raise ConfigurationError(
+            f"energy cutoff {e_cut} lies above the operator's band {H.band}")
     w, V = H.eigensystem
     keep = w <= e_cut
     if not bool(np.any(keep)):
@@ -181,9 +208,21 @@ def spectral_filter(state: WaveState, H: QuantumOperator,
     return normalized(replace(state, psi=psi))
 
 
-def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
-    """Lowest eigenpair, unit trapezoid norm, real-positive at mid-grid."""
+def _lowest_modes(H: QuantumOperator, k: int, what: str):
+    """The operator's eigensystem, refused when its band holds fewer than
+    k modes."""
     w, V = H.eigensystem
+    if len(w) < k:
+        raise ConfigurationError(
+            f"{what} needs the {k} lowest modes; the operator's band "
+            f"w <= {H.band} holds {len(w)}")
+    return w, V
+
+
+def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
+    """Lowest eigenpair, unit trapezoid norm, real-positive at mid-grid;
+    refused when the operator's band holds no mode."""
+    w, V = _lowest_modes(H, 1, "the ground state")
     # complex, as every wave state is: np.angle reads the sign of a zero
     # imaginary part, +pi or -pi at a negative real entry
     psi = V[:, 0].astype(complex)
@@ -197,8 +236,9 @@ def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
 
 
 def eigenpairs(H: QuantumOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues and their real eigenvectors."""
-    w, V = H.eigensystem
+    """The k lowest eigenvalues and their real eigenvectors; refused when
+    the operator's band holds fewer than k modes."""
+    w, V = _lowest_modes(H, k, "eigenpairs")
     return w[:k], V[:, :k]
 
 

@@ -152,6 +152,11 @@ class QuantumOperator:
     exactly; the naive orderings are not.  No n x n array is held:
     ``matrix`` assembles the dense form on each access, for the callers
     that need a dense matrix (non-symmetric spectra, entrywise contrasts).
+
+    ``band`` is the highest energy that any consumer of the operator reads:
+    ``eigensystem`` holds only the eigenpairs with w <= band, and the
+    ``evolution`` functions that read it refuse work that needs a mode
+    above it.  The default, inf, holds all n.
     """
 
     lower: np.ndarray
@@ -159,6 +164,7 @@ class QuantumOperator:
     upper: np.ndarray
     hbar_eff: float
     grid: GridSpec
+    band: float = np.inf
 
     @property
     def matrix(self) -> np.ndarray:
@@ -185,6 +191,15 @@ class QuantumOperator:
         solve (LAPACK stemr).  Computed on first use and kept for the
         lifetime of the operator.
 
+        With a finite ``band`` the solve computes only the k eigenpairs
+        with w <= band, in O(n k) work rather than O(n^2) (MRRR: Dhillon,
+        Parlett and Voemel, ACM TOMS 32, 2006), and V is n x k.  At
+        n = 768 on the free preset, k = 14 of the modes took 6 against
+        43 ms for all 768, on one x86-64 thread.  The band solve's
+        eigenvalues differ from the full solve's by up to about 1e-12, and
+        its bits, like the full solve's, do not depend on the OpenBLAS
+        thread count.
+
         Divide and conquer (dstevd) is faster, 43 against 76 ms on the
         harmonic operator at n = 1024 on one x86-64 thread, and its columns
         are about 100 times closer to orthonormal: max |V^T V - I| is
@@ -201,8 +216,12 @@ class QuantumOperator:
         # package's import time and most scenarios never decompose
         import scipy.linalg
 
-        return scipy.linalg.eigh_tridiagonal(self.diag, self.upper,
-                                             lapack_driver="stemr")
+        if self.band == np.inf:
+            return scipy.linalg.eigh_tridiagonal(self.diag, self.upper,
+                                                 lapack_driver="stemr")
+        return scipy.linalg.eigh_tridiagonal(
+            self.diag, self.upper, select="v",
+            select_range=(-np.inf, self.band), lapack_driver="stemr")
 
 
 def tridiagonal_apply(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -239,13 +258,15 @@ def _assemble(g_mid: np.ndarray, V: np.ndarray, grid: GridSpec,
 
 
 def build_quantum_hamiltonian(spec: ClassicalSpec, grid: GridSpec,
-                              hbar_eff: float) -> QuantumOperator:
+                              hbar_eff: float,
+                              band: float = np.inf) -> QuantumOperator:
     """Sandwich-ordered Hamiltonian: g(q) evaluated on links, between the
-    two difference factors.  Symmetric by construction."""
+    two difference factors.  Symmetric by construction.  `band` is the
+    highest energy its consumers read (QuantumOperator)."""
     g_mid = _link_g(spec, grid, hbar_eff)
     V = np.asarray(spec.V(grid.points()), dtype=float)
     return QuantumOperator(*_assemble(g_mid, V, grid, hbar_eff),
-                           hbar_eff, grid)
+                           hbar_eff, grid, band)
 
 
 def build_naive_ordering(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float,

@@ -1,16 +1,20 @@
-"""Planted defects flip the sample and ordering scenarios' checks.
+"""Planted defects flip the sample, ordering and polar-chain scenarios'
+checks.
 
 Each test runs a scenario through run_command twice at one size: as it
 is, where the check under test passes, and with one known defect patched
-into a sampler or an operator build, where that check must fail.  The
-sample sizes are the registry's 1e6 draws where the defect needs them (a
-sign bias of 3e-3 is 6 standard errors at 1e6 draws, and under 2 at
-1e5), and less elsewhere; the orderings run at grid.n = 64.
+into a sampler, an operator build, the polar kernel call or the initial
+state, where that check must fail.  The sample sizes are the registry's
+1e6 draws where the defect needs them (a sign bias of 3e-3 is 6 standard
+errors at 1e6 draws, and under 2 at 1e5), and less elsewhere; the
+orderings run at grid.n = 64, and the chains at the horizon each test
+states.
 """
 import numpy as np
 import pytest
 
-from stochaction import harness, stochastic
+from stochaction import harness, madelung, stochastic
+from stochaction.evolution import gaussian_packet, spectral_filter
 from stochaction.hamiltonian import QuantumOperator
 from stochaction.harness import run_command
 
@@ -167,3 +171,51 @@ def test_a_naive_build_that_returns_the_sandwich_fails_its_defect_check(
     clean, planted = _orderings_clean_and_planted(
         tmp_path, monkeypatch, "build_naive_ordering", patched)
     assert _flipped(clean, planted) == {f"{ordering}_defect_rel"}
+
+
+def _evolve_clean_and_planted(tmp_path, monkeypatch, scenario, module, name,
+                              patched, **config):
+    """The pass/fail of every check of the evolve scenario as it is, and
+    with module.<name> replaced by patched(real)."""
+    clean = _checks(tmp_path / "clean", scenario, config, "evolve")
+    monkeypatch.setattr(module, name, patched(getattr(module, name)))
+    return clean, _checks(tmp_path / "planted", scenario, config, "evolve")
+
+
+def test_a_doubled_quantum_potential_fails_the_chain_phase_check(
+        tmp_path, monkeypatch):
+    # the kernel run at sqrt(2) |lam|: Q, which goes as lam^2, doubles.
+    # time.T = 0.04 (3200 steps at n = 768) is the shortest horizon, in
+    # steps of 1e-3, at which free_gaussian's chain flips: the planted
+    # chain_phase_grad_max reads 0.0101 there and 0.0099 at 0.039, against
+    # 1.2e-6 clean.  chain_l2_density_max (9.3e-5 planted) stays under its
+    # 1e-3, which it would pass until about T = 0.13
+    def patched(real):
+        return lambda y, g, dg, V, dq, dt, n_steps, lam_abs: real(
+            y, g, dg, V, dq, dt, n_steps, np.sqrt(2.0) * lam_abs)
+    clean, planted = _evolve_clean_and_planted(
+        tmp_path, monkeypatch, "free_gaussian", madelung,
+        "run_madelung_window", patched, **{"time.T": 0.04})
+    assert _flipped(clean, planted) == {"chain_phase_grad_max"}
+
+
+def test_a_gaussian_of_the_wrong_width_fails_the_stationary_phase_checks(
+        tmp_path, monkeypatch):
+    # the ground state replaced by a Gaussian 5% wider than the oscillator's
+    # sqrt(hbar / 2 m omega), low-passed at energy 12 as the chains' packets
+    # are (unfiltered, its wall tail breaks the polar pair); the energy
+    # reference stays ground_state's e0.  It breathes: over the registry's
+    # horizon its phase rate misses e0 by 2.9e-3 and spreads by 1.2, while
+    # the pair still follows the wave
+    def patched(real):
+        def ground(H):
+            e0, _ = real(H)
+            packet = gaussian_packet(H.grid, sigma=1.05 * np.sqrt(0.5),
+                                     hbar_eff=H.hbar_eff)
+            return e0, spectral_filter(packet, H, 12.0)
+        return ground
+    clean, planted = _evolve_clean_and_planted(
+        tmp_path, monkeypatch, "harmonic_stationary", harness, "ground_state",
+        patched)
+    assert _flipped(clean, planted) == {"stationary_phase_rate_err",
+                                        "stationary_phase_rate_spread"}

@@ -11,7 +11,8 @@ from stochaction.evolution import (WaveState, coherent_state, eigenpairs,
                                    normalized, propagate_crank_nicolson,
                                    propagate_eigen_oracle, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
-from stochaction.harness import _every, _steps, _wave_setup, resolve_config
+from stochaction.harness import (SCENARIOS, _every, _steps, _wave_setup,
+                                 resolve_config)
 from stochaction.lattice import build_grid, integrate
 
 
@@ -297,3 +298,65 @@ def test_l2_distance_is_a_metric_basics():
     g = np.roll(f, 3)
     assert l2_distance(f, g, grid) == pytest.approx(
         l2_distance(g, f, grid), abs=1e-15)
+
+
+# the registry's band-limited scenarios: each low-passes its packet at its
+# state.ecut, which is its operator's band
+BANDED = [("evolve", "free_gaussian"), ("evolve", "harmonic_coherent"),
+          ("evolve", "classical_limit"), ("equivariance", "bohmian")]
+
+
+@pytest.mark.parametrize("command,scenario", [
+    (command, scenario) for command in ("evolve", "equivariance")
+    for scenario in SCENARIOS[command]])
+def test_only_a_low_passed_state_limits_its_operators_band(command, scenario):
+    _, _, H, _ = _wave_setup(resolve_config(command, {"run.scenario": scenario}))
+    cfg = SCENARIOS[command][scenario]
+    assert H.band == (cfg["state.ecut"] if (command, scenario) in BANDED
+                      else np.inf)
+
+
+@pytest.mark.parametrize("command,scenario", BANDED)
+def test_a_band_solve_holds_the_full_solves_modes_at_each_registry_cutoff(
+        command, scenario):
+    cfg = resolve_config(command, {"run.scenario": scenario})
+    spec, grid, H, _ = _wave_setup(cfg)
+    w, V = H.eigensystem
+    full_w, full_V = build_quantum_hamiltonian(spec, grid,
+                                               H.hbar_eff).eigensystem
+    k = len(w)
+    assert V.shape == (grid.n, k)
+    assert k == np.count_nonzero(full_w <= H.band)
+    # no mode sits near a cut, where the two solves' 1e-12 differences
+    # could move it across: the nearest is classical_limit's, 4.9e-3 below
+    assert min(H.band - full_w[k - 1], full_w[k] - H.band) > 4.8e-3
+    # measured 2.8e-12 (harmonic_coherent) and 3.0e-13
+    assert np.max(np.abs(w - full_w[:k])) < 1e-11
+    signs = np.sign(np.sum(V * full_V[:, :k], axis=0))
+    assert np.max(np.abs(V - signs * full_V[:, :k])) < 1e-11
+
+
+def test_a_band_refuses_what_it_does_not_hold():
+    cfg = resolve_config("evolve", {"run.scenario": "classical_limit"})
+    spec, grid, H, filtered = _wave_setup(cfg)
+    assert len(H.eigensystem[0]) == 4
+    packet = coherent_state(grid, momentum=0.05, hbar_eff=0.01)
+    with pytest.raises(ConfigurationError,
+                       match="cutoff 0.05 lies above the operator's band 0.04"):
+        spectral_filter(packet, H, 0.05)
+    assert spectral_filter(packet, H, 0.04).psi.tobytes() == filtered.psi.tobytes()
+    # the unfiltered packet holds 6.8e-6 of its weight outside the band
+    with pytest.raises(ConfigurationError,
+                       match="outside the operator's band w <= 0.04"):
+        propagate_eigen_oracle(packet, H, 0.5)
+    propagate_eigen_oracle(filtered, H, 0.5)
+    assert len(eigenpairs(H, 4)[0]) == 4
+    with pytest.raises(ConfigurationError, match="band w <= 0.04 holds 4"):
+        eigenpairs(H, 5)
+    # e0 = 0.005: a band below it holds no mode
+    empty = build_quantum_hamiltonian(spec, grid, 0.01, 0.004)
+    with pytest.raises(ConfigurationError, match="band w <= 0.004 holds 0"):
+        ground_state(empty)
+    # a full spectrum holds n modes, and no more
+    with pytest.raises(ConfigurationError, match="band w <= inf holds 96"):
+        eigenpairs(build_quantum_hamiltonian(spec, grid, 0.01), 97)

@@ -424,6 +424,16 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
                  "grid needs at least", id="grid"),
     pytest.param("evolve", "free_gaussian", {"system.m": -1.0},
                  "mass must be positive", id="mass"),
+    # a preset the orderings scenario does not run on: both used to be
+    # refused for a registry key the config never set (system.omega,
+    # system.beta), which a preset switch now drops
+    pytest.param("orderings", "harmonic_spectrum", {"system.preset": "free"},
+                 "harmonic_spectrum requires system.preset = harmonic",
+                 id="spectrum-preset"),
+    pytest.param("orderings", "ordering_contrast",
+                 {"system.preset": "harmonic"},
+                 "ordering_contrast requires system.preset = variable_mass",
+                 id="contrast-preset"),
 ])
 def test_a_config_that_breaks_the_contract_leaves_no_run_directory(
         tmp_path, capsys, command, scenario, config, match):
@@ -446,6 +456,24 @@ def test_a_preset_switch_takes_the_new_presets_parameters(tmp_path):
         "run.scenario": "free_gaussian", "system.preset": "harmonic",
         "system.omega": 0.5, "time.T": 1.25e-3}, str(tmp_path))
     assert result.passed
+
+
+def test_a_preset_switch_drops_the_old_presets_registry_parameters(tmp_path):
+    # the registry's system.omega used to stay in the config, and the free
+    # preset refused it: the scenario could not be switched to free
+    result = run_command("evolve", {
+        "run.scenario": "harmonic_stationary", "system.preset": "free"},
+        str(tmp_path / "free"))
+    manifest = json.loads((tmp_path / "free" / "manifest.json").read_text())
+    assert manifest["status"] == "complete" and result.files
+    assert "system.omega" not in manifest["config"]
+    # a parameter the config itself sets is still refused
+    with pytest.raises(ConfigurationError,
+                       match=r"system\.preset = free takes no system\.omega"):
+        run_command("evolve", {
+            "run.scenario": "harmonic_stationary", "system.preset": "free",
+            "system.omega": 1.0}, str(tmp_path / "omega"))
+    assert not (tmp_path / "omega").exists()
 
 
 def test_each_config_key_has_one_type():
@@ -498,6 +526,8 @@ def test_a_system_key_the_preset_does_not_take_is_refused(
 # LAPACK's blocked, BLAS-threaded dgeev.  Then the registry's
 # propagator_quality (n = 512), and free_gaussian over a fifth of its
 # horizon, whose spectral filter and 11-time oracle series run at n = 768
+# on a band solve of 14 modes, and classical_limit at the registry's n = 96,
+# whose filter reads a band solve of 4
 _THREAD_RUN = """
 import sys
 from stochaction.harness import run_command
@@ -508,6 +538,8 @@ run_command("evolve", {"run.scenario": "propagator_quality"},
             out + "/propagator_quality_512")
 run_command("evolve", {"run.scenario": "free_gaussian", "time.T": 0.1},
             out + "/free_gaussian")
+run_command("evolve", {"run.scenario": "classical_limit"},
+            out + "/classical_limit")
 run_command("equivariance", {"run.scenario": "tau_sweep", "time.T": 0.04,
                              "ensemble.size": 10000}, out + "/tau_sweep")
 run_command("orderings", {"run.scenario": "ordering_contrast"},
@@ -535,6 +567,8 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
     one = _run_at_blas_threads(1, tmp_path / "t1")
     two = _run_at_blas_threads(2, tmp_path / "t2")
     assert sorted(one) == [
+        "classical_limit/classical_track.csv",
+        "classical_limit/qp_scaling.csv",
         "free_gaussian/chain_equivalence.csv",
         "free_gaussian/madelung_pair.csv", "free_gaussian/wave_density.csv",
         "ordering_contrast/orderings.csv",
