@@ -17,11 +17,11 @@
  * A stage folds its rates into the RK4 sums as it makes them (EMIT):
  * there is no array of rates and no pass that combines them, and stage 4
  * writes y itself.  The loop that makes them (STAGE) is written once and
- * expanded in the window's own body for each of the four stages and each
- * mass kind, each a constant in its copy, as _ensemble.c expands its
- * particle loop for each source kind.  Where every entry of dg is a zero,
- * as for a constant mass, the interior loop leaves out one of its five
- * divisions (D1R).
+ * expanded in the window's own body for each of the four stages, each a
+ * constant in its copy, as _ensemble.c expands its particle loop for each
+ * source kind.  The window divides dg by 2 dq once, into the table dgq,
+ * so that an interior cell takes four divisions a stage for every mass:
+ * the phase gradient, the flux difference, d2R/dq2 and the quotient by R.
  */
 #include <math.h>
 #include <stdlib.h>
@@ -55,23 +55,6 @@
 #define IVDEP
 #endif
 
-/* mass kinds of the interior loop */
-enum { MASS_CONSTANT, MASS_VARIABLE };
-
-/* The dg[i] * dR/dq term of cell i's quantum potential.  With
- * MASS_CONSTANT, dg[i] is +0.0 or -0.0 and 2 dq is at least 2^-511 (the
- * window checks both), and dg[i] * (R[i + 1] - R[i - 1]) is the same
- * signed zero or the same NaN as dg[i] times that difference over 2 dq:
- * R is below 2^512 (the root of a double), +inf or NaN.  A finite
- * difference is then below 2^512, so its quotient by 2 dq > 0 is finite
- * (below 2^1023) with the difference's sign, and either product is the
- * zero of the XOR of the signs; an infinite one gives an infinite
- * quotient or the default NaN, and times a zero either gives the default
- * NaN; a NaN one passes its NaN through the division and the product. */
-#define D1R(MASS, i)                                                        \
-    ((MASS) == MASS_CONSTANT ? R[(i) + 1] - R[(i) - 1]                      \
-                             : (R[(i) + 1] - R[(i) - 1]) / dq2)
-
 /* Stage NO's rate K of the state entry X, folded into the RK4 sums as the
  * four combination passes of a plain RK4 would fold it: y += dt/6
  * (((2 k2 + k1) + 2 k3) + k4), the sum kept in acc, and the input of
@@ -94,15 +77,16 @@ enum { MASS_CONSTANT, MASS_VARIABLE };
         }                                                                   \
     } while (0)
 
-/* The rates of RK4 stage NO (1 to 4) of branch row b, for the mass kind
- * MASS, from its phase gradient dp, flux and amplitude R, each emitted as
- * it is made: the interior cells, then the walls. */
-#define STAGE(NO, MASS)                                                     \
+/* The rates of RK4 stage NO (1 to 4) of branch row b, from its phase
+ * gradient dp, flux and amplitude R, each emitted as it is made: the
+ * interior cells, then the walls. */
+#define STAGE(NO)                                                           \
     do {                                                                    \
         IVDEP for (long i = 1; i < n - 1; i++) {                            \
             const double d2R = ((R[i + 1] - R[i] * 2.0) + R[i - 1]) / h2;   \
-            const double qp = ((g[i] * d2R + dg[i] * D1R(MASS, i)) * nl2h)  \
-                              / R[i];                                       \
+            const double qp =                                               \
+                ((g[i] * d2R + dgq[i] * (R[i + 1] - R[i - 1])) * nl2h)      \
+                / R[i];                                                     \
             EMIT(NO, o + i, -((flux[i + 1] - flux[i - 1]) / dq2));          \
             EMIT(NO, s + i, -((((0.5 * g[i]) * dp[i]) * dp[i] + V[i])       \
                               + qp));                                       \
@@ -119,25 +103,17 @@ enum { MASS_CONSTANT, MASS_VARIABLE };
              dSR * ((R[n - 2] / R[n - 1]) * cos(th) - 2.0) - V[n - 1]);     \
     } while (0)
 
-/* STAGE for the stage no, a run-time value */
-#define STAGES(MASS)                                                        \
-    switch (no) {                                                           \
-    case 1: STAGE(1, MASS); break;                                          \
-    case 2: STAGE(2, MASS); break;                                          \
-    case 3: STAGE(3, MASS); break;                                          \
-    default: STAGE(4, MASS);                                                \
-    }
-
 CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
                             const double *dg, const double *V, double dq,
                             double dt, long n_steps, double lam)
 {
     const long cells = nb * n, size = 2 * cells;
-    double *work = malloc(sizeof(double) * (size_t)(3 * size + 3 * n));
+    double *work = malloc(sizeof(double) * (size_t)(3 * size + 4 * n));
     if (work == NULL)
         return -1;
     double *acc = work, *sa = work + size, *sb = work + 2 * size;
     double *dp = work + 3 * size, *flux = dp + n, *R = dp + 2 * n;
+    double *dgq = dp + 3 * n;
 
     const double dq2 = 2.0 * dq, h2 = dq * dq, lam2half = 0.5 * lam * lam;
     const double nl2h = -lam2half;
@@ -145,10 +121,10 @@ CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
     const double dSL = g[0] * lam2half / h2, dSR = g[n - 1] * lam2half / h2;
     const double half = 0.5 * dt, sixth = dt / 6.0;
 
-    /* D1R's condition for MASS_CONSTANT; a NaN dq or dg fails it */
-    int constant = dq2 >= 0x1p-511;
+    /* dg / 2 dq, the weight of R[i + 1] - R[i - 1] in cell i's quantum
+     * potential; as 2 dq > 0, a signed zero of dg stays that zero */
     for (long i = 0; i < n; i++)
-        constant &= dg[i] == 0.0;
+        dgq[i] = dg[i] / dq2;
 
     for (long step = 0; step < n_steps; step++)
         for (int no = 1; no <= 4; no++) {
@@ -172,10 +148,12 @@ CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
                     /* a NaN density stays NaN, as under np.maximum */
                     R[i] = sqrt(om[i] < OM_FLOOR ? OM_FLOOR : om[i]);
                 }
-                if (constant)
-                    STAGES(MASS_CONSTANT)
-                else
-                    STAGES(MASS_VARIABLE)
+                switch (no) {
+                case 1: STAGE(1); break;
+                case 2: STAGE(2); break;
+                case 3: STAGE(3); break;
+                default: STAGE(4);
+                }
             }
         }
     free(work);

@@ -89,8 +89,17 @@ def coherent_state(grid: GridSpec, m: float = 1.0, omega: float = 1.0,
 
 
 def _check_operator(state: WaveState, H: QuantumOperator) -> None:
+    """Refuse an operator built for another state: its energies would be
+    taken on another grid or with another hbar than the state's phase."""
     if H.diag.shape != (state.grid.n,):
         raise ShapeError("operator size does not match the state grid")
+    if H.grid != state.grid:
+        raise ConfigurationError(
+            f"the operator's grid {H.grid} is not the state's {state.grid}")
+    if H.hbar_eff != state.hbar_eff:
+        raise ConfigurationError(
+            f"the operator's hbar_eff {H.hbar_eff} is not the state's "
+            f"{state.hbar_eff}")
 
 
 def propagate_crank_nicolson(state: WaveState, H: QuantumOperator,

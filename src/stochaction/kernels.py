@@ -53,16 +53,16 @@ into glibc's sincos, which gives the same bits).
 The polar window folds each rate of an RK4 stage into the step's sums as
 the stage's interior loop or wall rows make it, with the operations of a
 plain RK4's four combination passes: there is no array of rates and no
-combination pass, and the fourth stage writes y itself.  An interior
-cell takes a square root and five divisions a stage (the phase gradient,
-the flux difference, dR/dq, d2R/dq2 and the quotient by R), so the loop
-is bound by the divider.  Where every entry of dg is a zero, as for a
-constant mass (the free and harmonic presets), the interior loop
-multiplies dg by R[i + 1] - R[i - 1] and leaves out its quotient by
-2 dq: the product is the same signed zero, or the same NaN (the argument
-is in _polar.c), and four divisions are left.  Like the ensemble window,
-the polar window is cloned for x86-64-v4; it gains less there, since an
-AVX-512 divider divides no more doubles a cycle than the baseline's.
+combination pass, and the fourth stage writes y itself.  The window
+divides dg by 2 dq once, into a table, and its one interior loop
+multiplies that table by R[i + 1] - R[i - 1].  So an interior cell takes
+a square root and four divisions a stage for every mass (the phase
+gradient, the flux difference, d2R/dq2 and the quotient by R), and the
+loop is bound by the divider.  Where dg is a signed zero, as everywhere
+for a constant mass (the free and harmonic presets), dg / 2 dq is the
+same zero.  Like the ensemble window, the polar window is cloned for
+x86-64-v4; it gains less there, since an AVX-512 divider divides no more
+doubles a cycle than the baseline's.
 
 The ensemble window has one particle loop per lambda-source kind, the
 kind a constant in each, so that a loop hashes only the uniforms its kind

@@ -66,6 +66,27 @@ def test_propagation_rejects_bad_arguments(harmonic_256):
         propagate_crank_nicolson(st, other, 1e-3, 1)
 
 
+@pytest.mark.parametrize("mismatch", ("hbar", "bounds"))
+@pytest.mark.parametrize("propagate", (
+    lambda st, H: propagate_crank_nicolson(st, H, 1e-3, 1),
+    lambda st, H: propagate_eigen_oracle(st, H, 0.1),
+    lambda st, H: spectral_filter(st, H, 5.0)), ids=("cn", "oracle", "filter"))
+def test_a_state_from_another_operator_is_refused(harmonic_256, mismatch,
+                                                  propagate):
+    # the time phase comes from the state's hbar and grid, the energies
+    # from the operator's: a mismatch would propagate under the wrong
+    # generator.  Each differs in one thing, with the operator's n
+    grid, _, H = harmonic_256
+    if mismatch == "hbar":
+        st = coherent_state(grid, center=1.0, hbar_eff=2.0)
+        match = "hbar_eff 1.0 is not the state's 2.0"
+    else:
+        st = coherent_state(build_grid(grid.n, -7.0, 7.0), center=1.0)
+        match = "the operator's grid .* is not the state's"
+    with pytest.raises(ConfigurationError, match=match):
+        propagate(st, H)
+
+
 def _refuse_to_compute(*args, **kwargs):
     raise AssertionError("a non-finite time reached the solver")
 
@@ -326,6 +347,9 @@ def test_a_band_solve_holds_the_full_solves_modes_at_each_registry_cutoff(
                                                H.hbar_eff).eigensystem
     k = len(w)
     assert V.shape == (grid.n, k)
+    # the k columns own their memory: scipy returns them as a view of an
+    # n x n array (4.7 MB for free_gaussian, whose 14 columns take 86 KB)
+    assert V.base is None and V.flags.owndata
     assert k == np.count_nonzero(full_w <= H.band)
     # no mode sits near a cut, where the two solves' 1e-12 differences
     # could move it across: the nearest is classical_limit's, 4.9e-3 below

@@ -307,6 +307,50 @@ def test_a_coherent_state_reads_the_presets_default_parameters(tmp_path):
     assert result.passed
 
 
+def test_a_variable_mass_chain_passes_both_chain_checks(tmp_path):
+    # no registry scenario runs the chain at a position-dependent g, whose
+    # dg term reaches every interior cell of the polar kernel.  Measured
+    # 1.96e-7 and 9.47e-6 against bounds of 1e-3 and 1e-2; with the kernel's
+    # dg term dropped they read 1.2e-4 and 4.1e-3, which still pass, so the
+    # values are also held to ten times the measured ones
+    result = run_command("evolve", {
+        "run.scenario": "free_gaussian", "system.preset": "variable_mass",
+        "time.T": 0.05}, str(tmp_path))
+    cfg = resolve_config("evolve", {"run.scenario": "free_gaussian",
+                                    "system.preset": "variable_mass"})
+    spec, grid = _build_system(cfg), _build_grid(cfg)
+    assert np.all(np.asarray(spec.dg(grid.points())) != 0.0)
+    checks = {c.name: c for c in result.checks}
+    assert sorted(checks) == ["chain_l2_density_max", "chain_phase_grad_max"]
+    assert all(c.passed for c in checks.values()), checks
+    assert checks["chain_l2_density_max"].value < 2e-6
+    assert checks["chain_phase_grad_max"].value < 1e-4
+
+
+def test_the_run_directory_is_the_argument_then_run_out_then_the_env(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(harness.OUTPUT_ENV, "from_env")
+    config = {"run.scenario": "binary_source", "ensemble.size": 1000}
+
+    def made(out_dir, **extra):
+        result = run_command("sample", {**config, **extra}, out_dir)
+        assert (Path(result.out_dir) / "manifest.json").is_file()
+        return result.out_dir
+
+    assert made("from_arg", **{"run.out": "from_key"}) == "from_arg"
+    assert made(None, **{"run.out": "from_key"}) == "from_key"
+    assert made(None) == "from_env"
+    # the CLI's --out is run.out, ahead of the environment
+    assert cli.main(["sample", "--scenario", "binary_source",
+                     "--out", "from_cli"]) == 0
+    assert (tmp_path / "from_cli" / "manifest.json").is_file()
+    monkeypatch.delenv(harness.OUTPUT_ENV)
+    assert made(None) == os.path.join("runs", "sample_binary_source")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "from_arg", "from_cli", "from_env", "from_key", "runs"]
+
+
 def _bohmian_density_csvs(out_dir: Path, **config) -> dict:
     result = run_command("equivariance", {
         "run.scenario": "bohmian", "time.T": 0.04, "ensemble.size": 4000,
