@@ -6,10 +6,12 @@ Everything works on the three diagonals of the operators from
 1 - i dt H / 2hbar as a 3-point stencil and solves with a tridiagonal LU
 (LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle,
 spectral filter and ground state read the operator's cached
-eigendecomposition, one real symmetric tridiagonal solve (LAPACK stemr)
-per operator.  The oracle takes a run's record times in one call: it
-projects the initial state onto the eigenvectors once, then forms each
-time's state with its own product.
+eigendecomposition, one real symmetric tridiagonal solve (LAPACK dstemr)
+per operator.  The three routines are called in scipy's own LAPACK
+through ``kernels``, which does not import scipy, so a run that reaches
+this layer loads no scipy module.  The oracle takes a run's record times
+in one call: it projects the initial state onto the eigenvectors once,
+then forms each time's state with its own product.
 
 An operator built with a finite band holds only the eigenpairs up to that
 energy, and nothing here truncates a state to it silently: the spectral
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .hamiltonian import QuantumOperator, tridiagonal_apply
+from .kernels import tridiagonal_lu, tridiagonal_lu_solver
 from .lattice import GridSpec, integrate
 
 SPECTRAL_MAX_N = 1024
@@ -113,22 +116,20 @@ def propagate_crank_nicolson(state: WaveState, H: QuantumOperator,
     _check_operator(state, H)
     if steps == 0:
         return state
-    # imported here, not at module level: scipy takes over half of the
-    # package's import time and most scenarios never step a wave
-    import scipy.linalg
-
     c = 0.5j * dt / state.hbar_eff
     X = (c * H.lower, c * H.diag, c * H.upper)
-    # 1 + X is factored once; 1 - X is applied as a stencil at each step
-    dl, d, du, du2, ipiv, info = scipy.linalg.lapack.zgttrf(X[0], 1.0 + X[1], X[2])
-    if info != 0:  # pragma: no cover - pathological dt
-        raise NumericalError(f"Crank-Nicolson system is singular (zgttrf info {info})")
+    # 1 + X is factored once; 1 - X is applied as a stencil at each step,
+    # from one buffer into the other, where the solve overwrites it
+    factors = tridiagonal_lu(X[0], 1.0 + X[1], X[2])
     B = (-X[0], 1.0 - X[1], -X[2])
     psi = state.psi.astype(complex)
+    rhs = np.empty_like(psi)
+    solve_psi, solve_rhs = (tridiagonal_lu_solver(factors, v)
+                            for v in (psi, rhs))
     for _ in range(steps):
-        psi = scipy.linalg.lapack.zgttrs(dl, d, du, du2, ipiv,
-                                         tridiagonal_apply(*B, psi),
-                                         overwrite_b=True)[0]
+        tridiagonal_apply(*B, psi, out=rhs)
+        solve_rhs()
+        psi, rhs, solve_psi, solve_rhs = rhs, psi, solve_rhs, solve_psi
     if not np.all(np.isfinite(psi.view(float))):
         raise NumericalError("Crank-Nicolson produced non-finite amplitudes")
     return WaveState(psi=psi, hbar_eff=state.hbar_eff,

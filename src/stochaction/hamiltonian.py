@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, NodeError, ShapeError
+from .kernels import tridiagonal_eigh
 from .lattice import NODE_EPS, GridSpec, check_field, gradient
 
 # each preset's parameters, with their defaults
@@ -188,49 +189,39 @@ class QuantumOperator:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V): eigenvalues ascending and their real orthonormal
         eigenvectors, the columns of V, from one real symmetric tridiagonal
-        solve (LAPACK stemr).  Computed on first use and kept for the
-        lifetime of the operator.
+        solve (LAPACK dstemr, through ``kernels.tridiagonal_eigh``).
+        Computed on first use and kept for the lifetime of the operator.
 
         With a finite ``band`` the solve computes only the k eigenpairs
         with w <= band, in O(n k) work rather than O(n^2) (MRRR: Dhillon,
-        Parlett and Voemel, ACM TOMS 32, 2006), and V is n x k.  At
-        n = 768 on the free preset, k = 14 of the modes took 6 against
-        43 ms for all 768, on one x86-64 thread.  The band solve's
-        eigenvalues differ from the full solve's by up to about 1e-12, and
-        its bits, like the full solve's, do not depend on the OpenBLAS
-        thread count.
+        Parlett and Voemel, ACM TOMS 32, 2006), and V is n x k and holds no
+        more: dstemr's own count query sizes it.  At n = 768 on the free
+        preset, k = 14 of the modes took 6 against 43 ms for all 768, on
+        one x86-64 thread.  The band solve's eigenvalues differ from the
+        full solve's by up to about 1e-12, and its bits, like the full
+        solve's, do not depend on the OpenBLAS thread count.
 
         Divide and conquer (dstevd) is faster, 43 against 76 ms on the
         harmonic operator at n = 1024 on one x86-64 thread, and its columns
         are about 100 times closer to orthonormal: max |V^T V - I| is
-        2.6e-15 against stemr's 1.9e-13.  But it merges its subproblems
+        2.6e-15 against dstemr's 1.9e-13.  But it merges its subproblems
         with BLAS matrix products, and at n = 1024 its bits differ between
         one and two OpenBLAS threads (OpenBLAS 0.3.30), which would make the
-        wave layer's CSVs depend on the thread count.  stemr gives the same
+        wave layer's CSVs depend on the thread count.  dstemr gives the same
         bits at both, at every registry size.
         """
         if not np.array_equal(self.lower, self.upper):
             raise ConfigurationError(
                 "eigendecomposition needs a symmetric operator")
-        # imported here, not at module level: scipy takes over half of the
-        # package's import time and most scenarios never decompose
-        import scipy.linalg
-
-        if self.band == np.inf:
-            return scipy.linalg.eigh_tridiagonal(self.diag, self.upper,
-                                                 lapack_driver="stemr")
-        w, V = scipy.linalg.eigh_tridiagonal(
-            self.diag, self.upper, select="v",
-            select_range=(-np.inf, self.band), lapack_driver="stemr")
-        # scipy returns the k columns as a view of an n x n array; the copy
-        # keeps n x k (86 KB against 4.7 MB for free_gaussian)
-        return w, np.array(V, order="F")
+        return tridiagonal_eigh(self.diag, self.upper, self.band)
 
 
 def tridiagonal_apply(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                      x: np.ndarray) -> np.ndarray:
-    """Product of the tridiagonal matrix (lower, diag, upper) with x."""
-    y = diag * x
+                      x: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Product of the tridiagonal matrix (lower, diag, upper) with x,
+    written to out where one is given, which must not overlap x."""
+    y = np.multiply(diag, x, out=out)
     y[:-1] += upper * x[1:]
     y[1:] += lower * x[:-1]
     return y

@@ -1,5 +1,7 @@
 """Compiled kernels: the counter stream, the reducer of the sample
-scenarios, the ensemble micro-step window and the polar-pair RK4 window.
+scenarios, the ensemble micro-step window and the polar-pair RK4 window;
+and the wave layer's three LAPACK routines, bound with ctypes in the
+library that scipy ships (see the LAPACK section).
 
 Randomness is counter-based: every variate is a pure function of (seed,
 domain, step, particle, slot) through a splitmix64 finalizer, so results
@@ -294,15 +296,21 @@ def sample_stats(x, magnitudes: bool = False, edges=None, thresholds=(),
 def active_backend() -> str:
     """Names the kernels, recorded with benchmark runs: the compiled polar
     and ensemble kernels with the compiler and every flag they are built
-    with, the clone of both that this CPU runs in that build, and the rng,
-    which the ensemble library holds.  Builds nothing."""
+    with, the clone of both that this CPU runs in that build, the rng,
+    which the ensemble library holds, and the LAPACK library of the wave
+    layer with the symbols resolved in it.  Builds nothing."""
     try:
         cc = _compiler()
         build, clone = " ".join((*cc, *_cflags(cc))), _kernel_clone(cc)
     except ConfigurationError:
         build, clone = "no compiler (sysconfig CC empty)", "none"
+    try:
+        lapack = _lapack()
+        lapack = f"{lapack.path} ({', '.join(lapack.symbols.values())})"
+    except ConfigurationError as exc:
+        lapack = f"none ({exc})"
     return (f"polar and ensemble: C, {build}; polar and ensemble clone: "
-            f"{clone}; rng: C")
+            f"{clone}; rng: C; lapack: {lapack}")
 
 
 # the CPU features of x86-64-v4 beyond x86-64-v3, as /proc/cpuinfo names
@@ -553,6 +561,218 @@ def _library(source: str):
                 fn.restype, fn.argtypes = restype, argtypes
             _libraries[source] = lib
         return lib
+
+
+# ---------------------------------------------------------------------------
+# LAPACK
+# ---------------------------------------------------------------------------
+# The wave layer's three LAPACK routines are called through ctypes in the
+# library that scipy.linalg.lapack itself calls: scipy's _flapack
+# extension, found without importing scipy and loaded as a plain shared
+# library, in which each routine is resolved as scipy_<name>_ (the symbols
+# of the OpenBLAS that scipy's wheels bundle) or else <name>_.  The calls
+# pass LP64 integers and, after the last argument, gfortran's lengths of
+# the character arguments, as scipy's f2py wrappers do.  It is the same
+# binary called with the same arguments, so the results are scipy's bit
+# for bit.  Importing scipy.linalg for them instead loaded 334 modules and
+# cost 0.1 to 0.25 s and 22 to 28 MB of resident memory in every process
+# that reached the wave layer (scipy 1.17.1, Python 3.11, x86-64).
+_LAPACK_ROUTINES = ("dstemr", "zgttrf", "zgttrs")
+# the loaded _Lapack, made on first use
+_lapack_loaded = None
+_CHAR_LEN = ctypes.c_size_t(1)
+
+
+def _scipy_dir():
+    """The directory of the installed scipy package, found without
+    importing it; None where no scipy is installed."""
+    import importlib.util
+    spec = importlib.util.find_spec("scipy")
+    locations = spec.submodule_search_locations if spec else None
+    return locations[0] if locations else None
+
+
+@dataclass(frozen=True)
+class _Lapack:
+    """scipy's _flapack: its path, and the symbol and the ctypes function
+    of each routine of _LAPACK_ROUTINES, by routine."""
+    path: str
+    symbols: dict
+    functions: dict
+
+
+def _lapack_symbols(name: str) -> tuple:
+    """The symbols that a LAPACK routine is looked up by, in order."""
+    return f"scipy_{name}_", f"{name}_"
+
+
+def _lapack() -> _Lapack:
+    """The routines of _LAPACK_ROUTINES in scipy's
+    scipy/linalg/_flapack<EXT_SUFFIX>, loaded on first use.  Raises
+    ConfigurationError, naming the path and the symbols tried, where
+    scipy, the file or a routine is missing."""
+    global _lapack_loaded
+    with _load_lock:
+        if _lapack_loaded is None:
+            import sysconfig
+            name = "_flapack" + sysconfig.get_config_var("EXT_SUFFIX")
+            tried = ", ".join(s for routine in _LAPACK_ROUTINES
+                              for s in _lapack_symbols(routine))
+            scipy_dir = _scipy_dir()
+            if scipy_dir is None:
+                raise ConfigurationError(
+                    f"the wave layer calls LAPACK ({tried}) in scipy's "
+                    f"scipy/linalg/{name}, and no scipy is installed")
+            path = os.path.join(scipy_dir, "linalg", name)
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"the wave layer calls LAPACK ({tried}) in scipy's "
+                    f"{path}, which cannot be loaded: {exc}") from exc
+            symbols, functions = {}, {}
+            for routine in _LAPACK_ROUTINES:
+                for symbol in _lapack_symbols(routine):
+                    try:
+                        fn = getattr(lib, symbol)
+                    except AttributeError:
+                        continue
+                    fn.restype = None
+                    symbols[routine], functions[routine] = symbol, fn
+                    break
+                else:
+                    raise ConfigurationError(
+                        f"{path} has no LAPACK {routine}: tried "
+                        f"{', '.join(_lapack_symbols(routine))}")
+            _lapack_loaded = _Lapack(path, symbols, functions)
+        return _lapack_loaded
+
+
+def _lapack_info(name: str, info) -> None:
+    if info.value != 0:
+        raise NumericalError(f"LAPACK {name} returned info {info.value}")
+
+
+def _pointer(a: np.ndarray):
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+def tridiagonal_eigh(d, e, upper: float = math.inf):
+    """(w, V) of the real symmetric tridiagonal matrix with diagonal d and
+    off-diagonals e: its eigenvalues ascending, all n of them, or for a
+    finite upper the k of them in (-inf, upper], and their orthonormal
+    eigenvectors, the columns of V, an n x k Fortran-ordered array that
+    owns its data.  One call of LAPACK dstemr (MRRR: Dhillon, Parlett and
+    Voemel, ACM TOMS 32, 2006) computes them, with the bits of
+    scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr"), and for a
+    finite upper of select="v", select_range=(-inf, upper).
+
+    V is sized from dstemr's own count query (NZC = -1), which is the
+    number of columns LAPACK documents as enough, so a band solve holds no
+    n x n scratch.  Non-finite entries raise ShapeError, and a failure of
+    dstemr NumericalError naming its info.
+    """
+    if not upper > -math.inf:
+        raise ConfigurationError(
+            f"the eigenvalues' upper bound must lie above -inf, got {upper}")
+    d = np.array(d, dtype=np.float64)
+    n = d.size
+    if d.ndim != 1 or n < 1 or np.shape(e) != (n - 1,):
+        raise ShapeError(f"a tridiagonal matrix needs n >= 1 diagonal and "
+                         f"n - 1 off-diagonal entries, got shapes {d.shape} "
+                         f"and {np.shape(e)}")
+    # dstemr takes n off-diagonal entries and uses the last as workspace
+    e_n = np.zeros(n)
+    e_n[:-1] = e
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e_n))):
+        raise ShapeError("a tridiagonal matrix with non-finite entries has "
+                         "no eigendecomposition")
+    dstemr = _lapack().functions["dstemr"]
+    rng = b"A" if upper == math.inf else b"V"
+    vl, vu = ctypes.c_double(-math.inf), ctypes.c_double(upper)
+    # idx stands for IL and IU, which ranges A and V do not read
+    c_n, idx, m, info = (ctypes.c_int(v) for v in (n, 0, 0, 0))
+    w, isuppz = np.empty(n), np.empty(2 * n, np.int32)
+
+    def call(z, nzc, work, lwork, iwork, liwork):
+        tryrac = ctypes.c_int(1)   # in and out: a fresh true for each call
+        dstemr(ctypes.c_char_p(b"V"), ctypes.c_char_p(rng),
+               ctypes.byref(c_n), _pointer(d), _pointer(e_n),
+               ctypes.byref(vl), ctypes.byref(vu), ctypes.byref(idx),
+               ctypes.byref(idx), ctypes.byref(m), _pointer(w), z,
+               ctypes.byref(c_n), ctypes.byref(ctypes.c_int(nzc)),
+               _pointer(isuppz), ctypes.byref(tryrac), work,
+               ctypes.byref(ctypes.c_int(lwork)), iwork,
+               ctypes.byref(ctypes.c_int(liwork)), ctypes.byref(info),
+               _CHAR_LEN, _CHAR_LEN)
+        _lapack_info("dstemr", info)
+
+    # the query: the columns of Z in Z(1, 1), the workspace sizes in
+    # WORK(1) and IWORK(1)
+    columns, lwork, liwork = ctypes.c_double(), ctypes.c_double(), ctypes.c_int()
+    call(ctypes.byref(columns), -1, ctypes.byref(lwork), -1,
+         ctypes.byref(liwork), -1)
+    k = int(columns.value)
+    V = np.empty((n, k), order="F")
+    work, iwork = np.empty(int(lwork.value)), np.empty(liwork.value, np.int32)
+    call(_pointer(V), k, _pointer(work), work.size, _pointer(iwork),
+         iwork.size)
+    if m.value != k:
+        raise NumericalError(f"LAPACK dstemr found {m.value} eigenvalues "
+                             f"where its count query gave {k}")
+    return w[:k], V
+
+
+def tridiagonal_lu(lower, diag, upper) -> tuple:
+    """(dl, d, du, du2, ipiv): the LU factors, with partial pivoting, and
+    the pivots of the complex tridiagonal matrix with diagonals (lower,
+    diag, upper), from LAPACK zgttrf, bit for bit as
+    scipy.linalg.lapack.zgttrf returns them.  A singular matrix raises
+    NumericalError naming zgttrf's info."""
+    dl, d, du = (np.array(v, dtype=np.complex128) for v in (lower, diag, upper))
+    n = d.size
+    if d.ndim != 1 or n < 1 or dl.shape != (n - 1,) or du.shape != (n - 1,):
+        raise ShapeError(f"a tridiagonal matrix needs n >= 1 diagonal and "
+                         f"n - 1 sub- and superdiagonal entries, got shapes "
+                         f"{dl.shape}, {d.shape} and {du.shape}")
+    du2, ipiv = np.empty(max(n - 2, 0), np.complex128), np.empty(n, np.int32)
+    info = ctypes.c_int(0)
+    zgttrf = _lapack().functions["zgttrf"]
+    zgttrf(ctypes.byref(ctypes.c_int(n)),
+           *(_pointer(v) for v in (dl, d, du, du2, ipiv)), ctypes.byref(info))
+    _lapack_info("zgttrf", info)
+    return dl, d, du, du2, ipiv
+
+
+def tridiagonal_lu_solver(factors: tuple, b: np.ndarray):
+    """A function of no arguments that overwrites b with the solution x of
+    A x = b by LAPACK zgttrs, from the factors of A that tridiagonal_lu
+    gives, bit for bit as scipy.linalg.lapack.zgttrs solves it.  b must be
+    a writeable C-contiguous complex128 vector of A's size; its address
+    and every other argument are converted here, once, so a solve costs
+    one foreign call, on whatever b holds when it is called.  The factors
+    must not change."""
+    n = factors[1].size
+    if not (isinstance(b, np.ndarray) and b.dtype == np.complex128
+            and b.shape == (n,) and b.flags.c_contiguous
+            and b.flags.writeable):
+        raise ShapeError(f"b must be a writeable C-contiguous complex128 "
+                         f"vector of length {n}, got "
+                         f"{getattr(b, 'dtype', type(b))} "
+                         f"{getattr(b, 'shape', '')}")
+    zgttrs = _lapack().functions["zgttrs"]
+    c_n, info = ctypes.c_int(n), ctypes.c_int(0)
+    args = (ctypes.c_char_p(b"N"), ctypes.byref(c_n),
+            ctypes.byref(ctypes.c_int(1)),
+            *(_pointer(v) for v in factors), _pointer(b), ctypes.byref(c_n),
+            ctypes.byref(info), _CHAR_LEN)
+
+    def solve():
+        zgttrs(*args)
+        _lapack_info("zgttrs", info)
+    # the arrays whose addresses args holds live as long as solve does
+    solve.arrays = (factors, b)
+    return solve
 
 
 # ---------------------------------------------------------------------------

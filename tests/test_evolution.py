@@ -1,9 +1,11 @@
 """Wave-state construction, implicit propagation, the eigen-decomposition
 oracle, and wave-state moments."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
-import scipy.linalg
 
+from stochaction import hamiltonian, kernels
 from stochaction.errors import ConfigurationError, ShapeError
 from stochaction.evolution import (WaveState, coherent_state, eigenpairs,
                                    energy_expectation, gaussian_packet,
@@ -88,7 +90,14 @@ def test_a_state_from_another_operator_is_refused(harmonic_256, mismatch,
 
 
 def _refuse_to_compute(*args, **kwargs):
-    raise AssertionError("a non-finite time reached the solver")
+    raise AssertionError("the solver was reached")
+
+
+def _refuse_lapack(monkeypatch):
+    """Every LAPACK routine of the wave layer raises AssertionError."""
+    lapack = kernels._lapack()
+    monkeypatch.setattr(kernels, "_lapack_loaded", replace(
+        lapack, functions=dict.fromkeys(lapack.functions, _refuse_to_compute)))
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
@@ -96,9 +105,13 @@ def test_crank_nicolson_refuses_a_non_finite_dt_before_it_factors(
         harmonic_256, monkeypatch, dt):
     # stepped, such a dt raised only once its non-finite result was seen
     grid, _, H = harmonic_256
-    monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", _refuse_to_compute)
+    state = coherent_state(grid, center=1.0)
+    _refuse_lapack(monkeypatch)
     with pytest.raises(ConfigurationError, match="dt must be"):
-        propagate_crank_nicolson(coherent_state(grid, center=1.0), H, dt, 10)
+        propagate_crank_nicolson(state, H, dt, 10)
+    # and a finite dt does reach the factorization
+    with pytest.raises(AssertionError, match="the solver was reached"):
+        propagate_crank_nicolson(state, H, 1e-3, 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -110,9 +123,12 @@ def test_eigen_oracle_refuses_a_non_finite_time_before_it_diagonalizes(
     t = {"time": bad, "alone": [bad], "first": [bad, 0.5],
          "middle": [0.1, bad, 0.2], "last": [0.5, bad]}[where]
     grid, H, st = _small_case(*TRIDIAGONAL_CASES[1])
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse_to_compute)
+    _refuse_lapack(monkeypatch)
     with pytest.raises(ConfigurationError, match="t must be finite"):
         propagate_eigen_oracle(st, H, t)
+    # and a finite time does reach the eigensolver
+    with pytest.raises(AssertionError, match="the solver was reached"):
+        propagate_eigen_oracle(st, H, 0.5)
 
 
 def test_ground_state_is_stationary_over_one_period(harmonic_256):
@@ -174,10 +190,12 @@ def _small_case(preset, kw):
 @pytest.mark.parametrize("preset,kw", TRIDIAGONAL_CASES)
 def test_eigen_oracle_matches_dense_exponential(preset, kw):
     grid, H, st = _small_case(preset, kw)
+    # the dense reference: numpy's eigendecomposition of the n x n matrix
+    w, V = np.linalg.eigh(H.matrix)
     for t in (0.3, 1.7):
-        ref = scipy.linalg.expm(-1j * H.matrix * t) @ st.psi
+        ref = V @ (np.exp(-1j * w * t) * (V.T @ st.psi))
         out = propagate_eigen_oracle(st, H, t).psi
-        # measured 2.1e-15..2.8e-15
+        # measured 2.3e-15..1.2e-14 of the largest |ref|
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -197,13 +215,13 @@ def test_banded_crank_nicolson_matches_dense_cayley(preset, kw):
 
 def test_eigendecomposition_is_computed_once_per_operator(monkeypatch):
     calls = []
-    solver = scipy.linalg.eigh_tridiagonal
+    solver = hamiltonian.tridiagonal_eigh
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solver(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(hamiltonian, "tridiagonal_eigh", counted)
     grid, H, st = _small_case(*TRIDIAGONAL_CASES[1])
     first = propagate_eigen_oracle(st, H, 0.5)
     second = propagate_eigen_oracle(st, H, 0.5)
@@ -347,8 +365,8 @@ def test_a_band_solve_holds_the_full_solves_modes_at_each_registry_cutoff(
                                                H.hbar_eff).eigensystem
     k = len(w)
     assert V.shape == (grid.n, k)
-    # the k columns own their memory: scipy returns them as a view of an
-    # n x n array (4.7 MB for free_gaussian, whose 14 columns take 86 KB)
+    # the k columns own their memory and hold no more: an n x n array
+    # would take 4.7 MB for free_gaussian, whose 14 columns take 86 KB
     assert V.base is None and V.flags.owndata
     assert k == np.count_nonzero(full_w <= H.band)
     # no mode sits near a cut, where the two solves' 1e-12 differences

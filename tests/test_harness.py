@@ -624,27 +624,54 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
         assert one[name] == two[name], name
 
 
+# every scenario, at a size that runs in about a second in all
+SMALL_RUNS = {
+    ("evolve", "free_gaussian"): {"time.T": 0.1},
+    ("evolve", "harmonic_coherent"): {"time.T": 0.05},
+    ("evolve", "harmonic_stationary"): {"time.T": 0.05},
+    ("evolve", "phase_offset"): {},
+    ("evolve", "classical_limit"): {"time.T": 0.1},
+    ("evolve", "propagator_quality"): {"grid.n": 128},
+    **{("sample", name): {"ensemble.size": 1000}
+       for name in SCENARIOS["sample"]},
+    ("equivariance", "bohmian"): {"time.T": 0.1, "ensemble.size": 1000},
+    ("equivariance", "tau_sweep"): {"time.T": 0.04, "ensemble.size": 1000},
+    ("orderings", "ordering_contrast"): {"grid.n": 64},
+    ("orderings", "harmonic_spectrum"): {},
+}
+
 _NO_SCIPY_RUN = """
 import json, sys
-from stochaction.harness import SCENARIOS, run_command
-out = sys.argv[1]
-for name in SCENARIOS["sample"]:
-    run_command("sample", {"run.scenario": name, "ensemble.size": 1000},
-                out + "/" + name)
-run_command("orderings", {"run.scenario": "ordering_contrast", "grid.n": 64},
-            out + "/ordering_contrast")
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+from stochaction import kernels
+from stochaction.harness import run_command
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+for command, scenario, overrides in runs:
+    run_command(command, {"run.scenario": scenario, **overrides},
+                out + "/" + scenario)
+print(json.dumps([kernels._lapack_loaded is not None,
+                  sorted(m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy."))]))
 """
 
 
-def test_sample_scenarios_and_ordering_contrast_never_load_scipy(tmp_path):
-    # scipy is imported where its two LAPACK calls are made, so a process
-    # that only samples, or only contrasts orderings, never pays for it
-    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
-                         env=_source_env(), check=True, timeout=300,
-                         capture_output=True, text=True)
-    assert json.loads(run.stdout) == []
+def test_no_scenario_loads_scipy(tmp_path):
+    # the wave layer calls scipy's LAPACK through ctypes, without importing
+    # scipy, so no scenario pays for scipy's import
+    assert sorted(SMALL_RUNS) == sorted(
+        (command, scenario) for command in SCENARIOS
+        for scenario in SCENARIOS[command])
+    runs = [(c, s, o) for (c, s), o in SMALL_RUNS.items()]
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path), json.dumps(runs)],
+        env=_source_env(), check=True, timeout=300, capture_output=True,
+        text=True)
+    # scipy's LAPACK was called, and no scipy module was loaded
+    assert json.loads(run.stdout) == [True, []]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        s for _, s in SMALL_RUNS)
+    for _, scenario in SMALL_RUNS:
+        manifest = json.loads((tmp_path / scenario / "manifest.json").read_text())
+        assert manifest["status"] == "complete", scenario
 
 
 def _tau_sweep_at_workers(workers: int, out_dir: Path, monkeypatch):

@@ -1028,13 +1028,26 @@ def _build_command(monkeypatch, cache):
     return args[:-4]
 
 
+def _lapack_backend() -> str:
+    """The end of active_backend(): scipy's _flapack and the symbols of
+    the wave layer's three routines in it."""
+    path = kernels._lapack().path
+    assert path.endswith(os.path.join(
+        "scipy", "linalg", "_flapack" + sysconfig.get_config_var("EXT_SUFFIX")))
+    prefix = "scipy_" if kernels._lapack().symbols["dstemr"].startswith(
+        "scipy_") else ""
+    return (f"; lapack: {path} ({prefix}dstemr_, {prefix}zgttrf_, "
+            f"{prefix}zgttrs_)")
+
+
 def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache,
                                                               tmp_path,
                                                               monkeypatch):
     name = kernels.active_backend()
     assert name.startswith("polar and ensemble: C, ")
     clone = kernels._kernel_clone(kernels._compiler())
-    assert name.endswith(f"; polar and ensemble clone: {clone}; rng: C")
+    assert name.endswith(f"; polar and ensemble clone: {clone}; rng: C"
+                         + _lapack_backend())
     assert not kernel_cache.exists()
     assert kernels._libraries == {}
     # the compiler and every flag a build is given, as a build runs them
@@ -1486,7 +1499,7 @@ def test_the_ensemble_clone_is_read_from_the_cpu_features(
     monkeypatch.setattr(subprocess, "run", run)
     assert kernels._kernel_clone(cc) == clone
     assert kernels.active_backend().endswith(
-        f"; polar and ensemble clone: {clone}; rng: C")
+        f"; polar and ensemble clone: {clone}; rng: C" + _lapack_backend())
     assert not kernel_cache.exists()
     assert kernels._libraries == {}
 
@@ -1498,5 +1511,5 @@ def test_with_no_compiler_the_backend_reports_no_clone(kernel_cache,
                         lambda name: "" if name == "CC" else real(name))
     assert kernels.active_backend() == (
         "polar and ensemble: C, no compiler (sysconfig CC empty); "
-        "polar and ensemble clone: none; rng: C")
+        "polar and ensemble clone: none; rng: C" + _lapack_backend())
     assert not kernel_cache.exists()
