@@ -1,4 +1,4 @@
-/* RK4 window of the batched polar-pair equations; see kernels.py.
+/* RK4 window of the polar-pair equations; see kernels.py.
  *
  * Every value is computed with the IEEE operations, in the order, that
  * the numpy transcription in tests/test_kernels.py uses, so the result is
@@ -10,9 +10,9 @@
  * sincos, which runs the same code as its sin and cos and gives the same
  * bits (checked on 1.8 million arguments from 1e-8 to 1e300).
  *
- * y holds nb branches as two (nb, n) planes, densities omega then phases
- * S, and is advanced in place.  Returns 0, or -1 if the scratch could not
- * be allocated (y is then untouched).
+ * y holds one branch as two planes of n cells, the density omega then the
+ * phase S, and is advanced in place.  Returns 0, or -1 if the scratch could
+ * not be allocated (y is then untouched).
  *
  * A stage folds its rates into the RK4 sums as it makes them (EMIT):
  * there is no array of rates and no pass that combines them, and stage 4
@@ -77,9 +77,9 @@
         }                                                                   \
     } while (0)
 
-/* The rates of RK4 stage NO (1 to 4) of branch row b, from its phase
- * gradient dp, flux and amplitude R, each emitted as it is made: the
- * interior cells, then the walls. */
+/* The rates of RK4 stage NO (1 to 4), from the phase gradient dp, flux
+ * and amplitude R, each emitted as it is made: the interior cells, then
+ * the walls. */
 #define STAGE(NO)                                                           \
     do {                                                                    \
         IVDEP for (long i = 1; i < n - 1; i++) {                            \
@@ -87,27 +87,27 @@
             const double qp =                                               \
                 ((g[i] * d2R + dgq[i] * (R[i + 1] - R[i - 1])) * nl2h)      \
                 / R[i];                                                     \
-            EMIT(NO, o + i, -((flux[i + 1] - flux[i - 1]) / dq2));          \
-            EMIT(NO, s + i, -((((0.5 * g[i]) * dp[i]) * dp[i] + V[i])       \
+            EMIT(NO, i, -((flux[i + 1] - flux[i - 1]) / dq2));              \
+            EMIT(NO, n + i, -((((0.5 * g[i]) * dp[i]) * dp[i] + V[i])       \
                               + qp));                                       \
         }                                                                   \
                                                                             \
         /* the exact polar wall rows; sin and cos of an infinite phase      \
          * step are NaN */                                                  \
         double th = (S[1] - S[0]) / lam;                                    \
-        EMIT(NO, o, domL * R[0] * R[1] * sin(th));                          \
-        EMIT(NO, s, dSL * ((R[1] / R[0]) * cos(th) - 2.0) - V[0]);          \
+        EMIT(NO, 0, domL * R[0] * R[1] * sin(th));                          \
+        EMIT(NO, n, dSL * ((R[1] / R[0]) * cos(th) - 2.0) - V[0]);          \
         th = (S[n - 1] - S[n - 2]) / lam;                                   \
-        EMIT(NO, o + n - 1, domR * R[n - 2] * R[n - 1] * sin(th));          \
-        EMIT(NO, s + n - 1,                                                 \
+        EMIT(NO, n - 1, domR * R[n - 2] * R[n - 1] * sin(th));              \
+        EMIT(NO, 2 * n - 1,                                                 \
              dSR * ((R[n - 2] / R[n - 1]) * cos(th) - 2.0) - V[n - 1]);     \
     } while (0)
 
-CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
+CLONED int polar_rk4_window(double *y, long n, const double *g,
                             const double *dg, const double *V, double dq,
                             double dt, long n_steps, double lam)
 {
-    const long cells = nb * n, size = 2 * cells;
+    const long size = 2 * n;
     double *work = malloc(sizeof(double) * (size_t)(3 * size + 4 * n));
     if (work == NULL)
         return -1;
@@ -131,29 +131,25 @@ CLONED int polar_rk4_window(double *y, long nb, long n, const double *g,
             /* the stage's input: y, then the ping-pong buffers sa, sb, sa */
             const double *in = no == 1 ? y : no == 3 ? sb : sa;
             double *next = no == 2 ? sb : sa;
-            for (long b = 0; b < nb; b++) {
-                const long o = b * n, s = cells + b * n;
-                const double *om = in + o, *S = in + s;
+            const double *om = in, *S = in + n;
 
-                /* dS/dq: central in the interior, one-sided (difference
-                 * form of (-3 f0 + 4 f1 - f2) / 2h and its mirror) at the
-                 * edges */
-                dp[0] = (-3.0 * (S[0] - S[1]) + (S[1] - S[2])) / dq2;
-                IVDEP for (long i = 1; i < n - 1; i++)
-                    dp[i] = (S[i + 1] - S[i - 1]) / dq2;
-                dp[n - 1] = (3.0 * (S[n - 1] - S[n - 2])
-                             - (S[n - 2] - S[n - 3])) / dq2;
-                IVDEP for (long i = 0; i < n; i++) {
-                    flux[i] = g[i] * dp[i] * om[i];
-                    /* a NaN density stays NaN, as under np.maximum */
-                    R[i] = sqrt(om[i] < OM_FLOOR ? OM_FLOOR : om[i]);
-                }
-                switch (no) {
-                case 1: STAGE(1); break;
-                case 2: STAGE(2); break;
-                case 3: STAGE(3); break;
-                default: STAGE(4);
-                }
+            /* dS/dq: central in the interior, one-sided (difference form
+             * of (-3 f0 + 4 f1 - f2) / 2h and its mirror) at the edges */
+            dp[0] = (-3.0 * (S[0] - S[1]) + (S[1] - S[2])) / dq2;
+            IVDEP for (long i = 1; i < n - 1; i++)
+                dp[i] = (S[i + 1] - S[i - 1]) / dq2;
+            dp[n - 1] = (3.0 * (S[n - 1] - S[n - 2])
+                         - (S[n - 2] - S[n - 3])) / dq2;
+            IVDEP for (long i = 0; i < n; i++) {
+                flux[i] = g[i] * dp[i] * om[i];
+                /* a NaN density stays NaN, as under np.maximum */
+                R[i] = sqrt(om[i] < OM_FLOOR ? OM_FLOOR : om[i]);
+            }
+            switch (no) {
+            case 1: STAGE(1); break;
+            case 2: STAGE(2); break;
+            case 3: STAGE(3); break;
+            default: STAGE(4);
             }
         }
     free(work);

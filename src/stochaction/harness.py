@@ -667,6 +667,10 @@ def _stationary_phase_checks(H, grid, first, last):
 
 
 def _run_phase_offset(cfg, out):
+    """All three checks are identities of the representation.  The minus
+    branch is the plus branch shifted by S0, so offset_drift_max is 0.0 by
+    construction at offset 0 and rounding only otherwise (0.0 at the
+    registry's config); the other two are identities of exp(iS/hbar)."""
     spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
     quanta = cfg["state.offset_quanta"]

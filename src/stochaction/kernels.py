@@ -433,8 +433,7 @@ _R, _U = ctypes.c_double, ctypes.c_uint64
 # the functions of each library: the return type, then the argument types
 _SIGNATURES = {
     "_polar.c": {
-        "polar_rk4_window": (ctypes.c_int, _P, _N, _N, _P, _P, _P, _R, _R, _N,
-                             _R)},
+        "polar_rk4_window": (ctypes.c_int, _P, _N, _P, _P, _P, _R, _R, _N, _R)},
     "_ensemble.c": {
         "ensemble_window": (_N, _P, _P, _P, _P, _N, _N, _P, _P, _P, _N, _R,
                             _R, _R, _P, _N, _N, _R, _R, _R, _R),
@@ -576,7 +575,10 @@ def _library(source: str):
 # binary called with the same arguments, so the results are scipy's bit
 # for bit.  Importing scipy.linalg for them instead loaded 334 modules and
 # cost 0.1 to 0.25 s and 22 to 28 MB of resident memory in every process
-# that reached the wave layer (scipy 1.17.1, Python 3.11, x86-64).
+# that reached the wave layer (scipy 1.17.1, Python 3.11, x86-64).  The
+# binding is shown on scipy 1.17.1 only: on another scipy, a moved _flapack
+# or a missing symbol raises ConfigurationError on first use; it does not
+# give wrong bits.
 _LAPACK_ROUTINES = ("dstemr", "zgttrf", "zgttrs")
 # the loaded _Lapack, made on first use
 _lapack_loaded = None
@@ -993,11 +995,10 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 #   d(omega)/dt = -d/dq [ g dS/dq omega ]        (diffusion eliminated)
 #   d(S)/dt     = -( g (dS/dq)^2 / 2 + V + QP )
 #   QP          = -(lam^2/2) (g d2R + dg dR) / R,  R = sqrt(omega)
-# Both branches of the pair obey these equations with the same |lam|, so
-# they are advanced together as one batch, one row per branch.  Row b of
-# the result depends on row b of the input alone, so two byte-equal rows
-# give byte-equal results: madelung.step_coupled_pde advances a pair whose
-# branches are byte for byte equal as a single row.
+# Both branches of the pair obey these equations with the same |lam|, and
+# S enters them only through differences, so the minus branch is the plus
+# branch shifted by the constant S0: madelung.step_coupled_pde advances the
+# plus branch alone, and the window integrates one branch.
 #
 # Wall closure: the wave propagators hold psi = 0 at the ghost points just
 # outside the domain.  Approximate closures at the two wall cells are
@@ -1019,24 +1020,22 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 
 
 def run_madelung_window(y, g, dg, V, dq, dt, n_steps, lam_abs):
-    """Advance a batch of polar branches in place by n_steps RK4 steps.
+    """Advance a polar branch in place by n_steps RK4 steps.
 
-    y has shape (2, B, n): y[0] holds the densities omega = R^2 of the B
-    branches and y[1] their phases S.  The branches
-    share the field tables g, dg, V (each of shape (n,)) and the scale
-    |lam| = lam_abs, and do not interact: branch b of the result depends
-    on row b of y alone.  y must be a C-contiguous float64 array, since it
-    is updated in place by the compiled kernel, and must share no memory
-    with a table: the kernel's loops are vectorized on that promise.
+    y has shape (2, n): y[0] holds the density omega = R^2 and y[1] the
+    phase S, on the grid of the field tables g, dg, V (each of shape (n,)),
+    at the scale |lam| = lam_abs.  y must be a C-contiguous float64 array,
+    since it is updated in place by the compiled kernel, and must share no
+    memory with a table: the kernel's loops are vectorized on that promise.
     """
     if not (isinstance(y, np.ndarray) and y.dtype == np.float64
-            and y.ndim == 3 and y.shape[0] == 2 and y.flags.c_contiguous
+            and y.ndim == 2 and y.shape[0] == 2 and y.flags.c_contiguous
             and y.flags.writeable):
         raise ShapeError(
             "y must be a writeable C-contiguous float64 array of shape "
-            f"(2, B, n), got {getattr(y, 'dtype', type(y))} "
+            f"(2, n), got {getattr(y, 'dtype', type(y))} "
             f"{getattr(y, 'shape', '')}")
-    _, nb, n = y.shape
+    n = y.shape[1]
     if n < 3:
         raise ShapeError(f"the polar stencils need n >= 3 cells, got {n}")
     tables = [np.ascontiguousarray(t, dtype=np.float64) for t in (g, dg, V)]
@@ -1050,7 +1049,7 @@ def run_madelung_window(y, g, dg, V, dq, dt, n_steps, lam_abs):
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
     status = _library("_polar.c").polar_rk4_window(
-        y.ctypes.data, nb, n, *(t.ctypes.data for t in tables), float(dq),
+        y.ctypes.data, n, *(t.ctypes.data for t in tables), float(dq),
         float(dt), n_steps, float(lam_abs))
     if status != 0:
         raise MemoryError("the polar kernel could not allocate its scratch")

@@ -3,12 +3,12 @@ coupled amplitude/phase PDEs for the signed action scale.
 
 A single branch carries amplitude R, phase-action S and its signed scale
 lam.  The co-evolved pair (+|lam|, -|lam|) shares one density because the
-sign-odd transport terms cancel between the branches; `step_coupled_pde`
-integrates both branches of that pair together.  Branches that start byte
-for byte equal (an offset-0 pair) are advanced once and the result taken
-for both: they obey the same equations at the same |lam|, and the kernel
-advances each row from that row alone, so the bits are the same as
-advancing both.
+sign-odd transport terms cancel between the branches.  Its equations read
+|lam| only, and S only through differences, so the minus branch obeys the
+plus branch's equations and stays the plus branch shifted by the constant
+S0.  A `PhasePair` therefore holds the plus branch and S0, and derives the
+minus branch from them; `step_coupled_pde` advances the plus branch alone,
+as one kernel row.
 """
 from __future__ import annotations
 
@@ -50,8 +50,15 @@ class MadelungState:
 @dataclass(frozen=True)
 class PhasePair:
     plus: MadelungState
-    minus: MadelungState
     S0: float  # constant phase offset S_plus - S_minus
+
+    @property
+    def minus(self) -> MadelungState:
+        """The -|lam| branch: the plus branch's amplitude, its phase
+        S_plus - S0 and its scale negated, at its time, in new arrays."""
+        p = self.plus
+        return MadelungState(R=p.R.copy(), S=p.S - self.S0, lam=-p.lam, t=p.t,
+                             grid=p.grid)
 
 
 def _check_madelung(m: MadelungState, name: str = "state") -> None:
@@ -68,11 +75,10 @@ def _check_madelung(m: MadelungState, name: str = "state") -> None:
 
 def _check_pair(pair: PhasePair) -> None:
     _check_madelung(pair.plus, "plus branch")
-    _check_madelung(pair.minus, "minus branch")
-    if pair.plus.lam <= 0 or pair.minus.lam >= 0:
-        raise ConfigurationError("pair must hold lam > 0 in plus and lam < 0 in minus")
-    if abs(pair.plus.lam + pair.minus.lam) > 1e-15 * abs(pair.plus.lam):
-        raise ConfigurationError("pair branches must carry opposite equal scales")
+    if pair.plus.lam <= 0:
+        raise ConfigurationError("pair must hold lam > 0 in its plus branch")
+    if not np.isfinite(pair.S0):
+        raise ConfigurationError(f"pair offset S0 must be finite, got {pair.S0}")
 
 
 def to_polar(state: WaveState) -> MadelungState:
@@ -107,19 +113,21 @@ def from_polar(m: MadelungState) -> WaveState:
 def pair_from_wave(state: WaveState, offset_quanta: int = 0) -> PhasePair:
     """Build the (+hbar_eff, -hbar_eff) pair from one wave state.
 
-    The branches share R; the minus branch starts at S - S0 with
+    The branches share R; the minus branch is at S - S0 with
     S0 = offset_quanta * 2*pi*hbar_eff, the whole-quantum offset that keeps
     both branches mapping to the same single-valued wave.
     """
-    plus = to_polar(state)
-    S0 = offset_quanta * 2.0 * np.pi * state.hbar_eff
-    minus = MadelungState(R=plus.R.copy(), S=plus.S - S0, lam=-state.hbar_eff,
-                          t=state.t, grid=state.grid)
-    return PhasePair(plus=plus, minus=minus, S0=S0)
+    return PhasePair(plus=to_polar(state),
+                     S0=offset_quanta * 2.0 * np.pi * state.hbar_eff)
 
 
 def check_phase_offset(pair: PhasePair) -> tuple[float, float]:
-    """Spatial mean of S_plus - S_minus and the max deviation from it."""
+    """Spatial mean of S_plus - S_minus and the max deviation from it.
+
+    Both are identities of the representation, as `PhasePair.minus` is
+    the plus branch shifted by S0: they are S0 and 0.0 up to the roundings
+    of S_plus - S0 and of the mean, and exactly so at S0 = 0.
+    """
     diff = pair.plus.S - pair.minus.S
     S0 = float(np.mean(diff))
     return S0, float(np.max(np.abs(diff - S0)))
@@ -166,10 +174,10 @@ def _field_tables(spec: ClassicalSpec, grid: GridSpec):
             np.ascontiguousarray(spec.V(pts), dtype=float))
 
 
-def _guard_branch(name: str, omega: np.ndarray, S: np.ndarray) -> None:
+def _guard(omega: np.ndarray, S: np.ndarray) -> None:
     if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(S))):
         raise NumericalError(
-            f"polar integration produced non-finite fields in the {name} "
+            "polar integration produced non-finite fields in the plus "
             "branch; either dt is too large or the state has content the "
             "polar fields cannot carry (an unfiltered packet tail at the "
             "walls, a near-node)")
@@ -177,82 +185,60 @@ def _guard_branch(name: str, omega: np.ndarray, S: np.ndarray) -> None:
     # larger means the scheme is failing
     if float(np.min(omega)) < -1e-9 * float(np.max(omega)):
         raise NumericalError(
-            f"density of the {name} branch went significantly negative "
+            "density of the plus branch went significantly negative "
             "during polar integration; the state is leaving the resolvable "
             "node-free regime")
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal dtype and equal bytes; unlike ==, a signed zero differs."""
-    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
                      steps: int = 1) -> PhasePair:
-    """Advance both branches of the pair by `steps` explicit RK4 steps.
+    """Advance the pair by `steps` explicit RK4 steps.
 
-    Co-evolution uses the pair-cancelled continuity rate for each branch
-    (the sign-odd transport terms of the two branches cancel identically
-    when the amplitudes agree), so the integration is stable in both
-    branches and preserves amplitude symmetry and the S0 offset.  Both
-    branches are integrated, so the S0 offset is a result and not an
-    assumption.  Branches that differ are stacked as one two-row batch.
-    Branches whose R and S are byte for byte equal, as in an offset-0
-    pair, are advanced once, as a single row, and the result is returned
-    as both branches, each in its own arrays: they obey the same equations
-    at the same |lam|, and row b of the kernel's result depends on row b
-    of its input alone, so the second row would repeat the first bit for
-    bit.
+    Co-evolution uses the pair-cancelled continuity rate (the sign-odd
+    transport terms of the two branches cancel identically when the
+    amplitudes agree), which keeps the integration stable.  Its right-hand
+    side reads |lam| only, and S only through differences, so the minus
+    branch obeys the plus branch's equations and differs from it by the
+    constant S0 alone: the plus branch is advanced as one kernel row, and
+    the minus branch of the result is derived from it (`PhasePair.minus`),
+    so amplitude symmetry and the S0 offset hold by construction.
 
-    The node-free precondition is checked once on entry, on each distinct
-    branch.  During the run, every CHECK_EVERY steps, each advanced row
-    must be finite, must not have gone significantly negative in density,
-    and must keep its norm within NORM_DRIFT_LIMIT of its value on entry.
+    The node-free precondition is checked once on entry.  During the run,
+    every CHECK_EVERY steps, the branch must be finite, must not have gone
+    significantly negative in density, and must keep its norm within
+    NORM_DRIFT_LIMIT of its value on entry.
     """
     _check_pair(pair)
-    branches = (pair.plus, pair.minus)
-    # the kernel row that carries each branch
-    rows = ([0, 0] if _same_bits(pair.plus.R, pair.minus.R)
-            and _same_bits(pair.plus.S, pair.minus.S) else [0, 1])
-    advanced, names = branches[:rows[1] + 1], ("plus", "minus")[:rows[1] + 1]
-    for m, name in zip(advanced, names):
-        require_node_free(m.R ** 2, f"density of the {name} branch")
+    m = pair.plus
+    require_node_free(m.R ** 2, "density of the plus branch")
     if dt <= 0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    grid = pair.plus.grid
-    dt_default = default_timestep(grid, spec, abs(pair.plus.lam))
+    grid = m.grid
+    dt_default = default_timestep(grid, spec, m.lam)
     if dt > 10.0 * dt_default:
         raise ConfigurationError(
             f"dt = {dt} is more than 10x the default step {dt_default:.3e}")
     g, dg, V = _field_tables(spec, grid)
-    norms0 = [integrate(m.R ** 2, grid) for m in advanced]
-    times = [m.t for m in branches]
-    # y[0] holds omega and y[1] holds S, one row per advanced branch
-    y = np.empty((2, len(names), grid.n))
-    R = np.stack([m.R for m in advanced])
-    y[1] = [m.S for m in advanced]
+    norm0 = integrate(m.R ** 2, grid)
+    # y[0] holds omega and y[1] holds S
+    y = np.empty((2, grid.n))
+    R, t = m.R, m.t
+    y[1] = m.S
     done = 0
     while done < steps:
         chunk = min(CHECK_EVERY, steps - done)
         np.square(R, out=y[0])
-        run_madelung_window(y, g, dg, V, grid.dq, dt, chunk,
-                            abs(pair.plus.lam))
-        for b, name in enumerate(names):
-            _guard_branch(name, y[0, b], y[1, b])
+        run_madelung_window(y, g, dg, V, grid.dq, dt, chunk, m.lam)
+        _guard(y[0], y[1])
         R = np.sqrt(np.maximum(y[0], 0.0))
-        for b, name in enumerate(names):
-            norm = integrate(R[b] ** 2, grid)
-            if abs(norm / norms0[b] - 1.0) > NORM_DRIFT_LIMIT:
-                raise NumericalError(
-                    f"norm of the {name} branch drifted by more than "
-                    f"{NORM_DRIFT_LIMIT:g} ({norms0[b]!r} -> {norm!r} after "
-                    f"{done + chunk} steps)")
-        times = [t + dt * chunk for t in times]
+        norm = integrate(R ** 2, grid)
+        if abs(norm / norm0 - 1.0) > NORM_DRIFT_LIMIT:
+            raise NumericalError(
+                "norm of the plus branch drifted by more than "
+                f"{NORM_DRIFT_LIMIT:g} ({norm0!r} -> {norm!r} after "
+                f"{done + chunk} steps)")
+        t += dt * chunk
         done += chunk
-    # indexing with the row list copies, so no two branches share memory
-    R, S = R[rows], y[1][rows]
-    plus, minus = (replace(m, R=R[b], S=S[b], t=times[b])
-                   for b, m in enumerate(branches))
-    return PhasePair(plus=plus, minus=minus, S0=pair.S0)
+    return PhasePair(plus=replace(m, R=R, S=y[1].copy(), t=t), S0=pair.S0)

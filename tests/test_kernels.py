@@ -1,5 +1,5 @@
 """Counter-based RNG keying, the streams the samplers draw from it, the
-sharded ensemble kernel and the compiled batched polar-pair RK4 kernel."""
+sharded ensemble kernel and the compiled polar-pair RK4 kernel."""
 import math
 import os
 import platform
@@ -639,7 +639,7 @@ def test_sharded_window_equals_the_single_threaded_window_bitwise(workers, m,
 
 
 # ---------------------------------------------------------------------------
-# batched polar-pair RK4, compiled from _polar.c
+# polar-pair RK4, compiled from _polar.c
 
 
 def _one_dg_entry(dg):
@@ -666,27 +666,27 @@ POLAR_SYSTEMS = {
 }
 
 
-def _branch_batch(system="harmonic"):
-    """Two different branches on the harmonic grid, stacked as one
-    (2, 2, n) batch (densities, then phases), with the field tables of
+def _branches(system="harmonic"):
+    """Two different branches on the harmonic grid, each a (2, n) array
+    (density, then phase), with the field tables of
     POLAR_SYSTEMS[system]."""
     grid = build_grid(128, -5.0, 5.0)
     preset, params, edit_dg = POLAR_SYSTEMS[system]
     spec = make_system(preset, **params)
     pts = grid.points()
-    om = np.stack([np.exp(-(pts - 0.5) ** 2) / np.sqrt(np.pi),
-                   np.exp(-(pts + 0.3) ** 2 / 1.2) / np.sqrt(1.2 * np.pi)])
-    S = np.stack([0.4 * np.sin(0.5 * pts) + 0.3 * pts,
-                  0.1 * np.cos(pts) - 0.2 * pts - 2.0 * np.pi])
+    ys = (np.stack([np.exp(-(pts - 0.5) ** 2) / np.sqrt(np.pi),
+                    0.4 * np.sin(0.5 * pts) + 0.3 * pts]),
+          np.stack([np.exp(-(pts + 0.3) ** 2 / 1.2) / np.sqrt(1.2 * np.pi),
+                    0.1 * np.cos(pts) - 0.2 * pts - 2.0 * np.pi]))
     tables = [np.array(f(pts), dtype=float)
               for f in (spec.g, spec.dg, spec.V)]
     if edit_dg is not None:
         tables[1] = edit_dg(tables[1])
-    return grid, np.stack([om, S]), tables
+    return grid, ys, tables
 
 
 def test_the_polar_systems_reach_the_terms_they_are_named_for():
-    tables = {name: _branch_batch(name)[2] for name in POLAR_SYSTEMS}
+    tables = {name: _branches(name)[2] for name in POLAR_SYSTEMS}
     for name, (g, dg, V) in tables.items():
         constant = name in ("harmonic", "minus_zero_dg")
         assert (dg == 0.0).all() == constant
@@ -750,41 +750,22 @@ def _on_clone(request, clone):
 CLONES = pytest.mark.parametrize("clone", ("picked", "baseline"))
 
 
+def _assert_matches_reference(y, out, tables, dq, dt, n_steps, lam):
+    om, S = _reference_run(y[0], y[1], tables, dq, dt, n_steps, lam)
+    assert _same_bits(out[0], om)
+    assert _same_bits(out[1], S)
+
+
 @CLONES
 @pytest.mark.parametrize("system", POLAR_SYSTEMS)
-def test_batched_kernel_matches_the_written_out_equations_bitwise(
+def test_the_kernel_matches_the_written_out_equations_bitwise(
         request, clone, system):
     _on_clone(request, clone)
-    grid, y, tables = _branch_batch(system)
-    out = _run(y, grid, tables)
-    assert not np.array_equal(out, y)
-    for b in range(2):
-        om, S = _reference_run(y[0, b], y[1, b], tables, grid.dq, 5e-4, 40)
-        assert _same_bits(out[0, b], om)
-        assert _same_bits(out[1, b], S)
-
-
-def test_a_branch_run_alone_equals_its_row_of_the_batch_bitwise():
-    grid, y, tables = _branch_batch()
-    both = _run(y, grid, tables)
-    for b in range(2):
-        alone = _run(y[:, b:b + 1], grid, tables)
-        assert alone.shape == (2, 1, grid.n)
-        assert np.array_equal(alone[:, 0], both[:, b])
-
-
-def test_swapping_the_branch_rows_swaps_the_outputs_bitwise():
-    grid, y, tables = _branch_batch()
-    out = _run(y, grid, tables)
-    swapped = _run(y[:, ::-1], grid, tables)
-    assert np.array_equal(swapped, out[:, ::-1])
-
-
-def _assert_matches_reference(y, out, tables, dq, dt, n_steps, lam):
-    for b in range(y.shape[1]):
-        om, S = _reference_run(y[0, b], y[1, b], tables, dq, dt, n_steps, lam)
-        assert _same_bits(out[0, b], om)
-        assert _same_bits(out[1, b], S)
+    grid, ys, tables = _branches(system)
+    for y in ys:
+        out = _run(y, grid, tables)
+        assert not np.array_equal(out, y)
+        _assert_matches_reference(y, out, tables, grid.dq, 5e-4, 40, 1.0)
 
 
 @CLONES
@@ -797,16 +778,18 @@ def test_floored_densities_at_two_scales_match_the_reference_bitwise(
     # differently.  The steep tails drive a large potential term, so the
     # run is two short steps
     _on_clone(request, clone)
-    grid, y, tables = _branch_batch(system)
-    y[0] *= 10.0 ** (-80.0 * np.clip(-1.0 - grid.points(), 0.0, None))
-    assert (y[0, :, :5] < 1e-300).all()
-    y[0, 0, 1] = -1e-310
-    y[0, 1, :2] = -0.0, -3e-301
-    for lam in (1.0, 0.5):
-        out = y.copy()
-        run_madelung_window(out, *tables, grid.dq, 1e-8, 2, lam)
-        assert np.isfinite(out).all() and not _same_bits(out, y)
-        _assert_matches_reference(y, out, tables, grid.dq, 1e-8, 2, lam)
+    grid, ys, tables = _branches(system)
+    for y in ys:
+        y[0] *= 10.0 ** (-80.0 * np.clip(-1.0 - grid.points(), 0.0, None))
+        assert (y[0, :5] < 1e-300).all()
+    ys[0][0, 1] = -1e-310
+    ys[1][0, :2] = -0.0, -3e-301
+    for y in ys:
+        for lam in (1.0, 0.5):
+            out = y.copy()
+            run_madelung_window(out, *tables, grid.dq, 1e-8, 2, lam)
+            assert np.isfinite(out).all() and not _same_bits(out, y)
+            _assert_matches_reference(y, out, tables, grid.dq, 1e-8, 2, lam)
 
 
 @CLONES
@@ -817,13 +800,14 @@ def test_one_step_from_zero_phases_keeps_every_rounding_of_the_rhs(
     # mostly lost when dt times it is added to the state; from S = 0 the
     # phases after one step are the RK4 sum of the stages itself
     _on_clone(request, clone)
-    grid, y, tables = _branch_batch(system)
-    y[1] = 0.0
-    for dt in (5e-4, 1e-2):
-        out = y.copy()
-        run_madelung_window(out, *tables, grid.dq, dt, 1, 1.0)
-        assert np.isfinite(out).all()
-        _assert_matches_reference(y, out, tables, grid.dq, dt, 1, 1.0)
+    grid, ys, tables = _branches(system)
+    for y in ys:
+        y[1] = 0.0
+        for dt in (5e-4, 1e-2):
+            out = y.copy()
+            run_madelung_window(out, *tables, grid.dq, dt, 1, 1.0)
+            assert np.isfinite(out).all()
+            _assert_matches_reference(y, out, tables, grid.dq, dt, 1, 1.0)
 
 
 @CLONES
@@ -833,17 +817,23 @@ def test_a_nan_density_turns_its_phase_nan_as_np_maximum_does(request, clone,
     # the density floor must pass NaN through, as np.maximum does; C's
     # fmax would floor it and leave the phase finite
     _on_clone(request, clone)
-    grid, y, tables = _branch_batch(system)
-    y[0, 0, 60] = np.nan
+    grid, (y, other), tables = _branches(system)
+    y[0, 60] = np.nan
     out = y.copy()
     run_madelung_window(out, *tables, grid.dq, 5e-4, 1, 1.0)
     with np.errstate(invalid="ignore"):
-        om, S = _reference_run(y[0, 0], y[1, 0], tables, grid.dq, 5e-4, 1)
+        om, S = _reference_run(y[0], y[1], tables, grid.dq, 5e-4, 1)
     assert np.isnan(S[60])
-    assert np.array_equal(np.isnan(out[1, 0]), np.isnan(S))
-    assert np.array_equal(np.isnan(out[0, 0]), np.isnan(om))
-    _assert_matches_reference(y[:, 1:], out[:, 1:], tables, grid.dq, 5e-4,
-                              1, 1.0)
+    assert np.array_equal(np.isnan(out[1]), np.isnan(S))
+    assert np.array_equal(np.isnan(out[0]), np.isnan(om))
+    # C and numpy give their NaNs different signs, so only the finite
+    # entries are compared bit for bit
+    assert _same_bits(out[0, ~np.isnan(om)], om[~np.isnan(om)])
+    assert _same_bits(out[1, ~np.isnan(S)], S[~np.isnan(S)])
+    # the other branch, which holds no NaN, keeps the reference bits
+    out = other.copy()
+    run_madelung_window(out, *tables, grid.dq, 5e-4, 1, 1.0)
+    _assert_matches_reference(other, out, tables, grid.dq, 5e-4, 1, 1.0)
 
 
 @CLONES
@@ -865,22 +855,22 @@ def test_a_grid_step_below_2_to_the_minus_512_keeps_the_reference_bits(
               for f in (spec.g, spec.dg, spec.V)]
     R = 2.0 ** 504 * (1.0 + np.arange(n))
     R[-1] = R[-2] / 2.0
-    y = np.zeros((2, 1, n))
-    y[0, 0] = R * R
+    y = np.zeros((2, n))
+    y[0] = R * R
     dq = 2.0 ** -520
     out = y.copy()
     run_madelung_window(out, *tables, dq, 1e-3, 1, 1.0)
     with np.errstate(all="ignore"):
-        om, S = _reference_run(y[0, 0], y[1, 0], tables, dq, 1e-3, 1)
+        om, S = _reference_run(y[0], y[1], tables, dq, 1e-3, 1)
     # C and numpy give their NaNs different signs, so only where they sit
     # is compared
     nan = np.isnan(om) | np.isnan(S)
     assert nan[0] and nan[-1] and not nan[n // 2 - 1:n // 2 + 1].any()
-    assert np.array_equal(np.isnan(out[0, 0]), np.isnan(om))
-    assert np.array_equal(np.isnan(out[1, 0]), np.isnan(S))
-    assert _same_bits(out[0, 0, ~nan], om[~nan])
-    assert _same_bits(out[1, 0, ~nan], S[~nan])
-    assert _same_bits(out[:, 0, ~nan], y[:, 0, ~nan])
+    assert np.array_equal(np.isnan(out[0]), np.isnan(om))
+    assert np.array_equal(np.isnan(out[1]), np.isnan(S))
+    assert _same_bits(out[0, ~nan], om[~nan])
+    assert _same_bits(out[1, ~nan], S[~nan])
+    assert _same_bits(out[:, ~nan], y[:, ~nan])
 
 
 @pytest.fixture
@@ -894,17 +884,19 @@ def kernel_cache(tmp_path, monkeypatch):
 
 
 def test_a_cold_build_loads_and_equals_the_reference_bitwise(kernel_cache):
-    grid, y, tables = _branch_batch()
-    out = _run(y, grid, tables, n_steps=10)
+    grid, ys, tables = _branches()
+    outs = [_run(y, grid, tables, n_steps=10) for y in ys]
     built = os.listdir(kernel_cache)
     # one library, named by the hash, and no temporary file left behind
     assert len(built) == 1 and built[0].startswith("_polar-")
     assert built[0].endswith(".so")
-    _assert_matches_reference(y, out, tables, grid.dq, 5e-4, 10, 1.0)
+    for y, out in zip(ys, outs):
+        _assert_matches_reference(y, out, tables, grid.dq, 5e-4, 10, 1.0)
     # a fresh process finds the build in the cache and compiles nothing
     stamp = os.stat(kernel_cache / built[0]).st_mtime_ns
     kernels._libraries.clear()
-    assert _same_bits(_run(y, grid, tables, n_steps=10), out)
+    for y, out in zip(ys, outs):
+        assert _same_bits(_run(y, grid, tables, n_steps=10), out)
     assert os.listdir(kernel_cache) == built
     assert os.stat(kernel_cache / built[0]).st_mtime_ns == stamp
 
@@ -938,7 +930,7 @@ def test_a_missing_compiler_raises_and_leaves_no_numpy_path(kernel_cache,
     real = sysconfig.get_config_var
     monkeypatch.setattr(sysconfig, "get_config_var",
                         lambda name: cc if name == "CC" else real(name))
-    grid, y, tables = _branch_batch()
+    grid, (y, _), tables = _branches()
     before = y.copy()
     with pytest.raises(ConfigurationError,
                        match=cc or "names no C compiler"):
@@ -955,9 +947,9 @@ def test_a_missing_compiler_raises_and_leaves_no_numpy_path(kernel_cache,
 
 
 def _bad_inputs():
-    grid, y, tables = _branch_batch()
+    grid, (y, _), tables = _branches()
     n = grid.n
-    strided = np.zeros((2, 2, 2 * n))[:, :, ::2]
+    strided = np.zeros((2, 2 * n))[:, ::2]
     strided[...] = y
     frozen = y.copy()
     frozen.flags.writeable = False
@@ -968,10 +960,10 @@ def _bad_inputs():
         "float32 y": (y.astype(np.float32), tables),
         "read-only y": (frozen, tables),
         "one branch plane": (y[:1].copy(), tables),
+        "a batch of one branch": (y[:, None].copy(), tables),
         "table of length n - 1": (y, short),
-        "n < 3": (np.ascontiguousarray(y[:, :, :2]),
-                  [t[:2] for t in tables]),
-        "table sharing memory with y": (aliased, [*tables[:2], aliased[1, 0]]),
+        "n < 3": (np.ascontiguousarray(y[:, :2]), [t[:2] for t in tables]),
+        "table sharing memory with y": (aliased, [*tables[:2], aliased[1]]),
     }
 
 
@@ -989,12 +981,13 @@ def test_an_infinite_wall_phase_step_gives_nan_then_a_numerical_error():
     # at a scale of one subnormal the wall phase step (S_1 - S_0) / lam
     # overflows to infinity, where sin and cos are NaN; the scale's
     # square vanishes, so the interior right-hand side stays finite
-    grid, y, tables = _branch_batch()
+    grid, ys, tables = _branches()
     tiny = 5e-324
-    out = y.copy()
-    run_madelung_window(out, *tables, grid.dq, 5e-4, 1, tiny)
-    assert np.isnan(out[:, :, 0]).all() and np.isnan(out[:, :, -1]).all()
-    assert np.isfinite(out[:, :, 8:-8]).all()
+    for y in ys:
+        out = y.copy()
+        run_madelung_window(out, *tables, grid.dq, 5e-4, 1, tiny)
+        assert np.isnan(out[:, 0]).all() and np.isnan(out[:, -1]).all()
+        assert np.isfinite(out[:, 8:-8]).all()
 
     # through the stepper, at 1e-311: the wall phase step overflows
     # there too (S_1 - S_0 is about 0.09), while the default step, about
@@ -1004,8 +997,7 @@ def test_an_infinite_wall_phase_step_gives_nan_then_a_numerical_error():
     pair = pair_from_wave(gaussian_packet(build_grid(128, -6.0, 6.0),
                                           sigma=1.0, momentum=1.0))
     small = 1e-311
-    pair = replace(pair, plus=replace(pair.plus, lam=small),
-                   minus=replace(pair.minus, lam=-small))
+    pair = replace(pair, plus=replace(pair.plus, lam=small))
     with pytest.raises(NumericalError, match="non-finite"):
         step_coupled_pde(pair, spec, 1e-4, steps=5)
 
@@ -1181,7 +1173,7 @@ def test_the_compiled_source_splits_the_uniforms_exactly_at_one_half(kind):
 
 def test_a_cold_build_of_the_ensemble_kernel_sits_beside_the_polar_one(
         kernel_cache):
-    grid, y, tables = _branch_batch()
+    grid, (y, _), tables = _branches()
     _run(y, grid, tables, n_steps=1)
     case = _ensemble_case()
     want = _window(*case, run=_reference_ensemble_window)

@@ -111,7 +111,7 @@ def test_check_phase_offset_examples(ground_384):
     pair = pair_from_wave(gs)
     S0, dev = check_phase_offset(pair)
     assert S0 == 0.0 and dev == 0.0
-    shifted = replace(pair, minus=replace(pair.minus, S=pair.minus.S - H_QUANTUM))
+    shifted = replace(pair, S0=pair.S0 + H_QUANTUM)
     S0, dev = check_phase_offset(shifted)
     assert S0 == pytest.approx(H_QUANTUM, abs=1e-12)
     assert dev < 1e-12
@@ -265,8 +265,7 @@ def test_a_subnormal_scale_has_no_default_step_and_admits_no_dt():
     with pytest.raises(ConfigurationError, match="default step is inf"):
         default_timestep(grid, spec, 5e-324)
     pair = pair_from_wave(gaussian_packet(grid, sigma=1.0, momentum=1.0))
-    pair = replace(pair, plus=replace(pair.plus, lam=5e-324),
-                   minus=replace(pair.minus, lam=-5e-324))
+    pair = replace(pair, plus=replace(pair.plus, lam=5e-324))
     with pytest.raises(ConfigurationError, match="default step is inf"):
         step_coupled_pde(pair, spec, 1e-4, steps=1)
     # the smallest scales whose default step is finite keep their gate
@@ -280,6 +279,10 @@ def test_step_rejects_bad_arguments(ground_384):
         step_coupled_pde(pair, spec, -1e-4, steps=1)
     with pytest.raises(ConfigurationError):
         step_coupled_pde(pair, spec, 1e-4, steps=0)
+    # an offset that makes no minus branch
+    for S0 in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="S0 must be finite"):
+            step_coupled_pde(replace(pair, S0=S0), spec, 1e-4, steps=1)
 
 
 def test_unstable_integration_is_caught_not_silent(ground_384):
@@ -314,10 +317,35 @@ def test_norm_guard_fires_on_a_packet_cut_off_by_the_walls():
 
 
 # ---------------------------------------------------------------------------
-# byte-equal branches advance as one kernel row
+# the minus branch is the plus branch shifted by S0; one kernel row
 
 
-def _record_batch_shapes(monkeypatch):
+@pytest.mark.parametrize("quanta", (0, 1))
+def test_the_minus_branch_is_the_plus_branch_shifted_by_S0(ground_384, quanta):
+    # a signed zero equals its opposite by value but not by bytes
+    _, _, gs = ground_384
+    pair = pair_from_wave(gs, offset_quanta=quanta)
+    assert pair.plus.S[0] == 0.0
+    if quanta == 0:
+        S = pair.plus.S.copy()
+        S[0] = -0.0
+        pair = replace(pair, plus=replace(pair.plus, S=S))
+    minus = pair.minus
+    assert minus.R.tobytes() == pair.plus.R.tobytes()
+    assert minus.S.tobytes() == (pair.plus.S - pair.S0).tobytes()
+    if quanta == 0:
+        assert minus.S.tobytes() == pair.plus.S.tobytes()
+        assert np.signbit(minus.S[0])
+    assert minus.lam == -pair.plus.lam and minus.t == pair.plus.t
+    assert minus.grid == pair.plus.grid
+    assert not np.shares_memory(minus.R, pair.plus.R)
+    assert not np.shares_memory(minus.S, pair.plus.S)
+    # a pair whose branches disagree cannot be built
+    with pytest.raises(TypeError):
+        madelung.PhasePair(plus=pair.plus, minus=minus, S0=pair.S0)
+
+
+def _record_kernel_shapes(monkeypatch):
     shapes = []
     run = madelung.run_madelung_window
 
@@ -329,49 +357,39 @@ def _record_batch_shapes(monkeypatch):
     return shapes
 
 
-def test_a_byte_equal_pair_advances_one_row(ground_384, monkeypatch):
+@pytest.mark.parametrize("quanta", (0, 1))
+def test_every_pair_advances_one_row(ground_384, monkeypatch, quanta):
     grid, spec, gs = ground_384
-    shapes = _record_batch_shapes(monkeypatch)
-    step_coupled_pde(pair_from_wave(gs), spec, 5e-4, steps=CHECK_EVERY + 1)
-    assert shapes == [(2, 1, grid.n)] * 2
+    shapes = _record_kernel_shapes(monkeypatch)
+    step_coupled_pde(pair_from_wave(gs, offset_quanta=quanta), spec, 5e-4,
+                     steps=CHECK_EVERY + 1)
+    assert shapes == [(2, grid.n)] * 2
 
 
-def test_pairs_that_differ_in_any_bit_advance_two_rows(ground_384, monkeypatch):
-    # a signed zero equals its opposite by value but not by bytes
-    grid, spec, gs = ground_384
-    pair = pair_from_wave(gs)
-    assert pair.minus.S[0] == 0.0
-    S = pair.minus.S.copy()
-    S[0] = -0.0
-    signed = replace(pair, minus=replace(pair.minus, S=S))
-    shapes = _record_batch_shapes(monkeypatch)
-    for p in (signed, pair_from_wave(gs, offset_quanta=1)):
-        step_coupled_pde(p, spec, 5e-4, steps=1)
-    assert shapes == [(2, 2, grid.n)] * 2
-
-
-def test_one_row_equals_a_two_row_batch_bitwise(ground_384):
-    # the reference is the two-row batch run in the stepper's guard
+@pytest.mark.parametrize("quanta", (0, 1))
+def test_the_stepper_equals_one_row_kernel_windows_bitwise(ground_384, quanta):
+    # the reference is the plus row run directly in the stepper's guard
     # windows, each restarting from the guarded amplitude
     grid, spec, gs = ground_384
     pair = pair_from_wave(gaussian_packet(grid, sigma=0.8, momentum=0.9,
-                                          center=0.3))
+                                          center=0.3), offset_quanta=quanta)
     dt, steps = 5e-4, 2 * CHECK_EVERY + 1
     out = step_coupled_pde(pair, spec, dt, steps=steps)
     pts = grid.points()
     tables = [np.asarray(f(pts), dtype=float)
               for f in (spec.g, spec.dg, spec.V)]
-    y = np.empty((2, 2, grid.n))
-    R = np.stack([pair.plus.R, pair.minus.R])
-    y[1] = [pair.plus.S, pair.minus.S]
+    y = np.empty((2, grid.n))
+    R = pair.plus.R
+    y[1] = pair.plus.S
     for chunk in (CHECK_EVERY, CHECK_EVERY, 1):
         np.square(R, out=y[0])
         run_madelung_window(y, *tables, grid.dq, dt, chunk, 1.0)
         R = np.sqrt(np.maximum(y[0], 0.0))
-    for b, m in enumerate((out.plus, out.minus)):
-        assert m.R.tobytes() == R[b].tobytes()
-        assert m.S.tobytes() == y[1, b].tobytes()
+    for m, S in ((out.plus, y[1]), (out.minus, y[1] - pair.S0)):
+        assert m.R.tobytes() == R.tobytes()
+        assert m.S.tobytes() == S.tobytes()
         assert m.t == pair.plus.t + dt * CHECK_EVERY + dt * CHECK_EVERY + dt
+    assert out.S0 == pair.S0
 
 
 def test_the_branches_of_a_one_row_result_share_no_memory(ground_384):
@@ -381,17 +399,15 @@ def test_the_branches_of_a_one_row_result_share_no_memory(ground_384):
     assert not np.shares_memory(out.plus.S, out.minus.S)
 
 
-def test_a_node_in_the_minus_branch_only_is_caught_on_entry(monkeypatch):
-    # a plus-only node check let this pair into the kernel, which then
-    # failed with non-finite fields in the minus branch
+def test_a_node_in_the_plus_branch_is_caught_on_entry(monkeypatch):
     grid = build_grid(128, -6.0, 6.0)
     spec = make_system("harmonic", m=1.0, omega=1.0)
     pair = pair_from_wave(gaussian_packet(grid, sigma=0.9))
-    R = pair.minus.R.copy()
+    R = pair.plus.R.copy()
     R[40] = 0.0
     R /= np.sqrt(integrate(R ** 2, grid))
-    nodey = replace(pair, minus=replace(pair.minus, R=R))
-    shapes = _record_batch_shapes(monkeypatch)
-    with pytest.raises(NodeError, match="minus branch"):
+    nodey = replace(pair, plus=replace(pair.plus, R=R))
+    shapes = _record_kernel_shapes(monkeypatch)
+    with pytest.raises(NodeError, match="plus branch"):
         step_coupled_pde(nodey, spec, 1e-4, steps=1)
     assert shapes == []
