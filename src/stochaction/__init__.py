@@ -12,9 +12,8 @@ from .hamiltonian import (ClassicalSpec, QuantumOperator,
 from .evolution import (WaveState, coherent_state, gaussian_packet,
                         ground_state, propagate_crank_nicolson,
                         propagate_eigen_oracle)
-from .madelung import (MadelungState, PhasePair, check_phase_offset,
-                       from_polar, pair_from_wave, quantum_potential,
-                       step_coupled_pde, to_polar)
+from .madelung import (MadelungState, PhasePair, from_polar, pair_from_wave,
+                       quantum_potential, step_coupled_pde, to_polar)
 from .classical import PhasePoint, integrate_path
 from .stochastic import (EnsembleState, LambdaSource, bohmian_velocity,
                          effective_velocity, init_ensemble,
@@ -32,7 +31,7 @@ __all__ = [
     "WaveState", "gaussian_packet", "coherent_state", "ground_state",
     "propagate_crank_nicolson", "propagate_eigen_oracle",
     "MadelungState", "PhasePair", "to_polar", "from_polar", "pair_from_wave",
-    "step_coupled_pde", "quantum_potential", "check_phase_offset",
+    "step_coupled_pde", "quantum_potential",
     "PhasePoint", "integrate_path",
     "LambdaSource", "EnsembleState",
     "sample_lambda", "sample_action_deviation",

@@ -152,7 +152,7 @@ class QuantumOperator:
     H[k+1, k].  The sandwich build is symmetric, ``lower == upper``
     exactly; the naive orderings are not.  No n x n array is held:
     ``matrix`` assembles the dense form on each access, for the callers
-    that need a dense matrix (non-symmetric spectra, entrywise contrasts).
+    that need a dense matrix (the non-symmetric spectra).
 
     ``band`` is the highest energy that any consumer of the operator reads:
     ``eigensystem`` holds only the eigenpairs with w <= band, and the
@@ -284,8 +284,12 @@ def build_naive_ordering(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float,
 
 
 def hermiticity_defect(op) -> float:
-    """max |M - M^dagger| entrywise; zero for a Hermitian matrix."""
-    M = op.matrix if isinstance(op, QuantumOperator) else np.asarray(op)
+    """max |M - M^dagger| entrywise; zero for a Hermitian matrix.  Of a
+    QuantumOperator, whose diagonals are real, it is max |upper - lower|:
+    the diagonal and the off-band zeros add nothing."""
+    if isinstance(op, QuantumOperator):
+        return float(np.max(np.abs(op.upper - op.lower)))
+    M = np.asarray(op)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"hermiticity defect needs a square matrix, got {M.shape}")
     return float(np.max(np.abs(M - M.conj().T)))

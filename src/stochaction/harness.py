@@ -154,12 +154,6 @@ SCENARIOS = {
             grid__n=384, grid__q_min=-4.6, grid__q_max=4.6,
             state__kind="ground", source__hbar=1.0,
             time__dt=5e-5, time__T=0.5),
-        # branch phase offset S0 = 2*pi*hbar held over 1000 steps
-        "phase_offset": _scn(
-            system__preset="harmonic", system__m=1.0, system__omega=1.0,
-            grid__n=384, grid__q_min=-4.6, grid__q_max=4.6,
-            state__kind="ground", state__offset_quanta=1, source__hbar=1.0,
-            time__dt=5e-5, time__T=0.05),
         # small action scale: packet center vs symplectic reference.  The
         # packet is a true coherent state (width sqrt(hbar/2)): any other
         # width breathes at this scale and sweeps the far tail below the
@@ -666,46 +660,6 @@ def _stationary_phase_checks(H, grid, first, last):
             _check("stationary_phase_rate_spread", np.ptp(rate[w > 0]), 1e-8)]
 
 
-def _run_phase_offset(cfg, out):
-    """All three checks are identities of the representation.  The minus
-    branch is the plus branch shifted by S0, so offset_drift_max is 0.0 by
-    construction at offset 0 and rounding only otherwise (0.0 at the
-    registry's config); the other two are identities of exp(iS/hbar)."""
-    spec, grid, H, state0 = _wave_setup(cfg)
-    dt = cfg["time.dt"]
-    quanta = cfg["state.offset_quanta"]
-    h_quantum = 2.0 * np.pi * cfg["source.hbar"]
-    target = quanta * h_quantum
-    rows = []
-
-    def record(pair, b):
-        S0_now, max_dev = madelung.check_phase_offset(pair)
-        rows.append((b * dt, S0_now, max_dev))
-
-    pair = _march(madelung.pair_from_wave(state0, offset_quanta=quanta),
-                  _polar_advance(spec, dt), [0, *_every(_steps(cfg), 20)],
-                  record)
-    out.csv("phase_offset.csv", ["t", "S0", "max_deviation"], rows)
-    worst = max(abs(S0 - target) + dev for _, S0, dev in rows)
-
-    # whole-quantum offsets leave the reconstructed wave unchanged; a
-    # half-quantum offset flips its sign
-    psi = madelung.from_polar(pair.plus).psi
-    shifted = madelung.MadelungState(R=pair.plus.R, S=pair.plus.S - target,
-                                     lam=pair.plus.lam, t=pair.plus.t, grid=grid)
-    psi_shift = madelung.from_polar(shifted).psi
-    inv_err = float(np.max(np.abs(psi_shift - psi)))
-    half = madelung.MadelungState(R=pair.plus.R, S=pair.plus.S - 0.5 * h_quantum,
-                                  lam=pair.plus.lam, t=pair.plus.t, grid=grid)
-    psi_half = madelung.from_polar(half).psi
-    flip_err = float(np.max(np.abs(psi_half + psi)))
-    return [
-        _check("offset_drift_max", worst, 1e-4),
-        _check("whole_quantum_invariance", inv_err, 1e-12),
-        _check("half_quantum_sign_flip", flip_err, 1e-12),
-    ]
-
-
 def _run_classical_limit(cfg, out):
     spec, grid, H, state0 = _wave_setup(cfg)
     dt = cfg["time.dt"]
@@ -973,40 +927,51 @@ def _run_tau_sweep(cfg, out):
 # orderings
 
 
-def _low_spectrum(matrix, k=5):
-    evals = np.linalg.eigvals(matrix)
+def _low_spectrum(op, k=5):
+    # dense on purpose: the naive orderings are not symmetric, so their
+    # spectra need the general eigensolver, which runs on the float64
+    # matrix in real arithmetic; a real matrix whose spectrum is not real
+    # still gives complex-conjugate pairs, so max_imag_eig still sees a
+    # spectrum off the real axis
+    evals = np.linalg.eigvals(op.matrix)
     order = np.argsort(evals.real)
     low = evals[order][:k]
     return low.real, float(np.max(np.abs(evals.imag)))
 
 
+def _max_abs(*diagonals) -> float:
+    """max |entry| over the diagonals: a tridiagonal matrix's maximum,
+    as its off-band zeros add nothing."""
+    return float(np.max(np.abs(np.concatenate(diagonals))))
+
+
 def _ordering_rows(spec, grid, hbar, case):
-    # dense on purpose: the naive orderings are not symmetric, so their
-    # spectra need the general eigensolver, which runs on the float64
-    # matrices in real arithmetic; a real matrix whose spectrum is not
-    # real still gives complex-conjugate pairs, so max_imag_eig still
-    # sees a spectrum off the real axis
-    sandwich = build_quantum_hamiltonian(spec, grid, hbar).matrix
+    # every contrast reads the three diagonals; only a spectrum needs the
+    # dense matrix
+    sandwich = build_quantum_hamiltonian(spec, grid, hbar)
     rows = []
     results = {}
-    # each distinct matrix's spectrum, by its bytes: at constant g the
-    # naive builds equal the sandwich bit for bit (bytes, not values, so a
-    # -0.0 entry never takes another matrix's spectrum).  A matrix and its
-    # transpose share one spectrum, and pp_g is g_pp's transpose bit for
-    # bit, so pp_g takes g_pp's
+    # each distinct operator's spectrum, by its diagonals' bytes: at
+    # constant g the naive builds equal the sandwich bit for bit (bytes,
+    # not values, so a -0.0 entry never takes another operator's
+    # spectrum).  An operator and its transpose, whose lower and upper
+    # diagonals swap, share one spectrum, and pp_g is g_pp's transpose bit
+    # for bit, so pp_g takes g_pp's
     spectra = {}
     for build in ("sandwich", "g_pp", "pp_g"):
         if build == "sandwich":
-            M = sandwich
+            op = sandwich
         else:
-            M = build_naive_ordering(spec, grid, hbar, build).matrix
-        defect = hermiticity_defect(M)
-        rel = defect / float(np.max(np.abs(M)))
-        diff = float(np.max(np.abs(M - sandwich)))
-        key, key_t = M.tobytes(), M.T.tobytes()
+            op = build_naive_ordering(spec, grid, hbar, build)
+        defect = hermiticity_defect(op)
+        rel = defect / _max_abs(op.lower, op.diag, op.upper)
+        diff = _max_abs(op.lower - sandwich.lower, op.diag - sandwich.diag,
+                        op.upper - sandwich.upper)
+        key = tuple(a.tobytes() for a in (op.lower, op.diag, op.upper))
+        key_t = key[::-1]
         if key not in spectra:
             spectra[key] = (spectra[key_t] if key_t in spectra
-                            else _low_spectrum(M))
+                            else _low_spectrum(op))
         low, max_imag = spectra[key]
         rows.append((case, build, defect, rel, diff, *low, max_imag))
         results[build] = (rel, diff, max_imag)
@@ -1058,7 +1023,6 @@ _RUNNERS = {
     "free_gaussian": _chain_snapshots,
     "harmonic_coherent": _chain_snapshots,
     "harmonic_stationary": _chain_snapshots,
-    "phase_offset": _run_phase_offset,
     "classical_limit": _run_classical_limit,
     "propagator_quality": _run_propagator_quality,
     "exponential_law": _run_exponential_law,

@@ -1019,6 +1019,26 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 # polar_rk4_window in _polar.c.
 
 
+# A window runs on one CPU, unlike an ensemble window: its cells couple
+# through the stencils at every RK4 stage, so shards must meet once a
+# step, and a step then waits for the slower core.  Measured on 2 vCPUs,
+# x86-64-v4 clone, polar_chain's windows, against this kernel (prototypes
+# not kept).  One core: the three constant divisions as multiplies (not
+# bit-exact, so an upper bound) gave 1.17-1.21x at n = 768; as a
+# reciprocal with two FMA corrections every window keeps its bits, at
+# 1.06-1.12x for n = 768 and 1.46-1.53x for n = 96, but the baseline clone
+# would call libm's fma; stage passes in 128- or 256-cell L1 chunks gave
+# 0.94-1.11x.  Two cores, each shard owning half the cells plus 8 ghost
+# cells (2 per stage), with one barrier per step, keep every window's bits
+# at 1 to 4 shards, variable mass included.  On a quiet host they ran
+# 1.57-1.71x at n = 768, 1.31-1.41x at 384 and 0.81-0.91x at 96; with a
+# busy process on the other CPU the same window ran 2.4x (spin capped at
+# 30k cycles, then futex) to 5.3x (150k cycles) slower than one core, and
+# one of 40 quiet repetitions stalled 1.0 s under a pure spin.  Letting
+# the caller compute a late helper's half stayed at 1.0x: it moves each
+# step's half-grid between cores.
+
+
 def run_madelung_window(y, g, dg, V, dq, dt, n_steps, lam_abs):
     """Advance a polar branch in place by n_steps RK4 steps.
 

@@ -8,7 +8,8 @@ sign-odd transport terms cancel between the branches.  Its equations read
 plus branch's equations and stays the plus branch shifted by the constant
 S0.  A `PhasePair` therefore holds the plus branch and S0, and derives the
 minus branch from them; `step_coupled_pde` advances the plus branch alone,
-as one kernel row.
+as one kernel row.  A pair built from a wave has S0 = 0; at a whole
+number of quanta 2 pi |lam| both branches map to the same wave.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ class MadelungState:
 @dataclass(frozen=True)
 class PhasePair:
     plus: MadelungState
-    S0: float  # constant phase offset S_plus - S_minus
+    S0: float  # constant phase offset S_plus - S_minus; 0 from a wave
 
     @property
     def minus(self) -> MadelungState:
@@ -110,27 +111,10 @@ def from_polar(m: MadelungState) -> WaveState:
     return WaveState(psi=psi, hbar_eff=hbar_eff, t=m.t, grid=m.grid)
 
 
-def pair_from_wave(state: WaveState, offset_quanta: int = 0) -> PhasePair:
-    """Build the (+hbar_eff, -hbar_eff) pair from one wave state.
-
-    The branches share R; the minus branch is at S - S0 with
-    S0 = offset_quanta * 2*pi*hbar_eff, the whole-quantum offset that keeps
-    both branches mapping to the same single-valued wave.
-    """
-    return PhasePair(plus=to_polar(state),
-                     S0=offset_quanta * 2.0 * np.pi * state.hbar_eff)
-
-
-def check_phase_offset(pair: PhasePair) -> tuple[float, float]:
-    """Spatial mean of S_plus - S_minus and the max deviation from it.
-
-    Both are identities of the representation, as `PhasePair.minus` is
-    the plus branch shifted by S0: they are S0 and 0.0 up to the roundings
-    of S_plus - S0 and of the mean, and exactly so at S0 = 0.
-    """
-    diff = pair.plus.S - pair.minus.S
-    S0 = float(np.mean(diff))
-    return S0, float(np.max(np.abs(diff - S0)))
+def pair_from_wave(state: WaveState) -> PhasePair:
+    """The (+hbar_eff, -hbar_eff) pair of one wave state, at S0 = 0: both
+    branches are `to_polar`'s amplitude and phase."""
+    return PhasePair(plus=to_polar(state), S0=0.0)
 
 
 def quantum_potential(R: np.ndarray, spec: ClassicalSpec, grid: GridSpec,

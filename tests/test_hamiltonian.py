@@ -259,6 +259,22 @@ def test_hermiticity_defect_examples():
     assert hermiticity_defect(anti) == pytest.approx(2.0, abs=1e-15)
 
 
+def test_an_operators_defect_is_its_dense_matrixs_bit_for_bit():
+    # read from the two off-diagonals: the diagonal and the off-band zeros
+    # of the dense form add nothing to the maximum
+    grid = build_grid(64, -3.0, 3.0)
+    spec = make_system("variable_mass", m=1.0, omega=1.0, beta=0.3)
+    H = build_quantum_hamiltonian(spec, grid, 1.0)
+    lower = H.lower.copy()
+    lower[grid.n // 2] *= -1.0
+    ops = [H, replace(H, lower=lower),
+           *(build_naive_ordering(spec, grid, 1.0, ordering)
+             for ordering in ("g_pp", "pp_g"))]
+    defects = [hermiticity_defect(op) for op in ops]
+    assert defects == [hermiticity_defect(op.matrix) for op in ops]
+    assert defects[0] == 0.0 and min(defects[1:]) > 1e-3
+
+
 def test_hermiticity_defect_rejects_non_square():
     with pytest.raises(ShapeError):
         hermiticity_defect(np.zeros((3, 4)))

@@ -25,7 +25,6 @@ FAST_SCENARIOS = [
     ("evolve", "free_gaussian"),
     ("evolve", "harmonic_coherent"),
     ("evolve", "harmonic_stationary"),
-    ("evolve", "phase_offset"),
     ("evolve", "classical_limit"),
     ("evolve", "propagator_quality"),
     ("orderings", "ordering_contrast"),
@@ -145,6 +144,23 @@ def _registry_ordering_systems():
 
 
 @pytest.mark.parametrize("case", ["variable_mass", "constant_g"])
+def test_the_ordering_contrasts_read_from_the_diagonals_are_the_dense_ones(
+        case):
+    # each is a maximum over the same floats, to which the dense form's
+    # off-band zeros add nothing, so orderings.csv keeps its bytes
+    grid, hbar, systems = _registry_ordering_systems()
+    spec = systems[case]
+    rows, _ = harness._ordering_rows(spec, grid, hbar, case)
+    sandwich = build_quantum_hamiltonian(spec, grid, hbar).matrix
+    for row in rows:
+        M = (sandwich if row[1] == "sandwich"
+             else build_naive_ordering(spec, grid, hbar, row[1]).matrix)
+        defect = float(np.max(np.abs(M - M.T)))
+        assert row[2:5] == (defect, defect / float(np.max(np.abs(M))),
+                            float(np.max(np.abs(M - sandwich))))
+
+
+@pytest.mark.parametrize("case", ["variable_mass", "constant_g"])
 @pytest.mark.parametrize("build", ["sandwich", "g_pp", "pp_g"])
 def test_the_real_ordering_spectra_agree_with_the_complex_solver(case, build):
     grid, hbar, systems = _registry_ordering_systems()
@@ -152,7 +168,7 @@ def test_the_real_ordering_spectra_agree_with_the_complex_solver(case, build):
     sandwich = build_quantum_hamiltonian(spec, grid, hbar)
     op = (sandwich if build == "sandwich"
           else build_naive_ordering(spec, grid, hbar, build))
-    low, _ = _low_spectrum(op.matrix)
+    low, _ = _low_spectrum(op)
     # zgeev, on the same entries as complex numbers
     evals = np.linalg.eigvals(op.matrix.astype(complex))
     assert evals.dtype == np.complex128
@@ -220,15 +236,14 @@ def test_every_scenario_has_one_runner():
 
 
 # time.dt values that do not divide the scenario's time.T: rounding T/dt
-# would end phase_offset at t = 0.05001 and classical_limit at 0.9999.
-# A zero step would divide by zero, a NaN one fail to round
+# would end harmonic_stationary at t = 0.50001 and classical_limit at
+# 0.9999.  A zero step would divide by zero, a NaN one fail to round
 @pytest.mark.parametrize("scenario,dt", [
     ("harmonic_stationary", 3e-5),
-    ("phase_offset", 3e-5),
     ("classical_limit", 3e-4),
     ("propagator_quality", 3e-4),
     ("propagator_quality", 0.0),
-    ("phase_offset", float("nan")),
+    ("harmonic_stationary", float("nan")),
 ])
 def test_evolve_rejects_a_step_that_does_not_divide_the_horizon(
         tmp_path, scenario, dt):
@@ -493,6 +508,31 @@ def test_a_config_that_breaks_the_contract_leaves_no_run_directory(
     assert not (tmp_path / "cli").exists()
 
 
+def test_the_retired_phase_offset_scenario_and_its_key_are_refused(
+        tmp_path, capsys):
+    # its three checks were identities of the polar representation, which
+    # test_madelung.py now holds; state.offset_quanta was its key alone
+    with pytest.raises(ConfigurationError,
+                       match="unknown scenario 'phase_offset'"):
+        run_command("evolve", {"run.scenario": "phase_offset"},
+                    str(tmp_path / "api-scenario"))
+    with pytest.raises(ConfigurationError, match="evolve takes no config "
+                                                 "key 'state.offset_quanta'"):
+        run_command("evolve", {"run.scenario": "harmonic_stationary",
+                               "state.offset_quanta": 1},
+                    str(tmp_path / "api-key"))
+    cfg = tmp_path / "offset.cfg"
+    cfg.write_text("state.offset_quanta = 1\n")
+    for args, error in (
+            (["--scenario", "phase_offset"],
+             "unknown scenario 'phase_offset'"),
+            (["--config", str(cfg)],
+             "unknown config key 'state.offset_quanta'")):
+        assert cli.main(["evolve", *args, "--out", str(tmp_path / "cli")]) == 2
+        assert error in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["offset.cfg"]
+
+
 def test_a_preset_switch_takes_the_new_presets_parameters(tmp_path):
     # system.omega belongs to the harmonic preset, which free_gaussian's
     # registry entry does not use
@@ -629,7 +669,6 @@ SMALL_RUNS = {
     ("evolve", "free_gaussian"): {"time.T": 0.1},
     ("evolve", "harmonic_coherent"): {"time.T": 0.05},
     ("evolve", "harmonic_stationary"): {"time.T": 0.05},
-    ("evolve", "phase_offset"): {},
     ("evolve", "classical_limit"): {"time.T": 0.1},
     ("evolve", "propagator_quality"): {"grid.n": 128},
     **{("sample", name): {"ensemble.size": 1000}
