@@ -12,8 +12,8 @@ from .hamiltonian import (ClassicalSpec, QuantumOperator,
 from .evolution import (WaveState, coherent_state, gaussian_packet,
                         ground_state, propagate_crank_nicolson,
                         propagate_eigen_oracle)
-from .madelung import (MadelungState, PhasePair, from_polar, pair_from_wave,
-                       quantum_potential, step_coupled_pde, to_polar)
+from .madelung import (MadelungState, from_polar, quantum_potential,
+                       step_coupled_pde, to_polar)
 from .classical import PhasePoint, integrate_path
 from .stochastic import (EnsembleState, LambdaSource, bohmian_velocity,
                          effective_velocity, init_ensemble,
@@ -30,8 +30,8 @@ __all__ = [
     "build_quantum_hamiltonian", "build_naive_ordering", "hermiticity_defect",
     "WaveState", "gaussian_packet", "coherent_state", "ground_state",
     "propagate_crank_nicolson", "propagate_eigen_oracle",
-    "MadelungState", "PhasePair", "to_polar", "from_polar", "pair_from_wave",
-    "step_coupled_pde", "quantum_potential",
+    "MadelungState", "to_polar", "from_polar", "step_coupled_pde",
+    "quantum_potential",
     "PhasePoint", "integrate_path",
     "LambdaSource", "EnsembleState",
     "sample_lambda", "sample_action_deviation",

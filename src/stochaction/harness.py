@@ -576,7 +576,7 @@ def _march(state, advance, bounds, record):
 
 
 def _polar_advance(spec, dt):
-    return lambda pair, n: madelung.step_coupled_pde(pair, spec, dt, steps=n)
+    return lambda m, n: madelung.step_coupled_pde(m, spec, dt, steps=n)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +586,10 @@ def _polar_advance(spec, dt):
 def _snapshot_rows(q: list[str], snapshots):
     """The rows (t, q, *fields) of snapshots (t, *field arrays), one per grid
     point, with every cell already written as write_csv writes a float; q is
-    the grid column's strings.  A field byte-equal to another field of its
-    snapshot, as an offset-0 pair's branches are, is formatted once."""
+    the grid column's strings."""
     for t, *fields in snapshots:
-        distinct = {f.tobytes(): f for f in fields}
-        text = {k: list(map(float.__repr__, f.tolist())) for k, f in distinct.items()}
-        yield from zip(repeat(_fmt(t)), q, *(text[f.tobytes()] for f in fields))
+        yield from zip(repeat(_fmt(t)), q,
+                       *(map(float.__repr__, f.tolist()) for f in fields))
 
 
 def _chain_snapshots(cfg, out):
@@ -602,30 +600,26 @@ def _chain_snapshots(cfg, out):
         state0, H, [b * dt for b in bounds])))
     snaps, rows_chain = [], []
 
-    def record(pair, b):
+    def record(m, b):
         t = b * dt
         ref = refs[b]
         dens_ref = np.abs(ref.psi) ** 2
-        dens_pair = pair.plus.R ** 2
-        l2 = l2_distance(dens_pair, dens_ref, grid)
-        dS_pair = gradient(pair.plus.S, grid)
+        l2 = l2_distance(m.R ** 2, dens_ref, grid)
+        dS_polar = gradient(m.S, grid)
         dS_ref = gradient(wave_phase(ref), grid)
         # compare phase gradients only where the density is non-negligible:
         # in the deep tail the reference phase unwraps through near-zeros
         # and has no polar counterpart
         w = np.where(dens_ref >= 1e-6 * dens_ref.max(), dens_ref, 0.0)
-        pg = float(np.sqrt(integrate((dS_pair - dS_ref) ** 2 * w, grid)))
+        pg = float(np.sqrt(integrate((dS_polar - dS_ref) ** 2 * w, grid)))
         rows_chain.append((t, l2, pg))
-        snaps.append((t, dens_ref, pair.plus.R, pair.minus.R,
-                      pair.plus.S, pair.minus.S))
+        snaps.append((t, dens_ref, m.R, m.S))
 
-    _march(madelung.pair_from_wave(state0), _polar_advance(spec, dt), bounds,
-           record)
+    _march(madelung.to_polar(state0), _polar_advance(spec, dt), bounds, record)
     q = list(map(float.__repr__, grid.points().tolist()))
     out.csv("wave_density.csv", ["t", "q", "density"],
             _snapshot_rows(q, (s[:2] for s in snaps)))
-    out.csv("madelung_pair.csv",
-            ["t", "q", "R_plus", "R_minus", "S_plus", "S_minus"],
+    out.csv("madelung_pair.csv", ["t", "q", "R", "S"],
             _snapshot_rows(q, ((s[0], *s[2:]) for s in snaps)))
     out.csv("chain_equivalence.csv", ["t", "l2_density", "phase_grad_dist"],
             rows_chain)
@@ -639,7 +633,7 @@ def _chain_snapshots(cfg, out):
 
 def _stationary_phase_checks(H, grid, first, last):
     """A stationary state's phase advances at -e0 at every point: the rate
-    -(S(T) - S(0)) / T of the pair's plus branch over the support (density
+    -(S(T) - S(0)) / T of the polar state over the support (density
     at least 1e-6 of its peak, as for the phase gradients), its
     density-weighted mean against ground_state's e0 on the same operator,
     and its spread.
@@ -650,9 +644,9 @@ def _stationary_phase_checks(H, grid, first, last):
     1.8e-5, the discretization's own error: a rate that followed the
     continuum's energy, not the operator's, would fail.  A Gaussian 0.1% too wide,
     low-passed at energy 12, misses e0 by 1.3e-6 and spreads by 0.019."""
-    t0, dens, _, _, S0, _ = first
-    t1, _, _, _, S1, _ = last
-    rate = -(S1 - S0) / (t1 - t0)
+    t0, dens, _, S_first = first
+    t1, _, _, S_last = last
+    rate = -(S_last - S_first) / (t1 - t0)
     w = np.where(dens >= 1e-6 * dens.max(), dens, 0.0)
     mean = integrate(rate * w, grid) / integrate(w, grid)
     return [_check("stationary_phase_rate_err",
@@ -671,13 +665,13 @@ def _run_classical_limit(cfg, out):
     rows = []
     pts = grid.points()
 
-    def record(pair, b):
-        dens = pair.plus.R ** 2
+    def record(m, b):
+        dens = m.R ** 2
         center = float(integrate(pts * dens, grid) / integrate(dens, grid))
         q_ref = float(path_ref.qs[b])
         rows.append((b * dt, center, q_ref, abs(center - q_ref)))
 
-    _march(madelung.pair_from_wave(state0), _polar_advance(spec, dt),
+    _march(madelung.to_polar(state0), _polar_advance(spec, dt),
            [0, *_every(steps, 20)], record)
     out.csv("classical_track.csv", ["t", "center", "q_ref", "abs_error"], rows)
 
@@ -695,11 +689,10 @@ def _run_classical_limit(cfg, out):
     for lam in (2.0 * hbar, hbar):
         st = gaussian_packet(qp_grid, center=0.0, sigma=0.32, momentum=0.0,
                              hbar_eff=lam)
-        pr = madelung.pair_from_wave(st)
-        pr = madelung.step_coupled_pde(pr, spec, qp_dt,
-                                       steps=whole_steps(0.25, qp_dt))
-        qp = madelung.quantum_potential(pr.plus.R, spec, qp_grid, lam)
-        dens = pr.plus.R ** 2
+        m = madelung.step_coupled_pde(madelung.to_polar(st), spec, qp_dt,
+                                      steps=whole_steps(0.25, qp_dt))
+        qp = madelung.quantum_potential(m.R, spec, qp_grid, lam)
+        dens = m.R ** 2
         w_norm = float(np.sqrt(integrate(qp ** 2 * dens, qp_grid)
                                / integrate(dens, qp_grid)))
         norms[lam] = w_norm

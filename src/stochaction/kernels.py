@@ -995,10 +995,9 @@ def run_ensemble_window(qs, lams, logws, frozen, vb, osm, th, q_min, dq, dt,
 #   d(omega)/dt = -d/dq [ g dS/dq omega ]        (diffusion eliminated)
 #   d(S)/dt     = -( g (dS/dq)^2 / 2 + V + QP )
 #   QP          = -(lam^2/2) (g d2R + dg dR) / R,  R = sqrt(omega)
-# Both branches of the pair obey these equations with the same |lam|, and
-# S enters them only through differences, so the minus branch is the plus
-# branch shifted by the constant S0: madelung.step_coupled_pde advances the
-# plus branch alone, and the window integrates one branch.
+# Both branches of the pair obey these equations, which read |lam| only,
+# so one polar state stands for both: madelung.step_coupled_pde passes
+# |lam|, and the window integrates that one row.
 #
 # Wall closure: the wave propagators hold psi = 0 at the ghost points just
 # outside the domain.  Approximate closures at the two wall cells are

@@ -1,15 +1,14 @@
 """Polar (R, S) representation of the wave and direct integration of the
 coupled amplitude/phase PDEs for the signed action scale.
 
-A single branch carries amplitude R, phase-action S and its signed scale
-lam.  The co-evolved pair (+|lam|, -|lam|) shares one density because the
-sign-odd transport terms cancel between the branches.  Its equations read
-|lam| only, and S only through differences, so the minus branch obeys the
-plus branch's equations and stays the plus branch shifted by the constant
-S0.  A `PhasePair` therefore holds the plus branch and S0, and derives the
-minus branch from them; `step_coupled_pde` advances the plus branch alone,
-as one kernel row.  A pair built from a wave has S0 = 0; at a whole
-number of quanta 2 pi |lam| both branches map to the same wave.
+A `MadelungState` carries amplitude R, phase-action S and its signed
+scale lam.  The co-evolved pair (+|lam|, -|lam|) shares one density
+because the sign-odd transport terms cancel between the branches.  Its
+equations read |lam| only, so `step_coupled_pde` advances a state of
+either sign to the same R and S and keeps its sign: the state with lam
+negated is the other branch of the pair, and one state stands for both.
+`to_polar` builds the +hbar_eff branch of a wave; S shifted by a whole
+number of quanta 2 pi |lam| maps to the same wave.
 """
 from __future__ import annotations
 
@@ -25,8 +24,8 @@ from .kernels import run_madelung_window
 from .lattice import (GridSpec, check_field, gradient, integrate,
                       second_derivative)
 
-# a branch norm that drifts further than this, relative to its value on
-# entry to `step_coupled_pde`, aborts the integration
+# a norm that drifts further than this, relative to its value on entry to
+# `step_coupled_pde`, aborts the integration
 NORM_DRIFT_LIMIT = 1e-3
 
 # `step_coupled_pde` runs the kernel in windows of this many steps and
@@ -48,20 +47,6 @@ class MadelungState:
     grid: GridSpec
 
 
-@dataclass(frozen=True)
-class PhasePair:
-    plus: MadelungState
-    S0: float  # constant phase offset S_plus - S_minus; 0 from a wave
-
-    @property
-    def minus(self) -> MadelungState:
-        """The -|lam| branch: the plus branch's amplitude, its phase
-        S_plus - S0 and its scale negated, at its time, in new arrays."""
-        p = self.plus
-        return MadelungState(R=p.R.copy(), S=p.S - self.S0, lam=-p.lam, t=p.t,
-                             grid=p.grid)
-
-
 def _check_madelung(m: MadelungState, name: str = "state") -> None:
     check_field(m.R, m.grid, f"{name}.R")
     check_field(m.S, m.grid, f"{name}.S")
@@ -72,14 +57,6 @@ def _check_madelung(m: MadelungState, name: str = "state") -> None:
     norm = integrate(m.R ** 2, m.grid)
     if abs(norm - 1.0) > 1e-6:
         raise ShapeError(f"{name} norm^2 = {norm!r}, expected 1 within 1e-6")
-
-
-def _check_pair(pair: PhasePair) -> None:
-    _check_madelung(pair.plus, "plus branch")
-    if pair.plus.lam <= 0:
-        raise ConfigurationError("pair must hold lam > 0 in its plus branch")
-    if not np.isfinite(pair.S0):
-        raise ConfigurationError(f"pair offset S0 must be finite, got {pair.S0}")
 
 
 def to_polar(state: WaveState) -> MadelungState:
@@ -111,10 +88,8 @@ def from_polar(m: MadelungState) -> WaveState:
     return WaveState(psi=psi, hbar_eff=hbar_eff, t=m.t, grid=m.grid)
 
 
-def pair_from_wave(state: WaveState) -> PhasePair:
-    """The (+hbar_eff, -hbar_eff) pair of one wave state, at S0 = 0: both
-    branches are `to_polar`'s amplitude and phase."""
-    return PhasePair(plus=to_polar(state), S0=0.0)
+# the name perfbench's polar sweep still calls
+pair_from_wave = to_polar
 
 
 def quantum_potential(R: np.ndarray, spec: ClassicalSpec, grid: GridSpec,
@@ -161,46 +136,44 @@ def _field_tables(spec: ClassicalSpec, grid: GridSpec):
 def _guard(omega: np.ndarray, S: np.ndarray) -> None:
     if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(S))):
         raise NumericalError(
-            "polar integration produced non-finite fields in the plus "
-            "branch; either dt is too large or the state has content the "
+            "polar integration produced non-finite fields in the polar "
+            "state; either dt is too large or the state has content the "
             "polar fields cannot carry (an unfiltered packet tail at the "
             "walls, a near-node)")
     # machine-negligible undershoot in the deep tail is clamped; anything
     # larger means the scheme is failing
     if float(np.min(omega)) < -1e-9 * float(np.max(omega)):
         raise NumericalError(
-            "density of the plus branch went significantly negative "
+            "density of the polar state went significantly negative "
             "during polar integration; the state is leaving the resolvable "
             "node-free regime")
 
 
-def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
-                     steps: int = 1) -> PhasePair:
-    """Advance the pair by `steps` explicit RK4 steps.
+def step_coupled_pde(m: MadelungState, spec: ClassicalSpec, dt: float,
+                     steps: int = 1) -> MadelungState:
+    """Advance the polar state by `steps` explicit RK4 steps.
 
     Co-evolution uses the pair-cancelled continuity rate (the sign-odd
     transport terms of the two branches cancel identically when the
     amplitudes agree), which keeps the integration stable.  Its right-hand
-    side reads |lam| only, and S only through differences, so the minus
-    branch obeys the plus branch's equations and differs from it by the
-    constant S0 alone: the plus branch is advanced as one kernel row, and
-    the minus branch of the result is derived from it (`PhasePair.minus`),
-    so amplitude symmetry and the S0 offset hold by construction.
+    side reads |lam| only, so the state is advanced as one kernel row at
+    |lam| and keeps its sign: the result at -lam is the result at lam with
+    lam negated.
 
     The node-free precondition is checked once on entry.  During the run,
-    every CHECK_EVERY steps, the branch must be finite, must not have gone
+    every CHECK_EVERY steps, the state must be finite, must not have gone
     significantly negative in density, and must keep its norm within
     NORM_DRIFT_LIMIT of its value on entry.
     """
-    _check_pair(pair)
-    m = pair.plus
-    require_node_free(m.R ** 2, "density of the plus branch")
+    _check_madelung(m, "polar state")
+    require_node_free(m.R ** 2, "density of the polar state")
     if dt <= 0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     grid = m.grid
-    dt_default = default_timestep(grid, spec, m.lam)
+    lam_abs = abs(m.lam)
+    dt_default = default_timestep(grid, spec, lam_abs)
     if dt > 10.0 * dt_default:
         raise ConfigurationError(
             f"dt = {dt} is more than 10x the default step {dt_default:.3e}")
@@ -214,15 +187,15 @@ def step_coupled_pde(pair: PhasePair, spec: ClassicalSpec, dt: float,
     while done < steps:
         chunk = min(CHECK_EVERY, steps - done)
         np.square(R, out=y[0])
-        run_madelung_window(y, g, dg, V, grid.dq, dt, chunk, m.lam)
+        run_madelung_window(y, g, dg, V, grid.dq, dt, chunk, lam_abs)
         _guard(y[0], y[1])
         R = np.sqrt(np.maximum(y[0], 0.0))
         norm = integrate(R ** 2, grid)
         if abs(norm / norm0 - 1.0) > NORM_DRIFT_LIMIT:
             raise NumericalError(
-                "norm of the plus branch drifted by more than "
+                "norm of the polar state drifted by more than "
                 f"{NORM_DRIFT_LIMIT:g} ({norm0!r} -> {norm!r} after "
                 f"{done + chunk} steps)")
         t += dt * chunk
         done += chunk
-    return PhasePair(plus=replace(m, R=R, S=y[1].copy(), t=t), S0=pair.S0)
+    return replace(m, R=R, S=y[1].copy(), t=t)

@@ -210,7 +210,8 @@ def test_snapshot_rows_write_the_bytes_of_per_point_float_rows(tmp_path):
 def test_chain_snapshot_tables_pass_one_row_per_grid_point_per_snapshot(
         tmp_path, monkeypatch):
     # write_csv is handed each row, so a count of the rows it receives (the
-    # benchmark's traced harness.csv_rows) still counts table lines
+    # benchmark's traced harness.csv_rows) still counts table lines.  The
+    # polar table holds one state's R and S, with no mirror columns
     received = {}
     original = harness.write_csv
 
@@ -227,6 +228,14 @@ def test_chain_snapshot_tables_pass_one_row_per_grid_point_per_snapshot(
     assert received == {"wave_density.csv": snapshots * n,
                         "madelung_pair.csv": snapshots * n,
                         "chain_equivalence.csv": snapshots}
+    headers = {name: next(line for line in
+                          (tmp_path / name).read_text().splitlines()
+                          if not line.startswith("#"))
+               for name in received}
+    assert headers == {"wave_density.csv": "t,q,density",
+                       "madelung_pair.csv": "t,q,R,S",
+                       "chain_equivalence.csv":
+                           "t,l2_density,phase_grad_dist"}
 
 
 def test_every_scenario_has_one_runner():

@@ -21,7 +21,7 @@ from stochaction.kernels import (_SHARD_MIN, DOMAIN_DEVIATION, DOMAIN_LAMBDA,
                                  sample_stats, uniform_range)
 from stochaction.lattice import (build_grid, gradient_uniform,
                                  second_derivative_uniform)
-from stochaction.madelung import pair_from_wave, step_coupled_pde
+from stochaction.madelung import step_coupled_pde, to_polar
 from stochaction.stochastic import (LambdaSource, sample_action_deviation,
                                     sample_lambda)
 
@@ -994,12 +994,11 @@ def test_an_infinite_wall_phase_step_gives_nan_then_a_numerical_error():
     # 9e307, is still finite, so the dt gate admits the run; at 5e-324 the
     # gate refuses it (tests/test_madelung.py)
     spec = make_system("free")
-    pair = pair_from_wave(gaussian_packet(build_grid(128, -6.0, 6.0),
-                                          sigma=1.0, momentum=1.0))
-    small = 1e-311
-    pair = replace(pair, plus=replace(pair.plus, lam=small))
+    m = replace(to_polar(gaussian_packet(build_grid(128, -6.0, 6.0),
+                                         sigma=1.0, momentum=1.0)),
+                lam=1e-311)
     with pytest.raises(NumericalError, match="non-finite"):
-        step_coupled_pde(pair, spec, 1e-4, steps=5)
+        step_coupled_pde(m, spec, 1e-4, steps=5)
 
 
 def _build_command(monkeypatch, cache):

@@ -1,5 +1,6 @@
-"""Polar decomposition, the signed-scale branch pair, coupled
-amplitude/phase integration, and the scale-squared potential term."""
+"""Polar decomposition, the signed scale's two branches as one state,
+coupled amplitude/phase integration, and the scale-squared potential
+term."""
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,7 @@ from stochaction import madelung
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.kernels import run_madelung_window
 from stochaction.lattice import GridSpec, build_grid, gradient, integrate
-from stochaction.madelung import (CHECK_EVERY, PhasePair, default_timestep,
-                                  from_polar, pair_from_wave,
+from stochaction.madelung import (CHECK_EVERY, default_timestep, from_polar,
                                   quantum_potential, step_coupled_pde,
                                   to_polar)
 
@@ -29,11 +29,11 @@ def ground_384():
     return grid, spec, gs
 
 
-def _offset_pair(state, quanta=1):
-    """The pair of `state` whose minus branch sits `quanta` whole quanta
-    2 pi hbar below its plus branch."""
-    return PhasePair(plus=to_polar(state),
-                     S0=quanta * H_QUANTUM * state.hbar_eff)
+def _shifted(state, quanta=1):
+    """The polar state of `state` with S shifted by `quanta` whole quanta
+    2 pi hbar."""
+    m = to_polar(state)
+    return replace(m, S=m.S + quanta * H_QUANTUM * state.hbar_eff)
 
 
 # the representation's identities at two states: 11 points (build_grid
@@ -130,41 +130,6 @@ def test_half_quantum_offset_flips_the_sign(case):
 
 
 # ---------------------------------------------------------------------------
-# branch pair bookkeeping
-
-
-def test_pair_from_wave_shares_amplitude_and_has_no_offset(ground_384):
-    _, _, gs = ground_384
-    pair = pair_from_wave(gs)
-    assert pair.S0 == 0.0
-    assert pair.plus.R.tobytes() == pair.minus.R.tobytes()
-    assert pair.plus.lam == 1.0 and pair.minus.lam == -1.0
-    # S - (S - 0.0) is exact: the branches agree byte for byte, and the
-    # offset between them is 0.0 at every point and in the mean
-    assert pair.minus.S.tobytes() == pair.plus.S.tobytes()
-    diff = pair.plus.S - pair.minus.S
-    assert not np.any(diff) and np.mean(diff) == 0.0
-
-
-@pytest.mark.parametrize("case", OFFSET_STATES)
-def test_the_branch_offset_is_S0_to_the_rounding_of_the_largest_S(case):
-    # minus.S is plus.S - S0 byte for byte.  S_plus - S_minus rounds twice,
-    # S_plus - S0 and the difference back, half an ulp each of the largest
-    # |S|; the mean over the grid adds the rounding of numpy's pairwise sum
-    # (at most 3 ulps measured, over the states and grids named above)
-    pair = _offset_pair(OFFSET_STATES[case]())
-    plus, minus = pair.plus, pair.minus
-    assert minus.S.tobytes() == (plus.S - pair.S0).tobytes()
-    diff = plus.S - minus.S
-    ulp = _ulp_of_largest(plus.S, minus.S, pair.S0)
-    assert np.max(np.abs(diff - pair.S0)) <= ulp
-    assert abs(np.mean(diff) - pair.S0) <= 4 * ulp
-    if case == "wide":
-        # where |S - 2 pi| reaches 8, bytes would be the wrong test
-        assert np.any(diff != pair.S0)
-
-
-# ---------------------------------------------------------------------------
 # scale-squared potential term
 
 
@@ -205,27 +170,9 @@ def test_quantum_potential_scales_exactly_with_scale_squared():
 
 def test_stationary_ground_state_amplitude_is_preserved(ground_384):
     _, spec, gs = ground_384
-    pair = pair_from_wave(gs)
-    out = step_coupled_pde(pair, spec, 5e-4, steps=2000)   # T = 1
-    assert np.max(np.abs(out.plus.R - pair.plus.R)) < 1e-4   # measured 5.8e-14
-
-
-def test_phase_offset_is_preserved_under_integration(ground_384):
-    _, spec, gs = ground_384
-    pair = _offset_pair(gs)
-    out = step_coupled_pde(pair, spec, 5e-4, steps=2000)   # T = 1
-    assert out.S0 == pair.S0
-    assert out.minus.S.tobytes() == (out.plus.S - pair.S0).tobytes()
-    diff = out.plus.S - out.minus.S
-    assert np.max(np.abs(diff - pair.S0)) <= _ulp_of_largest(
-        out.plus.S, out.minus.S, pair.S0)
-
-
-def test_amplitude_symmetry_is_preserved(ground_384):
-    _, spec, gs = ground_384
-    pair = _offset_pair(gs)
-    out = step_coupled_pde(pair, spec, 5e-4, steps=2000)
-    assert np.max(np.abs(out.plus.R - out.minus.R)) < 1e-6   # measured 5.9e-15
+    m = to_polar(gs)
+    out = step_coupled_pde(m, spec, 5e-4, steps=2000)   # T = 1
+    assert np.max(np.abs(out.R - m.R)) < 1e-4   # measured 5.8e-14
 
 
 def continuity_rate_signed(m, spec):
@@ -255,10 +202,10 @@ def continuity_rate_pair(m, spec):
 
 def test_branch_average_of_signed_rates_is_the_pair_rate(ground_384):
     _, spec, gs = ground_384
-    pair = _offset_pair(gs)
-    avg = 0.5 * (continuity_rate_signed(pair.plus, spec)
-                 + continuity_rate_signed(pair.minus, spec))
-    pair_rate = continuity_rate_pair(pair.plus, spec)
+    m = to_polar(gs)
+    avg = 0.5 * (continuity_rate_signed(m, spec)
+                 + continuity_rate_signed(replace(m, lam=-m.lam), spec))
+    pair_rate = continuity_rate_pair(m, spec)
     scale = np.max(np.abs(pair_rate)) + 1.0
     assert np.max(np.abs(avg - pair_rate)) < 1e-12 * scale
 
@@ -271,12 +218,11 @@ def test_free_packet_tracks_the_schrodinger_density():
     spec = make_system("free")
     H = build_quantum_hamiltonian(spec, grid, 1.0)
     st = gaussian_packet(grid, sigma=1.0, momentum=0.3)
-    pair = pair_from_wave(st)
-    pair = step_coupled_pde(pair, spec, 1e-4, steps=5000)
+    m = step_coupled_pde(to_polar(st), spec, 1e-4, steps=5000)
     ref = propagate_eigen_oracle(st, H, 0.5)
     dens_ref = np.abs(ref.psi) ** 2
-    assert l2_distance(pair.plus.R ** 2, dens_ref, grid) < 1e-3
-    dS = gradient(pair.plus.S, grid) - gradient(np.unwrap(np.angle(ref.psi)), grid)
+    assert l2_distance(m.R ** 2, dens_ref, grid) < 1e-3
+    dS = gradient(m.S, grid) - gradient(np.unwrap(np.angle(ref.psi)), grid)
     w = np.where(dens_ref >= 1e-6 * dens_ref.max(), dens_ref, 0.0)
     assert float(np.sqrt(integrate(dS ** 2 * w, grid))) < 1e-2
 
@@ -286,22 +232,20 @@ def test_a_run_splits_at_the_guard_interval_with_the_same_bits(ground_384):
     # from the guarded amplitude, so two calls that end a chunk where one
     # call would give that call's bits
     _, spec, gs = ground_384
-    pair = _offset_pair(gs)
-    one = step_coupled_pde(pair, spec, 5e-4, steps=2 * CHECK_EVERY + 1)
-    two = step_coupled_pde(step_coupled_pde(pair, spec, 5e-4, CHECK_EVERY),
+    m = _shifted(gs)
+    one = step_coupled_pde(m, spec, 5e-4, steps=2 * CHECK_EVERY + 1)
+    two = step_coupled_pde(step_coupled_pde(m, spec, 5e-4, CHECK_EVERY),
                            spec, 5e-4, CHECK_EVERY + 1)
-    for a, b in ((one.plus, two.plus), (one.minus, two.minus)):
-        assert a.R.tobytes() == b.R.tobytes()
-        assert a.S.tobytes() == b.S.tobytes()
-        assert a.t == b.t
+    assert one.R.tobytes() == two.R.tobytes()
+    assert one.S.tobytes() == two.S.tobytes()
+    assert one.t == two.t
 
 
 def test_step_rejects_oversized_timestep(ground_384):
     grid, spec, gs = ground_384
-    pair = pair_from_wave(gs)
     bound = default_timestep(grid, spec, 1.0)
     with pytest.raises(ConfigurationError):
-        step_coupled_pde(pair, spec, 100.0 * bound, steps=1)
+        step_coupled_pde(to_polar(gs), spec, 100.0 * bound, steps=1)
 
 
 def test_a_subnormal_scale_has_no_default_step_and_admits_no_dt():
@@ -311,25 +255,21 @@ def test_a_subnormal_scale_has_no_default_step_and_admits_no_dt():
     spec = make_system("free")
     with pytest.raises(ConfigurationError, match="default step is inf"):
         default_timestep(grid, spec, 5e-324)
-    pair = pair_from_wave(gaussian_packet(grid, sigma=1.0, momentum=1.0))
-    pair = replace(pair, plus=replace(pair.plus, lam=5e-324))
+    m = replace(to_polar(gaussian_packet(grid, sigma=1.0, momentum=1.0)),
+                lam=5e-324)
     with pytest.raises(ConfigurationError, match="default step is inf"):
-        step_coupled_pde(pair, spec, 1e-4, steps=1)
+        step_coupled_pde(m, spec, 1e-4, steps=1)
     # the smallest scales whose default step is finite keep their gate
     assert np.isfinite(default_timestep(grid, spec, 1e-311))
 
 
 def test_step_rejects_bad_arguments(ground_384):
     _, spec, gs = ground_384
-    pair = pair_from_wave(gs)
+    m = to_polar(gs)
     with pytest.raises(ConfigurationError):
-        step_coupled_pde(pair, spec, -1e-4, steps=1)
+        step_coupled_pde(m, spec, -1e-4, steps=1)
     with pytest.raises(ConfigurationError):
-        step_coupled_pde(pair, spec, 1e-4, steps=0)
-    # an offset that makes no minus branch
-    for S0 in (np.inf, np.nan):
-        with pytest.raises(ConfigurationError, match="S0 must be finite"):
-            step_coupled_pde(replace(pair, S0=S0), spec, 1e-4, steps=1)
+        step_coupled_pde(m, spec, 1e-4, steps=0)
 
 
 def test_unstable_integration_is_caught_not_silent(ground_384):
@@ -341,10 +281,10 @@ def test_unstable_integration_is_caught_not_silent(ground_384):
     # run must abort with a diagnostic, never return garbage
     grid, spec, gs = ground_384
     dt = 9.0 * default_timestep(grid, spec, 1.0)
-    pair = pair_from_wave(gs)
-    out = step_coupled_pde(pair, spec, dt, steps=400)
-    assert np.max(np.abs(out.plus.R - pair.plus.R)) < 1e-10
-    raw = pair_from_wave(gaussian_packet(grid, sigma=0.9, center=1.0))
+    m = to_polar(gs)
+    out = step_coupled_pde(m, spec, dt, steps=400)
+    assert np.max(np.abs(out.R - m.R)) < 1e-10
+    raw = to_polar(gaussian_packet(grid, sigma=0.9, center=1.0))
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
         step_coupled_pde(raw, spec, dt, steps=2000)
 
@@ -357,39 +297,32 @@ def test_norm_guard_fires_on_a_packet_cut_off_by_the_walls():
     # the whole call, not per step, so it must raise at the first check
     grid = build_grid(64, -3.0, 3.0)
     spec = make_system("free")
-    pair = pair_from_wave(gaussian_packet(grid, sigma=2.0, momentum=1.0))
+    m = to_polar(gaussian_packet(grid, sigma=2.0, momentum=1.0))
     dt = default_timestep(grid, spec, 1.0)
-    with pytest.raises(NumericalError, match="norm of the plus branch"):
-        step_coupled_pde(pair, spec, dt, steps=200)
+    with pytest.raises(NumericalError, match="norm of the polar state"):
+        step_coupled_pde(m, spec, dt, steps=200)
 
 
 # ---------------------------------------------------------------------------
-# the minus branch is the plus branch shifted by S0; one kernel row
+# the other branch is the state with lam negated; one kernel row
 
 
 @pytest.mark.parametrize("quanta", (0, 1))
-def test_the_minus_branch_is_the_plus_branch_shifted_by_S0(ground_384, quanta):
-    # a signed zero equals its opposite by value but not by bytes
-    _, _, gs = ground_384
-    pair = _offset_pair(gs, quanta)
-    assert pair.plus.S[0] == 0.0
-    if quanta == 0:
-        S = pair.plus.S.copy()
-        S[0] = -0.0
-        pair = replace(pair, plus=replace(pair.plus, S=S))
-    minus = pair.minus
-    assert minus.R.tobytes() == pair.plus.R.tobytes()
-    assert minus.S.tobytes() == (pair.plus.S - pair.S0).tobytes()
-    if quanta == 0:
-        assert minus.S.tobytes() == pair.plus.S.tobytes()
-        assert np.signbit(minus.S[0])
-    assert minus.lam == -pair.plus.lam and minus.t == pair.plus.t
-    assert minus.grid == pair.plus.grid
-    assert not np.shares_memory(minus.R, pair.plus.R)
-    assert not np.shares_memory(minus.S, pair.plus.S)
-    # a pair whose branches disagree cannot be built
-    with pytest.raises(TypeError):
-        madelung.PhasePair(plus=pair.plus, minus=minus, S0=pair.S0)
+def test_a_negated_scale_steps_to_the_same_fields_and_keeps_its_sign(
+        ground_384, quanta):
+    # the pair's equations read |lam| only, so the -|lam| branch is the
+    # +|lam| branch's R and S, byte for byte, with its own sign; across a
+    # guard window, and with S offset by a whole quantum or not
+    grid, spec, _ = ground_384
+    m = _shifted(gaussian_packet(grid, sigma=0.8, momentum=0.9, center=0.3),
+                 quanta)
+    out = step_coupled_pde(m, spec, 5e-4, steps=CHECK_EVERY + 1)
+    neg = step_coupled_pde(replace(m, lam=-m.lam), spec, 5e-4,
+                           steps=CHECK_EVERY + 1)
+    assert neg.R.tobytes() == out.R.tobytes()
+    assert neg.S.tobytes() == out.S.tobytes()
+    assert (out.lam, neg.lam) == (m.lam, -m.lam)
+    assert neg.t == out.t and neg.grid == out.grid
 
 
 def _record_kernel_shapes(monkeypatch):
@@ -408,53 +341,44 @@ def _record_kernel_shapes(monkeypatch):
 def test_every_pair_advances_one_row(ground_384, monkeypatch, quanta):
     grid, spec, gs = ground_384
     shapes = _record_kernel_shapes(monkeypatch)
-    step_coupled_pde(_offset_pair(gs, quanta), spec, 5e-4,
-                     steps=CHECK_EVERY + 1)
+    step_coupled_pde(_shifted(gs, quanta), spec, 5e-4, steps=CHECK_EVERY + 1)
     assert shapes == [(2, grid.n)] * 2
 
 
 @pytest.mark.parametrize("quanta", (0, 1))
 def test_the_stepper_equals_one_row_kernel_windows_bitwise(ground_384, quanta):
-    # the reference is the plus row run directly in the stepper's guard
+    # the reference is the state's row run directly in the stepper's guard
     # windows, each restarting from the guarded amplitude
     grid, spec, gs = ground_384
-    pair = _offset_pair(gaussian_packet(grid, sigma=0.8, momentum=0.9,
-                                        center=0.3), quanta)
+    m = _shifted(gaussian_packet(grid, sigma=0.8, momentum=0.9, center=0.3),
+                 quanta)
     dt, steps = 5e-4, 2 * CHECK_EVERY + 1
-    out = step_coupled_pde(pair, spec, dt, steps=steps)
+    out = step_coupled_pde(m, spec, dt, steps=steps)
     pts = grid.points()
     tables = [np.asarray(f(pts), dtype=float)
               for f in (spec.g, spec.dg, spec.V)]
     y = np.empty((2, grid.n))
-    R = pair.plus.R
-    y[1] = pair.plus.S
+    R = m.R
+    y[1] = m.S
     for chunk in (CHECK_EVERY, CHECK_EVERY, 1):
         np.square(R, out=y[0])
         run_madelung_window(y, *tables, grid.dq, dt, chunk, 1.0)
         R = np.sqrt(np.maximum(y[0], 0.0))
-    for m, S in ((out.plus, y[1]), (out.minus, y[1] - pair.S0)):
-        assert m.R.tobytes() == R.tobytes()
-        assert m.S.tobytes() == S.tobytes()
-        assert m.t == pair.plus.t + dt * CHECK_EVERY + dt * CHECK_EVERY + dt
-    assert out.S0 == pair.S0
+    assert out.R.tobytes() == R.tobytes()
+    assert out.S.tobytes() == y[1].tobytes()
+    assert out.t == m.t + dt * CHECK_EVERY + dt * CHECK_EVERY + dt
+    assert out.lam == m.lam
 
 
-def test_the_branches_of_a_one_row_result_share_no_memory(ground_384):
-    _, spec, gs = ground_384
-    out = step_coupled_pde(pair_from_wave(gs), spec, 5e-4, steps=1)
-    assert not np.shares_memory(out.plus.R, out.minus.R)
-    assert not np.shares_memory(out.plus.S, out.minus.S)
-
-
-def test_a_node_in_the_plus_branch_is_caught_on_entry(monkeypatch):
+def test_a_node_in_the_polar_state_is_caught_on_entry(monkeypatch):
     grid = build_grid(128, -6.0, 6.0)
     spec = make_system("harmonic", m=1.0, omega=1.0)
-    pair = pair_from_wave(gaussian_packet(grid, sigma=0.9))
-    R = pair.plus.R.copy()
+    m = to_polar(gaussian_packet(grid, sigma=0.9))
+    R = m.R.copy()
     R[40] = 0.0
     R /= np.sqrt(integrate(R ** 2, grid))
-    nodey = replace(pair, plus=replace(pair.plus, R=R))
+    nodey = replace(m, R=R)
     shapes = _record_kernel_shapes(monkeypatch)
-    with pytest.raises(NodeError, match="plus branch"):
+    with pytest.raises(NodeError, match="polar state"):
         step_coupled_pde(nodey, spec, 1e-4, steps=1)
     assert shapes == []
