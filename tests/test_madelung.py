@@ -129,6 +129,17 @@ def test_half_quantum_offset_flips_the_sign(case):
     assert np.max(np.abs(flipped + psi)) <= PHASE_ULPS * ulp * np.max(m.R)
 
 
+def test_pair_from_wave_shares_amplitude_and_has_no_offset(ground_384):
+    # the name perfbench's polar sweep calls builds to_polar's state: R is
+    # |psi| and S carries no offset, byte for byte, at scale +hbar_eff
+    _, _, gs = ground_384
+    m = madelung.pair_from_wave(gs)
+    ref = to_polar(gs)
+    assert m.R.tobytes() == np.abs(gs.psi).tobytes()
+    assert m.S.tobytes() == ref.S.tobytes()
+    assert (m.lam, m.t, m.grid) == (gs.hbar_eff, gs.t, gs.grid)
+
+
 # ---------------------------------------------------------------------------
 # scale-squared potential term
 
@@ -173,6 +184,34 @@ def test_stationary_ground_state_amplitude_is_preserved(ground_384):
     m = to_polar(gs)
     out = step_coupled_pde(m, spec, 5e-4, steps=2000)   # T = 1
     assert np.max(np.abs(out.R - m.R)) < 1e-4   # measured 5.8e-14
+
+
+def _offset_branches(state, quanta=1):
+    """The +lam branch of `state` and the -lam branch whose S sits
+    `quanta` whole quanta 2 pi hbar below it, as two states."""
+    plus = to_polar(state)
+    S0 = quanta * H_QUANTUM * state.hbar_eff
+    return plus, replace(plus, lam=-plus.lam, S=plus.S - S0), S0
+
+
+def test_phase_offset_is_preserved_under_integration(ground_384):
+    # the equations read gradients of S only, so a constant offset rides
+    # along; S - S0 and its gradients round differently from S's, and
+    # that rounding accumulates: measured 6.2e-10 after 2000 steps
+    _, spec, gs = ground_384
+    plus, minus, S0 = _offset_branches(gs)
+    out_plus = step_coupled_pde(plus, spec, 5e-4, steps=2000)   # T = 1
+    out_minus = step_coupled_pde(minus, spec, 5e-4, steps=2000)
+    assert (out_plus.lam, out_minus.lam) == (plus.lam, -plus.lam)
+    assert np.max(np.abs(out_plus.S - out_minus.S - S0)) < 1e-8
+
+
+def test_amplitude_symmetry_is_preserved(ground_384):
+    _, spec, gs = ground_384
+    plus, minus, _ = _offset_branches(gs)
+    out_plus = step_coupled_pde(plus, spec, 5e-4, steps=2000)
+    out_minus = step_coupled_pde(minus, spec, 5e-4, steps=2000)
+    assert np.max(np.abs(out_plus.R - out_minus.R)) < 1e-6   # measured 6.7e-15
 
 
 def continuity_rate_signed(m, spec):
@@ -272,6 +311,16 @@ def test_step_rejects_bad_arguments(ground_384):
         step_coupled_pde(m, spec, 1e-4, steps=0)
 
 
+@pytest.mark.parametrize("lam", (0.0, -0.0, np.nan, np.inf, -np.inf))
+def test_step_refuses_a_zero_or_non_finite_scale(ground_384, lam):
+    # either sign of a finite nonzero scale steps; no other scale does
+    _, spec, gs = ground_384
+    m = replace(to_polar(gs), lam=lam)
+    with pytest.raises(ConfigurationError,
+                       match="lam must be nonzero and finite"):
+        step_coupled_pde(m, spec, 1e-4, steps=1)
+
+
 def test_unstable_integration_is_caught_not_silent(ground_384):
     # just under the hard dt gate.  The smooth ground state is stable there
     # (measured stable up to 22x the default step; max|dR| 3.4e-14 at 9x),
@@ -368,6 +417,18 @@ def test_the_stepper_equals_one_row_kernel_windows_bitwise(ground_384, quanta):
     assert out.S.tobytes() == y[1].tobytes()
     assert out.t == m.t + dt * CHECK_EVERY + dt * CHECK_EVERY + dt
     assert out.lam == m.lam
+
+
+def test_a_stepped_state_shares_no_memory_with_its_input(ground_384):
+    # callers keep the fields of earlier states as snapshots
+    _, spec, gs = ground_384
+    m = to_polar(gs)
+    R, S = m.R.copy(), m.S.copy()
+    out = step_coupled_pde(m, spec, 5e-4, steps=1)
+    assert not np.shares_memory(out.R, m.R)
+    assert not np.shares_memory(out.S, m.S)
+    assert not np.shares_memory(out.R, out.S)
+    assert m.R.tobytes() == R.tobytes() and m.S.tobytes() == S.tobytes()
 
 
 def test_a_node_in_the_polar_state_is_caught_on_entry(monkeypatch):
