@@ -7,9 +7,10 @@ Everything works on the three diagonals of the operators from
 (LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle,
 spectral filter and ground state read the operator's cached
 eigendecomposition, one real symmetric tridiagonal solve (LAPACK dstemr)
-per operator.  The three routines are called in scipy's own LAPACK
-through ``kernels``, which does not import scipy, so a run that reaches
-this layer loads no scipy module.  The oracle takes a run's record times
+per operator.  These routines, like the dgebal and dhseqr of the
+ordering spectra, are called in scipy's own LAPACK through ``kernels``,
+which does not import scipy, so a run that reaches this layer loads no
+scipy module.  The oracle takes a run's record times
 in one call: it projects the initial state onto the eigenvectors once,
 then forms each time's state with its own product.
 

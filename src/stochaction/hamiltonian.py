@@ -170,9 +170,10 @@ class QuantumOperator:
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x n form, float64, whose spectrum
-        ``harness._ordering_rows`` takes with LAPACK's ``dgeev``: it works
-        in real arithmetic, about 2.7 times faster than ``zgeev`` at
-        n = 256 on one x86-64 thread."""
+        ``harness._low_spectrum`` takes in real arithmetic: a tridiagonal
+        matrix is upper Hessenberg already, so ``kernels.hessenberg_eigvals``
+        runs only LAPACK's balancing and QR steps (dgebal, dhseqr) of the
+        general eigensolver dgeev."""
         n = self.grid.n
         M = np.zeros((n, n))
         idx = np.arange(n)

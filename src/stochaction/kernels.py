@@ -1,7 +1,7 @@
 """Compiled kernels: the counter stream, the reducer of the sample
 scenarios, the ensemble micro-step window and the polar-pair RK4 window;
-and the wave layer's three LAPACK routines, bound with ctypes in the
-library that scipy ships (see the LAPACK section).
+and the wave layer's LAPACK routines, bound with ctypes in the library
+that scipy ships (see the LAPACK section).
 
 Randomness is counter-based: every variate is a pure function of (seed,
 domain, step, particle, slot) through a splitmix64 finalizer, so results
@@ -565,7 +565,7 @@ def _library(source: str):
 # ---------------------------------------------------------------------------
 # LAPACK
 # ---------------------------------------------------------------------------
-# The wave layer's three LAPACK routines are called through ctypes in the
+# The wave layer's LAPACK routines are called through ctypes in the
 # library that scipy.linalg.lapack itself calls: scipy's _flapack
 # extension, found without importing scipy and loaded as a plain shared
 # library, in which each routine is resolved as scipy_<name>_ (the symbols
@@ -578,8 +578,12 @@ def _library(source: str):
 # that reached the wave layer (scipy 1.17.1, Python 3.11, x86-64).  The
 # binding is shown on scipy 1.17.1 only: on another scipy, a moved _flapack
 # or a missing symbol raises ConfigurationError on first use; it does not
-# give wrong bits.
-_LAPACK_ROUTINES = ("dstemr", "zgttrf", "zgttrs")
+# give wrong bits.  dstemr decomposes the symmetric operators, zgttrf and
+# zgttrs step Crank-Nicolson, and dgebal and dhseqr take the spectra of the
+# operator orderings, with the workspace that a dgeev query sizes
+# (hessenberg_eigvals); dgeev itself is only queried.
+_LAPACK_ROUTINES = ("dstemr", "zgttrf", "zgttrs", "dgebal", "dgeev",
+                    "dhseqr")
 # the loaded _Lapack, made on first use
 _lapack_loaded = None
 _CHAR_LEN = ctypes.c_size_t(1)
@@ -723,6 +727,78 @@ def tridiagonal_eigh(d, e, upper: float = math.inf):
         raise NumericalError(f"LAPACK dstemr found {m.value} eigenvalues "
                              f"where its count query gave {k}")
     return w[:k], V
+
+
+def hessenberg_eigvals(M) -> np.ndarray:
+    """The eigenvalues of the real upper Hessenberg matrix M, complex128,
+    in LAPACK's order, bit for bit as np.linalg.eigvals(M) gives them (as
+    complex numbers): for a matrix that LAPACK dgebal does not permute,
+    such as every irreducible tridiagonal one.
+
+    dgeev, which np.linalg.eigvals calls, balances M (dgebal 'B'), reduces
+    it to Hessenberg form (dgehrd) and runs the QR algorithm on that form
+    (dhseqr 'E', 'N').  Balancing permutes M only to isolate eigenvalues,
+    which shows as ILO > 1 or IHI < n, and that is refused here with
+    NumericalError; otherwise it scales D^-1 M D, which keeps M upper
+    Hessenberg.  On an upper Hessenberg matrix every reflector of dgehrd
+    has tau = 0 and the reduction leaves it as it is, so dgebal and dhseqr
+    alone give dgeev's bits without dgehrd's O(n^3) work.  dhseqr gets
+    the workspace dgeev gives it, dgeev's own optimal LWORK, from a query,
+    less the n values of the balancing scales: the workspace sets dhseqr's
+    shift count, deflation window and blocking, so another size can move
+    the bits (dhseqr's own query moved them by up to 1.9e-12 on the
+    transpose of a registry ordering at n = 256).  As in dgeev, the
+    largest |entry| must lie in [sqrt(safmin) / eps, its reciprocal], about
+    [6.7e-139, 1.5e138], where dgeev would scale M first.
+
+    A matrix that is not square, not upper Hessenberg or not finite raises
+    ShapeError, and a failure of a routine NumericalError naming its info.
+    """
+    A = np.array(M, dtype=np.float64, order="F")
+    n = A.shape[0] if A.ndim == 2 else 0
+    if A.shape != (n, n) or n < 1:
+        raise ShapeError(f"eigenvalues need a square matrix, got shape "
+                         f"{A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ShapeError("a matrix with non-finite entries has no "
+                         "eigendecomposition")
+    if np.any(np.tril(A, -2)):
+        raise ShapeError("the matrix is not upper Hessenberg: it has nonzero "
+                         "entries below the first subdiagonal")
+    functions = _lapack().functions
+    c_n, ilo, ihi, info = (ctypes.c_int(v) for v in (n, 0, 0, 0))
+    scale = np.empty(n)
+    functions["dgebal"](ctypes.c_char_p(b"B"), ctypes.byref(c_n), _pointer(A),
+                        ctypes.byref(c_n), ctypes.byref(ilo),
+                        ctypes.byref(ihi), _pointer(scale), ctypes.byref(info),
+                        _CHAR_LEN)
+    _lapack_info("dgebal", info)
+    if (ilo.value, ihi.value) != (1, n):
+        raise NumericalError(
+            f"LAPACK dgebal permuted the matrix (ILO = {ilo.value}, IHI = "
+            f"{ihi.value}, n = {n}), so dgeev would reduce it before dhseqr")
+    wr, wi = np.empty(n), np.empty(n)
+    # Z is not referenced for COMPZ 'N', nor VL and VR for JOBVL = JOBVR = 'N'
+    unused, one, lwork = ctypes.c_double(), ctypes.c_int(1), ctypes.c_double()
+    functions["dgeev"](ctypes.c_char_p(b"N"), ctypes.c_char_p(b"N"),
+                       ctypes.byref(c_n), _pointer(A), ctypes.byref(c_n),
+                       _pointer(wr), _pointer(wi), ctypes.byref(unused),
+                       ctypes.byref(one), ctypes.byref(unused),
+                       ctypes.byref(one), ctypes.byref(lwork),
+                       ctypes.byref(ctypes.c_int(-1)), ctypes.byref(info),
+                       _CHAR_LEN, _CHAR_LEN)
+    _lapack_info("dgeev", info)
+    work = np.empty(int(lwork.value) - n)
+    functions["dhseqr"](ctypes.c_char_p(b"E"), ctypes.c_char_p(b"N"),
+                        ctypes.byref(c_n), ctypes.byref(ilo), ctypes.byref(ihi),
+                        _pointer(A), ctypes.byref(c_n), _pointer(wr),
+                        _pointer(wi), ctypes.byref(unused), ctypes.byref(one),
+                        _pointer(work), ctypes.byref(ctypes.c_int(work.size)),
+                        ctypes.byref(info), _CHAR_LEN, _CHAR_LEN)
+    _lapack_info("dhseqr", info)
+    w = np.empty(n, np.complex128)
+    w.real, w.imag = wr, wi
+    return w
 
 
 def tridiagonal_lu(lower, diag, upper) -> tuple:

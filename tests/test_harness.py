@@ -111,15 +111,15 @@ def test_ordering_contrast_computes_each_distinct_spectrum_once(
     # at constant g both naive builds equal the sandwich byte for byte, and
     # at variable g pp_g is g_pp's transpose byte for byte, which has the
     # same spectrum: the six orderings have three distinct spectra, each
-    # taken on a real matrix (LAPACK dgeev, not zgeev)
+    # taken on a real matrix (LAPACK dgebal and dhseqr, in real arithmetic)
     dtypes = []
-    eigvals = np.linalg.eigvals
+    eigvals = harness.hessenberg_eigvals
 
     def counted(matrix):
         dtypes.append(matrix.dtype)
         return eigvals(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(harness, "hessenberg_eigvals", counted)
     result = run_command("orderings", {"run.scenario": "ordering_contrast",
                                        "grid.n": 64}, str(tmp_path))
     assert result.exit_code == 0
@@ -131,6 +131,22 @@ def test_ordering_contrast_computes_each_distinct_spectrum_once(
     spectrum = ["e0", "e1", "e2", "e3", "e4", "max_imag_eig"]
     g_pp, pp_g = rows["variable_mass", "g_pp"], rows["variable_mass", "pp_g"]
     assert [pp_g[k] for k in spectrum] == [g_pp[k] for k in spectrum]
+
+
+def test_a_grid_that_moves_the_fifth_level_above_the_band_is_refused(
+        tmp_path):
+    # walls at +-2.8, inside the fifth level's classical turning points at
+    # +-3, push it up by 0.588 to 5.088 hbar omega at grid.n = 64, above
+    # the band of 5 hbar omega: the run stops naming the band and writes no
+    # spectrum.csv of four levels
+    with pytest.raises(ConfigurationError,
+                       match=r"5 lowest modes; the operator's band "
+                             r"w <= 5\.0 holds 4"):
+        run_command("orderings", {"run.scenario": "harmonic_spectrum",
+                                  "grid.n": 64, "grid.q_min": -2.8,
+                                  "grid.q_max": 2.8}, str(tmp_path))
+    assert not (tmp_path / "spectrum.csv").exists()
+    assert _strict_manifest(tmp_path)["status"] == "error"
 
 
 def _registry_ordering_systems():
@@ -616,7 +632,7 @@ def test_a_system_key_the_preset_does_not_take_is_refused(
 # Small versions of the two scenarios whose CSVs lean on the wave layer
 # (banded Crank-Nicolson, the eigen oracle, and the guidance frames), and
 # ordering_contrast at the registry's n = 256, whose dense spectra run
-# LAPACK's blocked, BLAS-threaded dgeev.  Then the registry's
+# LAPACK's dgebal + dhseqr, which calls threaded BLAS.  Then the registry's
 # propagator_quality (n = 512), and free_gaussian over a fifth of its
 # horizon, whose spectral filter and 11-time oracle series run at n = 768
 # on a band solve of 14 modes, and classical_limit at the registry's n = 96,

@@ -1021,14 +1021,15 @@ def _build_command(monkeypatch, cache):
 
 def _lapack_backend() -> str:
     """The end of active_backend(): scipy's _flapack and the symbols of
-    the wave layer's three routines in it."""
+    the wave layer's routines in it."""
     path = kernels._lapack().path
     assert path.endswith(os.path.join(
         "scipy", "linalg", "_flapack" + sysconfig.get_config_var("EXT_SUFFIX")))
     prefix = "scipy_" if kernels._lapack().symbols["dstemr"].startswith(
         "scipy_") else ""
     return (f"; lapack: {path} ({prefix}dstemr_, {prefix}zgttrf_, "
-            f"{prefix}zgttrs_)")
+            f"{prefix}zgttrs_, {prefix}dgebal_, {prefix}dgeev_, "
+            f"{prefix}dhseqr_)")
 
 
 def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache,

@@ -1,6 +1,6 @@
 """The wave layer's LAPACK binding (kernels.tridiagonal_eigh,
-tridiagonal_lu and tridiagonal_lu_solver) against scipy's wrappers of the
-same routines, and its errors.
+tridiagonal_lu, tridiagonal_lu_solver and hessenberg_eigvals) against
+scipy's wrappers of the same routines and numpy's dgeev, and its errors.
 
 This is the one test module that imports scipy: as the reference the
 binding must equal bit for bit, since both call the routines of scipy's
@@ -17,22 +17,23 @@ import scipy.linalg
 from stochaction import kernels
 from stochaction.errors import ConfigurationError, NumericalError, ShapeError
 from stochaction.harness import (SCENARIOS, _build_grid, _build_system,
-                                 _wave_setup, resolve_config)
-from stochaction.hamiltonian import build_quantum_hamiltonian
+                                 _spectrum_operator, _wave_setup,
+                                 resolve_config)
+from stochaction.hamiltonian import (build_naive_ordering,
+                                     build_quantum_hamiltonian, make_system)
 
 
 def _registry_operators():
     """(name, H, cfg) of every operator a registry scenario decomposes or
     steps: the wave setups of evolve and equivariance, at their bands, and
-    harmonic_spectrum's."""
+    harmonic_spectrum's, at its band, as the runner builds them."""
     cases = []
     for command in ("evolve", "equivariance"):
         for scenario in SCENARIOS[command]:
             cfg = resolve_config(command, {"run.scenario": scenario})
             cases.append((scenario, _wave_setup(cfg)[2], cfg))
     cfg = resolve_config("orderings", {"run.scenario": "harmonic_spectrum"})
-    cases.append(("harmonic_spectrum", build_quantum_hamiltonian(
-        _build_system(cfg), _build_grid(cfg), cfg["source.hbar"]), cfg))
+    cases.append(("harmonic_spectrum", _spectrum_operator(cfg), cfg))
     return cases
 
 
@@ -55,6 +56,7 @@ def test_eigensolves_equal_scipys_bit_for_bit(name, H, cfg):
     assert full[1].flags.f_contiguous and full[1].flags.owndata
     if cfg.get("state.ecut", 0.0) > 0.0:
         assert H.band == cfg["state.ecut"]
+    if H.band < np.inf:
         band = kernels.tridiagonal_eigh(H.diag, H.upper, H.band)
         ref = scipy.linalg.eigh_tridiagonal(
             H.diag, H.upper, select="v", select_range=(-np.inf, H.band),
@@ -64,6 +66,19 @@ def test_eigensolves_equal_scipys_bit_for_bit(name, H, cfg):
         k = len(band[0])
         assert 0 < k < H.grid.n and band[1].shape == (H.grid.n, k)
         assert band[1].flags.f_contiguous and band[1].flags.owndata
+
+
+def test_the_spectrum_band_holds_the_five_levels_of_the_full_solve():
+    # the band, 5 hbar omega, lies between the continuum's fifth and sixth
+    # levels, and the grid's levels sit 2.0e-3 and 2.9e-3 below those
+    cfg = resolve_config("orderings", {"run.scenario": "harmonic_spectrum"})
+    H = _spectrum_operator(cfg)
+    assert H.band == 5.0 * cfg["source.hbar"] * cfg["system.omega"]
+    w, V = H.eigensystem
+    assert w.shape == (5,) and V.shape == (H.grid.n, 5)
+    full = kernels.tridiagonal_eigh(H.diag, H.upper)[0]
+    assert full[4] < H.band < full[5]
+    np.testing.assert_allclose(w, full[:5], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("upper", [np.inf, 4.5])
@@ -136,6 +151,98 @@ def test_an_eigensolve_refuses_non_finite_entries(where, bad):
         kernels.tridiagonal_eigh(d, e)
 
 
+def _ordering_matrices():
+    """(name, dense matrix) of the six operators ordering_contrast builds,
+    at the registry's n = 256 and on the n = 64 grid."""
+    cases = []
+    for n in (256, 64):
+        cfg = resolve_config("orderings", {"run.scenario": "ordering_contrast",
+                                           "grid.n": n})
+        grid, hbar = _build_grid(cfg), cfg["source.hbar"]
+        systems = {"variable_mass": _build_system(cfg),
+                   "constant_g": make_system("harmonic", m=cfg["system.m"],
+                                             omega=cfg["system.omega"])}
+        for case, spec in systems.items():
+            for build in ("sandwich", "g_pp", "pp_g"):
+                op = (build_quantum_hamiltonian(spec, grid, hbar)
+                      if build == "sandwich"
+                      else build_naive_ordering(spec, grid, hbar, build))
+                cases.append((f"{case}-{build}-n{n}", op.matrix))
+    return cases
+
+
+ORDERINGS = _ordering_matrices()
+
+
+def _dgeevs_bits(w, M) -> bool:
+    """Whether w, complex128, holds the bits of np.linalg.eigvals(M), which
+    is real where every imaginary part is zero."""
+    return w.dtype == np.complex128 and _same_bytes(
+        w, np.linalg.eigvals(M).astype(np.complex128))
+
+
+@pytest.mark.parametrize("name,M", ORDERINGS,
+                         ids=[name for name, _ in ORDERINGS])
+def test_hessenberg_eigvals_equal_numpys_dgeev_bit_for_bit(name, M):
+    assert _dgeevs_bits(kernels.hessenberg_eigvals(M), M)
+
+
+@pytest.mark.parametrize("n", [5, 64, 130, 300])
+def test_hessenberg_eigvals_equal_dgeevs_on_a_matrix_dgebal_scales(n):
+    # an irreducible tridiagonal whose off-diagonal products take both
+    # signs, so some eigenvalues are complex, with its rows and columns
+    # scaled apart by up to e^6 each way, which dgebal scales back
+    rng = np.random.default_rng(n)
+    sign = rng.choice([-1.0, 1.0], n - 1)
+    T = (np.diag(rng.standard_normal(n))
+         + np.diag(rng.uniform(0.5, 2.0, n - 1), 1)
+         + np.diag(sign * rng.uniform(0.5, 2.0, n - 1), -1))
+    r = np.exp(rng.uniform(-6.0, 6.0, n))
+    M = r[:, None] * T / r[None, :]
+    _, lo, hi, scale, info = scipy.linalg.lapack.dgebal(M, scale=1,
+                                                        permute=1)
+    assert info == 0 and (lo, hi) == (0, n - 1) and np.any(scale != 1.0)
+    w = kernels.hessenberg_eigvals(M)
+    assert _dgeevs_bits(w, M)
+    assert n < 64 or np.any(w.imag != 0.0)
+
+
+def test_hessenberg_eigvals_give_dhseqr_the_workspace_dgeev_gives_it():
+    # dhseqr's workspace sets its shift count, deflation window and
+    # blocking, and on this matrix its bits move with it: dgeev's query
+    # less 2n, in place of less n, moves them (so do 9 of the first 300
+    # seeds of this draw at n = 130)
+    rng = np.random.default_rng(22)
+    n = 130
+    M = (np.diag(rng.standard_normal(n))
+         + np.diag(rng.uniform(0.5, 2.0, n - 1), 1)
+         + np.diag(rng.uniform(0.5, 2.0, n - 1), -1))
+    assert _dgeevs_bits(kernels.hessenberg_eigvals(M), M)
+
+
+@pytest.mark.parametrize("zero", [(1, 0), (4, 5)])
+def test_a_matrix_dgebal_permutes_is_refused(zero):
+    # a zero off-diagonal entry leaves the first or last column with no
+    # other nonzero entry, which isolates an eigenvalue: dgebal permutes it
+    # to an end of the matrix (ILO = 2 or IHI = n - 1), and dgeev would then
+    # reduce the permuted matrix
+    M = (np.diag(np.arange(1.0, 7.0)) + np.diag(np.full(5, 0.5), 1)
+         + np.diag(np.full(5, 0.5), -1))
+    M[zero] = 0.0
+    with pytest.raises(NumericalError, match="LAPACK dgebal permuted"):
+        kernels.hessenberg_eigvals(M)
+
+
+@pytest.mark.parametrize("M,match", [
+    (np.ones((3, 3)), "not upper Hessenberg"),
+    (np.ones((2, 3)), "square matrix"),
+    (np.array([[1.0, np.inf], [1.0, 1.0]]), "non-finite entries"),
+])
+def test_hessenberg_eigvals_refuses_a_matrix_it_cannot_take(M, match):
+    with pytest.raises(ShapeError, match=match):
+        kernels.hessenberg_eigvals(M)
+
+
 def _lapack_from(monkeypatch, scipy_dir):
     """kernels' LAPACK lookup pointed at scipy_dir, nothing loaded yet."""
     monkeypatch.setattr(kernels, "_scipy_dir", lambda: scipy_dir)
@@ -169,6 +276,32 @@ def test_a_flapack_without_a_routine_is_a_configuration_error(tmp_path,
                        match="has no LAPACK dstemr: tried scipy_dstemr_, "
                              "dstemr_"):
         kernels.tridiagonal_lu(np.zeros(1), np.ones(2), np.zeros(1))
+
+
+class _Without:
+    """A loaded library with the given symbols hidden."""
+
+    def __init__(self, lib, hidden):
+        self._lib, self._hidden = lib, hidden
+
+    def __getattr__(self, name):
+        if name in self._hidden:
+            raise AttributeError(name)
+        return getattr(self._lib, name)
+
+
+@pytest.mark.parametrize("routine", kernels._LAPACK_ROUTINES)
+def test_a_flapack_without_one_routine_is_a_configuration_error(routine,
+                                                                monkeypatch):
+    symbols = kernels._lapack_symbols(routine)
+    cdll = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda path: _Without(cdll(path), symbols))
+    monkeypatch.setattr(kernels, "_lapack_loaded", None)
+    with pytest.raises(ConfigurationError,
+                       match=f"has no LAPACK {routine}: tried "
+                             f"scipy_{routine}_, {routine}_"):
+        kernels.hessenberg_eigvals(np.eye(2))
 
 
 def test_no_scipy_is_a_configuration_error(monkeypatch):
