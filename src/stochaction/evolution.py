@@ -4,11 +4,11 @@ diagonalization reference, plus initial states and moments.
 Everything works on the three diagonals of the operators from
 ``hamiltonian``; no n x n matrix is formed.  Crank-Nicolson applies
 1 - i dt H / 2hbar as a 3-point stencil and solves with a tridiagonal LU
-(LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle,
-spectral filter and ground state read the operator's cached
-eigendecomposition, one real symmetric tridiagonal solve (LAPACK dstemr)
-per operator.  These routines, like the dgebal and dhseqr of the
-ordering spectra, are called in scipy's own LAPACK through ``kernels``,
+(LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle and
+spectral filter read the operator's cached eigendecomposition, one real
+symmetric tridiagonal solve (LAPACK dstemr) per operator; the ground state
+and eigenpairs solve for the k lowest levels alone, by index.
+These routines are called in scipy's own LAPACK through ``kernels``,
 which does not import scipy, so a run that reaches this layer loads no
 scipy module.  The oracle takes a run's record times
 in one call: it projects the initial state onto the eigenvectors once,
@@ -16,9 +16,8 @@ then forms each time's state with its own product.
 
 An operator built with a finite band holds only the eigenpairs up to that
 energy, and nothing here truncates a state to it silently: the spectral
-filter refuses a cutoff above the band, the oracle refuses a state with
-more than BAND_LEAK_MAX of its weight outside the band, and the ground
-state and eigenpairs refuse a band with fewer modes than they return.
+filter refuses a cutoff above the band, and the oracle refuses a state
+with more than BAND_LEAK_MAX of its weight outside the band.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .hamiltonian import QuantumOperator, tridiagonal_apply
-from .kernels import tridiagonal_lu, tridiagonal_lu_solver
+from .kernels import tridiagonal_eigh, tridiagonal_lu, tridiagonal_lu_solver
 from .lattice import GridSpec, integrate
 
 SPECTRAL_MAX_N = 1024
@@ -219,21 +218,10 @@ def spectral_filter(state: WaveState, H: QuantumOperator,
     return normalized(replace(state, psi=psi))
 
 
-def _lowest_modes(H: QuantumOperator, k: int, what: str):
-    """The operator's eigensystem, refused when its band holds fewer than
-    k modes."""
-    w, V = H.eigensystem
-    if len(w) < k:
-        raise ConfigurationError(
-            f"{what} needs the {k} lowest modes; the operator's band "
-            f"w <= {H.band} holds {len(w)}")
-    return w, V
-
-
 def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
-    """Lowest eigenpair, unit trapezoid norm, real-positive at mid-grid;
-    refused when the operator's band holds no mode."""
-    w, V = _lowest_modes(H, 1, "the ground state")
+    """Lowest eigenpair (eigenpairs(H, 1)), unit trapezoid norm,
+    real-positive at mid-grid."""
+    w, V = eigenpairs(H, 1)
     # complex, as every wave state is: np.angle reads the sign of a zero
     # imaginary part, +pi or -pi at a negative real entry
     psi = V[:, 0].astype(complex)
@@ -247,10 +235,12 @@ def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
 
 
 def eigenpairs(H: QuantumOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues and their real eigenvectors; refused when
-    the operator's band holds fewer than k modes."""
-    w, V = _lowest_modes(H, k, "eigenpairs")
-    return w[:k], V[:, :k]
+    """The k lowest eigenvalues and their real orthonormal eigenvectors,
+    one dstemr solve of modes 1..k by index from H's diagonals, whatever
+    H's band; refused for k outside 1..n and for a non-symmetric H."""
+    if not np.array_equal(H.lower, H.upper):
+        raise ConfigurationError("eigenpairs need a symmetric operator")
+    return tridiagonal_eigh(H.diag, H.upper, k=k)
 
 
 def energy_expectation(state: WaveState, H: QuantumOperator) -> float:

@@ -9,7 +9,8 @@ discretized as first differences onto link midpoints, so the operator is
 real symmetric by construction for any position-dependent g.  Every build
 is tridiagonal and is stored as its three real diagonals; the sandwich
 build's eigendecomposition is one real symmetric tridiagonal solve.  Naive
-g*p^2 / p^2*g builds are kept around as the contrast case.
+g*p^2 / p^2*g builds are kept around as the contrast case; each is similar
+to a symmetric tridiagonal (``symmetrized``), whose solve gives its levels.
 """
 from __future__ import annotations
 
@@ -150,9 +151,9 @@ class QuantumOperator:
 
     ``diag[k]`` is H[k, k], ``upper[k]`` is H[k, k+1] and ``lower[k]`` is
     H[k+1, k].  The sandwich build is symmetric, ``lower == upper``
-    exactly; the naive orderings are not.  No n x n array is held:
-    ``matrix`` assembles the dense form on each access, for the callers
-    that need a dense matrix (the non-symmetric spectra).
+    exactly; the naive orderings are not, and their spectra are read from
+    the symmetric operator similar to each (``symmetrized``).  No n x n
+    array is formed.
 
     ``band`` is the highest energy that any consumer of the operator reads:
     ``eigensystem`` holds only the eigenpairs with w <= band, and the
@@ -166,21 +167,6 @@ class QuantumOperator:
     hbar_eff: float
     grid: GridSpec
     band: float = np.inf
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n form, float64, whose spectrum
-        ``harness._low_spectrum`` takes in real arithmetic: a tridiagonal
-        matrix is upper Hessenberg already, so ``kernels.hessenberg_eigvals``
-        runs only LAPACK's balancing and QR steps (dgebal, dhseqr) of the
-        general eigensolver dgeev."""
-        n = self.grid.n
-        M = np.zeros((n, n))
-        idx = np.arange(n)
-        M[idx, idx] = self.diag
-        M[idx[:-1], idx[1:]] = self.upper
-        M[idx[1:], idx[:-1]] = self.lower
-        return M
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi as a 3-point stencil."""
@@ -282,6 +268,34 @@ def build_naive_ordering(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float,
     else:                    # column k scaled by g(q_k)
         lower, upper = g[:-1] * lower, g[1:] * upper
     return QuantumOperator(lower, g * diag + V, upper, hbar_eff, grid)
+
+
+def symmetrized(op: QuantumOperator) -> QuantumOperator:
+    """The real symmetric tridiagonal operator similar to op, whose
+    spectrum is op's.
+
+    D^-1 op D, with D diagonal and positive, keeps the diagonal and each
+    link's product lower[k] * upper[k]; the one symmetric choice has
+    off-diagonal sign(upper[k]) sqrt(lower[k] upper[k]).  The naive
+    orderings G T + V and T G + V, with G = diag(g) > 0, are similar so,
+    through G^(1/2), to G^(1/2) T G^(1/2) + V, and since the products
+    commute, both give the same bits.  A symmetric op is returned as it
+    is.  A link whose product is not positive is refused, naming it: no
+    real similarity makes op symmetric there, and its spectrum may be
+    complex.
+    """
+    if np.array_equal(op.lower, op.upper):
+        return op
+    product = op.lower * op.upper
+    bad = np.flatnonzero(product <= 0.0)
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigurationError(
+            f"link {k} (sites {k} and {k + 1}) has lower * upper = "
+            f"{product[k]:g} <= 0: no real diagonal similarity makes the "
+            f"operator symmetric")
+    hop = np.copysign(np.sqrt(product), op.upper)
+    return QuantumOperator(hop, op.diag, hop, op.hbar_eff, op.grid, op.band)
 
 
 def hermiticity_defect(op) -> float:

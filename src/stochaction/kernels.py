@@ -1,7 +1,8 @@
 """Compiled kernels: the counter stream, the reducer of the sample
 scenarios, the ensemble micro-step window and the polar-pair RK4 window;
-and the wave layer's LAPACK routines, bound with ctypes in the library
-that scipy ships (see the LAPACK section).
+and the wave layer's three LAPACK routines, its one symmetric
+tridiagonal eigensolver and its tridiagonal LU, bound with ctypes in the
+library that scipy ships (see the LAPACK section).
 
 Randomness is counter-based: every variate is a pure function of (seed,
 domain, step, particle, slot) through a splitmix64 finalizer, so results
@@ -578,12 +579,11 @@ def _library(source: str):
 # that reached the wave layer (scipy 1.17.1, Python 3.11, x86-64).  The
 # binding is shown on scipy 1.17.1 only: on another scipy, a moved _flapack
 # or a missing symbol raises ConfigurationError on first use; it does not
-# give wrong bits.  dstemr decomposes the symmetric operators, zgttrf and
-# zgttrs step Crank-Nicolson, and dgebal and dhseqr take the spectra of the
-# operator orderings, with the workspace that a dgeev query sizes
-# (hessenberg_eigvals); dgeev itself is only queried.
-_LAPACK_ROUTINES = ("dstemr", "zgttrf", "zgttrs", "dgebal", "dgeev",
-                    "dhseqr")
+# give wrong bits.  dstemr decomposes the symmetric operators, the whole
+# spectrum, a band of it or its k lowest levels by index (the spectra of
+# the operator orderings among them, through the symmetric operator
+# similar to each), and zgttrf and zgttrs step Crank-Nicolson.
+_LAPACK_ROUTINES = ("dstemr", "zgttrf", "zgttrs")
 # the loaded _Lapack, made on first use
 _lapack_loaded = None
 _CHAR_LEN = ctypes.c_size_t(1)
@@ -663,20 +663,23 @@ def _pointer(a: np.ndarray):
     return ctypes.c_void_p(a.ctypes.data)
 
 
-def tridiagonal_eigh(d, e, upper: float = math.inf):
+def tridiagonal_eigh(d, e, upper: float = math.inf, k: int | None = None):
     """(w, V) of the real symmetric tridiagonal matrix with diagonal d and
     off-diagonals e: its eigenvalues ascending, all n of them, or for a
-    finite upper the k of them in (-inf, upper], and their orthonormal
-    eigenvectors, the columns of V, an n x k Fortran-ordered array that
-    owns its data.  One call of LAPACK dstemr (MRRR: Dhillon, Parlett and
-    Voemel, ACM TOMS 32, 2006) computes them, with the bits of
-    scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr"), and for a
-    finite upper of select="v", select_range=(-inf, upper).
+    finite upper the ones in (-inf, upper], or for a mode count k the k
+    lowest, and their orthonormal eigenvectors, the columns of V, an n x k
+    Fortran-ordered array that owns its data.  One call of LAPACK dstemr
+    (MRRR: Dhillon, Parlett and Voemel, ACM TOMS 32, 2006) computes them,
+    with the bits of scipy.linalg.eigh_tridiagonal(d, e,
+    lapack_driver="stemr"), for a finite upper of select="v",
+    select_range=(-inf, upper), and for k of select="i",
+    select_range=(0, k - 1): RANGE 'I' with IL = 1 and IU = k.
 
     V is sized from dstemr's own count query (NZC = -1), which is the
-    number of columns LAPACK documents as enough, so a band solve holds no
-    n x n scratch.  Non-finite entries raise ShapeError, and a failure of
-    dstemr NumericalError naming its info.
+    number of columns LAPACK documents as enough, so a band or index solve
+    holds no n x n scratch.  A k outside 1..n, or given with a finite
+    upper, raises ConfigurationError, non-finite entries ShapeError, and
+    a failure of dstemr NumericalError naming its info.
     """
     if not upper > -math.inf:
         raise ConfigurationError(
@@ -687,6 +690,10 @@ def tridiagonal_eigh(d, e, upper: float = math.inf):
         raise ShapeError(f"a tridiagonal matrix needs n >= 1 diagonal and "
                          f"n - 1 off-diagonal entries, got shapes {d.shape} "
                          f"and {np.shape(e)}")
+    if k is not None and (upper != math.inf or not 1 <= k <= n):
+        raise ConfigurationError(
+            f"the {k} lowest modes of an n = {n} matrix: a mode count must "
+            f"lie in 1..n, with no upper bound (got {upper})")
     # dstemr takes n off-diagonal entries and uses the last as workspace
     e_n = np.zeros(n)
     e_n[:-1] = e
@@ -694,18 +701,18 @@ def tridiagonal_eigh(d, e, upper: float = math.inf):
         raise ShapeError("a tridiagonal matrix with non-finite entries has "
                          "no eigendecomposition")
     dstemr = _lapack().functions["dstemr"]
-    rng = b"A" if upper == math.inf else b"V"
+    rng = b"I" if k is not None else b"A" if upper == math.inf else b"V"
     vl, vu = ctypes.c_double(-math.inf), ctypes.c_double(upper)
-    # idx stands for IL and IU, which ranges A and V do not read
-    c_n, idx, m, info = (ctypes.c_int(v) for v in (n, 0, 0, 0))
+    # IL and IU, which ranges A and V do not read, nor range I VL and VU
+    c_n, il, iu, m, info = (ctypes.c_int(v) for v in (n, 1, k or 0, 0, 0))
     w, isuppz = np.empty(n), np.empty(2 * n, np.int32)
 
     def call(z, nzc, work, lwork, iwork, liwork):
         tryrac = ctypes.c_int(1)   # in and out: a fresh true for each call
         dstemr(ctypes.c_char_p(b"V"), ctypes.c_char_p(rng),
                ctypes.byref(c_n), _pointer(d), _pointer(e_n),
-               ctypes.byref(vl), ctypes.byref(vu), ctypes.byref(idx),
-               ctypes.byref(idx), ctypes.byref(m), _pointer(w), z,
+               ctypes.byref(vl), ctypes.byref(vu), ctypes.byref(il),
+               ctypes.byref(iu), ctypes.byref(m), _pointer(w), z,
                ctypes.byref(c_n), ctypes.byref(ctypes.c_int(nzc)),
                _pointer(isuppz), ctypes.byref(tryrac), work,
                ctypes.byref(ctypes.c_int(lwork)), iwork,
@@ -727,78 +734,6 @@ def tridiagonal_eigh(d, e, upper: float = math.inf):
         raise NumericalError(f"LAPACK dstemr found {m.value} eigenvalues "
                              f"where its count query gave {k}")
     return w[:k], V
-
-
-def hessenberg_eigvals(M) -> np.ndarray:
-    """The eigenvalues of the real upper Hessenberg matrix M, complex128,
-    in LAPACK's order, bit for bit as np.linalg.eigvals(M) gives them (as
-    complex numbers): for a matrix that LAPACK dgebal does not permute,
-    such as every irreducible tridiagonal one.
-
-    dgeev, which np.linalg.eigvals calls, balances M (dgebal 'B'), reduces
-    it to Hessenberg form (dgehrd) and runs the QR algorithm on that form
-    (dhseqr 'E', 'N').  Balancing permutes M only to isolate eigenvalues,
-    which shows as ILO > 1 or IHI < n, and that is refused here with
-    NumericalError; otherwise it scales D^-1 M D, which keeps M upper
-    Hessenberg.  On an upper Hessenberg matrix every reflector of dgehrd
-    has tau = 0 and the reduction leaves it as it is, so dgebal and dhseqr
-    alone give dgeev's bits without dgehrd's O(n^3) work.  dhseqr gets
-    the workspace dgeev gives it, dgeev's own optimal LWORK, from a query,
-    less the n values of the balancing scales: the workspace sets dhseqr's
-    shift count, deflation window and blocking, so another size can move
-    the bits (dhseqr's own query moved them by up to 1.9e-12 on the
-    transpose of a registry ordering at n = 256).  As in dgeev, the
-    largest |entry| must lie in [sqrt(safmin) / eps, its reciprocal], about
-    [6.7e-139, 1.5e138], where dgeev would scale M first.
-
-    A matrix that is not square, not upper Hessenberg or not finite raises
-    ShapeError, and a failure of a routine NumericalError naming its info.
-    """
-    A = np.array(M, dtype=np.float64, order="F")
-    n = A.shape[0] if A.ndim == 2 else 0
-    if A.shape != (n, n) or n < 1:
-        raise ShapeError(f"eigenvalues need a square matrix, got shape "
-                         f"{A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ShapeError("a matrix with non-finite entries has no "
-                         "eigendecomposition")
-    if np.any(np.tril(A, -2)):
-        raise ShapeError("the matrix is not upper Hessenberg: it has nonzero "
-                         "entries below the first subdiagonal")
-    functions = _lapack().functions
-    c_n, ilo, ihi, info = (ctypes.c_int(v) for v in (n, 0, 0, 0))
-    scale = np.empty(n)
-    functions["dgebal"](ctypes.c_char_p(b"B"), ctypes.byref(c_n), _pointer(A),
-                        ctypes.byref(c_n), ctypes.byref(ilo),
-                        ctypes.byref(ihi), _pointer(scale), ctypes.byref(info),
-                        _CHAR_LEN)
-    _lapack_info("dgebal", info)
-    if (ilo.value, ihi.value) != (1, n):
-        raise NumericalError(
-            f"LAPACK dgebal permuted the matrix (ILO = {ilo.value}, IHI = "
-            f"{ihi.value}, n = {n}), so dgeev would reduce it before dhseqr")
-    wr, wi = np.empty(n), np.empty(n)
-    # Z is not referenced for COMPZ 'N', nor VL and VR for JOBVL = JOBVR = 'N'
-    unused, one, lwork = ctypes.c_double(), ctypes.c_int(1), ctypes.c_double()
-    functions["dgeev"](ctypes.c_char_p(b"N"), ctypes.c_char_p(b"N"),
-                       ctypes.byref(c_n), _pointer(A), ctypes.byref(c_n),
-                       _pointer(wr), _pointer(wi), ctypes.byref(unused),
-                       ctypes.byref(one), ctypes.byref(unused),
-                       ctypes.byref(one), ctypes.byref(lwork),
-                       ctypes.byref(ctypes.c_int(-1)), ctypes.byref(info),
-                       _CHAR_LEN, _CHAR_LEN)
-    _lapack_info("dgeev", info)
-    work = np.empty(int(lwork.value) - n)
-    functions["dhseqr"](ctypes.c_char_p(b"E"), ctypes.c_char_p(b"N"),
-                        ctypes.byref(c_n), ctypes.byref(ilo), ctypes.byref(ihi),
-                        _pointer(A), ctypes.byref(c_n), _pointer(wr),
-                        _pointer(wi), ctypes.byref(unused), ctypes.byref(one),
-                        _pointer(work), ctypes.byref(ctypes.c_int(work.size)),
-                        ctypes.byref(info), _CHAR_LEN, _CHAR_LEN)
-    _lapack_info("dhseqr", info)
-    w = np.empty(n, np.complex128)
-    w.real, w.imag = wr, wi
-    return w
 
 
 def tridiagonal_lu(lower, diag, upper) -> tuple:

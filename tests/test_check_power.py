@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from stochaction import harness, madelung, stochastic
+from stochaction.errors import ConfigurationError
 from stochaction.evolution import gaussian_packet, spectral_filter
 from stochaction.hamiltonian import QuantumOperator
 from stochaction.harness import run_command
@@ -137,12 +138,14 @@ def _orderings_clean_and_planted(tmp_path, monkeypatch, builder, patched):
                           "orderings")
 
 
-def test_a_sign_flipped_sandwich_link_fails_hermiticity_and_real_spectrum(
+def test_a_sign_flipped_sandwich_link_stops_the_run_naming_the_link(
         tmp_path, monkeypatch):
     # H[k+1, k] = -conj(H[k, k+1]) on the middle link: a defect of
     # 2 |H[k, k+1]| (0.47 of the largest entry), and a link whose hopping
-    # product is negative, which pairs eigenvalues off the real axis
-    # (largest imaginary part 1.42)
+    # product is negative, where no real similarity makes the operator
+    # symmetric and its spectrum goes off the real axis (largest imaginary
+    # part 1.42): the spectrum's solve refuses it, and the run writes no
+    # orderings.csv
     def patched(real):
         def build(spec, grid, hbar):
             H = real(spec, grid, hbar)
@@ -150,18 +153,47 @@ def test_a_sign_flipped_sandwich_link_fails_hermiticity_and_real_spectrum(
             lower[grid.n // 2 - 1] *= -1.0
             return QuantumOperator(lower, H.diag, H.upper, H.hbar_eff, grid)
         return build
+    clean = _checks(tmp_path / "clean", "ordering_contrast", {"grid.n": 64},
+                    "orderings")
+    assert all(clean.values())
+    monkeypatch.setattr(harness, "build_quantum_hamiltonian",
+                        patched(harness.build_quantum_hamiltonian))
+    with pytest.raises(ConfigurationError,
+                       match=r"link 31 \(sites 31 and 32\) has lower \* "
+                             r"upper = -\S+ <= 0"):
+        _checks(tmp_path / "planted", "ordering_contrast", {"grid.n": 64},
+                "orderings")
+    assert not (tmp_path / "planted" / "orderings.csv").exists()
+
+
+def test_a_stretched_sandwich_link_fails_the_sandwich_defect_check(
+        tmp_path, monkeypatch):
+    # H[k+1, k] = 1.5 H[k, k+1] on the middle link: a defect of
+    # 0.5 |H[k, k+1]| (0.12 of the largest entry), with a positive hopping
+    # product, so the spectrum stays real and the run finishes.  The
+    # stretched link also moves the sandwich's e0, so g_pp's shift above
+    # it no longer follows the first-order term (5.6 against 0.05)
+    def patched(real):
+        def build(spec, grid, hbar):
+            H = real(spec, grid, hbar)
+            lower = H.lower.copy()
+            lower[grid.n // 2 - 1] *= 1.5
+            return QuantumOperator(lower, H.diag, H.upper, H.hbar_eff, grid)
+        return build
     clean, planted = _orderings_clean_and_planted(
         tmp_path, monkeypatch, "build_quantum_hamiltonian", patched)
     # the defect is in every sandwich build, so the constant-g naive builds
     # no longer equal it either
     assert _flipped(clean, planted) == {"sandwich_defect_rel",
-                                        "sandwich_spectrum_imag",
+                                        "ordering_e0_shift",
                                         "constant_g_entrywise_agreement"}
 
 
 @pytest.mark.parametrize("ordering", ["g_pp", "pp_g"])
 def test_a_naive_build_that_returns_the_sandwich_fails_its_defect_check(
         tmp_path, monkeypatch, ordering):
+    # g_pp's e0 is the one the ordering_e0_shift check reads: returned as
+    # the sandwich, it has no shift
     def patched(real):
         def build(spec, grid, hbar, which):
             if which == ordering:
@@ -170,7 +202,21 @@ def test_a_naive_build_that_returns_the_sandwich_fails_its_defect_check(
         return build
     clean, planted = _orderings_clean_and_planted(
         tmp_path, monkeypatch, "build_naive_ordering", patched)
-    assert _flipped(clean, planted) == {f"{ordering}_defect_rel"}
+    assert _flipped(clean, planted) == {f"{ordering}_defect_rel"} | (
+        {"ordering_e0_shift"} if ordering == "g_pp" else set())
+
+
+def test_a_first_order_term_with_f_g_for_sqrt_g_fails_the_e0_shift(
+        tmp_path, monkeypatch):
+    # f = g in place of sqrt(g) gives a first-order term of 0.155 against
+    # the shift of 0.090 at grid.n = 64 (0.160 against 0.091 at the
+    # registry's 256): the check reads 0.42 against its 0.05, where the
+    # clean run reads 0.0059
+    def patched(real):
+        return lambda g, psi0, grid, hbar: real(g * g, psi0, grid, hbar)
+    clean, planted = _orderings_clean_and_planted(
+        tmp_path, monkeypatch, "_first_order_shift", patched)
+    assert _flipped(clean, planted) == {"ordering_e0_shift"}
 
 
 def _evolve_clean_and_planted(tmp_path, monkeypatch, scenario, module, name,

@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochaction import hamiltonian, kernels
+from dense import dense
+from stochaction import evolution, hamiltonian, kernels
 from stochaction.errors import ConfigurationError, ShapeError
 from stochaction.evolution import (WaveState, coherent_state, eigenpairs,
                                    energy_expectation, gaussian_packet,
                                    ground_state, l2_distance, norm_squared,
                                    normalized, propagate_crank_nicolson,
                                    propagate_eigen_oracle, spectral_filter)
-from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
+from stochaction.hamiltonian import (build_naive_ordering,
+                                     build_quantum_hamiltonian, make_system)
 from stochaction.harness import (SCENARIOS, _every, _steps, _wave_setup,
                                  resolve_config)
 from stochaction.lattice import build_grid, integrate
@@ -191,7 +193,7 @@ def _small_case(preset, kw):
 def test_eigen_oracle_matches_dense_exponential(preset, kw):
     grid, H, st = _small_case(preset, kw)
     # the dense reference: numpy's eigendecomposition of the n x n matrix
-    w, V = np.linalg.eigh(H.matrix)
+    w, V = np.linalg.eigh(dense(H))
     for t in (0.3, 1.7):
         ref = V @ (np.exp(-1j * w * t) * (V.T @ st.psi))
         out = propagate_eigen_oracle(st, H, t).psi
@@ -203,7 +205,7 @@ def test_eigen_oracle_matches_dense_exponential(preset, kw):
 def test_banded_crank_nicolson_matches_dense_cayley(preset, kw):
     grid, H, st = _small_case(preset, kw)
     dt, steps = 1e-2, 50
-    X = (0.5j * dt) * H.matrix
+    X = (0.5j * dt) * dense(H)
     eye = np.eye(grid.n)
     ref = st.psi
     for _ in range(steps):
@@ -214,14 +216,20 @@ def test_banded_crank_nicolson_matches_dense_cayley(preset, kw):
 
 
 def test_eigendecomposition_is_computed_once_per_operator(monkeypatch):
+    # the oracle and the filter read the cached eigensystem; the ground
+    # state and eigenpairs solve by index, each with a call of its own
     calls = []
-    solver = hamiltonian.tridiagonal_eigh
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solver(*args, **kwargs)
+    def counted(module):
+        solver = module.tridiagonal_eigh
 
-    monkeypatch.setattr(hamiltonian, "tridiagonal_eigh", counted)
+        def count(*args, **kwargs):
+            calls.append((module.__name__, kwargs.get("k")))
+            return solver(*args, **kwargs)
+        monkeypatch.setattr(module, "tridiagonal_eigh", count)
+
+    counted(hamiltonian)
+    counted(evolution)
     grid, H, st = _small_case(*TRIDIAGONAL_CASES[1])
     first = propagate_eigen_oracle(st, H, 0.5)
     second = propagate_eigen_oracle(st, H, 0.5)
@@ -229,7 +237,9 @@ def test_eigendecomposition_is_computed_once_per_operator(monkeypatch):
     spectral_filter(st, H, 5.0)
     ground_state(H)
     eigenpairs(H, 3)
-    assert len(calls) == 1
+    assert calls == [("stochaction.hamiltonian", None),
+                     ("stochaction.evolution", 1),
+                     ("stochaction.evolution", 3)]
     assert np.array_equal(first.psi, second.psi)
     assert np.array_equal(series[1].psi, first.psi)
 
@@ -392,13 +402,30 @@ def test_a_band_refuses_what_it_does_not_hold():
                        match="outside the operator's band w <= 0.04"):
         propagate_eigen_oracle(packet, H, 0.5)
     propagate_eigen_oracle(filtered, H, 0.5)
-    assert len(eigenpairs(H, 4)[0]) == 4
-    with pytest.raises(ConfigurationError, match="band w <= 0.04 holds 4"):
-        eigenpairs(H, 5)
-    # e0 = 0.005: a band below it holds no mode
-    empty = build_quantum_hamiltonian(spec, grid, 0.01, 0.004)
-    with pytest.raises(ConfigurationError, match="band w <= 0.004 holds 0"):
-        ground_state(empty)
-    # a full spectrum holds n modes, and no more
-    with pytest.raises(ConfigurationError, match="band w <= inf holds 96"):
-        eigenpairs(build_quantum_hamiltonian(spec, grid, 0.01), 97)
+
+
+def test_eigenpairs_solve_past_the_band_and_refuse_k_outside_1_to_n():
+    # classical_limit's band holds 4 modes; an index solve reads the
+    # diagonals, not the band, and gives the fifth as well, with the
+    # full solve's levels (measured within 4.3e-13 relative)
+    cfg = resolve_config("evolve", {"run.scenario": "classical_limit"})
+    _, grid, H, _ = _wave_setup(cfg)
+    w, V = eigenpairs(H, 5)
+    assert V.shape == (grid.n, 5)
+    full = kernels.tridiagonal_eigh(H.diag, H.upper)[0]
+    np.testing.assert_allclose(w, full[:5], rtol=1e-12, atol=0)
+    assert ground_state(H)[0] == eigenpairs(H, 1)[0][0]
+    for k in (0, grid.n + 1):
+        with pytest.raises(ConfigurationError,
+                           match=rf"the {k} lowest modes of an n = 96 "
+                                 r"matrix: a mode count must lie in 1\.\.n"):
+            eigenpairs(H, k)
+    assert len(eigenpairs(H, grid.n)[0]) == grid.n
+
+
+def test_eigenpairs_refuse_a_non_symmetric_operator():
+    grid = build_grid(64, -6.0, 6.0)
+    op = build_naive_ordering(make_system("variable_mass", beta=0.3), grid,
+                              1.0, "g_pp")
+    with pytest.raises(ConfigurationError, match="symmetric operator"):
+        eigenpairs(op, 3)

@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense import dense
 from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.hamiltonian import (ClassicalSpec, build_naive_ordering,
                                      build_quantum_hamiltonian,
                                      classical_velocity, guidance_field,
                                      hermiticity_defect, make_system,
-                                     require_wave_node_free)
+                                     require_wave_node_free, symmetrized)
 from stochaction.lattice import build_grid, gradient
 
 
@@ -112,7 +113,7 @@ def test_harmonic_ground_energy():
     grid = build_grid(512, -10.0, 10.0)
     spec = make_system("harmonic", m=1.0, omega=1.0)
     H = build_quantum_hamiltonian(spec, grid, 1.0)
-    evals = np.linalg.eigvalsh(H.matrix)
+    evals = np.linalg.eigvalsh(dense(H))
     assert abs(evals[0] - 0.5) < 1e-3
     assert abs((evals[1] - evals[0]) - 1.0) < 1e-3
 
@@ -121,7 +122,7 @@ def test_sandwich_build_is_hermitian_for_variable_mass():
     grid = build_grid(256, -8.0, 8.0)
     spec = make_system("variable_mass", m=1.0, omega=1.0, beta=0.3)
     H = build_quantum_hamiltonian(spec, grid, 1.0)
-    scale = np.max(np.abs(H.matrix))
+    scale = np.max(np.abs(dense(H)))
     assert hermiticity_defect(H) <= 1e-12 * scale
 
 
@@ -148,13 +149,14 @@ def test_constant_g_kinetic_matrix_is_three_point_laplacian():
            + np.diag(np.full(grid.n - 1, -1.0), 1)
            + np.diag(np.full(grid.n - 1, -1.0), -1))
     expected = 0.5 * gval * lap / grid.dq ** 2
-    assert np.max(np.abs(H.matrix - expected)) < 1e-13
+    assert np.max(np.abs(dense(H) - expected)) < 1e-13
 
 
 def test_spectrum_bounded_below_by_potential_minimum():
     grid = build_grid(256, -8.0, 8.0)
     spec = make_system("variable_mass", m=1.0, omega=1.0, beta=0.3)
-    evals = np.linalg.eigvalsh(build_quantum_hamiltonian(spec, grid, 1.0).matrix)
+    H = build_quantum_hamiltonian(spec, grid, 1.0)
+    evals = np.linalg.eigvalsh(dense(H))
     assert evals[0] > -1e-9   # min V = 0
 
 
@@ -174,12 +176,12 @@ def _operator_64(preset, kw):
 def test_tridiagonal_eigenvalues_match_dense(preset, kw):
     grid, H = _operator_64(preset, kw)
     w, V = H.eigensystem
-    for a in (H.lower, H.diag, H.upper, H.matrix, V):
+    for a in (H.lower, H.diag, H.upper, dense(H), V):
         assert a.dtype == np.float64
-    dense = np.linalg.eigvalsh(H.matrix)
+    ref = np.linalg.eigvalsh(dense(H))
     # measured 7.3e-16 (beta = 2) and 1.1e-15 (beta = 0.3)
-    assert np.max(np.abs(w - dense)) <= 1e-12 * np.max(np.abs(dense))
-    assert np.max(np.abs(H.matrix @ V - V * w)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(dense(H) @ V - V * w)) <= 1e-12 * np.max(np.abs(ref))
     assert np.max(np.abs(V.T @ V - np.eye(grid.n))) < 1e-12
 
 
@@ -188,8 +190,8 @@ def test_stencil_matches_dense_product(preset, kw):
     grid, H = _operator_64(preset, kw)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
-    dense = H.matrix @ psi
-    assert np.max(np.abs(H.apply(psi) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    ref = dense(H) @ psi
+    assert np.max(np.abs(H.apply(psi) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_eigendecomposition_needs_a_hermitian_operator():
@@ -224,7 +226,7 @@ def test_orderings_agree_for_constant_g():
     H = build_quantum_hamiltonian(spec, grid, 1.0)
     for ordering in ("g_pp", "pp_g"):
         N = build_naive_ordering(spec, grid, 1.0, ordering)
-        assert np.max(np.abs(N.matrix - H.matrix)) < 1e-10
+        assert np.max(np.abs(dense(N) - dense(H))) < 1e-10
 
 
 def test_unsymmetrized_ordering_breaks_hermiticity():
@@ -237,9 +239,54 @@ def test_unsymmetrized_ordering_breaks_hermiticity():
 def test_naive_orderings_are_mutually_adjoint():
     grid = build_grid(256, -8.0, 8.0)
     spec = make_system("variable_mass", m=1.0, omega=1.0, beta=0.3)
-    a = build_naive_ordering(spec, grid, 1.0, "g_pp").matrix
-    b = build_naive_ordering(spec, grid, 1.0, "pp_g").matrix
+    a = dense(build_naive_ordering(spec, grid, 1.0, "g_pp"))
+    b = dense(build_naive_ordering(spec, grid, 1.0, "pp_g"))
     assert np.max(np.abs(a - b.conj().T)) < 1e-12
+
+
+def test_a_symmetric_operator_is_its_own_symmetrization():
+    grid = build_grid(64, -6.0, 6.0)
+    spec = make_system("variable_mass", beta=0.3)
+    H = build_quantum_hamiltonian(spec, grid, 1.0)
+    assert symmetrized(H) is H
+    # at constant g the naive builds are the sandwich, bit for bit
+    spec = make_system("harmonic")
+    assert np.array_equal(
+        symmetrized(build_naive_ordering(spec, grid, 1.0, "g_pp")).upper,
+        build_quantum_hamiltonian(spec, grid, 1.0).upper)
+
+
+def test_both_naive_orderings_symmetrize_to_the_same_bits():
+    # lower * upper is the same product in either order, so g_pp and its
+    # transpose pp_g have one symmetric form: diagonal kept, off-diagonal
+    # -sqrt(lower * upper), similar to each through a positive diagonal
+    grid = build_grid(64, -6.0, 6.0)
+    spec = make_system("variable_mass", beta=0.3)
+    a, b = (symmetrized(build_naive_ordering(spec, grid, 1.0, ordering))
+            for ordering in ("g_pp", "pp_g"))
+    op = build_naive_ordering(spec, grid, 1.0, "g_pp")
+    assert a.lower is a.upper and np.array_equal(a.diag, op.diag)
+    assert np.array_equal(a.upper, -np.sqrt(op.lower * op.upper))
+    for x, y in ((a.lower, b.lower), (a.diag, b.diag), (a.upper, b.upper)):
+        assert x.tobytes() == y.tobytes()
+    # D^-1 op D = a with D_k = prod_{j < k} a.upper_j / upper_j
+    scale = np.concatenate(([1.0], np.cumprod(a.upper / op.upper)))
+    similar = dense(op) * (scale[None, :] / scale[:, None])
+    scale = np.max(np.abs(dense(a)))
+    assert np.max(np.abs(similar - dense(a))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0])
+def test_a_link_whose_product_is_not_positive_is_refused(factor):
+    grid = build_grid(64, -6.0, 6.0)
+    op = build_naive_ordering(make_system("variable_mass", beta=0.3), grid,
+                              1.0, "g_pp")
+    lower = op.lower.copy()
+    lower[31] *= factor
+    with pytest.raises(ConfigurationError,
+                       match=r"link 31 \(sites 31 and 32\) has lower \* "
+                             r"upper = \S+ <= 0"):
+        symmetrized(replace(op, lower=lower))
 
 
 def test_naive_ordering_rejects_unknown_kind():
@@ -271,7 +318,7 @@ def test_an_operators_defect_is_its_dense_matrixs_bit_for_bit():
            *(build_naive_ordering(spec, grid, 1.0, ordering)
              for ordering in ("g_pp", "pp_g"))]
     defects = [hermiticity_defect(op) for op in ops]
-    assert defects == [hermiticity_defect(op.matrix) for op in ops]
+    assert defects == [hermiticity_defect(dense(op)) for op in ops]
     assert defects[0] == 0.0 and min(defects[1:]) > 1e-3
 
 

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense import dense
 from stochaction import cli, harness, kernels
 from stochaction.errors import ConfigurationError
 from stochaction.hamiltonian import (PRESET_PARAMS, build_naive_ordering,
-                                     build_quantum_hamiltonian, make_system)
+                                     build_quantum_hamiltonian, make_system,
+                                     symmetrized)
 from stochaction.harness import (_RUNNERS, KEY_TYPES, SCENARIOS, STATE_PARAMS,
                                  _build_grid, _build_system, _fmt, _fmt_row,
                                  _low_spectrum, _snapshot_rows, parse_config,
@@ -109,44 +111,29 @@ def test_a_binary_source_whose_signs_all_agree_fails_its_bias_check(
 def test_ordering_contrast_computes_each_distinct_spectrum_once(
         tmp_path, monkeypatch):
     # at constant g both naive builds equal the sandwich byte for byte, and
-    # at variable g pp_g is g_pp's transpose byte for byte, which has the
-    # same spectrum: the six orderings have three distinct spectra, each
-    # taken on a real matrix (LAPACK dgebal and dhseqr, in real arithmetic)
-    dtypes = []
-    eigvals = harness.hessenberg_eigvals
+    # at variable g pp_g's symmetrization equals g_pp's byte for byte: the
+    # six orderings have three distinct spectra, each an index solve of a
+    # symmetric operator
+    solved = []
+    solve = harness.eigenpairs
 
-    def counted(matrix):
-        dtypes.append(matrix.dtype)
-        return eigvals(matrix)
+    def counted(H, k):
+        solved.append((np.array_equal(H.lower, H.upper), k))
+        return solve(H, k)
 
-    monkeypatch.setattr(harness, "hessenberg_eigvals", counted)
+    monkeypatch.setattr(harness, "eigenpairs", counted)
     result = run_command("orderings", {"run.scenario": "ordering_contrast",
                                        "grid.n": 64}, str(tmp_path))
     assert result.exit_code == 0
-    assert dtypes == [np.float64] * 3
+    assert solved == [(True, 5)] * 3
     lines = (tmp_path / "orderings.csv").read_text().splitlines()
     header, *rows = [line.split(",") for line in lines
                      if not line.startswith("#")]
     rows = {(r[0], r[1]): dict(zip(header, r)) for r in rows}
-    spectrum = ["e0", "e1", "e2", "e3", "e4", "max_imag_eig"]
+    spectrum = ["e0", "e1", "e2", "e3", "e4"]
+    assert header[-5:] == spectrum
     g_pp, pp_g = rows["variable_mass", "g_pp"], rows["variable_mass", "pp_g"]
     assert [pp_g[k] for k in spectrum] == [g_pp[k] for k in spectrum]
-
-
-def test_a_grid_that_moves_the_fifth_level_above_the_band_is_refused(
-        tmp_path):
-    # walls at +-2.8, inside the fifth level's classical turning points at
-    # +-3, push it up by 0.588 to 5.088 hbar omega at grid.n = 64, above
-    # the band of 5 hbar omega: the run stops naming the band and writes no
-    # spectrum.csv of four levels
-    with pytest.raises(ConfigurationError,
-                       match=r"5 lowest modes; the operator's band "
-                             r"w <= 5\.0 holds 4"):
-        run_command("orderings", {"run.scenario": "harmonic_spectrum",
-                                  "grid.n": 64, "grid.q_min": -2.8,
-                                  "grid.q_max": 2.8}, str(tmp_path))
-    assert not (tmp_path / "spectrum.csv").exists()
-    assert _strict_manifest(tmp_path)["status"] == "error"
 
 
 def _registry_ordering_systems():
@@ -167,10 +154,10 @@ def test_the_ordering_contrasts_read_from_the_diagonals_are_the_dense_ones(
     grid, hbar, systems = _registry_ordering_systems()
     spec = systems[case]
     rows, _ = harness._ordering_rows(spec, grid, hbar, case)
-    sandwich = build_quantum_hamiltonian(spec, grid, hbar).matrix
+    sandwich = dense(build_quantum_hamiltonian(spec, grid, hbar))
     for row in rows:
         M = (sandwich if row[1] == "sandwich"
-             else build_naive_ordering(spec, grid, hbar, row[1]).matrix)
+             else dense(build_naive_ordering(spec, grid, hbar, row[1])))
         defect = float(np.max(np.abs(M - M.T)))
         assert row[2:5] == (defect, defect / float(np.max(np.abs(M))),
                             float(np.max(np.abs(M - sandwich))))
@@ -178,22 +165,29 @@ def test_the_ordering_contrasts_read_from_the_diagonals_are_the_dense_ones(
 
 @pytest.mark.parametrize("case", ["variable_mass", "constant_g"])
 @pytest.mark.parametrize("build", ["sandwich", "g_pp", "pp_g"])
-def test_the_real_ordering_spectra_agree_with_the_complex_solver(case, build):
+def test_each_symmetrized_spectrum_is_its_dense_orderings(case, build):
+    # the similarity keeps the spectrum: every level of the symmetric
+    # operator, and the five that orderings.csv reads, against dgeev's on
+    # the dense ordering, which finds it real (measured within 3.9e-13
+    # relative)
     grid, hbar, systems = _registry_ordering_systems()
     spec = systems[case]
     sandwich = build_quantum_hamiltonian(spec, grid, hbar)
     op = (sandwich if build == "sandwich"
           else build_naive_ordering(spec, grid, hbar, build))
-    low, _ = _low_spectrum(op)
-    # zgeev, on the same entries as complex numbers
-    evals = np.linalg.eigvals(op.matrix.astype(complex))
-    assert evals.dtype == np.complex128
-    np.testing.assert_allclose(low, np.sort(evals.real)[:5], rtol=0,
-                               atol=1e-11)
+    evals = np.linalg.eigvals(dense(op))
+    assert evals.dtype == np.float64
+    ref = np.sort(evals)
+    sym = symmetrized(op)
+    assert np.array_equal(sym.lower, sym.upper)
+    levels = kernels.tridiagonal_eigh(sym.diag, sym.upper)[0]
+    np.testing.assert_allclose(levels, ref, rtol=1e-12, atol=0)
+    low = _low_spectrum(op)[0]
+    np.testing.assert_allclose(low, ref[:5], rtol=1e-12, atol=0)
     if build == "sandwich" or case == "constant_g":
         # the sandwich's spectrum, which the naive builds share at constant g
-        np.testing.assert_allclose(low, sandwich.eigensystem[0][:5], rtol=0,
-                                   atol=1e-11)
+        np.testing.assert_allclose(low, sandwich.eigensystem[0][:5],
+                                   rtol=1e-12, atol=0)
 
 
 def test_snapshot_rows_write_the_bytes_of_per_point_float_rows(tmp_path):
@@ -631,8 +625,8 @@ def test_a_system_key_the_preset_does_not_take_is_refused(
 
 # Small versions of the two scenarios whose CSVs lean on the wave layer
 # (banded Crank-Nicolson, the eigen oracle, and the guidance frames), and
-# ordering_contrast at the registry's n = 256, whose dense spectra run
-# LAPACK's dgebal + dhseqr, which calls threaded BLAS.  Then the registry's
+# ordering_contrast at the registry's n = 256, whose spectra are dstemr
+# index solves of the symmetrized orderings.  Then the registry's
 # propagator_quality (n = 512), and free_gaussian over a fifth of its
 # horizon, whose spectral filter and 11-time oracle series run at n = 768
 # on a band solve of 14 modes, and classical_limit at the registry's n = 96,

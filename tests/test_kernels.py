@@ -1028,8 +1028,7 @@ def _lapack_backend() -> str:
     prefix = "scipy_" if kernels._lapack().symbols["dstemr"].startswith(
         "scipy_") else ""
     return (f"; lapack: {path} ({prefix}dstemr_, {prefix}zgttrf_, "
-            f"{prefix}zgttrs_, {prefix}dgebal_, {prefix}dgeev_, "
-            f"{prefix}dhseqr_)")
+            f"{prefix}zgttrs_)")
 
 
 def test_active_backend_names_the_compiler_and_builds_nothing(kernel_cache,

@@ -1,6 +1,6 @@
 """The wave layer's LAPACK binding (kernels.tridiagonal_eigh,
-tridiagonal_lu, tridiagonal_lu_solver and hessenberg_eigvals) against
-scipy's wrappers of the same routines and numpy's dgeev, and its errors.
+tridiagonal_lu and tridiagonal_lu_solver) against scipy's wrappers of the
+same routines, and its errors.
 
 This is the one test module that imports scipy: as the reference the
 binding must equal bit for bit, since both call the routines of scipy's
@@ -17,23 +17,36 @@ import scipy.linalg
 from stochaction import kernels
 from stochaction.errors import ConfigurationError, NumericalError, ShapeError
 from stochaction.harness import (SCENARIOS, _build_grid, _build_system,
-                                 _spectrum_operator, _wave_setup,
-                                 resolve_config)
+                                 _wave_setup, resolve_config)
 from stochaction.hamiltonian import (build_naive_ordering,
-                                     build_quantum_hamiltonian, make_system)
+                                     build_quantum_hamiltonian, make_system,
+                                     symmetrized)
 
 
 def _registry_operators():
     """(name, H, cfg) of every operator a registry scenario decomposes or
-    steps: the wave setups of evolve and equivariance, at their bands, and
-    harmonic_spectrum's, at its band, as the runner builds them."""
+    steps: the wave setups of evolve and equivariance, at their bands,
+    harmonic_spectrum's, and the symmetric operators similar to the six
+    orderings of ordering_contrast, as the runners build them."""
     cases = []
     for command in ("evolve", "equivariance"):
         for scenario in SCENARIOS[command]:
             cfg = resolve_config(command, {"run.scenario": scenario})
             cases.append((scenario, _wave_setup(cfg)[2], cfg))
     cfg = resolve_config("orderings", {"run.scenario": "harmonic_spectrum"})
-    cases.append(("harmonic_spectrum", _spectrum_operator(cfg), cfg))
+    cases.append(("harmonic_spectrum", build_quantum_hamiltonian(
+        _build_system(cfg), _build_grid(cfg), cfg["source.hbar"]), cfg))
+    cfg = resolve_config("orderings", {"run.scenario": "ordering_contrast"})
+    grid, hbar = _build_grid(cfg), cfg["source.hbar"]
+    systems = {"variable_mass": _build_system(cfg),
+               "constant_g": make_system("harmonic", m=cfg["system.m"],
+                                         omega=cfg["system.omega"])}
+    for case, spec in systems.items():
+        for build in ("sandwich", "g_pp", "pp_g"):
+            op = (build_quantum_hamiltonian(spec, grid, hbar)
+                  if build == "sandwich"
+                  else build_naive_ordering(spec, grid, hbar, build))
+            cases.append((f"{case}-{build}", symmetrized(op), cfg))
     return cases
 
 
@@ -68,17 +81,19 @@ def test_eigensolves_equal_scipys_bit_for_bit(name, H, cfg):
         assert band[1].flags.f_contiguous and band[1].flags.owndata
 
 
-def test_the_spectrum_band_holds_the_five_levels_of_the_full_solve():
-    # the band, 5 hbar omega, lies between the continuum's fifth and sixth
-    # levels, and the grid's levels sit 2.0e-3 and 2.9e-3 below those
-    cfg = resolve_config("orderings", {"run.scenario": "harmonic_spectrum"})
-    H = _spectrum_operator(cfg)
-    assert H.band == 5.0 * cfg["source.hbar"] * cfg["system.omega"]
-    w, V = H.eigensystem
-    assert w.shape == (5,) and V.shape == (H.grid.n, 5)
-    full = kernels.tridiagonal_eigh(H.diag, H.upper)[0]
-    assert full[4] < H.band < full[5]
-    np.testing.assert_allclose(w, full[:5], rtol=1e-12, atol=0)
+@pytest.mark.parametrize("name,H,cfg", OPERATORS, ids=IDS)
+@pytest.mark.parametrize("k", [1, 5])
+def test_index_solves_equal_scipys_bit_for_bit(name, H, cfg, k):
+    # the ground state (k = 1) and the five levels of harmonic_spectrum and
+    # of each ordering (k = 5), whatever the operator's band
+    low = kernels.tridiagonal_eigh(H.diag, H.upper, k=k)
+    ref = scipy.linalg.eigh_tridiagonal(H.diag, H.upper, select="i",
+                                        select_range=(0, k - 1),
+                                        lapack_driver="stemr")
+    assert all(_same_bytes(a, b) for a, b in zip(low, ref))
+    # V holds the k columns and no more
+    assert low[1].shape == (H.grid.n, k)
+    assert low[1].flags.f_contiguous and low[1].flags.owndata
 
 
 @pytest.mark.parametrize("upper", [np.inf, 4.5])
@@ -95,6 +110,23 @@ def test_a_matrix_with_relatively_accurate_eigenvalues_equals_scipy(upper):
                                         **select)
     assert all(_same_bytes(a, b) for a, b in
                zip(kernels.tridiagonal_eigh(d, e, upper), ref))
+
+
+def test_an_index_solve_with_relatively_accurate_eigenvalues_equals_scipy():
+    rng = np.random.default_rng(0)
+    d, e = 4.0 + rng.random(50), rng.random(49)
+    ref = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 6),
+                                        lapack_driver="stemr")
+    assert all(_same_bytes(a, b) for a, b in
+               zip(kernels.tridiagonal_eigh(d, e, k=7), ref))
+
+
+@pytest.mark.parametrize("k,upper", [(0, np.inf), (6, np.inf), (-1, np.inf),
+                                     (2, 4.5)])
+def test_an_index_solve_refuses_a_count_outside_1_to_n(k, upper):
+    # and a count with a band: a solve takes one or the other
+    with pytest.raises(ConfigurationError, match="must lie in 1..n"):
+        kernels.tridiagonal_eigh(np.arange(5.0), np.ones(4), upper, k=k)
 
 
 @pytest.mark.parametrize(
@@ -149,98 +181,6 @@ def test_an_eigensolve_refuses_non_finite_entries(where, bad):
     (d if where == "d" else e)[2] = bad
     with pytest.raises(ShapeError, match="non-finite entries"):
         kernels.tridiagonal_eigh(d, e)
-
-
-def _ordering_matrices():
-    """(name, dense matrix) of the six operators ordering_contrast builds,
-    at the registry's n = 256 and on the n = 64 grid."""
-    cases = []
-    for n in (256, 64):
-        cfg = resolve_config("orderings", {"run.scenario": "ordering_contrast",
-                                           "grid.n": n})
-        grid, hbar = _build_grid(cfg), cfg["source.hbar"]
-        systems = {"variable_mass": _build_system(cfg),
-                   "constant_g": make_system("harmonic", m=cfg["system.m"],
-                                             omega=cfg["system.omega"])}
-        for case, spec in systems.items():
-            for build in ("sandwich", "g_pp", "pp_g"):
-                op = (build_quantum_hamiltonian(spec, grid, hbar)
-                      if build == "sandwich"
-                      else build_naive_ordering(spec, grid, hbar, build))
-                cases.append((f"{case}-{build}-n{n}", op.matrix))
-    return cases
-
-
-ORDERINGS = _ordering_matrices()
-
-
-def _dgeevs_bits(w, M) -> bool:
-    """Whether w, complex128, holds the bits of np.linalg.eigvals(M), which
-    is real where every imaginary part is zero."""
-    return w.dtype == np.complex128 and _same_bytes(
-        w, np.linalg.eigvals(M).astype(np.complex128))
-
-
-@pytest.mark.parametrize("name,M", ORDERINGS,
-                         ids=[name for name, _ in ORDERINGS])
-def test_hessenberg_eigvals_equal_numpys_dgeev_bit_for_bit(name, M):
-    assert _dgeevs_bits(kernels.hessenberg_eigvals(M), M)
-
-
-@pytest.mark.parametrize("n", [5, 64, 130, 300])
-def test_hessenberg_eigvals_equal_dgeevs_on_a_matrix_dgebal_scales(n):
-    # an irreducible tridiagonal whose off-diagonal products take both
-    # signs, so some eigenvalues are complex, with its rows and columns
-    # scaled apart by up to e^6 each way, which dgebal scales back
-    rng = np.random.default_rng(n)
-    sign = rng.choice([-1.0, 1.0], n - 1)
-    T = (np.diag(rng.standard_normal(n))
-         + np.diag(rng.uniform(0.5, 2.0, n - 1), 1)
-         + np.diag(sign * rng.uniform(0.5, 2.0, n - 1), -1))
-    r = np.exp(rng.uniform(-6.0, 6.0, n))
-    M = r[:, None] * T / r[None, :]
-    _, lo, hi, scale, info = scipy.linalg.lapack.dgebal(M, scale=1,
-                                                        permute=1)
-    assert info == 0 and (lo, hi) == (0, n - 1) and np.any(scale != 1.0)
-    w = kernels.hessenberg_eigvals(M)
-    assert _dgeevs_bits(w, M)
-    assert n < 64 or np.any(w.imag != 0.0)
-
-
-def test_hessenberg_eigvals_give_dhseqr_the_workspace_dgeev_gives_it():
-    # dhseqr's workspace sets its shift count, deflation window and
-    # blocking, and on this matrix its bits move with it: dgeev's query
-    # less 2n, in place of less n, moves them (so do 9 of the first 300
-    # seeds of this draw at n = 130)
-    rng = np.random.default_rng(22)
-    n = 130
-    M = (np.diag(rng.standard_normal(n))
-         + np.diag(rng.uniform(0.5, 2.0, n - 1), 1)
-         + np.diag(rng.uniform(0.5, 2.0, n - 1), -1))
-    assert _dgeevs_bits(kernels.hessenberg_eigvals(M), M)
-
-
-@pytest.mark.parametrize("zero", [(1, 0), (4, 5)])
-def test_a_matrix_dgebal_permutes_is_refused(zero):
-    # a zero off-diagonal entry leaves the first or last column with no
-    # other nonzero entry, which isolates an eigenvalue: dgebal permutes it
-    # to an end of the matrix (ILO = 2 or IHI = n - 1), and dgeev would then
-    # reduce the permuted matrix
-    M = (np.diag(np.arange(1.0, 7.0)) + np.diag(np.full(5, 0.5), 1)
-         + np.diag(np.full(5, 0.5), -1))
-    M[zero] = 0.0
-    with pytest.raises(NumericalError, match="LAPACK dgebal permuted"):
-        kernels.hessenberg_eigvals(M)
-
-
-@pytest.mark.parametrize("M,match", [
-    (np.ones((3, 3)), "not upper Hessenberg"),
-    (np.ones((2, 3)), "square matrix"),
-    (np.array([[1.0, np.inf], [1.0, 1.0]]), "non-finite entries"),
-])
-def test_hessenberg_eigvals_refuses_a_matrix_it_cannot_take(M, match):
-    with pytest.raises(ShapeError, match=match):
-        kernels.hessenberg_eigvals(M)
 
 
 def _lapack_from(monkeypatch, scipy_dir):
@@ -301,7 +241,7 @@ def test_a_flapack_without_one_routine_is_a_configuration_error(routine,
     with pytest.raises(ConfigurationError,
                        match=f"has no LAPACK {routine}: tried "
                              f"scipy_{routine}_, {routine}_"):
-        kernels.hessenberg_eigvals(np.eye(2))
+        kernels.tridiagonal_eigh(np.arange(2.0), np.ones(1))
 
 
 def test_no_scipy_is_a_configuration_error(monkeypatch):
@@ -317,6 +257,7 @@ def test_the_binding_resolves_scipys_own_symbols():
         scipy.linalg.lapack._flapack.__file__)
     # scipy's wheels bundle an OpenBLAS whose symbols carry scipy_; a
     # scipy built against another LAPACK calls the plain names
+    assert kernels._LAPACK_ROUTINES == ("dstemr", "zgttrf", "zgttrs")
     assert sorted(lapack.symbols) == sorted(kernels._LAPACK_ROUTINES)
     assert all(lapack.symbols[name] in (f"scipy_{name}_", f"{name}_")
                for name in lapack.symbols)
