@@ -4,20 +4,26 @@ diagonalization reference, plus initial states and moments.
 Everything works on the three diagonals of the operators from
 ``hamiltonian``; no n x n matrix is formed.  Crank-Nicolson applies
 1 - i dt H / 2hbar as a 3-point stencil and solves with a tridiagonal LU
-(LAPACK zgttrf once per call, zgttrs per step).  The eigen oracle and
-spectral filter read the operator's cached eigendecomposition, one real
-symmetric tridiagonal solve (LAPACK dstemr) per operator; the ground state
-and eigenpairs solve for the k lowest levels alone, by index.
+(LAPACK zgttrf once per call, zgttrs per step).  Every spectrum here is a
+real symmetric tridiagonal solve (LAPACK dstemr).  The spectral filter
+reads the operator's cached solve, of its band's modes alone when it has a
+band, and so does the eigen oracle on a banded operator; the ground state,
+eigenpairs and the eigen oracle on an operator without a band solve for
+the k lowest levels alone, by index.
 These routines are called in scipy's own LAPACK through ``kernels``,
 which does not import scipy, so a run that reaches this layer loads no
 scipy module.  The oracle takes a run's record times
 in one call: it projects the initial state onto the eigenvectors once,
 then forms each time's state with its own product.
 
-An operator built with a finite band holds only the eigenpairs up to that
+The oracle holds a state only in the modes it solved, and it measures
+what they leave out on the residual psi - V V^T psi itself.  Without a
+band it doubles its mode count from 16 until that residual is at most
+ORACLE_LEAK_MAX of the state's weight, or all n modes are solved.  An
+operator built with a finite band holds only the eigenpairs up to that
 energy, and nothing here truncates a state to it silently: the spectral
 filter refuses a cutoff above the band, and the oracle refuses a state
-with more than BAND_LEAK_MAX of its weight outside the band.
+whose residual exceeds ORACLE_LEAK_MAX.
 """
 from __future__ import annotations
 
@@ -32,13 +38,20 @@ from .kernels import tridiagonal_eigh, tridiagonal_lu, tridiagonal_lu_solver
 from .lattice import GridSpec, integrate
 
 SPECTRAL_MAX_N = 1024
-# the largest fraction of a state's weight (sum |psi|^2) that the eigen
-# oracle lets lie outside its operator's band.  Far above what a state
-# low-passed at the band leaves there (under 1e-15 on the registry's four
-# banded operators, whose columns are orthonormal to 1e-14), and far below
-# a real leak: the same packets unfiltered leave 3e-6 (free_gaussian) to
-# 3e-4 (bohmian) outside
-BAND_LEAK_MAX = 1e-10
+# the largest fraction of a state's weight, |psi - V V^T psi|^2 / |psi|^2,
+# that the eigen oracle's modes V may leave out.  Read on the residual, it
+# resolves what weight - |V^T psi|^2, a difference of two numbers near 1,
+# cannot: that read -8.3e-16 to 2.7e-16 on the registry's four low-passed
+# states, whose residuals outside their bands are 6.6e-31 to 2.1e-29.  The
+# same packets unfiltered leave 3e-6 (free_gaussian) to 3e-4 (bohmian);
+# propagator_quality's packet leaves 5e-28 outside the 16 lowest modes of
+# its operator at n = 1024.  At 1e-24 the doubling stops early enough to
+# move the oracle's t = 0 state by 2.2e-12 (a coherent state at q = 1, at
+# n = 256 on [-8, 8]), where 1e-26 leaves 3e-15
+ORACLE_LEAK_MAX = 1e-26
+# the mode count of a band-less oracle's first index solve: 16 modes hold
+# each registry state (propagator_quality's and harmonic_stationary's)
+_ORACLE_FIRST_MODES = 16
 
 
 @dataclass(frozen=True)
@@ -150,22 +163,59 @@ def _real_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (M @ x.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
+def _unheld(psi: np.ndarray, V: np.ndarray, coeff: np.ndarray) -> float:
+    """|psi - V coeff|^2, with coeff = V^T psi: the weight of psi that the
+    columns of V leave out, taken on the residual itself."""
+    rest = psi - _real_matvec(V, coeff)
+    return float(np.vdot(rest, rest).real)
+
+
+def _oracle_modes(state: WaveState, H: QuantumOperator
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, c = V^T psi) of the modes that hold the state, as
+    propagate_eigen_oracle describes; k = n holds any state."""
+    psi = state.psi
+    weight = float(np.vdot(psi, psi).real)
+    if H.band < np.inf:
+        w, V = H.eigensystem
+        coeff = _real_matvec(V.T, psi)
+        unheld = _unheld(psi, V, coeff)
+        if unheld > ORACLE_LEAK_MAX * weight:
+            raise ConfigurationError(
+                f"eigen-oracle propagation: {unheld / weight:.3g} of the "
+                f"state's weight lies outside the operator's band "
+                f"w <= {H.band}, more than {ORACLE_LEAK_MAX:g}")
+        return w, V, coeff
+    n = state.grid.n
+    k = min(_ORACLE_FIRST_MODES, n)
+    while True:
+        w, V = eigenpairs(H, k)
+        coeff = _real_matvec(V.T, psi)
+        if k == n or _unheld(psi, V, coeff) <= ORACLE_LEAK_MAX * weight:
+            return w, V, coeff
+        k = min(2 * k, n)
+
+
 def propagate_eigen_oracle(state: WaveState, H: QuantumOperator,
                            t: float | Sequence[float]
                            ) -> WaveState | list[WaveState]:
-    """Reference propagator exp(-i H t / hbar) from the operator's cached
-    eigendecomposition.
+    """Reference propagator exp(-i H t / hbar) from the modes that hold
+    the state.
 
     `t` is one time, which gives one state, or a sequence of times, which
     gives a list of states, one per time.  Every time is checked finite
-    before the operator is decomposed.  A state with more than
-    BAND_LEAK_MAX of its weight outside the operator's band is refused:
-    the band's modes alone cannot carry it.  The projection c = V^T psi0
-    does not depend on t, so a series takes it once; each state is then
-    its own two-column product V (exp(-i w t / hbar) * c), as in the
-    one-time call, so a series gives each time the bits of one call per
-    time.  The times are not folded into one wider product: BLAS blocks a
-    wider matrix differently, which reorders the sums and moved the chain
+    before the operator is decomposed.  An operator with a finite band
+    gives its cached band solve, and a state whose residual
+    |psi - V V^T psi|^2 outside it exceeds ORACLE_LEAK_MAX of its weight is
+    refused: the band's modes alone cannot carry it.  An operator without a
+    band is solved by index for its lowest k modes alone, k doubling from
+    16 until the residual is within ORACLE_LEAK_MAX or k = n; these solves
+    are not cached, since each serves one state.  The projection
+    c = V^T psi0 does not depend on t, so a series takes it once; each
+    state is then its own two-column product V (exp(-i w t / hbar) * c), as
+    in the one-time call, so a series gives each time the bits of one call
+    per time.  The times are not folded into one wider product: BLAS blocks
+    a wider matrix differently, which reorders the sums and moved the chain
     and propagator_quality check values at n = 512 and 640.
     """
     _check_spectral(state, H, "eigen-oracle propagation")
@@ -175,15 +225,7 @@ def propagate_eigen_oracle(state: WaveState, H: QuantumOperator,
             f"t must be a time or a sequence of times, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ConfigurationError(f"t must be finite, got {t}")
-    w, V = H.eigensystem
-    coeff = _real_matvec(V.T, state.psi)
-    weight = float(np.vdot(state.psi, state.psi).real)
-    outside = weight - float(np.vdot(coeff, coeff).real)
-    if outside > BAND_LEAK_MAX * weight:
-        raise ConfigurationError(
-            f"eigen-oracle propagation: {outside / weight:.3g} of the "
-            f"state's weight lies outside the operator's band "
-            f"w <= {H.band}, more than {BAND_LEAK_MAX:g}")
+    w, V, coeff = _oracle_modes(state, H)
     phase = -1j * w
     states = [WaveState(
         psi=_real_matvec(V, np.exp(phase * tk / state.hbar_eff) * coeff),

@@ -533,7 +533,9 @@ def _wave_setup(cfg: dict):
     A packet low-passed at state.ecut > 0 occupies only the modes up to
     that energy, and no consumer of H reads above it, so it is H's band and
     H's eigendecomposition holds only those modes.  A ground state, or a
-    packet with no cutoff, keeps the band inf."""
+    packet with no cutoff, keeps the band inf: its ground state and its
+    eigen oracle solve H by index for the lowest modes they need, which
+    for the registry's states are 1 and 16 of n."""
     spec = _build_system(cfg)
     grid = _build_grid(cfg)
     e_cut = cfg["state.ecut"] if cfg["state.kind"] != "ground" else 0.0
@@ -638,7 +640,7 @@ def _stationary_phase_checks(H, grid, first, last):
     density-weighted mean against ground_state's e0 on the same operator,
     and its spread.
 
-    On harmonic_stationary the error is 2.0e-15 and the spread 4.6e-11
+    On harmonic_stationary the error is 1.9e-15 and the spread 4.6e-11
     (one BLAS thread, x86-64).  The bounds sit about 5e5 and 200 times
     above them, and four and three orders below e0 - hbar omega / 2 =
     1.8e-5, the discretization's own error: a rate that followed the

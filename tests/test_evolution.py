@@ -215,8 +215,12 @@ def test_banded_crank_nicolson_matches_dense_cayley(preset, kw):
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_eigendecomposition_is_computed_once_per_operator(monkeypatch):
-    # the oracle and the filter read the cached eigensystem; the ground
+def test_a_band_solve_is_cached_and_the_oracles_index_solves_are_not(
+        monkeypatch):
+    # with a band, the filter and the oracle read one cached band solve,
+    # however often they are called.  Without one, each oracle call solves
+    # by index anew, k = 16, 32, ... until the state is held: this packet
+    # needs all 64 modes.  The filter's full solve is cached, and the ground
     # state and eigenpairs solve by index, each with a call of its own
     calls = []
 
@@ -231,17 +235,99 @@ def test_eigendecomposition_is_computed_once_per_operator(monkeypatch):
     counted(hamiltonian)
     counted(evolution)
     grid, H, st = _small_case(*TRIDIAGONAL_CASES[1])
+    banded = replace(H, band=5.0)
+    held = spectral_filter(st, banded, 5.0)
+    first = propagate_eigen_oracle(held, banded, 0.5)
+    second = propagate_eigen_oracle(held, banded, 0.5)
+    series = propagate_eigen_oracle(held, banded, [0.25, 0.5])
+    assert calls == [("stochaction.hamiltonian", None)]
+    assert np.array_equal(first.psi, second.psi)
+    assert np.array_equal(series[1].psi, first.psi)
+    calls.clear()
     first = propagate_eigen_oracle(st, H, 0.5)
     second = propagate_eigen_oracle(st, H, 0.5)
-    series = propagate_eigen_oracle(st, H, [0.25, 0.5])
+    assert calls == 2 * [("stochaction.evolution", k) for k in (16, 32, 64)]
+    assert np.array_equal(first.psi, second.psi)
+    calls.clear()
     spectral_filter(st, H, 5.0)
+    spectral_filter(st, H, 6.0)
     ground_state(H)
     eigenpairs(H, 3)
     assert calls == [("stochaction.hamiltonian", None),
                      ("stochaction.evolution", 1),
                      ("stochaction.evolution", 3)]
-    assert np.array_equal(first.psi, second.psi)
-    assert np.array_equal(series[1].psi, first.psi)
+
+
+def _solved_modes(monkeypatch) -> list:
+    """The mode counts of the oracle's index solves, in order, from here on."""
+    modes = []
+    solve = evolution.eigenpairs
+
+    def count(H, k):
+        modes.append(k)
+        return solve(H, k)
+    monkeypatch.setattr(evolution, "eigenpairs", count)
+    return modes
+
+
+def _band_less_case(case: str):
+    """(H, state, times) on an operator without a band: propagator_quality's
+    packet and record times at n = 512 or 1024, or that packet moved to
+    2.0 with momentum 1.0, or the coherent state at 1.0 on harmonic_256's
+    grid, whose hard walls cut its tails at 7 widths."""
+    if case == "harmonic_256":
+        grid = build_grid(256, -8.0, 8.0)
+        H = build_quantum_hamiltonian(make_system("harmonic"), grid, 1.0)
+        return H, coherent_state(grid, center=1.0), [0.0, 0.3, 1.0, 1.7]
+    n, *moved = case.split("_")
+    overrides = {"run.scenario": "propagator_quality", "grid.n": int(n)}
+    if moved:
+        overrides.update({"state.center": 2.0, "state.momentum": 1.0})
+    cfg = resolve_config("evolve", overrides)
+    _, _, H, st = _wave_setup(cfg)
+    return H, st, [b * cfg["time.dt"] for b in _every(_steps(cfg), 10)]
+
+
+@pytest.mark.parametrize("case,modes", [
+    ("512", [16]), ("1024", [16]), ("512_moved", [16, 32, 64]),
+    ("harmonic_256", [16, 32, 64, 128, 256])])
+def test_a_band_less_oracle_solves_only_the_modes_its_state_needs(
+        monkeypatch, case, modes):
+    # the doubling stops at the first k that holds the state, and the
+    # states equal the full solve's
+    H, st, times = _band_less_case(case)
+    assert H.band == np.inf
+    solved = _solved_modes(monkeypatch)
+    out = propagate_eigen_oracle(st, H, times)
+    assert solved == modes
+    w, V = kernels.tridiagonal_eigh(H.diag, H.upper)
+    coeff = V.T @ st.psi
+    for t, state in zip(times, out):
+        ref = V @ (np.exp(-1j * w * t / st.hbar_eff) * coeff)
+        # measured 2.8e-13 (512), 1.9e-13 (1024), 2.9e-15 (512_moved) and
+        # 1.8e-15 (harmonic_256); the 16 lowest modes alone are 7.5e-5 and
+        # 9.9e-11 off on the last two
+        assert np.max(np.abs(state.psi - ref)) < 1e-11
+
+
+def test_a_state_that_needs_every_mode_reaches_k_equal_n(monkeypatch):
+    # a random complex vector spreads over the whole spectrum: 64 modes
+    # leave 0.39 of its weight out, and only all n hold it.  At n = 96 the
+    # doubling 16, 32, 64 is capped at n
+    grid = build_grid(96, -6.0, 6.0)
+    H = build_quantum_hamiltonian(make_system("variable_mass", beta=0.3),
+                                  grid, 1.0)
+    rng = np.random.default_rng(20)
+    st = WaveState(psi=rng.standard_normal(96) + 1j * rng.standard_normal(96),
+                   hbar_eff=1.0, t=0.0, grid=grid)
+    solved = _solved_modes(monkeypatch)
+    w, V = np.linalg.eigh(dense(H))
+    for t in (0.3, 1.7):
+        ref = V @ (np.exp(-1j * w * t) * (V.T @ st.psi))
+        out = propagate_eigen_oracle(st, H, t).psi
+        # measured 4.1e-14 and 3.9e-14 of the largest |ref|
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert solved == 2 * [16, 32, 64, 96]
 
 
 # the oracle's states at each registry grid size the wave layer reaches:
@@ -402,6 +488,45 @@ def test_a_band_refuses_what_it_does_not_hold():
                        match="outside the operator's band w <= 0.04"):
         propagate_eigen_oracle(packet, H, 0.5)
     propagate_eigen_oracle(filtered, H, 0.5)
+
+
+@pytest.mark.parametrize("command,scenario", BANDED)
+def test_a_low_passed_registry_state_leaves_its_band_next_to_nothing(
+        command, scenario):
+    # the residual |psi - V V^T psi|^2 is what the oracle's guard reads:
+    # measured 6.6e-31 (harmonic_coherent) to 2.1e-29 (bohmian), at most
+    # 2.1e-3 of ORACLE_LEAK_MAX; weight - |V^T psi|^2 read -8.3e-16 on
+    # free_gaussian, the floor of a difference of two numbers near 1
+    _, _, H, st = _wave_setup(resolve_config(command, {"run.scenario": scenario}))
+    _, V = H.eigensystem
+    coeff = evolution._real_matvec(V.T, st.psi)
+    weight = np.vdot(st.psi, st.psi).real
+    assert evolution._unheld(st.psi, V, coeff) <= 1e-28 * weight
+
+
+@pytest.mark.parametrize("leak,refused", [(1e-25, True), (1e-27, False)])
+def test_the_band_guard_resolves_a_leak_far_below_roundoff(leak, refused):
+    # classical_limit's filtered packet plus a component outside its band
+    # of `leak` of its weight: 1e-25 is refused and 1e-27 is not, both far
+    # below the 1e-16 that weight - |V^T psi|^2 can resolve
+    cfg = resolve_config("evolve", {"run.scenario": "classical_limit"})
+    _, grid, H, st = _wave_setup(cfg)
+    _, V = H.eigensystem
+    outside = np.random.default_rng(7).standard_normal(grid.n)
+    # projected out twice: one pass leaves roundoff in the band's modes
+    outside -= V @ (V.T @ outside)
+    outside -= V @ (V.T @ outside)
+    weight = np.vdot(st.psi, st.psi).real
+    psi = st.psi + np.sqrt(leak * weight / (outside @ outside)) * outside
+    leaky = replace(st, psi=psi)
+    if refused:
+        with pytest.raises(ConfigurationError,
+                           match="1e-25 of the state's weight lies outside "
+                                 "the operator's band w <= 0.04, more than "
+                                 "1e-26"):
+            propagate_eigen_oracle(leaky, H, 0.5)
+    else:
+        propagate_eigen_oracle(leaky, H, 0.5)
 
 
 def test_eigenpairs_solve_past_the_band_and_refuse_k_outside_1_to_n():

@@ -627,10 +627,13 @@ def test_a_system_key_the_preset_does_not_take_is_refused(
 # (banded Crank-Nicolson, the eigen oracle, and the guidance frames), and
 # ordering_contrast at the registry's n = 256, whose spectra are dstemr
 # index solves of the symmetrized orderings.  Then the registry's
-# propagator_quality (n = 512), and free_gaussian over a fifth of its
+# propagator_quality (n = 512), whose oracle is an index solve of its 16
+# lowest modes, and free_gaussian over a fifth of its
 # horizon, whose spectral filter and 11-time oracle series run at n = 768
-# on a band solve of 14 modes, and classical_limit at the registry's n = 96,
-# whose filter reads a band solve of 4
+# on a band solve of 14 modes, classical_limit at the registry's n = 96,
+# whose filter reads a band solve of 4, and harmonic_stationary at the
+# registry's n = 384, whose ground state and oracle are index solves of
+# its operator without a band
 _THREAD_RUN = """
 import sys
 from stochaction.harness import run_command
@@ -643,6 +646,8 @@ run_command("evolve", {"run.scenario": "free_gaussian", "time.T": 0.1},
             out + "/free_gaussian")
 run_command("evolve", {"run.scenario": "classical_limit"},
             out + "/classical_limit")
+run_command("evolve", {"run.scenario": "harmonic_stationary"},
+            out + "/harmonic_stationary")
 run_command("equivariance", {"run.scenario": "tau_sweep", "time.T": 0.04,
                              "ensemble.size": 10000}, out + "/tau_sweep")
 run_command("orderings", {"run.scenario": "ordering_contrast"},
@@ -674,6 +679,9 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
         "classical_limit/qp_scaling.csv",
         "free_gaussian/chain_equivalence.csv",
         "free_gaussian/madelung_pair.csv", "free_gaussian/wave_density.csv",
+        "harmonic_stationary/chain_equivalence.csv",
+        "harmonic_stationary/madelung_pair.csv",
+        "harmonic_stationary/wave_density.csv",
         "ordering_contrast/orderings.csv",
         "propagator_quality/propagator_quality.csv",
         "propagator_quality_512/propagator_quality.csv",
