@@ -5,11 +5,11 @@ Everything works on the three diagonals of the operators from
 ``hamiltonian``; no n x n matrix is formed.  Crank-Nicolson applies
 1 - i dt H / 2hbar as a 3-point stencil and solves with a tridiagonal LU
 (LAPACK zgttrf once per call, zgttrs per step).  Every spectrum here is a
-real symmetric tridiagonal solve (LAPACK dstemr).  The spectral filter
-reads the operator's cached solve, of its band's modes alone when it has a
-band, and so does the eigen oracle on a banded operator; the ground state,
-eigenpairs and the eigen oracle on an operator without a band solve for
-the k lowest levels alone, by index.
+real symmetric tridiagonal solve (LAPACK dstemr) of the k lowest levels,
+by index.  The ground state solves one; the spectral filter and the eigen
+oracle size k alike (``_lowest_modes``): 16 first, doubled until the
+spectrum reaches what the reader needs, and at k = n the whole spectrum.
+No solve is cached: each serves one state.
 These routines are called in scipy's own LAPACK through ``kernels``,
 which does not import scipy, so a run that reaches this layer loads no
 scipy module.  The oracle takes a run's record times
@@ -17,13 +17,10 @@ in one call: it projects the initial state onto the eigenvectors once,
 then forms each time's state with its own product.
 
 The oracle holds a state only in the modes it solved, and it measures
-what they leave out on the residual psi - V V^T psi itself.  Without a
-band it doubles its mode count from 16 until that residual is at most
-ORACLE_LEAK_MAX of the state's weight, or all n modes are solved.  An
-operator built with a finite band holds only the eigenpairs up to that
-energy, and nothing here truncates a state to it silently: the spectral
-filter refuses a cutoff above the band, and the oracle refuses a state
-whose residual exceeds ORACLE_LEAK_MAX.
+what they leave out on the residual psi - V V^T psi itself: it stops
+doubling once that residual is at most ORACLE_LEAK_MAX of the state's
+weight.  The filter stops once the top solved level lies above its
+cutoff, so every level at or below the cutoff is among those solved.
 """
 from __future__ import annotations
 
@@ -41,17 +38,17 @@ SPECTRAL_MAX_N = 1024
 # the largest fraction of a state's weight, |psi - V V^T psi|^2 / |psi|^2,
 # that the eigen oracle's modes V may leave out.  Read on the residual, it
 # resolves what weight - |V^T psi|^2, a difference of two numbers near 1,
-# cannot: that read -8.3e-16 to 2.7e-16 on the registry's four low-passed
-# states, whose residuals outside their bands are 6.6e-31 to 2.1e-29.  The
-# same packets unfiltered leave 3e-6 (free_gaussian) to 3e-4 (bohmian);
-# propagator_quality's packet leaves 5e-28 outside the 16 lowest modes of
-# its operator at n = 1024.  At 1e-24 the doubling stops early enough to
-# move the oracle's t = 0 state by 2.2e-12 (a coherent state at q = 1, at
-# n = 256 on [-8, 8]), where 1e-26 leaves 3e-15
+# cannot: that read 2.1e-16 to 8.3e-16 on the registry's four low-passed
+# states, whose residuals outside their 16 lowest modes are 2.4e-31 to
+# 4.3e-30.  The same packets unfiltered leave 3e-6 (free_gaussian) to 3e-4
+# (bohmian); propagator_quality's packet leaves 5e-28 outside the 16
+# lowest modes of its operator at n = 1024.  At 1e-24 the doubling stops
+# early enough to move the oracle's t = 0 state by 2.2e-12 (a coherent
+# state at q = 1, at n = 256 on [-8, 8]), where 1e-26 leaves 3e-15
 ORACLE_LEAK_MAX = 1e-26
-# the mode count of a band-less oracle's first index solve: 16 modes hold
-# each registry state (propagator_quality's and harmonic_stationary's)
-_ORACLE_FIRST_MODES = 16
+# the mode count of the filter's and the oracle's first index solve: 16
+# modes hold each registry state, and reach above each registry cutoff
+_FIRST_MODES = 16
 
 
 @dataclass(frozen=True)
@@ -170,30 +167,30 @@ def _unheld(psi: np.ndarray, V: np.ndarray, coeff: np.ndarray) -> float:
     return float(np.vdot(rest, rest).real)
 
 
+def _lowest_modes(H: QuantumOperator):
+    """(w, V) of H's k lowest modes for k = 16, 32, ..., each solved anew
+    by eigenpairs; the last is all n.  A reader stops at the first that
+    holds what it needs."""
+    n = H.grid.n
+    k = min(_FIRST_MODES, n)
+    while k < n:
+        yield eigenpairs(H, k)
+        k *= 2
+    yield eigenpairs(H, n)
+
+
 def _oracle_modes(state: WaveState, H: QuantumOperator
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, V, c = V^T psi) of the modes that hold the state, as
-    propagate_eigen_oracle describes; k = n holds any state."""
+    """(w, V, c = V^T psi) of the fewest of _lowest_modes whose residual
+    |psi - V c|^2 is at most ORACLE_LEAK_MAX of psi's weight, or else of
+    all n modes, which hold any state."""
     psi = state.psi
     weight = float(np.vdot(psi, psi).real)
-    if H.band < np.inf:
-        w, V = H.eigensystem
+    for w, V in _lowest_modes(H):
         coeff = _real_matvec(V.T, psi)
-        unheld = _unheld(psi, V, coeff)
-        if unheld > ORACLE_LEAK_MAX * weight:
-            raise ConfigurationError(
-                f"eigen-oracle propagation: {unheld / weight:.3g} of the "
-                f"state's weight lies outside the operator's band "
-                f"w <= {H.band}, more than {ORACLE_LEAK_MAX:g}")
-        return w, V, coeff
-    n = state.grid.n
-    k = min(_ORACLE_FIRST_MODES, n)
-    while True:
-        w, V = eigenpairs(H, k)
-        coeff = _real_matvec(V.T, psi)
-        if k == n or _unheld(psi, V, coeff) <= ORACLE_LEAK_MAX * weight:
-            return w, V, coeff
-        k = min(2 * k, n)
+        if _unheld(psi, V, coeff) <= ORACLE_LEAK_MAX * weight:
+            break
+    return w, V, coeff
 
 
 def propagate_eigen_oracle(state: WaveState, H: QuantumOperator,
@@ -204,13 +201,10 @@ def propagate_eigen_oracle(state: WaveState, H: QuantumOperator,
 
     `t` is one time, which gives one state, or a sequence of times, which
     gives a list of states, one per time.  Every time is checked finite
-    before the operator is decomposed.  An operator with a finite band
-    gives its cached band solve, and a state whose residual
-    |psi - V V^T psi|^2 outside it exceeds ORACLE_LEAK_MAX of its weight is
-    refused: the band's modes alone cannot carry it.  An operator without a
-    band is solved by index for its lowest k modes alone, k doubling from
-    16 until the residual is within ORACLE_LEAK_MAX or k = n; these solves
-    are not cached, since each serves one state.  The projection
+    before the operator is decomposed.  The operator is solved by index
+    for its lowest k modes alone, k doubling from 16 until the residual
+    |psi - V V^T psi|^2 is within ORACLE_LEAK_MAX of the state's weight, or
+    k = n, where the whole spectrum is solved.  The projection
     c = V^T psi0 does not depend on t, so a series takes it once; each
     state is then its own two-column product V (exp(-i w t / hbar) * c), as
     in the one-time call, so a series gives each time the bits of one call
@@ -243,14 +237,13 @@ def spectral_filter(state: WaveState, H: QuantumOperator,
     Polar-form integration needs initial data of exactly this kind: fast
     spectral components are invisible in the interior but dominate the
     deep wall tail, where their beating sweeps the density through zero.
-    A cutoff above the operator's band is refused: the modes between the
-    two are not held.
+    The modes are solved by index, k doubling from 16 until the top solved
+    level lies above e_cut, or k = n.
     """
     _check_spectral(state, H, "spectral filtering")
-    if e_cut > H.band:
-        raise ConfigurationError(
-            f"energy cutoff {e_cut} lies above the operator's band {H.band}")
-    w, V = H.eigensystem
+    for w, V in _lowest_modes(H):
+        if w[-1] > e_cut:
+            break
     keep = w <= e_cut
     if not bool(np.any(keep)):
         raise ConfigurationError(
@@ -278,11 +271,14 @@ def ground_state(H: QuantumOperator) -> tuple[float, WaveState]:
 
 def eigenpairs(H: QuantumOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenvalues and their real orthonormal eigenvectors,
-    one dstemr solve of modes 1..k by index from H's diagonals, whatever
-    H's band; refused for k outside 1..n and for a non-symmetric H."""
+    one dstemr solve of modes 1..k by index from H's diagonals, or at
+    k = n of the whole spectrum, whose eigenvalues dstemr finds by dqds
+    rather than by bisection, about 3 times faster (5.3 against 16.7 ms at
+    n = 256, 85 against 246 ms at n = 1024, one x86-64 thread); refused
+    for k outside 1..n and for a non-symmetric H."""
     if not np.array_equal(H.lower, H.upper):
         raise ConfigurationError("eigenpairs need a symmetric operator")
-    return tridiagonal_eigh(H.diag, H.upper, k=k)
+    return tridiagonal_eigh(H.diag, H.upper, k=k if k != H.grid.n else None)
 
 
 def energy_expectation(state: WaveState, H: QuantumOperator) -> float:

@@ -8,20 +8,19 @@ without changing any observable (Aharonov and Bohm, Phys. Rev. 115, 485,
 discretized as first differences onto link midpoints, so the operator is
 real symmetric by construction for any position-dependent g.  Every build
 is tridiagonal and is stored as its three real diagonals; the sandwich
-build's eigendecomposition is one real symmetric tridiagonal solve.  Naive
+build's lowest levels are one real symmetric tridiagonal solve by index
+(``evolution.eigenpairs``).  Naive
 g*p^2 / p^2*g builds are kept around as the contrast case; each is similar
 to a symmetric tridiagonal (``symmetrized``), whose solve gives its levels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NodeError, ShapeError
-from .kernels import tridiagonal_eigh
 from .lattice import NODE_EPS, GridSpec, check_field, gradient
 
 # each preset's parameters, with their defaults
@@ -153,14 +152,8 @@ class QuantumOperator:
     H[k+1, k].  The sandwich build is symmetric, ``lower == upper``
     exactly; the naive orderings are not, and their spectra are read from
     the symmetric operator similar to each (``symmetrized``).  No n x n
-    array is formed.
-
-    ``band`` is the highest energy that any consumer of the operator reads:
-    ``eigensystem`` holds only the eigenpairs with w <= band, and the
-    ``evolution`` functions that read it refuse work that needs a mode
-    above it.  The default, inf, places no band: ``eigensystem`` then
-    holds all n modes, and the eigen oracle does not read it but solves
-    by index for the lowest modes that hold its state.
+    array is formed, and no spectrum is kept: ``evolution`` solves for the
+    lowest modes that each of its readers needs, by index.
     """
 
     lower: np.ndarray
@@ -168,46 +161,10 @@ class QuantumOperator:
     upper: np.ndarray
     hbar_eff: float
     grid: GridSpec
-    band: float = np.inf
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi as a 3-point stencil."""
         return tridiagonal_apply(self.lower, self.diag, self.upper, psi)
-
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V): eigenvalues ascending and their real orthonormal
-        eigenvectors, the columns of V, from one real symmetric tridiagonal
-        solve (LAPACK dstemr, through ``kernels.tridiagonal_eigh``).
-        Computed on first use and kept for the lifetime of the operator.
-
-        With a finite ``band`` the solve computes only the k eigenpairs
-        with w <= band, in O(n k) work rather than O(n^2) (MRRR: Dhillon,
-        Parlett and Voemel, ACM TOMS 32, 2006), and V is n x k and holds no
-        more: dstemr's own count query sizes it.  At n = 768 on the free
-        preset, k = 14 of the modes took 6 against 43 ms for all 768, on
-        one x86-64 thread.  The band solve's eigenvalues differ from the
-        full solve's by up to about 1e-12, and its bits, like the full
-        solve's, do not depend on the OpenBLAS thread count.
-
-        No registry scenario reads all n modes: the eigen oracle of an
-        operator without a band solves by index for the lowest modes that
-        hold its state (16 for each registry state), and the scenarios
-        filter only on banded operators.  A full solve is left to a
-        spectral filter on an operator without a band.  Divide and
-        conquer (dstevd) would be faster there, 43 against 76 ms on the
-        harmonic operator at n = 1024 on one x86-64 thread, and its columns
-        are about 100 times closer to orthonormal: max |V^T V - I| is
-        2.6e-15 against dstemr's 1.9e-13.  But it merges its subproblems
-        with BLAS matrix products, and at n = 1024 its bits differ between
-        one and two OpenBLAS threads (OpenBLAS 0.3.30), which would make the
-        wave layer's CSVs depend on the thread count.  dstemr gives the same
-        bits at both, at every registry size, and solves k modes in O(n k).
-        """
-        if not np.array_equal(self.lower, self.upper):
-            raise ConfigurationError(
-                "eigendecomposition needs a symmetric operator")
-        return tridiagonal_eigh(self.diag, self.upper, self.band)
 
 
 def tridiagonal_apply(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -246,15 +203,13 @@ def _assemble(g_mid: np.ndarray, V: np.ndarray, grid: GridSpec,
 
 
 def build_quantum_hamiltonian(spec: ClassicalSpec, grid: GridSpec,
-                              hbar_eff: float,
-                              band: float = np.inf) -> QuantumOperator:
+                              hbar_eff: float) -> QuantumOperator:
     """Sandwich-ordered Hamiltonian: g(q) evaluated on links, between the
-    two difference factors.  Symmetric by construction.  `band` is the
-    highest energy its consumers read (QuantumOperator)."""
+    two difference factors.  Symmetric by construction."""
     g_mid = _link_g(spec, grid, hbar_eff)
     V = np.asarray(spec.V(grid.points()), dtype=float)
     return QuantumOperator(*_assemble(g_mid, V, grid, hbar_eff),
-                           hbar_eff, grid, band)
+                           hbar_eff, grid)
 
 
 def build_naive_ordering(spec: ClassicalSpec, grid: GridSpec, hbar_eff: float,
@@ -302,13 +257,13 @@ def symmetrized(op: QuantumOperator) -> QuantumOperator:
             f"{product[k]:g} <= 0: no real diagonal similarity makes the "
             f"operator symmetric")
     hop = np.copysign(np.sqrt(product), op.upper)
-    return QuantumOperator(hop, op.diag, hop, op.hbar_eff, op.grid, op.band)
+    return QuantumOperator(hop, op.diag, hop, op.hbar_eff, op.grid)
 
 
 def hermiticity_defect(op) -> float:
     """max |M - M^dagger| entrywise; zero for a Hermitian matrix.  Of a
     QuantumOperator, whose diagonals are real, it is max |upper - lower|:
-    the diagonal and the off-band zeros add nothing."""
+    the diagonal and the zeros off the three diagonals add nothing."""
     if isinstance(op, QuantumOperator):
         return float(np.max(np.abs(op.upper - op.lower)))
     M = np.asarray(op)

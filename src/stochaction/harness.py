@@ -157,8 +157,8 @@ SCENARIOS = {
         # small action scale: packet center vs symplectic reference.  The
         # packet is a true coherent state (width sqrt(hbar/2)): any other
         # width breathes at this scale and sweeps the far tail below the
-        # resolvable node floor.  The energy cut keeps the occupied band
-        # (four modes carry all but ~7e-6 of the mass) and strips the
+        # resolvable node floor.  The energy cut keeps the four lowest
+        # modes, which carry all but ~7e-6 of the mass, and strips the
         # wall-straddling modes whose beats drive interference nodes
         # through the tail cells
         "classical_limit": _scn(
@@ -193,7 +193,7 @@ SCENARIOS = {
     "equivariance": {
         # lambda disabled: pure guidance-velocity transport.  Walls sit
         # close enough that the swinging packet's far tail stays well above
-        # the node floor at every window boundary, and the band limit strips
+        # the node floor at every window boundary, and the energy cut strips
         # the wall-truncation contaminants whose grid-scale phase wiggles
         # would otherwise scramble the guidance field
         "bohmian": _scn(
@@ -512,12 +512,12 @@ def _build_state(cfg: dict, grid: GridSpec, H) -> WaveState:
     else:  # ground: resolve_config refuses any other kind, and a kind
         # whose STATE_PARAMS the config does not set
         return ground_state(H)[1]
-    # scenarios that feed the polar pair low-pass the analytic packet: the
-    # retained modes individually satisfy the walls, so the tail carries no
-    # fast-beating content that the polar fields cannot represent.  The
-    # cutoff is the operator's band (_wave_setup)
-    if H.band < np.inf:
-        state = spectral_filter(state, H, H.band)
+    # scenarios that feed the polar pair low-pass the analytic packet at
+    # state.ecut > 0: the retained modes individually satisfy the walls, so
+    # the tail carries no fast-beating content that the polar fields
+    # cannot represent
+    if cfg["state.ecut"] > 0.0:
+        state = spectral_filter(state, H, cfg["state.ecut"])
     return state
 
 
@@ -528,19 +528,13 @@ def _build_source(cfg: dict) -> stochastic.LambdaSource:
 
 
 def _wave_setup(cfg: dict):
-    """(spec, grid, H, initial state) of a wave-layer scenario.
-
-    A packet low-passed at state.ecut > 0 occupies only the modes up to
-    that energy, and no consumer of H reads above it, so it is H's band and
-    H's eigendecomposition holds only those modes.  A ground state, or a
-    packet with no cutoff, keeps the band inf: its ground state and its
-    eigen oracle solve H by index for the lowest modes they need, which
-    for the registry's states are 1 and 16 of n."""
+    """(spec, grid, H, initial state) of a wave-layer scenario.  Whoever
+    reads H's spectrum, the ground state, the spectral filter or the eigen
+    oracle, solves H by index for the lowest modes it needs
+    (``evolution``): for the registry's states 1 and 16 of n."""
     spec = _build_system(cfg)
     grid = _build_grid(cfg)
-    e_cut = cfg["state.ecut"] if cfg["state.kind"] != "ground" else 0.0
-    H = build_quantum_hamiltonian(spec, grid, cfg["source.hbar"],
-                                  e_cut if e_cut > 0.0 else np.inf)
+    H = build_quantum_hamiltonian(spec, grid, cfg["source.hbar"])
     return spec, grid, H, _build_state(cfg, grid, H)
 
 
@@ -930,7 +924,7 @@ def _low_spectrum(op, k=5):
 
 def _max_abs(*diagonals) -> float:
     """max |entry| over the diagonals: a tridiagonal matrix's maximum,
-    as its off-band zeros add nothing."""
+    as its zeros off the three diagonals add nothing."""
     return float(np.max(np.abs(np.concatenate(diagonals))))
 
 

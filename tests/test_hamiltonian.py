@@ -12,6 +12,7 @@ from stochaction.hamiltonian import (ClassicalSpec, build_naive_ordering,
                                      classical_velocity, guidance_field,
                                      hermiticity_defect, make_system,
                                      require_wave_node_free, symmetrized)
+from stochaction.kernels import tridiagonal_eigh
 from stochaction.lattice import build_grid, gradient
 
 
@@ -136,7 +137,7 @@ def test_constant_potential_shift_moves_the_spectrum_by_the_shift():
     H1 = build_quantum_hamiltonian(shifted, grid, 1.0)
     assert np.array_equal(H0.lower, H1.lower)
     assert np.array_equal(H0.upper, H1.upper)
-    w0, w1 = H0.eigensystem[0], H1.eigensystem[0]
+    w0, w1 = (tridiagonal_eigh(H.diag, H.upper)[0] for H in (H0, H1))
     assert np.max(np.abs(w1[:20] - w0[:20] - 0.7)) < 1e-12   # measured 1.6e-14
 
 
@@ -175,7 +176,7 @@ def _operator_64(preset, kw):
 @pytest.mark.parametrize("preset,kw", TRIDIAGONAL_CASES)
 def test_tridiagonal_eigenvalues_match_dense(preset, kw):
     grid, H = _operator_64(preset, kw)
-    w, V = H.eigensystem
+    w, V = tridiagonal_eigh(H.diag, H.upper)
     for a in (H.lower, H.diag, H.upper, dense(H), V):
         assert a.dtype == np.float64
     ref = np.linalg.eigvalsh(dense(H))
@@ -192,13 +193,6 @@ def test_stencil_matches_dense_product(preset, kw):
     psi = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     ref = dense(H) @ psi
     assert np.max(np.abs(H.apply(psi) - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_eigendecomposition_needs_a_hermitian_operator():
-    grid = build_grid(64, -6.0, 6.0)
-    spec = make_system("variable_mass", beta=0.3)
-    with pytest.raises(ConfigurationError):
-        build_naive_ordering(spec, grid, 1.0, "g_pp").eigensystem
 
 
 def test_build_rejects_nonpositive_inverse_mass():

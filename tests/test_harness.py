@@ -186,7 +186,8 @@ def test_each_symmetrized_spectrum_is_its_dense_orderings(case, build):
     np.testing.assert_allclose(low, ref[:5], rtol=1e-12, atol=0)
     if build == "sandwich" or case == "constant_g":
         # the sandwich's spectrum, which the naive builds share at constant g
-        np.testing.assert_allclose(low, sandwich.eigensystem[0][:5],
+        levels = kernels.tridiagonal_eigh(sandwich.diag, sandwich.upper)[0]
+        np.testing.assert_allclose(low, levels[:5],
                                    rtol=1e-12, atol=0)
 
 
@@ -628,12 +629,12 @@ def test_a_system_key_the_preset_does_not_take_is_refused(
 # ordering_contrast at the registry's n = 256, whose spectra are dstemr
 # index solves of the symmetrized orderings.  Then the registry's
 # propagator_quality (n = 512), whose oracle is an index solve of its 16
-# lowest modes, and free_gaussian over a fifth of its
-# horizon, whose spectral filter and 11-time oracle series run at n = 768
-# on a band solve of 14 modes, classical_limit at the registry's n = 96,
-# whose filter reads a band solve of 4, and harmonic_stationary at the
-# registry's n = 384, whose ground state and oracle are index solves of
-# its operator without a band
+# lowest modes, and free_gaussian over a fifth of its horizon, whose
+# spectral filter and 11-time oracle series run at n = 768 on index
+# solves of the 16 lowest modes, classical_limit at the registry's n = 96,
+# whose filter and oracle solve 16 modes as well, and harmonic_stationary
+# at the registry's n = 384, whose ground state and oracle are index
+# solves of 1 and 16 modes
 _THREAD_RUN = """
 import sys
 from stochaction.harness import run_command

@@ -25,9 +25,9 @@ from stochaction.hamiltonian import (build_naive_ordering,
 
 def _registry_operators():
     """(name, H, cfg) of every operator a registry scenario decomposes or
-    steps: the wave setups of evolve and equivariance, at their bands,
-    harmonic_spectrum's, and the symmetric operators similar to the six
-    orderings of ordering_contrast, as the runners build them."""
+    steps: the wave setups of evolve and equivariance, harmonic_spectrum's,
+    and the symmetric operators similar to the six orderings of
+    ordering_contrast, as the runners build them."""
     cases = []
     for command in ("evolve", "equivariance"):
         for scenario in SCENARIOS[command]:
@@ -67,25 +67,14 @@ def test_eigensolves_equal_scipys_bit_for_bit(name, H, cfg):
                                         lapack_driver="stemr")
     assert all(_same_bytes(a, b) for a, b in zip(full, ref))
     assert full[1].flags.f_contiguous and full[1].flags.owndata
-    if cfg.get("state.ecut", 0.0) > 0.0:
-        assert H.band == cfg["state.ecut"]
-    if H.band < np.inf:
-        band = kernels.tridiagonal_eigh(H.diag, H.upper, H.band)
-        ref = scipy.linalg.eigh_tridiagonal(
-            H.diag, H.upper, select="v", select_range=(-np.inf, H.band),
-            lapack_driver="stemr")
-        assert all(_same_bytes(a, b) for a, b in zip(band, ref))
-        # V holds the band's k columns and no more
-        k = len(band[0])
-        assert 0 < k < H.grid.n and band[1].shape == (H.grid.n, k)
-        assert band[1].flags.f_contiguous and band[1].flags.owndata
 
 
 @pytest.mark.parametrize("name,H,cfg", OPERATORS, ids=IDS)
-@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("k", [1, 5, 16])
 def test_index_solves_equal_scipys_bit_for_bit(name, H, cfg, k):
-    # the ground state (k = 1) and the five levels of harmonic_spectrum and
-    # of each ordering (k = 5), whatever the operator's band
+    # the ground state (k = 1), the five levels of harmonic_spectrum and
+    # of each ordering (k = 5), and the first solve of the spectral filter
+    # and of the eigen oracle (k = 16)
     low = kernels.tridiagonal_eigh(H.diag, H.upper, k=k)
     ref = scipy.linalg.eigh_tridiagonal(H.diag, H.upper, select="i",
                                         select_range=(0, k - 1),
@@ -96,20 +85,16 @@ def test_index_solves_equal_scipys_bit_for_bit(name, H, cfg, k):
     assert low[1].flags.f_contiguous and low[1].flags.owndata
 
 
-@pytest.mark.parametrize("upper", [np.inf, 4.5])
-def test_a_matrix_with_relatively_accurate_eigenvalues_equals_scipy(upper):
+def test_a_matrix_with_relatively_accurate_eigenvalues_equals_scipy():
     # a diagonally dominant positive definite matrix defines its
     # eigenvalues to high relative accuracy, and there dstemr's TRYRAC
     # changes the bits (a binding with TRYRAC false differs), which no
     # registry operator shows
     rng = np.random.default_rng(0)
     d, e = 4.0 + rng.random(50), rng.random(49)
-    select = {} if upper == np.inf else {"select": "v",
-                                         "select_range": (-np.inf, upper)}
-    ref = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr",
-                                        **select)
+    ref = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
     assert all(_same_bytes(a, b) for a, b in
-               zip(kernels.tridiagonal_eigh(d, e, upper), ref))
+               zip(kernels.tridiagonal_eigh(d, e), ref))
 
 
 def test_an_index_solve_with_relatively_accurate_eigenvalues_equals_scipy():
@@ -121,12 +106,10 @@ def test_an_index_solve_with_relatively_accurate_eigenvalues_equals_scipy():
                zip(kernels.tridiagonal_eigh(d, e, k=7), ref))
 
 
-@pytest.mark.parametrize("k,upper", [(0, np.inf), (6, np.inf), (-1, np.inf),
-                                     (2, 4.5)])
-def test_an_index_solve_refuses_a_count_outside_1_to_n(k, upper):
-    # and a count with a band: a solve takes one or the other
+@pytest.mark.parametrize("k", [0, 6, -1])
+def test_an_index_solve_refuses_a_count_outside_1_to_n(k):
     with pytest.raises(ConfigurationError, match="must lie in 1..n"):
-        kernels.tridiagonal_eigh(np.arange(5.0), np.ones(4), upper, k=k)
+        kernels.tridiagonal_eigh(np.arange(5.0), np.ones(4), k=k)
 
 
 @pytest.mark.parametrize(
