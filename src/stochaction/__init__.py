@@ -12,12 +12,10 @@ from .hamiltonian import (ClassicalSpec, QuantumOperator,
 from .evolution import (WaveState, coherent_state, gaussian_packet,
                         ground_state, propagate_crank_nicolson,
                         propagate_eigen_oracle)
-from .madelung import (MadelungState, from_polar, quantum_potential,
-                       step_coupled_pde, to_polar)
+from .madelung import MadelungState, from_polar, step_coupled_pde, to_polar
 from .classical import PhasePoint, integrate_path
 from .stochastic import (EnsembleState, LambdaSource, bohmian_velocity,
-                         effective_velocity, init_ensemble,
-                         microscopic_velocity, propagate_ensemble,
+                         init_ensemble, propagate_ensemble,
                          sample_action_deviation, sample_lambda)
 from .harness import parse_config, run_command
 
@@ -31,11 +29,9 @@ __all__ = [
     "WaveState", "gaussian_packet", "coherent_state", "ground_state",
     "propagate_crank_nicolson", "propagate_eigen_oracle",
     "MadelungState", "to_polar", "from_polar", "step_coupled_pde",
-    "quantum_potential",
     "PhasePoint", "integrate_path",
     "LambdaSource", "EnsembleState",
     "sample_lambda", "sample_action_deviation",
-    "microscopic_velocity", "effective_velocity", "bohmian_velocity",
-    "init_ensemble", "propagate_ensemble",
+    "bohmian_velocity", "init_ensemble", "propagate_ensemble",
     "parse_config", "run_command",
 ]

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NodeError, ShapeError
+from .errors import ConfigurationError, NodeError
 from .lattice import NODE_EPS, GridSpec, check_field, gradient
 
 # each preset's parameters, with their defaults
@@ -260,13 +260,8 @@ def symmetrized(op: QuantumOperator) -> QuantumOperator:
     return QuantumOperator(hop, op.diag, hop, op.hbar_eff, op.grid)
 
 
-def hermiticity_defect(op) -> float:
-    """max |M - M^dagger| entrywise; zero for a Hermitian matrix.  Of a
-    QuantumOperator, whose diagonals are real, it is max |upper - lower|:
-    the diagonal and the zeros off the three diagonals add nothing."""
-    if isinstance(op, QuantumOperator):
-        return float(np.max(np.abs(op.upper - op.lower)))
-    M = np.asarray(op)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeError(f"hermiticity defect needs a square matrix, got {M.shape}")
-    return float(np.max(np.abs(M - M.conj().T)))
+def hermiticity_defect(op: QuantumOperator) -> float:
+    """max |H - H^dagger| entrywise, zero for a Hermitian operator: of
+    op's real diagonals, max |upper - lower|, as the diagonal and the
+    zeros off the three diagonals add nothing."""
+    return float(np.max(np.abs(op.upper - op.lower)))

@@ -899,8 +899,8 @@ def _pairwise_shards(n: int, shards: int, subtree) -> float:
 # ensemble micro-stepping
 # ---------------------------------------------------------------------------
 # State arrays (mutated in place): positions qs, scales lams, log-weights
-# logws, frozen flags (uint8).  Field tables on the grid, sampled by clamped
-# linear interpolation identical to lattice.interp_linear:
+# logws, frozen flags (uint8).  Field tables on the grid, sampled by linear
+# interpolation with the cell clamped to [0, n - 2] and its weight to [0, 1]:
 #   vb   = g dS/dq                drift per unit time
 #   osm  = 0.5 g (dOmega/dq)/Omega  drift per unit (time * lambda)
 #   th   = theta(S)               log-weight decay rate

@@ -74,7 +74,8 @@ def gradient_uniform(f: np.ndarray, h: float) -> np.ndarray:
 
 def second_derivative_uniform(f: np.ndarray, h: float) -> np.ndarray:
     """Compact three-point d2/dq2 along the last axis; one-sided four-point
-    rows at the ends."""
+    rows at the ends.  The polar kernel's quantum potential is held to this
+    stencil, bit for bit, by its numpy reference in the kernel tests."""
     f = np.asarray(f, dtype=float)
     if f.ndim == 0 or f.shape[-1] < 4:
         raise ShapeError("second derivative needs at least 4 samples")
@@ -92,10 +93,6 @@ def second_derivative_uniform(f: np.ndarray, h: float) -> np.ndarray:
 
 def gradient(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return gradient_uniform(check_field(f, grid), grid.dq)
-
-
-def second_derivative(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return second_derivative_uniform(check_field(f, grid), grid.dq)
 
 
 def integrate(f: np.ndarray, grid: GridSpec) -> float:
@@ -131,22 +128,6 @@ def whole_steps(span: float, step: float, step_name: str = "step",
         raise ConfigurationError(
             f"{step_name} = {step} does not divide {span_name} = {span}")
     return steps
-
-
-def interp_linear(f: np.ndarray, grid: GridSpec, q) -> np.ndarray | float:
-    """Clamped linear interpolation of a grid field at positions q.
-
-    Outside the domain the edge value is returned; callers that care about
-    escapers must detect them separately.  Matches the kernel interpolants
-    expression for expression.
-    """
-    f = np.asarray(f)
-    scalar = np.isscalar(q)
-    u = (np.atleast_1d(np.asarray(q, dtype=float)) - grid.q_min) / grid.dq
-    i = np.clip(np.floor(u), 0, grid.n - 2).astype(np.int64)
-    w = np.clip(u - i, 0.0, 1.0)
-    out = f[i] + w * (f[i + 1] - f[i])
-    return float(out[0]) if scalar else out
 
 
 def quadrature_weights(grid: GridSpec) -> np.ndarray:

@@ -21,8 +21,7 @@ from .evolution import WaveState
 from .hamiltonian import (ClassicalSpec, require_node_free,
                           require_wave_node_free)
 from .kernels import run_madelung_window
-from .lattice import (GridSpec, check_field, gradient, integrate,
-                      second_derivative)
+from .lattice import GridSpec, check_field, integrate
 
 # a norm that drifts further than this, relative to its value on entry to
 # `step_coupled_pde`, aborts the integration
@@ -90,18 +89,6 @@ def from_polar(m: MadelungState) -> WaveState:
 
 # the name perfbench's polar sweep still calls
 pair_from_wave = to_polar
-
-
-def quantum_potential(R: np.ndarray, spec: ClassicalSpec, grid: GridSpec,
-                      lam: float) -> np.ndarray:
-    """The lam^2 correction term -(lam^2/2)(g d2R + dg dR)/R."""
-    R = check_field(R, grid, "amplitude")
-    require_node_free(R ** 2, "R^2")
-    pts = grid.points()
-    g = np.asarray(spec.g(pts), dtype=float)
-    dg = np.asarray(spec.dg(pts), dtype=float)
-    return -0.5 * lam * lam * (g * second_derivative(R, grid)
-                               + dg * gradient(R, grid)) / R
 
 
 def default_timestep(grid: GridSpec, spec: ClassicalSpec, lam_abs: float) -> float:

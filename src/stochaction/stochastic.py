@@ -1,5 +1,5 @@
-"""Random action scales, exponential action-deviation sampling,
-microscopic/effective velocities, and guided-ensemble transport.
+"""Random action scales, exponential action-deviation sampling, the
+guidance tables, and guided-ensemble transport.
 
 Randomness comes from the counter streams in `kernels`: every draw is a
 pure function of (seed, domain, step, particle, slot), so results are
@@ -22,8 +22,8 @@ from .kernels import (DOMAIN_DEVIATION, DOMAIN_INIT, DOMAIN_SOURCE,
                       SRC_BINARY, SRC_SMEARED, SRC_SPHERE, counter_uniform,
                       lambda_range, run_ensemble_window, run_sample_shards,
                       uniform_range)
-from .lattice import (GridSpec, check_field, gradient, interp_linear,
-                      trapezoid_cdf, whole_steps)
+from .lattice import (GridSpec, check_field, gradient, trapezoid_cdf,
+                      whole_steps)
 
 SOURCE_KINDS = ("binary", "sphere", "smeared")
 
@@ -119,29 +119,6 @@ def sample_action_deviation(lam: float, n: int, seed: int = 0,
     return dev
 
 
-def microscopic_velocity(q: float | np.ndarray, S: np.ndarray,
-                         Omega: np.ndarray, lam: float, spec: ClassicalSpec,
-                         grid: GridSpec) -> float | np.ndarray:
-    """Scale-dependent particle velocity
-    g(q) dS/dq + (lam/2) g(q) (dOmega/dq)/Omega
-    with the fields linearly interpolated to q.
-    """
-    S = check_field(S, grid, "S")
-    Omega = check_field(Omega, grid, "Omega")
-    require_node_free(Omega, "Omega")
-    dS_q = interp_linear(gradient(S, grid), grid, q)
-    dOm_q = interp_linear(gradient(Omega, grid), grid, q)
-    Om_q = interp_linear(Omega, grid, q)
-    g = spec.g(q)
-    return g * dS_q + 0.5 * lam * g * dOm_q / Om_q
-
-
-def effective_velocity(v_plus, v_minus):
-    """Mean of the +lam and -lam microscopic velocities; the lam-odd
-    osmotic parts cancel, leaving g dS/dq."""
-    return 0.5 * (v_plus + v_minus)
-
-
 def bohmian_velocity(state: WaveState, spec: ClassicalSpec,
                      grid: GridSpec) -> np.ndarray:
     """Guidance velocity field g dS_Q/dq from the unwrapped phase."""
@@ -232,6 +209,10 @@ class WaveFrames:
 
 
 def _guidance_tables(state: WaveState, spec: ClassicalSpec):
+    """The micro-step velocity's tables on the grid: a particle at scale
+    lambda moves with vb + lambda osm, vb = g dS/dq the guidance field
+    and osm = (g/2) (d|psi|^2/dq) / |psi|^2, and theta = dvb/dq.  A node
+    is refused (bohmian_velocity)."""
     grid = state.grid
     vb = bohmian_velocity(state, spec, grid)
     omega = np.abs(state.psi) ** 2
@@ -281,26 +262,20 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(p - q)))
 
 
-def _snapshot(ens_positions, log_weights, frozen, t, wave_density, grid,
-              edges) -> dict:
+def _snapshot(ens_positions, frozen, t, wave_density, grid, edges) -> dict:
+    """The ensemble's histogram against the wave density at time t: the
+    transported density, its total-variation distance from the wave's
+    bin masses, and the frozen fraction."""
     centers = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
     counts, _ = np.histogram(ens_positions, bins=edges)
-    n_total = ens_positions.shape[0]
-    p_emp = counts / n_total
-    w = np.exp(log_weights - np.max(log_weights))
-    w_sum = w.sum()
-    wcounts, _ = np.histogram(ens_positions, bins=edges, weights=w)
-    p_wemp = wcounts / w_sum
+    p_emp = counts / ens_positions.shape[0]
     p_wave = _bin_probabilities(wave_density, grid, edges)
     return {
         "t": float(t),
         "bin_centers": centers,
-        "histogram_density": p_emp / widths,
-        "weighted_density": p_wemp / widths,
+        "histogram_density": p_emp / np.diff(edges),
         "wave_density": np.interp(centers, grid.points(), wave_density),
         "tv_distance": tv_distance(p_emp, p_wave),
-        "tv_weighted": tv_distance(p_wemp, p_wave),
         "frozen_fraction": float(np.mean(frozen != 0)),
     }
 
@@ -311,13 +286,15 @@ def propagate_ensemble(ens: EnsembleState, frames: WaveFrames, T: float,
     """Micro-step the ensemble along the wave trajectory for duration T.
 
     Per micro step of length tau_Q each particle redraws lambda from the
-    source's law, keyed by the ensemble's seed, moves by its microscopic
-    velocity, and accumulates the log-weight -theta dt.  With no source
+    source's law, keyed by the ensemble's seed, moves with vb + lambda osm
+    (_guidance_tables) interpolated to its position, and accumulates the
+    log-weight -theta dt.  With no source
     every lambda is 0: each particle moves with the guidance field alone,
     and the osmotic table is not felt.  Particles stepping outside the
     domain are frozen at the edge and counted.  Returns the final ensemble
-    and per-snapshot equivariance diagnostics (unweighted histogram is the
-    transported density; the weighted one is reported alongside).
+    and per-snapshot equivariance diagnostics of its histogram (_snapshot);
+    the log-weights are carried in the final ensemble and read by no
+    diagnostic.
     """
     src_kind, mag0, jitter = _kernel_source(source)
     grid = frames.grid
@@ -345,8 +322,8 @@ def propagate_ensemble(ens: EnsembleState, frames: WaveFrames, T: float,
         if n_windows > 0 else {0}
     diags = []
     if 0 in want:
-        diags.append(_snapshot(qs, logws, frozen, frames.times[0],
-                               frames.dens[0], grid, edges))
+        diags.append(_snapshot(qs, frozen, frames.times[0], frames.dens[0],
+                               grid, edges))
     for w in range(n_windows):
         run_ensemble_window(qs, lams, logws, frozen,
                             frames.vb[w], frames.osm[w], frames.theta[w],
@@ -355,7 +332,7 @@ def propagate_ensemble(ens: EnsembleState, frames: WaveFrames, T: float,
                             src_kind=src_kind, mag0=mag0, jitter=jitter,
                             freeze_lo=freeze_lo, freeze_hi=freeze_hi)
         if (w + 1) in want:
-            diags.append(_snapshot(qs, logws, frozen, frames.times[w + 1],
+            diags.append(_snapshot(qs, frozen, frames.times[w + 1],
                                    frames.dens[w + 1], grid, edges))
     out = replace(ens, positions=qs, lambdas=lams, log_weights=logws,
                   frozen=frozen, t=ens.t + n_windows * frames.dt_window)

@@ -293,13 +293,6 @@ def test_naive_ordering_rejects_unknown_kind():
 # hermiticity defect
 
 
-def test_hermiticity_defect_examples():
-    assert hermiticity_defect(np.zeros((4, 4))) == 0.0
-    assert hermiticity_defect(np.diag([1.0, 2.0])) == 0.0
-    anti = np.array([[0.0, 1j], [1j, 0.0]])
-    assert hermiticity_defect(anti) == pytest.approx(2.0, abs=1e-15)
-
-
 def test_an_operators_defect_is_its_dense_matrixs_bit_for_bit():
     # read from the two off-diagonals: the diagonal and the off-band zeros
     # of the dense form add nothing to the maximum
@@ -312,10 +305,6 @@ def test_an_operators_defect_is_its_dense_matrixs_bit_for_bit():
            *(build_naive_ordering(spec, grid, 1.0, ordering)
              for ordering in ("g_pp", "pp_g"))]
     defects = [hermiticity_defect(op) for op in ops]
-    assert defects == [hermiticity_defect(dense(op)) for op in ops]
+    assert defects == [float(np.max(np.abs(M - M.conj().T)))
+                       for M in map(dense, ops)]
     assert defects[0] == 0.0 and min(defects[1:]) > 1e-3
-
-
-def test_hermiticity_defect_rejects_non_square():
-    with pytest.raises(ShapeError):
-        hermiticity_defect(np.zeros((3, 4)))

@@ -13,12 +13,13 @@ import pytest
 from dense import dense
 from stochaction import cli, harness, kernels
 from stochaction.errors import ConfigurationError
+from stochaction.evolution import eigenpairs
 from stochaction.hamiltonian import (PRESET_PARAMS, build_naive_ordering,
                                      build_quantum_hamiltonian, make_system,
                                      symmetrized)
 from stochaction.harness import (_RUNNERS, KEY_TYPES, SCENARIOS, STATE_PARAMS,
                                  _build_grid, _build_system, _fmt, _fmt_row,
-                                 _low_spectrum, _snapshot_rows, parse_config,
+                                 _snapshot_rows, parse_config,
                                  resolve_config, run_command, write_csv)
 
 # every scenario that runs in about 3 s or less on one core (bohmian on
@@ -182,7 +183,7 @@ def test_each_symmetrized_spectrum_is_its_dense_orderings(case, build):
     assert np.array_equal(sym.lower, sym.upper)
     levels = kernels.tridiagonal_eigh(sym.diag, sym.upper)[0]
     np.testing.assert_allclose(levels, ref, rtol=1e-12, atol=0)
-    low = _low_spectrum(op)[0]
+    low = eigenpairs(sym, 5)[0]
     np.testing.assert_allclose(low, ref[:5], rtol=1e-12, atol=0)
     if build == "sandwich" or case == "constant_g":
         # the sandwich's spectrum, which the naive builds share at constant g
@@ -391,7 +392,7 @@ def _bohmian_density_csvs(out_dir: Path, **config) -> dict:
         "run.scenario": "bohmian", "time.T": 0.04, "ensemble.size": 4000,
         **config}, str(out_dir))
     return _csv_bytes(out_dir, [f for f in result.files
-                                if f in ("equivariance.csv", "weighted.csv")])
+                                if f == "equivariance.csv"])
 
 
 def test_disable_lambda_runs_the_ensemble_without_its_source(tmp_path):
@@ -400,7 +401,7 @@ def test_disable_lambda_runs_the_ensemble_without_its_source(tmp_path):
     # moves them (source.hbar is not varied: it also sets the wave's hbar)
     smeared = {"source.kind": "smeared", "source.width": 0.3}
     base = _bohmian_density_csvs(tmp_path / "base")
-    assert sorted(base) == ["equivariance.csv", "weighted.csv"]
+    assert sorted(base) == ["equivariance.csv"]
     assert _bohmian_density_csvs(tmp_path / "other", **smeared) == base
     on = _bohmian_density_csvs(tmp_path / "on",
                                **{"ensemble.disable_lambda": False})
@@ -677,7 +678,6 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
     two = _run_at_blas_threads(2, tmp_path / "t2")
     assert sorted(one) == [
         "classical_limit/classical_track.csv",
-        "classical_limit/qp_scaling.csv",
         "free_gaussian/chain_equivalence.csv",
         "free_gaussian/madelung_pair.csv", "free_gaussian/wave_density.csv",
         "harmonic_stationary/chain_equivalence.csv",
@@ -686,8 +686,7 @@ def test_csvs_do_not_depend_on_blas_thread_count(tmp_path):
         "ordering_contrast/orderings.csv",
         "propagator_quality/propagator_quality.csv",
         "propagator_quality_512/propagator_quality.csv",
-        "tau_sweep/equivariance.csv", "tau_sweep/sweep.csv",
-        "tau_sweep/weighted.csv"]
+        "tau_sweep/equivariance.csv", "tau_sweep/sweep.csv"]
     for name in one:
         assert one[name] == two[name], name
 
@@ -764,7 +763,7 @@ def _tau_sweep_at_workers(workers: int, out_dir: Path, monkeypatch):
 def test_csvs_do_not_depend_on_ensemble_worker_count(tmp_path, monkeypatch):
     one, one_checks = _tau_sweep_at_workers(1, tmp_path / "w1", monkeypatch)
     two, two_checks = _tau_sweep_at_workers(2, tmp_path / "w2", monkeypatch)
-    assert sorted(one) == ["equivariance.csv", "sweep.csv", "weighted.csv"]
+    assert sorted(one) == ["equivariance.csv", "sweep.csv"]
     assert one == two
     assert one_checks == two_checks
 

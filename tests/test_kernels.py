@@ -740,6 +740,46 @@ def _reference_run(om, S, tables, dq, dt, n_steps, lam=1.0):
     return om, S
 
 
+def _quantum_potential(R, spec, grid, lam):
+    """Q on the interior, read from the reference right-hand side at S = 0
+    and V = 0, where the phase rate there is -Q."""
+    pts = grid.points()
+    tables = [np.asarray(f(pts), dtype=float) for f in (spec.g, spec.dg)]
+    zero = np.zeros(grid.n)
+    _, dSdt = _reference_rhs(R * R, zero, *tables, zero, grid.dq, lam)
+    return -dSdt[1:-1]
+
+
+def test_the_quantum_potential_of_a_flat_amplitude_is_zero():
+    grid = build_grid(128, -6.0, 6.0)
+    R = np.full(grid.n, 1.0 / np.sqrt(12.0))
+    qp = _quantum_potential(R, make_system("free"), grid, 0.7)
+    assert np.max(np.abs(qp)) == 0.0
+
+
+def test_the_quantum_potential_of_a_gaussian_matches_the_analytic_form():
+    # R ~ exp(-q^2/4 sigma^2), g = 1/m: Q is
+    # -(lam^2/2m)(q^2/4 sigma^4 - 1/2 sigma^2); measured error 3.5e-3
+    # against a field of scale ~2.1
+    grid = build_grid(256, -6.0, 6.0)
+    q = grid.points()[1:-1]
+    sig = 0.9
+    R = np.exp(-grid.points() ** 2 / (4.0 * sig ** 2))
+    qp = _quantum_potential(R, make_system("free", m=2.0), grid, 0.8)
+    expected = -(0.8 ** 2 / 4.0) * (q ** 2 / (4.0 * sig ** 4)
+                                    - 1.0 / (2.0 * sig ** 2))
+    assert np.max(np.abs(qp - expected)[3:-3]) < 5e-3
+
+
+def test_the_quantum_potential_scales_exactly_with_the_scale_squared():
+    grid = build_grid(256, -6.0, 6.0)
+    spec = make_system("free", m=2.0)
+    R = np.exp(-grid.points() ** 2 / (4.0 * 0.81))
+    qp1 = _quantum_potential(R, spec, grid, 0.8)
+    qp2 = _quantum_potential(R, spec, grid, 1.6)
+    assert np.array_equal(qp2, 4.0 * qp1)
+
+
 def _on_clone(request, clone):
     """Run the kernels' baseline clone where clone is "baseline", and the
     clone this CPU picks where it is "picked"."""

@@ -4,10 +4,9 @@ import pytest
 
 from stochaction.errors import ConfigurationError, ShapeError
 from stochaction.lattice import (build_grid, check_field, gradient,
-                                 gradient_uniform, integrate, interp_linear,
-                                 quadrature_weights, second_derivative,
-                                 second_derivative_uniform, trapezoid_cdf,
-                                 whole_steps)
+                                 gradient_uniform, integrate,
+                                 quadrature_weights, second_derivative_uniform,
+                                 trapezoid_cdf, whole_steps)
 
 
 def test_build_grid_spacing_is_exact():
@@ -103,7 +102,7 @@ def test_second_derivative_interior_error_is_second_order():
     for n in (101, 201):
         grid = build_grid(n, -2.0, 2.0)
         q = grid.points()
-        err = second_derivative(np.sin(q), grid) + np.sin(q)
+        err = second_derivative_uniform(np.sin(q), grid.dq) + np.sin(q)
         errs.append(np.max(np.abs(err[2:-2])))
     ratio = errs[0] / errs[1]
     assert abs(ratio - 4.0) < 0.8
@@ -135,21 +134,6 @@ def test_quadrature_weights_match_trapezoid():
     f = rng.standard_normal(grid.n)
     assert float(quadrature_weights(grid) @ f) == pytest.approx(
         integrate(f, grid), abs=1e-14)
-
-
-def test_interp_linear_exact_on_linear_fields():
-    grid = build_grid(64, -1.0, 1.0)
-    f = 3.0 * grid.points() + 0.5
-    probes = np.array([-0.97, -0.2, 0.0, 0.513, 0.999])
-    got = interp_linear(f, grid, probes)
-    assert np.max(np.abs(got - (3.0 * probes + 0.5))) < 1e-12
-
-
-def test_interp_linear_scalar_probe_returns_scalar():
-    grid = build_grid(64, -1.0, 1.0)
-    f = grid.points() ** 2
-    out = interp_linear(f, grid, 0.25)
-    assert np.ndim(out) == 0
 
 
 def test_check_field_rejects_non_finite_entries():

@@ -1,6 +1,5 @@
-"""Polar decomposition, the signed scale's two branches as one state,
-coupled amplitude/phase integration, and the scale-squared potential
-term."""
+"""Polar decomposition, the signed scale's two branches as one state, and
+coupled amplitude/phase integration."""
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +13,7 @@ from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.kernels import run_madelung_window
 from stochaction.lattice import GridSpec, build_grid, gradient, integrate
 from stochaction.madelung import (CHECK_EVERY, default_timestep, from_polar,
-                                  quantum_potential, step_coupled_pde,
-                                  to_polar)
+                                  step_coupled_pde, to_polar)
 
 H_QUANTUM = 2.0 * np.pi   # one whole phase quantum at unit scale
 
@@ -138,41 +136,6 @@ def test_pair_from_wave_shares_amplitude_and_has_no_offset(ground_384):
     assert m.R.tobytes() == np.abs(gs.psi).tobytes()
     assert m.S.tobytes() == ref.S.tobytes()
     assert (m.lam, m.t, m.grid) == (gs.hbar_eff, gs.t, gs.grid)
-
-
-# ---------------------------------------------------------------------------
-# scale-squared potential term
-
-
-def test_quantum_potential_of_flat_amplitude_is_zero():
-    grid = build_grid(128, -6.0, 6.0)
-    spec = make_system("free")
-    R = np.full(grid.n, 1.0 / np.sqrt(12.0))
-    assert np.max(np.abs(quantum_potential(R, spec, grid, 0.7))) == 0.0
-
-
-def test_quantum_potential_of_gaussian_matches_analytic_form():
-    # R ~ exp(-q^2/4 sigma^2), g = 1/m: the term is
-    # -(lam^2/2m)(q^2/4 sigma^4 - 1/2 sigma^2); measured error 3.5e-3
-    # against a field of scale ~2.1
-    grid = build_grid(256, -6.0, 6.0)
-    spec = make_system("free", m=2.0)
-    q = grid.points()
-    sig = 0.9
-    R = np.exp(-q ** 2 / (4.0 * sig ** 2))
-    qp = quantum_potential(R, spec, grid, 0.8)
-    expected = -(0.8 ** 2 / 4.0) * (q ** 2 / (4.0 * sig ** 4) - 1.0 / (2.0 * sig ** 2))
-    assert np.max(np.abs(qp - expected)[4:-4]) < 5e-3
-
-
-def test_quantum_potential_scales_exactly_with_scale_squared():
-    grid = build_grid(256, -6.0, 6.0)
-    spec = make_system("free", m=2.0)
-    q = grid.points()
-    R = np.exp(-q ** 2 / (4.0 * 0.81))
-    qp1 = quantum_potential(R, spec, grid, 0.8)
-    qp2 = quantum_potential(R, spec, grid, 1.6)
-    assert np.array_equal(qp2, 4.0 * qp1)
 
 
 # ---------------------------------------------------------------------------

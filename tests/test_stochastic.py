@@ -1,5 +1,5 @@
-"""Signed action-scale sources, exponential action deviations,
-microscopic/effective velocities, and guided ensembles."""
+"""Signed action-scale sources, exponential action deviations, the
+guidance tables, and guided ensembles."""
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +8,14 @@ import pytest
 from path_action import action_of_path, lagrangian_value
 from stochaction.classical import PhasePoint, integrate_path
 from stochaction.errors import ConfigurationError, NodeError, ShapeError
-from stochaction.evolution import (coherent_state, gaussian_packet,
+from stochaction.evolution import (WaveState, coherent_state, gaussian_packet,
                                    propagate_crank_nicolson, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
 from stochaction.kernels import DOMAIN_DEVIATION, counter_uniform
 from stochaction.lattice import build_grid, gradient
-from stochaction.stochastic import (LambdaSource, bohmian_velocity,
-                                    build_wave_frames, effective_velocity,
-                                    init_ensemble, microscopic_velocity,
-                                    propagate_ensemble,
+from stochaction.stochastic import (LambdaSource, _guidance_tables,
+                                    bohmian_velocity, build_wave_frames,
+                                    init_ensemble, propagate_ensemble,
                                     sample_action_deviation, sample_lambda,
                                     sample_positions_from_density,
                                     tv_distance)
@@ -178,61 +177,44 @@ def test_midpoint_increment_sum_matches_path_action_at_second_order():
 # velocities
 
 
-def test_microscopic_velocity_with_flat_density_is_classical():
+def _tables(psi, grid, spec):
+    return _guidance_tables(WaveState(psi=np.asarray(psi, dtype=complex),
+                                      hbar_eff=1.0, t=0.0, grid=grid), spec)
+
+
+def test_guidance_tables_of_a_flat_density_are_classical():
+    # a particle moves with vb + lam osm: a flat density has no osmotic
+    # part, and vb = g dS/dq with g = 1/2
     grid = build_grid(128, -4.0, 4.0)
     spec = make_system("free", m=2.0)
-    S = 0.6 * grid.points()
-    v = microscopic_velocity(0.5, S, np.full(grid.n, 0.25), 1.0, spec, grid)
-    assert v == pytest.approx(0.3, abs=1e-12)
-    # on every grid point, a curved S and lam = 1: g dS/dq, g = 1/2
     q = grid.points()
-    S = np.sin(q)
-    v = microscopic_velocity(q, S, np.full(grid.n, 0.8), 1.0, spec, grid)
-    assert np.max(np.abs(v - 0.5 * gradient(S, grid))) < 1e-13
+    vb, osm, _ = _tables(0.5 * np.exp(0.6j * q), grid, spec)
+    assert np.max(np.abs(vb - 0.3)) < 1e-12
+    assert np.max(np.abs(osm)) < 1e-12
+    # a curved S on every grid point
+    vb, osm, _ = _tables(np.sqrt(0.8) * np.exp(1j * np.sin(q)), grid, spec)
+    assert np.max(np.abs(vb - 0.5 * gradient(np.sin(q), grid))) < 1e-13
+    assert np.max(np.abs(osm)) < 1e-12
 
 
-def test_microscopic_velocity_of_gaussian_density():
-    # flat S, unit Gaussian density, lam = 1: the osmotic part is the half
-    # log-derivative -q/2, -0.5 at q = 1; checked on the grid points of the
-    # core, where the finite difference is second-order accurate (measured
-    # 2.7e-4 at dq = 0.04)
+def test_guidance_tables_of_a_gaussian_density():
+    # flat S, unit Gaussian density: no guidance, and the osmotic part is
+    # the half log-derivative -q/2, checked in the core, where the finite
+    # difference is second-order accurate (measured 2.7e-4 at dq = 0.04)
     grid = build_grid(251, -5.0, 5.0)
-    spec = make_system("free")
     q = grid.points()
-    Om = np.exp(-q ** 2 / 2.0)
-    v = microscopic_velocity(1.0, np.zeros(grid.n), Om, 1.0, spec, grid)
-    assert v == pytest.approx(-0.5, abs=1e-3)
-    core = q[np.abs(q) <= 2.0]
-    v = microscopic_velocity(core, np.zeros(grid.n), Om, 1.0, spec, grid)
-    assert np.max(np.abs(v + core / 2.0)) < 1e-3
+    vb, osm, _ = _tables(np.exp(-q ** 2 / 4.0), grid, make_system("free"))
+    assert np.max(np.abs(vb)) == 0.0
+    core = np.abs(q) <= 2.0
+    assert np.max(np.abs(osm[core] + q[core] / 2.0)) < 1e-3
 
 
-def test_signed_velocity_average_is_the_guidance_field():
-    grid = build_grid(251, -5.0, 5.0)
-    spec = make_system("free")
-    q = grid.points()
-    S = np.sin(q)
-    Om = np.exp(-q ** 2 / 2.0)
-    # between grid points and on every one of them
-    probes = np.concatenate([[-1.5, -0.25, 0.0, 0.8, 1.9], q])
-    v_plus = microscopic_velocity(probes, S, Om, 1.0, spec, grid)
-    v_minus = microscopic_velocity(probes, S, Om, -1.0, spec, grid)
-    from stochaction.lattice import interp_linear
-    v_ref = interp_linear(gradient(S, grid), grid, probes)
-    assert np.max(np.abs(effective_velocity(v_plus, v_minus) - v_ref)) < 1e-14
-
-
-def test_effective_velocity_examples():
-    assert effective_velocity(2.0, 0.0) == 1.0
-    assert effective_velocity(0.37, 0.37) == 0.37
-
-
-def test_microscopic_velocity_rejects_nodes():
+def test_guidance_tables_reject_nodes():
     grid = build_grid(321, -8.0, 8.0)
-    spec = make_system("free")
-    Om = np.exp(-grid.points() ** 2 / 2.0)   # tails under the node floor
+    # tails under the node floor
+    psi = np.exp(-grid.points() ** 2 / 4.0)
     with pytest.raises(NodeError):
-        microscopic_velocity(0.0, np.zeros(grid.n), Om, 1.0, spec, grid)
+        _tables(psi, grid, make_system("free"))
 
 
 def test_bohmian_velocity_of_real_state_is_zero():
@@ -263,22 +245,6 @@ def test_bohmian_velocity_of_spreading_packet_has_the_analytic_slope():
     core = np.abs(pts) < 2.0
     slope = np.polyfit(pts[core], v[core], 1)[0]
     assert abs(slope - 0.2) / 0.2 < 0.01
-
-
-def test_microscopic_pair_matches_bohmian_velocity_through_polar_fields():
-    # the +-lam average evaluated from (S, Omega) agrees with the guidance
-    # field computed from the complex state, to interpolation accuracy
-    grid = build_grid(251, -5.0, 5.0)
-    spec = make_system("free")
-    st = gaussian_packet(grid, sigma=1.1, momentum=0.8)
-    S = st.hbar_eff * np.unwrap(np.angle(st.psi))
-    Om = np.abs(st.psi) ** 2
-    probes = grid.points()[30:-30:17]   # on-grid probes: no interp error
-    v_p = microscopic_velocity(probes, S, Om, 1.0, spec, grid)
-    v_m = microscopic_velocity(probes, S, Om, -1.0, spec, grid)
-    v_eff = effective_velocity(v_p, v_m)
-    v_ref = bohmian_velocity(st, spec, grid)[30:-30:17]
-    assert np.max(np.abs(v_eff - v_ref)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
