@@ -7,7 +7,8 @@ import pytest
 
 from dense import dense
 from stochaction.errors import ConfigurationError, NodeError, ShapeError
-from stochaction.hamiltonian import (ClassicalSpec, build_naive_ordering,
+from stochaction.hamiltonian import (ClassicalSpec, QuantumOperator,
+                                     build_naive_ordering,
                                      build_quantum_hamiltonian,
                                      classical_velocity, guidance_field,
                                      hermiticity_defect, make_system,
@@ -291,6 +292,23 @@ def test_naive_ordering_rejects_unknown_kind():
 
 # ---------------------------------------------------------------------------
 # hermiticity defect
+
+
+def test_hermiticity_defect_examples():
+    grid = build_grid(16, 0.0, 1.0)
+
+    def op(lower, upper):
+        return QuantumOperator(lower=lower, diag=np.arange(16.0), upper=upper,
+                               hbar_eff=1.0, grid=grid)
+
+    zero = np.zeros(15)
+    assert hermiticity_defect(op(zero, zero)) == 0.0
+    links = np.linspace(-0.5, 0.5, 15)
+    assert hermiticity_defect(op(links, links)) == 0.0
+    # H[3, 4] = 1 and H[4, 3] = -1: |H - H^T| is 2 at both entries
+    upper, lower = zero.copy(), zero.copy()
+    upper[3], lower[3] = 1.0, -1.0
+    assert hermiticity_defect(op(lower, upper)) == 2.0
 
 
 def test_an_operators_defect_is_its_dense_matrixs_bit_for_bit():

@@ -411,6 +411,31 @@ def test_disable_lambda_runs_the_ensemble_without_its_source(tmp_path):
     assert on != base and on_smeared != on
 
 
+def test_the_sweep_table_has_no_weighted_column(tmp_path):
+    result = run_command("equivariance", {
+        "run.scenario": "tau_sweep", "time.T": 0.04, "ensemble.size": 4000},
+        str(tmp_path))
+    assert result.files == ["equivariance.csv", "sweep.csv"]
+    header = [line for line in
+              (tmp_path / "sweep.csv").read_text().splitlines()
+              if not line.startswith("#")][0]
+    assert header == "tau_Q,tv_final,frozen_fraction,micro_steps"
+
+
+def test_classical_limit_and_bohmian_check_only_what_a_claim_reads(tmp_path):
+    # the lambda^2 probe of Q and the +-lambda velocity identity are gone,
+    # with qp_scaling.csv and weighted.csv
+    limit = run_command("evolve", {"run.scenario": "classical_limit"},
+                        str(tmp_path / "limit"))
+    assert [c.name for c in limit.checks] == ["center_track_max_err"]
+    assert limit.files == ["classical_track.csv"]
+    bohm = run_command("equivariance", {
+        "run.scenario": "bohmian", "time.T": 0.04, "ensemble.size": 4000},
+        str(tmp_path / "bohm"))
+    assert [c.name for c in bohm.checks] == ["tv_final", "frozen_fraction"]
+    assert bohm.files == ["equivariance.csv"]
+
+
 def test_propagator_quality_records_the_last_step(tmp_path):
     # 25 steps: the ten record bounds must end at step 25, not at 24
     result = run_command("evolve", {"run.scenario": "propagator_quality",

@@ -638,6 +638,44 @@ def test_sharded_window_equals_the_single_threaded_window_bitwise(workers, m,
         assert np.signbit(moving).any() and not np.signbit(moving).all()
 
 
+def _one_step(probes, vb, th, q_min, dq, frozen=None):
+    """The particles at probes after one micro step of unit length with
+    lambda disabled, so that each moves by its vb and no osmotic part."""
+    m, n = probes.size, vb.size
+    state = [probes.copy(), np.zeros(m), np.zeros(m),
+             np.zeros(m, np.uint8) if frozen is None else frozen.copy()]
+    run_ensemble_window(*state, vb, np.zeros(n), th, q_min, dq, 1.0, 1,
+                        step0=0, seed=0, **ENSEMBLE_SOURCES["disabled"],
+                        freeze_lo=-10.0, freeze_hi=10.0)
+    return state
+
+
+def test_the_window_interpolates_linear_tables_exactly():
+    # between grid points, on one and at both ends of the table
+    n = 64
+    pts = -1.0 + (2.0 / (n - 1)) * np.arange(n)
+    probes = np.array([-1.0, -0.97, -0.2, 0.0, 0.513, 0.999, 1.0])
+    qs = _one_step(probes, 3.0 * pts + 0.5, np.zeros(n), -1.0,
+                   2.0 / (n - 1))[0]
+    assert np.max(np.abs(qs - probes - (3.0 * probes + 0.5))) < 1e-12
+
+
+def test_the_log_weight_takes_theta_where_the_particle_starts():
+    # logw -= theta(q) dt on a moving particle, and a frozen one neither
+    # moves nor accumulates
+    n = 64
+    pts = -1.0 + (2.0 / (n - 1)) * np.arange(n)
+    probes = np.array([-0.97, -0.2, 0.0, 0.513, 0.999])
+    frozen = np.array([0, 0, 1, 0, 0], np.uint8)
+    qs, _, logws, flags = _one_step(probes, np.full(n, 0.25), 1.0 - 2.0 * pts,
+                                    -1.0, 2.0 / (n - 1), frozen)
+    moving = frozen == 0
+    assert np.max(np.abs(logws[moving] + 1.0 - 2.0 * probes[moving])) < 1e-12
+    assert np.array_equal(qs[moving], probes[moving] + 0.25)
+    assert logws[2] == 0.0 and qs[2] == probes[2]
+    assert np.array_equal(flags, frozen)
+
+
 # ---------------------------------------------------------------------------
 # polar-pair RK4, compiled from _polar.c
 

@@ -11,7 +11,8 @@ from stochaction.errors import ConfigurationError, NodeError, ShapeError
 from stochaction.evolution import (WaveState, coherent_state, gaussian_packet,
                                    propagate_crank_nicolson, spectral_filter)
 from stochaction.hamiltonian import build_quantum_hamiltonian, make_system
-from stochaction.kernels import DOMAIN_DEVIATION, counter_uniform
+from stochaction.kernels import (DOMAIN_DEVIATION, SRC_BINARY,
+                                 counter_uniform, run_ensemble_window)
 from stochaction.lattice import build_grid, gradient
 from stochaction.stochastic import (LambdaSource, _guidance_tables,
                                     bohmian_velocity, build_wave_frames,
@@ -207,6 +208,46 @@ def test_guidance_tables_of_a_gaussian_density():
     assert np.max(np.abs(vb)) == 0.0
     core = np.abs(q) <= 2.0
     assert np.max(np.abs(osm[core] + q[core] / 2.0)) < 1e-3
+
+
+def test_guidance_tables_of_a_moving_packet():
+    # |psi|^2 a Gaussian of width sigma about q0 and S = p q, g = 1/2:
+    # vb = g p, osm = -(g/2)(q - q0)/sigma^2 in the core (measured 1.0e-4
+    # at dq = 0.04), and theta = 0
+    grid = build_grid(251, -5.0, 5.0)
+    q = grid.points()
+    st = gaussian_packet(grid, center=0.5, sigma=1.1, momentum=0.8)
+    vb, osm, theta = _guidance_tables(st, make_system("free", m=2.0))
+    assert np.max(np.abs(vb - 0.4)) < 1e-12
+    assert np.max(np.abs(theta)) < 1e-12
+    core = np.abs(q - 0.5) <= 2.0
+    assert np.max(np.abs(osm[core] + 0.25 * (q[core] - 0.5) / 1.21)) < 1e-3
+
+
+def test_signed_velocity_average_is_the_guidance_field():
+    # one micro step of unit length of the ensemble window: a particle at
+    # scale +1 and one at -1 from the same point move by vb + osm and
+    # vb - osm, whose average is the guidance field g dS/dq there
+    grid = build_grid(251, -5.0, 5.0)
+    q = grid.points()
+    vb, osm, theta = _tables(np.exp(-q ** 2 / 4.0 + 1j * np.sin(q)), grid,
+                             make_system("free"))
+    # between grid points and on every one of them, 64 particles each
+    probes = np.concatenate([[-1.5, -0.25, 0.0, 0.8, 1.9], q])
+    qs = np.repeat(probes, 64)
+    lams, logws = np.empty_like(qs), np.zeros_like(qs)
+    run_ensemble_window(qs, lams, logws, np.zeros(qs.size, np.uint8), vb, osm,
+                        theta, grid.q_min, grid.dq, 1.0, 1, step0=0, seed=7,
+                        src_kind=SRC_BINARY, mag0=1.0, jitter=0.0,
+                        freeze_lo=-100.0, freeze_hi=100.0)
+    v = (qs - np.repeat(probes, 64)).reshape(probes.size, 64)
+    lams = lams.reshape(probes.size, 64)
+    assert np.all(np.abs(lams) == 1.0)
+    assert np.all((lams > 0).any(axis=1) & (lams < 0).any(axis=1))
+    v_plus = v[np.arange(probes.size), np.argmax(lams > 0, axis=1)]
+    v_minus = v[np.arange(probes.size), np.argmax(lams < 0, axis=1)]
+    v_ref = np.interp(probes, q, gradient(np.sin(q), grid))
+    assert np.max(np.abs(0.5 * (v_plus + v_minus) - v_ref)) < 1e-13
 
 
 def test_guidance_tables_reject_nodes():
